@@ -18,6 +18,7 @@ standard input, one per line, in command-line order.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -422,8 +423,21 @@ _HANDLERS = {
 }
 
 
+class _UsageError(Exception):
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError so that `run` can report usage errors as JSON."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="moyal",
         description="Exact star products, brackets, and kernel analysis on "
         "phase-space polynomials.",
@@ -514,9 +528,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(command, outcome: _Outcome):
+    doc = {
+        "command": command,
+        "status": outcome.status,
+        "result": outcome.result,
+        "witness": outcome.witness,
+        "defects": outcome.defects,
+    }
+    print(json.dumps(doc, sort_keys=True, indent=2))
+
+
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as err:
+        head = list(itertools.takewhile(lambda token: token.startswith("-"), argv))
+        if "--json" not in head:
+            argparse.ArgumentParser.error(err.parser, str(err))  # usage text, exit 2
+        rest = argv[len(head):]
+        command = rest[0] if rest and rest[0] in _HANDLERS else None
+        _print_json(command, _Outcome("error", witness={"message": str(err)}))
+        return 2
     guard = os.environ.get("MOYAL_MAX_DEGREE")
     if guard:
         try:
@@ -532,14 +567,7 @@ def run(argv=None) -> int:
     except (MoyalError, ValueError, ZeroDivisionError) as err:
         outcome = _Outcome("error", witness={"message": str(err)}, human=f"error: {err}")
     if args.json:
-        doc = {
-            "command": args.command,
-            "status": outcome.status,
-            "result": outcome.result,
-            "witness": outcome.witness,
-            "defects": outcome.defects,
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        _print_json(args.command, outcome)
     else:
         stream = sys.stderr if outcome.status == "error" else sys.stdout
         print(outcome.human, file=stream)

@@ -22,7 +22,6 @@ reparse to themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 from . import scalars
@@ -68,6 +67,10 @@ class Pow:
 Node = Union[Num, Sym, Var, Neg, BinOp, Pow]
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+# Parentheses and unary minus nest by recursion; deeper input is a parse
+# error rather than an exhausted interpreter stack.
+MAX_NESTING = 100
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -131,6 +134,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -144,6 +148,11 @@ class _Parser:
         raise ExpressionError(
             message, line=tok.line, column=tok.column, token=tok.text
         )
+
+    def nest(self, tok: Token):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels", tok)
 
     def parse_expression(self, min_prec: int = 1) -> Node:
         left = self.parse_unary()
@@ -162,7 +171,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.parse_unary())
+            self.nest(tok)
+            node = Neg(self.parse_unary())
+            self.depth -= 1
+            return node
         return self.parse_power()
 
     def parse_power(self) -> Node:
@@ -187,10 +199,12 @@ class _Parser:
                 return Sym(tok.text)
             return Var(tok.text)
         if tok.kind == "op" and tok.text == "(":
+            self.nest(tok)
             inner = self.parse_expression()
             closing = self.advance()
             if closing.kind != "op" or closing.text != ")":
                 self.fail("expected ')'", closing)
+            self.depth -= 1
             return inner
         self.fail("expected a number, a name, or '('", tok)
 
@@ -299,8 +313,3 @@ def parse_series(source: str) -> list[scalars.Coefficient]:
             raise ExpressionError("empty entry in coefficient list", token=source)
         out.append(parse_coefficient(piece))
     return out
-
-
-def parse_fraction(source: str) -> Fraction:
-    """Parse a plain rational literal like '3', '-1/2'."""
-    return Fraction(source)

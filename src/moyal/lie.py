@@ -522,8 +522,7 @@ def bracket_kernel_of(kernel: StarKernel, truncation_degree: int) -> RawLieKerne
     b = kernel.exponent()
     eb = exp_truncated(b, truncation_degree)
     swapped = slot_swap(eb, kernel.n)
-    half_inv_mu = (scalars.MU * 2).inverse()
-    return RawLieKernel(kernel.n, (eb - swapped).scale(half_inv_mu))
+    return RawLieKernel(kernel.n, (eb - swapped).scale(scalars.HALF_INV_MU))
 
 
 def center_generators_from_kernel(

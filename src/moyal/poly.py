@@ -37,7 +37,7 @@ from .errors import (
     PoleAtMuZeroError,
     SpaceMismatchError,
 )
-from .scalars import Coefficient, GaussRational
+from .scalars import Coefficient
 
 Exponents = tuple[int, ...]
 
@@ -168,9 +168,14 @@ class Poly:
 
     @classmethod
     def monomial(cls, space: Space, exps: Exponents, coeff: Coefficient = scalars.ONE) -> "Poly":
+        exps = tuple(exps)
+        if len(exps) != len(space):
+            raise SpaceMismatchError(
+                f"exponent tuple {exps} does not fit a {len(space)}-variable space"
+            )
         if not coeff:
             return cls(space, {})
-        return cls(space, {tuple(exps): coeff})
+        return cls(space, {exps: coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -390,26 +395,22 @@ class Poly:
         terms: dict[Exponents, Coefficient] = {}
         for exps, coeff in self.terms.items():
             try:
-                g = coeff.eval_at_mu_zero()
+                c = coeff.mu_zero()
             except PoleAtMuZeroError:
                 raise PoleAtMuZeroError(
                     f"pole at mu = 0 in the term {format_term(self.space, exps, coeff)}",
                     term=format_term(self.space, exps, coeff),
                 ) from None
-            if g:
-                terms[exps] = Coefficient.make(
-                    scalars.MuPoly.const(g), scalars.MU_POLY_ONE
-                )
+            if c:
+                terms[exps] = c
         return Poly(self.space, terms)
 
     def mu_components(self) -> dict[int, "Poly"]:
         """Split by mu-power; every coefficient must be polynomial in mu."""
         buckets: dict[int, dict[Exponents, Coefficient]] = {}
         for exps, coeff in self.terms.items():
-            for k, g in coeff.mu_monomials().items():
-                buckets.setdefault(k, {})[exps] = Coefficient.make(
-                    scalars.MuPoly.const(g), scalars.MU_POLY_ONE
-                )
+            for k, c in coeff.mu_components().items():
+                buckets.setdefault(k, {})[exps] = c
         return {k: Poly(self.space, terms) for k, terms in sorted(buckets.items())}
 
     # -- rendering ---------------------------------------------------------

@@ -190,7 +190,7 @@ def bracket(f: Poly, g: Poly, kernel: StarKernel) -> Poly:
     surfaces later in `classical_limit`.
     """
     comm = star(f, g, kernel) - star(g, f, kernel)
-    return comm.scale((scalars.MU * 2).inverse())
+    return comm.scale(scalars.HALF_INV_MU)
 
 
 def poisson(f: Poly, g: Poly) -> Poly:

@@ -202,3 +202,30 @@ class TestProtocol:
         assert code == 1
         assert doc["status"] == "fail"
         assert doc["witness"]["kind"] == "pole-at-mu-zero"
+
+
+JSON_KEYS = {"command", "status", "result", "witness", "defects"}
+
+
+def test_json_usage_error_is_a_json_document(capsys):
+    # A leading minus makes argparse read the expression as an option.
+    code, out, _ = invoke(capsys, "--json", "star", "-q1^2", "p1")
+    doc = json.loads(out)
+    assert code == 2
+    assert set(doc) == JSON_KEYS
+    assert doc["command"] == "star"
+    assert doc["status"] == "error"
+    assert "required" in doc["witness"]["message"]
+    code, out, _ = invoke(capsys, "--json", "no-such-command")
+    doc = json.loads(out)
+    assert code == 2 and doc["command"] is None and doc["status"] == "error"
+
+
+def test_json_deep_nesting_exit_two(capsys):
+    nested = "(" * 1200 + "q1" + ")" * 1200
+    code, out, _ = invoke(capsys, "--json", "star", nested, "p1")
+    doc = json.loads(out)
+    assert code == 2
+    assert set(doc) == JSON_KEYS
+    assert doc["status"] == "error"
+    assert "nested deeper" in doc["witness"]["message"]

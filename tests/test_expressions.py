@@ -7,6 +7,7 @@ import pytest
 from moyal import scalars
 from moyal.errors import ExpressionError
 from moyal.expressions import (
+    MAX_NESTING,
     BinOp,
     Neg,
     Num,
@@ -137,3 +138,19 @@ def test_series_parsing():
 def test_parse_coefficient_rejects_variables():
     with pytest.raises(ExpressionError):
         parse_coefficient("q1 + 1")
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["(" * 1200 + "q1" + ")" * 1200, "(" + "-" * 3000 + "q1)"],
+    ids=["parentheses", "unary-minus"],
+)
+def test_deep_nesting_is_a_parse_error(source):
+    with pytest.raises(ExpressionError, match="nested deeper"):
+        parse(source)
+
+
+def test_nesting_up_to_the_limit_parses():
+    depth = MAX_NESTING
+    assert parse("(" * depth + "q1" + ")" * depth) == Var("q1")
+    assert parse_poly("-" * depth + "q1", SP) == parse_poly("q1", SP)

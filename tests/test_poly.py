@@ -186,3 +186,12 @@ def test_homogeneous_and_blocks():
     assert b.homogeneous_component(2) == parse_poly("u1*v1", pair)
     comp = b.block_component((range(0, 2), range(2, 4)), (2, 1))
     assert comp == parse_poly("u1^2*v1", pair)
+
+
+def test_monomial_rejects_wrong_arity():
+    with pytest.raises(SpaceMismatchError):
+        Poly.monomial(phase_space(1), (1, 2, 3))
+    with pytest.raises(SpaceMismatchError):
+        Poly.monomial(phase_space(1), (1,), scalars.ZERO)
+    assert Poly.monomial(phase_space(1), [1, 2]) == parse_poly("q1*p1^2", SP)
+    assert list(Poly.constant(phase_space(2), scalars.MU).terms) == [(0, 0, 0, 0)]
