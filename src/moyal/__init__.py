@@ -11,6 +11,8 @@ Main entry points:
   * scalars.Coefficient, poly.Poly, poly.DiffOp - the arithmetic substrate;
   * star.StarKernel, star.star, star.bracket, star.poisson,
     star.classical_limit, star.u_map - the product layer;
+  * star.BiDiff - the bidifferential operator of a kernel polynomial, behind
+    star products, bracket kernels, centre checks and the coefficient table;
   * operators.NCPoly, operators.nc_mul, operators.weyl_quantize,
     operators.weyl_symbol - the independent operator route;
   * cocycle.cocycle_check, cocycle.factorize, cocycle.center_basis -

@@ -44,6 +44,7 @@ from .poly import (
     phase_space,
     set_degree_guard,
     sigma_space,
+    triple_space,
 )
 from .star import StarKernel, bracket, classical_limit, poisson, star, u_map
 
@@ -200,7 +201,7 @@ def _cmd_factorize(args, fetch) -> _Outcome:
         fact = factorize(raw)
     except FactorizationError as err:
         witness = {"stage": err.stage, "message": str(err)}
-        if isinstance(err.witness, object) and hasattr(err.witness, "stage"):
+        if hasattr(err.witness, "stage"):
             witness.update(_violation_payload(err.witness))
         return _Outcome("fail", witness=witness, human=str(err))
     result = {
@@ -268,8 +269,6 @@ def _cmd_check_lie(args, fetch) -> _Outcome:
             pieces["constants"] = str(Poly.monomial(raw.a.space, exps, coeff))
         if report.jacobi_status == "violation" and report.jacobi_witness:
             exps, coeff = report.jacobi_witness
-            from .poly import triple_space
-
             pieces["jacobi"] = str(Poly.monomial(triple_space(n), exps, coeff))
         witness = pieces
     status = "ok" if report.passed else "fail"

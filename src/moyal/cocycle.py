@@ -23,14 +23,17 @@ Ker M generate the center, which `center_basis` enumerates.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from . import scalars
 from .errors import FactorizationError, SpaceMismatchError
 from .linalg import Matrix, Vector, skew_canonical
-from .poly import Exponents, Poly, pair_space, phase_space, sigma_space, triple_space
-from .star import StarKernel, bilinear_pair_poly, coboundary
+from .poly import Exponents, Poly, Space, format_term, pair_space, phase_space, sigma_space
+from .star import StarKernel, coboundary, merge_slots, on_slots, slot_swap
 
 
 @dataclass(frozen=True)
@@ -60,48 +63,28 @@ class CocycleViolation:
     rhs: scalars.Coefficient | None = None
 
     def monomial_str(self) -> str:
-        from .poly import Space, format_term
-
         return format_term(Space(self.space_names), self.monomial, self.coefficient)
 
 
-def _slot_swap(b: Poly, n: int) -> Poly:
-    """Exchange the u and v blocks."""
-    width = 2 * n
-    return b.map_exponents(lambda e: e[width:] + e[:width], b.space)
-
-
 def _half(p: Poly) -> Poly:
-    from fractions import Fraction
-
     return p.scale_fraction(Fraction(1, 2))
 
 
 def split_parts(b: Poly, n: int) -> tuple[Poly, Poly]:
     """(symmetric, antisymmetric) slot-swap parts of b."""
-    swapped = _slot_swap(b, n)
+    swapped = slot_swap(b, n)
     return _half(b + swapped), _half(b - swapped)
 
 
 def cocycle_defect(raw: RawKernelExponent) -> Poly:
     """b(v,w) - b(u+v,w) + b(u,v+w) - b(u,v) over triple space."""
-    n = raw.n
-    width = 2 * n
-    b = raw.b
-    tri = triple_space(n)
-    zeros = (0,) * width
-
-    b_vw = b.map_exponents(lambda e: zeros + e, tri)
-    b_uv = b.map_exponents(lambda e: e + zeros, tri)
-
-    u_vars = [Poly.variable(tri, f"u{i}") for i in range(1, width + 1)]
-    v_vars = [Poly.variable(tri, f"v{i}") for i in range(1, width + 1)]
-    w_vars = [Poly.variable(tri, f"w{i}") for i in range(1, width + 1)]
-
-    b_uv_w = b.substitute([u + v for u, v in zip(u_vars, v_vars)] + w_vars, tri)
-    b_u_vw = b.substitute(u_vars + [v + w for v, w in zip(v_vars, w_vars)], tri)
-
-    return b_vw - b_uv_w + b_u_vw - b_uv
+    n, b = raw.n, raw.b
+    return (
+        on_slots(b, n, "v", "w")
+        - on_slots(b, n, "uv", "w")
+        + on_slots(b, n, "u", "vw")
+        - on_slots(b, n, "u", "v")
+    )
 
 
 def _nonzero_point(defect: Poly) -> tuple[tuple[int, ...], scalars.Coefficient]:
@@ -226,20 +209,13 @@ def chi_extract(b_s: Poly) -> Poly:
     four_n = len(b_s.space)
     if four_n % 4:
         raise SpaceMismatchError("b_s must live on pair space")
-    width = four_n // 2
-    n = width // 2
-    sig = sigma_space(n)
-    diag = b_s.map_exponents(
-        lambda e: tuple(a + b for a, b in zip(e[:width], e[width:])), sig
-    )
+    sig = sigma_space(four_n // 4)
+    diag = merge_slots(b_s, sig)
     chi = Poly.zero(sig)
-    if diag.terms:
-        from fractions import Fraction
-
-        for d in range(2, diag.total_degree() + 1):
-            comp = diag.homogeneous_component(d)
-            if comp.terms:
-                chi = chi + comp.scale_fraction(Fraction(1, 2 - 2**d))
+    for d in range(2, diag.total_degree() + 1):
+        comp = diag.homogeneous_component(d)
+        if comp.terms:
+            chi = chi + comp.scale_fraction(Fraction(1, 2 - 2**d))
     residual = b_s - coboundary(chi)
     if not residual.is_zero:
         exps, coeff = residual.sorted_terms()[0]
@@ -274,7 +250,7 @@ class Factorization:
 
     def rebuild(self) -> Poly:
         """The exponent reassembled from (chi, M); equals the input exactly."""
-        return coboundary(self.chi) + bilinear_pair_poly(self.m, self.n)
+        return self.as_star_kernel().exponent()
 
     def as_star_kernel(self) -> StarKernel:
         return StarKernel(self.n, self.chi, self.m)
@@ -319,26 +295,18 @@ def center_basis(raw: RawKernelExponent, max_degree: int) -> list[Poly]:
     kernel of the antisymmetric form, so every commutator term carries a
     vanishing factor.  For nondegenerate M only the constants remain.
     """
-    fact = factorize(raw)
-    space = phase_space(raw.n)
-    duals = []
-    for vec in fact.kernel_basis:
-        form = Poly.zero(space)
-        for idx, coeff in enumerate(vec):
-            if coeff:
-                exps = [0] * len(space)
-                exps[idx] = 1
-                form = form + Poly.monomial(space, tuple(exps), coeff)
-        duals.append(form)
-    basis = [Poly.one(space)]
-    if not duals:
-        return basis
-    from itertools import combinations_with_replacement
+    return dual_monomials(raw.n, factorize(raw).kernel_basis, max_degree)
 
+
+def dual_monomials(n: int, kernel_basis: list[Vector], max_degree: int) -> list[Poly]:
+    """1 and every product of up to max_degree linear forms dual to kernel_basis."""
+    space = phase_space(n)
+    units = [tuple(int(k == idx) for k in range(2 * n)) for idx in range(2 * n)]
+    duals = [
+        Poly(space, {unit: c for unit, c in zip(units, vec) if c}) for vec in kernel_basis
+    ]
+    out = [Poly.one(space)]
     for degree in range(1, max_degree + 1):
-        for combo in combinations_with_replacement(range(len(duals)), degree):
-            prod = Poly.one(space)
-            for k in combo:
-                prod = prod * duals[k]
-            basis.append(prod)
-    return basis
+        for combo in combinations_with_replacement(duals, degree):
+            out.append(math.prod(combo, start=Poly.one(space)))
+    return out

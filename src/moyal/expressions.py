@@ -253,6 +253,37 @@ def _print(node: Node, parent_prec: int) -> str:
 
 def evaluate(node: Node, space: Space) -> Poly:
     """Evaluate an AST to a polynomial over the given space."""
+    # The parser builds `a + b + ...` and `a^1^1...` chains left-deep, with no
+    # bound on their length, so their left spine is walked iteratively.
+    spine = []
+    while isinstance(node, (BinOp, Pow)):
+        spine.append(node)
+        node = node.left if isinstance(node, BinOp) else node.base
+    value = _evaluate_leaf(node, space)
+    for op in reversed(spine):
+        if isinstance(op, Pow):
+            value = value**op.exponent
+            continue
+        right = evaluate(op.right, space)
+        if op.op == "+":
+            value = value + right
+        elif op.op == "-":
+            value = value - right
+        elif op.op == "*":
+            value = value * right
+        else:
+            divisor = right.constant_term()
+            if right.total_degree() > 0 or not divisor:
+                raise ExpressionError(
+                    "division is only defined by nonzero constants "
+                    "(field elements such as 2 or mu^2)",
+                    token="/",
+                )
+            value = value.scale(divisor.inverse())
+    return value
+
+
+def _evaluate_leaf(node: Node, space: Space) -> Poly:
     if isinstance(node, Num):
         return Poly.constant(space, scalars.Coefficient.from_int(node.value))
     if isinstance(node, Sym):
@@ -268,25 +299,6 @@ def evaluate(node: Node, space: Space) -> Poly:
         return Poly.variable(space, node.name)
     if isinstance(node, Neg):
         return -evaluate(node.operand, space)
-    if isinstance(node, Pow):
-        return evaluate(node.base, space) ** node.exponent
-    if isinstance(node, BinOp):
-        left = evaluate(node.left, space)
-        right = evaluate(node.right, space)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        divisor = right.constant_term()
-        if right.total_degree() > 0 or not divisor:
-            raise ExpressionError(
-                "division is only defined by nonzero constants "
-                "(field elements such as 2 or mu^2)",
-                token="/",
-            )
-        return left.scale(divisor.inverse())
     raise TypeError(f"not an AST node: {node!r}")
 
 

@@ -38,14 +38,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from itertools import product
+from math import factorial
 from typing import Sequence
 
 from . import scalars
+from .cocycle import dual_monomials
 from .errors import MoyalError, SpaceMismatchError
 from .linalg import Matrix, Vector
-from .poly import DiffOp, Exponents, Poly, divide_exact, pair_space, phase_space, sigma_space, triple_space
-from .star import StarKernel, phase_dimension
+from .poly import Exponents, Poly, divide_exact, pair_space, phase_space, sigma_space
+from .star import (
+    BiDiff,
+    StarKernel,
+    bilinear_pair_poly,
+    coboundary,
+    on_slots,
+    phase_dimension,
+    slot_swap,
+)
 
 
 class LieKernelError(MoyalError):
@@ -66,11 +76,6 @@ class RawLieKernel:
     def __post_init__(self):
         if self.a.space != pair_space(self.n):
             raise SpaceMismatchError("A must live on pair space u1..u2n, v1..v2n")
-
-
-def slot_swap(p: Poly, n: int) -> Poly:
-    width = 2 * n
-    return p.map_exponents(lambda e: e[width:] + e[:width], p.space)
 
 
 def exp_truncated(p: Poly, max_degree: int) -> Poly:
@@ -124,24 +129,12 @@ class LieAxiomReport:
 
 def jacobi_defect(raw: RawLieKernel) -> Poly:
     """A(u,v+w)A(v,w) + A(v,w+u)A(w,u) + A(w,u+v)A(u,v) over triple space."""
-    n = raw.n
-    width = 2 * n
-    tri = triple_space(n)
-    a = raw.a
-    zeros = (0,) * width
-
-    u_vars = [Poly.variable(tri, f"u{i}") for i in range(1, width + 1)]
-    v_vars = [Poly.variable(tri, f"v{i}") for i in range(1, width + 1)]
-    w_vars = [Poly.variable(tri, f"w{i}") for i in range(1, width + 1)]
-
-    a_u_vw = a.substitute(u_vars + [v + w for v, w in zip(v_vars, w_vars)], tri)
-    a_vw = a.map_exponents(lambda e: zeros + e, tri)
-    a_v_wu = a.substitute(v_vars + [w + u for w, u in zip(w_vars, u_vars)], tri)
-    a_wu = a.map_exponents(lambda e: e[width:] + zeros + e[:width], tri)
-    a_w_uv = a.substitute(w_vars + [u + v for u, v in zip(u_vars, v_vars)], tri)
-    a_uv = a.map_exponents(lambda e: e + zeros, tri)
-
-    return a_u_vw * a_vw + a_v_wu * a_wu + a_w_uv * a_uv
+    n, a = raw.n, raw.a
+    return (
+        on_slots(a, n, "u", "vw") * on_slots(a, n, "v", "w")
+        + on_slots(a, n, "v", "wu") * on_slots(a, n, "w", "u")
+        + on_slots(a, n, "w", "uv") * on_slots(a, n, "u", "v")
+    )
 
 
 def lie_axiom_check(
@@ -255,22 +248,6 @@ def extract_omega(raw: RawLieKernel) -> OmegaData:
     )
 
 
-def bilinear_first_slot_poly(omega: Matrix, n: int) -> Poly:
-    """w = sum_ij omega_ij u_i v_j over pair space."""
-    pair = pair_space(n)
-    width = 2 * n
-    terms = {}
-    for i in range(width):
-        for j in range(width):
-            c = omega[i, j]
-            if c:
-                exps = [0] * (2 * width)
-                exps[i] += 1
-                exps[width + j] += 1
-                terms[tuple(exps)] = c
-    return Poly(pair, terms)
-
-
 # ---------------------------------------------------------------------------
 # Generating-function classification
 # ---------------------------------------------------------------------------
@@ -357,9 +334,7 @@ class StructuredLieKernel:
 
     def expand(self, truncation_degree: int) -> RawLieKernel:
         """The kernel as a polynomial, truncated at the given total degree."""
-        from .star import coboundary
-
-        w = bilinear_first_slot_poly(self.omega, self.n)
+        w = bilinear_pair_poly(self.omega.transpose(), self.n)
         hw = Poly.zero(w.space)
         for idx, coeff in enumerate(self.h_series):
             power = 2 * idx + 1
@@ -412,8 +387,6 @@ def _fit_structured(
     input is not of normal form at this degree and the other outputs are
     partial.  h is normalized with h'(0) = 1, the scale being carried by w.
     """
-    from .star import coboundary
-
     width = 2 * n
     sig = sigma_space(n)
     chi = Poly.zero(sig)
@@ -497,24 +470,10 @@ def _series_list(found: dict[int, scalars.Coefficient]):
 
 def apply_bracket_kernel(raw: RawLieKernel, f: Poly, g: Poly) -> Poly:
     """One bidifferential application of the kernel to a pair of symbols."""
-    from .star import _tensor_space
-
-    n = raw.n
-    space = phase_space(n)
+    space = phase_space(raw.n)
     if f.space != space or g.space != space:
         raise SpaceMismatchError("operands must live on the kernel's phase space")
-    tensor = _tensor_space(n)
-    op = DiffOp.from_sigma_poly(Poly(tensor, dict(raw.a.terms)))
-    width = 2 * n
-    out = Poly.zero(space)
-    for ef, cf in f.terms.items():
-        for eg, cg in g.terms.items():
-            target = Poly.monomial(tensor, ef + eg, cf * cg)
-            applied = op.apply_once(target)
-            out = out + applied.map_exponents(
-                lambda e: tuple(x + y for x, y in zip(e[:width], e[width:])), space
-            )
-    return out
+    return BiDiff(raw.a).apply(f, g)
 
 
 def bracket_kernel_of(kernel: StarKernel, truncation_degree: int) -> RawLieKernel:
@@ -532,37 +491,17 @@ def center_generators_from_kernel(
     verify_degree: int,
 ) -> list[CenterGenerator]:
     """Monomials in the coordinates dual to Ker omega, bracket-verified."""
-    from itertools import combinations_with_replacement, product
-
-    n = raw.n
-    space = phase_space(n)
-    duals = []
-    for vec in kernel_basis:
-        form = Poly.zero(space)
-        for idx, coeff in enumerate(vec):
-            if coeff:
-                exps = [0] * len(space)
-                exps[idx] = 1
-                form = form + Poly.monomial(space, tuple(exps), coeff)
-        duals.append(form)
-    candidates = [Poly.one(space)]
-    for degree in range(1, max_degree + 1):
-        for combo in combinations_with_replacement(range(len(duals)), degree):
-            prod = Poly.one(space)
-            for k in combo:
-                prod = prod * duals[k]
-            candidates.append(prod)
+    space = phase_space(raw.n)
+    op = BiDiff(raw.a)
     monomials = [
         Poly.monomial(space, exps)
-        for exps in product(range(verify_degree + 1), repeat=2 * n)
+        for exps in product(range(verify_degree + 1), repeat=len(space))
         if sum(exps) <= verify_degree
     ]
     out = []
-    for cand in candidates:
+    for cand in dual_monomials(raw.n, kernel_basis, max_degree):
         verified = all(
-            apply_bracket_kernel(raw, cand, g).is_zero
-            and apply_bracket_kernel(raw, g, cand).is_zero
-            for g in monomials
+            op.apply(cand, g).is_zero and op.apply(g, cand).is_zero for g in monomials
         )
         out.append(CenterGenerator(generator=cand, verified=verified))
     return out
@@ -621,7 +560,7 @@ def theorem2_pipeline(
                 "nontrivial center; no product-type normal form applies"
             ),
         )
-    w = bilinear_first_slot_poly(omega_data.omega, raw.n)
+    w = bilinear_pair_poly(omega_data.omega.transpose(), raw.n)
     chi, series, witness = _fit_structured(raw.a, raw.n, w, fit_degree)
     if witness is not None:
         return Theorem2Report(
@@ -676,30 +615,21 @@ def bidiff_coefficients(
     """The coefficient table of the bracket as a double derivative series.
 
     Entry (r, j, s, k) multiplies (d_q^j d_p^(r-j) f) (d_q^k d_p^(s-k) g) in
-    the expansion of the bracket; it equals binom(r,j) binom(s,k) (-i)^(r+s)
-    times the corresponding derivative of A at zero.  Only n = 1 is
-    supported.
+    the expansion of the bracket; it is r! s! times the coefficient of that
+    derivative in the compiled operator BiDiff(A), i.e. binom(r,j) binom(s,k)
+    (-i)^(r+s) times the corresponding derivative of A at zero.  Only n = 1
+    is supported.
     """
     if raw.n != 1:
         raise ValueError("the coefficient table is defined for n = 1 only")
-    a = raw.a
+    op = BiDiff(raw.a).op.poly.terms
     table: dict[tuple[int, int, int, int], scalars.Coefficient] = {}
     for r in range(rmax + 1):
         for j in range(r + 1):
             for s in range(smax + 1):
                 for k in range(s + 1):
-                    coeff = a.terms.get((j, r - j, k, s - k), scalars.ZERO)
-                    if coeff:
-                        fact = (
-                            comb(r, j)
-                            * comb(s, k)
-                            * factorial(j)
-                            * factorial(r - j)
-                            * factorial(k)
-                            * factorial(s - k)
-                        )
-                        coeff = coeff.scale_int(fact) * scalars.neg_i_power(r + s)
-                    table[(r, j, s, k)] = coeff
+                    coeff = op.get((j, r - j, k, s - k), scalars.ZERO)
+                    table[(r, j, s, k)] = coeff.scale_int(factorial(r) * factorial(s))
     return table
 
 
@@ -710,20 +640,20 @@ def reconstruct_bracket(
 
     The table entries carry the binomial-times-derivative normalization, so
     the double series reads  sum b_{rj,sk}/(r! s!) (d^j_q d^(r-j)_p f)(...g).
+    It is applied as BiDiff of the kernel whose u^(j, r-j) v^(k, s-k)
+    coefficient is b_{rj,sk} / (r! s! (-i)^(r+s)).
     """
     if phase_dimension(f.space) != 1 or f.space != g.space:
         raise SpaceMismatchError("table reconstruction expects n = 1 symbols")
-    out = Poly.zero(f.space)
-    for (r, j, s, k), coeff in table.items():
-        if not coeff:
-            continue
-        df = f.differentiate(0, j).differentiate(1, r - j)
-        if df.is_zero:
-            continue
-        dg = g.differentiate(0, k).differentiate(1, s - k)
-        if dg.is_zero:
-            continue
-        out = out + (df * dg).scale(coeff).scale_fraction(
-            Fraction(1, factorial(r) * factorial(s))
-        )
-    return out
+    kernel = Poly.from_terms(
+        pair_space(1),
+        (
+            (
+                (j, r - j, k, s - k),
+                coeff.scale_fraction(Fraction(1, factorial(r) * factorial(s)))
+                * scalars.neg_i_power(-(r + s)),
+            )
+            for (r, j, s, k), coeff in table.items()
+        ),
+    )
+    return BiDiff(kernel).apply(f, g)

@@ -19,23 +19,18 @@ Vector = tuple[Coefficient, ...]
 class Matrix:
     """An immutable matrix of Coefficient entries."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_hash")
 
     def __init__(self, rows):
         self.rows = tuple(tuple(r) for r in rows)
         width = {len(r) for r in self.rows}
         if len(width) > 1:
             raise ValueError("ragged rows")
+        self._hash = None
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
         return cls([[scalars.ZERO] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(
-            [[scalars.ONE if i == j else scalars.ZERO for j in range(n)] for i in range(n)]
-        )
 
     @classmethod
     def canonical_symplectic(cls, n: int, scale: Coefficient = scalars.ONE) -> "Matrix":
@@ -64,18 +59,11 @@ class Matrix:
         return self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
-
-    def __neg__(self):
-        return Matrix([[-c for c in row] for row in self.rows])
-
-    def __add__(self, other):
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        h = self._hash
+        if h is None:
+            h = hash(self.rows)
+            self._hash = h
+        return h
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -121,11 +109,6 @@ class Matrix:
                 if yj:
                     total = total + xi * row[j] * yj
         return total
-
-    def apply(self, x: Vector) -> Vector:
-        return tuple(
-            sum((a * b for a, b in zip(row, x)), scalars.ZERO) for row in self.rows
-        )
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and the pivot column indices."""

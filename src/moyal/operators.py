@@ -29,24 +29,36 @@ from math import comb, factorial
 
 from . import scalars
 from .errors import DimensionMismatchError
-from .poly import DiffOp, Poly, phase_space
+from .poly import DiffOp, Poly, Space, phase_space
 from .star import phase_dimension
 
 Exponents = tuple[int, ...]
+
+
+def operator_space(n: int) -> Space:
+    """The generator names qh1..qhn, ph1..phn, in canonical word order."""
+    return Space(
+        [f"qh{i}" for i in range(1, n + 1)] + [f"ph{i}" for i in range(1, n + 1)]
+    )
 
 
 class NCPoly:
     """A canonically ordered noncommutative polynomial in qh, ph.
 
     terms maps (q-exponents + p-exponents) words to nonzero coefficients.
+    Addition, scaling and printing are those of the commutative `Poly` over
+    the generator names; only the product, `nc_mul`, differs.
     """
 
-    __slots__ = ("n", "terms", "_hash")
+    __slots__ = ("n", "poly")
 
     def __init__(self, n: int, terms: dict[Exponents, scalars.Coefficient]):
         self.n = n
-        self.terms = terms
-        self._hash = None
+        self.poly = Poly(operator_space(n), terms)
+
+    @property
+    def terms(self) -> dict[Exponents, scalars.Coefficient]:
+        return self.poly.terms
 
     @classmethod
     def zero(cls, n: int) -> "NCPoly":
@@ -78,61 +90,28 @@ class NCPoly:
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.poly == other.poly
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.n, frozenset(self.terms.items())))
-            self._hash = h
-        return h
+        return hash(self.poly)
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         self._check(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff:
-                terms[exps] = coeff
-            else:
-                del terms[exps]
-        return NCPoly(self.n, terms)
+        return NCPoly(self.n, (self.poly + other.poly).terms)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + other.scale(scalars.MINUS_ONE)
+        self._check(other)
+        return NCPoly(self.n, (self.poly - other.poly).terms)
 
     def scale(self, coeff: scalars.Coefficient) -> "NCPoly":
-        if not coeff:
-            return NCPoly(self.n, {})
-        return NCPoly(self.n, {e: c * coeff for e, c in self.terms.items()})
+        return NCPoly(self.n, self.poly.scale(coeff).terms)
 
     def _check(self, other: "NCPoly"):
         if self.n != other.n:
             raise DimensionMismatchError("operator dimensions disagree")
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        names = [f"qh{i}" for i in range(1, self.n + 1)] + [
-            f"ph{i}" for i in range(1, self.n + 1)
-        ]
-        parts = []
-        for exps, coeff in sorted(
-            self.terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0]))
-        ):
-            mono = "*".join(
-                nm if e == 1 else f"{nm}^{e}" for nm, e in zip(names, exps) if e
-            )
-            if not mono:
-                parts.append(str(coeff))
-            elif coeff == scalars.ONE:
-                parts.append(mono)
-            elif coeff == scalars.MINUS_ONE:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{coeff.as_factor()}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return str(self.poly)
 
     def __repr__(self):
         return f"NCPoly(n={self.n}, {self})"

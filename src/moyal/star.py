@@ -44,6 +44,7 @@ from .poly import (
     pair_space,
     phase_space,
     sigma_space,
+    triple_space,
 )
 
 Exponents = tuple[int, ...]
@@ -137,31 +138,100 @@ def bilinear_pair_poly(m: Matrix, n: int) -> Poly:
     return Poly(pair, terms)
 
 
-def _tensor_space(n: int) -> Space:
-    names = [f"zl{i}" for i in range(1, 2 * n + 1)] + [
-        f"zr{i}" for i in range(1, 2 * n + 1)
-    ]
-    return Space(names)
-
-
-@lru_cache(maxsize=None)
-def _tensor_diffop(kernel: StarKernel) -> DiffOp:
-    # b's u-block differentiates the left slot, the v-block the right slot.
-    b = kernel.exponent()
-    reindexed = Poly(_tensor_space(kernel.n), dict(b.terms))
-    return DiffOp.from_sigma_poly(reindexed)
-
-
-@lru_cache(maxsize=None)
-def _star_monomials(kernel: StarKernel, f_exps: Exponents, g_exps: Exponents) -> Poly:
-    n = kernel.n
-    tensor = _tensor_space(n)
-    target = Poly.monomial(tensor, f_exps + g_exps, scalars.ONE)
-    applied = _tensor_diffop(kernel).apply_exp(target)
+def slot_swap(p: Poly, n: int) -> Poly:
+    """Exchange the u and v blocks of a pair-space polynomial."""
     width = 2 * n
-    return applied.map_exponents(
-        lambda e: tuple(a + b for a, b in zip(e[:width], e[width:])), phase_space(n)
+    return p.map_exponents(lambda e: e[width:] + e[:width], p.space)
+
+
+def merge_slots(p: Poly, space: Space) -> Poly:
+    """Set both slots of p equal: add its two blocks of len(space) exponents."""
+    width = len(space)
+    return p.map_exponents(
+        lambda e: tuple(map(int.__add__, e[:width], e[width:])), space
     )
+
+
+def on_slots(p: Poly, n: int, first: str, second: str) -> Poly:
+    """p(first, second) over triple space: on_slots(a, n, "u", "vw") is a(u, v + w).
+
+    Slots that are single u/v/w blocks only reindex the terms; sums substitute.
+    """
+    width = 2 * n
+    tri = triple_space(n)
+    if len(first) == len(second) == 1:
+        positions = tuple(
+            "uvw".index(block) * width + i for block in first + second for i in range(width)
+        )
+        return p.embed(tri, positions)
+    images = [
+        sum((Poly.variable(tri, f"{block}{i}") for block in slot), Poly.zero(tri))
+        for slot in (first, second)
+        for i in range(1, width + 1)
+    ]
+    return p.substitute(images, tri)
+
+
+# Distinct (f-monomial, g-monomial) pairs one product operator remembers.
+PAIR_MEMO_SIZE = 4096
+
+
+class BiDiff:
+    """The bidifferential operator A(-i d_left, -i d_right) of a pair-space kernel A.
+
+    The u-block of A differentiates the left factor and the v-block the right
+    one: the operator acts on f (x) g, written over the same 4n slots, and the
+    two slots are then merged back to phase space.  `apply` runs the operator
+    once, as for a bracket kernel A; `apply_exp` runs its exponential, as for
+    a product kernel exp(b), and memoises each monomial pair on the operator.
+    """
+
+    __slots__ = ("space", "op", "_pairs")
+
+    def __init__(self, a: Poly):
+        n, rem = divmod(len(a.space), 4)
+        if rem or a.space != pair_space(n):
+            raise SpaceMismatchError(f"{a.space!r} is not a pair space")
+        self.space = phase_space(n)
+        self.op = DiffOp.from_sigma_poly(a)
+        self._pairs: dict[tuple[Exponents, Exponents], Poly] = {}
+
+    def apply(self, f: Poly, g: Poly) -> Poly:
+        """A(-i d_left, -i d_right) applied once to f (x) g, slots merged."""
+        tensor = {
+            ef + eg: cf * cg for ef, cf in f.terms.items() for eg, cg in g.terms.items()
+        }
+        applied = self.op.apply_once(Poly(self.op.poly.space, tensor))
+        return merge_slots(applied, self.space)
+
+    def apply_exp(self, f: Poly, g: Poly) -> Poly:
+        """exp(A(-i d_left, -i d_right)) applied to f (x) g, slots merged."""
+        pairs = self._pairs
+        terms: dict[Exponents, scalars.Coefficient] = {}
+        for ef, cf in f.terms.items():
+            for eg, cg in g.terms.items():
+                piece = pairs.get((ef, eg))
+                if piece is None:
+                    if len(pairs) >= PAIR_MEMO_SIZE:
+                        pairs.clear()
+                    target = Poly.monomial(self.op.poly.space, ef + eg)
+                    piece = merge_slots(self.op.apply_exp(target), self.space)
+                    pairs[ef, eg] = piece
+                scale = cf * cg
+                for exps, coeff in piece.terms.items():
+                    coeff = coeff * scale
+                    acc = terms.get(exps)
+                    coeff = coeff if acc is None else acc + coeff
+                    if coeff:
+                        terms[exps] = coeff
+                    else:
+                        del terms[exps]
+        return Poly(self.space, terms)
+
+
+@lru_cache(maxsize=64)
+def _star_op(kernel: StarKernel) -> BiDiff:
+    return BiDiff(kernel.exponent())
 
 
 def star(f: Poly, g: Poly, kernel: StarKernel) -> Poly:
@@ -175,11 +245,7 @@ def star(f: Poly, g: Poly, kernel: StarKernel) -> Poly:
         raise DegreeGuardError(
             f"star operand degrees exceed the guard ({get_degree_guard()})"
         )
-    out = Poly.zero(space)
-    for ef, cf in f.terms.items():
-        for eg, cg in g.terms.items():
-            out = out + _star_monomials(kernel, ef, eg).scale(cf * cg)
-    return out
+    return _star_op(kernel).apply_exp(f, g)
 
 
 def bracket(f: Poly, g: Poly, kernel: StarKernel) -> Poly:

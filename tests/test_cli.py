@@ -229,3 +229,26 @@ def test_json_deep_nesting_exit_two(capsys):
     assert set(doc) == JSON_KEYS
     assert doc["status"] == "error"
     assert "nested deeper" in doc["witness"]["message"]
+
+
+CHAIN = 1200
+
+
+@pytest.mark.parametrize(
+    "f, code, poly",
+    [
+        (" + ".join(["q1"] * CHAIN), 0, "1200*q1*p1 + 1200*mu"),
+        ("*".join(["1"] * (CHAIN - 1) + ["q1"]), 0, "q1*p1 + mu"),
+        ("q1" + "^1" * CHAIN, 0, "q1*p1 + mu"),
+        ("(" * CHAIN + "q1" + ")" * CHAIN, 2, None),
+    ],
+    ids=["sum", "product", "power", "parentheses"],
+)
+def test_json_long_chains(capsys, f, code, poly):
+    got, out, err = invoke(capsys, "--json", "star", f, "p1")
+    doc = json.loads(out)
+    assert got == code
+    assert set(doc) == JSON_KEYS
+    assert "Traceback" not in err
+    if poly is not None:
+        assert doc["result"] == {"poly": poly}

@@ -154,3 +154,19 @@ def test_nesting_up_to_the_limit_parses():
     depth = MAX_NESTING
     assert parse("(" * depth + "q1" + ")" * depth) == Var("q1")
     assert parse_poly("-" * depth + "q1", SP) == parse_poly("q1", SP)
+
+
+CHAIN_LENGTH = 1200
+
+
+def test_long_operator_chains_evaluate():
+    # The parser builds these chains left-deep; evaluation must not recurse per link.
+    q1 = parse_poly("q1", SP)
+    total = parse_poly(" + ".join(["q1"] * CHAIN_LENGTH), SP)
+    assert total == q1.scale(scalars.Coefficient.from_int(CHAIN_LENGTH))
+    assert parse_poly(" - ".join(["q1"] * CHAIN_LENGTH), SP) == q1.scale(
+        scalars.Coefficient.from_int(2 - CHAIN_LENGTH)
+    )
+    assert parse_poly("*".join(["1"] * (CHAIN_LENGTH - 1) + ["q1"]), SP) == q1
+    assert parse_poly("q1" + "/1" * CHAIN_LENGTH, SP) == q1
+    assert parse_poly("q1" + "^1" * CHAIN_LENGTH, SP) == q1

@@ -180,3 +180,13 @@ def test_every_star_kernel_exponent_is_a_cocycle():
             n, random_gauge_chi(rng, n, 3, terms=2), random_antisymmetric(rng, 2 * n)
         )
         assert cocycle_check(RawKernelExponent(n, kernel.exponent())) is None
+
+
+def test_equal_matrices_hash_equal():
+    # Star operators are cached by kernel, so equal kernels must hash equal.
+    rows = [[scalars.ZERO, scalars.MU], [-scalars.MU, scalars.ZERO]]
+    a, b = Matrix(rows), Matrix([list(r) for r in rows])
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash(a)
+    assert hash(StarKernel(1, MOYAL.chi, a)) == hash(StarKernel(1, MOYAL.chi, b))
+    assert hash(a) == hash(Matrix.canonical_symplectic(1, scalars.MU))
