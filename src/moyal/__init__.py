@@ -63,6 +63,7 @@ from .poly import (
     DiffOp,
     Poly,
     Space,
+    degree_guard,
     pair_space,
     phase_space,
     set_degree_guard,

@@ -10,8 +10,8 @@ as a cocycle violation, a "neither" classification, or a pole at mu = 0), or
 "error" (exit 2: usage or parse problems).  JSON output is byte-identical
 across runs on identical input.
 
-The environment variable MOYAL_MAX_DEGREE overrides the global total-degree
-guard.  With --stdin, expression arguments written as '-' are read from
+The environment variable MOYAL_MAX_DEGREE sets the total-degree guard for
+the command.  With --stdin, expression arguments written as '-' are read from
 standard input, one per line, in command-line order.
 """
 
@@ -246,7 +246,7 @@ def _axiom_payload(report) -> tuple[dict, dict | None]:
         defects = {}
         if report.defect_mu_orders is not None:
             defects["mu_orders"] = {
-                str(k): v for k, v in report.defect_mu_orders.items()
+                str(k): str(v) for k, v in report.defect_mu_orders.items()
             }
         if report.defect_degree_range is not None:
             defects["degree_range"] = list(report.defect_degree_range)

@@ -51,17 +51,52 @@ class Neg:
     operand: "Node"
 
 
+def _prefix(node: "Node") -> list:
+    """The tree in prefix order, walked with a stack rather than by recursion."""
+    out = []
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, BinOp):
+            out.append(node.op)
+            pending += (node.right, node.left)
+        elif isinstance(node, Pow):
+            out.append(("^", node.exponent))
+            pending.append(node.base)
+        else:
+            out.append(node)
+    return out
+
+
+def _tree_eq(self, other):
+    if type(other) is not type(self):
+        return NotImplemented
+    return _prefix(self) == _prefix(other)
+
+
+def _tree_hash(self):
+    return hash(tuple(_prefix(self)))
+
+
+# Parsed operator chains nest left-deep with no bound on their length, so
+# BinOp and Pow compare and hash without recursion.
 @dataclass(frozen=True)
 class BinOp:
     op: str  # '+', '-', '*', '/'
     left: "Node"
     right: "Node"
 
+    __eq__ = _tree_eq
+    __hash__ = _tree_hash
+
 
 @dataclass(frozen=True)
 class Pow:
     base: "Node"
     exponent: int
+
+    __eq__ = _tree_eq
+    __hash__ = _tree_hash
 
 
 Node = Union[Num, Sym, Var, Neg, BinOp, Pow]
@@ -228,6 +263,29 @@ def print_ast(node: Node) -> str:
 
 
 def _print(node: Node, parent_prec: int) -> str:
+    # Left spines of `+ - * /` and `^` chains are walked iteratively, as in
+    # `evaluate`; each spine entry remembers the precedence its parent asks for.
+    spine = []
+    while isinstance(node, (BinOp, Pow)):
+        spine.append((node, parent_prec))
+        if isinstance(node, Pow):
+            node, parent_prec = node.base, 4
+        else:
+            node, parent_prec = node.left, _PRECEDENCE[node.op]
+    text = _print_leaf(node, parent_prec)
+    for op, parent_prec in reversed(spine):
+        if isinstance(op, Pow):
+            text = f"{text}^{op.exponent}"
+            continue
+        prec = _PRECEDENCE[op.op]
+        right = _print(op.right, prec + 1)
+        text = f"{text} {op.op} {right}" if prec == 1 else f"{text}{op.op}{right}"
+        if parent_prec > prec:
+            text = f"({text})"
+    return text
+
+
+def _print_leaf(node: Node, parent_prec: int) -> str:
     if isinstance(node, Num):
         return str(node.value)
     if isinstance(node, (Sym, Var)):
@@ -236,15 +294,6 @@ def _print(node: Node, parent_prec: int) -> str:
         inner = _print(node.operand, 3)
         text = f"-{inner}"
         return f"({text})" if parent_prec > 2 else text
-    if isinstance(node, Pow):
-        base = _print(node.base, 4)
-        return f"{base}^{node.exponent}"
-    if isinstance(node, BinOp):
-        prec = _PRECEDENCE[node.op]
-        left = _print(node.left, prec)
-        right = _print(node.right, prec + 1)
-        text = f"{left} {node.op} {right}" if prec == 1 else f"{left}{node.op}{right}"
-        return f"({text})" if parent_prec > prec else text
     raise TypeError(f"not an AST node: {node!r}")
 
 

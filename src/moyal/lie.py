@@ -44,7 +44,7 @@ from typing import Sequence
 
 from . import scalars
 from .cocycle import dual_monomials
-from .errors import MoyalError, SpaceMismatchError
+from .errors import MoyalError, PoleAtMuZeroError, SpaceMismatchError
 from .linalg import Matrix, Vector
 from .poly import Exponents, Poly, divide_exact, pair_space, phase_space, sigma_space
 from .star import (
@@ -100,13 +100,18 @@ def exp_truncated(p: Poly, max_degree: int) -> Poly:
 
 @dataclass(frozen=True)
 class LieAxiomReport:
-    """Outcome of the antisymmetry / Jacobi / constants checks."""
+    """Outcome of the antisymmetry / Jacobi / constants checks.
+
+    `defect_mu_orders` holds the exact mu-power parts of the Jacobi defect,
+    as triple-space polynomials keyed by mu-order (None when the defect is
+    not polynomial in mu); the CLI renders them.
+    """
 
     antisymmetry_witness: tuple[Exponents, scalars.Coefficient] | None
     constants_witness: tuple[Exponents, scalars.Coefficient] | None
     jacobi_status: str  # "exact" | "truncation-defect" | "violation"
     jacobi_witness: tuple[Exponents, scalars.Coefficient] | None
-    defect_mu_orders: dict[int, str] | None
+    defect_mu_orders: dict[int, Poly] | None
     defect_degree_range: tuple[int, int] | None
     truncation_degree: int | None
 
@@ -128,13 +133,38 @@ class LieAxiomReport:
 
 
 def jacobi_defect(raw: RawLieKernel) -> Poly:
-    """A(u,v+w)A(v,w) + A(v,w+u)A(w,u) + A(w,u+v)A(u,v) over triple space."""
+    """A(u,v+w)A(v,w) + A(v,w+u)A(w,u) + A(w,u+v)A(u,v) over triple space.
+
+    The sum is cyclic: with P(u,v,w) = A(u,v+w)A(v,w) it is P(u,v,w) +
+    P(v,w,u) + P(w,u,v).  P is built with one product, and the other two
+    terms are P with its u, v, w exponent blocks rotated.
+    """
     n, a = raw.n, raw.a
-    return (
-        on_slots(a, n, "u", "vw") * on_slots(a, n, "v", "w")
-        + on_slots(a, n, "v", "wu") * on_slots(a, n, "w", "u")
-        + on_slots(a, n, "w", "uv") * on_slots(a, n, "u", "v")
-    )
+    p = on_slots(a, n, "u", "vw") * on_slots(a, n, "v", "w")
+    block = 2 * n
+    # The sum is invariant under the rotation, so each orbit of exponent
+    # tuples is summed once and the total stored at every tuple of the orbit.
+    terms: dict[Exponents, scalars.Coefficient] = {}
+    seen = set()
+    for exps in p.terms:
+        if exps in seen:
+            continue
+        orbit = (exps, exps[2 * block :] + exps[: 2 * block], exps[block:] + exps[:block])
+        seen.update(orbit)
+        total = None
+        for e in orbit:
+            c = p.terms.get(e)
+            if c is not None:
+                total = c if total is None else total + c
+        if total:
+            for e in orbit:
+                terms[e] = total
+    return Poly(p.space, terms)
+
+
+def _first_term(p: Poly) -> tuple[Exponents, scalars.Coefficient] | None:
+    """The first term of `p.sorted_terms()`, found without sorting; None for 0."""
+    return p.leading_term() if p.terms else None
 
 
 def lie_axiom_check(
@@ -150,37 +180,36 @@ def lie_axiom_check(
     n = raw.n
     a = raw.a
 
-    anti = a + slot_swap(a, n)
-    anti_witness = None if anti.is_zero else anti.sorted_terms()[0]
+    anti_witness = _first_term(a + slot_swap(a, n))
 
     width = 2 * n
-    const_witness = None
-    for exps, coeff in a.sorted_terms():
-        if sum(exps[:width]) == 0:
-            const_witness = (exps, coeff)
-            break
+    const_witness = _first_term(
+        Poly(a.space, {e: c for e, c in a.terms.items() if not any(e[:width])})
+    )
 
     defect = jacobi_defect(raw)
-    if defect.is_zero:
-        status, jac_witness, mu_orders, degree_range = "exact", None, None, None
+    jac_witness = _first_term(defect)
+    if jac_witness is None:
+        status, mu_orders, degree_range = "exact", None, None
     else:
-        jac_witness = defect.sorted_terms()[0]
         degrees = [sum(e) for e in defect.terms]
         degree_range = (min(degrees), max(degrees))
-        try:
-            mu_orders = {
-                k: str(part) for k, part in sorted(defect.mu_components().items())
-            }
-        except ValueError:
-            mu_orders = None
-        vanishes_at_zero = False
-        try:
-            vanishes_at_zero = defect.mu_zero().is_zero
-        except MoyalError:
-            pass
         above_truncation = (
             truncation_degree is not None and degree_range[0] > truncation_degree + 2
         )
+        try:
+            mu_orders = defect.mu_components()
+        except ValueError:
+            mu_orders = None
+        vanishes_at_zero = False
+        if mu_orders is not None:
+            # Every coefficient is a mu-polynomial: the mu^0 part is the value at 0.
+            vanishes_at_zero = 0 not in mu_orders
+        elif not above_truncation:
+            try:
+                vanishes_at_zero = defect.mu_zero().is_zero
+            except PoleAtMuZeroError:
+                pass
         status = (
             "truncation-defect" if (vanishes_at_zero or above_truncation) else "violation"
         )
@@ -392,15 +421,19 @@ def _fit_structured(
     chi = Poly.zero(sig)
     found: dict[int, scalars.Coefficient] = {1: scalars.ONE}
     a_cut = a.truncate_degree(fit_degree)
+    # The odd powers w^k the fit can reach (2k <= fit_degree), each built once.
+    w_powers = {1: w.truncate_degree(fit_degree)}
+    for k in range(3, fit_degree // 2 + 1, 2):
+        w_powers[k] = w_powers[k - 2] * w * w
+    # exp(coboundary chi), rebuilt only when chi changes.
+    dress = exp_truncated(coboundary(chi), fit_degree)
 
     def reconstruction() -> Poly:
         hw = Poly.zero(w.space)
         for power, coeff in found.items():
             if coeff:
-                hw = hw + (w**power).truncate_degree(fit_degree).scale(coeff)
-        return (exp_truncated(coboundary(chi), fit_degree) * hw).truncate_degree(
-            fit_degree
-        )
+                hw = hw + w_powers[power].scale(coeff)
+        return (dress * hw).truncate_degree(fit_degree)
 
     u_block = range(0, width)
     v_block = range(width, 2 * width)
@@ -437,10 +470,11 @@ def _fit_structured(
                             sig,
                         )
                 chi = chi + chi_new.scale_fraction(Fraction(1, d - 2))
+                dress = exp_truncated(coboundary(chi), fit_degree)
                 residual = (a_cut - reconstruction()).homogeneous_component(d)
         if d % 2 == 0 and (d // 2) % 2 == 1 and d >= 6:
             k = d // 2
-            wk = (w**k).homogeneous_component(d)
+            wk = w_powers[k]
             if residual.is_zero:
                 found[k] = scalars.ZERO
                 continue

@@ -21,14 +21,17 @@ polynomials because every generator term of positive degree strictly lowers
 the target's total degree.
 
 A configurable total-degree guard (default 64) makes runaway computations
-fail fast instead of exhausting memory.
+fail fast instead of exhausting memory.  The bound is a context variable, so
+a bound set in one thread does not leak into another.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import scalars
 from .errors import (
@@ -41,19 +44,34 @@ from .scalars import Coefficient
 
 Exponents = tuple[int, ...]
 
-_degree_guard = 64
+# A new thread starts from the default bound: a bound set with
+# set_degree_guard or degree_guard is seen only in the context that set it.
+_degree_guard: ContextVar[int] = ContextVar("moyal_degree_guard", default=64)
+
+
+def _checked_bound(bound: int) -> int:
+    if bound < 1:
+        raise ValueError("degree guard must be positive")
+    return bound
 
 
 def set_degree_guard(bound: int) -> None:
-    """Set the global total-degree bound for products (default 64)."""
-    global _degree_guard
-    if bound < 1:
-        raise ValueError("degree guard must be positive")
-    _degree_guard = bound
+    """Set the total-degree bound for products in the current context (default 64)."""
+    _degree_guard.set(_checked_bound(bound))
 
 
 def get_degree_guard() -> int:
-    return _degree_guard
+    return _degree_guard.get()
+
+
+@contextmanager
+def degree_guard(bound: int) -> Iterator[None]:
+    """Use `bound` as the total-degree bound inside the block, then restore it."""
+    token = _degree_guard.set(_checked_bound(bound))
+    try:
+        yield
+    finally:
+        _degree_guard.reset(token)
 
 
 class Space:
@@ -250,9 +268,10 @@ class Poly:
         self._check_space(other)
         if not self.terms or not other.terms:
             return Poly(self.space, {})
-        if self.total_degree() + other.total_degree() > _degree_guard:
+        guard = _degree_guard.get()
+        if self.total_degree() + other.total_degree() > guard:
             raise DegreeGuardError(
-                f"product degree would exceed the guard ({_degree_guard}); "
+                f"product degree would exceed the guard ({guard}); "
                 "raise it with set_degree_guard or MOYAL_MAX_DEGREE"
             )
         terms: dict[Exponents, Coefficient] = {}

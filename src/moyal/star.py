@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from math import comb
 
 from . import scalars
 from .errors import DegreeGuardError, DimensionMismatchError, SpaceMismatchError
@@ -155,21 +157,43 @@ def merge_slots(p: Poly, space: Space) -> Poly:
 def on_slots(p: Poly, n: int, first: str, second: str) -> Poly:
     """p(first, second) over triple space: on_slots(a, n, "u", "vw") is a(u, v + w).
 
-    Slots that are single u/v/w blocks only reindex the terms; sums substitute.
+    Slots that are single u/v/w blocks only reindex the terms; a power of a
+    sum of two blocks is expanded binomially on the exponent tuples.
     """
     width = 2 * n
     tri = triple_space(n)
-    if len(first) == len(second) == 1:
-        positions = tuple(
-            "uvw".index(block) * width + i for block in first + second for i in range(width)
-        )
-        return p.embed(tri, positions)
-    images = [
-        sum((Poly.variable(tri, f"{block}{i}") for block in slot), Poly.zero(tri))
+    targets = [
+        tuple("uvw".index(block) * width + i for block in slot)
         for slot in (first, second)
-        for i in range(1, width + 1)
+        for i in range(width)
     ]
-    return p.substitute(images, tri)
+    if all(len(where) == 1 for where in targets):
+        return p.embed(tri, tuple(where[0] for where in targets))
+    terms: dict[Exponents, scalars.Coefficient] = {}
+    for exps, coeff in p.terms.items():
+        base = [0] * len(tri)
+        sums = []
+        for e, where in zip(exps, targets):
+            if len(where) == 1:
+                base[where[0]] += e
+            elif e:
+                sums.append((e, where))
+        for split in product(*(range(e + 1) for e, _ in sums)):
+            new = base[:]
+            mult = 1
+            for j, (e, (left, right)) in zip(split, sums):
+                new[left] += j
+                new[right] += e - j
+                mult *= comb(e, j)
+            exps_new = tuple(new)
+            c = coeff.scale_int(mult)
+            acc = terms.get(exps_new)
+            c = c if acc is None else acc + c
+            if c:
+                terms[exps_new] = c
+            else:
+                del terms[exps_new]
+    return Poly(tri, terms)
 
 
 # Distinct (f-monomial, g-monomial) pairs one product operator remembers.

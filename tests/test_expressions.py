@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moyal import scalars
 from moyal.errors import ExpressionError
@@ -170,3 +171,48 @@ def test_long_operator_chains_evaluate():
     assert parse_poly("*".join(["1"] * (CHAIN_LENGTH - 1) + ["q1"]), SP) == q1
     assert parse_poly("q1" + "/1" * CHAIN_LENGTH, SP) == q1
     assert parse_poly("q1" + "^1" * CHAIN_LENGTH, SP) == q1
+
+
+AST_LEAVES = st.one_of(
+    st.builds(Num, st.integers(0, 12)),
+    st.builds(Sym, st.sampled_from(["i", "mu"])),
+    st.builds(Var, st.sampled_from(["q1", "p1", "u2"])),
+)
+ASTS = st.recursive(
+    AST_LEAVES,
+    lambda inner: st.one_of(
+        st.builds(Neg, inner),
+        st.builds(Pow, inner, st.integers(0, 4)),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/"]), inner, inner),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ASTS)
+def test_print_parse_round_trip_on_generated_asts(ast):
+    again = parse(print_ast(ast))
+    assert again == ast
+    assert hash(again) == hash(ast)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        " + ".join(["q1"] * CHAIN_LENGTH),
+        " - ".join(["(q1 - p1)"] * CHAIN_LENGTH),
+        "*".join(["(mu + q1)"] * CHAIN_LENGTH),
+        "/".join(["-q1"] + ["2"] * CHAIN_LENGTH),
+        "(q1 + p1)" + "^1" * CHAIN_LENGTH,
+    ],
+    ids=["sum", "difference", "product", "quotient", "power"],
+)
+def test_long_chains_print_compare_and_hash(source):
+    # print_ast, == and hash walk left-deep chains without recursing per link.
+    ast = parse(source)
+    text = print_ast(ast)
+    assert parse(text) == ast
+    assert hash(parse(text)) == hash(ast)
+    assert parse(source + " + 1") != ast
+    assert parse(source.replace("q1", "q1^2", 1)) != parse(source.replace("q1", "q1^3", 1))

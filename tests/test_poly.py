@@ -1,6 +1,7 @@
 """Sparse polynomial arithmetic, differentiation, and exponential operators."""
 
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from moyal.expressions import parse_poly
 from moyal.poly import (
     DiffOp,
     Poly,
+    degree_guard,
     divide_exact,
     get_degree_guard,
     pair_space,
@@ -195,3 +197,47 @@ def test_monomial_rejects_wrong_arity():
         Poly.monomial(phase_space(1), (1,), scalars.ZERO)
     assert Poly.monomial(phase_space(1), [1, 2]) == parse_poly("q1*p1^2", SP)
     assert list(Poly.constant(phase_space(2), scalars.MU).terms) == [(0, 0, 0, 0)]
+
+
+def test_degree_guard_context_manager_restores_the_bound():
+    saved = get_degree_guard()
+    with degree_guard(8):
+        assert get_degree_guard() == 8
+        with pytest.raises(DegreeGuardError):
+            (Q**5) * (Q**5)
+    assert get_degree_guard() == saved
+    assert (Q**5) * (Q**5) == Q**10
+    with pytest.raises(ValueError):
+        with degree_guard(0):
+            pass
+    assert get_degree_guard() == saved
+
+
+def test_degree_guard_is_not_shared_between_threads():
+    seen = {}
+    set_in_worker = threading.Event()
+    checked_in_main = threading.Event()
+
+    def worker():
+        set_degree_guard(4)
+        set_in_worker.set()
+        checked_in_main.wait(timeout=10)
+        seen["worker"] = get_degree_guard()
+        try:
+            Q**3 * Q**3
+        except DegreeGuardError:
+            seen["raised"] = True
+
+    saved = get_degree_guard()
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        assert set_in_worker.wait(timeout=10)
+        assert get_degree_guard() == saved
+        assert (Q**3) * (Q**3) == Q**6
+    finally:
+        checked_in_main.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen == {"worker": 4, "raised": True}
+    assert get_degree_guard() == saved
