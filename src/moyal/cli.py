@@ -538,28 +538,31 @@ def _print_json(command, outcome: _Outcome):
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
+def _degree_guard_from_env() -> None:
+    guard = os.environ.get("MOYAL_MAX_DEGREE")
+    if guard:
+        try:
+            set_degree_guard(int(guard))
+        except ValueError:
+            raise ValueError("MOYAL_MAX_DEGREE must be a positive integer") from None
+
+
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as err:
-        head = list(itertools.takewhile(lambda token: token.startswith("-"), argv))
-        if "--json" not in head:
+        if "--json" not in argv:
             argparse.ArgumentParser.error(err.parser, str(err))  # usage text, exit 2
+        head = list(itertools.takewhile(lambda token: token.startswith("-"), argv))
         rest = argv[len(head):]
         command = rest[0] if rest and rest[0] in _HANDLERS else None
         _print_json(command, _Outcome("error", witness={"message": str(err)}))
         return 2
-    guard = os.environ.get("MOYAL_MAX_DEGREE")
-    if guard:
-        try:
-            set_degree_guard(int(guard))
-        except ValueError:
-            print("error: MOYAL_MAX_DEGREE must be a positive integer", file=sys.stderr)
-            return 2
     fetch = _stdin_reader() if args.stdin else (lambda value: value)
     try:
+        _degree_guard_from_env()
         outcome = _HANDLERS[args.command](args, fetch)
     except ExpressionError as err:
         outcome = _Outcome("error", witness={"message": str(err), "token": err.token}, human=f"error: {err}")

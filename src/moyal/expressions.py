@@ -31,19 +31,52 @@ from .poly import Poly, Space
 # -- AST --------------------------------------------------------------------
 
 
+# The constructors accept exactly the nodes the parser builds, so that
+# print_ast inverts parse on every tree they accept.
+
+
+def _reject(message: str, token) -> None:
+    raise ExpressionError(message, token=str(token))
+
+
+def _is_name(text) -> bool:
+    """A NAME token as `tokenize` reads it: a letter, then letters, digits or '_'."""
+    return (
+        isinstance(text, str)
+        and text[:1].isalpha()
+        and all(ch.isalnum() or ch == "_" for ch in text[1:])
+    )
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
 @dataclass(frozen=True)
 class Num:
     value: int
+
+    def __post_init__(self):
+        if not _is_count(self.value):
+            _reject(f"a number literal is a nonnegative integer, not {self.value!r}", self.value)
 
 
 @dataclass(frozen=True)
 class Sym:
     name: str  # "i" or "mu"
 
+    def __post_init__(self):
+        if self.name not in _SYMBOLS:
+            _reject(f"the reserved symbols are i and mu, not {self.name!r}", self.name)
+
 
 @dataclass(frozen=True)
 class Var:
     name: str
+
+    def __post_init__(self):
+        if not _is_name(self.name) or self.name in _SYMBOLS:
+            _reject(f"{self.name!r} is not a variable name", self.name)
 
 
 @dataclass(frozen=True)
@@ -89,6 +122,10 @@ class BinOp:
     __eq__ = _tree_eq
     __hash__ = _tree_hash
 
+    def __post_init__(self):
+        if self.op not in _PRECEDENCE:
+            _reject(f"unknown binary operator {self.op!r}", self.op)
+
 
 @dataclass(frozen=True)
 class Pow:
@@ -98,10 +135,15 @@ class Pow:
     __eq__ = _tree_eq
     __hash__ = _tree_hash
 
+    def __post_init__(self):
+        if not _is_count(self.exponent):
+            _reject(f"an exponent is a nonnegative integer, not {self.exponent!r}", self.exponent)
+
 
 Node = Union[Num, Sym, Var, Neg, BinOp, Pow]
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+_SYMBOLS = ("i", "mu")
 
 # Parentheses and unary minus nest by recursion; deeper input is a parse
 # error rather than an exhausted interpreter stack.
@@ -230,7 +272,7 @@ class _Parser:
         if tok.kind == "int":
             return Num(int(tok.text))
         if tok.kind == "name":
-            if tok.text in ("i", "mu"):
+            if tok.text in _SYMBOLS:
                 return Sym(tok.text)
             return Var(tok.text)
         if tok.kind == "op" and tok.text == "(":

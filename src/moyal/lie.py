@@ -50,6 +50,7 @@ from .poly import Exponents, Poly, divide_exact, pair_space, phase_space, sigma_
 from .star import (
     BiDiff,
     StarKernel,
+    _check_operands,
     bilinear_pair_poly,
     coboundary,
     on_slots,
@@ -504,9 +505,7 @@ def _series_list(found: dict[int, scalars.Coefficient]):
 
 def apply_bracket_kernel(raw: RawLieKernel, f: Poly, g: Poly) -> Poly:
     """One bidifferential application of the kernel to a pair of symbols."""
-    space = phase_space(raw.n)
-    if f.space != space or g.space != space:
-        raise SpaceMismatchError("operands must live on the kernel's phase space")
+    _check_operands(f, g, raw.n)
     return BiDiff(raw.a).apply(f, g)
 
 

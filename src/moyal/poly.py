@@ -31,6 +31,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from . import scalars
@@ -100,16 +101,19 @@ class Space:
         return f"Space({', '.join(self.names)})"
 
 
+@lru_cache(maxsize=64)
 def phase_space(n: int) -> Space:
     """z = (q1..qn, p1..pn)."""
     return Space([f"q{i}" for i in range(1, n + 1)] + [f"p{i}" for i in range(1, n + 1)])
 
 
+@lru_cache(maxsize=64)
 def sigma_space(n: int) -> Space:
     """One sigma slot: u1..u2n, index-aligned with phase space."""
     return Space([f"u{i}" for i in range(1, 2 * n + 1)])
 
 
+@lru_cache(maxsize=64)
 def pair_space(n: int) -> Space:
     """Two sigma slots u, v — the domain of product/bracket kernels."""
     return Space(
@@ -117,6 +121,7 @@ def pair_space(n: int) -> Space:
     )
 
 
+@lru_cache(maxsize=64)
 def triple_space(n: int) -> Space:
     """Three sigma slots u, v, w — the domain of cocycle and Jacobi defects."""
     return Space(

@@ -530,6 +530,10 @@ class Coefficient:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale_int(other)
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         if not self.num.re or not other.num.re:
             return ZERO
         if self.den is MU_POLY_ONE and other.den is MU_POLY_ONE:

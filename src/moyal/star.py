@@ -21,7 +21,13 @@ of -i d/dz, so this realizes multiplication of Fourier transforms by exp(b)
 exactly, term by term.
 
 The bracket divides the commutator by 2*mu in the scalar field; division is
-formal, and poles only surface when the classical limit is taken.
+formal, and poles only surface when the classical limit is taken.  It is not
+computed as two products: each kernel's compiled operator (`BiDiff`, one per
+kernel in a bounded cache) memoises, per monomial pair (ef, eg), both the
+product piece and the commutator piece (ef*eg - eg*ef) / (2*mu), each memo
+holding at most `PAIR_MEMO_SIZE` pairs and cleared when full.  `star` and
+`bracket` are then one walk over the terms of f and g that scales each
+memoised piece by the two coefficients.
 
 The ordering-change map `u_map` applies exp(chi(-i d/dz)) to a symbol.  It
 is an exact isomorphism intertwining the kernel (chi, M) with (0, M), and is
@@ -34,6 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
+from typing import Callable
 
 from . import scalars
 from .errors import DegreeGuardError, DimensionMismatchError, SpaceMismatchError
@@ -207,10 +214,13 @@ class BiDiff:
     one: the operator acts on f (x) g, written over the same 4n slots, and the
     two slots are then merged back to phase space.  `apply` runs the operator
     once, as for a bracket kernel A; `apply_exp` runs its exponential, as for
-    a product kernel exp(b), and memoises each monomial pair on the operator.
+    a product kernel exp(b).  `commutator` is (f*g - g*f) / (2 mu) for that
+    product.  Two memos on the operator, each of at most `PAIR_MEMO_SIZE`
+    monomial pairs and cleared when full, hold the exp piece and the
+    commutator piece of each monomial pair (ef, eg).
     """
 
-    __slots__ = ("space", "op", "_pairs")
+    __slots__ = ("space", "op", "_pairs", "_comms")
 
     def __init__(self, a: Poly):
         n, rem = divmod(len(a.space), 4)
@@ -219,6 +229,7 @@ class BiDiff:
         self.space = phase_space(n)
         self.op = DiffOp.from_sigma_poly(a)
         self._pairs: dict[tuple[Exponents, Exponents], Poly] = {}
+        self._comms: dict[tuple[Exponents, Exponents], Poly] = {}
 
     def apply(self, f: Poly, g: Poly) -> Poly:
         """A(-i d_left, -i d_right) applied once to f (x) g, slots merged."""
@@ -230,19 +241,43 @@ class BiDiff:
 
     def apply_exp(self, f: Poly, g: Poly) -> Poly:
         """exp(A(-i d_left, -i d_right)) applied to f (x) g, slots merged."""
+        return self._accumulate(f, g, self._exp_piece)
+
+    def commutator(self, f: Poly, g: Poly) -> Poly:
+        """(exp(A) f (x) g - exp(A) g (x) f) / (2 mu), slots merged."""
+        return self._accumulate(f, g, self._commutator_piece)
+
+    def _exp_piece(self, ef: Exponents, eg: Exponents) -> Poly:
         pairs = self._pairs
+        piece = pairs.get((ef, eg))
+        if piece is None:
+            if len(pairs) >= PAIR_MEMO_SIZE:
+                pairs.clear()
+            target = Poly.monomial(self.op.poly.space, ef + eg)
+            piece = merge_slots(self.op.apply_exp(target), self.space)
+            pairs[ef, eg] = piece
+        return piece
+
+    def _commutator_piece(self, ef: Exponents, eg: Exponents) -> Poly:
+        comms = self._comms
+        piece = comms.get((ef, eg))
+        if piece is None:
+            if len(comms) >= PAIR_MEMO_SIZE:
+                comms.clear()
+            forward, backward = self._exp_piece(ef, eg), self._exp_piece(eg, ef)
+            piece = (forward - backward).scale(scalars.HALF_INV_MU)
+            comms[ef, eg] = piece
+        return piece
+
+    def _accumulate(
+        self, f: Poly, g: Poly, piece_of: Callable[[Exponents, Exponents], Poly]
+    ) -> Poly:
+        """Sum piece_of(ef, eg) * cf * cg over the terms of f and g."""
         terms: dict[Exponents, scalars.Coefficient] = {}
         for ef, cf in f.terms.items():
             for eg, cg in g.terms.items():
-                piece = pairs.get((ef, eg))
-                if piece is None:
-                    if len(pairs) >= PAIR_MEMO_SIZE:
-                        pairs.clear()
-                    target = Poly.monomial(self.op.poly.space, ef + eg)
-                    piece = merge_slots(self.op.apply_exp(target), self.space)
-                    pairs[ef, eg] = piece
                 scale = cf * cg
-                for exps, coeff in piece.terms.items():
+                for exps, coeff in piece_of(ef, eg).terms.items():
                     coeff = coeff * scale
                     acc = terms.get(exps)
                     coeff = coeff if acc is None else acc + coeff
@@ -258,29 +293,34 @@ def _star_op(kernel: StarKernel) -> BiDiff:
     return BiDiff(kernel.exponent())
 
 
+def _check_operands(f: Poly, g: Poly, n: int) -> None:
+    """Both operands live on phase space of dimension n and fit the degree guard."""
+    space = phase_space(n)
+    if f.space != space or g.space != space:
+        raise DimensionMismatchError(f"operands must live on phase space of dimension n={n}")
+    guard = get_degree_guard()
+    if f.total_degree() + g.total_degree() > guard:
+        raise DegreeGuardError(f"operand degrees exceed the guard ({guard})")
+
+
 def star(f: Poly, g: Poly, kernel: StarKernel) -> Poly:
     """The star product of two phase-space polynomials under the given kernel."""
-    space = phase_space(kernel.n)
-    if f.space != space or g.space != space:
-        raise DimensionMismatchError(
-            f"operands must live on phase space of dimension n={kernel.n}"
-        )
-    if f.total_degree() + g.total_degree() > get_degree_guard():
-        raise DegreeGuardError(
-            f"star operand degrees exceed the guard ({get_degree_guard()})"
-        )
+    _check_operands(f, g, kernel.n)
     return _star_op(kernel).apply_exp(f, g)
 
 
 def bracket(f: Poly, g: Poly, kernel: StarKernel) -> Poly:
     """(f*g - g*f) / (2*mu): the bracket induced by the star product.
 
+    One walk over the monomial pairs of f and g, each read from the kernel
+    operator's commutator memo (see `BiDiff`), which holds
+    (ef*eg - eg*ef) / (2 mu) for at most `PAIR_MEMO_SIZE` pairs.
     The division happens in the scalar field; a kernel whose commutator does
     not carry a factor of mu simply produces 1/mu coefficients, and any pole
     surfaces later in `classical_limit`.
     """
-    comm = star(f, g, kernel) - star(g, f, kernel)
-    return comm.scale(scalars.HALF_INV_MU)
+    _check_operands(f, g, kernel.n)
+    return _star_op(kernel).commutator(f, g)
 
 
 def poisson(f: Poly, g: Poly) -> Poly:

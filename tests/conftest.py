@@ -9,6 +9,7 @@ from fractions import Fraction
 from moyal import scalars
 from moyal.linalg import Matrix
 from moyal.poly import Poly, pair_space, phase_space, sigma_space
+from moyal.star import StarKernel
 
 
 def monomials(space, max_total_degree):
@@ -22,16 +23,29 @@ def monomials(space, max_total_degree):
 
 
 def monomial_tuples(space, count, max_sum_degree):
-    """All `count`-tuples of monomials whose degrees sum to <= max_sum_degree."""
-    width = len(space)
+    """All `count`-tuples of monomials whose degrees sum to <= max_sum_degree.
+
+    The order is that of itertools.product over the exponent tuples of total
+    degree <= max_sum_degree; branches that exceed the degree budget are cut
+    instead of being generated and filtered.
+    """
     singles = [
-        exps
-        for exps in itertools.product(range(max_sum_degree + 1), repeat=width)
+        (exps, sum(exps))
+        for exps in itertools.product(range(max_sum_degree + 1), repeat=len(space))
         if sum(exps) <= max_sum_degree
     ]
-    for combo in itertools.product(singles, repeat=count):
-        if sum(sum(e) for e in combo) <= max_sum_degree:
-            yield tuple(Poly.monomial(space, e) for e in combo)
+    for combo in _within_budget(singles, count, max_sum_degree):
+        yield tuple(Poly.monomial(space, e) for e in combo)
+
+
+def _within_budget(singles, count, budget):
+    if count == 0:
+        yield ()
+        return
+    for exps, degree in singles:
+        if degree <= budget:
+            for rest in _within_budget(singles, count - 1, budget - degree):
+                yield (exps,) + rest
 
 
 def random_coefficient(rng: random.Random, mu_degree=1, allow_i=True):
@@ -88,3 +102,16 @@ def random_antisymmetric(rng: random.Random, size, **kw):
                 rows[i][j] = c
                 rows[j][i] = -c
     return Matrix(rows)
+
+
+def dressed_kernel(rng: random.Random, n, m=None):
+    """chi of degree 2-3 with mu and i, and M (a random antisymmetric one by default)."""
+    chi = random_gauge_chi(rng, n, 3, terms=2, mu_degree=1, allow_i=True)
+    return StarKernel(n, chi, random_antisymmetric(rng, 2 * n) if m is None else m)
+
+
+def operand(rng: random.Random, n, max_degree):
+    """A multi-term phase-space polynomial over a mu-dependent denominator."""
+    f = random_poly(rng, phase_space(n), max_degree, terms=3)
+    denominator = scalars.MU + scalars.Coefficient.from_int(rng.randint(1, 3))
+    return f.scale(denominator.inverse())

@@ -11,8 +11,7 @@ import random
 
 import pytest
 
-from conftest import random_antisymmetric, random_gauge_chi, random_poly
-from moyal import scalars
+from conftest import dressed_kernel, operand, random_poly
 from moyal.errors import SpaceMismatchError
 from moyal.lie import (
     RawLieKernel,
@@ -22,23 +21,10 @@ from moyal.lie import (
     reconstruct_bracket,
 )
 from moyal.poly import DiffOp, Poly, pair_space, phase_space, triple_space
-from moyal.star import BiDiff, StarKernel, bracket, on_slots, star
+from moyal.star import BiDiff, bracket, on_slots, star
 
 # The package re-exports the function `star` under the submodule's name.
 star_module = importlib.import_module("moyal.star")
-
-
-def dressed_kernel(rng, n):
-    """chi of degree 2-3 with mu and i, and a random antisymmetric M."""
-    chi = random_gauge_chi(rng, n, 3, terms=2, mu_degree=1, allow_i=True)
-    return StarKernel(n, chi, random_antisymmetric(rng, 2 * n))
-
-
-def operand(rng, n, max_degree):
-    """A multi-term phase-space polynomial over a mu-dependent denominator."""
-    f = random_poly(rng, phase_space(n), max_degree, terms=3)
-    denominator = scalars.MU + scalars.Coefficient.from_int(rng.randint(1, 3))
-    return f.scale(denominator.inverse())
 
 
 def tensor_product(f, g):

@@ -216,3 +216,50 @@ def test_long_chains_print_compare_and_hash(source):
     assert hash(parse(text)) == hash(ast)
     assert parse(source + " + 1") != ast
     assert parse(source.replace("q1", "q1^2", 1)) != parse(source.replace("q1", "q1^3", 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BinOp("*", Num(2), Num(-1)),
+        lambda: Var("q 1"),
+        lambda: Var(""),
+        lambda: Var("1q"),
+        lambda: Var("mu"),
+        lambda: Var("i"),
+        lambda: Sym("hbar"),
+        lambda: BinOp("%", Num(1), Num(2)),
+        lambda: Pow(Var("q1"), -1),
+        lambda: Pow(Var("q1"), 1.5),
+        lambda: Num(True),
+    ],
+    ids=[
+        "negative-num",
+        "space-in-name",
+        "empty-name",
+        "digit-first",
+        "var-mu",
+        "var-i",
+        "unknown-symbol",
+        "unknown-operator",
+        "negative-exponent",
+        "fractional-exponent",
+        "bool-num",
+    ],
+)
+def test_constructors_reject_nodes_the_parser_never_builds(build):
+    with pytest.raises(ExpressionError):
+        build()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(min_size=0, max_size=6))
+def test_every_accepted_name_round_trips(name):
+    # A name the constructors accept prints as one NAME token and parses back.
+    try:
+        node = Var(name)
+    except ExpressionError:
+        assert not name[:1].isalpha() or name in ("i", "mu") or not name.replace("_", "a").isalnum()
+        return
+    assert parse(print_ast(node)) == node
+    assert parse(print_ast(BinOp("*", node, Pow(node, 2)))) == BinOp("*", node, Pow(node, 2))

@@ -219,3 +219,18 @@ def test_gaussian_gcd_stays_small():
     quotient = a[new] / b[new]
     assert quotient.num.degree == 12 and quotient.den.degree == 12
     assert str(quotient) == str(a[old] / b[old])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values())
+def test_multiplying_by_one_matches_oracle(value):
+    x = {impl: build(impl, *value) for impl in (new, old)}
+    products = [
+        (x[new] * new.ONE, x[old] * old.ONE),
+        (new.ONE * x[new], old.ONE * x[old]),
+    ]
+    for got, want in products:
+        check_invariants(got)
+        assert got == x[new] and hash(got) == hash(x[new])
+        assert str(got) == str(want)
+        assert observe(got) == observe(want)
