@@ -32,8 +32,25 @@ from itertools import combinations_with_replacement
 from . import scalars
 from .errors import FactorizationError, SpaceMismatchError
 from .linalg import Matrix, Vector, skew_canonical
-from .poly import Exponents, Poly, Space, format_term, pair_space, phase_space, sigma_space
-from .star import StarKernel, coboundary, merge_slots, on_slots, slot_swap
+from .poly import (
+    Exponents,
+    Poly,
+    Space,
+    format_term,
+    pair_space,
+    phase_space,
+    sigma_space,
+    triple_space,
+)
+from .star import (
+    StarKernel,
+    bilinear_form,
+    coboundary,
+    merge_slots,
+    on_slots,
+    slot_degrees,
+    slot_swap,
+)
 
 
 @dataclass(frozen=True)
@@ -70,20 +87,20 @@ def _half(p: Poly) -> Poly:
     return p.scale_fraction(Fraction(1, 2))
 
 
-def split_parts(b: Poly, n: int) -> tuple[Poly, Poly]:
+def split_parts(b: Poly) -> tuple[Poly, Poly]:
     """(symmetric, antisymmetric) slot-swap parts of b."""
-    swapped = slot_swap(b, n)
+    swapped = slot_swap(b)
     return _half(b + swapped), _half(b - swapped)
 
 
 def cocycle_defect(raw: RawKernelExponent) -> Poly:
     """b(v,w) - b(u+v,w) + b(u,v+w) - b(u,v) over triple space."""
-    n, b = raw.n, raw.b
+    b, tri = raw.b, triple_space(raw.n)
     return (
-        on_slots(b, n, "v", "w")
-        - on_slots(b, n, "uv", "w")
-        + on_slots(b, n, "u", "vw")
-        - on_slots(b, n, "u", "v")
+        on_slots(b, tri, "v", "w")
+        - on_slots(b, tri, "uv", "w")
+        + on_slots(b, tri, "u", "vw")
+        - on_slots(b, tri, "u", "v")
     )
 
 
@@ -111,9 +128,7 @@ def cocycle_check(raw: RawKernelExponent) -> CocycleViolation | None:
     width = 2 * n
     b = raw.b
     for exps, coeff in b.sorted_terms():
-        u_deg = sum(exps[:width])
-        v_deg = sum(exps[width:])
-        if u_deg == 0 or v_deg == 0:
+        if 0 in slot_degrees(exps, width):
             return CocycleViolation(
                 stage="normalization",
                 monomial=exps,
@@ -123,7 +138,7 @@ def cocycle_check(raw: RawKernelExponent) -> CocycleViolation | None:
     defect = cocycle_defect(raw)
     if defect.is_zero:
         return None
-    exps, coeff = defect.sorted_terms()[0]
+    exps, coeff = defect.leading_term()
     point, _ = _nonzero_point(defect)
     values = [scalars.Coefficient.from_int(x) for x in point]
     tri = defect.space
@@ -168,13 +183,9 @@ def extract_antisymmetric_form(raw: RawKernelExponent) -> AntisymmetricData:
     check was skipped and is reported as an internal contradiction.
     """
     n = raw.n
-    width = 2 * n
-    b_s, b_a = split_parts(raw.b, n)
-    m_rows = [[scalars.ZERO] * width for _ in range(width)]
+    b_s, b_a = split_parts(raw.b)
     for exps, coeff in b_a.sorted_terms():
-        u_deg = sum(exps[:width])
-        v_deg = sum(exps[width:])
-        if u_deg != 1 or v_deg != 1:
+        if slot_degrees(exps, 2 * n) != (1, 1):
             raise FactorizationError(
                 stage="extract_antisymmetric_form",
                 message=(
@@ -183,10 +194,7 @@ def extract_antisymmetric_form(raw: RawKernelExponent) -> AntisymmetricData:
                 ),
                 witness=(exps, coeff),
             )
-        j = exps.index(1)
-        i = exps.index(1, width) - width
-        m_rows[i][j] = coeff
-    m = Matrix(m_rows)
+    m = bilinear_form(b_a, n)
     basis, pairings, kernel = skew_canonical(m)
     return AntisymmetricData(
         symmetric=b_s,
@@ -218,7 +226,7 @@ def chi_extract(b_s: Poly) -> Poly:
             chi = chi + comp.scale_fraction(Fraction(1, 2 - 2**d))
     residual = b_s - coboundary(chi)
     if not residual.is_zero:
-        exps, coeff = residual.sorted_terms()[0]
+        exps, coeff = residual.leading_term()
         raise FactorizationError(
             stage="chi_extract",
             message=(

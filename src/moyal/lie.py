@@ -46,15 +46,16 @@ from . import scalars
 from .cocycle import dual_monomials
 from .errors import MoyalError, PoleAtMuZeroError, SpaceMismatchError
 from .linalg import Matrix, Vector
-from .poly import Exponents, Poly, divide_exact, pair_space, phase_space, sigma_space
+from .poly import Exponents, Poly, divide_exact, pair_space, phase_space, sigma_space, triple_space
 from .star import (
     BiDiff,
     StarKernel,
-    _check_operands,
+    bilinear_form,
     bilinear_pair_poly,
     coboundary,
     on_slots,
     phase_dimension,
+    slot_degrees,
     slot_swap,
 )
 
@@ -140,9 +141,9 @@ def jacobi_defect(raw: RawLieKernel) -> Poly:
     P(v,w,u) + P(w,u,v).  P is built with one product, and the other two
     terms are P with its u, v, w exponent blocks rotated.
     """
-    n, a = raw.n, raw.a
-    p = on_slots(a, n, "u", "vw") * on_slots(a, n, "v", "w")
-    block = 2 * n
+    a, tri = raw.a, triple_space(raw.n)
+    p = on_slots(a, tri, "u", "vw") * on_slots(a, tri, "v", "w")
+    block = 2 * raw.n
     # The sum is invariant under the rotation, so each orbit of exponent
     # tuples is summed once and the total stored at every tuple of the orbit.
     terms: dict[Exponents, scalars.Coefficient] = {}
@@ -181,11 +182,9 @@ def lie_axiom_check(
     n = raw.n
     a = raw.a
 
-    anti_witness = _first_term(a + slot_swap(a, n))
-
-    width = 2 * n
+    anti_witness = _first_term(a + slot_swap(a))
     const_witness = _first_term(
-        Poly(a.space, {e: c for e, c in a.terms.items() if not any(e[:width])})
+        Poly(a.space, {e: c for e, c in a.terms.items() if slot_degrees(e, 2 * n)[0] == 0})
     )
 
     defect = jacobi_defect(raw)
@@ -248,13 +247,9 @@ def extract_omega(raw: RawLieKernel) -> OmegaData:
     the second slot and antisymmetric; any offending term is raised as a
     witness.
     """
-    n = raw.n
-    width = 2 * n
-    a = raw.a
-    rows = [[scalars.ZERO] * width for _ in range(width)]
+    n, a = raw.n, raw.a
     for exps, coeff in a.sorted_terms():
-        u_deg = sum(exps[:width])
-        v_deg = sum(exps[width:])
+        u_deg, v_deg = slot_degrees(exps, 2 * n)
         if u_deg == 0:
             raise LieKernelError(
                 f"A(0, sigma') != 0: term {Poly.monomial(a.space, exps, coeff)}",
@@ -266,11 +261,7 @@ def extract_omega(raw: RawLieKernel) -> OmegaData:
                 f"slot: term {Poly.monomial(a.space, exps, coeff)}",
                 witness=(exps, coeff),
             )
-        if u_deg == 1 and v_deg == 1:
-            i = exps.index(1)
-            j = exps.index(1, width) - width
-            rows[i][j] = coeff
-    omega = Matrix(rows)
+    omega = bilinear_form(a, n).transpose()
     if not omega.is_antisymmetric:
         raise LieKernelError("omega is not antisymmetric", witness=omega)
     return OmegaData(
@@ -436,40 +427,24 @@ def _fit_structured(
                 hw = hw + w_powers[power].scale(coeff)
         return (dress * hw).truncate_degree(fit_degree)
 
-    u_block = range(0, width)
-    v_block = range(width, 2 * width)
-
     for d in range(3, fit_degree + 1):
         residual = (a_cut - reconstruction()).homogeneous_component(d)
-        if residual.is_zero:
-            if d % 2 == 0 and (d // 2) % 2 == 1 and d >= 6:
-                found[d // 2] = scalars.ZERO
-            continue
         if d >= 4:
-            e_part = residual.block_component((u_block, v_block), (2, d - 2))
+            terms = residual.terms.items()
+            e_part = Poly(w.space, {e: c for e, c in terms if slot_degrees(e, width) == (2, d - 2)})
             if not e_part.is_zero:
                 quotient, rem = divide_exact(e_part, w)
                 if not rem.is_zero:
-                    return chi, _series_list(found), rem.sorted_terms()[0]
-                gradient = [Poly.zero(sig) for _ in range(width)]
+                    return chi, _series_list(found), rem.leading_term()
+                # A quotient term c * u_i * v^e adds -c * u_i * u^e / (d - 2) to chi.
+                shifted = []
                 for exps, coeff in quotient.terms.items():
-                    if sum(exps[:width]) != 1:
+                    if slot_degrees(exps, width)[0] != 1:
                         return chi, _series_list(found), (exps, coeff)
-                    i = exps.index(1)
-                    gradient[i] = gradient[i] + Poly.monomial(
-                        sig, exps[width:], -coeff
-                    )
-                chi_new = Poly.zero(sig)
-                for i in range(width):
-                    if gradient[i].terms:
-                        shift = [0] * width
-                        shift[i] = 1
-                        chi_new = chi_new + gradient[i].map_exponents(
-                            lambda e, s=tuple(shift): tuple(
-                                a + b for a, b in zip(e, s)
-                            ),
-                            sig,
-                        )
+                    chi_exps = list(exps[width:])
+                    chi_exps[exps.index(1)] += 1
+                    shifted.append((chi_exps, -coeff))
+                chi_new = Poly.from_terms(sig, shifted)
                 chi = chi + chi_new.scale_fraction(Fraction(1, d - 2))
                 dress = exp_truncated(coboundary(chi), fit_degree)
                 residual = (a_cut - reconstruction()).homogeneous_component(d)
@@ -482,18 +457,18 @@ def _fit_structured(
             lead_exps, lead_coeff = wk.leading_term()
             cand = residual.terms.get(lead_exps)
             if cand is None:
-                return chi, _series_list(found), residual.sorted_terms()[0]
+                return chi, _series_list(found), residual.leading_term()
             ratio = cand / lead_coeff
             if residual != wk.scale(ratio):
                 diff = residual - wk.scale(ratio)
-                return chi, _series_list(found), diff.sorted_terms()[0]
+                return chi, _series_list(found), diff.leading_term()
             found[k] = ratio
         elif not residual.is_zero:
-            return chi, _series_list(found), residual.sorted_terms()[0]
+            return chi, _series_list(found), residual.leading_term()
 
     final = (a_cut - reconstruction()).truncate_degree(fit_degree)
     if not final.is_zero:  # pragma: no cover - the degree loop should catch it
-        return chi, _series_list(found), final.sorted_terms()[0]
+        return chi, _series_list(found), final.leading_term()
     return chi, _series_list(found), None
 
 
@@ -505,7 +480,6 @@ def _series_list(found: dict[int, scalars.Coefficient]):
 
 def apply_bracket_kernel(raw: RawLieKernel, f: Poly, g: Poly) -> Poly:
     """One bidifferential application of the kernel to a pair of symbols."""
-    _check_operands(f, g, raw.n)
     return BiDiff(raw.a).apply(f, g)
 
 
@@ -513,7 +487,7 @@ def bracket_kernel_of(kernel: StarKernel, truncation_degree: int) -> RawLieKerne
     """The bracket kernel (exp(b) - swap) / (2 mu) of a product kernel, truncated."""
     b = kernel.exponent()
     eb = exp_truncated(b, truncation_degree)
-    swapped = slot_swap(eb, kernel.n)
+    swapped = slot_swap(eb)
     return RawLieKernel(kernel.n, (eb - swapped).scale(scalars.HALF_INV_MU))
 
 

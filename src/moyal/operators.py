@@ -28,8 +28,8 @@ from __future__ import annotations
 from math import comb, factorial
 
 from . import scalars
-from .errors import DimensionMismatchError
-from .poly import DiffOp, Poly, Space, phase_space
+from .errors import DegreeGuardError, DimensionMismatchError
+from .poly import DiffOp, Poly, Space, get_degree_guard, phase_space
 from .star import phase_dimension
 
 Exponents = tuple[int, ...]
@@ -140,6 +140,9 @@ def _word_product(n: int, w1: Exponents, w2: Exponents, coeff):
 def nc_mul(x: NCPoly, y: NCPoly) -> NCPoly:
     """The operator product, rewritten to canonical (q-left) order. Exact."""
     x._check(y)
+    guard = get_degree_guard()
+    if x.poly.total_degree() + y.poly.total_degree() > guard:
+        raise DegreeGuardError(f"operand degrees exceed the guard ({guard})")
     n = x.n
     terms: dict[Exponents, scalars.Coefficient] = {}
     for w1, c1 in x.terms.items():

@@ -152,11 +152,12 @@ class Poly:
     @classmethod
     def from_terms(cls, space: Space, items) -> "Poly":
         terms: dict[Exponents, Coefficient] = {}
+        width = len(space)
         for exps, coeff in items:
             exps = tuple(exps)
-            if len(exps) != len(space):
+            if len(exps) != width:
                 raise SpaceMismatchError(
-                    f"exponent tuple {exps} does not fit a {len(space)}-variable space"
+                    f"exponent tuple {exps} does not fit a {width}-variable space"
                 )
             acc = terms.get(exps)
             coeff = coeff if acc is None else acc + coeff
@@ -223,9 +224,7 @@ class Poly:
 
     def total_degree(self) -> int:
         """Maximum term degree; the zero polynomial has degree -1."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms)) if self.terms else -1
 
     def constant_term(self) -> Coefficient:
         return self.terms.get((0,) * len(self.space), scalars.ZERO)
@@ -295,6 +294,13 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative polynomial power")
+        guard = _degree_guard.get()
+        mu_degree = max((max(c.num.degree, c.den.degree) for c in self.terms.values()), default=0)
+        if k * max(mu_degree, self.total_degree()) > guard:
+            raise DegreeGuardError(
+                f"power degree would exceed the guard ({guard}); "
+                "raise it with set_degree_guard or MOYAL_MAX_DEGREE"
+            )
         out = Poly.one(self.space)
         base = self
         while k:
@@ -339,49 +345,8 @@ class Poly:
     # -- structure ---------------------------------------------------------
 
     def map_exponents(self, fn: Callable[[Exponents], Exponents], space: Space) -> "Poly":
-        """Reindex terms through `fn`, summing collisions (used for embeddings)."""
-        terms: dict[Exponents, Coefficient] = {}
-        for exps, coeff in self.terms.items():
-            new = fn(exps)
-            acc = terms.get(new)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff:
-                terms[new] = coeff
-            else:
-                terms.pop(new, None)
-        return Poly(space, terms)
-
-    def embed(self, space: Space, positions: tuple[int, ...]) -> "Poly":
-        """Inject into a larger space; variable k of self goes to positions[k]."""
-        width = len(space)
-
-        def fn(exps: Exponents) -> Exponents:
-            new = [0] * width
-            for k, e in enumerate(exps):
-                new[positions[k]] = e
-            return tuple(new)
-
-        return self.map_exponents(fn, space)
-
-    def substitute(self, images: list["Poly"], space: Space) -> "Poly":
-        """Substitute variable k by images[k]; all images live over `space`."""
-        if len(images) != len(self.space):
-            raise SpaceMismatchError("one image polynomial per variable is required")
-        out = Poly.zero(space)
-        power_cache: dict[tuple[int, int], Poly] = {}
-        for exps, coeff in self.terms.items():
-            term = Poly.constant(space, coeff)
-            for k, e in enumerate(exps):
-                if not e:
-                    continue
-                key = (k, e)
-                pw = power_cache.get(key)
-                if pw is None:
-                    pw = images[k] ** e
-                    power_cache[key] = pw
-                term = term * pw
-            out = out + term
-        return out
+        """Reindex terms through `fn` into `space`, summing collisions."""
+        return Poly.from_terms(space, ((fn(e), c) for e, c in self.terms.items()))
 
     def homogeneous_component(self, degree: int) -> "Poly":
         return Poly(
@@ -392,14 +357,6 @@ class Poly:
         return Poly(
             self.space, {e: c for e, c in self.terms.items() if sum(e) <= max_degree}
         )
-
-    def block_component(self, blocks: tuple[range, ...], degrees: tuple[int, ...]) -> "Poly":
-        """Terms whose degree within each index block matches `degrees` exactly."""
-        out = {}
-        for exps, coeff in self.terms.items():
-            if all(sum(exps[i] for i in blk) == d for blk, d in zip(blocks, degrees)):
-                out[exps] = coeff
-        return Poly(self.space, out)
 
     def evaluate(self, values: list[Coefficient]) -> Coefficient:
         """Full evaluation at a point with Coefficient coordinates."""

@@ -29,6 +29,15 @@ holding at most `PAIR_MEMO_SIZE` pairs and cleared when full.  `star` and
 `bracket` are then one walk over the terms of f and g that scales each
 memoised piece by the two coefficients.
 
+Slot layout: a kernel polynomial over pair space (u, v) or triple space
+(u, v, w) stores its exponents as consecutive blocks, one per slot, each of
+width 2n and index-aligned with z.  Its only readers are here: `on_slots`
+moves a polynomial between slots (chi(u + v), b(u, v + w), the slot swap),
+`merge_slots` sets the slots equal, `slot_degrees` gives a monomial's
+degree in each slot, and `bilinear_form` reads the (1, 1) part as a matrix.
+The one exception is the block rotation inside `lie.jacobi_defect`, which
+sums each rotation orbit of exponent tuples once.
+
 The ordering-change map `u_map` applies exp(chi(-i d/dz)) to a symbol.  It
 is an exact isomorphism intertwining the kernel (chi, M) with (0, M), and is
 inverted by -chi.
@@ -116,19 +125,8 @@ class StarKernel:
 
 def coboundary(chi: Poly) -> Poly:
     """chi(sigma) + chi(sigma') - chi(sigma + sigma') over pair space."""
-    two_n = len(chi.space)
-    if two_n % 2:
-        raise SpaceMismatchError("chi must live on an even-dimensional sigma space")
-    n = two_n // 2
-    pair = pair_space(n)
-    first = chi.embed(pair, tuple(range(two_n)))
-    second = chi.embed(pair, tuple(range(two_n, 2 * two_n)))
-    images = [
-        Poly.variable(pair, f"u{i}") + Poly.variable(pair, f"v{i}")
-        for i in range(1, two_n + 1)
-    ]
-    summed = chi.substitute(images, pair)
-    return first + second - summed
+    pair = pair_space(len(chi.space) // 2)
+    return on_slots(chi, pair, "u") + on_slots(chi, pair, "v") - on_slots(chi, pair, "uv")
 
 
 def bilinear_pair_poly(m: Matrix, n: int) -> Poly:
@@ -147,10 +145,24 @@ def bilinear_pair_poly(m: Matrix, n: int) -> Poly:
     return Poly(pair, terms)
 
 
-def slot_swap(p: Poly, n: int) -> Poly:
-    """Exchange the u and v blocks of a pair-space polynomial."""
+def bilinear_form(p: Poly, n: int) -> Matrix:
+    """The M with sigma'^T M sigma the (1, 1) part of p; inverts `bilinear_pair_poly`."""
     width = 2 * n
-    return p.map_exponents(lambda e: e[width:] + e[:width], p.space)
+    rows = [[scalars.ZERO] * width for _ in range(width)]
+    for exps, coeff in p.terms.items():
+        if slot_degrees(exps, width) == (1, 1):
+            rows[exps.index(1, width) - width][exps.index(1)] = coeff
+    return Matrix(rows)
+
+
+def slot_degrees(exps: Exponents, width: int) -> tuple[int, ...]:
+    """The degree of a monomial in each of its slots of `width` exponents."""
+    return tuple(sum(exps[k : k + width]) for k in range(0, len(exps), width))
+
+
+def slot_swap(p: Poly) -> Poly:
+    """Exchange the u and v blocks of a pair-space polynomial."""
+    return on_slots(p, p.space, "v", "u")
 
 
 def merge_slots(p: Poly, space: Space) -> Poly:
@@ -161,24 +173,27 @@ def merge_slots(p: Poly, space: Space) -> Poly:
     )
 
 
-def on_slots(p: Poly, n: int, first: str, second: str) -> Poly:
-    """p(first, second) over triple space: on_slots(a, n, "u", "vw") is a(u, v + w).
+def on_slots(p: Poly, target: Space, *slots: str) -> Poly:
+    """p(slot_1, ..., slot_k) over a pair or triple space: a(u, v + w) is
+    on_slots(a, triple_space(n), "u", "vw").
 
-    Slots that are single u/v/w blocks only reindex the terms; a power of a
-    sum of two blocks is expanded binomially on the exponent tuples.
+    Each slot names the one or two target blocks whose sum it is.  Single
+    blocks only reindex the terms; a power of a sum of two blocks is expanded
+    binomially on the exponent tuples.
     """
+    n, rem = divmod(len(p.space), 2 * len(slots))
+    if rem or not n or target not in (pair_space(n), triple_space(n)):
+        raise SpaceMismatchError(f"{len(slots)} slots of {p.space!r} do not map into {target!r}")
     width = 2 * n
-    tri = triple_space(n)
+    blocks = "uvw"[: len(target) // width]
     targets = [
-        tuple("uvw".index(block) * width + i for block in slot)
-        for slot in (first, second)
+        tuple(blocks.index(block) * width + i for block in slot)
+        for slot in slots
         for i in range(width)
     ]
-    if all(len(where) == 1 for where in targets):
-        return p.embed(tri, tuple(where[0] for where in targets))
-    terms: dict[Exponents, scalars.Coefficient] = {}
+    images = []
     for exps, coeff in p.terms.items():
-        base = [0] * len(tri)
+        base = [0] * len(target)
         sums = []
         for e, where in zip(exps, targets):
             if len(where) == 1:
@@ -192,15 +207,8 @@ def on_slots(p: Poly, n: int, first: str, second: str) -> Poly:
                 new[left] += j
                 new[right] += e - j
                 mult *= comb(e, j)
-            exps_new = tuple(new)
-            c = coeff.scale_int(mult)
-            acc = terms.get(exps_new)
-            c = c if acc is None else acc + c
-            if c:
-                terms[exps_new] = c
-            else:
-                del terms[exps_new]
-    return Poly(tri, terms)
+            images.append((new, coeff.scale_int(mult)))
+    return Poly.from_terms(target, images)
 
 
 # Distinct (f-monomial, g-monomial) pairs one product operator remembers.
@@ -217,7 +225,9 @@ class BiDiff:
     a product kernel exp(b).  `commutator` is (f*g - g*f) / (2 mu) for that
     product.  Two memos on the operator, each of at most `PAIR_MEMO_SIZE`
     monomial pairs and cleared when full, hold the exp piece and the
-    commutator piece of each monomial pair (ef, eg).
+    commutator piece of each monomial pair (ef, eg).  Every entry point checks
+    that both operands live on the operator's phase space and that their
+    degrees fit the degree guard.
     """
 
     __slots__ = ("space", "op", "_pairs", "_comms")
@@ -233,6 +243,7 @@ class BiDiff:
 
     def apply(self, f: Poly, g: Poly) -> Poly:
         """A(-i d_left, -i d_right) applied once to f (x) g, slots merged."""
+        self._check_operands(f, g)
         tensor = {
             ef + eg: cf * cg for ef, cf in f.terms.items() for eg, cg in g.terms.items()
         }
@@ -246,6 +257,16 @@ class BiDiff:
     def commutator(self, f: Poly, g: Poly) -> Poly:
         """(exp(A) f (x) g - exp(A) g (x) f) / (2 mu), slots merged."""
         return self._accumulate(f, g, self._commutator_piece)
+
+    def _check_operands(self, f: Poly, g: Poly) -> None:
+        """Both operands live on this phase space and fit the degree guard."""
+        if (f.space, g.space) != (self.space, self.space):
+            raise DimensionMismatchError(
+                f"operands must live on phase space of dimension n={len(self.space) // 2}"
+            )
+        guard = get_degree_guard()
+        if f.total_degree() + g.total_degree() > guard:
+            raise DegreeGuardError(f"operand degrees exceed the guard ({guard})")
 
     def _exp_piece(self, ef: Exponents, eg: Exponents) -> Poly:
         pairs = self._pairs
@@ -273,6 +294,7 @@ class BiDiff:
         self, f: Poly, g: Poly, piece_of: Callable[[Exponents, Exponents], Poly]
     ) -> Poly:
         """Sum piece_of(ef, eg) * cf * cg over the terms of f and g."""
+        self._check_operands(f, g)
         terms: dict[Exponents, scalars.Coefficient] = {}
         for ef, cf in f.terms.items():
             for eg, cg in g.terms.items():
@@ -293,19 +315,8 @@ def _star_op(kernel: StarKernel) -> BiDiff:
     return BiDiff(kernel.exponent())
 
 
-def _check_operands(f: Poly, g: Poly, n: int) -> None:
-    """Both operands live on phase space of dimension n and fit the degree guard."""
-    space = phase_space(n)
-    if f.space != space or g.space != space:
-        raise DimensionMismatchError(f"operands must live on phase space of dimension n={n}")
-    guard = get_degree_guard()
-    if f.total_degree() + g.total_degree() > guard:
-        raise DegreeGuardError(f"operand degrees exceed the guard ({guard})")
-
-
 def star(f: Poly, g: Poly, kernel: StarKernel) -> Poly:
     """The star product of two phase-space polynomials under the given kernel."""
-    _check_operands(f, g, kernel.n)
     return _star_op(kernel).apply_exp(f, g)
 
 
@@ -319,7 +330,6 @@ def bracket(f: Poly, g: Poly, kernel: StarKernel) -> Poly:
     not carry a factor of mu simply produces 1/mu coefficients, and any pole
     surfaces later in `classical_limit`.
     """
-    _check_operands(f, g, kernel.n)
     return _star_op(kernel).commutator(f, g)
 
 

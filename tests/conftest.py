@@ -1,4 +1,5 @@
-"""Shared helpers: monomial enumeration and seeded random algebra objects."""
+"""Shared helpers: monomial enumeration, seeded random algebra objects, and
+`substitute`, the slot-map oracle."""
 
 from __future__ import annotations
 
@@ -115,3 +116,35 @@ def operand(rng: random.Random, n, max_degree):
     f = random_poly(rng, phase_space(n), max_degree, terms=3)
     denominator = scalars.MU + scalars.Coefficient.from_int(rng.randint(1, 3))
     return f.scale(denominator.inverse())
+
+
+def substitute(p, images, space):
+    """p with variable k replaced by images[k]; all images live over `space`.
+
+    Literal polynomial substitution by repeated multiplication, kept as the
+    oracle for the binomial slot maps in `moyal.star`.
+    """
+    if len(images) != len(p.space):
+        raise ValueError("one image polynomial per variable is required")
+    out = Poly.zero(space)
+    power_cache = {}
+    for exps, coeff in p.terms.items():
+        term = Poly.constant(space, coeff)
+        for k, e in enumerate(exps):
+            if not e:
+                continue
+            pw = power_cache.get((k, e))
+            if pw is None:
+                pw = power_cache[k, e] = images[k] ** e
+            term = term * pw
+        out = out + term
+    return out
+
+
+def slot_images(space, n, *slots):
+    """The image of each slot variable under `on_slots(p, space, *slots)`."""
+    return [
+        sum((Poly.variable(space, f"{block}{i}") for block in slot), Poly.zero(space))
+        for slot in slots
+        for i in range(1, 2 * n + 1)
+    ]

@@ -11,8 +11,8 @@ import random
 
 import pytest
 
-from conftest import dressed_kernel, operand, random_poly
-from moyal.errors import SpaceMismatchError
+from conftest import dressed_kernel, operand, random_poly, slot_images, substitute
+from moyal.errors import DegreeGuardError, DimensionMismatchError, SpaceMismatchError
 from moyal.lie import (
     RawLieKernel,
     apply_bracket_kernel,
@@ -20,7 +20,7 @@ from moyal.lie import (
     bracket_kernel_of,
     reconstruct_bracket,
 )
-from moyal.poly import DiffOp, Poly, pair_space, phase_space, triple_space
+from moyal.poly import DiffOp, Poly, degree_guard, pair_space, phase_space, triple_space
 from moyal.star import BiDiff, bracket, on_slots, star
 
 # The package re-exports the function `star` under the submodule's name.
@@ -87,6 +87,20 @@ def test_bracket_kernel_application_is_one_operator_pass():
     assert BiDiff(a).apply(f, g) == expected
 
 
+def test_bidiff_entry_points_check_their_operands():
+    op = BiDiff(dressed_kernel(random.Random(9350), 1).exponent())
+    q1, p1 = Poly.variable(phase_space(1), "q1"), Poly.variable(phase_space(1), "p1")
+    entry_points = (op.apply, op.apply_exp, op.commutator)
+    with degree_guard(4):
+        for entry in entry_points:
+            with pytest.raises(DegreeGuardError):
+                entry(q1**3, p1**3)
+            entry(q1**3, p1)
+    for entry in entry_points:
+        with pytest.raises(DimensionMismatchError):
+            entry(Poly.variable(phase_space(2), "q1"), p1)
+
+
 def test_bidiff_rejects_a_non_pair_space():
     with pytest.raises(SpaceMismatchError):
         BiDiff(Poly.zero(triple_space(1)))
@@ -100,11 +114,5 @@ def test_on_slots_matches_substitution(first, second):
     n = 1
     p = random_poly(rng, pair_space(n), 4, terms=5, mu_degree=1)
     tri = triple_space(n)
-
-    def slot(blocks):
-        return [
-            sum((Poly.variable(tri, f"{b}{i}") for b in blocks), Poly.zero(tri))
-            for i in range(1, 2 * n + 1)
-        ]
-
-    assert on_slots(p, n, first, second) == p.substitute(slot(first) + slot(second), tri)
+    expected = substitute(p, slot_images(tri, n, first, second), tri)
+    assert on_slots(p, tri, first, second) == expected

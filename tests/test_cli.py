@@ -231,6 +231,28 @@ def test_json_deep_nesting_exit_two(capsys):
     assert "nested deeper" in doc["witness"]["message"]
 
 
+@pytest.mark.parametrize(
+    "guard, f, code",
+    [(None, "(1+mu)^65", 2), (None, "(1+mu)^20000", 2), (None, "mu^64", 0), ("200", "mu^100", 0)],
+)
+def test_json_scalar_powers_respect_the_degree_guard(capsys, monkeypatch, guard, f, code):
+    from moyal.poly import get_degree_guard, set_degree_guard
+
+    saved = get_degree_guard()
+    if guard is not None:
+        monkeypatch.setenv("MOYAL_MAX_DEGREE", guard)
+    try:
+        got, out, _ = invoke(capsys, "--json", "star", f, "q1")
+    finally:
+        set_degree_guard(saved)
+    doc = json.loads(out)
+    assert got == code
+    assert set(doc) == JSON_KEYS
+    assert doc["status"] == ("error" if code else "ok")
+    if code:
+        assert "guard" in doc["witness"]["message"]
+
+
 CHAIN = 1200
 
 

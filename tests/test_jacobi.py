@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_gauge_chi, random_poly
+from conftest import random_gauge_chi, random_poly, slot_images, substitute
 from moyal import scalars
 from moyal.errors import MoyalError
 from moyal.expressions import parse_poly
@@ -34,18 +34,18 @@ BAD = WEDGE + parse_poly("u1^2*v2^2 - v1^2*u2^2", PAIR)
 
 
 def literal_jacobi_defect(raw):
-    n, a = raw.n, raw.a
+    a, tri = raw.a, triple_space(raw.n)
     return (
-        on_slots(a, n, "u", "vw") * on_slots(a, n, "v", "w")
-        + on_slots(a, n, "v", "wu") * on_slots(a, n, "w", "u")
-        + on_slots(a, n, "w", "uv") * on_slots(a, n, "u", "v")
+        on_slots(a, tri, "u", "vw") * on_slots(a, tri, "v", "w")
+        + on_slots(a, tri, "v", "wu") * on_slots(a, tri, "w", "u")
+        + on_slots(a, tri, "w", "uv") * on_slots(a, tri, "u", "v")
     )
 
 
 def reference_axiom_check(raw, truncation_degree=None):
     """(status, witnesses, degree range, rendered mu-orders), computed directly."""
     n, a = raw.n, raw.a
-    anti = a + slot_swap(a, n)
+    anti = a + slot_swap(a)
     anti_witness = None if anti.is_zero else anti.sorted_terms()[0]
     const_witness = None
     for exps, coeff in a.sorted_terms():
@@ -93,7 +93,7 @@ def seeded_kernel(rng, n, antisymmetric, denominator):
     """A random pair-space kernel with mu and i, over an optional mu-denominator."""
     a = random_poly(rng, pair_space(n), 3, terms=4, mu_degree=2, allow_i=True)
     if antisymmetric:
-        a = a - slot_swap(a, n)
+        a = a - slot_swap(a)
     if denominator == "mu+c":
         a = a.scale((MU + scalars.Coefficient.from_int(rng.randint(1, 3))).inverse())
     elif denominator == "mu":
@@ -127,15 +127,9 @@ def test_on_slots_expands_powers_of_sums(n, first, second):
     p = random_poly(rng, pair_space(n), 5, terms=6, mu_degree=1)
     p = p + p * p
     tri = triple_space(n)
-
-    def images(slot):
-        return [
-            sum((Poly.variable(tri, f"{block}{i}") for block in slot), Poly.zero(tri))
-            for i in range(1, 2 * n + 1)
-        ]
-
     assert any(max(exps) > 1 for exps in p.terms)
-    assert on_slots(p, n, first, second) == p.substitute(images(first) + images(second), tri)
+    expected = substitute(p, slot_images(tri, n, first, second), tri)
+    assert on_slots(p, tri, first, second) == expected
 
 
 def dressed_linear(rng, n, fit):

@@ -14,9 +14,10 @@ import pytest
 
 from conftest import monomial_tuples, random_poly
 from moyal import scalars
+from moyal.errors import DegreeGuardError
 from moyal.expressions import parse_poly
 from moyal.operators import NCPoly, nc_mul, weyl_quantize, weyl_symbol
-from moyal.poly import Poly, phase_space, sigma_space
+from moyal.poly import Poly, degree_guard, phase_space, sigma_space
 from moyal.star import StarKernel, star, u_map
 
 SP = phase_space(1)
@@ -79,6 +80,14 @@ class TestNCMul:
         qh2 = NCPoly.generator(2, "qh2")
         ph1 = NCPoly.generator(2, "ph1")
         assert nc_mul(qh2, ph1) == nc_mul(ph1, qh2)
+
+    def test_degree_guard(self):
+        qh3, ph3 = NCPoly.word(1, (3, 0)), NCPoly.word(1, (0, 3))
+        with degree_guard(4):
+            with pytest.raises(DegreeGuardError):
+                nc_mul(qh3, ph3)
+            assert nc_mul(QH, ph3) == NCPoly.word(1, (1, 3))
+        assert nc_mul(qh3, ph3)
 
 
 class TestWeylQuantize:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_poly
+from conftest import random_poly, substitute
 from moyal import scalars
 from moyal.errors import (
     DegreeGuardError,
@@ -25,6 +25,7 @@ from moyal.poly import (
     set_degree_guard,
     sigma_space,
 )
+from moyal.star import on_slots, slot_degrees
 
 SP = phase_space(1)
 Q = Poly.variable(SP, "q1")
@@ -146,11 +147,12 @@ def test_substitute_and_embed():
         parse_poly("v1", pair),
         parse_poly("v2", pair),
     ]
-    assert b.substitute(images, pair) == parse_poly(
-        "(u1 + v1)^2*v1 + u2 + v2", pair
-    )
+    expected = parse_poly("(u1 + v1)^2*v1 + u2 + v2", pair)
+    assert substitute(b, images, pair) == expected
+    assert on_slots(b, pair, "uv", "v") == expected
+    # A sigma-space polynomial placed in the second slot.
     chi = parse_poly("u1^2", sigma_space(1))
-    assert chi.embed(pair, (2, 3)) == parse_poly("v1^2", pair)
+    assert on_slots(chi, pair, "v") == parse_poly("v1^2", pair)
 
 
 def test_evaluate():
@@ -186,7 +188,7 @@ def test_homogeneous_and_blocks():
     pair = pair_space(1)
     b = parse_poly("u1^2*v1 + u1*v1 + v2", pair)
     assert b.homogeneous_component(2) == parse_poly("u1*v1", pair)
-    comp = b.block_component((range(0, 2), range(2, 4)), (2, 1))
+    comp = Poly(pair, {e: c for e, c in b.terms.items() if slot_degrees(e, 2) == (2, 1)})
     assert comp == parse_poly("u1^2*v1", pair)
 
 
@@ -197,6 +199,19 @@ def test_monomial_rejects_wrong_arity():
         Poly.monomial(phase_space(1), (1,), scalars.ZERO)
     assert Poly.monomial(phase_space(1), [1, 2]) == parse_poly("q1*p1^2", SP)
     assert list(Poly.constant(phase_space(2), scalars.MU).terms) == [(0, 0, 0, 0)]
+
+
+def test_powers_respect_the_degree_guard():
+    one_plus_mu = Poly.constant(SP, scalars.ONE + scalars.MU)
+    with degree_guard(8):
+        assert (Q**2) ** 4 == Q**8
+        assert one_plus_mu**8 == Poly.constant(SP, (scalars.ONE + scalars.MU) ** 8)
+        # Total degree, mu-degree of a numerator, mu-degree of a denominator.
+        over_mu_cubed = one_plus_mu.scale(scalars.MU.inverse() ** 3)
+        for base, k in ((Q**2, 5), (one_plus_mu, 9), (one_plus_mu, 20000), (over_mu_cubed, 3)):
+            with pytest.raises(DegreeGuardError):
+                base**k
+        assert Poly.zero(SP) ** 20000 == Poly.zero(SP)
 
 
 def test_degree_guard_context_manager_restores_the_bound():

@@ -1,4 +1,5 @@
-"""Source checks: imports stay at module level and every lru_cache is bounded."""
+"""Source checks: imports stay at module level, no module imports another
+moyal module's underscore-prefixed names, and every lru_cache is bounded."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,12 @@ def _violations(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 yield node.lineno, "import inside a function body"
     for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "moyal"
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.lineno, f"private name {alias.name} imported"
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -45,7 +52,15 @@ def test_no_function_imports_or_unbounded_caches(path):
         "def f():\n    if True:\n        from . import x\n",
         "from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(): pass\n",
         "import functools\n@functools.lru_cache(None)\ndef f(): pass\n",
+        "from .star import BiDiff, _check_operands\n",
+        "from moyal.poly import _degree_guard\n",
+        "from . import _private\n",
     ],
 )
 def test_checker_flags_planted_violations(source):
     assert list(_violations(ast.parse(source)))
+
+
+def test_checker_allows_public_and_foreign_names():
+    source = "from .star import BiDiff\nfrom os import _exit\nfrom __future__ import annotations\n"
+    assert list(_violations(ast.parse(source))) == []
