@@ -16,6 +16,14 @@ degree-T truncation of a valid kernel has a defect supported in total degree
 defect that vanishes at mu = 0.  Both patterns are reported as expected
 truncation defects rather than violations.
 
+Packed form.  The Jacobi check runs on exact integers: A(u, v+w) and half of
+A(v, w) are multiplied once on packed keys (see `poly.lifted_mul`), and
+each product term is filed under the representative of its orbit of block
+permutations, the arrangement with the blocks in descending order.  The
+report (witness, degree range, mu-orders) is read from the representatives;
+the full defect is expanded only for its mu-order parts and for
+`jacobi_defect`.
+
 Convention sheet (pinned by the Moyal fixture, see tests): with the bracket
 kernel of the symmetric-ordering product, the first-slot derivative matrix is
 
@@ -38,15 +46,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import factorial
 from typing import Sequence
 
 from . import scalars
 from .cocycle import dual_monomials
-from .errors import MoyalError, PoleAtMuZeroError, SpaceMismatchError
+from .errors import MoyalError, SpaceMismatchError
 from .linalg import Matrix, Vector
-from .poly import Exponents, Poly, divide_exact, pair_space, phase_space, sigma_space, triple_space
+from .poly import (
+    Exponents,
+    Poly,
+    divide_exact,
+    lifted_mul,
+    pair_space,
+    phase_space,
+    sigma_space,
+    triple_space,
+    unlift,
+)
 from .star import (
     BiDiff,
     StarKernel,
@@ -79,6 +98,11 @@ class RawLieKernel:
         if self.a.space != pair_space(self.n):
             raise SpaceMismatchError("A must live on pair space u1..u2n, v1..v2n")
 
+    @cached_property
+    def antisymmetry_witness(self) -> tuple[Exponents, scalars.Coefficient] | None:
+        """The leading term of A(u, v) + A(v, u); None when A is antisymmetric."""
+        return _first_term(self.a + slot_swap(self.a))
+
 
 def exp_truncated(p: Poly, max_degree: int) -> Poly:
     """exp(p) truncated at total degree max_degree; p must have no constant term."""
@@ -88,7 +112,7 @@ def exp_truncated(p: Poly, max_degree: int) -> Poly:
     power = Poly.one(p.space)
     k = 1
     while True:
-        power = (power * p).truncate_degree(max_degree).scale_fraction(Fraction(1, k))
+        power = power.mul_truncated(p, max_degree).scale_fraction(Fraction(1, k))
         if power.is_zero:
             return out
         out = out + power
@@ -134,34 +158,103 @@ class LieAxiomReport:
         )
 
 
+def _denominator_lcm(a: Poly) -> scalars.Coefficient:
+    """The lcm delta of the coefficient denominators of a, as a mu-polynomial."""
+    delta = scalars.ONE
+    for coeff in {c for c in a.terms.values() if not c.den.is_one}:
+        delta = delta * scalars.Coefficient.make((delta * coeff).den, scalars.MU_POLY_ONE)
+    return delta
+
+
+def _defect_representatives(raw: RawLieKernel, antisymmetric: bool) -> Poly:
+    """The Jacobi defect at one exponent tuple per orbit of its blocks.
+
+    For an antisymmetric A the defect is the sum over S3 of sgn(pi) Q o pi,
+    Q = A(u,v+w) H(v,w), where H holds the terms of A(v,w) whose v-block is
+    lexicographically above its w-block (A = H - H o swap).  Each term of Q is
+    added, with the sign of the sorting permutation, at the arrangement of its
+    blocks in descending order; arrangements with two equal blocks cancel.
+    Otherwise the defect is the cyclic sum of P = A(u,v+w) A(v,w), and each
+    term of P goes to the largest of its three rotations (three times when
+    the three blocks agree).  Either way the representative is the largest
+    tuple of its orbit.
+
+    The product runs in packed form (see `poly.lifted_mul`) on delta * A,
+    delta the lcm of the denominators of A, and the values are divided by
+    delta^2.
+    """
+    a, tri = raw.a, triple_space(raw.n)
+    delta = _denominator_lcm(a)
+    if delta is not scalars.ONE:
+        a = a.scale(delta)
+    width = 2 * raw.n
+    half = Poly(a.space, {e: c for e, c in a.terms.items() if e[:width] > e[width:]})
+    product_terms, den, layout = lifted_mul(
+        on_slots(a, tri, "u", "vw"), on_slots(half if antisymmetric else a, tri, "v", "w")
+    )
+    _, bits, mu_bits = layout
+    block = width * bits
+    mask = (1 << block) - 1
+    mu_mask = (1 << mu_bits) - 1
+    v_shift, u_shift, degree_shift = mu_bits + block, mu_bits + 2 * block, mu_bits + 3 * block
+    folded: dict[int, tuple[int, int]] = {}
+    for key, (re, im) in product_terms.items():
+        x, y, z = key >> u_shift & mask, key >> v_shift & mask, key >> mu_bits & mask
+        if antisymmetric:
+            if x == y or y == z or x == z:
+                continue
+            sign = 1
+            if x < y:
+                x, y, sign = y, x, -sign
+            if y < z:
+                y, z, sign = z, y, -sign
+                if x < y:
+                    x, y, sign = y, x, -sign
+        else:
+            sign = 3 if x == y == z else 1
+            x, y, z = max((x, y, z), (y, z, x), (z, x, y))
+        rep = (
+            key >> degree_shift << degree_shift
+            | x << u_shift | y << v_shift | z << mu_bits | key & mu_mask
+        )
+        acc = folded.get(rep)
+        re, im = sign * re, sign * im
+        folded[rep] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
+    reps = unlift((folded, den, layout), tri)
+    if delta is not scalars.ONE:
+        reps = reps.scale((delta * delta).inverse())
+    return reps
+
+
+def _orbits(reps: Poly, antisymmetric: bool) -> Poly:
+    """Every arrangement of the blocks of each representative, with its value.
+
+    The value at a permuted arrangement is sgn(pi) times the representative's
+    for an antisymmetric kernel (the defect is then alternating), and the
+    representative's at each rotation otherwise.
+    """
+    width = len(reps.space) // 3
+    negated: dict[scalars.Coefficient, scalars.Coefficient] = {}
+    terms: dict[Exponents, scalars.Coefficient] = {}
+    for exps, c in reps.terms.items():
+        x, y, z = exps[:width], exps[width : 2 * width], exps[2 * width :]
+        terms[x + y + z] = terms[y + z + x] = terms[z + x + y] = c
+        if antisymmetric:
+            m = negated.get(c)
+            if m is None:
+                m = negated[c] = -c
+            terms[y + x + z] = terms[x + z + y] = terms[z + y + x] = m
+    return Poly(reps.space, terms)
+
+
 def jacobi_defect(raw: RawLieKernel) -> Poly:
     """A(u,v+w)A(v,w) + A(v,w+u)A(w,u) + A(w,u+v)A(u,v) over triple space.
 
-    The sum is cyclic: with P(u,v,w) = A(u,v+w)A(v,w) it is P(u,v,w) +
-    P(v,w,u) + P(w,u,v).  P is built with one product, and the other two
-    terms are P with its u, v, w exponent blocks rotated.
+    Built from one packed product and its orbit representatives (see
+    `_defect_representatives`), then expanded over the orbits.
     """
-    a, tri = raw.a, triple_space(raw.n)
-    p = on_slots(a, tri, "u", "vw") * on_slots(a, tri, "v", "w")
-    block = 2 * raw.n
-    # The sum is invariant under the rotation, so each orbit of exponent
-    # tuples is summed once and the total stored at every tuple of the orbit.
-    terms: dict[Exponents, scalars.Coefficient] = {}
-    seen = set()
-    for exps in p.terms:
-        if exps in seen:
-            continue
-        orbit = (exps, exps[2 * block :] + exps[: 2 * block], exps[block:] + exps[:block])
-        seen.update(orbit)
-        total = None
-        for e in orbit:
-            c = p.terms.get(e)
-            if c is not None:
-                total = c if total is None else total + c
-        if total:
-            for e in orbit:
-                terms[e] = total
-    return Poly(p.space, terms)
+    antisymmetric = raw.antisymmetry_witness is None
+    return _orbits(_defect_representatives(raw, antisymmetric), antisymmetric)
 
 
 def _first_term(p: Poly) -> tuple[Exponents, scalars.Coefficient] | None:
@@ -182,34 +275,34 @@ def lie_axiom_check(
     n = raw.n
     a = raw.a
 
-    anti_witness = _first_term(a + slot_swap(a))
+    anti_witness = raw.antisymmetry_witness
     const_witness = _first_term(
         Poly(a.space, {e: c for e, c in a.terms.items() if slot_degrees(e, 2 * n)[0] == 0})
     )
 
-    defect = jacobi_defect(raw)
-    jac_witness = _first_term(defect)
+    antisymmetric = anti_witness is None
+    reps = _defect_representatives(raw, antisymmetric)
+    # Each representative is the largest tuple of its orbit, so the leading
+    # representative is the leading term of the defect, and an orbit shares
+    # its degree and its mu-orders.
+    jac_witness = _first_term(reps)
     if jac_witness is None:
         status, mu_orders, degree_range = "exact", None, None
     else:
-        degrees = [sum(e) for e in defect.terms]
+        degrees = [sum(e) for e in reps.terms]
         degree_range = (min(degrees), max(degrees))
         above_truncation = (
             truncation_degree is not None and degree_range[0] > truncation_degree + 2
         )
-        try:
-            mu_orders = defect.mu_components()
-        except ValueError:
-            mu_orders = None
-        vanishes_at_zero = False
-        if mu_orders is not None:
-            # Every coefficient is a mu-polynomial: the mu^0 part is the value at 0.
-            vanishes_at_zero = 0 not in mu_orders
-        elif not above_truncation:
-            try:
-                vanishes_at_zero = defect.mu_zero().is_zero
-            except PoleAtMuZeroError:
-                pass
+        coeffs = reps.terms.values()
+        polynomial = all(c.den.is_one for c in coeffs)
+        mu_orders = (
+            {k: _orbits(part, antisymmetric) for k, part in reps.mu_components().items()}
+            if polynomial
+            else None
+        )
+        # Zero at mu = 0 means a positive mu-valuation: no pole, no constant term.
+        vanishes_at_zero = all(c.mu_valuation() > 0 for c in coeffs)
         status = (
             "truncation-defect" if (vanishes_at_zero or above_truncation) else "violation"
         )
@@ -365,7 +458,7 @@ class StructuredLieKernel:
                 hw = hw + (w**power).scale(coeff)
         dress = exp_truncated(coboundary(self.chi), truncation_degree)
         return RawLieKernel(
-            self.n, (dress * hw).truncate_degree(truncation_degree)
+            self.n, dress.mul_truncated(hw, truncation_degree)
         )
 
 
@@ -425,7 +518,7 @@ def _fit_structured(
         for power, coeff in found.items():
             if coeff:
                 hw = hw + w_powers[power].scale(coeff)
-        return (dress * hw).truncate_degree(fit_degree)
+        return dress.mul_truncated(hw, fit_degree)
 
     for d in range(3, fit_degree + 1):
         residual = (a_cut - reconstruction()).homogeneous_component(d)
@@ -497,9 +590,14 @@ def center_generators_from_kernel(
     max_degree: int,
     verify_degree: int,
 ) -> list[CenterGenerator]:
-    """Monomials in the coordinates dual to Ker omega, bracket-verified."""
+    """Monomials in the coordinates dual to Ker omega, bracket-verified.
+
+    For an antisymmetric kernel apply(g, f) is exactly -apply(f, g), so one
+    side is applied per test monomial; otherwise both are.
+    """
     space = phase_space(raw.n)
     op = BiDiff(raw.a)
+    antisymmetric = raw.antisymmetry_witness is None
     monomials = [
         Poly.monomial(space, exps)
         for exps in product(range(verify_degree + 1), repeat=len(space))
@@ -508,7 +606,8 @@ def center_generators_from_kernel(
     out = []
     for cand in dual_monomials(raw.n, kernel_basis, max_degree):
         verified = all(
-            op.apply(cand, g).is_zero and op.apply(g, cand).is_zero for g in monomials
+            op.apply(cand, g).is_zero and (antisymmetric or op.apply(g, cand).is_zero)
+            for g in monomials
         )
         out.append(CenterGenerator(generator=cand, verified=verified))
     return out

@@ -23,6 +23,16 @@ the target's total degree.
 A configurable total-degree guard (default 64) makes runaway computations
 fail fast instead of exhausting memory.  The bound is a context variable, so
 a bound set in one thread does not leak into another.
+
+Packed form.  `lift` turns a polynomial whose coefficients are polynomial in
+mu into exact integer data (Kronecker substitution with packed monomials):
+one int key per (monomial, mu-power) and a Gaussian-integer pair (re, im)
+per key, all over one int denominator.  A key holds, from the top, the total
+degree, the exponents in order, and the mu exponent.  The exponent fields are
+as wide as the degree guard and the mu field as wide as the product's
+mu-degree, so `lifted_mul` multiplies monomials by adding keys and no field
+carries; keys of one degree compare as the exponent tuples do.  `unlift`
+reads the keys back into a `Poly`.
 """
 
 from __future__ import annotations
@@ -63,6 +73,15 @@ def set_degree_guard(bound: int) -> None:
 
 def get_degree_guard() -> int:
     return _degree_guard.get()
+
+
+def _check_degree(degree: int, what: str) -> None:
+    guard = _degree_guard.get()
+    if degree > guard:
+        raise DegreeGuardError(
+            f"{what} degree would exceed the guard ({guard}); "
+            "raise it with set_degree_guard or MOYAL_MAX_DEGREE"
+        )
 
 
 @contextmanager
@@ -131,9 +150,9 @@ def triple_space(n: int) -> Space:
     )
 
 
-def _term_sort_key(exps: Exponents):
-    # Graded order, highest degree first, then lexicographic descending.
-    return (-sum(exps), tuple(-e for e in exps))
+def _graded_key(exps: Exponents):
+    # Terms are listed highest first in this order: degree, then exponents.
+    return (sum(exps), exps)
 
 
 class Poly:
@@ -230,12 +249,12 @@ class Poly:
         return self.terms.get((0,) * len(self.space), scalars.ZERO)
 
     def sorted_terms(self) -> list[tuple[Exponents, Coefficient]]:
-        return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: _graded_key(kv[0]), reverse=True)
 
     def leading_term(self) -> tuple[Exponents, Coefficient]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = min(self.terms, key=_term_sort_key)
+        exps = max(self.terms, key=_graded_key)
         return exps, self.terms[exps]
 
     # -- ring operations ---------------------------------------------------
@@ -269,18 +288,21 @@ class Poly:
         return Poly(self.space, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
+        return self.mul_truncated(other, self.total_degree() + other.total_degree())
+
+    def mul_truncated(self, other: "Poly", max_degree: int) -> "Poly":
+        """(self * other).truncate_degree(max_degree), skipping every pair above the bound."""
         self._check_space(other)
         if not self.terms or not other.terms:
             return Poly(self.space, {})
-        guard = _degree_guard.get()
-        if self.total_degree() + other.total_degree() > guard:
-            raise DegreeGuardError(
-                f"product degree would exceed the guard ({guard}); "
-                "raise it with set_degree_guard or MOYAL_MAX_DEGREE"
-            )
+        _check_degree(self.total_degree() + other.total_degree(), "product")
+        right = sorted(((sum(e), e, c) for e, c in other.terms.items()), key=lambda t: t[0])
         terms: dict[Exponents, Coefficient] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            room = max_degree - sum(e1)
+            for d2, e2, c2 in right:
+                if d2 > room:
+                    break
                 exps = tuple(map(int.__add__, e1, e2))
                 c = c1 * c2
                 acc = terms.get(exps)
@@ -294,13 +316,8 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        guard = _degree_guard.get()
         mu_degree = max((max(c.num.degree, c.den.degree) for c in self.terms.values()), default=0)
-        if k * max(mu_degree, self.total_degree()) > guard:
-            raise DegreeGuardError(
-                f"power degree would exceed the guard ({guard}); "
-                "raise it with set_degree_guard or MOYAL_MAX_DEGREE"
-            )
+        _check_degree(k * max(mu_degree, self.total_degree()), "power")
         out = Poly.one(self.space)
         base = self
         while k:
@@ -387,10 +404,17 @@ class Poly:
         return Poly(self.space, terms)
 
     def mu_components(self) -> dict[int, "Poly"]:
-        """Split by mu-power; every coefficient must be polynomial in mu."""
+        """Split by mu-power; every coefficient must be polynomial in mu.
+
+        Each distinct coefficient is split once and its parts are shared.
+        """
+        splits: dict[Coefficient, dict[int, Coefficient]] = {}
         buckets: dict[int, dict[Exponents, Coefficient]] = {}
         for exps, coeff in self.terms.items():
-            for k, c in coeff.mu_components().items():
+            split = splits.get(coeff)
+            if split is None:
+                split = splits[coeff] = coeff.mu_components()
+            for k, c in split.items():
                 buckets.setdefault(k, {})[exps] = c
         return {k: Poly(self.space, terms) for k, terms in sorted(buckets.items())}
 
@@ -452,6 +476,97 @@ def divide_exact(dividend: Poly, divisor: Poly) -> tuple[Poly, Poly]:
     return quotient, Poly(dividend.space, remainder_terms)
 
 
+# -- packed form ---------------------------------------------------------------
+
+# A lifted polynomial: {key: (re, im)}, the int denominator, and the layout
+# (number of variables, exponent field bits, mu field bits).
+Lifted = tuple[dict[int, tuple[int, int]], int, tuple[int, int, int]]
+
+
+def _mu_degree(p: Poly) -> int:
+    return max((c.num.degree for c in p.terms.values()), default=0)
+
+
+def _pack(p: Poly, mu_bits: int) -> Lifted:
+    coeffs = p.terms.values()
+    if not all(c.den.is_one for c in coeffs):
+        raise ValueError("only coefficients polynomial in mu can be lifted")
+    _check_degree(p.total_degree(), "lifted")
+    bits = _degree_guard.get().bit_length()
+    den = math.lcm(*(c.num.d for c in coeffs))
+    terms = {}
+    for exps, coeff in p.terms.items():
+        key = sum(exps)
+        for e in exps:
+            key = key << bits | e
+        key <<= mu_bits
+        num = coeff.num
+        scale = den // num.d
+        im = num.im or (0,) * len(num.re)
+        for k, (x, y) in enumerate(zip(num.re, im)):
+            if x or y:
+                terms[key | k] = (x * scale, y * scale)
+    return terms, den, (len(p.space), bits, mu_bits)
+
+
+def lift(p: Poly) -> Lifted:
+    """p in packed form; every coefficient must be polynomial in mu.
+
+    The mu field is as wide as p's own mu-degree, and p's degree must fit the
+    degree guard.
+    """
+    return _pack(p, _mu_degree(p).bit_length())
+
+
+def unlift(lifted: Lifted, space: Space) -> Poly:
+    """The polynomial over `space` of a lifted form; zero entries are allowed and dropped."""
+    terms, den, (width, bits, mu_bits) = lifted
+    if width != len(space):
+        raise SpaceMismatchError(f"a lifted form of {width} variables does not fit {space!r}")
+    mask, mu_mask = (1 << bits) - 1, (1 << mu_bits) - 1
+    shifts = range((width - 1) * bits, -1, -bits)
+    by_monomial: dict[int, dict[int, tuple[int, int]]] = {}
+    for key, pair in terms.items():
+        by_monomial.setdefault(key >> mu_bits, {})[key & mu_mask] = pair
+    shared: dict[tuple, Coefficient] = {}
+    out: dict[Exponents, Coefficient] = {}
+    for key, parts in by_monomial.items():
+        top = max(parts) + 1
+        re, im = [0] * top, [0] * top
+        for k, (x, y) in parts.items():
+            re[k], im[k] = x, y
+        value = (*re, *im)
+        coeff = shared.get(value)
+        if coeff is None:
+            coeff = shared[value] = Coefficient.from_ints(re, im, den)
+        if coeff:
+            out[tuple([key >> shift & mask for shift in shifts])] = coeff
+    return Poly(space, out)
+
+
+def lifted_mul(p: Poly, q: Poly) -> Lifted:
+    """p * q in packed form.
+
+    Both operands are lifted with a mu field as wide as the product's
+    mu-degree, so monomials multiply by adding keys and no field carries.
+    Raises DegreeGuardError like `Poly.__mul__` and ValueError like `lift`.
+    """
+    p._check_space(q)
+    _check_degree(p.total_degree() + q.total_degree(), "product")
+    mu_bits = (_mu_degree(p) + _mu_degree(q)).bit_length()
+    (xt, x_den, layout), (yt, y_den, _) = _pack(p, mu_bits), _pack(q, mu_bits)
+    terms: dict[int, tuple[int, int]] = {}
+    get = terms.get
+    right = list(yt.items())
+    for k1, (r1, i1) in xt.items():
+        for k2, (r2, i2) in right:
+            k = k1 + k2
+            acc = get(k)
+            re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
+            terms[k] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
+    return {k: v for k, v in terms.items() if v != (0, 0)}, x_den * y_den, layout
+
+
 class DiffOp:
     """A constant-coefficient differential operator against an aligned target.
 
@@ -475,15 +590,19 @@ class DiffOp:
         }
         return cls(Poly(sigma_poly.space, terms))
 
-    def _check_arity(self, target: Poly):
+    def _check_target(self, target: Poly):
         if len(self.poly.space) != len(target.space):
             raise SpaceMismatchError(
                 "operator arity does not match the target space"
             )
+        _check_degree(target.total_degree(), "operand")
 
     def apply_once(self, target: Poly) -> Poly:
         """One application of the operator (a single derivation-polynomial pass)."""
-        self._check_arity(target)
+        self._check_target(target)
+        return self._apply_once(target)
+
+    def _apply_once(self, target: Poly) -> Poly:
         terms: dict[Exponents, Coefficient] = {}
         for d_exps, d_coeff in self.poly.terms.items():
             for t_exps, t_coeff in target.terms.items():
@@ -510,18 +629,20 @@ class DiffOp:
         """Apply exp of the operator: sum_k D^k(target) / k!, exactly.
 
         The generator must have a zero constant term; every remaining term
-        strictly lowers the target degree, so the series terminates.
+        strictly lowers the target degree, so the series terminates and only
+        the target itself is checked against the degree guard.
         """
         if self.poly.constant_term():
             raise NonterminatingSeriesError(
                 "exponential of an operator with a constant term does not "
                 "terminate on polynomials; factor the constant out first"
             )
+        self._check_target(target)
         result = target
         term = target
         k = 1
         while term.terms:
-            term = self.apply_once(term).scale_fraction(Fraction(1, k))
+            term = self._apply_once(term).scale_fraction(Fraction(1, k))
             result = result + term
             k += 1
         return result

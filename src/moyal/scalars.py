@@ -482,6 +482,15 @@ class Coefficient:
         return Coefficient(MuPoly.const(g), MU_POLY_ONE)
 
     @staticmethod
+    def from_ints(re, im, d: int) -> "Coefficient":
+        """sum_k (re[k] + im[k]*i) * mu^k / d from int sequences, constant first.
+
+        `im` is empty or as long as `re`, and d > 0.
+        """
+        num = _normal(list(re), list(im), d)
+        return Coefficient(num, MU_POLY_ONE) if num.re else ZERO
+
+    @staticmethod
     def mu_power(k: int, scale=1) -> "Coefficient":
         """scale * mu^k for k >= 0."""
         g = GaussRational(scale) if not isinstance(scale, GaussRational) else scale

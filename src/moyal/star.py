@@ -35,8 +35,10 @@ width 2n and index-aligned with z.  Its only readers are here: `on_slots`
 moves a polynomial between slots (chi(u + v), b(u, v + w), the slot swap),
 `merge_slots` sets the slots equal, `slot_degrees` gives a monomial's
 degree in each slot, and `bilinear_form` reads the (1, 1) part as a matrix.
-The one exception is the block rotation inside `lie.jacobi_defect`, which
-sums each rotation orbit of exponent tuples once.
+The other readers are the packed form of `poly.lift`/`poly.unlift`, which
+keeps the blocks as consecutive bit fields of one int key, and the Jacobi
+defect in lie.py, which sorts or rotates those fields to file each product
+term under the representative of its orbit of block permutations.
 
 The ordering-change map `u_map` applies exp(chi(-i d/dz)) to a symbol.  It
 is an exact isomorphism intertwining the kernel (chi, M) with (0, M), and is

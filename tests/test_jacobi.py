@@ -6,13 +6,14 @@ the witnesses, rendered mu-orders, a separate `mu_zero` walk), kept here as
 the oracle for `lie_axiom_check`.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_gauge_chi, random_poly, slot_images, substitute
-from moyal import scalars
+from moyal import lie, scalars
 from moyal.errors import MoyalError
 from moyal.expressions import parse_poly
 from moyal.lie import (
@@ -23,7 +24,7 @@ from moyal.lie import (
     theorem2_pipeline,
 )
 from moyal.linalg import Matrix
-from moyal.poly import Poly, pair_space, triple_space
+from moyal.poly import Poly, lifted_mul, pair_space, triple_space
 from moyal.star import on_slots, slot_swap
 
 ONE, MU, ZERO = scalars.ONE, scalars.MU, scalars.ZERO
@@ -120,6 +121,51 @@ def test_seeded_kernels_match_the_direct_forms(n, antisymmetric, denominator, se
         assert summary(report) == reference_axiom_check(raw, truncation_degree)
 
 
+UNITS = {
+    "-1": scalars.MINUS_ONE,
+    "i": scalars.I,
+    "3/2-i/2": scalars.Coefficient.from_gauss(Fraction(3, 2), Fraction(-1, 2)),
+    "1/mu": MU.inverse(),
+    "2/(mu+1)": (MU + ONE).inverse().scale_int(2),
+}
+
+
+def scaled_term(term, u):
+    return None if term is None else (term[0], term[1] * u)
+
+
+@pytest.mark.parametrize("unit", sorted(UNITS))
+@pytest.mark.parametrize("n, antisymmetric, denominator, seed", SEEDED)
+def test_report_of_a_kernel_scaled_by_a_unit(n, antisymmetric, denominator, seed, unit):
+    """The report of u*A is that of A with the values scaled by u (the Jacobi
+    defect by u^2); for u in Q(i) that is the whole report."""
+    raw = seeded_kernel(
+        random.Random(f"jacobi-{n}-{antisymmetric}-{denominator}-{seed}"),
+        n, antisymmetric, denominator,
+    )
+    u = UNITS[unit]
+    u2 = u * u
+    scaled = RawLieKernel(n, raw.a.scale(u))
+    assert jacobi_defect(scaled) == jacobi_defect(raw).scale(u2)
+    report, got = lie_axiom_check(raw, 2), lie_axiom_check(scaled, 2)
+    expected = dataclasses.replace(
+        report,
+        antisymmetry_witness=scaled_term(report.antisymmetry_witness, u),
+        constants_witness=scaled_term(report.constants_witness, u),
+        jacobi_witness=scaled_term(report.jacobi_witness, u2),
+    )
+    if u.den.is_one and u.num.degree == 0:
+        orders = report.defect_mu_orders
+        if orders is not None:
+            orders = {k: part.scale(u2) for k, part in orders.items()}
+        assert got == dataclasses.replace(expected, defect_mu_orders=orders)
+    else:
+        # A mu-dependent unit moves the mu-orders and may move the status.
+        assert dataclasses.replace(got, jacobi_status=None, defect_mu_orders=None) == (
+            dataclasses.replace(expected, jacobi_status=None, defect_mu_orders=None)
+        )
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("first, second", [("u", "vw"), ("v", "wu"), ("w", "uv"), ("uv", "w")])
 def test_on_slots_expands_powers_of_sums(n, first, second):
@@ -206,18 +252,21 @@ def criterion_9_kernels():
 def test_one_product_per_defect_and_no_rendering(monkeypatch):
     kernels = criterion_9_kernels()
     calls = []
-    multiply = Poly.__mul__
 
-    def counting(self, other):
+    def counting(x, y):
         calls.append(1)
-        return multiply(self, other)
+        return lifted_mul(x, y)
 
-    monkeypatch.setattr(Poly, "__mul__", counting)
+    def no_poly_product(self, other):
+        raise AssertionError("a Poly product was taken")
+
+    monkeypatch.setattr(lie, "lifted_mul", counting)
+    monkeypatch.setattr(Poly, "__mul__", no_poly_product)
     for raw in kernels:
         del calls[:]
         jacobi_defect(raw)
         assert len(calls) == 1
-    monkeypatch.setattr(Poly, "__mul__", multiply)
+    monkeypatch.undo()
 
     def no_rendering(self):
         raise AssertionError("a polynomial was rendered")

@@ -17,6 +17,7 @@ from moyal.lie import (
     apply_bracket_kernel,
     bidiff_coefficients,
     bracket_kernel_of,
+    center_generators_from_kernel,
     classify_h,
     extract_omega,
     jacobi_defect,
@@ -26,7 +27,7 @@ from moyal.lie import (
 )
 from moyal.linalg import Matrix
 from moyal.poly import Poly, pair_space, phase_space, sigma_space
-from moyal.star import StarKernel, bracket, poisson
+from moyal.star import BiDiff, StarKernel, bracket, poisson
 
 ONE, MU, ZERO = scalars.ONE, scalars.MU, scalars.ZERO
 PAIR = pair_space(1)
@@ -296,3 +297,43 @@ class TestBracketApplication:
             assert report.antisymmetric
             assert report.constants_annihilate
             assert report.jacobi_status in ("exact", "truncation-defect")
+
+
+@pytest.mark.parametrize(
+    "kernel, applies_per_monomial",
+    [
+        ("v1*u3 - v3*u1", 1),
+        ("v1*u3 - v3*u1 + u2*v2^2 - v2*u2^2", 1),
+        ("u1*v3", 2),
+        ("u1*v2", 2),
+    ],
+)
+def test_centre_verification_applies_both_sides_only_when_needed(
+    monkeypatch, kernel, applies_per_monomial
+):
+    """An antisymmetric kernel has apply(g, f) = -apply(f, g), so one side is
+    applied per test monomial; the generators and flags are the two-sided ones."""
+    space = phase_space(2)
+    a = raw(parse_poly(kernel, pair_space(2)), n=2)
+    tests = monomials(space, 3)
+    expected = [
+        (gen, all(
+            apply_bracket_kernel(a, gen, g).is_zero and apply_bracket_kernel(a, g, gen).is_zero
+            for g in tests
+        ))
+        for gen in (Poly.one(space), parse_poly("q2", space), parse_poly("q2^2", space))
+    ]
+    calls = []
+    apply = BiDiff.apply
+
+    def counting(self, f, g):
+        calls.append(1)
+        return apply(self, f, g)
+
+    monkeypatch.setattr(BiDiff, "apply", counting)
+    got = center_generators_from_kernel(a, [(ZERO, ONE, ZERO, ZERO)], 2, 3)
+    assert [(c.generator, c.verified) for c in got] == expected
+    if all(verified for _, verified in expected):
+        assert len(calls) == applies_per_monomial * len(expected) * len(tests)
+    else:
+        assert not all(verified for _, verified in expected[1:])

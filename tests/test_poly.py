@@ -5,6 +5,7 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly, substitute
 from moyal import scalars
@@ -20,12 +21,15 @@ from moyal.poly import (
     degree_guard,
     divide_exact,
     get_degree_guard,
+    lift,
+    lifted_mul,
     pair_space,
     phase_space,
     set_degree_guard,
     sigma_space,
+    unlift,
 )
-from moyal.star import on_slots, slot_degrees
+from moyal.star import on_slots, slot_degrees, u_map
 
 SP = phase_space(1)
 Q = Poly.variable(SP, "q1")
@@ -256,3 +260,92 @@ def test_degree_guard_is_not_shared_between_threads():
     assert not thread.is_alive()
     assert seen == {"worker": 4, "raised": True}
     assert get_degree_guard() == saved
+
+
+def pairwise_product(p, q):
+    """p * q as a sum of monomial products, the oracle for the product loop."""
+    out = Poly.zero(p.space)
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            out = out + Poly.monomial(p.space, tuple(map(int.__add__, e1, e2)), c1 * c2)
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(0, 9))
+def test_mul_truncated_is_the_truncated_product(seed, n, max_degree):
+    rng = random.Random(seed)
+    space = phase_space(n)
+    p = random_poly(rng, space, 5, terms=4, mu_degree=2)
+    q = random_poly(rng, space, 5, terms=4, mu_degree=1).scale(
+        (MU + scalars.Coefficient.from_int(2)).inverse()
+    )
+    assert p * q == pairwise_product(p, q)
+    assert p.mul_truncated(q, max_degree) == (p * q).truncate_degree(max_degree)
+
+
+def wide_poly(rng, n, guard):
+    """A random polynomial with mu and i over an int denominator, plus one term
+    of degree `guard` whose exponent fields fill their width."""
+    space = phase_space(n)
+    p = random_poly(rng, space, 6, terms=5, mu_degree=3, allow_i=True)
+    top = [0] * (2 * n)
+    top[rng.randrange(2 * n)] = guard
+    top_coeff = scalars.Coefficient.from_gauss(Fraction(rng.randint(1, 5), 3), rng.randint(-1, 1))
+    return p.scale_fraction(Fraction(1, rng.randint(1, 6))) + Poly.monomial(
+        space, tuple(top), top_coeff * MU
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.sampled_from([64, 300]))
+def test_unlift_inverts_lift(seed, n, guard):
+    rng = random.Random(seed)
+    with degree_guard(guard):
+        p = wide_poly(rng, n, guard)
+        assert unlift(lift(p), p.space) == p
+        assert unlift(lift(Poly.zero(p.space)), p.space) == Poly.zero(p.space)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.booleans())
+def test_lifted_product_is_the_product(seed, n, real):
+    rng = random.Random(seed)
+    space = phase_space(n)
+    p = random_poly(rng, space, 5, terms=5, mu_degree=2, allow_i=not real)
+    q = random_poly(rng, space, 5, terms=5, mu_degree=3, allow_i=not real)
+    q = q.scale_fraction(Fraction(rng.randint(1, 4), rng.randint(1, 6)))
+    assert unlift(lifted_mul(p, q), space) == p * q
+
+
+def test_lifted_forms_are_checked():
+    p = Poly.constant(SP, MU) + Q * P
+    # Each operand holds mu^1; the product's mu field must hold mu^2.
+    assert unlift(lifted_mul(p, p), SP) == p * p
+    with pytest.raises(ValueError):
+        lift(Q.scale(MU.inverse()))
+    with pytest.raises(ValueError):
+        lifted_mul(p, Q.scale(MU.inverse()))
+    with pytest.raises(SpaceMismatchError):
+        unlift(lift(p), phase_space(2))
+    with pytest.raises(SpaceMismatchError):
+        lifted_mul(p, Poly.one(phase_space(2)))
+    with degree_guard(4):
+        with pytest.raises(DegreeGuardError):
+            lift(Q**5)
+        with pytest.raises(DegreeGuardError):
+            lifted_mul(Q**3, P**2)
+        assert unlift(lifted_mul(Q**3, P), SP) == Q**3 * P
+
+
+def test_differential_operators_respect_the_degree_guard():
+    op = DiffOp.from_sigma_poly(Poly.monomial(sigma_space(1), (1, 1)))
+    chi = Poly.monomial(sigma_space(1), (2, 0), MU)
+    fits, too_high = Q**2 * P**2, Q**3 * P**2
+    once, mapped = op.apply_once(fits), u_map(fits, chi)
+    with degree_guard(4):
+        assert op.apply_once(fits) == once
+        assert u_map(fits, chi) == mapped
+        for run in (op.apply_once, op.apply_exp, lambda f: u_map(f, chi)):
+            with pytest.raises(DegreeGuardError):
+                run(too_high)
