@@ -14,7 +14,8 @@ all ph's.  `nc_mul` restores canonical order with the closed-form rewriting
 
     ph^b qh^c = sum_j (-2*mu)^j binom(b, j) binom(c, j) j!  qh^(c-j) ph^(b-j),
 
-applied independently in each dimension.
+applied independently in each dimension.  One `nc_mul` call builds these
+coefficients once per distinct (b, c) and keeps them for its word pairs.
 
 The symmetric-ordering (Weyl) correspondence is realized as q-left-of-p
 substitution composed with the ordering-transition operator
@@ -25,16 +26,19 @@ suite.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, factorial
 
 from . import scalars
 from .errors import DegreeGuardError, DimensionMismatchError
 from .poly import DiffOp, Poly, Space, get_degree_guard, phase_space
+from .scalars import MU_POLY_ONE
 from .star import phase_dimension
 
 Exponents = tuple[int, ...]
 
 
+@lru_cache(maxsize=64)
 def operator_space(n: int) -> Space:
     """The generator names qh1..qhn, ph1..phn, in canonical word order."""
     return Space(
@@ -117,24 +121,40 @@ class NCPoly:
         return f"NCPoly(n={self.n}, {self})"
 
 
-def _word_product(n: int, w1: Exponents, w2: Exponents, coeff):
-    """Multiply canonical words: yields (word, coefficient) pieces."""
+_MINUS_TWO_MU = scalars.MU.scale_int(-2)
+
+ReorderSteps = list[tuple[int, scalars.Coefficient]]
+
+
+def _reorder_steps(b: int, c: int) -> ReorderSteps:
+    """(j, (-2 mu)^j binom(b, j) binom(c, j) j!) for j = 0..min(b, c): ph^b qh^c reordered."""
+    return [
+        (j, (_MINUS_TWO_MU**j).scale_int(comb(b, j) * comb(c, j) * factorial(j)))
+        for j in range(min(b, c) + 1)
+    ]
+
+
+def _word_product(
+    n: int, w1: Exponents, w2: Exponents, coeff, reorder: dict[tuple[int, int], ReorderSteps]
+):
+    """Multiply canonical words: yields (word, coefficient) pieces.
+
+    `reorder` maps (b_i, c_i) to its `_reorder_steps`; it is filled on demand.
+    """
     a, b = w1[:n], w1[n:]
     c, d = w2[:n], w2[n:]
-    minus_two_mu = scalars.MU.scale_int(-2)
-    pieces = [((), scalars.ONE)]
+    pieces = [((), coeff)]
     for i in range(n):
-        new_pieces = []
-        for js, cf in pieces:
-            for j in range(min(b[i], c[i]) + 1):
-                f = comb(b[i], j) * comb(c[i], j) * factorial(j)
-                new_pieces.append((js + (j,), cf * (minus_two_mu**j).scale_int(f)))
-        pieces = new_pieces
+        key = (b[i], c[i])
+        steps = reorder.get(key)
+        if steps is None:
+            steps = reorder[key] = _reorder_steps(*key)
+        pieces = [(js + (j,), cf * r) for js, cf in pieces for j, r in steps]
     for js, cf in pieces:
         word = tuple(a[i] + c[i] - js[i] for i in range(n)) + tuple(
             b[i] + d[i] - js[i] for i in range(n)
         )
-        yield word, cf * coeff
+        yield word, cf
 
 
 def nc_mul(x: NCPoly, y: NCPoly) -> NCPoly:
@@ -145,9 +165,15 @@ def nc_mul(x: NCPoly, y: NCPoly) -> NCPoly:
         raise DegreeGuardError(f"operand degrees exceed the guard ({guard})")
     n = x.n
     terms: dict[Exponents, scalars.Coefficient] = {}
+    reorder: dict[tuple[int, int], ReorderSteps] = {}
     for w1, c1 in x.terms.items():
         for w2, c2 in y.terms.items():
-            for word, coeff in _word_product(n, w1, w2, c1 * c2):
+            scale = c1 * c2
+            if scale.den is not MU_POLY_ONE:
+                (p, dx), (q, dy) = x.poly.split_denominator(), y.poly.split_denominator()
+                product = nc_mul(NCPoly(n, p.terms), NCPoly(n, q.terms))
+                return NCPoly(n, product.poly.over(dx * dy).terms)
+            for word, coeff in _word_product(n, w1, w2, scale, reorder):
                 acc = terms.get(word)
                 coeff = coeff if acc is None else acc + coeff
                 if coeff:

@@ -20,6 +20,20 @@ eigenvalue sigma).  Exponentials of such operators terminate exactly on
 polynomials because every generator term of positive degree strictly lowers
 the target's total degree.
 
+Denominators.  Adding two coefficients over different denominators runs
+Euclid over Q(i)[mu], so the accumulation loops do not add rational
+coefficients.  `split_denominator` turns p into (P, D): D is the monic lcm of
+the coefficient denominators and P = D*p has coefficients polynomial in mu.
+`P.over(D)` divides back with one `Coefficient.make` per term, by the term's
+own denominator times D, since a kernel piece may bring denominators of its
+own.  The bilinear loops (`Poly.mul_truncated`, `star.BiDiff` and
+`operators.nc_mul`) split at the first pair of terms whose product has a
+denominator: they split both operands, run the same loop on P and Q and
+return `.over(Dp*Dq)`.  Operands without denominators pay one identity test
+per pair.  The linear `DiffOp.apply_once` and `apply_exp` split their target
+on entry, one test per term.  Every output is canonical, so it equals the
+per-term sum exactly.
+
 A configurable total-degree guard (default 64) makes runaway computations
 fail fast instead of exhausting memory.  The bound is a context variable, so
 a bound set in one thread does not leak into another.
@@ -51,7 +65,7 @@ from .errors import (
     PoleAtMuZeroError,
     SpaceMismatchError,
 )
-from .scalars import Coefficient
+from .scalars import MU_POLY_ONE, Coefficient, MuPoly
 
 Exponents = tuple[int, ...]
 
@@ -303,8 +317,11 @@ class Poly:
             for d2, e2, c2 in right:
                 if d2 > room:
                     break
-                exps = tuple(map(int.__add__, e1, e2))
                 c = c1 * c2
+                if c.den is not MU_POLY_ONE:
+                    (p, dp), (q, dq) = self.split_denominator(), other.split_denominator()
+                    return p.mul_truncated(q, max_degree).over(dp * dq)
+                exps = tuple(map(int.__add__, e1, e2))
                 acc = terms.get(exps)
                 c = c if acc is None else acc + c
                 if c:
@@ -326,6 +343,23 @@ class Poly:
             base = base * base if k > 1 else base
             k >>= 1
         return out
+
+    def split_denominator(self) -> tuple["Poly", MuPoly]:
+        """(P, D) with D the monic lcm of the coefficient denominators and P = D * self.
+
+        The coefficients of P are polynomial in mu.  Without denominators this
+        is (self, MU_POLY_ONE) and nothing is built.
+        """
+        den = scalars.common_denominator(self.terms.values())
+        if den is MU_POLY_ONE:
+            return self, den
+        return Poly(self.space, {e: c.cleared(den) for e, c in self.terms.items()}), den
+
+    def over(self, den: MuPoly) -> "Poly":
+        """self / den, with one canonical `Coefficient.make` per term."""
+        if den.is_one:
+            return self
+        return Poly(self.space, {e: c.over(den) for e, c in self.terms.items()})
 
     def scale(self, coeff: Coefficient) -> "Poly":
         if not coeff:
@@ -600,7 +634,8 @@ class DiffOp:
     def apply_once(self, target: Poly) -> Poly:
         """One application of the operator (a single derivation-polynomial pass)."""
         self._check_target(target)
-        return self._apply_once(target)
+        p, den = target.split_denominator()
+        return self._apply_once(p).over(den)
 
     def _apply_once(self, target: Poly) -> Poly:
         terms: dict[Exponents, Coefficient] = {}
@@ -630,7 +665,8 @@ class DiffOp:
 
         The generator must have a zero constant term; every remaining term
         strictly lowers the target degree, so the series terminates and only
-        the target itself is checked against the degree guard.
+        the target itself is checked against the degree guard.  The series
+        runs on the target's numerators and is divided once at the end.
         """
         if self.poly.constant_term():
             raise NonterminatingSeriesError(
@@ -638,14 +674,14 @@ class DiffOp:
                 "terminate on polynomials; factor the constant out first"
             )
         self._check_target(target)
-        result = target
-        term = target
+        result, den = target.split_denominator()
+        term = result
         k = 1
         while term.terms:
             term = self._apply_once(term).scale_fraction(Fraction(1, k))
             result = result + term
             k += 1
-        return result
+        return result.over(den)
 
     def __repr__(self):
         return f"DiffOp({self.poly})"

@@ -29,6 +29,14 @@ equality and Coefficient values can be used as dictionary keys.  A
 denominator equal to 1 is always the MU_POLY_ONE object.  Denominators
 c*mu^k (the bracket's 1/(2 mu)) cancel by a shift instead of a gcd.
 
+Normalising gcds run in Coefficient.make.  The polynomial loops of poly.py,
+star.py and operators.py do not add coefficients over different
+denominators: they clear the denominators on entry (`common_denominator`,
+one gcd per distinct denominator, then `Coefficient.cleared`) and call make
+once per output term (`Coefficient.over`).  Scalar arithmetic outside those
+loops, such as `+` on two rational coefficients, still normalises every
+result.
+
 GaussRational (a pair of Fractions, without arithmetic) is the value type at
 the boundary: MuPoly.from_seq/const take it, and eval_at_mu_zero and
 mu_monomials return it; Coefficient.mu_zero and mu_components are their
@@ -450,9 +458,10 @@ class Coefficient:
         if g.degree > 0:
             num = num._exact_quo(g)
             den = den._exact_quo(g)
-        lc = den._lc()
-        num = num._div_gauss(*lc)
-        den = den._div_gauss(*lc)
+        lr, li, ld = den._lc()
+        if li or lr != ld:
+            num = num._div_gauss(lr, li, ld)
+            den = den._div_gauss(lr, li, ld)
         if den.is_one:
             den = MU_POLY_ONE
         return Coefficient(num, den)
@@ -563,6 +572,14 @@ class Coefficient:
             return ZERO
         return Coefficient(self.num._scaled(q.numerator, q.denominator), self.den)
 
+    def cleared(self, den: MuPoly) -> "Coefficient":
+        """self * den, a polynomial in mu; den must be a monic multiple of self.den."""
+        return Coefficient(self.num * den._exact_quo(self.den), MU_POLY_ONE)
+
+    def over(self, den: MuPoly) -> "Coefficient":
+        """self / den in canonical form, for a nonzero polynomial den."""
+        return Coefficient.make(self.num, den if self.den is MU_POLY_ONE else self.den * den)
+
     def inverse(self) -> "Coefficient":
         if not self.num.re:
             raise ZeroDivisionError("inverting the zero coefficient")
@@ -660,6 +677,14 @@ MU = Coefficient(MU_POLY_MU, MU_POLY_ONE)
 HALF_INV_MU = MU.scale_int(2).inverse()
 
 _NEG_I_CYCLE = (ONE, Coefficient(MuPoly((0,), (-1,)), MU_POLY_ONE), MINUS_ONE, I)
+
+
+def common_denominator(coeffs) -> MuPoly:
+    """The monic lcm of the denominators of `coeffs`; MU_POLY_ONE when every one is 1."""
+    out = MU_POLY_ONE
+    for den in {c.den for c in coeffs if c.den is not MU_POLY_ONE}:
+        out = den if out is MU_POLY_ONE else out * den._exact_quo(MuPoly.gcd(out, den))
+    return out
 
 
 def neg_i_power(k: int) -> Coefficient:

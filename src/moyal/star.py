@@ -66,6 +66,7 @@ from .poly import (
     sigma_space,
     triple_space,
 )
+from .scalars import MU_POLY_ONE
 
 Exponents = tuple[int, ...]
 
@@ -229,7 +230,9 @@ class BiDiff:
     monomial pairs and cleared when full, hold the exp piece and the
     commutator piece of each monomial pair (ef, eg).  Every entry point checks
     that both operands live on the operator's phase space and that their
-    degrees fit the degree guard.
+    degrees fit the degree guard.  Operands with mu-denominators are run on
+    their numerators and divided once per output term (see poly.py,
+    Denominators).
     """
 
     __slots__ = ("space", "op", "_pairs", "_comms")
@@ -246,9 +249,14 @@ class BiDiff:
     def apply(self, f: Poly, g: Poly) -> Poly:
         """A(-i d_left, -i d_right) applied once to f (x) g, slots merged."""
         self._check_operands(f, g)
-        tensor = {
-            ef + eg: cf * cg for ef, cf in f.terms.items() for eg, cg in g.terms.items()
-        }
+        tensor = {}
+        for ef, cf in f.terms.items():
+            for eg, cg in g.terms.items():
+                scale = cf * cg
+                if scale.den is not MU_POLY_ONE:
+                    (p, df), (q, dg) = f.split_denominator(), g.split_denominator()
+                    return self.apply(p, q).over(df * dg)
+                tensor[ef + eg] = scale
         applied = self.op.apply_once(Poly(self.op.poly.space, tensor))
         return merge_slots(applied, self.space)
 
@@ -300,8 +308,15 @@ class BiDiff:
         terms: dict[Exponents, scalars.Coefficient] = {}
         for ef, cf in f.terms.items():
             for eg, cg in g.terms.items():
+                piece = piece_of(ef, eg).terms
+                if not piece:
+                    # A zero piece (a constant's commutator) must not trigger a split.
+                    continue
                 scale = cf * cg
-                for exps, coeff in piece_of(ef, eg).terms.items():
+                if scale.den is not MU_POLY_ONE:
+                    (p, df), (q, dg) = f.split_denominator(), g.split_denominator()
+                    return self._accumulate(p, q, piece_of).over(df * dg)
+                for exps, coeff in piece.items():
                     coeff = coeff * scale
                     acc = terms.get(exps)
                     coeff = coeff if acc is None else acc + coeff

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_poly, substitute
+from conftest import oracle_mul, random_poly, substitute
 from moyal import scalars
 from moyal.errors import (
     DegreeGuardError,
@@ -262,15 +262,6 @@ def test_degree_guard_is_not_shared_between_threads():
     assert get_degree_guard() == saved
 
 
-def pairwise_product(p, q):
-    """p * q as a sum of monomial products, the oracle for the product loop."""
-    out = Poly.zero(p.space)
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            out = out + Poly.monomial(p.space, tuple(map(int.__add__, e1, e2)), c1 * c2)
-    return out
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(0, 9))
 def test_mul_truncated_is_the_truncated_product(seed, n, max_degree):
@@ -280,7 +271,7 @@ def test_mul_truncated_is_the_truncated_product(seed, n, max_degree):
     q = random_poly(rng, space, 5, terms=4, mu_degree=1).scale(
         (MU + scalars.Coefficient.from_int(2)).inverse()
     )
-    assert p * q == pairwise_product(p, q)
+    assert p * q == oracle_mul(p, q)
     assert p.mul_truncated(q, max_degree) == (p * q).truncate_degree(max_degree)
 
 
