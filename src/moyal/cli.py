@@ -7,7 +7,8 @@ Every subcommand prints a human-readable result by default or, with
 
 where status is "ok" (exit 0), "fail" (exit 1: a mathematical failure such
 as a cocycle violation, a "neither" classification, or a pole at mu = 0), or
-"error" (exit 2: usage or parse problems).  JSON output is byte-identical
+"error" (exit 2: usage or parse problems, sizes below their minimum, or a
+reader that closed standard output early).  JSON output is byte-identical
 across runs on identical input.
 
 The environment variable MOYAL_MAX_DEGREE sets the total-degree guard for
@@ -33,6 +34,7 @@ from .lie import (
     bidiff_coefficients,
     classify_h,
     extract_omega,
+    jacobi_defect,
     lie_axiom_check,
     theorem2_pipeline,
 )
@@ -235,7 +237,7 @@ def _cmd_center(args, fetch) -> _Outcome:
     return _Outcome("ok", result=result, human="\n".join(str(p) for p in basis))
 
 
-def _axiom_payload(report) -> tuple[dict, dict | None]:
+def _axiom_payload(raw, report) -> tuple[dict, dict | None]:
     result = {
         "antisymmetry": "pass" if report.antisymmetric else "violation",
         "constants_annihilate": "pass" if report.constants_annihilate else "violation",
@@ -244,10 +246,10 @@ def _axiom_payload(report) -> tuple[dict, dict | None]:
     defects = None
     if report.jacobi_status != "exact":
         defects = {}
-        if report.defect_mu_orders is not None:
-            defects["mu_orders"] = {
-                str(k): str(v) for k, v in report.defect_mu_orders.items()
-            }
+        # A defect with a mu-denominator has no mu-order parts.
+        defect = jacobi_defect(raw)
+        if all(c.den.is_one for c in defect.terms.values()):
+            defects["mu_orders"] = {str(k): str(v) for k, v in defect.mu_components().items()}
         if report.defect_degree_range is not None:
             defects["degree_range"] = list(report.defect_degree_range)
     return result, defects
@@ -257,7 +259,7 @@ def _cmd_check_lie(args, fetch) -> _Outcome:
     n = args.n
     raw = RawLieKernel(n, parse_poly(fetch(args.a), pair_space(n)))
     report = lie_axiom_check(raw, truncation_degree=args.truncation_degree)
-    result, defects = _axiom_payload(report)
+    result, defects = _axiom_payload(raw, report)
     witness = None
     if not report.passed:
         pieces = {}
@@ -339,7 +341,7 @@ def _cmd_theorem2(args, fetch) -> _Outcome:
         center_degree=args.center_degree,
         verify_degree=args.verify_degree,
     )
-    axioms, defects = _axiom_payload(report.axioms)
+    axioms, defects = _axiom_payload(raw, report.axioms)
     result = {"status": report.status, "axioms": axioms}
     if report.omega is not None:
         result["omega"] = _matrix_rows(report.omega)
@@ -435,6 +437,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="moyal",
@@ -448,10 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="read '-' expression arguments from standard input, one per line",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    size = _at_least(0)
 
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=int, default=1, help="configuration dimension")
+        p.add_argument("--n", type=_at_least(1), default=1, help="configuration dimension")
         return p
 
     def add_kernel_options(p):
@@ -501,11 +515,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("center", "monomial basis of the center, up to a degree bound")
     p.add_argument("--b", required=True)
-    p.add_argument("--max-degree", type=int, default=2)
+    p.add_argument("--max-degree", type=size, default=2)
 
     p = add("check-lie", "check bracket-kernel axioms (antisymmetry, Jacobi, constants)")
     p.add_argument("--a", required=True, help="kernel A over u, v slots")
-    p.add_argument("--truncation-degree", type=int, default=None)
+    p.add_argument("--truncation-degree", type=size, default=None)
 
     p = add("extract-omega", "read the antisymmetric matrix omega off a bracket kernel")
     p.add_argument("--a", required=True)
@@ -515,14 +529,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("theorem2", "full bracket-kernel classification pipeline")
     p.add_argument("--a", required=True)
-    p.add_argument("--fit-degree", type=int, default=6)
-    p.add_argument("--center-degree", type=int, default=2)
-    p.add_argument("--verify-degree", type=int, default=None)
+    p.add_argument("--fit-degree", type=size, default=6)
+    p.add_argument("--center-degree", type=size, default=2)
+    p.add_argument("--verify-degree", type=size, default=None)
 
     p = add("coeffs", "bidifferential coefficient table (n = 1)")
     p.add_argument("--a", required=True)
-    p.add_argument("--rmax", type=int, default=4)
-    p.add_argument("--smax", type=int, default=4)
+    p.add_argument("--rmax", type=size, default=4)
+    p.add_argument("--smax", type=size, default=4)
 
     return parser
 
@@ -558,21 +572,28 @@ def run(argv=None) -> int:
         head = list(itertools.takewhile(lambda token: token.startswith("-"), argv))
         rest = argv[len(head):]
         command = rest[0] if rest and rest[0] in _HANDLERS else None
-        _print_json(command, _Outcome("error", witness={"message": str(err)}))
-        return 2
-    fetch = _stdin_reader() if args.stdin else (lambda value: value)
-    try:
-        _degree_guard_from_env()
-        outcome = _HANDLERS[args.command](args, fetch)
-    except ExpressionError as err:
-        outcome = _Outcome("error", witness={"message": str(err), "token": err.token}, human=f"error: {err}")
-    except (MoyalError, ValueError, ZeroDivisionError) as err:
-        outcome = _Outcome("error", witness={"message": str(err)}, human=f"error: {err}")
-    if args.json:
-        _print_json(args.command, outcome)
+        as_json, outcome = True, _Outcome("error", witness={"message": str(err)})
     else:
-        stream = sys.stderr if outcome.status == "error" else sys.stdout
-        print(outcome.human, file=stream)
+        command, as_json = args.command, args.json
+        fetch = _stdin_reader() if args.stdin else (lambda value: value)
+        try:
+            _degree_guard_from_env()
+            outcome = _HANDLERS[command](args, fetch)
+        except ExpressionError as err:
+            outcome = _Outcome("error", witness={"message": str(err), "token": err.token}, human=f"error: {err}")
+        except (MoyalError, ValueError, ZeroDivisionError) as err:
+            outcome = _Outcome("error", witness={"message": str(err)}, human=f"error: {err}")
+    try:
+        if as_json:
+            _print_json(command, outcome)
+        else:
+            stream = sys.stderr if outcome.status == "error" else sys.stdout
+            print(outcome.human, file=stream)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Keep the interpreter's flush at exit from failing on the same pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return outcome.exit_code
 
 

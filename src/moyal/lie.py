@@ -10,7 +10,7 @@ kernel defines a Lie bracket annihilating constants when
     A(0, v) = 0.                                (constants)
 
 Because entire kernels can only enter exactly as polynomial truncations,
-Jacobi checks report their defect both by mu-order and by total degree: a
+Jacobi checks read their defect both at mu = 0 and by total degree: a
 degree-T truncation of a valid kernel has a defect supported in total degree
 > T + 2, and mu-truncations (e.g. of the hyperbolic-sine kernel) leave a
 defect that vanishes at mu = 0.  Both patterns are reported as expected
@@ -20,9 +20,9 @@ Packed form.  The Jacobi check runs on exact integers: A(u, v+w) and half of
 A(v, w) are multiplied once on packed keys (see `poly.lifted_mul`), and
 each product term is filed under the representative of its orbit of block
 permutations, the arrangement with the blocks in descending order.  The
-report (witness, degree range, mu-orders) is read from the representatives;
-the full defect is expanded only for its mu-order parts and for
-`jacobi_defect`.
+report is a verdict, its witnesses and the defect's degree range, all read
+from the representatives; only `jacobi_defect` expands the full defect (the
+CLI renders its mu-order parts from it).
 
 Convention sheet (pinned by the Moyal fixture, see tests): with the bracket
 kernel of the symmetric-ordering product, the first-slot derivative matrix is
@@ -53,12 +53,13 @@ from typing import Sequence
 
 from . import scalars
 from .cocycle import dual_monomials
-from .errors import MoyalError, SpaceMismatchError
+from .errors import DegreeGuardError, MoyalError, SpaceMismatchError
 from .linalg import Matrix, Vector
 from .poly import (
     Exponents,
     Poly,
     divide_exact,
+    get_degree_guard,
     lifted_mul,
     pair_space,
     phase_space,
@@ -128,18 +129,16 @@ def exp_truncated(p: Poly, max_degree: int) -> Poly:
 class LieAxiomReport:
     """Outcome of the antisymmetry / Jacobi / constants checks.
 
-    `defect_mu_orders` holds the exact mu-power parts of the Jacobi defect,
-    as triple-space polynomials keyed by mu-order (None when the defect is
-    not polynomial in mu); the CLI renders them.
+    The verdict, the leading terms that witness each failure, and the total
+    degree range of a nonzero Jacobi defect.  The defect itself is
+    `jacobi_defect`.
     """
 
     antisymmetry_witness: tuple[Exponents, scalars.Coefficient] | None
     constants_witness: tuple[Exponents, scalars.Coefficient] | None
     jacobi_status: str  # "exact" | "truncation-defect" | "violation"
     jacobi_witness: tuple[Exponents, scalars.Coefficient] | None
-    defect_mu_orders: dict[int, Poly] | None
     defect_degree_range: tuple[int, int] | None
-    truncation_degree: int | None
 
     @property
     def antisymmetric(self) -> bool:
@@ -158,14 +157,6 @@ class LieAxiomReport:
         )
 
 
-def _denominator_lcm(a: Poly) -> scalars.Coefficient:
-    """The lcm delta of the coefficient denominators of a, as a mu-polynomial."""
-    delta = scalars.ONE
-    for coeff in {c for c in a.terms.values() if not c.den.is_one}:
-        delta = delta * scalars.Coefficient.make((delta * coeff).den, scalars.MU_POLY_ONE)
-    return delta
-
-
 def _defect_representatives(raw: RawLieKernel, antisymmetric: bool) -> Poly:
     """The Jacobi defect at one exponent tuple per orbit of its blocks.
 
@@ -179,17 +170,14 @@ def _defect_representatives(raw: RawLieKernel, antisymmetric: bool) -> Poly:
     the three blocks agree).  Either way the representative is the largest
     tuple of its orbit.
 
-    The product runs in packed form (see `poly.lifted_mul`) on delta * A,
-    delta the lcm of the denominators of A, and the values are divided by
-    delta^2.
+    The product runs in packed form (see `poly.lifted_mul`) on D * A, D the
+    lcm of the denominators of A (`Poly.split_denominator`), and the values
+    are divided by D^2.
     """
-    a, tri = raw.a, triple_space(raw.n)
-    delta = _denominator_lcm(a)
-    if delta is not scalars.ONE:
-        a = a.scale(delta)
+    (a, den), tri = raw.a.split_denominator(), triple_space(raw.n)
     width = 2 * raw.n
     half = Poly(a.space, {e: c for e, c in a.terms.items() if e[:width] > e[width:]})
-    product_terms, den, layout = lifted_mul(
+    product_terms, int_den, layout = lifted_mul(
         on_slots(a, tri, "u", "vw"), on_slots(half if antisymmetric else a, tri, "v", "w")
     )
     _, bits, mu_bits = layout
@@ -220,19 +208,20 @@ def _defect_representatives(raw: RawLieKernel, antisymmetric: bool) -> Poly:
         acc = folded.get(rep)
         re, im = sign * re, sign * im
         folded[rep] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
-    reps = unlift((folded, den, layout), tri)
-    if delta is not scalars.ONE:
-        reps = reps.scale((delta * delta).inverse())
-    return reps
+    return unlift((folded, int_den, layout), tri).over(den * den)
 
 
-def _orbits(reps: Poly, antisymmetric: bool) -> Poly:
-    """Every arrangement of the blocks of each representative, with its value.
+def jacobi_defect(raw: RawLieKernel) -> Poly:
+    """A(u,v+w)A(v,w) + A(v,w+u)A(w,u) + A(w,u+v)A(u,v) over triple space.
 
-    The value at a permuted arrangement is sgn(pi) times the representative's
-    for an antisymmetric kernel (the defect is then alternating), and the
+    Built from one packed product and its orbit representatives (see
+    `_defect_representatives`), then expanded over the orbits: the value at
+    a permuted arrangement is sgn(pi) times the representative's for an
+    antisymmetric kernel (the defect is then alternating), and the
     representative's at each rotation otherwise.
     """
+    antisymmetric = raw.antisymmetry_witness is None
+    reps = _defect_representatives(raw, antisymmetric)
     width = len(reps.space) // 3
     negated: dict[scalars.Coefficient, scalars.Coefficient] = {}
     terms: dict[Exponents, scalars.Coefficient] = {}
@@ -247,16 +236,6 @@ def _orbits(reps: Poly, antisymmetric: bool) -> Poly:
     return Poly(reps.space, terms)
 
 
-def jacobi_defect(raw: RawLieKernel) -> Poly:
-    """A(u,v+w)A(v,w) + A(v,w+u)A(w,u) + A(w,u+v)A(u,v) over triple space.
-
-    Built from one packed product and its orbit representatives (see
-    `_defect_representatives`), then expanded over the orbits.
-    """
-    antisymmetric = raw.antisymmetry_witness is None
-    return _orbits(_defect_representatives(raw, antisymmetric), antisymmetric)
-
-
 def _first_term(p: Poly) -> tuple[Exponents, scalars.Coefficient] | None:
     """The first term of `p.sorted_terms()`, found without sorting; None for 0."""
     return p.leading_term() if p.terms else None
@@ -265,7 +244,7 @@ def _first_term(p: Poly) -> tuple[Exponents, scalars.Coefficient] | None:
 def lie_axiom_check(
     raw: RawLieKernel, truncation_degree: int | None = None
 ) -> LieAxiomReport:
-    """Check the Lie axioms exactly, reporting Jacobi defects per mu-order.
+    """Check the Lie axioms exactly, reporting the Jacobi defect's degree range.
 
     A nonzero Jacobi defect is downgraded from "violation" to
     "truncation-defect" when it vanishes at mu = 0, or when
@@ -279,30 +258,21 @@ def lie_axiom_check(
     const_witness = _first_term(
         Poly(a.space, {e: c for e, c in a.terms.items() if slot_degrees(e, 2 * n)[0] == 0})
     )
-
-    antisymmetric = anti_witness is None
-    reps = _defect_representatives(raw, antisymmetric)
+    reps = _defect_representatives(raw, anti_witness is None)
     # Each representative is the largest tuple of its orbit, so the leading
     # representative is the leading term of the defect, and an orbit shares
-    # its degree and its mu-orders.
+    # its degree and its value up to sign.
     jac_witness = _first_term(reps)
     if jac_witness is None:
-        status, mu_orders, degree_range = "exact", None, None
+        status, degree_range = "exact", None
     else:
         degrees = [sum(e) for e in reps.terms]
         degree_range = (min(degrees), max(degrees))
         above_truncation = (
             truncation_degree is not None and degree_range[0] > truncation_degree + 2
         )
-        coeffs = reps.terms.values()
-        polynomial = all(c.den.is_one for c in coeffs)
-        mu_orders = (
-            {k: _orbits(part, antisymmetric) for k, part in reps.mu_components().items()}
-            if polynomial
-            else None
-        )
         # Zero at mu = 0 means a positive mu-valuation: no pole, no constant term.
-        vanishes_at_zero = all(c.mu_valuation() > 0 for c in coeffs)
+        vanishes_at_zero = all(c.mu_valuation() > 0 for c in reps.terms.values())
         status = (
             "truncation-defect" if (vanishes_at_zero or above_truncation) else "violation"
         )
@@ -311,9 +281,7 @@ def lie_axiom_check(
         constants_witness=const_witness,
         jacobi_status=status,
         jacobi_witness=jac_witness,
-        defect_mu_orders=mu_orders,
         defect_degree_range=degree_range,
-        truncation_degree=truncation_degree,
     )
 
 
@@ -724,10 +692,19 @@ def bidiff_coefficients(
     the expansion of the bracket; it is r! s! times the coefficient of that
     derivative in the compiled operator BiDiff(A), i.e. binom(r,j) binom(s,k)
     (-i)^(r+s) times the corresponding derivative of A at zero.  Only n = 1
-    is supported.
+    is supported.  The table is dense, about (rmax*smax)^2/4 entries, so
+    rmax + smax must fit the degree guard.
     """
     if raw.n != 1:
         raise ValueError("the coefficient table is defined for n = 1 only")
+    if rmax < 0 or smax < 0:
+        raise ValueError("rmax and smax must be non-negative")
+    guard = get_degree_guard()
+    if rmax + smax > guard:
+        raise DegreeGuardError(
+            f"coefficient table order rmax + smax = {rmax + smax} would exceed the guard "
+            f"({guard}); raise it with set_degree_guard or MOYAL_MAX_DEGREE"
+        )
     op = BiDiff(raw.a).op.poly.terms
     table: dict[tuple[int, int, int, int], scalars.Coefficient] = {}
     for r in range(rmax + 1):

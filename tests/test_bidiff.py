@@ -116,3 +116,16 @@ def test_on_slots_matches_substitution(first, second):
     tri = triple_space(n)
     expected = substitute(p, slot_images(tri, n, first, second), tri)
     assert on_slots(p, tri, first, second) == expected
+
+
+def test_coefficient_table_sizes_are_bounded():
+    a = RawLieKernel(1, random_poly(random.Random(9400), pair_space(1), 3, terms=4, mu_degree=1))
+    for rmax, smax in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            bidiff_coefficients(a, rmax, smax)
+    with degree_guard(6):
+        assert len(bidiff_coefficients(a, 3, 3)) == 10 * 10
+        assert len(bidiff_coefficients(a, 0, 6)) == 1 * 28
+        for rmax, smax in ((4, 3), (0, 7)):
+            with pytest.raises(DegreeGuardError):
+                bidiff_coefficients(a, rmax, smax)

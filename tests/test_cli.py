@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: outputs, exit codes, JSON determinism, stdin."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -274,3 +278,81 @@ def test_json_long_chains(capsys, f, code, poly):
     assert "Traceback" not in err
     if poly is not None:
         assert doc["result"] == {"poly": poly}
+
+
+def test_json_coefficient_table_respects_the_degree_guard(capsys, monkeypatch):
+    from moyal.poly import get_degree_guard, set_degree_guard
+
+    saved = get_degree_guard()
+    monkeypatch.setenv("MOYAL_MAX_DEGREE", "6")
+    argv = ["--json", "coeffs", "--a", "v1*u2 - v2*u1", "--rmax", "4", "--smax", "3"]
+    try:
+        code, out, _ = invoke(capsys, *argv)
+    finally:
+        set_degree_guard(saved)
+    doc = json.loads(out)
+    assert code == 2
+    assert set(doc) == JSON_KEYS
+    assert doc["command"] == "coeffs" and doc["status"] == "error"
+    assert "guard" in doc["witness"]["message"]
+
+
+NEGATIVE_SIZES = [
+    ("star", "q1", "p1", "--n", "0"),
+    ("bracket", "q1", "p1", "--n", "-1"),
+    ("coeffs", "--a", "v1*u2 - v2*u1", "--rmax", "-1"),
+    ("coeffs", "--a", "v1*u2 - v2*u1", "--smax", "-2"),
+    ("center", "--b", "mu*(v1*u2 - v2*u1)", "--max-degree", "-3"),
+    ("check-lie", "--a", "v1*u2 - v2*u1", "--truncation-degree", "-9"),
+    ("theorem2", "--a", "v1*u2 - v2*u1", "--fit-degree", "-1"),
+    ("theorem2", "--a", "v1*u2 - v2*u1", "--center-degree", "-1"),
+    ("theorem2", "--a", "v1*u2 - v2*u1", "--verify-degree", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SIZES, ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_sizes_below_their_minimum_are_usage_errors(capsys, argv):
+    code, out, _ = invoke(capsys, "--json", *argv)
+    doc = json.loads(out)
+    assert code == 2
+    assert set(doc) == JSON_KEYS
+    assert doc["command"] == argv[0] and doc["status"] == "error"
+    assert "at least" in doc["witness"]["message"]
+    with pytest.raises(SystemExit) as err:
+        run(list(argv))
+    assert err.value.code == 2
+    assert "at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coeffs", "--a", "v1*u2 - v2*u1", "--rmax", "0", "--smax", "0"),
+        ("center", "--b", "mu*(v1*u2 - v2*u1)", "--max-degree", "0"),
+        ("check-lie", "--a", "v1*u2 - v2*u1", "--truncation-degree", "0"),
+        ("theorem2", "--a", "v1*u2 - v2*u1", "--fit-degree", "0", "--verify-degree", "0"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_zero_sizes_are_accepted(capsys, argv):
+    code, out, _ = invoke(capsys, "--json", *argv)
+    assert code in (0, 1)
+    assert json.loads(out)["status"] in ("ok", "fail")
+
+
+def test_closed_pipe_exits_two_without_a_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # The reader is gone before the child starts, so its write to stdout fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "moyal", "--json", "check-lie", "--a", "(v1*u2 - v2*u1)^2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert proc.returncode == 2

@@ -3,7 +3,8 @@
 `literal_jacobi_defect` is the three-product sum written out, and
 `reference_axiom_check` is the earlier summary of the report (full sorts for
 the witnesses, rendered mu-orders, a separate `mu_zero` walk), kept here as
-the oracle for `lie_axiom_check`.
+the oracle for `lie_axiom_check` and for the mu-order parts of
+`jacobi_defect` that the CLI renders.
 """
 
 import dataclasses
@@ -78,15 +79,25 @@ def reference_axiom_check(raw, truncation_degree=None):
     return status, anti_witness, const_witness, jac_witness, degree_range, mu_orders
 
 
-def summary(report):
-    mu_orders = report.defect_mu_orders
+def rendered_mu_orders(raw, report):
+    """The mu-order parts of a nonzero defect, as the CLI renders them; None
+    for an exact kernel or a defect with a mu-denominator."""
+    if report.jacobi_status == "exact":
+        return None
+    defect = jacobi_defect(raw)
+    if not all(c.den.is_one for c in defect.terms.values()):
+        return None
+    return {k: str(v) for k, v in defect.mu_components().items()}
+
+
+def summary(raw, report):
     return (
         report.jacobi_status,
         report.antisymmetry_witness,
         report.constants_witness,
         report.jacobi_witness,
         report.defect_degree_range,
-        None if mu_orders is None else {k: str(v) for k, v in mu_orders.items()},
+        rendered_mu_orders(raw, report),
     )
 
 
@@ -118,7 +129,7 @@ def test_seeded_kernels_match_the_direct_forms(n, antisymmetric, denominator, se
     assert jacobi_defect(raw) == literal_jacobi_defect(raw)
     for truncation_degree in (None, 0, 2, 4):
         report = lie_axiom_check(raw, truncation_degree=truncation_degree)
-        assert summary(report) == reference_axiom_check(raw, truncation_degree)
+        assert summary(raw, report) == reference_axiom_check(raw, truncation_degree)
 
 
 UNITS = {
@@ -155,14 +166,16 @@ def test_report_of_a_kernel_scaled_by_a_unit(n, antisymmetric, denominator, seed
         jacobi_witness=scaled_term(report.jacobi_witness, u2),
     )
     if u.den.is_one and u.num.degree == 0:
-        orders = report.defect_mu_orders
-        if orders is not None:
-            orders = {k: part.scale(u2) for k, part in orders.items()}
-        assert got == dataclasses.replace(expected, defect_mu_orders=orders)
+        assert got == expected
+        defect = jacobi_defect(raw)
+        if all(c.den.is_one for c in defect.terms.values()):
+            assert jacobi_defect(scaled).mu_components() == {
+                k: part.scale(u2) for k, part in defect.mu_components().items()
+            }
     else:
         # A mu-dependent unit moves the mu-orders and may move the status.
-        assert dataclasses.replace(got, jacobi_status=None, defect_mu_orders=None) == (
-            dataclasses.replace(expected, jacobi_status=None, defect_mu_orders=None)
+        assert dataclasses.replace(got, jacobi_status=None) == (
+            dataclasses.replace(expected, jacobi_status=None)
         )
 
 
@@ -214,11 +227,11 @@ def test_every_branch_of_the_summary(name):
     raw, truncation_degree, status, has_mu_orders = BRANCHES[name]
     report = lie_axiom_check(raw, truncation_degree=truncation_degree)
     assert report.jacobi_status == status
-    assert (report.defect_mu_orders is not None) == has_mu_orders
-    assert summary(report) == reference_axiom_check(raw, truncation_degree)
+    assert (rendered_mu_orders(raw, report) is not None) == has_mu_orders
+    assert summary(raw, report) == reference_axiom_check(raw, truncation_degree)
     if has_mu_orders:
         defect = jacobi_defect(raw)
-        parts = report.defect_mu_orders
+        parts = defect.mu_components()
         assert all(isinstance(part, Poly) for part in parts.values())
         assert sum(
             (part.scale(scalars.Coefficient.mu_power(k)) for k, part in parts.items()),
@@ -228,7 +241,7 @@ def test_every_branch_of_the_summary(name):
 
 def test_truncation_by_degree_case_is_not_excused_by_mu():
     raw, truncation_degree, _, _ = BRANCHES["truncation-by-degree"]
-    assert 0 in lie_axiom_check(raw).defect_mu_orders
+    assert 0 in jacobi_defect(raw).mu_components()
     assert lie_axiom_check(raw).jacobi_status == "violation"
     assert lie_axiom_check(raw, truncation_degree).jacobi_status == "truncation-defect"
 
@@ -271,12 +284,23 @@ def test_one_product_per_defect_and_no_rendering(monkeypatch):
     def no_rendering(self):
         raise AssertionError("a polynomial was rendered")
 
+    split_calls = []
+    mu_components = Poly.mu_components
+
+    def counting_split(self):
+        split_calls.append(1)
+        return mu_components(self)
+
     monkeypatch.setattr(Poly, "__str__", no_rendering)
+    monkeypatch.setattr(Poly, "mu_components", counting_split)
     for raw in kernels:
         report = theorem2_pipeline(raw, fit_degree=6, center_degree=2, verify_degree=4)
         assert report.passed, report.failure
         assert report.axioms.jacobi_status == "truncation-defect"
-        assert report.axioms.defect_mu_orders
+    assert not split_calls
+    # The counter does see a split.
+    jacobi_defect(kernels[0]).mu_components()
+    assert split_calls
 
 
 def test_seeded_kernels_carry_i_mu_and_denominators():
