@@ -7,7 +7,8 @@ Every subcommand prints a human-readable result by default or, with
 
 where status is "ok" (exit 0), "fail" (exit 1: a mathematical failure such
 as a cocycle violation, a "neither" classification, or a pole at mu = 0), or
-"error" (exit 2: usage or parse problems, sizes below their minimum, or a
+"error" (exit 2: usage or parse problems, sizes below their minimum, a
+centre enumeration above `cocycle.CENTER_MONOMIAL_LIMIT` monomials, or a
 reader that closed standard output early).  JSON output is byte-identical
 across runs on identical input.
 

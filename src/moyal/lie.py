@@ -17,12 +17,14 @@ defect that vanishes at mu = 0.  Both patterns are reported as expected
 truncation defects rather than violations.
 
 Packed form.  The Jacobi check runs on exact integers: A(u, v+w) and half of
-A(v, w) are multiplied once on packed keys (see `poly.lifted_mul`), and
-each product term is filed under the representative of its orbit of block
-permutations, the arrangement with the blocks in descending order.  The
-report is a verdict, its witnesses and the defect's degree range, all read
-from the representatives; only `jacobi_defect` expands the full defect (the
-CLI renders its mu-order parts from it).
+A(v, w) are multiplied once on packed int keys with int values (see
+`poly.lifted_mul`), and each product entry is filed under the representative
+of its orbit of block permutations, the arrangement with the blocks in
+descending order.  The report is a verdict, its witnesses and the defect's
+degree range.  All of it is read off the nonzero keys of the
+representatives; only the entries of the leading monomial, the witness, are
+turned back into a coefficient.  `jacobi_defect` alone unlifts and expands
+the full defect (the CLI renders its mu-order parts from it).
 
 Convention sheet (pinned by the Moyal fixture, see tests): with the bracket
 kernel of the symmetric-ordering product, the first-slot derivative matrix is
@@ -52,11 +54,12 @@ from math import factorial
 from typing import Sequence
 
 from . import scalars
-from .cocycle import dual_monomials
+from .cocycle import check_monomial_count, dual_monomials
 from .errors import DegreeGuardError, MoyalError, SpaceMismatchError
 from .linalg import Matrix, Vector
 from .poly import (
     Exponents,
+    Lifted,
     Poly,
     divide_exact,
     get_degree_guard,
@@ -157,8 +160,8 @@ class LieAxiomReport:
         )
 
 
-def _defect_representatives(raw: RawLieKernel, antisymmetric: bool) -> Poly:
-    """The Jacobi defect at one exponent tuple per orbit of its blocks.
+def _packed_defect(raw: RawLieKernel, antisymmetric: bool) -> tuple[Lifted, scalars.MuPoly]:
+    """The Jacobi defect at one exponent tuple per orbit of its blocks, packed.
 
     For an antisymmetric A the defect is the sum over S3 of sgn(pi) Q o pi,
     Q = A(u,v+w) H(v,w), where H holds the terms of A(v,w) whose v-block is
@@ -171,8 +174,9 @@ def _defect_representatives(raw: RawLieKernel, antisymmetric: bool) -> Poly:
     tuple of its orbit.
 
     The product runs in packed form (see `poly.lifted_mul`) on D * A, D the
-    lcm of the denominators of A (`Poly.split_denominator`), and the values
-    are divided by D^2.
+    lcm of the denominators of A (`Poly.split_denominator`).  Returns the
+    packed representatives, whose entries may be zero, and D: their values
+    are the unlifted entries divided by D^2.
     """
     (a, den), tri = raw.a.split_denominator(), triple_space(raw.n)
     width = 2 * raw.n
@@ -181,47 +185,46 @@ def _defect_representatives(raw: RawLieKernel, antisymmetric: bool) -> Poly:
         on_slots(a, tri, "u", "vw"), on_slots(half if antisymmetric else a, tri, "v", "w")
     )
     _, bits, mu_bits = layout
+    low = mu_bits + 2
     block = width * bits
     mask = (1 << block) - 1
-    mu_mask = (1 << mu_bits) - 1
-    v_shift, u_shift, degree_shift = mu_bits + block, mu_bits + 2 * block, mu_bits + 3 * block
-    folded: dict[int, tuple[int, int]] = {}
-    for key, (re, im) in product_terms.items():
-        x, y, z = key >> u_shift & mask, key >> v_shift & mask, key >> mu_bits & mask
+    # The degree, mu and i fields of a key; the rep replaces the three blocks.
+    keep = ~((1 << 3 * block) - 1 << low)
+    v_shift, u_shift = low + block, low + 2 * block
+    folded: dict[int, int] = {}
+    get = folded.get
+    for key, value in product_terms.items():
+        x, y, z = key >> u_shift & mask, key >> v_shift & mask, key >> low & mask
         if antisymmetric:
             if x == y or y == z or x == z:
                 continue
-            sign = 1
             if x < y:
-                x, y, sign = y, x, -sign
+                x, y, value = y, x, -value
             if y < z:
-                y, z, sign = z, y, -sign
+                y, z, value = z, y, -value
                 if x < y:
-                    x, y, sign = y, x, -sign
+                    x, y, value = y, x, -value
+        elif x == y == z:
+            value *= 3
         else:
-            sign = 3 if x == y == z else 1
             x, y, z = max((x, y, z), (y, z, x), (z, x, y))
-        rep = (
-            key >> degree_shift << degree_shift
-            | x << u_shift | y << v_shift | z << mu_bits | key & mu_mask
-        )
-        acc = folded.get(rep)
-        re, im = sign * re, sign * im
-        folded[rep] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
-    return unlift((folded, int_den, layout), tri).over(den * den)
+        rep = key & keep | x << u_shift | y << v_shift | z << low
+        folded[rep] = get(rep, 0) + value
+    return (folded, int_den, layout), den
 
 
 def jacobi_defect(raw: RawLieKernel) -> Poly:
     """A(u,v+w)A(v,w) + A(v,w+u)A(w,u) + A(w,u+v)A(u,v) over triple space.
 
     Built from one packed product and its orbit representatives (see
-    `_defect_representatives`), then expanded over the orbits: the value at
-    a permuted arrangement is sgn(pi) times the representative's for an
-    antisymmetric kernel (the defect is then alternating), and the
+    `_packed_defect`), unlifted whole and then expanded over the orbits: the
+    value at a permuted arrangement is sgn(pi) times the representative's
+    for an antisymmetric kernel (the defect is then alternating), and the
     representative's at each rotation otherwise.
     """
     antisymmetric = raw.antisymmetry_witness is None
-    reps = _defect_representatives(raw, antisymmetric)
+    lifted, den = _packed_defect(raw, antisymmetric)
+    reps = unlift(lifted, triple_space(raw.n)).over(den * den)
     width = len(reps.space) // 3
     negated: dict[scalars.Coefficient, scalars.Coefficient] = {}
     terms: dict[Exponents, scalars.Coefficient] = {}
@@ -258,21 +261,32 @@ def lie_axiom_check(
     const_witness = _first_term(
         Poly(a.space, {e: c for e, c in a.terms.items() if slot_degrees(e, 2 * n)[0] == 0})
     )
-    reps = _defect_representatives(raw, anti_witness is None)
-    # Each representative is the largest tuple of its orbit, so the leading
-    # representative is the leading term of the defect, and an orbit shares
-    # its degree and its value up to sign.
-    jac_witness = _first_term(reps)
-    if jac_witness is None:
-        status, degree_range = "exact", None
+    (folded, int_den, layout), den = _packed_defect(raw, anti_witness is None)
+    keys = [key for key, value in folded.items() if value]
+    if not keys:
+        status, jac_witness, degree_range = "exact", None, None
     else:
-        degrees = [sum(e) for e in reps.terms]
-        degree_range = (min(degrees), max(degrees))
+        # Keys order as (degree, exponents, mu, i) and each representative is
+        # the largest tuple of its orbit, so the largest key holds the leading
+        # monomial of the defect, the smallest and largest keys bound its
+        # degree, and an orbit shares its degree and its value up to sign.
+        width, bits, mu_bits = layout
+        low = mu_bits + 2
+        degree_shift = low + width * bits
+        first, last = min(keys), max(keys)
+        degree_range = (first >> degree_shift, last >> degree_shift)
+        lead = last >> low
+        witness = {key: folded[key] for key in keys if key >> low == lead}
+        jac_witness = _first_term(
+            unlift((witness, int_den, layout), triple_space(n)).over(den * den)
+        )
         above_truncation = (
             truncation_degree is not None and degree_range[0] > truncation_degree + 2
         )
-        # Zero at mu = 0 means a positive mu-valuation: no pole, no constant term.
-        vanishes_at_zero = all(c.mu_valuation() > 0 for c in reps.terms.values())
+        # Zero at mu = 0: every value N / D^2 has a positive mu-valuation, so
+        # every nonzero entry of N sits above the mu exponent 2 * val(D).
+        floor, mu_mask = 2 * den.valuation, (1 << mu_bits) - 1
+        vanishes_at_zero = all(key >> 2 & mu_mask > floor for key in keys)
         status = (
             "truncation-defect" if (vanishes_at_zero or above_truncation) else "violation"
         )
@@ -561,9 +575,11 @@ def center_generators_from_kernel(
     """Monomials in the coordinates dual to Ker omega, bracket-verified.
 
     For an antisymmetric kernel apply(g, f) is exactly -apply(f, g), so one
-    side is applied per test monomial; otherwise both are.
+    side is applied per test monomial; otherwise both are.  Raises ValueError
+    when either list would exceed `cocycle.CENTER_MONOMIAL_LIMIT`.
     """
     space = phase_space(raw.n)
+    check_monomial_count(len(space), verify_degree)
     op = BiDiff(raw.a)
     antisymmetric = raw.antisymmetry_witness is None
     monomials = [

@@ -38,14 +38,16 @@ A configurable total-degree guard (default 64) makes runaway computations
 fail fast instead of exhausting memory.  The bound is a context variable, so
 a bound set in one thread does not leak into another.
 
-Packed form.  `lift` turns a polynomial whose coefficients are polynomial in
-mu into exact integer data (Kronecker substitution with packed monomials):
-one int key per (monomial, mu-power) and a Gaussian-integer pair (re, im)
-per key, all over one int denominator.  A key holds, from the top, the total
-degree, the exponents in order, and the mu exponent.  The exponent fields are
-as wide as the degree guard and the mu field as wide as the product's
-mu-degree, so `lifted_mul` multiplies monomials by adding keys and no field
-carries; keys of one degree compare as the exponent tuples do.  `unlift`
+Packed form.  `lifted_mul` multiplies two polynomials whose coefficients
+are polynomial in mu on exact integer data (Kronecker substitution with
+packed monomials): one int key per (monomial, mu-power, power of i) and one
+int value per key, all over one int denominator.  A key holds, from the top,
+the total degree, the exponents in order, the mu exponent and a 2-bit field
+for the power of i, so a Gaussian coefficient (x + y*i) mu^k is two entries.
+The exponent fields are as wide as the degree guard and the mu field as wide
+as the product's mu-degree, so monomials multiply by adding keys and no field
+carries; keys of one degree compare as the exponent tuples do.  The product
+folds i^2 = -1 once, which leaves every i field at 0 or 1, and `unlift`
 reads the keys back into a `Poly`.
 """
 
@@ -512,9 +514,9 @@ def divide_exact(dividend: Poly, divisor: Poly) -> tuple[Poly, Poly]:
 
 # -- packed form ---------------------------------------------------------------
 
-# A lifted polynomial: {key: (re, im)}, the int denominator, and the layout
+# A lifted polynomial: {key: int}, the int denominator, and the layout
 # (number of variables, exponent field bits, mu field bits).
-Lifted = tuple[dict[int, tuple[int, int]], int, tuple[int, int, int]]
+Lifted = tuple[dict[int, int], int, tuple[int, int, int]]
 
 
 def _mu_degree(p: Poly) -> int:
@@ -536,39 +538,35 @@ def _pack(p: Poly, mu_bits: int) -> Lifted:
         key <<= mu_bits
         num = coeff.num
         scale = den // num.d
-        im = num.im or (0,) * len(num.re)
-        for k, (x, y) in enumerate(zip(num.re, im)):
-            if x or y:
-                terms[key | k] = (x * scale, y * scale)
+        for k, x in enumerate(num.re):
+            if x:
+                terms[(key | k) << 2] = x * scale
+        for k, y in enumerate(num.im):
+            if y:
+                terms[(key | k) << 2 | 1] = y * scale
     return terms, den, (len(p.space), bits, mu_bits)
 
 
-def lift(p: Poly) -> Lifted:
-    """p in packed form; every coefficient must be polynomial in mu.
-
-    The mu field is as wide as p's own mu-degree, and p's degree must fit the
-    degree guard.
-    """
-    return _pack(p, _mu_degree(p).bit_length())
-
-
 def unlift(lifted: Lifted, space: Space) -> Poly:
-    """The polynomial over `space` of a lifted form; zero entries are allowed and dropped."""
+    """The polynomial over `space` of a lifted form; zero entries are allowed and dropped.
+
+    The i field of every key must be 0 or 1, as `lifted_mul` leaves it.
+    """
     terms, den, (width, bits, mu_bits) = lifted
     if width != len(space):
         raise SpaceMismatchError(f"a lifted form of {width} variables does not fit {space!r}")
-    mask, mu_mask = (1 << bits) - 1, (1 << mu_bits) - 1
+    mask, low, low_mask = (1 << bits) - 1, mu_bits + 2, (1 << mu_bits + 2) - 1
     shifts = range((width - 1) * bits, -1, -bits)
-    by_monomial: dict[int, dict[int, tuple[int, int]]] = {}
-    for key, pair in terms.items():
-        by_monomial.setdefault(key >> mu_bits, {})[key & mu_mask] = pair
+    by_monomial: dict[int, dict[int, int]] = {}
+    for key, x in terms.items():
+        by_monomial.setdefault(key >> low, {})[key & low_mask] = x
     shared: dict[tuple, Coefficient] = {}
     out: dict[Exponents, Coefficient] = {}
     for key, parts in by_monomial.items():
-        top = max(parts) + 1
+        top = (max(parts) >> 2) + 1
         re, im = [0] * top, [0] * top
-        for k, (x, y) in parts.items():
-            re[k], im[k] = x, y
+        for k, x in parts.items():
+            (im if k & 1 else re)[k >> 2] = x
         value = (*re, *im)
         coeff = shared.get(value)
         if coeff is None:
@@ -583,22 +581,25 @@ def lifted_mul(p: Poly, q: Poly) -> Lifted:
 
     Both operands are lifted with a mu field as wide as the product's
     mu-degree, so monomials multiply by adding keys and no field carries.
-    Raises DegreeGuardError like `Poly.__mul__` and ValueError like `lift`.
+    Each pair of entries costs one int multiply; the entries that reach
+    i-power 2 are folded into i-power 0 with a minus sign once, after the
+    loop.  Raises DegreeGuardError like `Poly.__mul__` and ValueError when a
+    coefficient has a mu-denominator.
     """
     p._check_space(q)
     _check_degree(p.total_degree() + q.total_degree(), "product")
     mu_bits = (_mu_degree(p) + _mu_degree(q)).bit_length()
     (xt, x_den, layout), (yt, y_den, _) = _pack(p, mu_bits), _pack(q, mu_bits)
-    terms: dict[int, tuple[int, int]] = {}
+    terms: dict[int, int] = {}
     get = terms.get
     right = list(yt.items())
-    for k1, (r1, i1) in xt.items():
-        for k2, (r2, i2) in right:
+    for k1, x in xt.items():
+        for k2, y in right:
             k = k1 + k2
-            acc = get(k)
-            re, im = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
-            terms[k] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
-    return {k: v for k, v in terms.items() if v != (0, 0)}, x_den * y_den, layout
+            terms[k] = get(k, 0) + x * y
+    for k in [k for k in terms if k & 2]:
+        terms[k ^ 2] = get(k ^ 2, 0) - terms.pop(k)
+    return {k: v for k, v in terms.items() if v}, x_den * y_den, layout
 
 
 class DiffOp:

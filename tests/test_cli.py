@@ -340,6 +340,28 @@ def test_zero_sizes_are_accepted(capsys, argv):
     assert json.loads(out)["status"] in ("ok", "fail")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("center", "--n", "3", "--b", "0", "--max-degree", "40"),
+        (
+            "theorem2", "--n", "3", "--a", "u1*v4 - u4*v1",
+            "--center-degree", "1", "--verify-degree", "40",
+        ),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_centre_enumerations_above_the_limit_exit_two(capsys, argv):
+    # C(46, 6) = 9,366,819 monomials: refused before any of them is built.
+    code, out, _ = invoke(capsys, "--json", *argv)
+    doc = json.loads(out)
+    assert code == 2
+    assert set(doc) == JSON_KEYS
+    assert doc["command"] == argv[0] and doc["status"] == "error"
+    assert "9366819 monomials" in doc["witness"]["message"]
+    assert "limit" in doc["witness"]["message"]
+
+
 def test_closed_pipe_exits_two_without_a_traceback():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -8,6 +8,7 @@ import pytest
 from conftest import monomials, random_antisymmetric, random_gauge_chi, random_poly
 from moyal import scalars
 from moyal.cocycle import (
+    CENTER_MONOMIAL_LIMIT,
     RawKernelExponent,
     center_basis,
     chi_extract,
@@ -246,3 +247,11 @@ class TestCenterBasis:
         basis = center_basis(RawKernelExponent(1, coboundary(chi)), max_degree=2)
         # Everything commutes: all monomials up to the bound appear.
         assert {str(p) for p in basis} == {"1", "q1", "p1", "q1^2", "q1*p1", "p1^2"}
+
+    def test_enumeration_limit_is_checked_before_building(self):
+        # C(10 + 6, 6) = 8008 monomials fit the limit and C(11 + 6, 6) = 12376 do not.
+        assert CENTER_MONOMIAL_LIMIT == 10_000
+        zero = raw("0", n=3)
+        assert len(center_basis(zero, max_degree=2)) == 28
+        with pytest.raises(ValueError, match="12376 monomials"):
+            center_basis(zero, max_degree=11)

@@ -20,13 +20,14 @@ from moyal.expressions import parse_poly
 from moyal.lie import (
     RawLieKernel,
     StructuredLieKernel,
+    bracket_kernel_of,
     jacobi_defect,
     lie_axiom_check,
     theorem2_pipeline,
 )
 from moyal.linalg import Matrix
-from moyal.poly import Poly, lifted_mul, pair_space, triple_space
-from moyal.star import on_slots, slot_swap
+from moyal.poly import Poly, lifted_mul, pair_space, sigma_space, triple_space
+from moyal.star import StarKernel, on_slots, slot_swap
 
 ONE, MU, ZERO = scalars.ONE, scalars.MU, scalars.ZERO
 PAIR = pair_space(1)
@@ -237,6 +238,60 @@ def test_every_branch_of_the_summary(name):
             (part.scale(scalars.Coefficient.mu_power(k)) for k, part in parts.items()),
             Poly.zero(defect.space),
         ) == defect
+
+
+def mu_free_bracket_kernel(mu_power):
+    """The bracket kernel of (chi = mu^k u1^2, M = J) at total degree 4: its
+    mu-free M leaves the denominator mu, and its Jacobi defect is
+    mu^(2k - 2) times a mu-free polynomial."""
+    chi = Poly.monomial(sigma_space(1), (2, 0), MU**mu_power)
+    return bracket_kernel_of(StarKernel(1, chi, Matrix.canonical_symplectic(1, ONE)), 4)
+
+
+MU_D = scalars.MU_POLY_MU
+# Its cross term with WEDGE in the Jacobi defect is nonzero.
+CUBIC = parse_poly("u1^2*v2 - v1^2*u2", PAIR)
+MU_FLOOR = {
+    # name: (kernel, D, mu-valuation of the defect, expected status).  The
+    # defect is N / D^2, so its numerator N starts at mu^(2*val(D) + valuation).
+    "bracket-over-mu-at-floor": (mu_free_bracket_kernel(1), MU_D, 0, "violation"),
+    "over-mu-above-floor": (
+        RawLieKernel(1, WEDGE.scale(MU.inverse()) + CUBIC.scale(MU * MU)),
+        MU_D, 1, "truncation-defect",
+    ),
+    "bracket-over-mu2-at-floor": (
+        RawLieKernel(1, mu_free_bracket_kernel(2).a.scale(MU.inverse())),
+        MU_D * MU_D, 0, "violation",
+    ),
+    "over-mu2-above-floor": (
+        RawLieKernel(1, WEDGE.scale((MU * MU).inverse()) + CUBIC.scale(MU**3)),
+        MU_D * MU_D, 1, "truncation-defect",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MU_FLOOR))
+def test_mu_floor_of_the_defect_numerator(name):
+    raw, den, valuation, status = MU_FLOOR[name]
+    assert raw.a.split_denominator()[1] == den
+    defect = jacobi_defect(raw)
+    assert min(c.mu_valuation() for c in defect.terms.values()) == valuation
+    for truncation_degree in (None, 6):
+        report = lie_axiom_check(raw, truncation_degree=truncation_degree)
+        assert report.jacobi_status == status
+        assert summary(raw, report) == reference_axiom_check(raw, truncation_degree)
+
+
+@pytest.mark.parametrize(
+    "a", [WEDGE, SINH_TRUNC, BAD, BAD.scale(MU.inverse())], ids=["exact", "sinh", "bad", "bad/mu"]
+)
+def test_purely_imaginary_kernels_match_the_direct_forms(a):
+    raw = RawLieKernel(1, a.scale(scalars.I))
+    assert raw.antisymmetry_witness is None
+    assert jacobi_defect(raw) == literal_jacobi_defect(raw)
+    for truncation_degree in (None, 2):
+        report = lie_axiom_check(raw, truncation_degree=truncation_degree)
+        assert summary(raw, report) == reference_axiom_check(raw, truncation_degree)
 
 
 def test_truncation_by_degree_case_is_not_excused_by_mu():

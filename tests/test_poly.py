@@ -21,7 +21,6 @@ from moyal.poly import (
     degree_guard,
     divide_exact,
     get_degree_guard,
-    lift,
     lifted_mul,
     pair_space,
     phase_space,
@@ -294,8 +293,9 @@ def test_unlift_inverts_lift(seed, n, guard):
     rng = random.Random(seed)
     with degree_guard(guard):
         p = wide_poly(rng, n, guard)
-        assert unlift(lift(p), p.space) == p
-        assert unlift(lift(Poly.zero(p.space)), p.space) == Poly.zero(p.space)
+        one = Poly.one(p.space)
+        assert unlift(lifted_mul(p, one), p.space) == p
+        assert unlift(lifted_mul(Poly.zero(p.space), one), p.space) == Poly.zero(p.space)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -314,19 +314,35 @@ def test_lifted_forms_are_checked():
     # Each operand holds mu^1; the product's mu field must hold mu^2.
     assert unlift(lifted_mul(p, p), SP) == p * p
     with pytest.raises(ValueError):
-        lift(Q.scale(MU.inverse()))
+        lifted_mul(Q.scale(MU.inverse()), Poly.one(SP))
     with pytest.raises(ValueError):
         lifted_mul(p, Q.scale(MU.inverse()))
     with pytest.raises(SpaceMismatchError):
-        unlift(lift(p), phase_space(2))
+        unlift(lifted_mul(p, Poly.one(SP)), phase_space(2))
     with pytest.raises(SpaceMismatchError):
         lifted_mul(p, Poly.one(phase_space(2)))
+    q5 = Q**5
     with degree_guard(4):
         with pytest.raises(DegreeGuardError):
-            lift(Q**5)
+            lifted_mul(q5, Poly.one(SP))
         with pytest.raises(DegreeGuardError):
             lifted_mul(Q**3, P**2)
         assert unlift(lifted_mul(Q**3, P), SP) == Q**3 * P
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (Q.scale(scalars.I), P.scale(scalars.I)),
+        (Q.scale(ONE + scalars.I), Q.scale(ONE + scalars.I)),
+    ],
+    ids=["i*i", "(1+i)^2"],
+)
+def test_lifted_product_folds_i_squared(p, q):
+    terms, den, layout = lifted_mul(p, q)
+    assert unlift((terms, den, layout), SP) == p * q
+    # The fold leaves every i field at 0 or 1 and drops the cancelled entries.
+    assert all(key & 3 in (0, 1) and value for key, value in terms.items())
 
 
 def test_differential_operators_respect_the_degree_guard():

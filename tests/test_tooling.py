@@ -1,12 +1,14 @@
 """Source checks: imports stay at module level, no module imports another
-moyal module's underscore-prefixed names, and every lru_cache is bounded."""
+moyal module's underscore-prefixed names, every lru_cache is bounded, and the
+package declares no runtime dependency."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "moyal").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "moyal").glob("*.py"))
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -64,3 +66,10 @@ def test_checker_flags_planted_violations(source):
 def test_checker_allows_public_and_foreign_names():
     source = "from .star import BiDiff\nfrom os import _exit\nfrom __future__ import annotations\n"
     assert list(_violations(ast.parse(source))) == []
+
+
+def test_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["dependencies"] == []
