@@ -113,20 +113,13 @@ def _poly_outcome(p: Poly) -> _Outcome:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_star(args, fetch) -> _Outcome:
+def _cmd_product(args, fetch) -> _Outcome:
     n = args.n
     kernel = _resolve_kernel(args, n)
     f = parse_poly(fetch(args.f), phase_space(n))
     g = parse_poly(fetch(args.g), phase_space(n))
-    return _poly_outcome(star(f, g, kernel))
-
-
-def _cmd_bracket(args, fetch) -> _Outcome:
-    n = args.n
-    kernel = _resolve_kernel(args, n)
-    f = parse_poly(fetch(args.f), phase_space(n))
-    g = parse_poly(fetch(args.g), phase_space(n))
-    return _poly_outcome(bracket(f, g, kernel))
+    product = star if args.command == "star" else bracket
+    return _poly_outcome(product(f, g, kernel))
 
 
 def _cmd_poisson(args, fetch) -> _Outcome:
@@ -408,8 +401,8 @@ def _cmd_coeffs(args, fetch) -> _Outcome:
 
 
 _HANDLERS = {
-    "star": _cmd_star,
-    "bracket": _cmd_bracket,
+    "star": _cmd_product,
+    "bracket": _cmd_product,
     "poisson": _cmd_poisson,
     "limit": _cmd_limit,
     "u-map": _cmd_u_map,

@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import combinations_with_replacement
 from math import factorial
 from typing import Sequence
 
@@ -582,10 +582,11 @@ def center_generators_from_kernel(
     check_monomial_count(len(space), verify_degree)
     op = BiDiff(raw.a)
     antisymmetric = raw.antisymmetry_witness is None
+    variables = range(len(space))
     monomials = [
-        Poly.monomial(space, exps)
-        for exps in product(range(verify_degree + 1), repeat=len(space))
-        if sum(exps) <= verify_degree
+        Poly.monomial(space, tuple(map(combo.count, variables)))
+        for degree in range(verify_degree + 1)
+        for combo in combinations_with_replacement(variables, degree)
     ]
     out = []
     for cand in dual_monomials(raw.n, kernel_basis, max_degree):

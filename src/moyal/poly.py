@@ -30,8 +30,10 @@ own.  The bilinear loops (`Poly.mul_truncated`, `star.BiDiff` and
 `operators.nc_mul`) split at the first pair of terms whose product has a
 denominator: they split both operands, run the same loop on P and Q and
 return `.over(Dp*Dq)`.  Operands without denominators pay one identity test
-per pair.  The linear `DiffOp.apply_once` and `apply_exp` split their target
-on entry, one test per term.  Every output is canonical, so it equals the
+per pair.  They do not split on entry: the usual operand is a monomial with
+no denominator, and splitting both operands up front would cost about a
+quarter of a memoised monomial `star`.  The linear `DiffOp.apply_once` and
+`apply_exp` split their target on entry, one test per term.  Every output is canonical, so it equals the
 per-term sum exactly.
 
 A configurable total-degree guard (default 64) makes runaway computations

@@ -31,11 +31,12 @@ c*mu^k (the bracket's 1/(2 mu)) cancel by a shift instead of a gcd.
 
 Normalising gcds run in Coefficient.make.  The polynomial loops of poly.py,
 star.py and operators.py do not add coefficients over different
-denominators: they clear the denominators on entry (`common_denominator`,
-one gcd per distinct denominator, then `Coefficient.cleared`) and call make
-once per output term (`Coefficient.over`).  Scalar arithmetic outside those
-loops, such as `+` on two rational coefficients, still normalises every
-result.
+denominators: the bilinear loops clear the denominators at the first pair of
+terms whose product has one, and the linear ones on entry
+(`common_denominator`, one gcd per distinct denominator, then
+`Coefficient.cleared`), and all call make once per output term
+(`Coefficient.over`).  Scalar arithmetic outside those loops, such as `+` on
+two rational coefficients, still normalises every result.
 
 GaussRational (a pair of Fractions, without arithmetic) is the value type at
 the boundary: MuPoly.from_seq/const take it, and eval_at_mu_zero and

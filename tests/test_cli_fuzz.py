@@ -17,31 +17,34 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from moyal.cli import run
-from moyal.expressions import BinOp, Neg, Num, Pow, Sym, Var, print_ast
 
 KEYS = {"command", "status", "result", "witness", "defects"}
 EXIT_OF_STATUS = {"ok": 0, "fail": 1, "error": 2}
 
 NAMES = ["q1", "p1", "q2", "p2", "u1", "u2", "u3", "u4", "v1", "v2", "v3", "w1", "x"]
 
-# Exponents stay small so that every generated command finishes quickly.
+
+def _compound(inner):
+    # Operands are bare or parenthesised, so that precedence decides the shape.
+    operand = st.one_of(inner, inner.map("({})".format))
+    return st.one_of(
+        operand.map("-{}".format),
+        st.builds("{}^{}".format, operand, st.integers(0, 3)),
+        st.builds("{}{}{}".format, operand, st.sampled_from([" + ", " - ", "*", "/"]), operand),
+    )
+
+
+# Well-formed expressions.  Exponents stay small so that every generated
+# command finishes quickly.
 LEAVES = st.one_of(
-    st.builds(Num, st.integers(0, 12)),
-    st.builds(Sym, st.sampled_from(["i", "mu"])),
-    st.builds(Var, st.sampled_from(NAMES)),
+    st.integers(0, 12).map(str),
+    st.sampled_from(["i", "mu"]),
+    st.sampled_from(NAMES),
 )
-ASTS = st.recursive(
-    LEAVES,
-    lambda inner: st.one_of(
-        st.builds(Neg, inner),
-        st.builds(Pow, inner, st.integers(0, 3)),
-        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/"]), inner, inner),
-    ),
-    max_leaves=6,
-)
+FORMED = st.recursive(LEAVES, _compound, max_leaves=6)
 TOKENS = NAMES + ["mu", "i", "0", "1", "2", "+", "-", "*", "/", "^", "(", ")", " ", ",", ";", "$"]
 SOUP = st.lists(st.sampled_from(TOKENS), max_size=7).map("".join)
-EXPRESSIONS = st.one_of(ASTS.map(print_ast), SOUP)
+EXPRESSIONS = st.one_of(FORMED, SOUP)
 SMALL_INTS = st.sampled_from(["-1", "0", "1", "2", "3", "x", ""])
 MATRICES = st.one_of(
     st.sampled_from(["0, mu; -mu, 0", "0, 1; -1, 0", "0, mu; mu, 0", "1", "0, mu", "a, b; c, d"]),

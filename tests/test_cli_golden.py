@@ -2,7 +2,9 @@
 
 golden_cli.json was recorded with the Fraction-based scalars (kept as
 oracle_scalars.py).  The inputs cover Gaussian, rational and rational-function
-coefficients and exit codes 0, 1 and 2.
+coefficients and exit codes 0, 1 and 2.  The last four `star` cases were
+recorded with the tree-walking parser that preceded the postfix one; they pin
+which error wins when an expression has more than one.
 """
 
 import json
