@@ -20,6 +20,7 @@ standard input, one per line, in command-line order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -43,9 +44,9 @@ from .linalg import Matrix
 from .operators import nc_mul, weyl_quantize, weyl_symbol
 from .poly import (
     Poly,
+    degree_guard,
     pair_space,
     phase_space,
-    set_degree_guard,
     sigma_space,
     triple_space,
 )
@@ -546,13 +547,18 @@ def _print_json(command, outcome: _Outcome):
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _degree_guard_from_env() -> None:
+def _degree_guard_from_env():
+    """A context that holds the guard MOYAL_MAX_DEGREE sets, when it is set."""
     guard = os.environ.get("MOYAL_MAX_DEGREE")
-    if guard:
-        try:
-            set_degree_guard(int(guard))
-        except ValueError:
-            raise ValueError("MOYAL_MAX_DEGREE must be a positive integer") from None
+    if not guard:
+        return contextlib.nullcontext()
+    try:
+        bound = int(guard)
+        if bound < 1:
+            raise ValueError
+    except ValueError:
+        raise ValueError("MOYAL_MAX_DEGREE must be a positive integer") from None
+    return degree_guard(bound)
 
 
 def run(argv=None) -> int:
@@ -571,8 +577,8 @@ def run(argv=None) -> int:
         command, as_json = args.command, args.json
         fetch = _stdin_reader() if args.stdin else (lambda value: value)
         try:
-            _degree_guard_from_env()
-            outcome = _HANDLERS[command](args, fetch)
+            with _degree_guard_from_env():
+                outcome = _HANDLERS[command](args, fetch)
         except ExpressionError as err:
             outcome = _Outcome("error", witness={"message": str(err), "token": err.token}, human=f"error: {err}")
         except (MoyalError, ValueError, ZeroDivisionError) as err:

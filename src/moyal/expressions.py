@@ -67,10 +67,10 @@ def tokenize(source: str) -> list[Token]:
             idx += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # not str.isdigit, which takes '²' that int() rejects
             start = idx
             start_col = col
-            while idx < len(source) and source[idx].isdigit():
+            while idx < len(source) and "0" <= source[idx] <= "9":
                 idx += 1
                 col += 1
             tokens.append(Token("int", source[start:idx], line, start_col))
@@ -122,6 +122,12 @@ class _Parser:
             message, line=tok.line, column=tok.column, token=tok.text
         )
 
+    def integer(self, tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            self.fail("integer literal too long", tok)
+
     def nest(self, tok: Token):
         self.depth += 1
         if self.depth > MAX_NESTING:
@@ -162,12 +168,12 @@ class _Parser:
             if exp_tok.kind != "int":
                 self.fail("exponent must be a nonnegative integer literal", exp_tok)
             self.advance()
-            self.program.append(("^", int(exp_tok.text)))
+            self.program.append(("^", self.integer(exp_tok)))
 
     def parse_atom(self) -> None:
         tok = self.advance()
         if tok.kind == "int":
-            self.program.append(("num", int(tok.text)))
+            self.program.append(("num", self.integer(tok)))
             return
         if tok.kind == "name":
             self.program.append(("name", tok.text))

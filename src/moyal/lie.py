@@ -48,21 +48,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations_with_replacement
 from math import factorial
 from typing import Sequence
 
 from . import scalars
 from .cocycle import check_monomial_count, dual_monomials
-from .errors import DegreeGuardError, MoyalError, SpaceMismatchError
+from .errors import MoyalError, SpaceMismatchError
 from .linalg import Matrix, Vector
 from .poly import (
+    DiffOp,
     Exponents,
     Lifted,
     Poly,
+    check_degree,
     divide_exact,
-    get_degree_guard,
     lifted_mul,
     pair_space,
     phase_space,
@@ -598,6 +599,13 @@ def center_generators_from_kernel(
     return out
 
 
+# Status of a fitted kernel, and the bracket it is isomorphic to, by the tag of h.
+_H_CLASS_OUTCOMES = {
+    "sinh": ("moyal-class", "the hyperbolic-sine bracket"),
+    "linear": ("poisson-class", "the canonical antisymmetric-form bracket"),
+}
+
+
 def theorem2_pipeline(
     raw: RawLieKernel,
     fit_degree: int,
@@ -612,40 +620,23 @@ def theorem2_pipeline(
     enumerate and verify center generators instead.
     """
     axioms = lie_axiom_check(raw, truncation_degree=fit_degree)
+    report = partial(Theorem2Report, n=raw.n, fit_degree=fit_degree, axioms=axioms)
     if not axioms.passed:
-        return Theorem2Report(
-            n=raw.n,
-            fit_degree=fit_degree,
-            status="axioms-failed",
-            axioms=axioms,
-            failure="antisymmetry/Jacobi/constants check failed",
+        return report(
+            status="axioms-failed", failure="antisymmetry/Jacobi/constants check failed"
         )
     try:
         omega_data = extract_omega(raw)
     except LieKernelError as err:
-        return Theorem2Report(
-            n=raw.n,
-            fit_degree=fit_degree,
-            status="neither",
-            axioms=axioms,
-            failure=str(err),
-        )
+        return report(status="neither", failure=str(err))
+    report = partial(report, omega=omega_data.omega, rank=omega_data.rank)
     if not omega_data.nondegenerate:
-        gens = center_generators_from_kernel(
-            raw,
-            omega_data.kernel_basis,
-            center_degree,
-            center_degree if verify_degree is None else verify_degree,
-        )
-        return Theorem2Report(
-            n=raw.n,
-            fit_degree=fit_degree,
+        basis = omega_data.kernel_basis
+        verify = center_degree if verify_degree is None else verify_degree
+        return report(
             status="degenerate",
-            axioms=axioms,
-            omega=omega_data.omega,
-            rank=omega_data.rank,
-            kernel_basis=omega_data.kernel_basis,
-            center_generators=gens,
+            kernel_basis=basis,
+            center_generators=center_generators_from_kernel(raw, basis, center_degree, verify),
             isomorphism_note=(
                 "omega is degenerate: the kernel-dual coordinates generate a "
                 "nontrivial center; no product-type normal form applies"
@@ -654,40 +645,19 @@ def theorem2_pipeline(
     w = bilinear_pair_poly(omega_data.omega.transpose(), raw.n)
     chi, series, witness = _fit_structured(raw.a, raw.n, w, fit_degree)
     if witness is not None:
-        return Theorem2Report(
-            n=raw.n,
-            fit_degree=fit_degree,
+        return report(
             status="neither",
-            axioms=axioms,
-            omega=omega_data.omega,
-            rank=omega_data.rank,
             chi=chi,
             residual_witness=witness,
             failure="kernel is not of coboundary-dressed h(w) form at this degree",
         )
     h_class = classify_h(series)
-    if h_class.tag == "sinh":
-        status = "moyal-class"
-        note = (
-            "isomorphic to the hyperbolic-sine bracket: the ordering-change "
-            "map built from chi removes the dressing"
-        )
-    elif h_class.tag == "linear":
-        status = "poisson-class"
-        note = (
-            "isomorphic to the canonical antisymmetric-form bracket: the "
-            "ordering-change map built from chi removes the dressing"
-        )
-    else:
-        status = "neither"
-        note = None
-    return Theorem2Report(
-        n=raw.n,
-        fit_degree=fit_degree,
+    status, like = _H_CLASS_OUTCOMES.get(h_class.tag, ("neither", None))
+    note = None if like is None else (
+        f"isomorphic to {like}: the ordering-change map built from chi removes the dressing"
+    )
+    return report(
         status=status,
-        axioms=axioms,
-        omega=omega_data.omega,
-        rank=omega_data.rank,
         chi=chi,
         h_series=tuple(series),
         h_class=h_class,
@@ -707,7 +677,7 @@ def bidiff_coefficients(
 
     Entry (r, j, s, k) multiplies (d_q^j d_p^(r-j) f) (d_q^k d_p^(s-k) g) in
     the expansion of the bracket; it is r! s! times the coefficient of that
-    derivative in the compiled operator BiDiff(A), i.e. binom(r,j) binom(s,k)
+    derivative in the operator DiffOp.from_sigma_poly(A), i.e. binom(r,j) binom(s,k)
     (-i)^(r+s) times the corresponding derivative of A at zero.  Only n = 1
     is supported.  The table is dense, about (rmax*smax)^2/4 entries, so
     rmax + smax must fit the degree guard.
@@ -716,13 +686,8 @@ def bidiff_coefficients(
         raise ValueError("the coefficient table is defined for n = 1 only")
     if rmax < 0 or smax < 0:
         raise ValueError("rmax and smax must be non-negative")
-    guard = get_degree_guard()
-    if rmax + smax > guard:
-        raise DegreeGuardError(
-            f"coefficient table order rmax + smax = {rmax + smax} would exceed the guard "
-            f"({guard}); raise it with set_degree_guard or MOYAL_MAX_DEGREE"
-        )
-    op = BiDiff(raw.a).op.poly.terms
+    check_degree(rmax + smax, "coefficient table (rmax + smax)")
+    op = DiffOp.from_sigma_poly(raw.a).poly.terms
     table: dict[tuple[int, int, int, int], scalars.Coefficient] = {}
     for r in range(rmax + 1):
         for j in range(r + 1):

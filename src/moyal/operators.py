@@ -30,8 +30,8 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import scalars
-from .errors import DegreeGuardError, DimensionMismatchError
-from .poly import DiffOp, Poly, Space, get_degree_guard, phase_space
+from .errors import DimensionMismatchError
+from .poly import DiffOp, Poly, Space, check_degree, phase_space
 from .scalars import MU_POLY_ONE
 from .star import phase_dimension
 
@@ -160,9 +160,7 @@ def _word_product(
 def nc_mul(x: NCPoly, y: NCPoly) -> NCPoly:
     """The operator product, rewritten to canonical (q-left) order. Exact."""
     x._check(y)
-    guard = get_degree_guard()
-    if x.poly.total_degree() + y.poly.total_degree() > guard:
-        raise DegreeGuardError(f"operand degrees exceed the guard ({guard})")
+    check_degree(x.poly.total_degree() + y.poly.total_degree(), "operand")
     n = x.n
     terms: dict[Exponents, scalars.Coefficient] = {}
     reorder: dict[tuple[int, int], ReorderSteps] = {}

@@ -93,7 +93,8 @@ def get_degree_guard() -> int:
     return _degree_guard.get()
 
 
-def _check_degree(degree: int, what: str) -> None:
+def check_degree(degree: int, what: str) -> None:
+    """Raise DegreeGuardError when a `what` degree exceeds the current guard."""
     guard = _degree_guard.get()
     if degree > guard:
         raise DegreeGuardError(
@@ -313,7 +314,7 @@ class Poly:
         self._check_space(other)
         if not self.terms or not other.terms:
             return Poly(self.space, {})
-        _check_degree(self.total_degree() + other.total_degree(), "product")
+        check_degree(self.total_degree() + other.total_degree(), "product")
         right = sorted(((sum(e), e, c) for e, c in other.terms.items()), key=lambda t: t[0])
         terms: dict[Exponents, Coefficient] = {}
         for e1, c1 in self.terms.items():
@@ -338,7 +339,7 @@ class Poly:
         if k < 0:
             raise ValueError("negative polynomial power")
         mu_degree = max((max(c.num.degree, c.den.degree) for c in self.terms.values()), default=0)
-        _check_degree(k * max(mu_degree, self.total_degree()), "power")
+        check_degree(k * max(mu_degree, self.total_degree()), "power")
         out = Poly.one(self.space)
         base = self
         while k:
@@ -529,7 +530,7 @@ def _pack(p: Poly, mu_bits: int) -> Lifted:
     coeffs = p.terms.values()
     if not all(c.den.is_one for c in coeffs):
         raise ValueError("only coefficients polynomial in mu can be lifted")
-    _check_degree(p.total_degree(), "lifted")
+    check_degree(p.total_degree(), "lifted")
     bits = _degree_guard.get().bit_length()
     den = math.lcm(*(c.num.d for c in coeffs))
     terms = {}
@@ -589,7 +590,7 @@ def lifted_mul(p: Poly, q: Poly) -> Lifted:
     coefficient has a mu-denominator.
     """
     p._check_space(q)
-    _check_degree(p.total_degree() + q.total_degree(), "product")
+    check_degree(p.total_degree() + q.total_degree(), "product")
     mu_bits = (_mu_degree(p) + _mu_degree(q)).bit_length()
     (xt, x_den, layout), (yt, y_den, _) = _pack(p, mu_bits), _pack(q, mu_bits)
     terms: dict[int, int] = {}
@@ -632,7 +633,7 @@ class DiffOp:
             raise SpaceMismatchError(
                 "operator arity does not match the target space"
             )
-        _check_degree(target.total_degree(), "operand")
+        check_degree(target.total_degree(), "operand")
 
     def apply_once(self, target: Poly) -> Poly:
         """One application of the operator (a single derivation-polynomial pass)."""

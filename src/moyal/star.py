@@ -54,13 +54,13 @@ from math import comb
 from typing import Callable
 
 from . import scalars
-from .errors import DegreeGuardError, DimensionMismatchError, SpaceMismatchError
+from .errors import DimensionMismatchError, SpaceMismatchError
 from .linalg import Matrix
 from .poly import (
     DiffOp,
     Poly,
     Space,
-    get_degree_guard,
+    check_degree,
     pair_space,
     phase_space,
     sigma_space,
@@ -226,13 +226,17 @@ class BiDiff:
     two slots are then merged back to phase space.  `apply` runs the operator
     once, as for a bracket kernel A; `apply_exp` runs its exponential, as for
     a product kernel exp(b).  `commutator` is (f*g - g*f) / (2 mu) for that
-    product.  Two memos on the operator, each of at most `PAIR_MEMO_SIZE`
-    monomial pairs and cleared when full, hold the exp piece and the
-    commutator piece of each monomial pair (ef, eg).  Every entry point checks
-    that both operands live on the operator's phase space and that their
-    degrees fit the degree guard.  Operands with mu-denominators are run on
-    their numerators and divided once per output term (see poly.py,
-    Denominators).
+    product.  All three are one walk, `_accumulate`, over the monomial pairs
+    (ef, eg) of f and g, summing each pair's piece scaled by the two
+    coefficients; they differ only in the piece.  The exp and commutator
+    pieces are memoised, each memo of at most `PAIR_MEMO_SIZE` pairs and
+    cleared when full, because products and brackets meet the same pairs
+    again and again.  The one-step pieces are not: their one library caller,
+    the centre check, meets each pair once, so a memo would only add inserts.
+    Every entry point checks that both operands live on the operator's phase
+    space and that their degrees fit the degree guard.  Operands with
+    mu-denominators are run on their numerators and divided once per output
+    term (see poly.py, Denominators).
     """
 
     __slots__ = ("space", "op", "_pairs", "_comms")
@@ -248,17 +252,7 @@ class BiDiff:
 
     def apply(self, f: Poly, g: Poly) -> Poly:
         """A(-i d_left, -i d_right) applied once to f (x) g, slots merged."""
-        self._check_operands(f, g)
-        tensor = {}
-        for ef, cf in f.terms.items():
-            for eg, cg in g.terms.items():
-                scale = cf * cg
-                if scale.den is not MU_POLY_ONE:
-                    (p, df), (q, dg) = f.split_denominator(), g.split_denominator()
-                    return self.apply(p, q).over(df * dg)
-                tensor[ef + eg] = scale
-        applied = self.op.apply_once(Poly(self.op.poly.space, tensor))
-        return merge_slots(applied, self.space)
+        return self._accumulate(f, g, self._once_piece)
 
     def apply_exp(self, f: Poly, g: Poly) -> Poly:
         """exp(A(-i d_left, -i d_right)) applied to f (x) g, slots merged."""
@@ -268,15 +262,9 @@ class BiDiff:
         """(exp(A) f (x) g - exp(A) g (x) f) / (2 mu), slots merged."""
         return self._accumulate(f, g, self._commutator_piece)
 
-    def _check_operands(self, f: Poly, g: Poly) -> None:
-        """Both operands live on this phase space and fit the degree guard."""
-        if (f.space, g.space) != (self.space, self.space):
-            raise DimensionMismatchError(
-                f"operands must live on phase space of dimension n={len(self.space) // 2}"
-            )
-        guard = get_degree_guard()
-        if f.total_degree() + g.total_degree() > guard:
-            raise DegreeGuardError(f"operand degrees exceed the guard ({guard})")
+    def _once_piece(self, ef: Exponents, eg: Exponents) -> Poly:
+        target = Poly.monomial(self.op.poly.space, ef + eg)
+        return merge_slots(self.op.apply_once(target), self.space)
 
     def _exp_piece(self, ef: Exponents, eg: Exponents) -> Poly:
         pairs = self._pairs
@@ -304,7 +292,11 @@ class BiDiff:
         self, f: Poly, g: Poly, piece_of: Callable[[Exponents, Exponents], Poly]
     ) -> Poly:
         """Sum piece_of(ef, eg) * cf * cg over the terms of f and g."""
-        self._check_operands(f, g)
+        if (f.space, g.space) != (self.space, self.space):
+            raise DimensionMismatchError(
+                f"operands must live on phase space of dimension n={len(self.space) // 2}"
+            )
+        check_degree(f.total_degree() + g.total_degree(), "operand")
         terms: dict[Exponents, scalars.Coefficient] = {}
         for ef, cf in f.terms.items():
             for eg, cg in g.terms.items():

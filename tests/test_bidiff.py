@@ -93,7 +93,7 @@ def test_bidiff_entry_points_check_their_operands():
     entry_points = (op.apply, op.apply_exp, op.commutator)
     with degree_guard(4):
         for entry in entry_points:
-            with pytest.raises(DegreeGuardError):
+            with pytest.raises(DegreeGuardError, match="MOYAL_MAX_DEGREE"):
                 entry(q1**3, p1**3)
             entry(q1**3, p1)
     for entry in entry_points:

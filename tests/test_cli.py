@@ -200,6 +200,20 @@ class TestProtocol:
         finally:
             set_degree_guard(saved)
 
+    def test_degree_guard_env_holds_for_the_command_only(self, capsys, monkeypatch):
+        from moyal.poly import get_degree_guard
+
+        saved = get_degree_guard()
+        monkeypatch.setenv("MOYAL_MAX_DEGREE", "7")
+        assert invoke(capsys, "--json", "star", "q1", "p1")[0] == 0
+        assert get_degree_guard() == saved
+        for bad in ("0", "-3", "seven"):
+            monkeypatch.setenv("MOYAL_MAX_DEGREE", bad)
+            code, out, _ = invoke(capsys, "--json", "star", "q1", "p1")
+            assert code == 2
+            assert json.loads(out)["witness"]["message"] == "MOYAL_MAX_DEGREE must be a positive integer"
+            assert get_degree_guard() == saved
+
     def test_json_error_document(self, capsys):
         code, out, _ = invoke(capsys, "--json", "limit", "(1/mu)*q1")
         doc = json.loads(out)

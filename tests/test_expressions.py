@@ -1,5 +1,6 @@
 """Expression language: grammar, round trips, error reporting."""
 
+import json
 import random
 
 import pytest
@@ -148,3 +149,20 @@ def test_errors_follow_parse_then_evaluation_order(source, column, token, messag
         parse_poly(source, SP)
     assert (err.value.line, err.value.column, err.value.token) == (1, column, token)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "source,column,token,message",
+    [
+        ("2²", 2, "²", "unexpected character '²'"),
+        ("7" * 5000, 1, "7" * 5000, "integer literal too long"),
+        ("q1^" + "7" * 5000, 4, "7" * 5000, "integer literal too long"),
+    ],
+    ids=["non-ascii-digit", "long-literal", "long-exponent"],
+)
+def test_cli_reports_bad_literals_at_their_token(capsys, source, column, token, message):
+    from moyal.cli import run
+
+    assert run(["--json", "star", source, "p1"]) == 2
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness == {"message": f"line 1, column {column}: {message}", "token": token}

@@ -84,7 +84,7 @@ class TestNCMul:
     def test_degree_guard(self):
         qh3, ph3 = NCPoly.word(1, (3, 0)), NCPoly.word(1, (0, 3))
         with degree_guard(4):
-            with pytest.raises(DegreeGuardError):
+            with pytest.raises(DegreeGuardError, match="MOYAL_MAX_DEGREE"):
                 nc_mul(qh3, ph3)
             assert nc_mul(QH, ph3) == NCPoly.word(1, (1, 3))
         assert nc_mul(qh3, ph3)

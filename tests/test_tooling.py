@@ -1,6 +1,7 @@
 """Source checks: imports stay at module level, no module imports another
-moyal module's underscore-prefixed names, every lru_cache is bounded, and the
-package declares no runtime dependency."""
+moyal module's underscore-prefixed names, every lru_cache is bounded, only
+poly.py reads or enforces the degree guard itself, and the package declares
+no runtime dependency."""
 
 import ast
 from pathlib import Path
@@ -12,7 +13,11 @@ SOURCES = sorted((ROOT / "src" / "moyal").glob("*.py"))
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
-def _violations(tree):
+# Everywhere else the guard is enforced through poly.check_degree.
+GUARD_NAMES = {"get_degree_guard", "DegreeGuardError"}
+
+
+def _violations(tree, module=""):
     for func in ast.walk(tree):
         if not isinstance(func, FUNCTIONS):
             continue
@@ -30,6 +35,8 @@ def _violations(tree):
             continue
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in GUARD_NAMES and module != "poly.py":
+            yield node.lineno, f"{name} called outside poly.py"
         if name != "lru_cache":
             continue
         sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
@@ -44,7 +51,8 @@ def test_sources_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_function_imports_or_unbounded_caches(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert [f"{path.name}:{line}: {what}" for line, what in _violations(tree)] == []
+    violations = _violations(tree, path.name)
+    assert [f"{path.name}:{line}: {what}" for line, what in violations] == []
 
 
 @pytest.mark.parametrize(
@@ -57,6 +65,8 @@ def test_no_function_imports_or_unbounded_caches(path):
         "from .star import BiDiff, _check_operands\n",
         "from moyal.poly import _degree_guard\n",
         "from . import _private\n",
+        "from .poly import get_degree_guard\nguard = get_degree_guard()\n",
+        "from . import errors\nraise errors.DegreeGuardError('too deep')\n",
     ],
 )
 def test_checker_flags_planted_violations(source):
@@ -66,6 +76,8 @@ def test_checker_flags_planted_violations(source):
 def test_checker_allows_public_and_foreign_names():
     source = "from .star import BiDiff\nfrom os import _exit\nfrom __future__ import annotations\n"
     assert list(_violations(ast.parse(source))) == []
+    guard = "guard = get_degree_guard()\nraise DegreeGuardError('too deep')\n"
+    assert list(_violations(ast.parse(guard), "poly.py")) == []
 
 
 def test_no_runtime_dependencies():
