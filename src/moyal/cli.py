@@ -8,8 +8,10 @@ Every subcommand prints a human-readable result by default or, with
 where status is "ok" (exit 0), "fail" (exit 1: a mathematical failure such
 as a cocycle violation, a "neither" classification, or a pole at mu = 0), or
 "error" (exit 2: usage or parse problems, sizes below their minimum, a
-centre enumeration above `cocycle.CENTER_MONOMIAL_LIMIT` monomials, or a
-reader that closed standard output early).  JSON output is byte-identical
+--n above `MAX_N`, a centre enumeration above `cocycle.CENTER_MONOMIAL_LIMIT`
+monomials, a power whose integers would pass Python's int-string limit
+(`sys.get_int_max_str_digits`) and so could not be printed, or a reader that
+closed standard output early).  JSON output is byte-identical
 across runs on identical input.
 
 The environment variable MOYAL_MAX_DEGREE sets the total-degree guard for
@@ -51,6 +53,9 @@ from .poly import (
     triple_space,
 )
 from .star import StarKernel, bracket, classical_limit, poisson, star, u_map
+
+# The largest --n: kernel matrices have (2n)^2 entries.
+MAX_N = 64
 
 
 class _Outcome:
@@ -432,11 +437,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
-def _at_least(low: int):
+def _at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -460,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=_at_least(1), default=1, help="configuration dimension")
+        p.add_argument("--n", type=_at_least(1, MAX_N), default=1, help="configuration dimension")
         return p
 
     def add_kernel_options(p):

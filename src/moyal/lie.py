@@ -504,9 +504,10 @@ def _fit_structured(
         return dress.mul_truncated(hw, fit_degree)
 
     for d in range(3, fit_degree + 1):
-        residual = (a_cut - reconstruction()).homogeneous_component(d)
         if d >= 4:
-            terms = residual.terms.items()
+            # The reconstruction has no bidegree-(2, d-2) part until chi gets its
+            # degree-(d-2) terms, so this part of A is that of the residual.
+            terms = a_cut.homogeneous_component(d).terms.items()
             e_part = Poly(w.space, {e: c for e, c in terms if slot_degrees(e, width) == (2, d - 2)})
             if not e_part.is_zero:
                 quotient, rem = divide_exact(e_part, w)
@@ -523,23 +524,17 @@ def _fit_structured(
                 chi_new = Poly.from_terms(sig, shifted)
                 chi = chi + chi_new.scale_fraction(Fraction(1, d - 2))
                 dress = exp_truncated(coboundary(chi), fit_degree)
-                residual = (a_cut - reconstruction()).homogeneous_component(d)
+        residual = (a_cut - reconstruction()).homogeneous_component(d)
         if d % 2 == 0 and (d // 2) % 2 == 1 and d >= 6:
+            # Read h's w^k coefficient off the lead of w^k; a zero residual reads 0.
             k = d // 2
-            wk = w_powers[k]
-            if residual.is_zero:
-                found[k] = scalars.ZERO
-                continue
-            lead_exps, lead_coeff = wk.leading_term()
+            lead_exps, lead_coeff = w_powers[k].leading_term()
             cand = residual.terms.get(lead_exps)
-            if cand is None:
-                return chi, _series_list(found), residual.leading_term()
-            ratio = cand / lead_coeff
-            if residual != wk.scale(ratio):
-                diff = residual - wk.scale(ratio)
-                return chi, _series_list(found), diff.leading_term()
-            found[k] = ratio
-        elif not residual.is_zero:
+            ratio = scalars.ZERO if cand is None else cand / lead_coeff
+            residual = residual - w_powers[k].scale(ratio)
+            if residual.is_zero:
+                found[k] = ratio
+        if not residual.is_zero:
             return chi, _series_list(found), residual.leading_term()
 
     final = (a_cut - reconstruction()).truncate_degree(fit_degree)

@@ -56,6 +56,7 @@ reads the keys back into a `Poly`.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
@@ -340,6 +341,11 @@ class Poly:
             raise ValueError("negative polynomial power")
         mu_degree = max((max(c.num.degree, c.den.degree) for c in self.terms.values()), default=0)
         check_degree(k * max(mu_degree, self.total_degree()), "power")
+        # p**k has c**k at the lex-largest monomial of p: refuse what str could
+        # not print (a limit of 0 is no limit).
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and k > 1 and self.terms and self.terms[max(self.terms)].power_digits(k) > limit + 1:
+            raise ValueError(f"power would exceed the limit ({limit} digits) for integer string conversion")
         out = Poly.one(self.space)
         base = self
         while k:

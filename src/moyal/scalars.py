@@ -38,10 +38,11 @@ terms whose product has one, and the linear ones on entry
 (`Coefficient.over`).  Scalar arithmetic outside those loops, such as `+` on
 two rational coefficients, still normalises every result.
 
-GaussRational (a pair of Fractions, without arithmetic) is the value type at
-the boundary: MuPoly.from_seq/const take it, and eval_at_mu_zero and
-mu_monomials return it; Coefficient.mu_zero and mu_components are their
-Coefficient-valued forms.  Rendering reads the ints directly.
+Coefficient is the one value type of the field.  Values come in through
+`from_int`, `from_ints`, `make`, `scale_int`/`scale_fraction`, the module
+constants and `expressions.parse_coefficient`, and go out through `mu_zero`,
+`mu_components`, `mu_valuation` and `str`.  Only this module calls the trusted
+constructors Coefficient(...) and MuPoly(...), so canonical form has one owner.
 
 Physics dictionary, fixed once for the whole package: mu = i*hbar/2, so the
 canonical commutator [q, p] = i*hbar reads 2*mu here.
@@ -49,41 +50,10 @@ canonical commutator [q, p] = i*hbar reads 2*mu here.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, log10
 from operator import add, neg
 
 from .errors import PoleAtMuZeroError
-
-
-class GaussRational:
-    """A Gaussian rational a + b*i with exact rational a, b."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        if not isinstance(other, GaussRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"GaussRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        return _format_gauss(str(self.re), str(self.im) if self.im else "")
-
-
-GR_ZERO = GaussRational(0, 0)
 
 
 def _format_ratio(n: int, d: int) -> str:
@@ -94,21 +64,16 @@ def _format_ratio(n: int, d: int) -> str:
     return f"{n // g}/{d // g}"
 
 
-def _format_gauss(re: str, im: str) -> str:
-    """Render a + b*i from str(a), str(b) ("" for b = 0) as 'a+b*i' (no parens)."""
-    if not im:
+def _format_gauss(x: int, y: int, d: int) -> str:
+    """Render (x + y*i)/d as 'a+b*i' (no parens), a and b in lowest terms."""
+    re = _format_ratio(x, d)
+    if not y:
         return re
-    if im == "1":
-        im_str = "i"
-    elif im == "-1":
-        im_str = "-i"
-    else:
-        im_str = f"{im}*i"
+    im = _format_ratio(y, d)
+    im = "i" if im == "1" else "-i" if im == "-1" else f"{im}*i"
     if re == "0":
-        return im_str
-    if im_str.startswith("-"):
-        return f"{re}{im_str}"
-    return f"{re}+{im_str}"
+        return im
+    return f"{re}{im}" if im.startswith("-") else f"{re}+{im}"
 
 
 # -- integer helpers -----------------------------------------------------------
@@ -187,19 +152,6 @@ class MuPoly:
         self.re = re
         self.im = im
         self.d = d
-
-    @classmethod
-    def from_seq(cls, seq) -> "MuPoly":
-        """From GaussRational coefficients, constant term first."""
-        gs = list(seq)
-        d = lcm(*(g.re.denominator for g in gs), *(g.im.denominator for g in gs))
-        re = [g.re.numerator * (d // g.re.denominator) for g in gs]
-        im = [g.im.numerator * (d // g.im.denominator) for g in gs]
-        return _normal(re, im, d)
-
-    @classmethod
-    def const(cls, g: GaussRational) -> "MuPoly":
-        return cls.from_seq((g,))
 
     @property
     def degree(self) -> int:
@@ -366,13 +318,6 @@ class MuPoly:
                 return b
             a, b = b, r.monic()
 
-    def eval_zero(self) -> GaussRational:
-        if not self.re:
-            return GR_ZERO
-        return GaussRational(
-            Fraction(self.re[0], self.d), Fraction(self.im[0] if self.im else 0, self.d)
-        )
-
     @property
     def valuation(self) -> int | None:
         """Index of the lowest nonzero mu-power, or None for the zero polynomial."""
@@ -398,10 +343,6 @@ MU_POLY_ONE = MuPoly((1,))
 MU_POLY_MU = MuPoly((0, 1))
 
 
-def _mu_power_poly(k: int) -> MuPoly:
-    return MU_POLY_ONE if not k else MuPoly((0,) * k + (1,))
-
-
 def format_mu_poly(p: MuPoly) -> str:
     """Render descending in mu, e.g. '2*mu^2 - mu + 1/2'."""
     if not p.re:
@@ -412,7 +353,7 @@ def format_mu_poly(p: MuPoly) -> str:
         x, y = p.re[k], (im[k] if im else 0)
         if not (x or y):
             continue
-        gs = _format_gauss(_format_ratio(x, d), _format_ratio(y, d) if y else "")
+        gs = _format_gauss(x, y, d)
         if k == 0:
             pieces.append(gs)
             continue
@@ -452,9 +393,8 @@ class Coefficient:
         if den.valuation == k:
             # den = c*mu^k: cancel the common power of mu, divide by c.
             j = min(k, num.valuation)
-            return Coefficient(
-                num._shift_down(j)._div_gauss(*den._lc()), _mu_power_poly(k - j)
-            )
+            num = num._shift_down(j)._div_gauss(*den._lc())
+            return Coefficient(num, MuPoly((0,) * (k - j) + (1,)) if j < k else MU_POLY_ONE)
         g = MuPoly.gcd(num, den)
         if g.degree > 0:
             num = num._exact_quo(g)
@@ -478,20 +418,6 @@ class Coefficient:
         return Coefficient(MuPoly((k,)), MU_POLY_ONE)
 
     @staticmethod
-    def from_fraction(q) -> "Coefficient":
-        q = Fraction(q)
-        if not q:
-            return ZERO
-        return Coefficient(MuPoly((q.numerator,), (), q.denominator), MU_POLY_ONE)
-
-    @staticmethod
-    def from_gauss(re=0, im=0) -> "Coefficient":
-        g = GaussRational(re, im)
-        if not g:
-            return ZERO
-        return Coefficient(MuPoly.const(g), MU_POLY_ONE)
-
-    @staticmethod
     def from_ints(re, im, d: int) -> "Coefficient":
         """sum_k (re[k] + im[k]*i) * mu^k / d from int sequences, constant first.
 
@@ -499,14 +425,6 @@ class Coefficient:
         """
         num = _normal(list(re), list(im), d)
         return Coefficient(num, MU_POLY_ONE) if num.re else ZERO
-
-    @staticmethod
-    def mu_power(k: int, scale=1) -> "Coefficient":
-        """scale * mu^k for k >= 0."""
-        g = GaussRational(scale) if not isinstance(scale, GaussRational) else scale
-        if not g:
-            return ZERO
-        return Coefficient(MuPoly.from_seq([GR_ZERO] * k + [g]), MU_POLY_ONE)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -547,7 +465,7 @@ class Coefficient:
         return Coefficient(-self.num, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, int):  # c * k, as in the benchmark's MU * 2
             return self.scale_int(other)
         if self is ONE:
             return other
@@ -558,8 +476,6 @@ class Coefficient:
         if self.den is MU_POLY_ONE and other.den is MU_POLY_ONE:
             return Coefficient(self.num * other.num, MU_POLY_ONE)
         return Coefficient.make(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def scale_int(self, k: int) -> "Coefficient":
         if k == 0 or not self.num.re:
@@ -615,16 +531,28 @@ class Coefficient:
             return ZERO
         return Coefficient(n0._div_gauss(d0r, d0i, den.d), MU_POLY_ONE)
 
-    def eval_at_mu_zero(self) -> GaussRational:
-        """mu_zero as a GaussRational."""
-        return self.mu_zero().num.eval_zero()
-
     def mu_valuation(self) -> int | None:
         """Order of vanishing at mu = 0 (negative at a pole); None for zero."""
         nv = self.num.valuation
         if nv is None:
             return None
         return nv - (self.den.valuation or 0)
+
+    def power_digits(self, k: int) -> float:
+        """A lower bound on log10 of the largest int that str(self**k) prints.
+
+        The numerator of self**k leads with g**k, g = (x + y*i)/d the lead of
+        self's (the denominator is monic).  Real g prints x**k and d**k; else a
+        part of g**k is at least |g|**k/sqrt(2) or has denominator at least
+        |g|**-k, and odd(d)**k divides the product of the parts' denominators.
+        """
+        x, y, d = self.num._lc()
+        h = gcd(x, y, d)
+        x, y, d = x // h, y // h, d // h
+        if not y:
+            return k * log10(max(abs(x), d))
+        odd = d >> ((d & -d).bit_length() - 1)
+        return max(k * abs(log10(x * x + y * y) / 2 - log10(d)) - 0.16, k * log10(odd) / 2)
 
     def mu_components(self) -> dict[int, "Coefficient"]:
         """Split a mu-polynomial coefficient by mu-power; requires denominator 1."""
@@ -637,10 +565,6 @@ class Coefficient:
             for k, (x, y) in enumerate(zip(num.re, im))
             if x or y
         }
-
-    def mu_monomials(self) -> dict[int, GaussRational]:
-        """mu_components with GaussRational values."""
-        return {k: c.num.eval_zero() for k, c in self.mu_components().items()}
 
     # -- rendering ---------------------------------------------------------
 

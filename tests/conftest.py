@@ -55,16 +55,14 @@ def _within_budget(singles, count, budget):
 def random_coefficient(rng: random.Random, mu_degree=1, allow_i=True):
     """A small random nonzero mu-polynomial coefficient."""
     while True:
-        total = scalars.ZERO
+        re, im = [0] * (mu_degree + 1), [0] * (mu_degree + 1)
         for k in range(mu_degree + 1):
             if rng.random() < 0.6:
                 continue
-            re = Fraction(rng.randint(-3, 3))
-            im = Fraction(rng.randint(-1, 1)) if allow_i and rng.random() < 0.3 else Fraction(0)
-            if re or im:
-                total = total + scalars.Coefficient.mu_power(
-                    k, scalars.GaussRational(re, im)
-                )
+            re[k] = rng.randint(-3, 3)
+            if allow_i and rng.random() < 0.3:
+                im[k] = rng.randint(-1, 1)
+        total = scalars.Coefficient.from_ints(re, im, 1)
         if total:
             return total
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -376,16 +377,52 @@ def test_centre_enumerations_above_the_limit_exit_two(capsys, argv):
     assert "limit" in doc["witness"]["message"]
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
+def _one_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("star", "--n", "100000", "q1", "p1"), "must be at most 64"),
+        (("star", "2^100000000000", "p1"), "limit (4300 digits)"),
+        (("star", "((((((2^60)^60)^60)^60)^60)^60)", "p1"), "limit (4300 digits)"),
+    ],
+    ids=["n", "power", "nested-powers"],
+)
+def test_oversized_inputs_exit_two_inside_a_memory_limit(argv, message):
+    # Without their bounds these allocate until the 1 GiB limit raises MemoryError.
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=4300", "-m", "moyal", "--json", *argv],
+        capture_output=True, env=ENV, timeout=30, preexec_fn=_one_gib_address_space,
+    )
+    assert "Traceback" not in proc.stderr.decode()
+    assert proc.returncode == 2
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "error" and message in doc["witness"]["message"]
+
+
+@pytest.mark.parametrize(
+    "f, value", [("2^14000", f"{2**14000}"), ("(1/3)^9000", f"1/{3**9000}")], ids=["2^14000", "(1/3)^9000"]
+)
+def test_printable_powers_still_print(capsys, f, value):
+    code, out, _ = invoke(capsys, "--json", "star", f, "p1")
+    assert code == 0
+    assert json.loads(out)["result"]["poly"] == f"{value}*p1"
+
+
 def test_closed_pipe_exits_two_without_a_traceback():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     # The reader is gone before the child starts, so its write to stdout fails.
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "moyal", "--json", "check-lie", "--a", "(v1*u2 - v2*u1)^2"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            stdout=write_end, stderr=subprocess.PIPE, env=ENV, timeout=60,
         )
     finally:
         os.close(write_end)

@@ -64,7 +64,7 @@ def test_unknown_variable_message_lists_space():
 
 def test_division_restrictions():
     assert parse_poly("q1/2", SP) == Poly.variable(SP, "q1").scale(
-        scalars.Coefficient.from_fraction("1/2")
+        scalars.Coefficient.from_ints([1], (), 2)
     )
     assert parse_poly("q1/mu^2", SP) == Poly.variable(SP, "q1").scale(
         (scalars.MU * scalars.MU).inverse()

@@ -136,7 +136,7 @@ def test_seeded_kernels_match_the_direct_forms(n, antisymmetric, denominator, se
 UNITS = {
     "-1": scalars.MINUS_ONE,
     "i": scalars.I,
-    "3/2-i/2": scalars.Coefficient.from_gauss(Fraction(3, 2), Fraction(-1, 2)),
+    "3/2-i/2": scalars.Coefficient.from_ints([3], [-1], 2),
     "1/mu": MU.inverse(),
     "2/(mu+1)": (MU + ONE).inverse().scale_int(2),
 }
@@ -235,7 +235,7 @@ def test_every_branch_of_the_summary(name):
         parts = defect.mu_components()
         assert all(isinstance(part, Poly) for part in parts.values())
         assert sum(
-            (part.scale(scalars.Coefficient.mu_power(k)) for k, part in parts.items()),
+            (part.scale(MU**k) for k, part in parts.items()),
             Poly.zero(defect.space),
         ) == defect
 

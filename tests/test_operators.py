@@ -42,7 +42,7 @@ def symmetrize_word(n: int, exps) -> NCPoly:
             name = f"qh{i+1}" if kind == "q" else f"ph{i+1}"
             word = nc_mul(word, NCPoly.generator(n, name))
         total = total + word
-    return total.scale(scalars.Coefficient.from_fraction(Fraction(1, len(seen))))
+    return total.scale(scalars.ONE.scale_fraction(Fraction(1, len(seen))))
 
 
 class TestNCMul:

@@ -281,7 +281,7 @@ def wide_poly(rng, n, guard):
     p = random_poly(rng, space, 6, terms=5, mu_degree=3, allow_i=True)
     top = [0] * (2 * n)
     top[rng.randrange(2 * n)] = guard
-    top_coeff = scalars.Coefficient.from_gauss(Fraction(rng.randint(1, 5), 3), rng.randint(-1, 1))
+    top_coeff = scalars.Coefficient.from_ints([rng.randint(1, 5)], [3 * rng.randint(-1, 1)], 3)
     return p.scale_fraction(Fraction(1, rng.randint(1, 6))) + Poly.monomial(
         space, tuple(top), top_coeff * MU
     )

@@ -25,11 +25,28 @@ MAX_DEGREE = 8
 
 def build(impl, num, den):
     """A coefficient from numerator/denominator lists of (re, im) Fractions."""
+    if impl is new:
+        return new.Coefficient.make(from_fractions(num).num, from_fractions(den).num)
 
     def poly(seq):
-        return impl.MuPoly.from_seq(impl.GaussRational(re, im) for re, im in seq)
+        return old.MuPoly.from_seq(old.GaussRational(re, im) for re, im in seq)
 
-    return impl.Coefficient.make(poly(num), poly(den))
+    return old.Coefficient.make(poly(num), poly(den))
+
+
+def from_fractions(seq):
+    """sum_k (re_k + im_k*i) * mu^k through Coefficient.from_ints."""
+    d = math.lcm(*(x.denominator for pair in seq for x in pair))
+    return new.Coefficient.from_ints([int(re * d) for re, _ in seq], [int(im * d) for _, im in seq], d)
+
+
+def gauss_pair(c):
+    """A constant coefficient as its (re, im) pair of Fractions."""
+    num = c.num
+    assert c.den.is_one and num.degree <= 0
+    if not num.re:
+        return Fraction(0), Fraction(0)
+    return Fraction(num.re[0], num.d), Fraction(num.im[0] if num.im else 0, num.d)
 
 
 def check_invariants(c):
@@ -45,15 +62,22 @@ def check_invariants(c):
 
 
 def observe(c):
-    """Everything the two implementations must agree on for one value."""
+    """Everything the two implementations must agree on for one value.
+
+    The oracle reads the value at mu = 0 and the split by mu-power as
+    GaussRationals, moyal.scalars as constant Coefficients (mu_zero,
+    mu_components); both are compared as (re, im) pairs of Fractions.
+    """
+    if isinstance(c, old.Coefficient):
+        at_zero, components, pair = c.eval_at_mu_zero, c.mu_monomials, lambda g: (g.re, g.im)
+    else:
+        at_zero, components, pair = c.mu_zero, c.mu_components, gauss_pair
     try:
-        at_zero = c.eval_at_mu_zero()
-        at_zero = (at_zero.re, at_zero.im)
+        at_zero = pair(at_zero())
     except PoleAtMuZeroError:
         at_zero = "pole"
     inverse = str(c.inverse()) if c else None
-    parts = c.mu_monomials() if c.den.is_one else {}
-    parts = {k: (g.re, g.im) for k, g in parts.items()}
+    parts = {k: pair(g) for k, g in components().items()} if c.den.is_one else {}
     return str(c), c.mu_valuation(), at_zero, inverse, parts
 
 

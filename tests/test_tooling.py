@@ -1,7 +1,7 @@
 """Source checks: imports stay at module level, no module imports another
 moyal module's underscore-prefixed names, every lru_cache is bounded, only
-poly.py reads or enforces the degree guard itself, and the package declares
-no runtime dependency."""
+poly.py reads or enforces the degree guard itself, only scalars.py calls the
+trusted scalar constructors, and the package declares no runtime dependency."""
 
 import ast
 from pathlib import Path
@@ -15,6 +15,8 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 # Everywhere else the guard is enforced through poly.check_degree.
 GUARD_NAMES = {"get_degree_guard", "DegreeGuardError"}
+# They skip normalisation: canonical form, == and hash have one owner.
+TRUSTED_CONSTRUCTORS = {"Coefficient", "MuPoly"}
 
 
 def _violations(tree, module=""):
@@ -37,6 +39,8 @@ def _violations(tree, module=""):
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
         if name in GUARD_NAMES and module != "poly.py":
             yield node.lineno, f"{name} called outside poly.py"
+        if name in TRUSTED_CONSTRUCTORS and module != "scalars.py":
+            yield node.lineno, f"trusted constructor {name} called outside scalars.py"
         if name != "lru_cache":
             continue
         sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
@@ -67,6 +71,8 @@ def test_no_function_imports_or_unbounded_caches(path):
         "from . import _private\n",
         "from .poly import get_degree_guard\nguard = get_degree_guard()\n",
         "from . import errors\nraise errors.DegreeGuardError('too deep')\n",
+        "from .scalars import Coefficient, MU_POLY_ONE\nc = Coefficient(MU_POLY_ONE, MU_POLY_ONE)\n",
+        "from . import scalars\np = scalars.MuPoly((1,))\n",
     ],
 )
 def test_checker_flags_planted_violations(source):
@@ -78,6 +84,9 @@ def test_checker_allows_public_and_foreign_names():
     assert list(_violations(ast.parse(source))) == []
     guard = "guard = get_degree_guard()\nraise DegreeGuardError('too deep')\n"
     assert list(_violations(ast.parse(guard), "poly.py")) == []
+    trusted = "c = Coefficient(MuPoly((2,)), MU_POLY_ONE)\nd = Coefficient.make(c.num, c.den)\n"
+    assert list(_violations(ast.parse(trusted), "scalars.py")) == []
+    assert list(_violations(ast.parse("d = Coefficient.make(num, den)\n"))) == []
 
 
 def test_no_runtime_dependencies():
