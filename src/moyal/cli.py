@@ -15,8 +15,12 @@ closed standard output early).  JSON output is byte-identical
 across runs on identical input.
 
 The environment variable MOYAL_MAX_DEGREE sets the total-degree guard for
-the command.  With --stdin, expression arguments written as '-' are read from
-standard input, one per line, in command-line order.
+the command.  The expression arguments are --chi (a polynomial in
+u1..u2n), --m (rows of constants), --series (a list of constants), the
+operands f and g (phase-space polynomials), --a (a bracket kernel) and --b (a
+kernel exponent), each read over the subcommand's --n.  With --stdin, those
+written as '-' are read from standard input, one line each, in that fixed
+order whatever their order on the command line.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import json
 import os
 import sys
 
-from . import scalars
 from .cocycle import RawKernelExponent, center_basis, cocycle_check, factorize
 from .errors import ExpressionError, FactorizationError, MoyalError, PoleAtMuZeroError
 from .expressions import parse_coefficient, parse_poly, parse_series
@@ -47,6 +50,7 @@ from .operators import nc_mul, weyl_quantize, weyl_symbol
 from .poly import (
     Poly,
     degree_guard,
+    format_term,
     pair_space,
     phase_space,
     sigma_space,
@@ -96,19 +100,51 @@ def _stdin_reader():
     return fetch
 
 
-def _resolve_kernel(args, n: int) -> StarKernel:
-    base = StarKernel.standard(n) if args.kernel == "standard" else StarKernel.moyal(n)
-    chi = base.chi
-    m = base.m
-    if getattr(args, "chi", None):
-        chi = parse_poly(args.chi, sigma_space(n))
-    if getattr(args, "m", None):
-        rows = [
-            [parse_coefficient(entry.strip()) for entry in row_text.split(",")]
-            for row_text in args.m.split(";")
-        ]
-        m = Matrix(rows)
-    return StarKernel(n, chi, m)
+# -- expression arguments ----------------------------------------------------
+
+# Each expression argument: its parser, given the text and --n, and its help.
+# `_parse_expressions` reads them, and '-' ones take stdin lines, in this order.
+_EXPRESSIONS = {
+    "chi": (lambda text, n: parse_poly(text, sigma_space(n)), "chi (expression in u1..u2n)"),
+    "m": (
+        lambda text, n: Matrix(
+            [parse_coefficient(entry.strip()) for entry in row.split(",")]
+            for row in text.split(";")
+        ),
+        "M: semicolon-separated rows of comma-separated constant expressions",
+    ),
+    "series": (lambda text, n: parse_series(text), "comma-separated constants"),
+    "f": (lambda text, n: parse_poly(text, phase_space(n)), None),
+    "g": (lambda text, n: parse_poly(text, phase_space(n)), None),
+    "a": (
+        lambda text, n: RawLieKernel(n, parse_poly(text, pair_space(n))),
+        "kernel A over u, v slots",
+    ),
+    "b": (
+        lambda text, n: RawKernelExponent(n, parse_poly(text, pair_space(n))),
+        "exponent b over u, v slots",
+    ),
+}
+
+
+def _parse_expressions(args, fetch) -> None:
+    """Replace each expression argument given on `args` with its parsed value.
+
+    The star-product kernel is built as soon as --chi and --m are read, so
+    that a kernel error wins over an error in an operand.
+    """
+    for name, (parse, _) in _EXPRESSIONS.items():
+        text = getattr(args, name, None)
+        if text is not None:
+            setattr(args, name, parse(fetch(text), args.n))
+        if name == "m" and "kernel" in args:
+            args.kernel = _resolve_kernel(args)
+
+
+def _resolve_kernel(args) -> StarKernel:
+    base = (StarKernel.standard if args.kernel == "standard" else StarKernel.moyal)(args.n)
+    chi = base.chi if args.chi is None else args.chi
+    return StarKernel(args.n, chi, base.m if args.m is None else args.m)
 
 
 def _poly_outcome(p: Poly) -> _Outcome:
@@ -119,26 +155,16 @@ def _poly_outcome(p: Poly) -> _Outcome:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_product(args, fetch) -> _Outcome:
-    n = args.n
-    kernel = _resolve_kernel(args, n)
-    f = parse_poly(fetch(args.f), phase_space(n))
-    g = parse_poly(fetch(args.g), phase_space(n))
+def _cmd_product(args) -> _Outcome:
+    if args.command == "poisson":
+        return _poly_outcome(poisson(args.f, args.g))
     product = star if args.command == "star" else bracket
-    return _poly_outcome(product(f, g, kernel))
+    return _poly_outcome(product(args.f, args.g, args.kernel))
 
 
-def _cmd_poisson(args, fetch) -> _Outcome:
-    n = args.n
-    f = parse_poly(fetch(args.f), phase_space(n))
-    g = parse_poly(fetch(args.g), phase_space(n))
-    return _poly_outcome(poisson(f, g))
-
-
-def _cmd_limit(args, fetch) -> _Outcome:
-    f = parse_poly(fetch(args.f), phase_space(args.n))
+def _cmd_limit(args) -> _Outcome:
     try:
-        return _poly_outcome(classical_limit(f))
+        return _poly_outcome(classical_limit(args.f))
     except PoleAtMuZeroError as err:
         return _Outcome(
             "fail",
@@ -147,23 +173,16 @@ def _cmd_limit(args, fetch) -> _Outcome:
         )
 
 
-def _cmd_u_map(args, fetch) -> _Outcome:
-    n = args.n
-    chi = parse_poly(args.chi, sigma_space(n))
-    f = parse_poly(fetch(args.f), phase_space(n))
-    return _poly_outcome(u_map(f, chi))
+def _cmd_u_map(args) -> _Outcome:
+    return _poly_outcome(u_map(args.f, args.chi))
 
 
-def _cmd_oracle(args, fetch) -> _Outcome:
-    n = args.n
-    f = parse_poly(fetch(args.f), phase_space(n))
+def _cmd_oracle(args) -> _Outcome:
+    op = weyl_quantize(args.f)
     if args.g is None:
-        op = weyl_quantize(f)
-        back = weyl_symbol(op)
-        result = {"operator": str(op), "symbol": str(back)}
+        result = {"operator": str(op), "symbol": str(weyl_symbol(op))}
         return _Outcome("ok", result=result, human=str(op))
-    g = parse_poly(fetch(args.g), phase_space(n))
-    product = nc_mul(weyl_quantize(f), weyl_quantize(g))
+    product = nc_mul(op, weyl_quantize(args.g))
     symbol = weyl_symbol(product)
     result = {"operator_product": str(product), "symbol": str(symbol)}
     return _Outcome(
@@ -183,10 +202,8 @@ def _violation_payload(v) -> dict:
     return payload
 
 
-def _cmd_check_cocycle(args, fetch) -> _Outcome:
-    n = args.n
-    raw = RawKernelExponent(n, parse_poly(fetch(args.b), pair_space(n)))
-    violation = cocycle_check(raw)
+def _cmd_check_cocycle(args) -> _Outcome:
+    violation = cocycle_check(args.b)
     if violation is None:
         return _Outcome("ok", result={"cocycle": "pass"}, human="pass")
     payload = _violation_payload(violation)
@@ -196,11 +213,9 @@ def _cmd_check_cocycle(args, fetch) -> _Outcome:
     return _Outcome("fail", witness=payload, human=human)
 
 
-def _cmd_factorize(args, fetch) -> _Outcome:
-    n = args.n
-    raw = RawKernelExponent(n, parse_poly(fetch(args.b), pair_space(n)))
+def _cmd_factorize(args) -> _Outcome:
     try:
-        fact = factorize(raw)
+        fact = factorize(args.b)
     except FactorizationError as err:
         witness = {"stage": err.stage, "message": str(err)}
         if hasattr(err.witness, "stage"):
@@ -226,11 +241,9 @@ def _cmd_factorize(args, fetch) -> _Outcome:
     return _Outcome("ok", result=result, human=human)
 
 
-def _cmd_center(args, fetch) -> _Outcome:
-    n = args.n
-    raw = RawKernelExponent(n, parse_poly(fetch(args.b), pair_space(n)))
+def _cmd_center(args) -> _Outcome:
     try:
-        basis = center_basis(raw, args.max_degree)
+        basis = center_basis(args.b, args.max_degree)
     except FactorizationError as err:
         return _Outcome("fail", witness={"stage": err.stage, "message": str(err)}, human=str(err))
     result = {"generators": [str(p) for p in basis]}
@@ -255,24 +268,22 @@ def _axiom_payload(raw, report) -> tuple[dict, dict | None]:
     return result, defects
 
 
-def _cmd_check_lie(args, fetch) -> _Outcome:
-    n = args.n
-    raw = RawLieKernel(n, parse_poly(fetch(args.a), pair_space(n)))
+def _cmd_check_lie(args) -> _Outcome:
+    raw = args.a
     report = lie_axiom_check(raw, truncation_degree=args.truncation_degree)
     result, defects = _axiom_payload(raw, report)
     witness = None
     if not report.passed:
-        pieces = {}
-        if report.antisymmetry_witness:
-            exps, coeff = report.antisymmetry_witness
-            pieces["antisymmetry"] = str(Poly.monomial(raw.a.space, exps, coeff))
-        if report.constants_witness:
-            exps, coeff = report.constants_witness
-            pieces["constants"] = str(Poly.monomial(raw.a.space, exps, coeff))
-        if report.jacobi_status == "violation" and report.jacobi_witness:
-            exps, coeff = report.jacobi_witness
-            pieces["jacobi"] = str(Poly.monomial(triple_space(n), exps, coeff))
-        witness = pieces
+        jacobi = report.jacobi_status == "violation" and report.jacobi_witness
+        witness = {
+            key: format_term(space, *term)
+            for key, term, space in [
+                ("antisymmetry", report.antisymmetry_witness, raw.a.space),
+                ("constants", report.constants_witness, raw.a.space),
+                ("jacobi", jacobi, triple_space(raw.n)),
+            ]
+            if term
+        }
     status = "ok" if report.passed else "fail"
     human_lines = [f"{k}: {v}" for k, v in result.items()]
     if defects:
@@ -282,11 +293,9 @@ def _cmd_check_lie(args, fetch) -> _Outcome:
     return _Outcome(status, result=result, witness=witness, defects=defects, human="\n".join(human_lines))
 
 
-def _cmd_extract_omega(args, fetch) -> _Outcome:
-    n = args.n
-    raw = RawLieKernel(n, parse_poly(fetch(args.a), pair_space(n)))
+def _cmd_extract_omega(args) -> _Outcome:
     try:
-        data = extract_omega(raw)
+        data = extract_omega(args.a)
     except LieKernelError as err:
         return _Outcome("fail", witness={"message": str(err)}, human=str(err))
     result = {
@@ -313,9 +322,8 @@ def _hclass_payload(h) -> dict:
     return payload
 
 
-def _cmd_classify_h(args, fetch) -> _Outcome:
-    series = parse_series(args.series)
-    h = classify_h(series)
+def _cmd_classify_h(args) -> _Outcome:
+    h = classify_h(args.series)
     payload = _hclass_payload(h)
     status = "fail" if h.tag == "neither" else "ok"
     if h.tag == "sinh":
@@ -332,9 +340,8 @@ def _cmd_classify_h(args, fetch) -> _Outcome:
     return _Outcome(status, result=payload, human=human)
 
 
-def _cmd_theorem2(args, fetch) -> _Outcome:
-    n = args.n
-    raw = RawLieKernel(n, parse_poly(fetch(args.a), pair_space(n)))
+def _cmd_theorem2(args) -> _Outcome:
+    raw = args.a
     report = theorem2_pipeline(
         raw,
         fit_degree=args.fit_degree,
@@ -364,7 +371,7 @@ def _cmd_theorem2(args, fetch) -> _Outcome:
     witness = None
     if report.residual_witness is not None:
         exps, coeff = report.residual_witness
-        witness = {"residual": str(Poly.monomial(pair_space(n), exps, coeff))}
+        witness = {"residual": format_term(raw.a.space, exps, coeff)}
     if report.failure:
         witness = dict(witness or {}, message=report.failure)
     status = "ok" if report.passed else "fail"
@@ -385,9 +392,8 @@ def _cmd_theorem2(args, fetch) -> _Outcome:
     return _Outcome(status, result=result, witness=witness, defects=defects, human="\n".join(human_lines))
 
 
-def _cmd_coeffs(args, fetch) -> _Outcome:
-    raw = RawLieKernel(args.n, parse_poly(fetch(args.a), pair_space(args.n)))
-    table = bidiff_coefficients(raw, args.rmax, args.smax)
+def _cmd_coeffs(args) -> _Outcome:
+    table = bidiff_coefficients(args.a, args.rmax, args.smax)
     nonzero = {
         f"{r},{j},{s},{k}": str(c)
         for (r, j, s, k), c in sorted(table.items())
@@ -406,21 +412,46 @@ def _cmd_coeffs(args, fetch) -> _Outcome:
 # -- dispatch ----------------------------------------------------------------
 
 
+def _command(handler, help_text, *operands, **sizes):
+    return handler, help_text, operands, sizes
+
+
+# Each subcommand: its handler, its help, its expression operands ("--a" an
+# option, "g?" an optional positional, "--kernel" the kernel options) and its
+# non-negative sizes with their defaults.
 _HANDLERS = {
-    "star": _cmd_product,
-    "bracket": _cmd_product,
-    "poisson": _cmd_poisson,
-    "limit": _cmd_limit,
-    "u-map": _cmd_u_map,
-    "oracle": _cmd_oracle,
-    "check-cocycle": _cmd_check_cocycle,
-    "factorize": _cmd_factorize,
-    "center": _cmd_center,
-    "check-lie": _cmd_check_lie,
-    "extract-omega": _cmd_extract_omega,
-    "classify-h": _cmd_classify_h,
-    "theorem2": _cmd_theorem2,
-    "coeffs": _cmd_coeffs,
+    "star": _command(_cmd_product, "star product of two phase-space polynomials", "--kernel", "f", "g"),
+    "bracket": _command(_cmd_product, "bracket (star commutator over 2*mu)", "--kernel", "f", "g"),
+    "poisson": _command(_cmd_product, "canonical Poisson bracket", "f", "g"),
+    "limit": _command(_cmd_limit, "classical limit: substitute mu = 0", "f"),
+    "u-map": _command(_cmd_u_map, "apply the ordering-change map exp(chi(-i d/dz))", "--chi", "f"),
+    "oracle": _command(_cmd_oracle, "operator route: quantize, multiply, map back", "f", "g?"),
+    "check-cocycle": _command(_cmd_check_cocycle, "check a kernel exponent for associativity", "--b"),
+    "factorize": _command(
+        _cmd_factorize, "factor an associative exponent into (chi, M, Darboux data)", "--b"
+    ),
+    "center": _command(
+        _cmd_center, "monomial basis of the center, up to a degree bound", "--b", max_degree=2
+    ),
+    "check-lie": _command(
+        _cmd_check_lie,
+        "check bracket-kernel axioms (antisymmetry, Jacobi, constants)",
+        "--a",
+        truncation_degree=None,
+    ),
+    "extract-omega": _command(
+        _cmd_extract_omega, "read the antisymmetric matrix omega off a bracket kernel", "--a"
+    ),
+    "classify-h": _command(_cmd_classify_h, "classify an odd coefficient list a1, a3, ...", "--series"),
+    "theorem2": _command(
+        _cmd_theorem2,
+        "full bracket-kernel classification pipeline",
+        "--a",
+        fit_degree=6,
+        center_degree=2,
+        verify_degree=None,
+    ),
+    "coeffs": _command(_cmd_coeffs, "bidifferential coefficient table (n = 1)", "--a", rmax=4, smax=4),
 }
 
 
@@ -450,6 +481,11 @@ def _at_least(low: int, high: int | None = None):
     return parse
 
 
+def _override(text: str) -> str | None:
+    """An empty --chi or --m override keeps the built-in kernel's value."""
+    return text or None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="moyal",
@@ -460,86 +496,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--stdin",
         action="store_true",
-        help="read '-' expression arguments from standard input, one per line",
+        help="read '-' expression arguments (--chi, --m, --series, f, g, --a, --b) "
+        "from standard input, one line each, in that order",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    size = _at_least(0)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for command, (_, help_text, operands, sizes) in _HANDLERS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--n", type=_at_least(1, MAX_N), default=1, help="configuration dimension")
-        return p
-
-    def add_kernel_options(p):
-        p.add_argument(
-            "--kernel",
-            choices=["moyal", "standard"],
-            default="moyal",
-            help="built-in kernel (chi = 0 resp. mu*sum u_i u_{n+i}; M = mu*J)",
-        )
-        p.add_argument("--chi", help="override chi (expression in u1..u2n)")
-        p.add_argument(
-            "--m",
-            help="override M: semicolon-separated rows of comma-separated "
-            "constant expressions",
-        )
-
-    p = add("star", "star product of two phase-space polynomials")
-    add_kernel_options(p)
-    p.add_argument("f")
-    p.add_argument("g")
-
-    p = add("bracket", "bracket (star commutator over 2*mu)")
-    add_kernel_options(p)
-    p.add_argument("f")
-    p.add_argument("g")
-
-    p = add("poisson", "canonical Poisson bracket")
-    p.add_argument("f")
-    p.add_argument("g")
-
-    p = add("limit", "classical limit: substitute mu = 0")
-    p.add_argument("f")
-
-    p = add("u-map", "apply the ordering-change map exp(chi(-i d/dz))")
-    p.add_argument("--chi", required=True, help="chi (expression in u1..u2n)")
-    p.add_argument("f")
-
-    p = add("oracle", "operator route: quantize, multiply, map back")
-    p.add_argument("f")
-    p.add_argument("g", nargs="?")
-
-    p = add("check-cocycle", "check a kernel exponent for associativity")
-    p.add_argument("--b", required=True, help="exponent b over u, v slots")
-
-    p = add("factorize", "factor an associative exponent into (chi, M, Darboux data)")
-    p.add_argument("--b", required=True)
-
-    p = add("center", "monomial basis of the center, up to a degree bound")
-    p.add_argument("--b", required=True)
-    p.add_argument("--max-degree", type=size, default=2)
-
-    p = add("check-lie", "check bracket-kernel axioms (antisymmetry, Jacobi, constants)")
-    p.add_argument("--a", required=True, help="kernel A over u, v slots")
-    p.add_argument("--truncation-degree", type=size, default=None)
-
-    p = add("extract-omega", "read the antisymmetric matrix omega off a bracket kernel")
-    p.add_argument("--a", required=True)
-
-    p = add("classify-h", "classify an odd coefficient list a1, a3, ...")
-    p.add_argument("--series", required=True, help="comma-separated constants")
-
-    p = add("theorem2", "full bracket-kernel classification pipeline")
-    p.add_argument("--a", required=True)
-    p.add_argument("--fit-degree", type=size, default=6)
-    p.add_argument("--center-degree", type=size, default=2)
-    p.add_argument("--verify-degree", type=size, default=None)
-
-    p = add("coeffs", "bidifferential coefficient table (n = 1)")
-    p.add_argument("--a", required=True)
-    p.add_argument("--rmax", type=size, default=4)
-    p.add_argument("--smax", type=size, default=4)
-
+        for operand in operands:
+            name = operand.strip("-?")
+            if operand == "--kernel":
+                p.add_argument(
+                    "--kernel",
+                    choices=["moyal", "standard"],
+                    default="moyal",
+                    help="built-in kernel (chi = 0 resp. mu*sum u_i u_{n+i}; M = mu*J)",
+                )
+                for option in ("chi", "m"):
+                    help_text = f"override {_EXPRESSIONS[option][1]}"
+                    p.add_argument(f"--{option}", type=_override, help=help_text)
+            elif operand.startswith("--"):
+                p.add_argument(operand, required=True, help=_EXPRESSIONS[name][1])
+            else:
+                nargs = "?" if operand.endswith("?") else None
+                p.add_argument(name, nargs=nargs, help=_EXPRESSIONS[name][1])
+        for size, default in sizes.items():
+            p.add_argument("--" + size.replace("_", "-"), type=_at_least(0), default=default)
     return parser
 
 
@@ -585,7 +567,8 @@ def run(argv=None) -> int:
         fetch = _stdin_reader() if args.stdin else (lambda value: value)
         try:
             with _degree_guard_from_env():
-                outcome = _HANDLERS[command](args, fetch)
+                _parse_expressions(args, fetch)
+                outcome = _HANDLERS[command][0](args)
         except ExpressionError as err:
             outcome = _Outcome("error", witness={"message": str(err), "token": err.token}, human=f"error: {err}")
         except (MoyalError, ValueError, ZeroDivisionError) as err:

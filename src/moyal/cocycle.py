@@ -303,6 +303,8 @@ def center_basis(raw: RawKernelExponent, max_degree: int) -> list[Poly]:
     kernel of the antisymmetric form, so every commutator term carries a
     vanishing factor.  For nondegenerate M only the constants remain.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
     return dual_monomials(raw.n, factorize(raw).kernel_basis, max_degree)
 
 

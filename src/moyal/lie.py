@@ -55,7 +55,7 @@ from typing import Sequence
 
 from . import scalars
 from .cocycle import check_monomial_count, dual_monomials
-from .errors import MoyalError, SpaceMismatchError
+from .errors import DimensionMismatchError, MoyalError, SpaceMismatchError
 from .linalg import Matrix, Vector
 from .poly import (
     DiffOp,
@@ -111,6 +111,8 @@ class RawLieKernel:
 
 def exp_truncated(p: Poly, max_degree: int) -> Poly:
     """exp(p) truncated at total degree max_degree; p must have no constant term."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
     if p.constant_term():
         raise ValueError("exponent must have zero constant term")
     out = Poly.one(p.space)
@@ -255,6 +257,8 @@ def lie_axiom_check(
     `truncation_degree` is given and the defect lives entirely above total
     degree truncation_degree + 2 (the signature of a truncated valid kernel).
     """
+    if truncation_degree is not None and truncation_degree < 0:
+        raise ValueError("truncation_degree must be non-negative")
     n = raw.n
     a = raw.a
 
@@ -426,6 +430,8 @@ class StructuredLieKernel:
     def __post_init__(self):
         if self.chi.space != sigma_space(self.n):
             raise SpaceMismatchError("chi must live on sigma space")
+        if self.omega.nrows != 2 * self.n or self.omega.ncols != 2 * self.n:
+            raise DimensionMismatchError("omega must be 2n x 2n")
         if not self.omega.is_antisymmetric:
             raise ValueError("omega must be antisymmetric")
 
@@ -614,6 +620,8 @@ def theorem2_pipeline(
     reproduces the kernel exactly through fit_degree.  Degenerate omega:
     enumerate and verify center generators instead.
     """
+    if min(fit_degree, center_degree, verify_degree or 0) < 0:
+        raise ValueError("fit_degree, center_degree and verify_degree must be non-negative")
     axioms = lie_axiom_check(raw, truncation_degree=fit_degree)
     report = partial(Theorem2Report, n=raw.n, fit_degree=fit_degree, axioms=axioms)
     if not axioms.passed:

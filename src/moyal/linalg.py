@@ -26,6 +26,8 @@ class Matrix:
         width = {len(r) for r in self.rows}
         if len(width) > 1:
             raise ValueError("ragged rows")
+        if not all(isinstance(c, Coefficient) for row in self.rows for c in row):
+            raise TypeError("matrix entries must be Coefficients")
         self._hash = None
 
     @classmethod

@@ -74,9 +74,7 @@ class NCPoly:
 
     @classmethod
     def word(cls, n: int, exps: Exponents, coeff=scalars.ONE) -> "NCPoly":
-        if not coeff:
-            return cls(n, {})
-        return cls(n, {tuple(exps): coeff})
+        return cls(n, Poly.monomial(operator_space(n), exps, coeff).terms)
 
     @classmethod
     def generator(cls, n: int, name: str) -> "NCPoly":

@@ -193,11 +193,7 @@ class Poly:
         terms: dict[Exponents, Coefficient] = {}
         width = len(space)
         for exps, coeff in items:
-            exps = tuple(exps)
-            if len(exps) != width:
-                raise SpaceMismatchError(
-                    f"exponent tuple {exps} does not fit a {width}-variable space"
-                )
+            exps = _check_exponents(exps, width)
             acc = terms.get(exps)
             coeff = coeff if acc is None else acc + coeff
             if coeff:
@@ -231,11 +227,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, space: Space, exps: Exponents, coeff: Coefficient = scalars.ONE) -> "Poly":
-        exps = tuple(exps)
-        if len(exps) != len(space):
-            raise SpaceMismatchError(
-                f"exponent tuple {exps} does not fit a {len(space)}-variable space"
-            )
+        exps = _check_exponents(exps, len(space))
         if not coeff:
             return cls(space, {})
         return cls(space, {exps: coeff})
@@ -470,6 +462,17 @@ class Poly:
 
     def __repr__(self):
         return f"Poly[{', '.join(self.space.names)}]({self})"
+
+
+def _check_exponents(exps, width: int) -> Exponents:
+    """exps as a tuple; SpaceMismatchError unless it has `width` entries,
+    ValueError if one is negative."""
+    exps = tuple(exps)
+    if len(exps) != width:
+        raise SpaceMismatchError(f"exponent tuple {exps} does not fit a {width}-variable space")
+    if exps and min(exps) < 0:
+        raise ValueError(f"exponent tuple {exps} has a negative entry")
+    return exps
 
 
 def format_term(space: Space, exps: Exponents, coeff: Coefficient) -> str:

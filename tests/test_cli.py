@@ -189,6 +189,31 @@ class TestProtocol:
         assert code == 0
         assert out.strip() == "q1*p1 + mu"
 
+    @pytest.mark.parametrize(
+        "argv, lines, expected",
+        [
+            # Stdin lines go to --chi, --m, --series, f, g, --a, --b in that
+            # order, whatever the order on the command line.
+            (
+                ["star", "--m", "-", "--chi", "-", "-", "-"],
+                "u1*u2\n0, mu; -mu, 0\nq1\np1\n",
+                "q1*p1 + mu + 1",
+            ),
+            (["star", "--chi", "-", "q1", "-"], "u1^2\nq1\n", "q1^2 + 2"),
+            (["u-map", "--chi", "-", "-"], "mu*u1*u2\nq1*p1\n", "q1*p1 - mu"),
+            (["classify-h", "--series", "-"], "1, mu^2/6\n", "sinh: mu^2 = mu^2, scale (c*mu) = 1"),
+        ],
+        ids=["star-m-chi", "star-chi", "u-map", "classify-h"],
+    )
+    def test_stdin_reaches_every_expression_argument(
+        self, capsys, monkeypatch, argv, lines, expected
+    ):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        code, out, _ = invoke(capsys, "--stdin", *argv)
+        assert (code, out.strip()) == (0, expected)
+
     def test_degree_guard_env(self, capsys, monkeypatch):
         from moyal.poly import get_degree_guard, set_degree_guard
 

@@ -255,3 +255,7 @@ class TestCenterBasis:
         assert len(center_basis(zero, max_degree=2)) == 28
         with pytest.raises(ValueError, match="12376 monomials"):
             center_basis(zero, max_degree=11)
+
+    def test_negative_degree_is_refused(self):
+        with pytest.raises(ValueError, match="max_degree must be non-negative"):
+            center_basis(raw("mu*(v1*u2 - v2*u1)"), max_degree=-1)

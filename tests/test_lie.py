@@ -7,7 +7,7 @@ import pytest
 
 from conftest import monomials, random_gauge_chi
 from moyal import scalars
-from moyal.errors import MoyalError
+from moyal.errors import DimensionMismatchError, MoyalError
 from moyal.expressions import parse_coefficient, parse_poly, parse_series
 from moyal.lie import (
     HClass,
@@ -19,6 +19,7 @@ from moyal.lie import (
     bracket_kernel_of,
     center_generators_from_kernel,
     classify_h,
+    exp_truncated,
     extract_omega,
     jacobi_defect,
     lie_axiom_check,
@@ -274,6 +275,45 @@ class TestBidiffTable:
     def test_rejects_higher_dimension(self):
         with pytest.raises(ValueError):
             bidiff_coefficients(raw(parse_poly("v1*u3 - v3*u1", pair_space(2)), n=2), 2, 2)
+
+
+# (v1*u2 - v2*u1)*(1 + u1*v1) breaks Jacobi; at fit degree -3 it read "poisson-class".
+NOT_LIE = raw(WEDGE * parse_poly("1 + u1*v1", PAIR))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: theorem2_pipeline(NOT_LIE, -3),
+        lambda: theorem2_pipeline(NOT_LIE, 4, center_degree=-1),
+        lambda: theorem2_pipeline(NOT_LIE, 4, verify_degree=-1),
+        lambda: lie_axiom_check(NOT_LIE, truncation_degree=-1),
+        lambda: exp_truncated(parse_poly("u1", sigma_space(1)), -1),
+    ],
+    ids=["fit", "center", "verify", "truncation", "exp"],
+)
+def test_negative_degrees_are_refused(call):
+    with pytest.raises(ValueError, match="must be non-negative"):
+        call()
+
+
+def test_not_lie_kernel_is_a_violation_untruncated():
+    assert lie_axiom_check(NOT_LIE).jacobi_status == "violation"
+
+
+def test_structured_kernel_omega_must_be_2n_by_2n():
+    chi = Poly.zero(sigma_space(2))
+    with pytest.raises(DimensionMismatchError, match="omega must be 2n x 2n"):
+        StructuredLieKernel(1, Poly.zero(sigma_space(1)), Matrix([[ZERO]]), (ONE,))
+    with pytest.raises(DimensionMismatchError, match="omega must be 2n x 2n"):
+        StructuredLieKernel(2, chi, Matrix.canonical_symplectic(1), (ONE,))
+    StructuredLieKernel(2, chi, Matrix.canonical_symplectic(2), (ONE,)).expand(4)
+
+
+def test_matrix_entries_must_be_coefficients():
+    with pytest.raises(TypeError, match="must be Coefficients"):
+        Matrix([[1, 2], [3, 4]])
+    assert Matrix([[ONE, ZERO], [ZERO, ONE]]).rank() == 2
 
 
 class TestBracketApplication:

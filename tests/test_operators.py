@@ -14,7 +14,7 @@ import pytest
 
 from conftest import monomial_tuples, random_poly
 from moyal import scalars
-from moyal.errors import DegreeGuardError
+from moyal.errors import DegreeGuardError, SpaceMismatchError
 from moyal.expressions import parse_poly
 from moyal.operators import NCPoly, nc_mul, weyl_quantize, weyl_symbol
 from moyal.poly import Poly, degree_guard, phase_space, sigma_space
@@ -25,6 +25,16 @@ Q = Poly.variable(SP, "q1")
 P = Poly.variable(SP, "p1")
 QH = NCPoly.generator(1, "qh1")
 PH = NCPoly.generator(1, "ph1")
+
+
+def test_word_must_be_2n_long_and_non_negative():
+    # (1, 2, 3) printed qh1*ph1^2 and dropped the third entry.
+    with pytest.raises(SpaceMismatchError):
+        NCPoly.word(1, (1, 2, 3))
+    with pytest.raises(ValueError, match="negative"):
+        NCPoly.word(1, (1, -2))
+    assert str(NCPoly.word(1, (1, 2))) == "qh1*ph1^2"
+    assert NCPoly.word(2, (0, 1, 0, 0), scalars.ZERO) == NCPoly.zero(2)
 
 
 def symmetrize_word(n: int, exps) -> NCPoly:

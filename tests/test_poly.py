@@ -204,6 +204,15 @@ def test_monomial_rejects_wrong_arity():
     assert list(Poly.constant(phase_space(2), scalars.MU).terms) == [(0, 0, 0, 0)]
 
 
+def test_monomials_reject_negative_exponents():
+    # q1^-1 would print, and star with p1 would return q1^-1*p1.
+    with pytest.raises(ValueError, match="negative"):
+        Poly.monomial(SP, (-1, 0))
+    with pytest.raises(ValueError, match="negative"):
+        Poly.from_terms(SP, [((1, 0), scalars.ONE), ((0, -2), scalars.ONE)])
+    assert Poly.from_terms(SP, [((1, 0), scalars.ONE), ((1, 0), scalars.MINUS_ONE)]).is_zero
+
+
 def test_powers_respect_the_degree_guard():
     one_plus_mu = Poly.constant(SP, scalars.ONE + scalars.MU)
     with degree_guard(8):

@@ -1,7 +1,9 @@
 """Source checks: imports stay at module level, no module imports another
 moyal module's underscore-prefixed names, every lru_cache is bounded, only
 poly.py reads or enforces the degree guard itself, only scalars.py calls the
-trusted scalar constructors, and the package declares no runtime dependency."""
+trusted scalar constructors, in cli.py only the expression table and its pass
+read and parse expression arguments, and the package declares no runtime
+dependency."""
 
 import ast
 from pathlib import Path
@@ -17,6 +19,25 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 GUARD_NAMES = {"get_degree_guard", "DegreeGuardError"}
 # They skip normalisation: canonical form, == and hash have one owner.
 TRUSTED_CONSTRUCTORS = {"Coefficient", "MuPoly"}
+# A handler that read its own expression would skip --stdin.
+EXPRESSION_READERS = {"parse_poly", "parse_coefficient", "parse_series", "fetch"}
+EXPRESSION_SCOPES = {"_EXPRESSIONS", "_parse_expressions"}
+
+
+def _called_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _expression_violations(tree):
+    for stmt in tree.body:
+        targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+        scopes = {getattr(stmt, "name", None)} | {getattr(t, "id", None) for t in targets}
+        if scopes & EXPRESSION_SCOPES:
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and _called_name(node) in EXPRESSION_READERS:
+                yield node.lineno, f"{_called_name(node)} called outside the expression table"
 
 
 def _violations(tree, module=""):
@@ -35,8 +56,7 @@ def _violations(tree, module=""):
                     yield node.lineno, f"private name {alias.name} imported"
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        name = _called_name(node)
         if name in GUARD_NAMES and module != "poly.py":
             yield node.lineno, f"{name} called outside poly.py"
         if name in TRUSTED_CONSTRUCTORS and module != "scalars.py":
@@ -46,6 +66,8 @@ def _violations(tree, module=""):
         sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
         if any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
             yield node.lineno, "unbounded lru_cache"
+    if module == "cli.py":
+        yield from _expression_violations(tree)
 
 
 def test_sources_are_found():
@@ -87,6 +109,21 @@ def test_checker_allows_public_and_foreign_names():
     trusted = "c = Coefficient(MuPoly((2,)), MU_POLY_ONE)\nd = Coefficient.make(c.num, c.den)\n"
     assert list(_violations(ast.parse(trusted), "scalars.py")) == []
     assert list(_violations(ast.parse("d = Coefficient.make(num, den)\n"))) == []
+
+
+def test_checker_keeps_expression_parsing_in_the_cli_table():
+    handler = "def _cmd_limit(args, fetch):\n    return parse_poly(fetch(args.f), space)\n"
+    assert [what for _, what in _violations(ast.parse(handler), "cli.py")] == [
+        "parse_poly called outside the expression table",
+        "fetch called outside the expression table",
+    ]
+    assert list(_violations(ast.parse(handler), "star.py")) == []
+    table = (
+        '_EXPRESSIONS = {"f": (lambda text, n: parse_poly(text, phase_space(n)), None)}\n'
+        "def _parse_expressions(args, fetch):\n"
+        "    args.f = _EXPRESSIONS['f'][0](fetch(args.f), args.n)\n"
+    )
+    assert list(_violations(ast.parse(table), "cli.py")) == []
 
 
 def test_no_runtime_dependencies():
