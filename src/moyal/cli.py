@@ -481,11 +481,6 @@ def _at_least(low: int, high: int | None = None):
     return parse
 
 
-def _override(text: str) -> str | None:
-    """An empty --chi or --m override keeps the built-in kernel's value."""
-    return text or None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="moyal",
@@ -514,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
                 )
                 for option in ("chi", "m"):
                     help_text = f"override {_EXPRESSIONS[option][1]}"
-                    p.add_argument(f"--{option}", type=_override, help=help_text)
+                    p.add_argument(f"--{option}", help=help_text)
             elif operand.startswith("--"):
                 p.add_argument(operand, required=True, help=_EXPRESSIONS[name][1])
             else:

@@ -51,14 +51,36 @@ class NCPoly:
 
     terms maps (q-exponents + p-exponents) words to nonzero coefficients.
     Addition, scaling and printing are those of the commutative `Poly` over
-    the generator names; only the product, `nc_mul`, differs.
+    the generator names; only the product, `nc_mul`, differs.  The
+    constructor checks its input and drops zero coefficients; the package's
+    own results wrap their `Poly` as it is (`_from_poly`).
     """
 
     __slots__ = ("n", "poly")
 
     def __init__(self, n: int, terms: dict[Exponents, scalars.Coefficient]):
+        if type(n) is not int or n < 1:
+            raise ValueError(f"operator dimension must be an int of at least 1, got {n!r}")
+        width = 2 * n
+        for word, coeff in terms.items():
+            if not (
+                type(word) is tuple
+                and len(word) == width
+                and all(type(e) is int and e >= 0 for e in word)
+            ):
+                raise ValueError(f"word {word!r} is not {width} non-negative ints")
+            if not isinstance(coeff, scalars.Coefficient):
+                raise TypeError(f"coefficient {coeff!r} of word {word} is not a Coefficient")
         self.n = n
-        self.poly = Poly(operator_space(n), terms)
+        self.poly = Poly(operator_space(n), {w: c for w, c in terms.items() if c})
+
+    @classmethod
+    def _from_poly(cls, n: int, poly: Poly) -> "NCPoly":
+        """Trusted: `poly` is already over operator_space(n)."""
+        x = object.__new__(cls)
+        x.n = n
+        x.poly = poly
+        return x
 
     @property
     def terms(self) -> dict[Exponents, scalars.Coefficient]:
@@ -74,7 +96,7 @@ class NCPoly:
 
     @classmethod
     def word(cls, n: int, exps: Exponents, coeff=scalars.ONE) -> "NCPoly":
-        return cls(n, Poly.monomial(operator_space(n), exps, coeff).terms)
+        return cls._from_poly(n, Poly.monomial(operator_space(n), exps, coeff))
 
     @classmethod
     def generator(cls, n: int, name: str) -> "NCPoly":
@@ -87,7 +109,7 @@ class NCPoly:
         return cls.word(n, tuple(exps))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.poly)
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
@@ -99,14 +121,14 @@ class NCPoly:
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         self._check(other)
-        return NCPoly(self.n, (self.poly + other.poly).terms)
+        return NCPoly._from_poly(self.n, self.poly + other.poly)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         self._check(other)
-        return NCPoly(self.n, (self.poly - other.poly).terms)
+        return NCPoly._from_poly(self.n, self.poly - other.poly)
 
     def scale(self, coeff: scalars.Coefficient) -> "NCPoly":
-        return NCPoly(self.n, self.poly.scale(coeff).terms)
+        return NCPoly._from_poly(self.n, self.poly.scale(coeff))
 
     def _check(self, other: "NCPoly"):
         if self.n != other.n:
@@ -159,6 +181,8 @@ def nc_mul(x: NCPoly, y: NCPoly) -> NCPoly:
     """The operator product, rewritten to canonical (q-left) order. Exact."""
     x._check(y)
     check_degree(x.poly.total_degree() + y.poly.total_degree(), "operand")
+    if x.poly.is_deferred or y.poly.is_deferred:
+        return _nc_mul_numerators(x, y)
     n = x.n
     terms: dict[Exponents, scalars.Coefficient] = {}
     reorder: dict[tuple[int, int], ReorderSteps] = {}
@@ -166,9 +190,7 @@ def nc_mul(x: NCPoly, y: NCPoly) -> NCPoly:
         for w2, c2 in y.terms.items():
             scale = c1 * c2
             if scale.den is not MU_POLY_ONE:
-                (p, dx), (q, dy) = x.poly.split_denominator(), y.poly.split_denominator()
-                product = nc_mul(NCPoly(n, p.terms), NCPoly(n, q.terms))
-                return NCPoly(n, product.poly.over(dx * dy).terms)
+                return _nc_mul_numerators(x, y)
             for word, coeff in _word_product(n, w1, w2, scale, reorder):
                 acc = terms.get(word)
                 coeff = coeff if acc is None else acc + coeff
@@ -176,7 +198,14 @@ def nc_mul(x: NCPoly, y: NCPoly) -> NCPoly:
                     terms[word] = coeff
                 else:
                     del terms[word]
-    return NCPoly(n, terms)
+    return NCPoly._from_poly(n, Poly(operator_space(n), terms))
+
+
+def _nc_mul_numerators(x: NCPoly, y: NCPoly) -> NCPoly:
+    n = x.n
+    (p, dx), (q, dy) = x.poly.split_denominator(), y.poly.split_denominator()
+    product = nc_mul(NCPoly._from_poly(n, p), NCPoly._from_poly(n, q))
+    return NCPoly._from_poly(n, product.poly.over(dx * dy))
 
 
 def _transition_op(n: int, sign: int) -> DiffOp:
@@ -199,11 +228,9 @@ def weyl_quantize(f: Poly) -> NCPoly:
     """
     n = phase_dimension(f.space)
     shifted = _transition_op(n, -1).apply_exp(f)
-    return NCPoly(n, dict(shifted.terms))
+    return NCPoly._from_poly(n, shifted.in_space(operator_space(n)))
 
 
 def weyl_symbol(op: NCPoly) -> Poly:
     """The two-sided inverse of weyl_quantize on polynomials."""
-    space = phase_space(op.n)
-    raw = Poly(space, dict(op.terms))
-    return _transition_op(op.n, +1).apply_exp(raw)
+    return _transition_op(op.n, +1).apply_exp(op.poly.in_space(phase_space(op.n)))

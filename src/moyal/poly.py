@@ -22,19 +22,26 @@ the target's total degree.
 
 Denominators.  Adding two coefficients over different denominators runs
 Euclid over Q(i)[mu], so the accumulation loops do not add rational
-coefficients.  `split_denominator` turns p into (P, D): D is the monic lcm of
-the coefficient denominators and P = D*p has coefficients polynomial in mu.
-`P.over(D)` divides back with one `Coefficient.make` per term, by the term's
-own denominator times D, since a kernel piece may bring denominators of its
-own.  The bilinear loops (`Poly.mul_truncated`, `star.BiDiff` and
-`operators.nc_mul`) split at the first pair of terms whose product has a
-denominator: they split both operands, run the same loop on P and Q and
-return `.over(Dp*Dq)`.  Operands without denominators pay one identity test
-per pair.  They do not split on entry: the usual operand is a monomial with
-no denominator, and splitting both operands up front would cost about a
-quarter of a memoised monomial `star`.  The linear `DiffOp.apply_once` and
-`apply_exp` split their target on entry, one test per term.  Every output is canonical, so it equals the
-per-term sum exactly.
+coefficients.  `split_denominator` turns p into (P, D): D is a monic common
+denominator of the coefficients and P = D*p has coefficients polynomial in
+mu.  `P.over(D)` divides back.  When every coefficient of P is polynomial in
+mu (and D is monic) the quotient is deferred: it holds (P, D) and builds its
+canonical terms, one `Coefficient.make` per term, only when they are first
+read.  Splitting a deferred value returns its (P, D) as they are, so a chain
+of products (`u_map(star(f, g))`, the Weyl route through `nc_mul`) divides
+each output coefficient once, at the end, and the stages in between run no
+gcd.  Otherwise `over` divides every term at once, by the term's own
+denominator times D, since a kernel piece may bring denominators of its own.
+The bilinear loops (`Poly.mul_truncated`, `star.BiDiff` and
+`operators.nc_mul`) split both operands up front when one of them is
+deferred; an ordinary operand is split only at the first pair of terms whose
+product has a denominator, after which the loop runs on P and Q and returns
+`.over(Dp*Dq)`.  Operands without denominators pay one identity test per
+pair: the usual operand is a monomial with no denominator, and splitting
+both operands up front would cost about a quarter of a memoised monomial
+`star`.  The linear `DiffOp.apply_once` and `apply_exp` split their target
+on entry, one test per term.  Values, `==`, `hash` and `str` do not depend
+on whether the division has happened yet.
 
 A configurable total-degree guard (default 64) makes runaway computations
 fail fast instead of exhausting memory.  The bound is a context variable, so
@@ -176,9 +183,16 @@ def _graded_key(exps: Exponents):
 
 
 class Poly:
-    """A sparse polynomial: {exponent tuple: nonzero Coefficient} over a Space."""
+    """A sparse polynomial: {exponent tuple: nonzero Coefficient} over a Space.
+
+    A value returned by `over` may be deferred (`is_deferred`): it fills its
+    `terms` on first read and keeps them, as `_hash` is kept.  The fill is
+    per object and idempotent, and two threads reading at once at worst both
+    build the same dict, so a deferred value is as safe to share as any other.
+    """
 
     __slots__ = ("space", "terms", "_hash")
+    is_deferred = False
 
     def __init__(self, space: Space, terms: dict[Exponents, Coefficient]):
         # Trusted constructor: `terms` must already be clean (no zeros).
@@ -239,7 +253,7 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -305,6 +319,8 @@ class Poly:
     def mul_truncated(self, other: "Poly", max_degree: int) -> "Poly":
         """(self * other).truncate_degree(max_degree), skipping every pair above the bound."""
         self._check_space(other)
+        if self.is_deferred or other.is_deferred:
+            return self._mul_numerators(other, max_degree)
         if not self.terms or not other.terms:
             return Poly(self.space, {})
         check_degree(self.total_degree() + other.total_degree(), "product")
@@ -317,8 +333,7 @@ class Poly:
                     break
                 c = c1 * c2
                 if c.den is not MU_POLY_ONE:
-                    (p, dp), (q, dq) = self.split_denominator(), other.split_denominator()
-                    return p.mul_truncated(q, max_degree).over(dp * dq)
+                    return self._mul_numerators(other, max_degree)
                 exps = tuple(map(int.__add__, e1, e2))
                 acc = terms.get(exps)
                 c = c if acc is None else acc + c
@@ -327,6 +342,10 @@ class Poly:
                 else:
                     terms.pop(exps, None)
         return Poly(self.space, terms)
+
+    def _mul_numerators(self, other: "Poly", max_degree: int) -> "Poly":
+        (p, dp), (q, dq) = self.split_denominator(), other.split_denominator()
+        return p.mul_truncated(q, max_degree).over(dp * dq)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -348,10 +367,12 @@ class Poly:
         return out
 
     def split_denominator(self) -> tuple["Poly", MuPoly]:
-        """(P, D) with D the monic lcm of the coefficient denominators and P = D * self.
+        """(P, D) with D a monic common denominator of the coefficients and P = D * self.
 
-        The coefficients of P are polynomial in mu.  Without denominators this
-        is (self, MU_POLY_ONE) and nothing is built.
+        The coefficients of P are polynomial in mu.  D is the lcm of the
+        coefficient denominators unless self is deferred: then (P, D) is the
+        pair it was built from, returned without a gcd.  Without denominators
+        this is (self, MU_POLY_ONE) and nothing is built.
         """
         den = scalars.common_denominator(self.terms.values())
         if den is MU_POLY_ONE:
@@ -359,10 +380,26 @@ class Poly:
         return Poly(self.space, {e: c.cleared(den) for e, c in self.terms.items()}), den
 
     def over(self, den: MuPoly) -> "Poly":
-        """self / den, with one canonical `Coefficient.make` per term."""
-        if den.is_one:
+        """self / den for a nonzero polynomial den.
+
+        When every coefficient is polynomial in mu and den is monic, the
+        quotient is deferred: the division happens when its terms are first
+        read.  Otherwise every term is divided now, one `Coefficient.make`
+        each.  A zero den raises ZeroDivisionError here, either way.
+        """
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if den.is_one or not self.terms:
             return self
+        if den.monic() is den and all(c.den is MU_POLY_ONE for c in self.terms.values()):
+            return _Deferred(self, den)
         return Poly(self.space, {e: c.over(den) for e, c in self.terms.items()})
+
+    def in_space(self, space: Space) -> "Poly":
+        """The same terms over another space of the same width."""
+        if len(space) != len(self.space):
+            raise SpaceMismatchError(f"{self.space!r} and {space!r} differ in width")
+        return Poly(space, self.terms)
 
     def scale(self, coeff: Coefficient) -> "Poly":
         if not coeff:
@@ -462,6 +499,60 @@ class Poly:
 
     def __repr__(self):
         return f"Poly[{', '.join(self.space.names)}]({self})"
+
+
+# The slot that a deferred value fills on first read; its property shadows it.
+_TERMS = Poly.terms
+
+
+class _Deferred(Poly):
+    """P / D, kept as the pair until the terms are first read.
+
+    P is an ordinary Poly whose coefficients are polynomial in mu, and D is
+    monic.  Degree, truth, the constant term and further division are
+    answered from P; everything else reads `terms`.
+    """
+
+    __slots__ = ("_numerator", "_denominator")
+    is_deferred = True
+
+    def __init__(self, numerator: Poly, den: MuPoly):
+        self.space = numerator.space
+        self._hash = None
+        self._numerator = numerator
+        self._denominator = den
+
+    @property
+    def terms(self) -> dict[Exponents, Coefficient]:
+        try:
+            return _TERMS.__get__(self)
+        except AttributeError:
+            den = self._denominator
+            terms = {e: c.over(den) for e, c in self._numerator.terms.items()}
+            _TERMS.__set__(self, terms)
+            return terms
+
+    def __bool__(self):
+        return bool(self._numerator)
+
+    def __reduce__(self):
+        # Copies and pickles are ordinary: a slot shadowed by a property cannot be restored.
+        return Poly, (self.space, self.terms)
+
+    def total_degree(self) -> int:
+        return self._numerator.total_degree()
+
+    def constant_term(self) -> Coefficient:
+        return self._numerator.constant_term().over(self._denominator)
+
+    def split_denominator(self) -> tuple[Poly, MuPoly]:
+        return self._numerator, self._denominator
+
+    def over(self, den: MuPoly) -> Poly:
+        return self._numerator.over(self._denominator * den)
+
+    def in_space(self, space: Space) -> Poly:
+        return _Deferred(self._numerator.in_space(space), self._denominator)
 
 
 def _check_exponents(exps, width: int) -> Exponents:

@@ -235,8 +235,10 @@ class BiDiff:
     the centre check, meets each pair once, so a memo would only add inserts.
     Every entry point checks that both operands live on the operator's phase
     space and that their degrees fit the degree guard.  Operands with
-    mu-denominators are run on their numerators and divided once per output
-    term (see poly.py, Denominators).
+    mu-denominators are run on their numerators, and the output is their
+    quotient by the product of the denominators, deferred when it can be, so
+    that a following stage splits it again without a gcd (see poly.py,
+    Denominators).
     """
 
     __slots__ = ("space", "op", "_pairs", "_comms")
@@ -297,6 +299,8 @@ class BiDiff:
                 f"operands must live on phase space of dimension n={len(self.space) // 2}"
             )
         check_degree(f.total_degree() + g.total_degree(), "operand")
+        if f.is_deferred or g.is_deferred:
+            return self._on_numerators(f, g, piece_of)
         terms: dict[Exponents, scalars.Coefficient] = {}
         for ef, cf in f.terms.items():
             for eg, cg in g.terms.items():
@@ -306,8 +310,7 @@ class BiDiff:
                     continue
                 scale = cf * cg
                 if scale.den is not MU_POLY_ONE:
-                    (p, df), (q, dg) = f.split_denominator(), g.split_denominator()
-                    return self._accumulate(p, q, piece_of).over(df * dg)
+                    return self._on_numerators(f, g, piece_of)
                 for exps, coeff in piece.items():
                     coeff = coeff * scale
                     acc = terms.get(exps)
@@ -317,6 +320,12 @@ class BiDiff:
                     else:
                         del terms[exps]
         return Poly(self.space, terms)
+
+    def _on_numerators(
+        self, f: Poly, g: Poly, piece_of: Callable[[Exponents, Exponents], Poly]
+    ) -> Poly:
+        (p, df), (q, dg) = f.split_denominator(), g.split_denominator()
+        return self._accumulate(p, q, piece_of).over(df * dg)
 
 
 @lru_cache(maxsize=64)
@@ -372,5 +381,5 @@ def u_map(f: Poly, chi: Poly) -> Poly:
         raise ValueError("chi must have zero constant term")
     if len(chi.space) != len(f.space):
         raise DimensionMismatchError("chi arity does not match the phase space")
-    op = DiffOp.from_sigma_poly(Poly(f.space, dict(chi.terms)))
+    op = DiffOp.from_sigma_poly(chi.in_space(f.space))
     return op.apply_exp(f)

@@ -172,6 +172,21 @@ class TestProtocol:
         assert code == 2
         assert "column" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["star", "--chi", "", "q1", "p1"], ["star", "--m", "", "q1", "p1"], ["u-map", "--chi", "", "q1"]],
+        ids=["star-chi", "star-m", "u-map-chi"],
+    )
+    @pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+    def test_empty_expression_arguments_are_parse_errors(self, capsys, argv, as_json):
+        message = "line 1, column 1: expected a number, a name, or '('"
+        code, out, err = invoke(capsys, *(["--json"] if as_json else []), *argv)
+        assert code == 2
+        if as_json:
+            assert json.loads(out)["witness"] == {"message": message, "token": ""}
+        else:
+            assert (out, err) == ("", f"error: {message}\n")
+
     def test_unknown_variable_exit_two(self, capsys):
         code, _, err = invoke(capsys, "star", "--n", "1", "q2", "p1")
         assert code == 2

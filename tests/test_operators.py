@@ -37,6 +37,36 @@ def test_word_must_be_2n_long_and_non_negative():
     assert NCPoly.word(2, (0, 1, 0, 0), scalars.ZERO) == NCPoly.zero(2)
 
 
+@pytest.mark.parametrize(
+    "n, terms, error",
+    [
+        (0, {}, ValueError),
+        (-1, {}, ValueError),
+        (1.0, {}, ValueError),
+        (True, {}, ValueError),
+        (1, {(-1, 2): scalars.ONE}, ValueError),
+        (1, {(1, 2, 3): scalars.ONE}, ValueError),
+        (1, {(1,): scalars.ONE}, ValueError),
+        (1, {(1.0, 2): scalars.ONE}, ValueError),
+        (1, {(True, 2): scalars.ONE}, ValueError),
+        (1, {"qp": scalars.ONE}, ValueError),
+        (1, {(1, 2): 1}, TypeError),
+        (1, {(1, 2): Poly.one(SP)}, TypeError),
+    ],
+)
+def test_constructor_rejects_malformed_input(n, terms, error):
+    with pytest.raises(error):
+        NCPoly(n, terms)
+
+
+def test_constructor_drops_zero_coefficients():
+    assert NCPoly(1, {(1, 0): scalars.ZERO}) == NCPoly.zero(1)
+    assert not NCPoly(1, {(1, 0): scalars.ZERO})
+    x = NCPoly(2, {(1, 0, 0, 2): scalars.MU, (0, 1, 0, 0): scalars.ZERO})
+    assert x.terms == {(1, 0, 0, 2): scalars.MU}
+    assert str(x) == "mu*qh1*ph2^2"
+
+
 def symmetrize_word(n: int, exps) -> NCPoly:
     """Average of all distinct letter orderings of qh^a ph^b (oracle)."""
     letters = []

@@ -1,7 +1,8 @@
 """Source checks: imports stay at module level, no module imports another
 moyal module's underscore-prefixed names, every lru_cache is bounded, only
-poly.py reads or enforces the degree guard itself, only scalars.py calls the
-trusted scalar constructors, in cli.py only the expression table and its pass
+poly.py reads or enforces the degree guard itself, only poly.py reads the
+fields of a deferred polynomial, only scalars.py calls the trusted scalar
+constructors, in cli.py only the expression table and its pass
 read and parse expression arguments, and the package declares no runtime
 dependency."""
 
@@ -17,6 +18,8 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 # Everywhere else the guard is enforced through poly.check_degree.
 GUARD_NAMES = {"get_degree_guard", "DegreeGuardError"}
+# Elsewhere a deferred polynomial is read through split_denominator and terms.
+DEFERRED_FIELDS = {"_numerator", "_denominator"}
 # They skip normalisation: canonical form, == and hash have one owner.
 TRUSTED_CONSTRUCTORS = {"Coefficient", "MuPoly"}
 # A handler that read its own expression would skip --stdin.
@@ -54,6 +57,8 @@ def _violations(tree, module=""):
             for alias in node.names:
                 if alias.name.startswith("_"):
                     yield node.lineno, f"private name {alias.name} imported"
+        if isinstance(node, ast.Attribute) and node.attr in DEFERRED_FIELDS and module != "poly.py":
+            yield node.lineno, f"deferred field {node.attr} read outside poly.py"
         if not isinstance(node, ast.Call):
             continue
         name = _called_name(node)
@@ -95,6 +100,8 @@ def test_no_function_imports_or_unbounded_caches(path):
         "from . import errors\nraise errors.DegreeGuardError('too deep')\n",
         "from .scalars import Coefficient, MU_POLY_ONE\nc = Coefficient(MU_POLY_ONE, MU_POLY_ONE)\n",
         "from . import scalars\np = scalars.MuPoly((1,))\n",
+        "p, den = out._numerator, out._denominator\n",
+        "def f(x):\n    return x._numerator.terms\n",
     ],
 )
 def test_checker_flags_planted_violations(source):
@@ -106,6 +113,8 @@ def test_checker_allows_public_and_foreign_names():
     assert list(_violations(ast.parse(source))) == []
     guard = "guard = get_degree_guard()\nraise DegreeGuardError('too deep')\n"
     assert list(_violations(ast.parse(guard), "poly.py")) == []
+    deferred = "p, den = self._numerator, self._denominator\n"
+    assert list(_violations(ast.parse(deferred), "poly.py")) == []
     trusted = "c = Coefficient(MuPoly((2,)), MU_POLY_ONE)\nd = Coefficient.make(c.num, c.den)\n"
     assert list(_violations(ast.parse(trusted), "scalars.py")) == []
     assert list(_violations(ast.parse("d = Coefficient.make(num, den)\n"))) == []
