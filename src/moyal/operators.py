@@ -2,8 +2,11 @@
 
 This module is the package's independent verification path: operator algebra
 here is pure rewriting with the canonical commutation relation and never
-touches the bidifferential star-product machinery, so agreement between the
-two routes is a genuine cross-check.
+touches the bidifferential star-product machinery (`star.BiDiff`), so
+agreement between the two routes is a genuine cross-check.  `nc_mul` shares
+only the term-pair walk `poly.bilinear` with `Poly` multiplication and the
+star product; the test suite's `oracle_nc_mul` stays the independent
+reference for it.
 
 Operators are polynomials in qh1..qhn, ph1..phn with
 
@@ -31,8 +34,7 @@ from math import comb, factorial
 
 from . import scalars
 from .errors import DimensionMismatchError
-from .poly import DiffOp, Poly, Space, check_degree, phase_space
-from .scalars import MU_POLY_ONE
+from .poly import DiffOp, Pieces, Poly, Space, bilinear, check_degree, phase_space
 from .star import phase_dimension
 
 Exponents = tuple[int, ...]
@@ -100,8 +102,9 @@ class NCPoly:
 
     @classmethod
     def generator(cls, n: int, name: str) -> "NCPoly":
-        """qh<i> or ph<i>."""
-        kind, idx = name[:2], int(name[2:])
+        """qh<i> or ph<i>, with i in ASCII decimal digits and 1 <= i <= n."""
+        kind, digits = name[:2], name[2:]
+        idx = int(digits) if digits.isascii() and digits.isdigit() else 0
         if kind not in ("qh", "ph") or not 1 <= idx <= n:
             raise ValueError(f"unknown generator {name!r}")
         exps = [0] * (2 * n)
@@ -154,58 +157,39 @@ def _reorder_steps(b: int, c: int) -> ReorderSteps:
     ]
 
 
-def _word_product(
-    n: int, w1: Exponents, w2: Exponents, coeff, reorder: dict[tuple[int, int], ReorderSteps]
-):
-    """Multiply canonical words: yields (word, coefficient) pieces.
+def _word_product(n: int) -> Pieces:
+    """(w1, w2) -> the canonical words of w1 * w2 with their coefficients, from ONE.
 
-    `reorder` maps (b_i, c_i) to its `_reorder_steps`; it is filled on demand.
+    The returned function keeps one table from (b_i, c_i) to its
+    `_reorder_steps`, filled on demand.
     """
-    a, b = w1[:n], w1[n:]
-    c, d = w2[:n], w2[n:]
-    pieces = [((), coeff)]
-    for i in range(n):
-        key = (b[i], c[i])
-        steps = reorder.get(key)
-        if steps is None:
-            steps = reorder[key] = _reorder_steps(*key)
-        pieces = [(js + (j,), cf * r) for js, cf in pieces for j, r in steps]
-    for js, cf in pieces:
-        word = tuple(a[i] + c[i] - js[i] for i in range(n)) + tuple(
-            b[i] + d[i] - js[i] for i in range(n)
-        )
-        yield word, cf
+    reorder: dict[tuple[int, int], ReorderSteps] = {}
+
+    def pieces(w1: Exponents, w2: Exponents) -> dict[Exponents, scalars.Coefficient]:
+        a, b = w1[:n], w1[n:]
+        c, d = w2[:n], w2[n:]
+        words = [((), scalars.ONE)]
+        for i in range(n):
+            key = (b[i], c[i])
+            steps = reorder.get(key)
+            if steps is None:
+                steps = reorder[key] = _reorder_steps(*key)
+            words = [(js + (j,), cf * r) for js, cf in words for j, r in steps]
+        return {
+            tuple(a[i] + c[i] - js[i] for i in range(n))
+            + tuple(b[i] + d[i] - js[i] for i in range(n)): cf
+            for js, cf in words
+        }
+
+    return pieces
 
 
 def nc_mul(x: NCPoly, y: NCPoly) -> NCPoly:
     """The operator product, rewritten to canonical (q-left) order. Exact."""
     x._check(y)
     check_degree(x.poly.total_degree() + y.poly.total_degree(), "operand")
-    if x.poly.is_deferred or y.poly.is_deferred:
-        return _nc_mul_numerators(x, y)
     n = x.n
-    terms: dict[Exponents, scalars.Coefficient] = {}
-    reorder: dict[tuple[int, int], ReorderSteps] = {}
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
-            scale = c1 * c2
-            if scale.den is not MU_POLY_ONE:
-                return _nc_mul_numerators(x, y)
-            for word, coeff in _word_product(n, w1, w2, scale, reorder):
-                acc = terms.get(word)
-                coeff = coeff if acc is None else acc + coeff
-                if coeff:
-                    terms[word] = coeff
-                else:
-                    del terms[word]
-    return NCPoly._from_poly(n, Poly(operator_space(n), terms))
-
-
-def _nc_mul_numerators(x: NCPoly, y: NCPoly) -> NCPoly:
-    n = x.n
-    (p, dx), (q, dy) = x.poly.split_denominator(), y.poly.split_denominator()
-    product = nc_mul(NCPoly._from_poly(n, p), NCPoly._from_poly(n, q))
-    return NCPoly._from_poly(n, product.poly.over(dx * dy))
+    return NCPoly._from_poly(n, bilinear(x.poly, y.poly, operator_space(n), _word_product(n)))
 
 
 def _transition_op(n: int, sign: int) -> DiffOp:

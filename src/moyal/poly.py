@@ -32,14 +32,15 @@ of products (`u_map(star(f, g))`, the Weyl route through `nc_mul`) divides
 each output coefficient once, at the end, and the stages in between run no
 gcd.  Otherwise `over` divides every term at once, by the term's own
 denominator times D, since a kernel piece may bring denominators of its own.
-The bilinear loops (`Poly.mul_truncated`, `star.BiDiff` and
-`operators.nc_mul`) split both operands up front when one of them is
-deferred; an ordinary operand is split only at the first pair of terms whose
-product has a denominator, after which the loop runs on P and Q and returns
-`.over(Dp*Dq)`.  Operands without denominators pay one identity test per
-pair: the usual operand is a monomial with no denominator, and splitting
-both operands up front would cost about a quarter of a memoised monomial
-`star`.  The linear `DiffOp.apply_once` and `apply_exp` split their target
+The bilinear products (`Poly.mul_truncated`, `star.BiDiff` and
+`operators.nc_mul`) are one walk, `bilinear`, which differs per caller only
+in the terms it gives each pair.  It splits both operands up front when one
+of them is deferred; ordinary operands are split only at the first pair whose
+coefficient product has a denominator, after which the walk runs on P and Q
+and returns `.over(Dp*Dq)`.  Operands without denominators pay one identity
+test per pair: the usual operand is a monomial with no denominator, and
+splitting both operands up front would cost about a fifth of the `products`
+benchmark.  The linear `DiffOp.apply_once` and `apply_exp` split their target
 on entry, one test per term.  Values, `==`, `hash` and `str` do not depend
 on whether the division has happened yet.
 
@@ -207,7 +208,7 @@ class Poly:
         terms: dict[Exponents, Coefficient] = {}
         width = len(space)
         for exps, coeff in items:
-            exps = _check_exponents(exps, width)
+            exps = _check_term(exps, coeff, width)
             acc = terms.get(exps)
             coeff = coeff if acc is None else acc + coeff
             if coeff:
@@ -222,9 +223,10 @@ class Poly:
 
     @classmethod
     def constant(cls, space: Space, coeff: Coefficient) -> "Poly":
+        exps = _check_term((0,) * len(space), coeff, len(space))
         if not coeff:
             return cls(space, {})
-        return cls(space, {(0,) * len(space): coeff})
+        return cls(space, {exps: coeff})
 
     @classmethod
     def one(cls, space: Space) -> "Poly":
@@ -241,7 +243,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, space: Space, exps: Exponents, coeff: Coefficient = scalars.ONE) -> "Poly":
-        exps = _check_exponents(exps, len(space))
+        exps = _check_term(exps, coeff, len(space))
         if not coeff:
             return cls(space, {})
         return cls(space, {exps: coeff})
@@ -319,33 +321,18 @@ class Poly:
     def mul_truncated(self, other: "Poly", max_degree: int) -> "Poly":
         """(self * other).truncate_degree(max_degree), skipping every pair above the bound."""
         self._check_space(other)
-        if self.is_deferred or other.is_deferred:
-            return self._mul_numerators(other, max_degree)
-        if not self.terms or not other.terms:
+        if not self or not other:
             return Poly(self.space, {})
-        check_degree(self.total_degree() + other.total_degree(), "product")
-        right = sorted(((sum(e), e, c) for e, c in other.terms.items()), key=lambda t: t[0])
-        terms: dict[Exponents, Coefficient] = {}
-        for e1, c1 in self.terms.items():
-            room = max_degree - sum(e1)
-            for d2, e2, c2 in right:
-                if d2 > room:
-                    break
-                c = c1 * c2
-                if c.den is not MU_POLY_ONE:
-                    return self._mul_numerators(other, max_degree)
-                exps = tuple(map(int.__add__, e1, e2))
-                acc = terms.get(exps)
-                c = c if acc is None else acc + c
-                if c:
-                    terms[exps] = c
-                else:
-                    terms.pop(exps, None)
-        return Poly(self.space, terms)
+        full = self.total_degree() + other.total_degree()
+        check_degree(full, "product")
+        truncating = max_degree < full
 
-    def _mul_numerators(self, other: "Poly", max_degree: int) -> "Poly":
-        (p, dp), (q, dq) = self.split_denominator(), other.split_denominator()
-        return p.mul_truncated(q, max_degree).over(dp * dq)
+        def piece(e1: Exponents, e2: Exponents) -> dict[Exponents, Coefficient]:
+            if truncating and sum(e1) + sum(e2) > max_degree:
+                return _NO_TERMS
+            return {tuple(map(int.__add__, e1, e2)): scalars.ONE}
+
+        return bilinear(self, other, self.space, piece)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -555,14 +542,64 @@ class _Deferred(Poly):
         return _Deferred(self._numerator.in_space(space), self._denominator)
 
 
-def _check_exponents(exps, width: int) -> Exponents:
+Pieces = Callable[[Exponents, Exponents], dict[Exponents, Coefficient]]
+
+# The piece of a pair that contributes nothing; shared, and never written.
+_NO_TERMS: dict[Exponents, Coefficient] = {}
+
+
+def bilinear(f: Poly, g: Poly, space: Space, pieces: Pieces) -> Poly:
+    """The sum of cf * cg * pieces(ef, eg) over the term pairs of f and g, over `space`.
+
+    `pieces(ef, eg)` gives the terms of the pair (ef, eg) as a dict; an empty
+    dict skips the pair before cf * cg is formed.  This is the one walk of
+    the bilinear products and the one place that applies the denominator
+    rule (see Denominators above): when f or g is deferred both are split
+    first, and otherwise they are split at the first pair whose cf * cg has a
+    mu-denominator.
+    """
+    if f.is_deferred or g.is_deferred:
+        (p, dp), (q, dq) = f.split_denominator(), g.split_denominator()
+        return bilinear(p, q, space, pieces).over(dp * dq)
+    terms: dict[Exponents, Coefficient] = {}
+    right, one = g.terms.items(), scalars.ONE
+    for ef, cf in f.terms.items():
+        for eg, cg in right:
+            piece = pieces(ef, eg)
+            if not piece:
+                continue
+            scale = cf * cg
+            if scale.den is not MU_POLY_ONE:
+                (p, dp), (q, dq) = f.split_denominator(), g.split_denominator()
+                return bilinear(p, q, space, pieces).over(dp * dq)
+            for exps, coeff in piece.items():
+                # The unit pieces of mul_truncated skip a call to Coefficient.__mul__.
+                coeff = scale if coeff is one else coeff * scale
+                acc = terms.get(exps)
+                coeff = coeff if acc is None else acc + coeff
+                if coeff:
+                    terms[exps] = coeff
+                else:
+                    del terms[exps]
+    return Poly(space, terms)
+
+
+_INT = frozenset({int})
+
+
+def _check_term(exps, coeff, width: int) -> Exponents:
     """exps as a tuple; SpaceMismatchError unless it has `width` entries,
-    ValueError if one is negative."""
+    ValueError unless each is a non-negative int (a bool is not one), and
+    TypeError unless coeff is a Coefficient."""
     exps = tuple(exps)
     if len(exps) != width:
         raise SpaceMismatchError(f"exponent tuple {exps} does not fit a {width}-variable space")
+    if not _INT.issuperset(map(type, exps)):
+        raise ValueError(f"exponent tuple {exps} has an entry that is not an int")
     if exps and min(exps) < 0:
         raise ValueError(f"exponent tuple {exps} has a negative entry")
+    if not isinstance(coeff, Coefficient):
+        raise TypeError(f"coefficient {coeff!r} is not a Coefficient")
     return exps
 
 

@@ -29,17 +29,17 @@ equality and Coefficient values can be used as dictionary keys.  A
 denominator equal to 1 is always the MU_POLY_ONE object.  Denominators
 c*mu^k (the bracket's 1/(2 mu)) cancel by a shift instead of a gcd.
 
-Normalising gcds run in Coefficient.make.  The polynomial loops of poly.py,
-star.py and operators.py do not add coefficients over different
-denominators: they run on numerators cleared by `common_denominator` (one
-gcd per distinct denominator) and `Coefficient.cleared`, and divide the
-output by the common denominator with `Coefficient.over`, one make per term.
-A polynomial quotient whose numerator is polynomial in mu defers those makes
-until its terms are read, and the next loop takes its numerator and
-denominator as they are, so a chain of products makes each output
-coefficient once (see poly.py, Denominators).  Scalar arithmetic outside
-those loops, such as `+` on two rational coefficients, still normalises
-every result.
+Normalising gcds run in Coefficient.make.  The polynomial loops of poly.py
+(the bilinear walk `poly.bilinear`, which every product runs, and the
+`DiffOp` series) do not add coefficients over different denominators: they
+run on numerators cleared by `common_denominator` (one gcd per distinct
+denominator) and `Coefficient.cleared`, and divide the output by the common
+denominator with `Coefficient.over`, one make per term.  A polynomial
+quotient whose numerator is polynomial in mu defers those makes until its
+terms are read, and the next loop takes its numerator and denominator as
+they are, so a chain of products makes each output coefficient once (see
+poly.py, Denominators).  Scalar arithmetic outside those loops, such as `+`
+on two rational coefficients, still normalises every result.
 
 Coefficient is the one value type of the field.  Values come in through
 `from_int`, `from_ints`, `make`, `scale_int`/`scale_fraction`, the module

@@ -51,24 +51,25 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
-from typing import Callable
 
 from . import scalars
 from .errors import DimensionMismatchError, SpaceMismatchError
 from .linalg import Matrix
 from .poly import (
     DiffOp,
+    Pieces,
     Poly,
     Space,
+    bilinear,
     check_degree,
     pair_space,
     phase_space,
     sigma_space,
     triple_space,
 )
-from .scalars import MU_POLY_ONE
 
 Exponents = tuple[int, ...]
+Terms = dict[Exponents, scalars.Coefficient]
 
 
 def phase_dimension(space: Space) -> int:
@@ -226,19 +227,17 @@ class BiDiff:
     two slots are then merged back to phase space.  `apply` runs the operator
     once, as for a bracket kernel A; `apply_exp` runs its exponential, as for
     a product kernel exp(b).  `commutator` is (f*g - g*f) / (2 mu) for that
-    product.  All three are one walk, `_accumulate`, over the monomial pairs
-    (ef, eg) of f and g, summing each pair's piece scaled by the two
-    coefficients; they differ only in the piece.  The exp and commutator
-    pieces are memoised, each memo of at most `PAIR_MEMO_SIZE` pairs and
-    cleared when full, because products and brackets meet the same pairs
-    again and again.  The one-step pieces are not: their one library caller,
-    the centre check, meets each pair once, so a memo would only add inserts.
-    Every entry point checks that both operands live on the operator's phase
-    space and that their degrees fit the degree guard.  Operands with
-    mu-denominators are run on their numerators, and the output is their
-    quotient by the product of the denominators, deferred when it can be, so
-    that a following stage splits it again without a gcd (see poly.py,
-    Denominators).
+    product.  All three are one walk, `poly.bilinear`, over the monomial
+    pairs (ef, eg) of f and g, summing each pair's piece (a dict of terms)
+    scaled by the two coefficients; they differ only in the piece.  The exp
+    and commutator pieces are memoised, each memo of at most
+    `PAIR_MEMO_SIZE` pairs and cleared when full, because products and
+    brackets meet the same pairs again and again.  The one-step pieces are
+    not: their one library caller, the centre check, meets each pair once, so
+    a memo would only add inserts.  Every entry point checks that both
+    operands live on the operator's phase space and that their degrees fit
+    the degree guard; the walk alone decides when operands with
+    mu-denominators run on their numerators (see poly.py, Denominators).
     """
 
     __slots__ = ("space", "op", "_pairs", "_comms")
@@ -249,8 +248,8 @@ class BiDiff:
             raise SpaceMismatchError(f"{a.space!r} is not a pair space")
         self.space = phase_space(n)
         self.op = DiffOp.from_sigma_poly(a)
-        self._pairs: dict[tuple[Exponents, Exponents], Poly] = {}
-        self._comms: dict[tuple[Exponents, Exponents], Poly] = {}
+        self._pairs: dict[tuple[Exponents, Exponents], Terms] = {}
+        self._comms: dict[tuple[Exponents, Exponents], Terms] = {}
 
     def apply(self, f: Poly, g: Poly) -> Poly:
         """A(-i d_left, -i d_right) applied once to f (x) g, slots merged."""
@@ -264,68 +263,41 @@ class BiDiff:
         """(exp(A) f (x) g - exp(A) g (x) f) / (2 mu), slots merged."""
         return self._accumulate(f, g, self._commutator_piece)
 
-    def _once_piece(self, ef: Exponents, eg: Exponents) -> Poly:
+    def _once_piece(self, ef: Exponents, eg: Exponents) -> Terms:
         target = Poly.monomial(self.op.poly.space, ef + eg)
-        return merge_slots(self.op.apply_once(target), self.space)
+        return merge_slots(self.op.apply_once(target), self.space).terms
 
-    def _exp_piece(self, ef: Exponents, eg: Exponents) -> Poly:
+    def _exp_piece(self, ef: Exponents, eg: Exponents) -> Terms:
         pairs = self._pairs
         piece = pairs.get((ef, eg))
         if piece is None:
             if len(pairs) >= PAIR_MEMO_SIZE:
                 pairs.clear()
             target = Poly.monomial(self.op.poly.space, ef + eg)
-            piece = merge_slots(self.op.apply_exp(target), self.space)
+            piece = merge_slots(self.op.apply_exp(target), self.space).terms
             pairs[ef, eg] = piece
         return piece
 
-    def _commutator_piece(self, ef: Exponents, eg: Exponents) -> Poly:
+    def _commutator_piece(self, ef: Exponents, eg: Exponents) -> Terms:
         comms = self._comms
         piece = comms.get((ef, eg))
         if piece is None:
             if len(comms) >= PAIR_MEMO_SIZE:
                 comms.clear()
-            forward, backward = self._exp_piece(ef, eg), self._exp_piece(eg, ef)
-            piece = (forward - backward).scale(scalars.HALF_INV_MU)
+            forward = Poly(self.space, self._exp_piece(ef, eg))
+            backward = Poly(self.space, self._exp_piece(eg, ef))
+            piece = (forward - backward).scale(scalars.HALF_INV_MU).terms
             comms[ef, eg] = piece
         return piece
 
-    def _accumulate(
-        self, f: Poly, g: Poly, piece_of: Callable[[Exponents, Exponents], Poly]
-    ) -> Poly:
-        """Sum piece_of(ef, eg) * cf * cg over the terms of f and g."""
+    def _accumulate(self, f: Poly, g: Poly, pieces: Pieces) -> Poly:
+        """Sum pieces(ef, eg) * cf * cg over the terms of f and g."""
         if (f.space, g.space) != (self.space, self.space):
             raise DimensionMismatchError(
                 f"operands must live on phase space of dimension n={len(self.space) // 2}"
             )
         check_degree(f.total_degree() + g.total_degree(), "operand")
-        if f.is_deferred or g.is_deferred:
-            return self._on_numerators(f, g, piece_of)
-        terms: dict[Exponents, scalars.Coefficient] = {}
-        for ef, cf in f.terms.items():
-            for eg, cg in g.terms.items():
-                piece = piece_of(ef, eg).terms
-                if not piece:
-                    # A zero piece (a constant's commutator) must not trigger a split.
-                    continue
-                scale = cf * cg
-                if scale.den is not MU_POLY_ONE:
-                    return self._on_numerators(f, g, piece_of)
-                for exps, coeff in piece.items():
-                    coeff = coeff * scale
-                    acc = terms.get(exps)
-                    coeff = coeff if acc is None else acc + coeff
-                    if coeff:
-                        terms[exps] = coeff
-                    else:
-                        del terms[exps]
-        return Poly(self.space, terms)
-
-    def _on_numerators(
-        self, f: Poly, g: Poly, piece_of: Callable[[Exponents, Exponents], Poly]
-    ) -> Poly:
-        (p, df), (q, dg) = f.split_denominator(), g.split_denominator()
-        return self._accumulate(p, q, piece_of).over(df * dg)
+        return bilinear(f, g, self.space, pieces)
 
 
 @lru_cache(maxsize=64)

@@ -1,0 +1,132 @@
+"""Differential tests for `poly.bilinear`, the one walk over term pairs.
+
+Each caller of the walk (`Poly.mul_truncated`, `BiDiff.apply`, `star`,
+`bracket` and `nc_mul`) is compared with its per-term oracle in conftest.py,
+which adds every product of two coefficients into the result at once.  The
+operands are polynomial in mu, or carry a mu-denominator on their first term,
+or on their last term only (so the walk splits after it has accumulated
+terms), or are deferred products; `bracket` also meets a constant with a
+rational coefficient, whose zero commutator pieces must not trigger a split.
+Both n = 1 and n = 2 are covered, and results must agree in their terms and
+their printed form.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import (
+    dressed_kernel,
+    oracle_apply,
+    oracle_bracket,
+    oracle_mul,
+    oracle_nc_mul,
+    oracle_star,
+    random_poly,
+)
+from moyal.expressions import parse_coefficient
+from moyal.operators import NCPoly, nc_mul
+from moyal.poly import Poly, pair_space, phase_space
+from moyal.star import BiDiff, StarKernel, bracket, star
+
+MAX_DEGREE = {1: 3, 2: 2}
+# Denominators without roots in Q(i): no coefficient of `random_poly` cancels them.
+FACTORS = [
+    parse_coefficient(t) for t in ("1/(mu^2 + 2)", "(mu - i)/(mu^2 + 3)", "(1 + i)/(mu^2 - mu + 5)")
+]
+SHAPES = ("polynomial", "first", "last", "deferred")
+
+cases = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2]),
+    st.sampled_from(SHAPES),
+    st.sampled_from(SHAPES),
+)
+
+
+def operand(rng, n, shape, degree=None):
+    """A nonzero phase-space operand of the given shape (see the module docstring)."""
+    if shape == "deferred":
+        a, b = operand(rng, n, "first", 1), operand(rng, n, "last", 1)
+        x = star(a, b, StarKernel.moyal(n))
+        assert x.is_deferred
+        return x
+    space = phase_space(n)
+    p = random_poly(rng, space, MAX_DEGREE[n] if degree is None else degree, terms=3)
+    items = list((p or Poly.one(space)).terms.items())
+    if shape != "polynomial":
+        k = 0 if shape == "first" else len(items) - 1
+        items[k] = (items[k][0], items[k][1] * rng.choice(FACTORS))
+    return Poly(space, dict(items))
+
+
+def setup(case):
+    seed, n, f_shape, g_shape = case
+    rng = random.Random(seed)
+    return rng, n, operand(rng, n, f_shape), operand(rng, n, g_shape)
+
+
+def assert_same(got, expected):
+    assert got.terms == expected.terms
+    assert str(got) == str(expected)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cases)
+def test_mul_truncated_at_every_bound(case):
+    _, _, f, g = setup(case)
+    full = oracle_mul(f, g)
+    for d in range(-1, f.total_degree() + g.total_degree() + 1):
+        assert_same(f.mul_truncated(g, d), full.truncate_degree(d))
+    assert_same(f * g, full)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(cases, st.booleans())
+def test_apply_matches_the_oracle(case, rational_kernel):
+    rng, n, f, g = setup(case)
+    a = random_poly(rng, pair_space(n), 2, terms=3)
+    if rational_kernel:
+        a = a.scale(rng.choice(FACTORS))
+    assert_same(BiDiff(a).apply(f, g), oracle_apply(a, f, g))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(cases)
+def test_star_matches_the_oracle(case):
+    rng, n, f, g = setup(case)
+    kernel = dressed_kernel(rng, n)
+    assert_same(star(f, g, kernel), oracle_star(f, g, kernel))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(cases)
+def test_bracket_matches_the_oracle(case):
+    rng, n, f, g = setup(case)
+    kernel = dressed_kernel(rng, n)
+    constant = Poly.constant(f.space, rng.choice(FACTORS))
+    f_plus = constant + f
+    got = bracket(f_plus, g, kernel)
+    assert_same(got, oracle_bracket(f_plus, g, kernel))
+    assert_same(bracket(g, constant, kernel), Poly.zero(f.space))
+    if case[2:] == ("polynomial", "polynomial"):
+        # The constant's pairs are skipped before their coefficients meet.
+        assert not got.is_deferred
+
+
+def nc_operand(rng, n, shape):
+    if shape == "deferred":
+        a, b = nc_operand(rng, n, "first"), nc_operand(rng, n, "last")
+        x = nc_mul(a, b)
+        assert x.poly.is_deferred
+        return x
+    return NCPoly(n, dict(operand(rng, n, shape, MAX_DEGREE[n] - 1).terms))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cases)
+def test_nc_mul_matches_the_oracle(case):
+    seed, n, x_shape, y_shape = case
+    rng = random.Random(seed)
+    x, y = nc_operand(rng, n, x_shape), nc_operand(rng, n, y_shape)
+    assert_same(nc_mul(x, y), oracle_nc_mul(x, y))

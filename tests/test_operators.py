@@ -59,6 +59,40 @@ def test_constructor_rejects_malformed_input(n, terms, error):
         NCPoly(n, terms)
 
 
+@pytest.mark.parametrize(
+    "n, name",
+    [
+        (1, "qh 1"),
+        (1, "ph+1"),
+        (1, "qh-1"),
+        (1, "qh١"),  # ARABIC-INDIC DIGIT ONE
+        (1, "ph¹"),  # SUPERSCRIPT ONE
+        (10, "qh1_0"),
+        (1, "qh1 "),
+        (1, "q"),
+        (1, "qh"),
+        (1, "qhx"),
+        (1, "qq1"),
+        (1, "qh0"),
+        (1, "qh2"),
+        (2, "ph3"),
+        (1, ""),
+    ],
+)
+def test_generator_rejects_malformed_names(n, name):
+    with pytest.raises(ValueError, match="unknown generator"):
+        NCPoly.generator(n, name)
+
+
+def test_generator_names_every_generator():
+    assert [str(NCPoly.generator(10, f"{kind}{k}")) for kind in ("qh", "ph") for k in (1, 10)] == [
+        "qh1",
+        "qh10",
+        "ph1",
+        "ph10",
+    ]
+
+
 def test_constructor_drops_zero_coefficients():
     assert NCPoly(1, {(1, 0): scalars.ZERO}) == NCPoly.zero(1)
     assert not NCPoly(1, {(1, 0): scalars.ZERO})

@@ -213,6 +213,28 @@ def test_monomials_reject_negative_exponents():
     assert Poly.from_terms(SP, [((1, 0), scalars.ONE), ((1, 0), scalars.MINUS_ONE)]).is_zero
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        # q1^1.5 would print and have total degree 1.5; a bool is not an exponent.
+        (lambda: Poly.monomial(SP, (1.5, 0)), ValueError),
+        (lambda: Poly.monomial(SP, (True, 0)), ValueError),
+        (lambda: Poly.monomial(SP, (1, Fraction(1))), ValueError),
+        (lambda: Poly.from_terms(SP, [((1, 0), scalars.ONE), ((0, 1.0), scalars.ONE)]), ValueError),
+        # An int coefficient would fail later, in str or a product.
+        (lambda: Poly.monomial(SP, (1, 0), 3), TypeError),
+        (lambda: Poly.monomial(SP, (1, 0), 0), TypeError),
+        (lambda: Poly.constant(SP, 2), TypeError),
+        (lambda: Poly.constant(SP, Fraction(1, 2)), TypeError),
+        (lambda: Poly.from_terms(SP, [((1, 0), scalars.ONE), ((1, 0), 1)]), TypeError),
+        (lambda: Poly.from_terms(SP, [((0, 1), "mu")]), TypeError),
+    ],
+)
+def test_constructors_reject_malformed_input(build, error):
+    with pytest.raises(error):
+        build()
+
+
 def test_powers_respect_the_degree_guard():
     one_plus_mu = Poly.constant(SP, scalars.ONE + scalars.MU)
     with degree_guard(8):

@@ -1,10 +1,11 @@
 """Source checks: imports stay at module level, no module imports another
 moyal module's underscore-prefixed names, every lru_cache is bounded, only
 poly.py reads or enforces the degree guard itself, only poly.py reads the
-fields of a deferred polynomial, only scalars.py calls the trusted scalar
-constructors, in cli.py only the expression table and its pass
-read and parse expression arguments, and the package declares no runtime
-dependency."""
+fields of a deferred polynomial or asks whether a value is deferred (so
+`poly.bilinear` alone applies the denominator rule), only scalars.py calls
+the trusted scalar constructors, in cli.py only the expression table and its
+pass read and parse expression arguments, and the package declares no
+runtime dependency."""
 
 import ast
 from pathlib import Path
@@ -18,8 +19,9 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 # Everywhere else the guard is enforced through poly.check_degree.
 GUARD_NAMES = {"get_degree_guard", "DegreeGuardError"}
-# Elsewhere a deferred polynomial is read through split_denominator and terms.
-DEFERRED_FIELDS = {"_numerator", "_denominator"}
+# Elsewhere a deferred polynomial is read through split_denominator and terms,
+# and products leave the choice of when to split to poly.bilinear.
+DEFERRED_FIELDS = {"_numerator", "_denominator", "is_deferred"}
 # They skip normalisation: canonical form, == and hash have one owner.
 TRUSTED_CONSTRUCTORS = {"Coefficient", "MuPoly"}
 # A handler that read its own expression would skip --stdin.
@@ -58,7 +60,7 @@ def _violations(tree, module=""):
                 if alias.name.startswith("_"):
                     yield node.lineno, f"private name {alias.name} imported"
         if isinstance(node, ast.Attribute) and node.attr in DEFERRED_FIELDS and module != "poly.py":
-            yield node.lineno, f"deferred field {node.attr} read outside poly.py"
+            yield node.lineno, f"{node.attr} of a deferred polynomial read outside poly.py"
         if not isinstance(node, ast.Call):
             continue
         name = _called_name(node)
@@ -102,6 +104,7 @@ def test_no_function_imports_or_unbounded_caches(path):
         "from . import scalars\np = scalars.MuPoly((1,))\n",
         "p, den = out._numerator, out._denominator\n",
         "def f(x):\n    return x._numerator.terms\n",
+        "if f.is_deferred or g.is_deferred:\n    f, den = f.split_denominator()\n",
     ],
 )
 def test_checker_flags_planted_violations(source):
@@ -113,7 +116,7 @@ def test_checker_allows_public_and_foreign_names():
     assert list(_violations(ast.parse(source))) == []
     guard = "guard = get_degree_guard()\nraise DegreeGuardError('too deep')\n"
     assert list(_violations(ast.parse(guard), "poly.py")) == []
-    deferred = "p, den = self._numerator, self._denominator\n"
+    deferred = "p, den = self._numerator, self._denominator\nsplit = f.is_deferred\n"
     assert list(_violations(ast.parse(deferred), "poly.py")) == []
     trusted = "c = Coefficient(MuPoly((2,)), MU_POLY_ONE)\nd = Coefficient.make(c.num, c.den)\n"
     assert list(_violations(ast.parse(trusted), "scalars.py")) == []
