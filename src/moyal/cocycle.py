@@ -36,6 +36,7 @@ from .poly import (
     Exponents,
     Poly,
     Space,
+    check_dimension,
     format_term,
     pair_space,
     phase_space,
@@ -61,6 +62,7 @@ class RawKernelExponent:
     b: Poly
 
     def __post_init__(self):
+        check_dimension(self.n)
         if self.b.space != pair_space(self.n):
             raise SpaceMismatchError("b must live on pair space u1..u2n, v1..v2n")
         if self.b.constant_term():
@@ -104,19 +106,6 @@ def cocycle_defect(raw: RawKernelExponent) -> Poly:
     )
 
 
-def _nonzero_point(defect: Poly) -> tuple[tuple[int, ...], scalars.Coefficient]:
-    """A small integer point where the defect does not vanish (seeded search)."""
-    rng = random.Random(1729)
-    width = len(defect.space)
-    bound = max(defect.total_degree() + 2, 4)
-    for _ in range(200):
-        point = tuple(rng.randrange(1, bound) for _ in range(width))
-        value = defect.evaluate([scalars.Coefficient.from_int(x) for x in point])
-        if value:
-            return point, value
-    raise RuntimeError("failed to find a nonzero evaluation point")  # pragma: no cover
-
-
 def cocycle_check(raw: RawKernelExponent) -> CocycleViolation | None:
     """None if b is a normalized 2-cocycle; otherwise a violation witness.
 
@@ -139,23 +128,27 @@ def cocycle_check(raw: RawKernelExponent) -> CocycleViolation | None:
     if defect.is_zero:
         return None
     exps, coeff = defect.leading_term()
-    point, _ = _nonzero_point(defect)
-    values = [scalars.Coefficient.from_int(x) for x in point]
-    tri = defect.space
-    u_vals, v_vals, w_vals = values[:width], values[width : 2 * width], values[2 * width :]
-    uv_vals = [a + c for a, c in zip(u_vals, v_vals)]
-    vw_vals = [a + c for a, c in zip(v_vals, w_vals)]
-    lhs = b.evaluate(u_vals + v_vals) + b.evaluate(uv_vals + w_vals)
-    rhs = b.evaluate(v_vals + w_vals) + b.evaluate(u_vals + vw_vals)
-    return CocycleViolation(
-        stage="cocycle",
-        monomial=exps,
-        coefficient=coeff,
-        space_names=tri.names,
-        point=point,
-        lhs=lhs,
-        rhs=rhs,
-    )
+    # The defect at a point is rhs - lhs: a seeded search of small integer
+    # points for one where the two sides differ.
+    rng = random.Random(1729)
+    bound = max(defect.total_degree() + 2, 4)
+    for _ in range(200):
+        point = tuple(rng.randrange(1, bound) for _ in range(3 * width))
+        values = [scalars.Coefficient.from_int(x) for x in point]
+        u, v, w = values[:width], values[width : 2 * width], values[2 * width :]
+        lhs = b.evaluate(u + v) + b.evaluate([a + c for a, c in zip(u, v)] + w)
+        rhs = b.evaluate(v + w) + b.evaluate(u + [a + c for a, c in zip(v, w)])
+        if lhs != rhs:
+            return CocycleViolation(
+                stage="cocycle",
+                monomial=exps,
+                coefficient=coeff,
+                space_names=defect.space.names,
+                point=point,
+                lhs=lhs,
+                rhs=rhs,
+            )
+    raise RuntimeError("failed to find a point where the two sides differ")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -327,6 +320,8 @@ def check_monomial_count(variables: int, max_degree: int) -> None:
 
 def dual_monomials(n: int, kernel_basis: list[Vector], max_degree: int) -> list[Poly]:
     """1 and every product of up to max_degree linear forms dual to kernel_basis."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
     check_monomial_count(len(kernel_basis), max_degree)
     space = phase_space(n)
     units = [tuple(int(k == idx) for k in range(2 * n)) for idx in range(2 * n)]

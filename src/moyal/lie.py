@@ -63,7 +63,9 @@ from .poly import (
     Lifted,
     Poly,
     check_degree,
+    check_dimension,
     divide_exact,
+    exp_series,
     lifted_mul,
     pair_space,
     phase_space,
@@ -100,6 +102,7 @@ class RawLieKernel:
     a: Poly
 
     def __post_init__(self):
+        check_dimension(self.n)
         if self.a.space != pair_space(self.n):
             raise SpaceMismatchError("A must live on pair space u1..u2n, v1..v2n")
 
@@ -110,20 +113,16 @@ class RawLieKernel:
 
 
 def exp_truncated(p: Poly, max_degree: int) -> Poly:
-    """exp(p) truncated at total degree max_degree; p must have no constant term."""
+    """exp(p) truncated at total degree max_degree; p must have no constant term.
+
+    The series is `poly.exp_series` from 1 with the step t -> t*p truncated
+    at max_degree, so it ends once the powers pass the bound.
+    """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     if p.constant_term():
         raise ValueError("exponent must have zero constant term")
-    out = Poly.one(p.space)
-    power = Poly.one(p.space)
-    k = 1
-    while True:
-        power = power.mul_truncated(p, max_degree).scale_fraction(Fraction(1, k))
-        if power.is_zero:
-            return out
-        out = out + power
-        k += 1
+    return exp_series(Poly.one(p.space), lambda t: t.mul_truncated(p, max_degree))
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +343,8 @@ def extract_omega(raw: RawLieKernel) -> OmegaData:
     omega = bilinear_form(a, n).transpose()
     if not omega.is_antisymmetric:
         raise LieKernelError("omega is not antisymmetric", witness=omega)
-    return OmegaData(
-        omega=omega, rank=omega.rank(), kernel_basis=omega.nullspace()
-    )
+    kernel_basis = omega.nullspace()
+    return OmegaData(omega=omega, rank=omega.ncols - len(kernel_basis), kernel_basis=kernel_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +426,7 @@ class StructuredLieKernel:
     h_series: tuple[scalars.Coefficient, ...]
 
     def __post_init__(self):
+        check_dimension(self.n)
         if self.chi.space != sigma_space(self.n):
             raise SpaceMismatchError("chi must live on sigma space")
         if self.omega.nrows != 2 * self.n or self.omega.ncols != 2 * self.n:
@@ -580,6 +579,8 @@ def center_generators_from_kernel(
     side is applied per test monomial; otherwise both are.  Raises ValueError
     when either list would exceed `cocycle.CENTER_MONOMIAL_LIMIT`.
     """
+    if min(max_degree, verify_degree) < 0:
+        raise ValueError("max_degree and verify_degree must be non-negative")
     space = phase_space(raw.n)
     check_monomial_count(len(space), verify_degree)
     op = BiDiff(raw.a)

@@ -34,7 +34,7 @@ from math import comb, factorial
 
 from . import scalars
 from .errors import DimensionMismatchError
-from .poly import DiffOp, Pieces, Poly, Space, bilinear, check_degree, phase_space
+from .poly import DiffOp, Pieces, Poly, Space, bilinear, check_degree, check_dimension, phase_space
 from .star import phase_dimension
 
 Exponents = tuple[int, ...]
@@ -61,8 +61,7 @@ class NCPoly:
     __slots__ = ("n", "poly")
 
     def __init__(self, n: int, terms: dict[Exponents, scalars.Coefficient]):
-        if type(n) is not int or n < 1:
-            raise ValueError(f"operator dimension must be an int of at least 1, got {n!r}")
+        check_dimension(n)
         width = 2 * n
         for word, coeff in terms.items():
             if not (

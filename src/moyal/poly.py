@@ -148,6 +148,12 @@ class Space:
         return f"Space({', '.join(self.names)})"
 
 
+def check_dimension(n: int) -> None:
+    """Raise ValueError unless the dimension n is an int (not a bool) of at least 1."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"dimension n must be an int of at least 1, got {n!r}")
+
+
 @lru_cache(maxsize=64)
 def phase_space(n: int) -> Space:
     """z = (q1..qn, p1..pn)."""
@@ -344,14 +350,7 @@ class Poly:
         limit = getattr(sys, "get_int_max_str_digits", int)()
         if limit and k > 1 and self.terms and self.terms[max(self.terms)].power_digits(k) > limit + 1:
             raise ValueError(f"power would exceed the limit ({limit} digits) for integer string conversion")
-        out = Poly.one(self.space)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return scalars.binary_power(self, k, Poly.one(self.space))
 
     def split_denominator(self) -> tuple["Poly", MuPoly]:
         """(P, D) with D a monic common denominator of the coefficients and P = D * self.
@@ -742,6 +741,18 @@ def lifted_mul(p: Poly, q: Poly) -> Lifted:
     return {k: v for k, v in terms.items() if v}, x_den * y_den, layout
 
 
+def exp_series(start: Poly, step: Callable[[Poly], Poly]) -> Poly:
+    """sum_k step^k(start) / k! for a linear `step`, summed until a term vanishes."""
+    out = term = start
+    k = 1
+    while True:
+        term = step(term).scale_fraction(Fraction(1, k))
+        if not term:
+            return out
+        out = out + term
+        k += 1
+
+
 class DiffOp:
     """A constant-coefficient differential operator against an aligned target.
 
@@ -806,8 +817,9 @@ class DiffOp:
 
         The generator must have a zero constant term; every remaining term
         strictly lowers the target degree, so the series terminates and only
-        the target itself is checked against the degree guard.  The series
-        runs on the target's numerators and is divided once at the end.
+        the target itself is checked against the degree guard.  The series is
+        `exp_series` with the step `_apply_once`; it runs on the target's
+        numerators and is divided once at the end.
         """
         if self.poly.constant_term():
             raise NonterminatingSeriesError(
@@ -815,14 +827,8 @@ class DiffOp:
                 "terminate on polynomials; factor the constant out first"
             )
         self._check_target(target)
-        result, den = target.split_denominator()
-        term = result
-        k = 1
-        while term.terms:
-            term = self._apply_once(term).scale_fraction(Fraction(1, k))
-            result = result + term
-            k += 1
-        return result.over(den)
+        p, den = target.split_denominator()
+        return exp_series(p, self._apply_once).over(den)
 
     def __repr__(self):
         return f"DiffOp({self.poly})"

@@ -22,6 +22,11 @@ Arithmetic works on the ints directly, with fast paths for d == 1 and for
 real data (im == ()).  Gcds run Euclid over Q(i) with every remainder made
 monic (multiply by conj(lc), divide by |lc|^2); removing only the integer
 content of pseudo-remainders lets Gaussian coefficients grow exponentially.
+Remainders and exact quotients come from one pseudo-division over Z[i],
+`MuPoly._divide`.  For a monic b = B/bd the lc of B is bd, and the division
+scales A by bd^m up front, m the number of quotient terms: at step t every
+coefficient is then divisible by bd^(m - t), so dividing the leading
+coefficient by bd is exact at every step, for any A.
 
 Canonical form of a Coefficient: the denominator is monic in mu and coprime
 to the numerator, so structural equality coincides with mathematical
@@ -250,42 +255,12 @@ class MuPoly:
             return self
         return self._div_gauss(lr, li, d)
 
-    def _rem(self, b: "MuPoly") -> "MuPoly":
-        """Remainder of self modulo the monic polynomial b."""
-        db = len(b.re) - 1
-        n = len(self.re)
-        if n <= db:
-            return self
-        if not db:
-            return MU_POLY_ZERO
-        rr = list(self.re)
-        ri = list(self.im) if self.im else [0] * n
-        br, bd = b.re, b.d
-        bi = b.im or (0,) * len(br)
-        den = self.d
-        for k in range(n - 1, db - 1, -1):
-            cr, ci = rr[k], ri[k]
-            if not (cr or ci):
-                continue
-            # R <- bd*R - c*mu^(k-db)*B over den*bd: the lc of B is bd.
-            if bd != 1:
-                for t in range(k):
-                    rr[t] *= bd
-                    ri[t] *= bd
-                den *= bd
-            s = k - db
-            for j in range(db):
-                x, y = br[j], bi[j]
-                rr[s + j] -= cr * x - ci * y
-                ri[s + j] -= cr * y + ci * x
-            rr[k] = ri[k] = 0
-        return _normal(rr[:db], ri[:db], den)
+    def _divide(self, b: "MuPoly") -> tuple[list[int], list[int], list[int], list[int], int]:
+        """(qr, qi, rr, ri, m) with A * bd^m = Q*B + R over Z[i], self = A/d, b = B/bd.
 
-    def _exact_quo(self, b: "MuPoly") -> "MuPoly":
-        """self / b for a monic b that divides self (pseudo-division over Z[i])."""
+        b is monic, m = deg A - deg b + 1 >= 1, and R is rr, ri below deg b.
+        """
         db = len(b.re) - 1
-        if not db:
-            return self
         n = len(self.re)
         m = n - db
         br, bd = b.re, b.d
@@ -299,15 +274,31 @@ class MuPoly:
             if not (cr or ci):
                 continue
             s = k - db
-            # Exact: the remainder stays divisible by bd^(m - step).
             cr, ci = cr // bd, ci // bd
             qr[s], qi[s] = cr, ci
-            for j in range(db + 1):
+            for j in range(db):
                 x, y = br[j], bi[j]
                 rr[s + j] -= cr * x - ci * y
                 ri[s + j] -= cr * y + ci * x
-        # With self = A/d and b = B/bd: A * bd^m = Q * B, so self/b = Q / (d * bd^(m-1)).
-        return _normal(qr, qi, self.d * bd ** (m - 1))
+        return qr, qi, rr, ri, m
+
+    def _rem(self, b: "MuPoly") -> "MuPoly":
+        """Remainder of self modulo the monic polynomial b."""
+        db = len(b.re) - 1
+        if len(self.re) <= db:
+            return self
+        if not db:
+            return MU_POLY_ZERO
+        _, _, rr, ri, m = self._divide(b)
+        return _normal(rr[:db], ri[:db], self.d * b.d**m)
+
+    def _exact_quo(self, b: "MuPoly") -> "MuPoly":
+        """self / b for a monic b that divides self."""
+        if len(b.re) == 1:
+            return self
+        qr, qi, _, _, m = self._divide(b)
+        # self = A/d and b = B/bd with A * bd^m = Q * B: self/b = Q / (d * bd^(m-1)).
+        return _normal(qr, qi, self.d * b.d ** (m - 1))
 
     @staticmethod
     def gcd(a: "MuPoly", b: "MuPoly") -> "MuPoly":
@@ -511,14 +502,7 @@ class Coefficient:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return binary_power(self, k, ONE)
 
     # -- queries -----------------------------------------------------------
 
@@ -612,6 +596,18 @@ def common_denominator(coeffs) -> MuPoly:
     out = MU_POLY_ONE
     for den in {c.den for c in coeffs if c.den is not MU_POLY_ONE}:
         out = den if out is MU_POLY_ONE else out * den._exact_quo(MuPoly.gcd(out, den))
+    return out
+
+
+def binary_power(base, k: int, one):
+    """base**k for an int k >= 0 by repeated squaring; `one` is the identity of `*`."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
     return out
 
 

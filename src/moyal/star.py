@@ -31,14 +31,19 @@ memoised piece by the two coefficients.
 
 Slot layout: a kernel polynomial over pair space (u, v) or triple space
 (u, v, w) stores its exponents as consecutive blocks, one per slot, each of
-width 2n and index-aligned with z.  Its only readers are here: `on_slots`
-moves a polynomial between slots (chi(u + v), b(u, v + w), the slot swap),
+width 2n and index-aligned with z.  Its readers here: `on_slots` moves a
+polynomial between slots (chi(u + v), b(u, v + w), the slot swap),
 `merge_slots` sets the slots equal, `slot_degrees` gives a monomial's
 degree in each slot, and `bilinear_form` reads the (1, 1) part as a matrix.
-The other readers are the packed form of `poly.lifted_mul`/`poly.unlift`,
-which keeps the blocks as consecutive bit fields of one int key, and the
-Jacobi defect in lie.py, which sorts or rotates those fields to file each
-product entry under the representative of its orbit of block permutations.
+Its readers elsewhere slice the blocks themselves:
+  * the packed form of `poly.lifted_mul`/`poly.unlift` keeps the blocks as
+    consecutive bit fields of one int key;
+  * `lie._packed_defect` compares the u and v blocks of A to halve it, and
+    sorts or rotates the bit fields to file each product entry under the
+    representative of its orbit of block permutations;
+  * `lie.jacobi_defect` permutes the blocks of each representative back;
+  * `lie._fit_structured` moves the v block of a quotient term into chi;
+  * `cocycle.cocycle_check` cuts its evaluation point into u, v and w.
 
 The ordering-change map `u_map` applies exp(chi(-i d/dz)) to a symbol.  It
 is an exact isomorphism intertwining the kernel (chi, M) with (0, M), and is
@@ -62,6 +67,7 @@ from .poly import (
     Space,
     bilinear,
     check_degree,
+    check_dimension,
     pair_space,
     phase_space,
     sigma_space,
@@ -94,6 +100,7 @@ class StarKernel:
     m: Matrix
 
     def __post_init__(self):
+        check_dimension(self.n)
         if self.chi.space != sigma_space(self.n):
             raise SpaceMismatchError("chi must live on sigma space u1..u2n")
         if self.chi.constant_term():

@@ -26,6 +26,7 @@ from moyal.lie import (
     reconstruct_bracket,
     theorem2_pipeline,
 )
+from moyal.cocycle import RawKernelExponent, dual_monomials
 from moyal.linalg import Matrix
 from moyal.poly import Poly, pair_space, phase_space, sigma_space
 from moyal.star import BiDiff, StarKernel, bracket, poisson
@@ -289,12 +290,37 @@ NOT_LIE = raw(WEDGE * parse_poly("1 + u1*v1", PAIR))
         lambda: theorem2_pipeline(NOT_LIE, 4, verify_degree=-1),
         lambda: lie_axiom_check(NOT_LIE, truncation_degree=-1),
         lambda: exp_truncated(parse_poly("u1", sigma_space(1)), -1),
+        # With verify_degree -1 no test monomial was built and q1 read as central.
+        lambda: center_generators_from_kernel(raw(WEDGE), [(ONE, ZERO)], 1, verify_degree=-1),
+        lambda: center_generators_from_kernel(raw(WEDGE), [(ONE, ZERO)], -1, verify_degree=2),
+        # This leaked math.comb's "n must be a non-negative integer".
+        lambda: dual_monomials(1, [(ONE, ZERO)], -3),
     ],
-    ids=["fit", "center", "verify", "truncation", "exp"],
+    ids=["fit", "center", "verify", "truncation", "exp", "generators-verify", "generators-max",
+         "dual-monomials"],
 )
 def test_negative_degrees_are_refused(call):
     with pytest.raises(ValueError, match="must be non-negative"):
         call()
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 1.0])
+@pytest.mark.parametrize(
+    "record",
+    [
+        lambda n: StarKernel(n, Poly.zero(sigma_space(int(n))), Matrix.zeros(2 * int(n), 2 * int(n))),
+        lambda n: RawKernelExponent(n, Poly.zero(pair_space(int(n)))),
+        lambda n: RawLieKernel(n, Poly.zero(pair_space(int(n)))),
+        lambda n: StructuredLieKernel(
+            n, Poly.zero(sigma_space(int(n))), Matrix.zeros(2 * int(n), 2 * int(n)), (ONE,)
+        ),
+    ],
+    ids=["StarKernel", "RawKernelExponent", "RawLieKernel", "StructuredLieKernel"],
+)
+def test_kernel_records_reject_malformed_n(record, n):
+    # RawLieKernel(0, ...) was accepted, and theorem2_pipeline then failed on its spaces.
+    with pytest.raises(ValueError, match="must be an int of at least 1"):
+        record(n)
 
 
 def test_not_lie_kernel_is_a_violation_untruncated():

@@ -226,6 +226,31 @@ def test_seeded_bulk_sequences_match_oracle(seed):
         run_program(start, program)
 
 
+def test_pseudo_division_matches_oracle_divmod():
+    # Monic divisors with non-integral Gaussian coefficients, so b = B/bd has bd > 1.
+    rng = random.Random(18)
+
+    def gauss_seq(deg, dens=(1, 2, 3, 5)):
+        def part():
+            return Fraction(rng.randint(-6, 6), rng.choice(dens))
+
+        return [(part(), part()) for _ in range(deg + 1)]
+
+    def oracle(seq):
+        return old.MuPoly.from_seq(old.GaussRational(re, im) for re, im in seq)
+
+    for _ in range(400):
+        b_seq = gauss_seq(rng.randint(0, 5), dens=(2, 3, 4, 6)) + [(Fraction(1), Fraction(0))]
+        b_seq[0] = (Fraction(rng.choice((-3, -1, 1, 3)), 2), b_seq[0][1])
+        a_seq = gauss_seq(rng.randint(0, 6))
+        q_seq = gauss_seq(rng.randint(0, 5))
+        b, a, q = (from_fractions(seq).num for seq in (b_seq, a_seq, q_seq))
+        assert b.d > 1 and b.monic() is b
+        _, rem = oracle(a_seq).divmod(oracle(b_seq))
+        assert a._rem(b) == from_fractions([(g.re, g.im) for g in rem.coeffs]).num
+        assert (q * b)._exact_quo(b) == q
+
+
 def test_gaussian_gcd_stays_small():
     # A degree-16 gcd over Z[i]: content-only pseudo-remainders blow up here.
     rng = random.Random(5)

@@ -4,8 +4,9 @@ poly.py reads or enforces the degree guard itself, only poly.py reads the
 fields of a deferred polynomial or asks whether a value is deferred (so
 `poly.bilinear` alone applies the denominator rule), only scalars.py calls
 the trusted scalar constructors, in cli.py only the expression table and its
-pass read and parse expression arguments, and the package declares no
-runtime dependency."""
+pass read and parse expression arguments, no module outside `__init__.py`
+imports a name it never uses (a name used only in an annotation counts),
+and the package declares no runtime dependency."""
 
 import ast
 from pathlib import Path
@@ -77,6 +78,34 @@ def _violations(tree, module=""):
         yield from _expression_violations(tree)
 
 
+def _annotation_names(node):
+    """Names in an annotation, quoted ones included."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from _annotation_names(ast.parse(sub.value, mode="eval"))
+
+
+def _unused_imports(tree):
+    imported = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], stmt.lineno) for a in stmt.names)
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            imported.update((a.asname or a.name, stmt.lineno) for a in stmt.names)
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if annotation is not None:
+                used.update(_annotation_names(annotation))
+    for name, line in imported.items():
+        if name not in used:
+            yield line, f"{name} imported and never used"
+
+
 def test_sources_are_found():
     assert any(path.name == "star.py" for path in SOURCES)
 
@@ -109,6 +138,26 @@ def test_no_function_imports_or_unbounded_caches(path):
 )
 def test_checker_flags_planted_violations(source):
     assert list(_violations(ast.parse(source)))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"{path.name}:{line}: {what}" for line, what in _unused_imports(tree)] == []
+
+
+def test_unused_import_checker():
+    planted = "import math, random\nfrom .poly import Poly, Space\nx = math.pi\np: Poly\n"
+    assert [what for _, what in _unused_imports(ast.parse(planted))] == [
+        "random imported and never used",
+        "Space imported and never used",
+    ]
+    allowed = (
+        "from __future__ import annotations\nimport os.path\nfrom fractions import Fraction\n"
+        "from .scalars import MuPoly\nfrom . import scalars as sc\n"
+        "def f(q: Fraction) -> 'tuple[MuPoly, int]':\n    return os.sep, sc.ONE\n"
+    )
+    assert list(_unused_imports(ast.parse(allowed))) == []
 
 
 def test_checker_allows_public_and_foreign_names():
