@@ -14,6 +14,10 @@ linear part), recovered degreewise from the slot diagonal:
 
     chi_d(sigma) = [symmetric part on the diagonal]_d / (2 - 2^d),  d >= 2.
 
+That every normalised cocycle is such a coboundary plus an antisymmetric
+bilinear form, the premise of `factorize`, is checked by exact rank in
+tests/test_census.py (n = 1 to degree 6, n = 2 to degree 4, n = 3 to 3).
+
 `factorize` runs the full pipeline and returns the (chi, M) data together
 with an exact canonical (Darboux) basis for M: rank, conjugate-pair scalings,
 and a basis of Ker M.  A nondegenerate M means the induced algebra has a
@@ -48,9 +52,8 @@ from .star import (
     bilinear_form,
     coboundary,
     merge_slots,
-    on_slots,
     slot_degrees,
-    slot_swap,
+    slot_sum,
 )
 
 
@@ -85,24 +88,19 @@ class CocycleViolation:
         return format_term(Space(self.space_names), self.monomial, self.coefficient)
 
 
-def _half(p: Poly) -> Poly:
-    return p.scale_fraction(Fraction(1, 2))
-
-
 def split_parts(b: Poly) -> tuple[Poly, Poly]:
     """(symmetric, antisymmetric) slot-swap parts of b."""
-    swapped = slot_swap(b)
-    return _half(b + swapped), _half(b - swapped)
+    return tuple(
+        slot_sum(b, b.space, (1, "u", "v"), (sign, "v", "u")).scale_fraction(Fraction(1, 2))
+        for sign in (1, -1)
+    )
 
 
 def cocycle_defect(raw: RawKernelExponent) -> Poly:
     """b(v,w) - b(u+v,w) + b(u,v+w) - b(u,v) over triple space."""
-    b, tri = raw.b, triple_space(raw.n)
-    return (
-        on_slots(b, tri, "v", "w")
-        - on_slots(b, tri, "uv", "w")
-        + on_slots(b, tri, "u", "vw")
-        - on_slots(b, tri, "u", "v")
+    return slot_sum(
+        raw.b, triple_space(raw.n),
+        (1, "v", "w"), (-1, "uv", "w"), (1, "u", "vw"), (-1, "u", "v"),
     )
 
 

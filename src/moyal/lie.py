@@ -23,8 +23,9 @@ of its orbit of block permutations, the arrangement with the blocks in
 descending order.  The report is a verdict, its witnesses and the defect's
 degree range.  All of it is read off the nonzero keys of the
 representatives; only the entries of the leading monomial, the witness, are
-turned back into a coefficient.  `jacobi_defect` alone unlifts and expands
-the full defect (the CLI renders its mu-order parts from it).
+turned back into a coefficient.  `jacobi_defect` alone unlifts: it takes all
+of A(u, v+w) A(v, w) and adds its two rotations with `star.slot_sum` (the CLI
+renders the defect's mu-order parts from it).
 
 Convention sheet (pinned by the Moyal fixture, see tests): with the bracket
 kernel of the symmetric-ordering product, the first-slot derivative matrix is
@@ -82,7 +83,7 @@ from .star import (
     on_slots,
     phase_dimension,
     slot_degrees,
-    slot_swap,
+    slot_sum,
 )
 
 
@@ -109,7 +110,7 @@ class RawLieKernel:
     @cached_property
     def antisymmetry_witness(self) -> tuple[Exponents, scalars.Coefficient] | None:
         """The leading term of A(u, v) + A(v, u); None when A is antisymmetric."""
-        return _first_term(self.a + slot_swap(self.a))
+        return _first_term(slot_sum(self.a, self.a.space, (1, "u", "v"), (1, "v", "u")))
 
 
 def exp_truncated(p: Poly, max_degree: int) -> Poly:
@@ -218,27 +219,14 @@ def _packed_defect(raw: RawLieKernel, antisymmetric: bool) -> tuple[Lifted, scal
 def jacobi_defect(raw: RawLieKernel) -> Poly:
     """A(u,v+w)A(v,w) + A(v,w+u)A(w,u) + A(w,u+v)A(u,v) over triple space.
 
-    Built from one packed product and its orbit representatives (see
-    `_packed_defect`), unlifted whole and then expanded over the orbits: the
-    value at a permuted arrangement is sgn(pi) times the representative's
-    for an antisymmetric kernel (the defect is then alternating), and the
-    representative's at each rotation otherwise.
+    The product P = A(u,v+w) A(v,w) is taken once in packed form (see
+    `poly.lifted_mul`) on D * A, D the lcm of the denominators of A, and P
+    plus its two rotations is one `slot_sum`, divided by D^2.
     """
-    antisymmetric = raw.antisymmetry_witness is None
-    lifted, den = _packed_defect(raw, antisymmetric)
-    reps = unlift(lifted, triple_space(raw.n)).over(den * den)
-    width = len(reps.space) // 3
-    negated: dict[scalars.Coefficient, scalars.Coefficient] = {}
-    terms: dict[Exponents, scalars.Coefficient] = {}
-    for exps, c in reps.terms.items():
-        x, y, z = exps[:width], exps[width : 2 * width], exps[2 * width :]
-        terms[x + y + z] = terms[y + z + x] = terms[z + x + y] = c
-        if antisymmetric:
-            m = negated.get(c)
-            if m is None:
-                m = negated[c] = -c
-            terms[y + x + z] = terms[x + z + y] = terms[z + y + x] = m
-    return Poly(reps.space, terms)
+    (a, den), tri = raw.a.split_denominator(), triple_space(raw.n)
+    product = unlift(lifted_mul(on_slots(a, tri, "u", "vw"), on_slots(a, tri, "v", "w")), tri)
+    cyclic = slot_sum(product, tri, (1, "u", "v", "w"), (1, "v", "w", "u"), (1, "w", "u", "v"))
+    return cyclic.over(den * den)
 
 
 def _first_term(p: Poly) -> tuple[Exponents, scalars.Coefficient] | None:
@@ -518,11 +506,10 @@ def _fit_structured(
                 quotient, rem = divide_exact(e_part, w)
                 if not rem.is_zero:
                     return chi, _series_list(found), rem.leading_term()
-                # A quotient term c * u_i * v^e adds -c * u_i * u^e / (d - 2) to chi.
+                # w has bidegree (1, 1), so every quotient term is some
+                # c * u_i * v^e; it adds -c * u_i * u^e / (d - 2) to chi.
                 shifted = []
                 for exps, coeff in quotient.terms.items():
-                    if slot_degrees(exps, width)[0] != 1:
-                        return chi, _series_list(found), (exps, coeff)
                     chi_exps = list(exps[width:])
                     chi_exps[exps.index(1)] += 1
                     shifted.append((chi_exps, -coeff))
@@ -561,10 +548,9 @@ def apply_bracket_kernel(raw: RawLieKernel, f: Poly, g: Poly) -> Poly:
 
 def bracket_kernel_of(kernel: StarKernel, truncation_degree: int) -> RawLieKernel:
     """The bracket kernel (exp(b) - swap) / (2 mu) of a product kernel, truncated."""
-    b = kernel.exponent()
-    eb = exp_truncated(b, truncation_degree)
-    swapped = slot_swap(eb)
-    return RawLieKernel(kernel.n, (eb - swapped).scale(scalars.HALF_INV_MU))
+    eb = exp_truncated(kernel.exponent(), truncation_degree)
+    commutator = slot_sum(eb, eb.space, (1, "u", "v"), (-1, "v", "u"))
+    return RawLieKernel(kernel.n, commutator.scale(scalars.HALF_INV_MU))
 
 
 def center_generators_from_kernel(

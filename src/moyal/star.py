@@ -31,17 +31,18 @@ memoised piece by the two coefficients.
 
 Slot layout: a kernel polynomial over pair space (u, v) or triple space
 (u, v, w) stores its exponents as consecutive blocks, one per slot, each of
-width 2n and index-aligned with z.  Its readers here: `on_slots` moves a
-polynomial between slots (chi(u + v), b(u, v + w), the slot swap),
-`merge_slots` sets the slots equal, `slot_degrees` gives a monomial's
-degree in each slot, and `bilinear_form` reads the (1, 1) part as a matrix.
-Its readers elsewhere slice the blocks themselves:
+width 2n and index-aligned with z.  Its readers here: `slot_sum`, the one
+mover, sums signed images of a polynomial under slot maps (the coboundary,
+the cocycle defect, the swap (anti)symmetrisations, the cyclic Jacobi sum),
+and `on_slots` is its one-map case; `merge_slots` sets the slots equal,
+`slot_degrees` gives a monomial's degree in each slot, and `bilinear_form`
+reads the (1, 1) part as a matrix.  Its readers elsewhere slice the blocks
+themselves:
   * the packed form of `poly.lifted_mul`/`poly.unlift` keeps the blocks as
     consecutive bit fields of one int key;
   * `lie._packed_defect` compares the u and v blocks of A to halve it, and
     sorts or rotates the bit fields to file each product entry under the
     representative of its orbit of block permutations;
-  * `lie.jacobi_defect` permutes the blocks of each representative back;
   * `lie._fit_structured` moves the v block of a quotient term into chi;
   * `cocycle.cocycle_check` cuts its evaluation point into u, v and w.
 
@@ -137,7 +138,7 @@ class StarKernel:
 def coboundary(chi: Poly) -> Poly:
     """chi(sigma) + chi(sigma') - chi(sigma + sigma') over pair space."""
     pair = pair_space(len(chi.space) // 2)
-    return on_slots(chi, pair, "u") + on_slots(chi, pair, "v") - on_slots(chi, pair, "uv")
+    return slot_sum(chi, pair, (1, "u"), (1, "v"), (-1, "uv"))
 
 
 def bilinear_pair_poly(m: Matrix, n: int) -> Poly:
@@ -171,11 +172,6 @@ def slot_degrees(exps: Exponents, width: int) -> tuple[int, ...]:
     return tuple(sum(exps[k : k + width]) for k in range(0, len(exps), width))
 
 
-def slot_swap(p: Poly) -> Poly:
-    """Exchange the u and v blocks of a pair-space polynomial."""
-    return on_slots(p, p.space, "v", "u")
-
-
 def merge_slots(p: Poly, space: Space) -> Poly:
     """Set both slots of p equal: add its two blocks of len(space) exponents."""
     width = len(space)
@@ -186,39 +182,48 @@ def merge_slots(p: Poly, space: Space) -> Poly:
 
 def on_slots(p: Poly, target: Space, *slots: str) -> Poly:
     """p(slot_1, ..., slot_k) over a pair or triple space: a(u, v + w) is
-    on_slots(a, triple_space(n), "u", "vw").
+    on_slots(a, triple_space(n), "u", "vw").  The one-map case of `slot_sum`."""
+    return slot_sum(p, target, (1, *slots))
 
-    Each slot names the one or two target blocks whose sum it is.  Single
+
+def slot_sum(p: Poly, target: Space, *maps: tuple) -> Poly:
+    """The signed sum of the images of p under slot maps, over a pair or triple space.
+
+    Each map is (sign, slot_1, ..., slot_k), and its image is sign times
+    p(slot_1, ..., slot_k): b(v, w) - b(u + v, w) is
+    slot_sum(b, triple_space(n), (1, "v", "w"), (-1, "uv", "w")).  Each slot
+    is a string naming the one or two target blocks whose sum it is.  Single
     blocks only reindex the terms; a power of a sum of two blocks is expanded
-    binomially on the exponent tuples.
+    binomially on the exponent tuples.  All images meet in one `Poly.from_terms`.
     """
-    n, rem = divmod(len(p.space), 2 * len(slots))
-    if rem or not n or target not in (pair_space(n), triple_space(n)):
-        raise SpaceMismatchError(f"{len(slots)} slots of {p.space!r} do not map into {target!r}")
-    width = 2 * n
-    blocks = "uvw"[: len(target) // width]
-    targets = [
-        tuple(blocks.index(block) * width + i for block in slot)
-        for slot in slots
-        for i in range(width)
-    ]
     images = []
-    for exps, coeff in p.terms.items():
-        base = [0] * len(target)
-        sums = []
-        for e, where in zip(exps, targets):
-            if len(where) == 1:
-                base[where[0]] += e
-            elif e:
-                sums.append((e, where))
-        for split in product(*(range(e + 1) for e, _ in sums)):
-            new = base[:]
-            mult = 1
-            for j, (e, (left, right)) in zip(split, sums):
-                new[left] += j
-                new[right] += e - j
-                mult *= comb(e, j)
-            images.append((new, coeff.scale_int(mult)))
+    for sign, *slots in maps:
+        n, rem = divmod(len(p.space), 2 * len(slots))
+        if rem or not n or target not in (pair_space(n), triple_space(n)):
+            raise SpaceMismatchError(f"{len(slots)} slots of {p.space!r} do not map into {target!r}")
+        width = 2 * n
+        blocks = "uvw"[: len(target) // width]
+        targets = [
+            tuple(blocks.index(block) * width + i for block in slot)
+            for slot in slots
+            for i in range(width)
+        ]
+        for exps, coeff in p.terms.items():
+            base = [0] * len(target)
+            sums = []
+            for e, where in zip(exps, targets):
+                if len(where) == 1:
+                    base[where[0]] += e
+                elif e:
+                    sums.append((e, where))
+            for split in product(*(range(e + 1) for e, _ in sums)):
+                new = base[:]
+                mult = sign
+                for j, (e, (left, right)) in zip(split, sums):
+                    new[left] += j
+                    new[right] += e - j
+                    mult *= comb(e, j)
+                images.append((new, coeff.scale_int(mult)))
     return Poly.from_terms(target, images)
 
 

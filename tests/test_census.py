@@ -1,0 +1,98 @@
+"""Theorem 1 by exact linear algebra: every normalised 2-cocycle is a
+coboundary plus an antisymmetric bilinear form, and nothing else.
+
+The cocycle map b -> b(v,w) - b(u+v,w) + b(u,v+w) - b(u,v) (`cocycle_defect`)
+is linear in b and keeps the weight a + e of a pair monomial u^a v^e, the
+sum of its two exponent blocks.  So its kernel on the normalised pair
+monomials (a != 0 and e != 0) splits into one block per weight alpha, and
+the prediction is, for |alpha| >= 2,
+
+    dim ker_alpha = 1 + [alpha = e_i + e_j with i != j]:
+
+the coboundary of chi = sigma^alpha, and for alpha = e_i + e_j also the
+antisymmetric form u_i v_j - u_j v_i.  Summed over the weights of degree d
+that is C(d + N - 1, N - 1) for d >= 3 and N^2 at d = 2, N = 2n.  This is
+the premise of `cocycle.factorize` and `cocycle.chi_extract`.  The ranks
+come from a Fraction elimination written here, not from `moyal.linalg`, so
+the check does not rest on the code it checks.
+"""
+
+from fractions import Fraction
+from itertools import combinations_with_replacement, product
+from math import comb
+
+import pytest
+
+from moyal.cocycle import RawKernelExponent, cocycle_defect
+from moyal.poly import Poly, pair_space
+
+CASES = [(1, d) for d in range(2, 7)] + [(2, d) for d in range(2, 5)] + [(3, 2), (3, 3)]
+
+
+def rational(c):
+    """A rational Coefficient as a Fraction."""
+    assert c.den.is_one and c.num.degree == 0 and not c.num.im, c
+    return Fraction(c.num.re[0], c.num.d)
+
+
+def rank(vectors):
+    """The rank of sparse vectors ({coordinate: Fraction}) by exact elimination."""
+    pivots = {}  # pivot coordinate -> a reduced vector whose entry there is 1
+    for vector in vectors:
+        vector = dict(vector)
+        for key, row in pivots.items():
+            factor = vector.get(key)
+            if factor:
+                for k, x in row.items():
+                    value = vector.get(k, 0) - factor * x
+                    if value:
+                        vector[k] = value
+                    else:
+                        vector.pop(k, None)
+        if vector:
+            key = min(vector)
+            lead = vector[key]
+            pivots[key] = {k: x / lead for k, x in vector.items()}
+    return len(pivots)
+
+
+def weights(width, degree):
+    """Every exponent tuple of the given degree in `width` variables."""
+    for combo in combinations_with_replacement(range(width), degree):
+        yield tuple(combo.count(k) for k in range(width))
+
+
+def block_kernel_dimension(n, alpha):
+    """dim ker of the cocycle map on the normalised pair monomials of weight alpha."""
+    pair = pair_space(n)
+    splits = [
+        a for a in product(*(range(k + 1) for k in alpha))
+        if any(a) and a != alpha
+    ]
+    defects = []
+    for a in splits:
+        b = Poly.monomial(pair, a + tuple(k - x for k, x in zip(alpha, a)))
+        defect = cocycle_defect(RawKernelExponent(n, b))
+        defects.append({e: rational(c) for e, c in defect.terms.items()})
+    return len(splits) - rank(defects)
+
+
+@pytest.mark.parametrize("n, degree", CASES, ids=[f"n{n}-d{d}" for n, d in CASES])
+def test_cocycles_are_coboundaries_plus_antisymmetric_forms(n, degree):
+    width = 2 * n
+    total = 0
+    for alpha in weights(width, degree):
+        bilinear_pair = degree == 2 and max(alpha) == 1
+        dimension = block_kernel_dimension(n, alpha)
+        assert dimension == 1 + bilinear_pair, alpha
+        total += dimension
+    assert total == (width * width if degree == 2 else comb(degree + width - 1, width - 1))
+
+
+def test_rank_on_hand_made_vectors():
+    e = {0: Fraction(1)}
+    assert rank([]) == 0
+    assert rank([e, e]) == 1
+    assert rank([{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]) == 1
+    assert rank([{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(3)}]) == 2
+    assert rank([{0: Fraction(1, 2)}, {1: Fraction(1)}, {2: Fraction(-1)}]) == 3

@@ -55,6 +55,23 @@ def test_error_positions():
     assert err.value.token == "?"
 
 
+@pytest.mark.parametrize(
+    "source, message, line, column, token",
+    [
+        ("(q1 + p1", "expected ')'", 1, 9, ""),
+        ("q1*(p1\n+ 1", "expected ')'", 2, 4, ""),
+        ("q1 p1", "unexpected trailing input", 1, 4, "p1"),
+        ("q1)", "unexpected trailing input", 1, 3, ")"),
+    ],
+    ids=["unclosed", "unclosed-second-line", "juxtaposed", "stray-parenthesis"],
+)
+def test_unclosed_and_trailing_input_positions(source, message, line, column, token):
+    with pytest.raises(ExpressionError) as err:
+        parse_poly(source, SP)
+    assert (err.value.line, err.value.column, err.value.token) == (line, column, token)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
 def test_unknown_variable_message_lists_space():
     with pytest.raises(ExpressionError) as err:
         parse_poly("q3", SP)

@@ -27,13 +27,18 @@ from moyal.lie import (
 )
 from moyal.linalg import Matrix
 from moyal.poly import Poly, lifted_mul, pair_space, sigma_space, triple_space
-from moyal.star import StarKernel, on_slots, slot_swap
+from moyal.star import StarKernel, on_slots
 
 ONE, MU, ZERO = scalars.ONE, scalars.MU, scalars.ZERO
 PAIR = pair_space(1)
 WEDGE = parse_poly("v1*u2 - v2*u1", PAIR)
 SINH_TRUNC = WEDGE + (WEDGE**3).scale(MU * MU).scale_fraction(Fraction(1, 6))
 BAD = WEDGE + parse_poly("u1^2*v2^2 - v1^2*u2^2", PAIR)
+
+
+def swapped(p):
+    """p(v, u) for a pair-space p, by literal substitution."""
+    return substitute(p, slot_images(p.space, len(p.space) // 4, "v", "u"), p.space)
 
 
 def literal_jacobi_defect(raw):
@@ -48,7 +53,7 @@ def literal_jacobi_defect(raw):
 def reference_axiom_check(raw, truncation_degree=None):
     """(status, witnesses, degree range, rendered mu-orders), computed directly."""
     n, a = raw.n, raw.a
-    anti = a + slot_swap(a)
+    anti = a + swapped(a)
     anti_witness = None if anti.is_zero else anti.sorted_terms()[0]
     const_witness = None
     for exps, coeff in a.sorted_terms():
@@ -106,7 +111,7 @@ def seeded_kernel(rng, n, antisymmetric, denominator):
     """A random pair-space kernel with mu and i, over an optional mu-denominator."""
     a = random_poly(rng, pair_space(n), 3, terms=4, mu_degree=2, allow_i=True)
     if antisymmetric:
-        a = a - slot_swap(a)
+        a = a - swapped(a)
     if denominator == "mu+c":
         a = a.scale((MU + scalars.Coefficient.from_int(rng.randint(1, 3))).inverse())
     elif denominator == "mu":

@@ -221,6 +221,37 @@ class TestTheorem2:
         report = theorem2_pipeline(raw(bad), fit_degree=4)
         assert report.status in ("neither", "axioms-failed")
 
+    @pytest.mark.parametrize(
+        "n, kernel, witness, chi",
+        [
+            # The bidegree-(2, 2) part mu*u1^2*v2^2 is not a multiple of w:
+            # the fit stops at the remainder of the division by w.
+            (
+                2,
+                "u1*v3 - u3*v1 + u2*v4 - u4*v2 + mu*(u1^2*v2^2 - v1^2*u2^2)",
+                ((2, 0, 0, 0, 0, 2, 0, 0), "mu"),
+                "0",
+            ),
+            # For n = 1 that part is mu*u1*u2 times w, which gives chi; the
+            # degree-4 residual of the reconstruction is left over.
+            (
+                1,
+                "u1*v2 - u2*v1 + mu*(u1^2*v2^2 - v1^2*u2^2)",
+                ((2, 1, 1, 2), "-2*mu^2"),
+                "-mu*u1*u2",
+            ),
+        ],
+        ids=["remainder", "residual"],
+    )
+    def test_fit_failure_exits(self, n, kernel, witness, chi):
+        report = theorem2_pipeline(raw(parse_poly(kernel, pair_space(n)), n=n), fit_degree=6)
+        assert report.axioms.passed
+        assert report.status == "neither"
+        assert report.failure == "kernel is not of coboundary-dressed h(w) form at this degree"
+        assert report.residual_witness == (witness[0], parse_coefficient(witness[1]))
+        assert report.chi == parse_poly(chi, sigma_space(n))
+        assert report.h_series is None and report.h_class is None
+
     def test_axioms_failed_status(self):
         report = theorem2_pipeline(raw(WEDGE * WEDGE), fit_degree=4)
         assert report.status == "axioms-failed"

@@ -1,9 +1,10 @@
 """The slot algebra of `moyal.star` against literal substitution.
 
-`on_slots`, `coboundary` and `slot_swap` are binomial rewrites of exponent
-tuples; `substitute` in conftest computes the same maps by multiplying out
-the image polynomials.  The readers `slot_degrees` and `bilinear_form` are
-checked on hand-written tuples and as the inverse of `bilinear_pair_poly`.
+`slot_sum`, and `on_slots` and `coboundary` on top of it, are binomial
+rewrites of exponent tuples; `substitute` in conftest computes the same maps
+by multiplying out the image polynomials.  The readers `slot_degrees` and
+`bilinear_form` are checked on hand-written tuples and as the inverse of
+`bilinear_pair_poly`.
 """
 
 import random
@@ -28,7 +29,7 @@ from moyal.star import (
     coboundary,
     on_slots,
     slot_degrees,
-    slot_swap,
+    slot_sum,
 )
 
 CASES = [(n, denominator, seed) for n in (1, 2) for denominator in (False, True) for seed in range(3)]
@@ -61,9 +62,42 @@ def test_slot_swap_is_the_literal_substitution(n, denominator, seed):
     rng = random.Random(f"swap-{n}-{denominator}-{seed}")
     pair = pair_space(n)
     p = with_denominator(random_poly(rng, pair, 4, terms=5, mu_degree=2), rng, denominator)
-    swapped = slot_swap(p)
+    swapped = slot_sum(p, pair, (1, "v", "u"))
     assert swapped == substitute(p, slot_images(pair, n, "v", "u"), pair)
-    assert slot_swap(swapped) == p
+    assert slot_sum(swapped, pair, (1, "v", "u")) == p
+
+
+# Signed slot maps from pair or triple space into a pair or triple space
+# (`test_coboundary_is_the_literal_substitution` covers sigma space).
+SLOT_SUMS = {
+    "cocycle-defect": (
+        "pair", "triple", [(1, "v", "w"), (-1, "uv", "w"), (1, "u", "vw"), (-1, "u", "v")],
+    ),
+    "antisymmetric-part": ("pair", "pair", [(1, "u", "v"), (-1, "v", "u")]),
+    "into-triple": ("pair", "triple", [(-1, "w", "uv"), (1, "vw", "u")]),
+    "cyclic": ("triple", "triple", [(1, "u", "v", "w"), (1, "v", "w", "u"), (1, "w", "u", "v")]),
+    "signed-permutations": (
+        "triple", "triple",
+        [(1, "u", "v", "w"), (-1, "v", "u", "w"), (-1, "u", "w", "v"), (1, "w", "u", "v")],
+    ),
+}
+SPACES = {"pair": pair_space, "triple": triple_space}
+
+
+@pytest.mark.parametrize("name", sorted(SLOT_SUMS))
+@pytest.mark.parametrize("n, denominator, seed", CASES)
+def test_slot_sum_is_the_signed_literal_substitution(name, n, denominator, seed):
+    source, target, maps = SLOT_SUMS[name]
+    rng = random.Random(f"slot-sum-{name}-{n}-{denominator}-{seed}")
+    space, into = SPACES[source](n), SPACES[target](n)
+    p = with_denominator(
+        random_poly(rng, space, 4, terms=5, mu_degree=2, allow_i=True), rng, denominator
+    )
+    expected = Poly.zero(into)
+    for sign, *slots in maps:
+        image = substitute(p, slot_images(into, n, *slots), into)
+        expected = expected + image if sign == 1 else expected - image
+    assert slot_sum(p, into, *maps) == expected
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -123,5 +157,8 @@ def test_on_slots_rejects_mismatched_spaces():
     for poly, target, slots in mismatched:
         with pytest.raises(SpaceMismatchError):
             on_slots(poly, target, *slots)
+    # A slot sum checks every map, not only its first.
+    with pytest.raises(SpaceMismatchError):
+        slot_sum(p, triple_space(1), (1, "u", "vw"), (1, "u", "v", "w"))
     with pytest.raises(SpaceMismatchError):
         coboundary(Poly.zero(Space(["a", "b", "c"])))
