@@ -12,7 +12,10 @@ as a cocycle violation, a "neither" classification, or a pole at mu = 0), or
 monomials, a power whose integers would pass Python's int-string limit
 (`sys.get_int_max_str_digits`) and so could not be printed, or a reader that
 closed standard output early).  JSON output is byte-identical
-across runs on identical input.
+across runs on identical input.  Report records reach JSON through one value
+rule, `_jsonable`: a matrix is its rows, a list or tuple a list, a record its
+fields that are not None, and any other value such as a polynomial or a
+coefficient its str.
 
 The environment variable MOYAL_MAX_DEGREE sets the total-degree guard for
 the command.  The expression arguments are --chi (a polynomial in
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import os
@@ -75,12 +79,23 @@ class _Outcome:
         return {"ok": 0, "fail": 1, "error": 2}[self.status]
 
 
-def _matrix_rows(m: Matrix) -> list[list[str]]:
-    return [[str(c) for c in row] for row in m.rows]
+def _jsonable(value):
+    """The JSON form of a report value (see the module docstring)."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, Matrix):
+        value = value.rows
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        return _fields(value, *(f.name for f in dataclasses.fields(value)))
+    return str(value)
 
 
-def _vectors(vs) -> list[list[str]]:
-    return [[str(c) for c in v] for v in vs]
+def _fields(record, *names) -> dict:
+    """{name: _jsonable(record.name)} for the named attributes that are not None."""
+    values = ((name, getattr(record, name)) for name in names)
+    return {name: _jsonable(value) for name, value in values if value is not None}
 
 
 def _stdin_reader():
@@ -191,15 +206,7 @@ def _cmd_oracle(args) -> _Outcome:
 
 
 def _violation_payload(v) -> dict:
-    payload = {
-        "stage": v.stage,
-        "monomial": v.monomial_str(),
-    }
-    if v.point is not None:
-        payload["point"] = list(v.point)
-        payload["lhs"] = str(v.lhs)
-        payload["rhs"] = str(v.rhs)
-    return payload
+    return dict(_fields(v, "stage", "point", "lhs", "rhs"), monomial=v.monomial_str())
 
 
 def _cmd_check_cocycle(args) -> _Outcome:
@@ -221,20 +228,12 @@ def _cmd_factorize(args) -> _Outcome:
         if hasattr(err.witness, "stage"):
             witness.update(_violation_payload(err.witness))
         return _Outcome("fail", witness=witness, human=str(err))
-    result = {
-        "chi": str(fact.chi),
-        "m": _matrix_rows(fact.m),
-        "rank": fact.rank,
-        "pairings": [str(c) for c in fact.pairings],
-        "uniform_pairing": fact.uniform_pairing,
-        "darboux_basis": _matrix_rows(fact.darboux_basis),
-        "kernel_basis": _vectors(fact.kernel_basis),
-        "nondegenerate": fact.nondegenerate,
-    }
+    names = "chi", "m", "rank", "pairings", "uniform_pairing", "darboux_basis", "kernel_basis", "nondegenerate"
+    result = _fields(fact, *names)
     human = (
         f"chi = {fact.chi}\n"
         f"M = {fact.m!r}\n"
-        f"rank = {fact.rank}, pairings = [{', '.join(str(c) for c in fact.pairings)}], "
+        f"rank = {fact.rank}, pairings = [{', '.join(result['pairings'])}], "
         f"uniform = {fact.uniform_pairing}\n"
         f"center: {'trivial' if fact.nondegenerate else 'nontrivial'}"
     )
@@ -246,7 +245,7 @@ def _cmd_center(args) -> _Outcome:
         basis = center_basis(args.b, args.max_degree)
     except FactorizationError as err:
         return _Outcome("fail", witness={"stage": err.stage, "message": str(err)}, human=str(err))
-    result = {"generators": [str(p) for p in basis]}
+    result = {"generators": _jsonable(basis)}
     return _Outcome("ok", result=result, human="\n".join(str(p) for p in basis))
 
 
@@ -298,33 +297,15 @@ def _cmd_extract_omega(args) -> _Outcome:
         data = extract_omega(args.a)
     except LieKernelError as err:
         return _Outcome("fail", witness={"message": str(err)}, human=str(err))
-    result = {
-        "omega": _matrix_rows(data.omega),
-        "rank": data.rank,
-        "kernel_basis": _vectors(data.kernel_basis),
-    }
+    result = _fields(data, "omega", "rank", "kernel_basis")
     human = f"omega = {data.omega!r}\nrank = {data.rank}"
     if data.kernel_basis:
         human += f"\nkernel basis: {result['kernel_basis']}"
     return _Outcome("ok", result=result, human=human)
 
 
-def _hclass_payload(h) -> dict:
-    payload = {"tag": h.tag}
-    if h.mu_squared is not None:
-        payload["mu_squared"] = str(h.mu_squared)
-    if h.scale is not None:
-        payload["scale"] = str(h.scale)
-    if h.witness_index is not None:
-        payload["witness_index"] = h.witness_index
-        payload["expected"] = str(h.expected)
-        payload["found"] = str(h.found)
-    return payload
-
-
 def _cmd_classify_h(args) -> _Outcome:
     h = classify_h(args.series)
-    payload = _hclass_payload(h)
     status = "fail" if h.tag == "neither" else "ok"
     if h.tag == "sinh":
         human = f"sinh: mu^2 = {h.mu_squared}, scale (c*mu) = {h.scale}"
@@ -333,11 +314,8 @@ def _cmd_classify_h(args) -> _Outcome:
     elif h.tag == "zero":
         human = "zero"
     else:
-        human = (
-            f"neither: index {h.witness_index} expected {h.expected}, "
-            f"found {h.found}"
-        )
-    return _Outcome(status, result=payload, human=human)
+        human = f"neither: index {h.witness_index} expected {h.expected}, found {h.found}"
+    return _Outcome(status, result=_jsonable(h), human=human)
 
 
 def _cmd_theorem2(args) -> _Outcome:
@@ -349,29 +327,14 @@ def _cmd_theorem2(args) -> _Outcome:
         verify_degree=args.verify_degree,
     )
     axioms, defects = _axiom_payload(raw, report.axioms)
-    result = {"status": report.status, "axioms": axioms}
-    if report.omega is not None:
-        result["omega"] = _matrix_rows(report.omega)
-        result["rank"] = report.rank
-    if report.kernel_basis:
-        result["kernel_basis"] = _vectors(report.kernel_basis)
-    if report.chi is not None:
-        result["chi"] = str(report.chi)
-    if report.h_series is not None:
-        result["h_series"] = [str(c) for c in report.h_series]
-    if report.h_class is not None:
-        result["h_class"] = _hclass_payload(report.h_class)
-    if report.center_generators:
-        result["center_generators"] = [
-            {"generator": str(g.generator), "verified": g.verified}
-            for g in report.center_generators
-        ]
-    if report.isomorphism_note:
-        result["isomorphism_note"] = report.isomorphism_note
+    # Unlike factorize, which keeps an empty pairings and kernel_basis (M = 0),
+    # theorem2 leaves out an empty kernel_basis and center_generators.
+    lists = [name for name in ("kernel_basis", "center_generators") if getattr(report, name)]
+    names = ("status", "omega", "rank", "chi", "h_series", "h_class", "isomorphism_note", *lists)
+    result = dict(_fields(report, *names), axioms=axioms)
     witness = None
     if report.residual_witness is not None:
-        exps, coeff = report.residual_witness
-        witness = {"residual": format_term(raw.a.space, exps, coeff)}
+        witness = {"residual": format_term(raw.a.space, *report.residual_witness)}
     if report.failure:
         witness = dict(witness or {}, message=report.failure)
     status = "ok" if report.passed else "fail"
@@ -381,10 +344,8 @@ def _cmd_theorem2(args) -> _Outcome:
     if "h_class" in result:
         human_lines.append(f"h: {result['h_class']}")
     if "center_generators" in result:
-        human_lines.append(
-            "center generators: "
-            + ", ".join(g["generator"] for g in result["center_generators"])
-        )
+        generators = ", ".join(g["generator"] for g in result["center_generators"])
+        human_lines.append(f"center generators: {generators}")
     if report.isomorphism_note:
         human_lines.append(report.isomorphism_note)
     if witness:

@@ -16,16 +16,17 @@ degree-T truncation of a valid kernel has a defect supported in total degree
 defect that vanishes at mu = 0.  Both patterns are reported as expected
 truncation defects rather than violations.
 
-Packed form.  The Jacobi check runs on exact integers: A(u, v+w) and half of
-A(v, w) are multiplied once on packed int keys with int values (see
-`poly.lifted_mul`), and each product entry is filed under the representative
-of its orbit of block permutations, the arrangement with the blocks in
-descending order.  The report is a verdict, its witnesses and the defect's
-degree range.  All of it is read off the nonzero keys of the
-representatives; only the entries of the leading monomial, the witness, are
-turned back into a coefficient.  `jacobi_defect` alone unlifts: it takes all
-of A(u, v+w) A(v, w) and adds its two rotations with `star.slot_sum` (the CLI
-renders the defect's mu-order parts from it).
+Packed form.  The Jacobi check runs on exact integers: A(u, v+w) and A(v, w),
+or half of it when A is antisymmetric, are multiplied once on packed int keys
+with int values (see `poly.lifted_mul`).  For an antisymmetric A each product
+entry is filed under the representative of its orbit of block permutations,
+the arrangement with the blocks in descending order; otherwise it is added at
+each of its three block rotations, which is the whole cyclic defect.  The
+report is a verdict, its witnesses and the defect's degree range.  All of it
+is read off the nonzero keys; only the entries of the leading monomial, the
+witness, are turned back into a coefficient.  `jacobi_defect` alone unlifts
+every entry: it is the rotated sum of the full product (the CLI renders the
+defect's mu-order parts from it).
 
 Convention sheet (pinned by the Moyal fixture, see tests): with the bracket
 kernel of the symmetric-ordering product, the first-slot derivative matrix is
@@ -42,7 +43,11 @@ Nondegenerate kernels are fitted degreewise to the normal form
 with gauge-fixed chi and h'(0) = 1 (w is read off A itself, which absorbs
 the only scale freedom of the pair (omega, h)).  The odd series h is then
 classified: h'' = mu^2 h termwise forces either c*sinh(mu*x) (mu^2 != 0) or
-c*x, the only generating functions compatible with Jacobi.
+c*x, the only generating functions compatible with Jacobi.  That the fit
+misses nothing at first order around w, the premise of `_fit_structured`, is
+checked by exact rank in tests/test_census.py for n = 1 and degrees 2 to 11:
+the first-order Lie kernels are the gauge directions (delta chi) * w, the
+scale of w and w^3.
 """
 
 from __future__ import annotations
@@ -164,17 +169,17 @@ class LieAxiomReport:
 
 
 def _packed_defect(raw: RawLieKernel, antisymmetric: bool) -> tuple[Lifted, scalars.MuPoly]:
-    """The Jacobi defect at one exponent tuple per orbit of its blocks, packed.
+    """The Jacobi defect, packed: at one exponent tuple per orbit of its blocks
+    when `antisymmetric`, and at every exponent tuple otherwise.
 
     For an antisymmetric A the defect is the sum over S3 of sgn(pi) Q o pi,
     Q = A(u,v+w) H(v,w), where H holds the terms of A(v,w) whose v-block is
     lexicographically above its w-block (A = H - H o swap).  Each term of Q is
     added, with the sign of the sorting permutation, at the arrangement of its
-    blocks in descending order; arrangements with two equal blocks cancel.
-    Otherwise the defect is the cyclic sum of P = A(u,v+w) A(v,w), and each
-    term of P goes to the largest of its three rotations (three times when
-    the three blocks agree).  Either way the representative is the largest
-    tuple of its orbit.
+    blocks in descending order, the largest tuple of its orbit; arrangements
+    with two equal blocks cancel.  Otherwise the defect is the cyclic sum of
+    P = A(u,v+w) A(v,w), and each term of P is added at each of its three
+    rotations.
 
     The product runs in packed form (see `poly.lifted_mul`) on D * A, D the
     lcm of the denominators of A (`Poly.split_denominator`).  Returns the
@@ -207,10 +212,12 @@ def _packed_defect(raw: RawLieKernel, antisymmetric: bool) -> tuple[Lifted, scal
                 y, z, value = z, y, -value
                 if x < y:
                     x, y, value = y, x, -value
-        elif x == y == z:
-            value *= 3
         else:
-            x, y, z = max((x, y, z), (y, z, x), (z, x, y))
+            key &= keep
+            for x, y, z in (x, y, z), (y, z, x), (z, x, y):
+                rep = key | x << u_shift | y << v_shift | z << low
+                folded[rep] = get(rep, 0) + value
+            continue
         rep = key & keep | x << u_shift | y << v_shift | z << low
         folded[rep] = get(rep, 0) + value
     return (folded, int_den, layout), den
@@ -219,14 +226,10 @@ def _packed_defect(raw: RawLieKernel, antisymmetric: bool) -> tuple[Lifted, scal
 def jacobi_defect(raw: RawLieKernel) -> Poly:
     """A(u,v+w)A(v,w) + A(v,w+u)A(w,u) + A(w,u+v)A(u,v) over triple space.
 
-    The product P = A(u,v+w) A(v,w) is taken once in packed form (see
-    `poly.lifted_mul`) on D * A, D the lcm of the denominators of A, and P
-    plus its two rotations is one `slot_sum`, divided by D^2.
+    The packed cyclic sum of `_packed_defect`, unlifted and divided by D^2.
     """
-    (a, den), tri = raw.a.split_denominator(), triple_space(raw.n)
-    product = unlift(lifted_mul(on_slots(a, tri, "u", "vw"), on_slots(a, tri, "v", "w")), tri)
-    cyclic = slot_sum(product, tri, (1, "u", "v", "w"), (1, "v", "w", "u"), (1, "w", "u", "v"))
-    return cyclic.over(den * den)
+    lifted, den = _packed_defect(raw, False)
+    return unlift(lifted, triple_space(raw.n)).over(den * den)
 
 
 def _first_term(p: Poly) -> tuple[Exponents, scalars.Coefficient] | None:
@@ -258,10 +261,11 @@ def lie_axiom_check(
     if not keys:
         status, jac_witness, degree_range = "exact", None, None
     else:
-        # Keys order as (degree, exponents, mu, i) and each representative is
-        # the largest tuple of its orbit, so the largest key holds the leading
-        # monomial of the defect, the smallest and largest keys bound its
-        # degree, and an orbit shares its degree and its value up to sign.
+        # Keys order as (degree, exponents, mu, i), and the keys are either
+        # every monomial of the defect or, for an antisymmetric A, the largest
+        # tuple of each orbit, whose members share its degree and its value up
+        # to sign.  Either way the largest key holds the leading monomial of
+        # the defect and the smallest and largest keys bound its degree.
         width, bits, mu_bits = layout
         low = mu_bits + 2
         degree_shift = low + width * bits
@@ -417,6 +421,12 @@ class StructuredLieKernel:
         check_dimension(self.n)
         if self.chi.space != sigma_space(self.n):
             raise SpaceMismatchError("chi must live on sigma space")
+        if self.chi.constant_term():
+            raise ValueError("chi must vanish at sigma = 0")
+        if not isinstance(self.h_series, tuple) or not all(
+            isinstance(c, scalars.Coefficient) for c in self.h_series
+        ):
+            raise TypeError("h_series must be a tuple of Coefficients")
         if self.omega.nrows != 2 * self.n or self.omega.ncols != 2 * self.n:
             raise DimensionMismatchError("omega must be 2n x 2n")
         if not self.omega.is_antisymmetric:

@@ -33,16 +33,17 @@ Slot layout: a kernel polynomial over pair space (u, v) or triple space
 (u, v, w) stores its exponents as consecutive blocks, one per slot, each of
 width 2n and index-aligned with z.  Its readers here: `slot_sum`, the one
 mover, sums signed images of a polynomial under slot maps (the coboundary,
-the cocycle defect, the swap (anti)symmetrisations, the cyclic Jacobi sum),
-and `on_slots` is its one-map case; `merge_slots` sets the slots equal,
-`slot_degrees` gives a monomial's degree in each slot, and `bilinear_form`
-reads the (1, 1) part as a matrix.  Its readers elsewhere slice the blocks
+the cocycle defect, the swap (anti)symmetrisations), and `on_slots` is its
+one-map case; `merge_slots` sets the slots equal, `slot_degrees` gives a
+monomial's degree in each slot, and `bilinear_form` reads the (1, 1) part as
+a matrix.  Its readers elsewhere slice the blocks
 themselves:
   * the packed form of `poly.lifted_mul`/`poly.unlift` keeps the blocks as
     consecutive bit fields of one int key;
   * `lie._packed_defect` compares the u and v blocks of A to halve it, and
-    sorts or rotates the bit fields to file each product entry under the
-    representative of its orbit of block permutations;
+    sorts the bit fields to file each product entry under the representative
+    of its orbit of block permutations, or rotates them to add the entry at
+    each of its three rotations;
   * `lie._fit_structured` moves the v block of a quotient term into chi;
   * `cocycle.cocycle_check` cuts its evaluation point into u, v and w.
 

@@ -1,5 +1,7 @@
-"""Theorem 1 by exact linear algebra: every normalised 2-cocycle is a
-coboundary plus an antisymmetric bilinear form, and nothing else.
+"""Theorems 1 and 2 by exact linear algebra.
+
+Theorem 1: every normalised 2-cocycle is a coboundary plus an antisymmetric
+bilinear form, and nothing else.
 
 The cocycle map b -> b(v,w) - b(u+v,w) + b(u,v+w) - b(u,v) (`cocycle_defect`)
 is linear in b and keeps the weight a + e of a pair monomial u^a v^e, the
@@ -15,6 +17,21 @@ that is C(d + N - 1, N - 1) for d >= 3 and N^2 at d = 2, N = 2n.  This is
 the premise of `cocycle.factorize` and `cocycle.chi_extract`.  The ranks
 come from a Fraction elimination written here, not from `moyal.linalg`, so
 the check does not rest on the code it checks.
+
+Theorem 2 at first order, for n = 1.  Around w = u1*v2 - u2*v1 the Jacobi
+condition of A = w + X is, to first order in X, L(X) = 0 with
+
+    L(X) = X(u,v+w) w(v,w) + w(u,v+w) X(v,w) + its two cyclic rotations,
+
+linear in X and homogeneous: it maps the antisymmetric X of degree d with
+X(0, v) = 0 to degree d + 2.  The prediction is
+
+    dim ker L_d = g(d) + [d = 2] + [d = 6],   g(d) = d - 1 for d >= 4, else 0:
+
+g(d) counts the gauge directions (delta chi) * w, chi of degree d - 2 >= 2
+in u1, u2, and the two extra directions are the scale of w and w^3, which is
+the mu^2 of the sinh class.  Nothing else is free at first order; in
+particular w^5 is not, at d = 10.  This is the premise of `lie._fit_structured`.
 """
 
 from fractions import Fraction
@@ -23,8 +40,11 @@ from math import comb
 
 import pytest
 
+from moyal import scalars
 from moyal.cocycle import RawKernelExponent, cocycle_defect
-from moyal.poly import Poly, pair_space
+from moyal.expressions import parse_poly
+from moyal.poly import Poly, pair_space, triple_space
+from moyal.star import on_slots, slot_sum
 
 CASES = [(1, d) for d in range(2, 7)] + [(2, d) for d in range(2, 5)] + [(3, 2), (3, 3)]
 
@@ -87,6 +107,40 @@ def test_cocycles_are_coboundaries_plus_antisymmetric_forms(n, degree):
         assert dimension == 1 + bilinear_pair, alpha
         total += dimension
     assert total == (width * width if degree == 2 else comb(degree + width - 1, width - 1))
+
+
+W = parse_poly("u1*v2 - u2*v1", pair_space(1))
+
+
+def first_order_jacobi(x):
+    """L(X) for n = 1 (see the module docstring)."""
+    tri = triple_space(1)
+    p = (
+        on_slots(x, tri, "u", "vw") * on_slots(W, tri, "v", "w")
+        + on_slots(W, tri, "u", "vw") * on_slots(x, tri, "v", "w")
+    )
+    return slot_sum(p, tri, (1, "u", "v", "w"), (1, "v", "w", "u"), (1, "w", "u", "v"))
+
+
+def antisymmetric_basis(degree):
+    """m - m o swap, one per swap orbit of the degree-d pair monomials with both
+    slot degrees at least 1."""
+    basis = []
+    for exps in weights(4, degree):
+        u, v = exps[:2], exps[2:]
+        if sum(u) and sum(v) and u > v:
+            basis.append(Poly.from_terms(W.space, [(exps, scalars.ONE), (v + u, -scalars.ONE)]))
+    return basis
+
+
+@pytest.mark.parametrize("degree", range(2, 12))
+def test_first_order_lie_kernels_are_gauge_plus_w_and_w_cubed(degree):
+    basis = antisymmetric_basis(degree)
+    images = [
+        {e: rational(c) for e, c in first_order_jacobi(x).terms.items()} for x in basis
+    ]
+    gauge = degree - 1 if degree >= 4 else 0
+    assert len(basis) - rank(images) == gauge + (degree == 2) + (degree == 6)
 
 
 def test_rank_on_hand_made_vectors():

@@ -11,6 +11,13 @@ argv without --json, of a zero --chi and of a kernel error that must win over
 an operand error, of each subcommand missing an operand (argparse's usage
 text at 80 columns) and of two --stdin runs.  It was recorded before the
 expression arguments were read through one table.
+
+The last eight cases of each file were recorded at commit dcdfbd3, before
+the JSON results were rendered by one value rule: a factorization with
+M = 0 (an empty "pairings" list), a cocycle violation merged into a
+factorize witness, a normalization-stage violation, the degenerate, neither
+and axioms-failed statuses of theorem2, and the zero and linear classes of
+classify-h.
 """
 
 import io
@@ -30,6 +37,24 @@ def test_golden_covers_every_subcommand():
     from moyal.cli import _HANDLERS
 
     assert {case["argv"][1] for case in GOLDEN} == set(_HANDLERS)
+
+
+def test_golden_covers_every_report_branch():
+    seen = {"theorem2": set(), "classify-h": set(), "check-cocycle": set()}
+    for case in GOLDEN:
+        doc = json.loads(case["stdout"])
+        command, result, witness = doc["command"], doc["result"] or {}, doc["witness"] or {}
+        if command == "theorem2":
+            seen[command].add(result["status"])
+        elif command == "classify-h":
+            seen[command].add(result["tag"])
+        elif command == "check-cocycle" and "stage" in witness:
+            seen[command].add(witness["stage"])
+    assert seen == {
+        "theorem2": {"moyal-class", "poisson-class", "degenerate", "neither", "axioms-failed"},
+        "classify-h": {"sinh", "linear", "zero", "neither"},
+        "check-cocycle": {"normalization", "cocycle"},
+    }
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[f"{k}-{c['argv'][1]}" for k, c in enumerate(GOLDEN)])

@@ -367,6 +367,23 @@ def test_structured_kernel_omega_must_be_2n_by_2n():
     StructuredLieKernel(2, chi, Matrix.canonical_symplectic(2), (ONE,)).expand(4)
 
 
+def test_structured_kernel_chi_must_vanish_at_zero():
+    # A constant term was accepted and failed later, in `expand`.
+    chi = parse_poly("1 + u1*u2", sigma_space(1))
+    with pytest.raises(ValueError, match="chi must vanish at sigma = 0"):
+        StructuredLieKernel(1, chi, Matrix.canonical_symplectic(1), (ONE,))
+
+
+@pytest.mark.parametrize(
+    "series", [[ONE], (1.0,), ("1",), (ONE, 1), ONE], ids=["list", "float", "str", "int", "bare"]
+)
+def test_structured_kernel_h_series_must_be_a_tuple_of_coefficients(series):
+    # A float or str failed deep in `expand`, and a list made the record unhashable.
+    chi = Poly.zero(sigma_space(1))
+    with pytest.raises(TypeError, match="h_series must be a tuple of Coefficients"):
+        StructuredLieKernel(1, chi, Matrix.canonical_symplectic(1), series)
+
+
 def test_matrix_entries_must_be_coefficients():
     with pytest.raises(TypeError, match="must be Coefficients"):
         Matrix([[1, 2], [3, 4]])
