@@ -52,6 +52,7 @@ from .star import (
     bilinear_form,
     coboundary,
     merge_slots,
+    on_slots,
     slot_degrees,
     slot_sum,
 )
@@ -90,10 +91,8 @@ class CocycleViolation:
 
 def split_parts(b: Poly) -> tuple[Poly, Poly]:
     """(symmetric, antisymmetric) slot-swap parts of b."""
-    return tuple(
-        slot_sum(b, b.space, (1, "u", "v"), (sign, "v", "u")).scale_fraction(Fraction(1, 2))
-        for sign in (1, -1)
-    )
+    swapped = on_slots(b, b.space, "v", "u")
+    return (b + swapped).scale_fraction(Fraction(1, 2)), (b - swapped).scale_fraction(Fraction(1, 2))
 
 
 def cocycle_defect(raw: RawKernelExponent) -> Poly:

@@ -36,18 +36,21 @@ kernel of the symmetric-ordering product, the first-slot derivative matrix is
 and omega = -M/mu where M is the product kernel's antisymmetric matrix; in
 particular omega = -J for the Moyal/hyperbolic-sine family.
 
-Nondegenerate kernels are fitted degreewise to the normal form
+Nondegenerate kernels are fitted to the normal form
 
     A = exp(chi(u) + chi(v) - chi(u+v)) * h(w),   w = sum omega_ij u_i v_j,
 
 with gauge-fixed chi and h'(0) = 1 (w is read off A itself, which absorbs
-the only scale freedom of the pair (omega, h)).  The odd series h is then
+the only scale freedom of the pair (omega, h)).  The fit makes two passes:
+chi is read off A alone, then A is compared once with exp(delta chi) * h(w),
+h being read off the leads of the odd powers of w.  The odd series h is then
 classified: h'' = mu^2 h termwise forces either c*sinh(mu*x) (mu^2 != 0) or
 c*x, the only generating functions compatible with Jacobi.  That the fit
 misses nothing at first order around w, the premise of `_fit_structured`, is
 checked by exact rank in tests/test_census.py for n = 1 and degrees 2 to 11:
 the first-order Lie kernels are the gauge directions (delta chi) * w, the
-scale of w and w^3.
+scale of w and w^3.  The same file checks that Jacobi then fixes the w^5
+coefficient to the sinh value.
 """
 
 from __future__ import annotations
@@ -88,7 +91,6 @@ from .star import (
     on_slots,
     phase_dimension,
     slot_degrees,
-    slot_sum,
 )
 
 
@@ -115,7 +117,7 @@ class RawLieKernel:
     @cached_property
     def antisymmetry_witness(self) -> tuple[Exponents, scalars.Coefficient] | None:
         """The leading term of A(u, v) + A(v, u); None when A is antisymmetric."""
-        return _first_term(slot_sum(self.a, self.a.space, (1, "u", "v"), (1, "v", "u")))
+        return _first_term(self.a + on_slots(self.a, self.a.space, "v", "u"))
 
 
 def exp_truncated(p: Poly, max_degree: int) -> Poly:
@@ -481,74 +483,58 @@ class Theorem2Report:
 def _fit_structured(
     a: Poly, n: int, w: Poly, fit_degree: int
 ) -> tuple[Poly, list[scalars.Coefficient], tuple | None]:
-    """Degreewise solve of A = exp(coboundary chi) * h(w) up to fit_degree.
+    """Solve A = exp(coboundary chi) * h(w) up to fit_degree, in two passes.
 
     Returns (chi, h_series, residual_witness); a non-None witness means the
     input is not of normal form at this degree and the other outputs are
     partial.  h is normalized with h'(0) = 1, the scale being carried by w.
+
+    Pass 1 reads chi off A alone: the bidegree-(2, d-2) part of
+    dress * h(w) is (delta chi_{d-2}) * w, so chi_{d-2} is that part of A
+    divided by w.  A nonzero remainder at degree d ends the pass; its lead
+    is kept as the witness, and pass 2 stops at top = d - 1.  Pass 2 forms
+    rest = A - dress * h(w) through top once, reading each odd h_k off the
+    lead of w^k.  chi_j and h_k only reach degrees >= j + 2 and >= 2k, so
+    the lowest part of a nonzero rest is the residual at the first degree
+    that no (chi, h) fits; its lead is the witness, and chi is cut to the
+    terms fixed by that degree.
     """
     width = 2 * n
     sig = sigma_space(n)
     chi = Poly.zero(sig)
-    found: dict[int, scalars.Coefficient] = {1: scalars.ONE}
-    a_cut = a.truncate_degree(fit_degree)
-    # The odd powers w^k the fit can reach (2k <= fit_degree), each built once.
-    w_powers = {1: w.truncate_degree(fit_degree)}
-    for k in range(3, fit_degree // 2 + 1, 2):
-        w_powers[k] = w_powers[k - 2] * w * w
-    # exp(coboundary chi), rebuilt only when chi changes.
-    dress = exp_truncated(coboundary(chi), fit_degree)
+    top, pending = fit_degree, None
+    for d in range(4, fit_degree + 1):
+        terms = a.homogeneous_component(d).terms.items()
+        e_part = Poly(w.space, {e: c for e, c in terms if slot_degrees(e, width) == (2, d - 2)})
+        quotient, rem = divide_exact(e_part, w)
+        if not rem.is_zero:
+            top, pending = d - 1, rem.leading_term()
+            break
+        # w has bidegree (1, 1), so every quotient term is some
+        # c * u_i * v^e; it adds -c * u_i * u^e / (d - 2) to chi.
+        shifted = []
+        for exps, coeff in quotient.terms.items():
+            chi_exps = list(exps[width:])
+            chi_exps[exps.index(1)] += 1
+            shifted.append((chi_exps, -coeff))
+        chi = chi + Poly.from_terms(sig, shifted).scale_fraction(Fraction(1, d - 2))
 
-    def reconstruction() -> Poly:
-        hw = Poly.zero(w.space)
-        for power, coeff in found.items():
-            if coeff:
-                hw = hw + w_powers[power].scale(coeff)
-        return dress.mul_truncated(hw, fit_degree)
-
-    for d in range(3, fit_degree + 1):
-        if d >= 4:
-            # The reconstruction has no bidegree-(2, d-2) part until chi gets its
-            # degree-(d-2) terms, so this part of A is that of the residual.
-            terms = a_cut.homogeneous_component(d).terms.items()
-            e_part = Poly(w.space, {e: c for e, c in terms if slot_degrees(e, width) == (2, d - 2)})
-            if not e_part.is_zero:
-                quotient, rem = divide_exact(e_part, w)
-                if not rem.is_zero:
-                    return chi, _series_list(found), rem.leading_term()
-                # w has bidegree (1, 1), so every quotient term is some
-                # c * u_i * v^e; it adds -c * u_i * u^e / (d - 2) to chi.
-                shifted = []
-                for exps, coeff in quotient.terms.items():
-                    chi_exps = list(exps[width:])
-                    chi_exps[exps.index(1)] += 1
-                    shifted.append((chi_exps, -coeff))
-                chi_new = Poly.from_terms(sig, shifted)
-                chi = chi + chi_new.scale_fraction(Fraction(1, d - 2))
-                dress = exp_truncated(coboundary(chi), fit_degree)
-        residual = (a_cut - reconstruction()).homogeneous_component(d)
-        if d % 2 == 0 and (d // 2) % 2 == 1 and d >= 6:
-            # Read h's w^k coefficient off the lead of w^k; a zero residual reads 0.
-            k = d // 2
-            lead_exps, lead_coeff = w_powers[k].leading_term()
-            cand = residual.terms.get(lead_exps)
-            ratio = scalars.ZERO if cand is None else cand / lead_coeff
-            residual = residual - w_powers[k].scale(ratio)
-            if residual.is_zero:
-                found[k] = ratio
-        if not residual.is_zero:
-            return chi, _series_list(found), residual.leading_term()
-
-    final = (a_cut - reconstruction()).truncate_degree(fit_degree)
-    if not final.is_zero:  # pragma: no cover - the degree loop should catch it
-        return chi, _series_list(found), final.leading_term()
-    return chi, _series_list(found), None
-
-
-def _series_list(found: dict[int, scalars.Coefficient]):
-    max_k = max(found)
-    ks = [k for k in range(1, max_k + 1) if k % 2 == 1]
-    return [found.get(k, scalars.ZERO) for k in ks]
+    # dress * w^k for k = 1, 3, 5, ...; its degree-2k part is w^k.  w has
+    # degree 2, so dress is needed only through top - 2.
+    dressed = exp_truncated(coboundary(chi), max(top - 2, 0)).mul_truncated(w, top)
+    rest = a.truncate_degree(top) - dressed
+    series = [scalars.ONE]
+    w_squared = w * w
+    for k in range(3, top // 2 + 1, 2):
+        dressed = dressed.mul_truncated(w_squared, top)
+        lead_exps, lead_coeff = dressed.homogeneous_component(2 * k).leading_term()
+        ratio = rest.terms.get(lead_exps, scalars.ZERO) / lead_coeff
+        rest = rest - dressed.scale(ratio)
+        series.append(ratio)
+    if rest.is_zero:
+        return chi, series, pending
+    d = min(map(sum, rest.terms))
+    return chi.truncate_degree(d - 2), series, rest.homogeneous_component(d).leading_term()
 
 
 def apply_bracket_kernel(raw: RawLieKernel, f: Poly, g: Poly) -> Poly:
@@ -559,7 +545,7 @@ def apply_bracket_kernel(raw: RawLieKernel, f: Poly, g: Poly) -> Poly:
 def bracket_kernel_of(kernel: StarKernel, truncation_degree: int) -> RawLieKernel:
     """The bracket kernel (exp(b) - swap) / (2 mu) of a product kernel, truncated."""
     eb = exp_truncated(kernel.exponent(), truncation_degree)
-    commutator = slot_sum(eb, eb.space, (1, "u", "v"), (-1, "v", "u"))
+    commutator = eb - on_slots(eb, eb.space, "v", "u")
     return RawLieKernel(kernel.n, commutator.scale(scalars.HALF_INV_MU))
 
 

@@ -33,10 +33,10 @@ Slot layout: a kernel polynomial over pair space (u, v) or triple space
 (u, v, w) stores its exponents as consecutive blocks, one per slot, each of
 width 2n and index-aligned with z.  Its readers here: `slot_sum`, the one
 mover, sums signed images of a polynomial under slot maps (the coboundary,
-the cocycle defect, the swap (anti)symmetrisations), and `on_slots` is its
-one-map case; `merge_slots` sets the slots equal, `slot_degrees` gives a
-monomial's degree in each slot, and `bilinear_form` reads the (1, 1) part as
-a matrix.  Its readers elsewhere slice the blocks
+the cocycle defect), and `on_slots` is its one-map case (the swap p(v, u)
+of the (anti)symmetrisations); `merge_slots` sets the slots equal,
+`slot_degrees` gives a monomial's degree in each slot, and `bilinear_form`
+reads the (1, 1) part as a matrix.  Its readers elsewhere slice the blocks
 themselves:
   * the packed form of `poly.lifted_mul`/`poly.unlift` keeps the blocks as
     consecutive bit fields of one int key;

@@ -1,5 +1,6 @@
 """Shared helpers: monomial enumeration, seeded random algebra objects,
-`substitute`, the slot-map oracle, and the per-term accumulation oracles."""
+`substitute`, the slot-map oracle, the per-term accumulation oracles and the
+degreewise Theorem 2 fit."""
 
 from __future__ import annotations
 
@@ -10,10 +11,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 from moyal import scalars
+from moyal.lie import exp_truncated
 from moyal.linalg import Matrix
 from moyal.operators import NCPoly
-from moyal.poly import DiffOp, Poly, pair_space, phase_space, sigma_space
-from moyal.star import StarKernel, merge_slots
+from moyal.poly import DiffOp, Poly, divide_exact, pair_space, phase_space, sigma_space
+from moyal.star import StarKernel, coboundary, merge_slots, slot_degrees
 
 
 def monomials(space, max_total_degree):
@@ -299,3 +301,55 @@ def oracle_nc_mul(x, y):
         ),
     )
     return NCPoly(n, product.terms)
+
+
+def oracle_fit_structured(a, n, w, fit_degree):
+    """`lie._fit_structured` as a degreewise loop: at each degree d, chi gains
+    its degree-(d-2) part, dress * h(w) is rebuilt, and its degree-d residual
+    is read."""
+    width = 2 * n
+    sig = sigma_space(n)
+    chi = Poly.zero(sig)
+    found = {1: scalars.ONE}
+    a_cut = a.truncate_degree(fit_degree)
+    w_powers = {1: w.truncate_degree(fit_degree)}
+    for k in range(3, fit_degree // 2 + 1, 2):
+        w_powers[k] = w_powers[k - 2] * w * w
+
+    def series():
+        return [found.get(k, scalars.ZERO) for k in range(1, max(found) + 1, 2)]
+
+    def reconstruction():
+        hw = Poly.zero(w.space)
+        for power, coeff in found.items():
+            hw = hw + w_powers[power].scale(coeff)
+        dress = exp_truncated(coboundary(chi), fit_degree)
+        return dress.mul_truncated(hw, fit_degree)
+
+    for d in range(3, fit_degree + 1):
+        if d >= 4:
+            part = {
+                e: c for e, c in a_cut.homogeneous_component(d).terms.items()
+                if slot_degrees(e, width) == (2, d - 2)
+            }
+            quotient, rem = divide_exact(Poly(w.space, part), w)
+            if not rem.is_zero:
+                return chi, series(), rem.leading_term()
+            shifted = []
+            for exps, coeff in quotient.terms.items():
+                chi_exps = list(exps[width:])
+                chi_exps[exps.index(1)] += 1
+                shifted.append((chi_exps, -coeff))
+            chi = chi + Poly.from_terms(sig, shifted).scale_fraction(Fraction(1, d - 2))
+        residual = (a_cut - reconstruction()).homogeneous_component(d)
+        if d >= 6 and d % 4 == 2:
+            k = d // 2
+            lead_exps, lead_coeff = w_powers[k].leading_term()
+            ratio = residual.terms.get(lead_exps, scalars.ZERO) / lead_coeff
+            residual = residual - w_powers[k].scale(ratio)
+            if residual.is_zero:
+                found[k] = ratio
+        if not residual.is_zero:
+            return chi, series(), residual.leading_term()
+    final = (a_cut - reconstruction()).truncate_degree(fit_degree)
+    return chi, series(), None if final.is_zero else final.leading_term()

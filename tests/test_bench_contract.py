@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 sys.path.insert(0, str(BENCH))
 
+import layers  # noqa: E402
 import workloads  # noqa: E402
 
 SEED = 41
@@ -45,3 +46,18 @@ def test_one_pass_completes_and_passes_its_checks(workload):
     for op in ops:
         result = op.run()
         assert op.check(result) == [], op.kind
+
+
+def test_layer_targets_resolve_except_the_stale_one():
+    """A renamed library function would silently empty its per-layer metric.
+
+    `Poly.substitute` is gone from the library; its metric is stale until
+    the benchmark drops it.
+    """
+    unresolved = {
+        spec
+        for _, specs in layers.FUNCTIONS.values()
+        for spec in specs
+        if layers._code_key(spec) is None
+    }
+    assert unresolved == {"moyal.poly:Poly.substitute"}

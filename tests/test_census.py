@@ -32,6 +32,21 @@ g(d) counts the gauge directions (delta chi) * w, chi of degree d - 2 >= 2
 in u1, u2, and the two extra directions are the scale of w and w^3, which is
 the mu^2 of the sinh class.  Nothing else is free at first order; in
 particular w^5 is not, at d = 10.  This is the premise of `lie._fit_structured`.
+
+Theorem 2 beyond first order, for n = 1 and chi = 0.  Write the kernel as
+A = w + X_6 + X_10 + X_14 + ..., X_d of degree d, with X_6 = a*w^3; the
+other orders below 14 lie in ker L, the gauge, so chi = 0 sets them to 0.
+The degree-(d+2) part of the Jacobi condition B(A, A) = 0, with
+
+    B(X, Y) = X(u,v+w) Y(v,w) + its two cyclic rotations,
+
+is L(X_d) = -(sum of B(X_i, X_j) over i + j = d + 2, i, j >= 6).  The
+prediction: each system is consistent, and its solutions X_10 and X_14 are
+(3a^2/10) w^5 and (3a^3/70) w^7 up to ker L, the sinh values k^4/120 and
+k^6/5040 with k^2 = 6a.  So through degree 16 Jacobi leaves h no choice
+beyond its w^3 coefficient, which is what `lie.classify_h` tests as the
+sinh recurrence.  L keeps the weight (degree in u1, v1) - (degree in u2, v2)
+and w has weight 0, so X_d is sought among weight-0 monomials.
 """
 
 from fractions import Fraction
@@ -55,25 +70,56 @@ def rational(c):
     return Fraction(c.num.re[0], c.num.d)
 
 
-def rank(vectors):
-    """The rank of sparse vectors ({coordinate: Fraction}) by exact elimination."""
-    pivots = {}  # pivot coordinate -> a reduced vector whose entry there is 1
-    for vector in vectors:
-        vector = dict(vector)
-        for key, row in pivots.items():
+def vector(p):
+    """A rational polynomial as a sparse vector."""
+    return {e: rational(c) for e, c in p.terms.items()}
+
+
+def eliminate(vectors):
+    """Exact elimination of sparse vectors ({coordinate: Fraction}), in order.
+
+    Yields, for each vector, what is left of it once the earlier vectors are
+    subtracted, and that leftover as a combination of the inputs
+    ({index: Fraction})."""
+    pivots = {}  # pivot coordinate -> (a reduced vector with 1 there, its combination)
+    for index, vector in enumerate(vectors):
+        vector, combination = dict(vector), {index: Fraction(1)}
+        for key, (row, row_combination) in pivots.items():
             factor = vector.get(key)
             if factor:
-                for k, x in row.items():
-                    value = vector.get(k, 0) - factor * x
-                    if value:
-                        vector[k] = value
-                    else:
-                        vector.pop(k, None)
+                subtract(vector, factor, row)
+                subtract(combination, factor, row_combination)
         if vector:
             key = min(vector)
             lead = vector[key]
-            pivots[key] = {k: x / lead for k, x in vector.items()}
-    return len(pivots)
+            pivots[key] = (
+                {k: x / lead for k, x in vector.items()},
+                {k: x / lead for k, x in combination.items()},
+            )
+        yield vector, combination
+
+
+def subtract(vector, factor, row):
+    """vector -= factor * row, in place, dropping the zeros."""
+    for k, x in row.items():
+        value = vector.get(k, 0) - factor * x
+        if value:
+            vector[k] = value
+        else:
+            vector.pop(k, None)
+
+
+def rank(vectors):
+    """The rank of sparse vectors ({coordinate: Fraction}) by exact elimination."""
+    return sum(1 for leftover, _ in eliminate(vectors) if leftover)
+
+
+def solve(vectors, target):
+    """Fractions x with sum_i x[i] * vectors[i] = target, or None if there are none."""
+    *_, (leftover, combination) = eliminate([*vectors, target])
+    if leftover:
+        return None
+    return {i: -x for i, x in combination.items() if i < len(vectors)}
 
 
 def weights(width, degree):
@@ -93,7 +139,7 @@ def block_kernel_dimension(n, alpha):
     for a in splits:
         b = Poly.monomial(pair, a + tuple(k - x for k, x in zip(alpha, a)))
         defect = cocycle_defect(RawKernelExponent(n, b))
-        defects.append({e: rational(c) for e, c in defect.terms.items()})
+        defects.append(vector(defect))
     return len(splits) - rank(defects)
 
 
@@ -112,14 +158,16 @@ def test_cocycles_are_coboundaries_plus_antisymmetric_forms(n, degree):
 W = parse_poly("u1*v2 - u2*v1", pair_space(1))
 
 
-def first_order_jacobi(x):
-    """L(X) for n = 1 (see the module docstring)."""
+def jacobi_form(x, y):
+    """B(X, Y) = X(u,v+w) Y(v,w) + its two cyclic rotations, for n = 1."""
     tri = triple_space(1)
-    p = (
-        on_slots(x, tri, "u", "vw") * on_slots(W, tri, "v", "w")
-        + on_slots(W, tri, "u", "vw") * on_slots(x, tri, "v", "w")
-    )
+    p = on_slots(x, tri, "u", "vw") * on_slots(y, tri, "v", "w")
     return slot_sum(p, tri, (1, "u", "v", "w"), (1, "v", "w", "u"), (1, "w", "u", "v"))
+
+
+def first_order_jacobi(x):
+    """L(X) = B(X, W) + B(W, X) (see the module docstring)."""
+    return jacobi_form(x, W) + jacobi_form(W, x)
 
 
 def antisymmetric_basis(degree):
@@ -136,9 +184,7 @@ def antisymmetric_basis(degree):
 @pytest.mark.parametrize("degree", range(2, 12))
 def test_first_order_lie_kernels_are_gauge_plus_w_and_w_cubed(degree):
     basis = antisymmetric_basis(degree)
-    images = [
-        {e: rational(c) for e, c in first_order_jacobi(x).terms.items()} for x in basis
-    ]
+    images = [vector(first_order_jacobi(x)) for x in basis]
     gauge = degree - 1 if degree >= 4 else 0
     assert len(basis) - rank(images) == gauge + (degree == 2) + (degree == 6)
 
@@ -150,3 +196,30 @@ def test_rank_on_hand_made_vectors():
     assert rank([{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]) == 1
     assert rank([{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}, {0: Fraction(3)}]) == 2
     assert rank([{0: Fraction(1, 2)}, {1: Fraction(1)}, {2: Fraction(-1)}]) == 3
+
+
+def weight(x):
+    """(degree in u1, v1) - (degree in u2, v2) of the first monomial of x;
+    the swap keeps it, so both monomials of a basis element share it."""
+    exps = next(iter(x.terms))
+    return exps[0] + exps[2] - exps[1] - exps[3]
+
+
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(2), Fraction(-1, 3)])
+def test_jacobi_forces_the_sinh_w5_and_w7_coefficients(a):
+    orders = {2: W, 6: (W**3).scale_fraction(a)}
+    # The prediction: the sinh values k^4/120 and k^6/5040 with k^2 = 6a.
+    for d, predicted in ((10, 3 * a**2 / 10), (14, 3 * a**3 / 70)):
+        # L keeps the weight, and w has weight 0.
+        basis = [x for x in antisymmetric_basis(d) if weight(x) == 0]
+        target = Poly.zero(triple_space(1))
+        for i, x in orders.items():
+            if i > 2 and d + 2 - i in orders:
+                target = target - jacobi_form(x, orders[d + 2 - i])
+        solution = solve([vector(first_order_jacobi(x)) for x in basis], vector(target))
+        assert solution is not None, d
+        found = sum(
+            (basis[i].scale_fraction(x) for i, x in solution.items()), Poly.zero(W.space)
+        )
+        orders[d] = (W ** (d // 2)).scale_fraction(predicted)
+        assert first_order_jacobi(found - orders[d]).is_zero, d

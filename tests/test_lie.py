@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import monomials, random_gauge_chi
+from conftest import monomials, oracle_fit_structured, random_coefficient, random_gauge_chi
 from moyal import scalars
 from moyal.errors import DimensionMismatchError, MoyalError
 from moyal.expressions import parse_coefficient, parse_poly, parse_series
@@ -14,6 +15,7 @@ from moyal.lie import (
     LieKernelError,
     RawLieKernel,
     StructuredLieKernel,
+    _fit_structured,
     apply_bracket_kernel,
     bidiff_coefficients,
     bracket_kernel_of,
@@ -29,7 +31,7 @@ from moyal.lie import (
 from moyal.cocycle import RawKernelExponent, dual_monomials
 from moyal.linalg import Matrix
 from moyal.poly import Poly, pair_space, phase_space, sigma_space
-from moyal.star import BiDiff, StarKernel, bracket, poisson
+from moyal.star import BiDiff, StarKernel, bilinear_pair_poly, bracket, poisson
 
 ONE, MU, ZERO = scalars.ONE, scalars.MU, scalars.ZERO
 PAIR = pair_space(1)
@@ -271,6 +273,56 @@ def _random_mu2(rng):
     # A nonzero a3 = mu^2/6-style entry, rational or mu-quadratic.
     choice = rng.choice(["1/6", "3/2", "mu^2/6", "2*mu^2/3"])
     return parse_series(choice)[0]
+
+
+def _planted_series(rng, kind):
+    if kind == "linear":
+        return (ONE,)
+    if kind == "sinh":
+        mu2 = rng.choice([MU * MU, scalars.Coefficient.from_int(rng.choice([1, 6, -3]))])
+        return (ONE, mu2.scale_fraction(Fraction(1, 6)), (mu2 * mu2).scale_fraction(Fraction(1, 120)))
+    return (ONE, random_coefficient(rng, allow_i=False), random_coefficient(rng, allow_i=False))
+
+
+def _added_term(rng, n, exit_kind, fit_degree):
+    """A monomial of degree d <= max(fit_degree, 4) that the fit cannot absorb:
+    of bidegree (2, d-2), the part divided by w, or of another bidegree."""
+    width = 2 * n
+    d = rng.randint(4 if exit_kind == "remainder" else 3, max(fit_degree, 4))
+    u_degree = 2 if exit_kind == "remainder" else rng.choice([1, 3, d - 1])
+    exps = [0] * (2 * width)
+    for slot, degree in ((0, u_degree), (width, d - u_degree)):
+        for _ in range(degree):
+            exps[slot + rng.randrange(width)] += 1
+    return Poly.monomial(pair_space(n), tuple(exps), random_coefficient(rng, allow_i=False))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2]),
+    st.booleans(),
+    st.sampled_from(["linear", "sinh", "arbitrary"]),
+    st.sampled_from(range(9)),
+    st.sampled_from([None, "remainder", "residual"]),
+)
+def test_fit_matches_the_degreewise_oracle(seed, n, chi_mu, h_kind, fit_degree, exit_kind):
+    """`_fit_structured` against the degreewise loop it replaced, on planted
+    kernels with or without a term that no (chi, h) fits; the partial series
+    of a failed fit is not compared."""
+    rng = random.Random(seed)
+    chi = random_gauge_chi(rng, n, 4, terms=2, mu_degree=int(chi_mu), allow_i=False)
+    omega = _random_nondegenerate_omega(rng, n)
+    a = StructuredLieKernel(n, chi, omega, _planted_series(rng, h_kind)).expand(fit_degree).a
+    if exit_kind is not None:
+        a = a + _added_term(rng, n, exit_kind, fit_degree)
+    w = bilinear_pair_poly(omega.transpose(), n)
+    got_chi, got_series, got_witness = _fit_structured(a, n, w, fit_degree)
+    chi_ref, series_ref, witness_ref = oracle_fit_structured(a, n, w, fit_degree)
+    assert got_chi == chi_ref
+    assert got_witness == witness_ref
+    if witness_ref is None:
+        assert got_series == series_ref
 
 
 class TestBidiffTable:
