@@ -58,9 +58,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import scalars
 from .cocycle import check_monomial_count, dual_monomials
@@ -437,17 +437,9 @@ class StructuredLieKernel:
     def expand(self, truncation_degree: int) -> RawLieKernel:
         """The kernel as a polynomial, truncated at the given total degree."""
         w = bilinear_pair_poly(self.omega.transpose(), self.n)
-        hw = Poly.zero(w.space)
-        for idx, coeff in enumerate(self.h_series):
-            power = 2 * idx + 1
-            if 2 * power > truncation_degree and idx > 0:
-                break
-            if coeff:
-                hw = hw + (w**power).scale(coeff)
-        dress = exp_truncated(coboundary(self.chi), truncation_degree)
-        return RawLieKernel(
-            self.n, dress.mul_truncated(hw, truncation_degree)
-        )
+        powers = _dressed_powers(self.chi, w, truncation_degree)
+        a = sum((d.scale(c) for c, d in zip(self.h_series, powers)), Poly.zero(w.space))
+        return RawLieKernel(self.n, a)
 
 
 @dataclass(frozen=True)
@@ -478,6 +470,19 @@ class Theorem2Report:
     @property
     def passed(self) -> bool:
         return self.status in ("moyal-class", "poisson-class", "degenerate")
+
+
+def _dressed_powers(chi: Poly, w: Poly, top: int) -> Iterator[Poly]:
+    """exp(delta chi) * w^k truncated at top, for k = 1 and then each odd k with 2k <= top.
+
+    w has degree 2, so the dressing is built once, through top - 2.
+    """
+    dressed = exp_truncated(coboundary(chi), max(top - 2, 0)).mul_truncated(w, top)
+    yield dressed
+    w_squared = w * w
+    for _ in range(3, top // 2 + 1, 2):
+        dressed = dressed.mul_truncated(w_squared, top)
+        yield dressed
 
 
 def _fit_structured(
@@ -519,14 +524,11 @@ def _fit_structured(
             shifted.append((chi_exps, -coeff))
         chi = chi + Poly.from_terms(sig, shifted).scale_fraction(Fraction(1, d - 2))
 
-    # dress * w^k for k = 1, 3, 5, ...; its degree-2k part is w^k.  w has
-    # degree 2, so dress is needed only through top - 2.
-    dressed = exp_truncated(coboundary(chi), max(top - 2, 0)).mul_truncated(w, top)
-    rest = a.truncate_degree(top) - dressed
+    powers = _dressed_powers(chi, w, top)
+    rest = a.truncate_degree(top) - next(powers)
     series = [scalars.ONE]
-    w_squared = w * w
-    for k in range(3, top // 2 + 1, 2):
-        dressed = dressed.mul_truncated(w_squared, top)
+    for k, dressed in zip(count(3, 2), powers):
+        # The degree-2k part of dress * w^k is w^k.
         lead_exps, lead_coeff = dressed.homogeneous_component(2 * k).leading_term()
         ratio = rest.terms.get(lead_exps, scalars.ZERO) / lead_coeff
         rest = rest - dressed.scale(ratio)

@@ -17,8 +17,8 @@ all ph's.  `nc_mul` restores canonical order with the closed-form rewriting
 
     ph^b qh^c = sum_j (-2*mu)^j binom(b, j) binom(c, j) j!  qh^(c-j) ph^(b-j),
 
-applied independently in each dimension.  One `nc_mul` call builds these
-coefficients once per distinct (b, c) and keeps them for its word pairs.
+applied independently in each dimension.  A bounded module table keeps
+these coefficients per distinct (b, c), shared by every `nc_mul` call.
 
 The symmetric-ordering (Weyl) correspondence is realized as q-left-of-p
 substitution composed with the ordering-transition operator
@@ -34,7 +34,7 @@ from math import comb, factorial
 
 from . import scalars
 from .errors import DimensionMismatchError
-from .poly import DiffOp, Pieces, Poly, Space, bilinear, check_degree, check_dimension, phase_space
+from .poly import DiffOp, Poly, Space, bilinear, check_degree, check_dimension, phase_space
 from .star import phase_dimension
 
 Exponents = tuple[int, ...]
@@ -145,42 +145,28 @@ class NCPoly:
 
 _MINUS_TWO_MU = scalars.MU.scale_int(-2)
 
-ReorderSteps = list[tuple[int, scalars.Coefficient]]
-
-
-def _reorder_steps(b: int, c: int) -> ReorderSteps:
+@lru_cache(maxsize=256)
+def _reorder_steps(b: int, c: int) -> tuple[tuple[int, scalars.Coefficient], ...]:
     """(j, (-2 mu)^j binom(b, j) binom(c, j) j!) for j = 0..min(b, c): ph^b qh^c reordered."""
-    return [
+    return tuple(
         (j, (_MINUS_TWO_MU**j).scale_int(comb(b, j) * comb(c, j) * factorial(j)))
         for j in range(min(b, c) + 1)
-    ]
+    )
 
 
-def _word_product(n: int) -> Pieces:
-    """(w1, w2) -> the canonical words of w1 * w2 with their coefficients, from ONE.
-
-    The returned function keeps one table from (b_i, c_i) to its
-    `_reorder_steps`, filled on demand.
-    """
-    reorder: dict[tuple[int, int], ReorderSteps] = {}
-
-    def pieces(w1: Exponents, w2: Exponents) -> dict[Exponents, scalars.Coefficient]:
-        a, b = w1[:n], w1[n:]
-        c, d = w2[:n], w2[n:]
-        words = [((), scalars.ONE)]
-        for i in range(n):
-            key = (b[i], c[i])
-            steps = reorder.get(key)
-            if steps is None:
-                steps = reorder[key] = _reorder_steps(*key)
-            words = [(js + (j,), cf * r) for js, cf in words for j, r in steps]
-        return {
-            tuple(a[i] + c[i] - js[i] for i in range(n))
-            + tuple(b[i] + d[i] - js[i] for i in range(n)): cf
-            for js, cf in words
-        }
-
-    return pieces
+def _word_piece(w1: Exponents, w2: Exponents) -> dict[Exponents, scalars.Coefficient]:
+    """The canonical words of w1 * w2 with their coefficients, from ONE."""
+    n = len(w1) // 2
+    a, b = w1[:n], w1[n:]
+    c, d = w2[:n], w2[n:]
+    words = [((), scalars.ONE)]
+    for i in range(n):
+        words = [(js + (j,), cf * r) for js, cf in words for j, r in _reorder_steps(b[i], c[i])]
+    return {
+        tuple(a[i] + c[i] - js[i] for i in range(n))
+        + tuple(b[i] + d[i] - js[i] for i in range(n)): cf
+        for js, cf in words
+    }
 
 
 def nc_mul(x: NCPoly, y: NCPoly) -> NCPoly:
@@ -188,7 +174,7 @@ def nc_mul(x: NCPoly, y: NCPoly) -> NCPoly:
     x._check(y)
     check_degree(x.poly.total_degree() + y.poly.total_degree(), "operand")
     n = x.n
-    return NCPoly._from_poly(n, bilinear(x.poly, y.poly, operator_space(n), _word_product(n)))
+    return NCPoly._from_poly(n, bilinear(x.poly, y.poly, operator_space(n), _word_piece))
 
 
 def _transition_op(n: int, sign: int) -> DiffOp:

@@ -33,15 +33,16 @@ each output coefficient once, at the end, and the stages in between run no
 gcd.  Otherwise `over` divides every term at once, by the term's own
 denominator times D, since a kernel piece may bring denominators of its own.
 The bilinear products (`Poly.mul_truncated`, `star.BiDiff` and
-`operators.nc_mul`) are one walk, `bilinear`, which differs per caller only
-in the terms it gives each pair.  It splits both operands up front when one
-of them is deferred; ordinary operands are split only at the first pair whose
-coefficient product has a denominator, after which the walk runs on P and Q
-and returns `.over(Dp*Dq)`.  Operands without denominators pay one identity
-test per pair: the usual operand is a monomial with no denominator, and
-splitting both operands up front would cost about a fifth of the `products`
-benchmark.  The linear `DiffOp.apply_once` and `apply_exp` split their target
-on entry, one test per term.  Values, `==`, `hash` and `str` do not depend
+`operators.nc_mul`), the one-step `DiffOp` apply and `Poly.differentiate`
+are one walk, `bilinear`, which differs per caller only in the terms it gives
+each pair.  It splits both operands up front when one of them is deferred;
+ordinary operands are split only at the first pair whose coefficient product
+has a denominator, after which the walk runs on P and Q and returns
+`.over(Dp*Dq)`.  Operands without denominators pay one identity test per
+pair: the usual operand is a monomial with no denominator, and splitting both
+operands up front would cost about a fifth of the `products` benchmark.  Only
+`DiffOp.apply_exp` splits on entry: its series runs on the target's
+numerators and divides once.  Values, `==`, `hash` and `str` do not depend
 on whether the division has happened yet.
 
 A configurable total-degree guard (default 64) makes runaway computations
@@ -406,18 +407,9 @@ class Poly:
         idx = self.space.index.get(var) if isinstance(var, str) else var
         if idx is None or not 0 <= idx < len(self.space):
             raise SpaceMismatchError(f"unknown variable {var!r} in {self.space!r}")
-        if order == 0:
-            return self
-        terms: dict[Exponents, Coefficient] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[idx]
-            if e < order:
-                continue
-            factor = math.perm(e, order)
-            new = list(exps)
-            new[idx] = e - order
-            terms[tuple(new)] = coeff.scale_int(factor)
-        return Poly(self.space, terms)
+        orders = [0] * len(self.space)
+        orders[idx] = order
+        return bilinear(Poly(self.space, {tuple(orders): scalars.ONE}), self, self.space, _derivative_piece)
 
     # -- structure ---------------------------------------------------------
 
@@ -581,6 +573,22 @@ def bilinear(f: Poly, g: Poly, space: Space, pieces: Pieces) -> Poly:
                 else:
                     del terms[exps]
     return Poly(space, terms)
+
+
+@lru_cache(maxsize=4096)
+def _derivative_piece(d_exps: Exponents, t_exps: Exponents) -> dict[Exponents, Coefficient]:
+    """The derivative of multi-order d_exps of the monomial t_exps, from ONE.
+
+    {t - d: prod_i perm(t_i, d_i)}, or `_NO_TERMS` when some t_i < d_i.  One
+    table for every operator, kernel and `differentiate` call; the dicts it
+    returns are shared, and never written, like `_NO_TERMS`.
+    """
+    factor = 1
+    for t, d in zip(t_exps, d_exps):
+        if t < d:
+            return _NO_TERMS
+        factor *= math.perm(t, d)
+    return {tuple(map(int.__sub__, t_exps, d_exps)): Coefficient.from_int(factor)}
 
 
 _INT = frozenset({int})
@@ -759,7 +767,9 @@ class DiffOp:
     The exponent tuple of each term is the multi-order of partial derivatives;
     the arity must match the target space.  Operators built from sigma-space
     polynomials carry the scale rule sigma -> -i d/dz, i.e. every term is
-    multiplied by (-i)^(total order).
+    multiplied by (-i)^(total order).  One application is the walk `bilinear`
+    over (operator term, target term) pairs, each pair's piece read from the
+    shared derivative table `_derivative_piece`.
     """
 
     __slots__ = ("poly",)
@@ -784,33 +794,9 @@ class DiffOp:
         check_degree(target.total_degree(), "operand")
 
     def apply_once(self, target: Poly) -> Poly:
-        """One application of the operator (a single derivation-polynomial pass)."""
+        """One application of the operator: `bilinear` with the derivative table."""
         self._check_target(target)
-        p, den = target.split_denominator()
-        return self._apply_once(p).over(den)
-
-    def _apply_once(self, target: Poly) -> Poly:
-        terms: dict[Exponents, Coefficient] = {}
-        for d_exps, d_coeff in self.poly.terms.items():
-            for t_exps, t_coeff in target.terms.items():
-                factor = 1
-                for t, d in zip(t_exps, d_exps):
-                    if d:
-                        if t < d:
-                            factor = 0
-                            break
-                        factor *= math.perm(t, d)
-                if not factor:
-                    continue
-                exps = tuple(t - d for t, d in zip(t_exps, d_exps))
-                c = (d_coeff * t_coeff).scale_int(factor)
-                acc = terms.get(exps)
-                c = c if acc is None else acc + c
-                if c:
-                    terms[exps] = c
-                else:
-                    terms.pop(exps, None)
-        return Poly(target.space, terms)
+        return bilinear(self.poly, target, target.space, _derivative_piece)
 
     def apply_exp(self, target: Poly) -> Poly:
         """Apply exp of the operator: sum_k D^k(target) / k!, exactly.
@@ -818,8 +804,8 @@ class DiffOp:
         The generator must have a zero constant term; every remaining term
         strictly lowers the target degree, so the series terminates and only
         the target itself is checked against the degree guard.  The series is
-        `exp_series` with the step `_apply_once`; it runs on the target's
-        numerators and is divided once at the end.
+        `exp_series` with the one-step walk as its step; it runs on the
+        target's numerators and is divided once at the end.
         """
         if self.poly.constant_term():
             raise NonterminatingSeriesError(
@@ -828,7 +814,7 @@ class DiffOp:
             )
         self._check_target(target)
         p, den = target.split_denominator()
-        return exp_series(p, self._apply_once).over(den)
+        return exp_series(p, lambda t: bilinear(self.poly, t, p.space, _derivative_piece)).over(den)
 
     def __repr__(self):
         return f"DiffOp({self.poly})"

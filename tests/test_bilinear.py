@@ -1,14 +1,17 @@
 """Differential tests for `poly.bilinear`, the one walk over term pairs.
 
 Each caller of the walk (`Poly.mul_truncated`, `BiDiff.apply`, `star`,
-`bracket` and `nc_mul`) is compared with its per-term oracle in conftest.py,
+`bracket`, `nc_mul`, `DiffOp.apply_once`/`apply_exp` and
+`Poly.differentiate`) is compared with its per-term oracle in conftest.py,
 which adds every product of two coefficients into the result at once.  The
 operands are polynomial in mu, or carry a mu-denominator on their first term,
 or on their last term only (so the walk splits after it has accumulated
 terms), or are deferred products; `bracket` also meets a constant with a
 rational coefficient, whose zero commutator pieces must not trigger a split.
-Both n = 1 and n = 2 are covered, and results must agree in their terms and
-their printed form.
+A differential operator's coefficients are polynomial in mu, Gaussian, or
+carry a mu-denominator, so the walk splits the operator too.  Both n = 1 and
+n = 2 are covered, and results must agree in their terms and their printed
+form.
 """
 
 import random
@@ -18,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     dressed_kernel,
     oracle_apply,
+    oracle_apply_exp,
+    oracle_apply_once,
     oracle_bracket,
     oracle_mul,
     oracle_nc_mul,
@@ -26,7 +31,7 @@ from conftest import (
 )
 from moyal.expressions import parse_coefficient
 from moyal.operators import NCPoly, nc_mul
-from moyal.poly import Poly, pair_space, phase_space
+from moyal.poly import DiffOp, Poly, pair_space, phase_space
 from moyal.star import BiDiff, StarKernel, bracket, star
 
 MAX_DEGREE = {1: 3, 2: 2}
@@ -130,3 +135,39 @@ def test_nc_mul_matches_the_oracle(case):
     rng = random.Random(seed)
     x, y = nc_operand(rng, n, x_shape), nc_operand(rng, n, y_shape)
     assert_same(nc_mul(x, y), oracle_nc_mul(x, y))
+
+
+OPERATORS = ("mu", "gaussian", "rational")
+
+
+def diff_op(rng, n, shape):
+    """A DiffOp on phase space with no constant term; see OPERATORS."""
+    space = phase_space(n)
+    p = random_poly(rng, space, 2, terms=3, allow_i=False) + Poly.variable(space, "q1")
+    if shape == "gaussian":
+        p = p.scale(parse_coefficient("2 - i"))
+    elif shape == "rational":
+        p = p.scale(rng.choice(FACTORS))
+    return DiffOp(Poly(space, {e: c for e, c in p.terms.items() if any(e)}))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(cases, st.sampled_from(OPERATORS))
+def test_diff_op_matches_the_oracle(case, op_shape):
+    rng, n, target, _ = setup(case)
+    op = diff_op(rng, n, op_shape)
+    assert_same(op.apply_once(target), oracle_apply_once(op, target))
+    assert_same(op.apply_exp(target), oracle_apply_exp(op, target))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cases)
+def test_differentiate_matches_the_oracle(case):
+    _, _, target, _ = setup(case)
+    space = target.space
+    for idx, name in enumerate(space.names):
+        for order in range(4):
+            orders = tuple(order if k == idx else 0 for k in range(len(space)))
+            expected = oracle_apply_once(DiffOp(Poly.monomial(space, orders)), target)
+            assert_same(target.differentiate(name, order), expected)
+            assert_same(target.differentiate(idx, order), expected)

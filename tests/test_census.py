@@ -47,6 +47,25 @@ k^6/5040 with k^2 = 6a.  So through degree 16 Jacobi leaves h no choice
 beyond its w^3 coefficient, which is what `lie.classify_h` tests as the
 sinh recurrence.  L keeps the weight (degree in u1, v1) - (degree in u2, v2)
 and w has weight 0, so X_d is sought among weight-0 monomials.
+
+The centre of a star product, product side, for n = 2.  For a kernel (chi, M)
+whose chi has no linear part, `u_map` fixes the coordinates z_i, so they
+generate the algebra and f is central exactly when bracket(f, z_i) = 0 for
+every i.  The centre in degree <= D is then the nullspace of
+f -> (bracket(f, z_i))_i over the monomials of degree <= D.  For chi = 0,
+bracket(f, z_i) is a multiple of sum_j M_ji df/dz_j, so the centre is the
+polynomials in the k = dim Ker M coordinates along Ker M, and `u_map` carries
+it to the centre for any chi without changing the degree filtration.  The
+prediction is
+
+    dim centre_{<= D} = C(D + k, k),
+
+so a nondegenerate M leaves only the constants.  It is checked for D = 2, 3
+and 4 on four hand-written kernels, with k read off M by hand, not from
+`factorize`: M = mu*J (k = 0), a rank-2 M with chi = 0 and with
+chi = u1^2*u3 + mu*u2*u4 (k = 2), and M = 0 with chi = u1^2 (k = 4).  The
+entries of this map lie in Q(i)(mu), not in Q, so its rank is
+`linalg.Matrix.rank` over Q(i)(mu), not the file's `Fraction` elimination.
 """
 
 from fractions import Fraction
@@ -57,9 +76,10 @@ import pytest
 
 from moyal import scalars
 from moyal.cocycle import RawKernelExponent, cocycle_defect
-from moyal.expressions import parse_poly
-from moyal.poly import Poly, pair_space, triple_space
-from moyal.star import on_slots, slot_sum
+from moyal.expressions import parse_coefficient, parse_poly
+from moyal.linalg import Matrix
+from moyal.poly import Poly, pair_space, phase_space, sigma_space, triple_space
+from moyal.star import StarKernel, bracket, on_slots, slot_sum
 
 CASES = [(1, d) for d in range(2, 7)] + [(2, d) for d in range(2, 5)] + [(3, 2), (3, 3)]
 
@@ -223,3 +243,37 @@ def test_jacobi_forces_the_sinh_w5_and_w7_coefficients(a):
         )
         orders[d] = (W ** (d // 2)).scale_fraction(predicted)
         assert first_order_jacobi(found - orders[d]).is_zero, d
+
+
+# Rows 0 and 2 are equal and row 3 is mu times row 1, so dim Ker M = 2.
+RANK_TWO = Matrix(
+    [[parse_coefficient(x) for x in row.split()] for row in ("0 1 0 mu", "-1 0 -1 0", "0 1 0 mu", "-mu 0 -mu 0")]
+)
+# (name, M, chi, k = dim Ker M)
+CENTRE_KERNELS = [
+    ("muJ", Matrix.canonical_symplectic(2, scalars.MU), "0", 0),
+    ("rank2", RANK_TWO, "0", 2),
+    ("rank2-chi", RANK_TWO, "u1^2*u3 + mu*u2*u4", 2),
+    ("zero-chi", Matrix.zeros(4, 4), "u1^2", 4),
+]
+
+
+def centre_dimension(kernel, degree):
+    """dim of the f of degree <= `degree` with bracket(f, z_i) = 0 for every i, n = 2."""
+    space = phase_space(2)
+    monomials = [Poly.monomial(space, e) for d in range(degree + 1) for e in weights(4, d)]
+    images = [
+        [bracket(m, Poly.variable(space, z), kernel) for z in space.names] for m in monomials
+    ]
+    coordinates = sorted({(i, e) for row in images for i, image in enumerate(row) for e in image.terms})
+    rows = [[row[i].terms.get(e, scalars.ZERO) for row in images] for i, e in coordinates]
+    return len(monomials) - (Matrix(rows).rank() if rows else 0)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize(
+    "m, chi, k", [case[1:] for case in CENTRE_KERNELS], ids=[case[0] for case in CENTRE_KERNELS]
+)
+def test_the_centre_is_the_polynomials_on_ker_m(m, chi, k, degree):
+    kernel = StarKernel(2, parse_poly(chi, sigma_space(2)), m)
+    assert centre_dimension(kernel, degree) == comb(degree + k, k)

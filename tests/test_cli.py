@@ -431,8 +431,10 @@ def _one_gib_address_space():
         (("star", "--n", "100000", "q1", "p1"), "must be at most 64"),
         (("star", "2^100000000000", "p1"), "limit (4300 digits)"),
         (("star", "((((((2^60)^60)^60)^60)^60)^60)", "p1"), "limit (4300 digits)"),
+        (("star", "(1+2*i)^100000000000", "p1"), "limit (4300 digits)"),
+        (("star", "(i/2)^100000000000", "p1"), "limit (4300 digits)"),
     ],
-    ids=["n", "power", "nested-powers"],
+    ids=["n", "power", "nested-powers", "gaussian-power", "gaussian-fraction-power"],
 )
 def test_oversized_inputs_exit_two_inside_a_memory_limit(argv, message):
     # Without their bounds these allocate until the 1 GiB limit raises MemoryError.

@@ -1,6 +1,7 @@
 """Sparse polynomial arithmetic, differentiation, and exponential operators."""
 
 import random
+import sys
 import threading
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from moyal.errors import (
     NonterminatingSeriesError,
     SpaceMismatchError,
 )
-from moyal.expressions import parse_poly
+from moyal.expressions import parse_coefficient, parse_poly
 from moyal.poly import (
     DiffOp,
     Poly,
@@ -246,6 +247,39 @@ def test_powers_respect_the_degree_guard():
             with pytest.raises(DegreeGuardError):
                 base**k
         assert Poly.zero(SP) ** 20000 == Poly.zero(SP)
+
+
+# Gaussian bases of `Coefficient.power_digits`, with the first k that
+# `Poly.__pow__` refuses at the default limit of 4,300 digits.
+FIRST_REFUSED_AT_4300 = {"1+i": 28577, "(1+2*i)/3": 18029, "3*i": 9015, "(2+i)/5": 12307, "i/2": 14289}
+
+
+def _refused(base, k):
+    try:
+        base**k
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("text", FIRST_REFUSED_AT_4300)
+def test_the_power_guard_refuses_no_printable_gaussian_power(text):
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        pytest.skip("this interpreter has no integer string limit")
+    c = parse_coefficient(text)
+    base = Poly.constant(SP, c)
+    # power_digits grows with k, so the refused k are those from some k on.
+    accepted, refused = 1, 2
+    while not _refused(base, refused):
+        accepted, refused = refused, 2 * refused
+    while refused - accepted > 1:
+        mid = (accepted + refused) // 2
+        accepted, refused = (accepted, mid) if _refused(base, mid) else (mid, refused)
+    with pytest.raises(ValueError):
+        str(scalars.binary_power(c, refused, ONE))
+    if limit == 4300:
+        assert refused == FIRST_REFUSED_AT_4300[text]
 
 
 def test_degree_guard_context_manager_restores_the_bound():

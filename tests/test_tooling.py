@@ -4,7 +4,9 @@ poly.py reads or enforces the degree guard itself, only poly.py reads the
 fields of a deferred polynomial or asks whether a value is deferred (so
 `poly.bilinear` alone applies the denominator rule), only scalars.py calls
 the trusted scalar constructors, in cli.py only the expression table and its
-pass read and parse expression arguments, no module outside `__init__.py`
+pass read and parse expression arguments, `perm` is called only in
+`poly._derivative_piece` (differentiation has one owner, the shared
+derivative table), no module outside `__init__.py`
 imports a name it never uses (a name used only in an annotation counts),
 and the package declares no runtime dependency."""
 
@@ -30,6 +32,10 @@ EXPRESSION_READERS = {"parse_poly", "parse_coefficient", "parse_series", "fetch"
 EXPRESSION_SCOPES = {"_EXPRESSIONS", "_parse_expressions"}
 
 
+# The one derivative table: every other derivative goes through it.
+DERIVATIVE_OWNER = ("poly.py", "_derivative_piece")
+
+
 def _called_name(call):
     func = call.func
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
@@ -44,6 +50,18 @@ def _expression_violations(tree):
         for node in ast.walk(stmt):
             if isinstance(node, ast.Call) and _called_name(node) in EXPRESSION_READERS:
                 yield node.lineno, f"{_called_name(node)} called outside the expression table"
+
+
+def _perm_violations(tree, module):
+    owned = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and (module, func.name) == DERIVATIVE_OWNER
+        for node in ast.walk(func)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called_name(node) == "perm" and id(node) not in owned:
+            yield node.lineno, "perm called outside poly._derivative_piece"
 
 
 def _violations(tree, module=""):
@@ -76,6 +94,7 @@ def _violations(tree, module=""):
             yield node.lineno, "unbounded lru_cache"
     if module == "cli.py":
         yield from _expression_violations(tree)
+    yield from _perm_violations(tree, module)
 
 
 def _annotation_names(node):
@@ -134,6 +153,8 @@ def test_no_function_imports_or_unbounded_caches(path):
         "p, den = out._numerator, out._denominator\n",
         "def f(x):\n    return x._numerator.terms\n",
         "if f.is_deferred or g.is_deferred:\n    f, den = f.split_denominator()\n",
+        "from math import perm\nfactor = perm(5, 2)\n",
+        "import math\ndef _derivative_piece(d, t):\n    return math.perm(t, d)\n",
     ],
 )
 def test_checker_flags_planted_violations(source):
@@ -170,6 +191,19 @@ def test_checker_allows_public_and_foreign_names():
     trusted = "c = Coefficient(MuPoly((2,)), MU_POLY_ONE)\nd = Coefficient.make(c.num, c.den)\n"
     assert list(_violations(ast.parse(trusted), "scalars.py")) == []
     assert list(_violations(ast.parse("d = Coefficient.make(num, den)\n"))) == []
+    owner = "import math\ndef _derivative_piece(d, t):\n    return math.perm(t, d)\n"
+    assert list(_violations(ast.parse(owner), "poly.py")) == []
+
+
+def test_perm_is_called_once_in_src():
+    calls = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _called_name(node) == "perm"
+    ]
+    # test_no_function_imports_or_unbounded_caches places it in poly._derivative_piece.
+    assert calls == ["poly.py"]
 
 
 def test_checker_keeps_expression_parsing_in_the_cli_table():
