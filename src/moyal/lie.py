@@ -58,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import combinations_with_replacement, count
+from itertools import count
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -123,14 +123,16 @@ class RawLieKernel:
 def exp_truncated(p: Poly, max_degree: int) -> Poly:
     """exp(p) truncated at total degree max_degree; p must have no constant term.
 
-    The series is `poly.exp_series` from 1 with the step t -> t*p truncated
+    The series is `poly.exp_series` from 1 with the step t -> t*p/k truncated
     at max_degree, so it ends once the powers pass the bound.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     if p.constant_term():
         raise ValueError("exponent must have zero constant term")
-    return exp_series(Poly.one(p.space), lambda t: t.mul_truncated(p, max_degree))
+    return exp_series(
+        Poly.one(p.space), lambda t, k: t.mul_truncated(p, max_degree).scale_fraction(Fraction(1, k))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -559,28 +561,39 @@ def center_generators_from_kernel(
 ) -> list[CenterGenerator]:
     """Monomials in the coordinates dual to Ker omega, bracket-verified.
 
-    For an antisymmetric kernel apply(g, f) is exactly -apply(f, g), so one
-    side is applied per test monomial; otherwise both are.  Raises ValueError
-    when either list would exceed `cocycle.CENTER_MONOMIAL_LIMIT`.
+    A candidate c is verified when the kernel applied to c and each test
+    monomial g of degree at most verify_degree vanishes, and that is read off
+    the operator of A without applying it to any g.  Grouped by v-block beta,
+    the operator sends c (x) g to sum_beta P_beta(c) d^beta g, each P_beta a
+    phase-space operator.  For g = z^gamma the beta = gamma term is
+    gamma! P_gamma(c), and every other beta <= gamma has |beta| < |gamma|;
+    so, by induction on the degree of g, all those g give 0 exactly when
+    every P_beta(c) with |beta| <= verify_degree is 0.  An antisymmetric
+    kernel has apply(g, c) = -apply(c, g), so the v-blocks decide; otherwise
+    the operators grouped by u-block must kill c too.  One degree-guard check
+    per candidate covers its largest test product, deg c + verify_degree, so
+    a guard error no longer depends on which test monomial fails first.
+    Raises ValueError when either the candidates or the test monomials would
+    exceed `cocycle.CENTER_MONOMIAL_LIMIT`.
     """
     if min(max_degree, verify_degree) < 0:
         raise ValueError("max_degree and verify_degree must be non-negative")
     space = phase_space(raw.n)
-    check_monomial_count(len(space), verify_degree)
-    op = BiDiff(raw.a)
+    width = len(space)
+    check_monomial_count(width, verify_degree)
     antisymmetric = raw.antisymmetry_witness is None
-    variables = range(len(space))
-    monomials = [
-        Poly.monomial(space, tuple(map(combo.count, variables)))
-        for degree in range(verify_degree + 1)
-        for combo in combinations_with_replacement(variables, degree)
-    ]
+    blocks: dict[tuple[bool, Exponents], dict] = {}
+    for exps, coeff in DiffOp.from_sigma_poly(raw.a).poly.terms.items():
+        u, v = exps[:width], exps[width:]
+        if sum(v) <= verify_degree:
+            blocks.setdefault((False, v), {})[u] = coeff
+        if not antisymmetric and sum(u) <= verify_degree:
+            blocks.setdefault((True, u), {})[v] = coeff
+    operators = [DiffOp(Poly(space, terms)) for terms in blocks.values()]
     out = []
     for cand in dual_monomials(raw.n, kernel_basis, max_degree):
-        verified = all(
-            op.apply(cand, g).is_zero and (antisymmetric or op.apply(g, cand).is_zero)
-            for g in monomials
-        )
+        check_degree(cand.total_degree() + verify_degree, "operand")
+        verified = not any(op.apply_once(cand) for op in operators)
         out.append(CenterGenerator(generator=cand, verified=verified))
     return out
 

@@ -17,8 +17,9 @@ all ph's.  `nc_mul` restores canonical order with the closed-form rewriting
 
     ph^b qh^c = sum_j (-2*mu)^j binom(b, j) binom(c, j) j!  qh^(c-j) ph^(b-j),
 
-applied independently in each dimension.  A bounded module table keeps
-these coefficients per distinct (b, c), shared by every `nc_mul` call.
+applied independently in each dimension.  Bounded module tables keep
+these coefficients per distinct (b, c), and the canonical words of each
+distinct word pair, shared by every `nc_mul` call.
 
 The symmetric-ordering (Weyl) correspondence is realized as q-left-of-p
 substitution composed with the ordering-transition operator
@@ -154,8 +155,14 @@ def _reorder_steps(b: int, c: int) -> tuple[tuple[int, scalars.Coefficient], ...
     )
 
 
+@lru_cache(maxsize=4096)
 def _word_piece(w1: Exponents, w2: Exponents) -> dict[Exponents, scalars.Coefficient]:
-    """The canonical words of w1 * w2 with their coefficients, from ONE."""
+    """The canonical words of w1 * w2 with their coefficients, from ONE.
+
+    A bounded table shared by every `nc_mul` call, as `_reorder_steps` is:
+    products of operands over the same words meet the same pairs again.  The
+    dicts it returns are shared, and never written.
+    """
     n = len(w1) // 2
     a, b = w1[:n], w1[n:]
     c, d = w2[:n], w2[n:]

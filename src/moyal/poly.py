@@ -413,10 +413,6 @@ class Poly:
 
     # -- structure ---------------------------------------------------------
 
-    def map_exponents(self, fn: Callable[[Exponents], Exponents], space: Space) -> "Poly":
-        """Reindex terms through `fn` into `space`, summing collisions."""
-        return Poly.from_terms(space, ((fn(e), c) for e, c in self.terms.items()))
-
     def homogeneous_component(self, degree: int) -> "Poly":
         return Poly(
             self.space, {e: c for e, c in self.terms.items() if sum(e) == degree}
@@ -749,16 +745,31 @@ def lifted_mul(p: Poly, q: Poly) -> Lifted:
     return {k: v for k, v in terms.items() if v}, x_den * y_den, layout
 
 
-def exp_series(start: Poly, step: Callable[[Poly], Poly]) -> Poly:
-    """sum_k step^k(start) / k! for a linear `step`, summed until a term vanishes."""
+def exp_series(start: Poly, step: Callable[[Poly, int], Poly]) -> Poly:
+    """The sum of T_0 = start and T_k = step(T_(k-1), k), summed until a term vanishes.
+
+    For exp(D) the step applies D/k, so T_k = D^k(start) / k! and no term is
+    scaled by 1/k afterwards: `DiffOp` steps with the operator D/k, read from
+    a bounded cache, and `lie.exp_truncated` divides its product by k.
+    """
     out = term = start
     k = 1
     while True:
-        term = step(term).scale_fraction(Fraction(1, k))
+        term = step(term, k)
         if not term:
             return out
         out = out + term
         k += 1
+
+
+@lru_cache(maxsize=32)
+def _step_operator(op: Poly, k: int) -> Poly:
+    """op / k, the operator of the k-th step of exp(op); one entry per (operator, k).
+
+    Keyed by the operator polynomial, so a DiffOp rebuilt from an equal
+    polynomial (each `u_map` and Weyl transition call builds one) still hits.
+    """
+    return op.scale_fraction(Fraction(1, k))
 
 
 class DiffOp:
@@ -769,7 +780,10 @@ class DiffOp:
     polynomials carry the scale rule sigma -> -i d/dz, i.e. every term is
     multiplied by (-i)^(total order).  One application is the walk `bilinear`
     over (operator term, target term) pairs, each pair's piece read from the
-    shared derivative table `_derivative_piece`.
+    shared derivative table `_derivative_piece`.  The exponential steps with
+    D/k instead: its k-th term is D/k applied to the one before, with D/k
+    read from the bounded table `_step_operator`, shared by every operator,
+    so a series does no per-term division.
     """
 
     __slots__ = ("poly",)
@@ -801,20 +815,32 @@ class DiffOp:
     def apply_exp(self, target: Poly) -> Poly:
         """Apply exp of the operator: sum_k D^k(target) / k!, exactly.
 
-        The generator must have a zero constant term; every remaining term
-        strictly lowers the target degree, so the series terminates and only
-        the target itself is checked against the degree guard.  The series is
-        `exp_series` with the one-step walk as its step; it runs on the
-        target's numerators and is divided once at the end.
+        Every term of the generator strictly lowers the target degree, so the
+        series terminates and only the target itself is checked against the
+        degree guard.  The series (`series`) runs on the target's numerators
+        and is divided once at the end.
         """
-        if self.poly.constant_term():
+        self._check_target(target)
+        p, den = target.split_denominator()
+        return self.series(p).over(den)
+
+    def series(self, target: Poly) -> Poly:
+        """sum_k D^k(target) / k!: `exp_series` stepping with D/k, target unchecked.
+
+        Only the generator is checked: a constant term would not terminate.
+        The caller has checked the target against the operator's arity and
+        the degree guard; `apply_exp` does, and so does `star.BiDiff` before
+        it runs a series on a coefficient-1 monomial.  A target with
+        mu-denominators is walked as `bilinear` walks it, so splitting it
+        first is the caller's choice.
+        """
+        op, space = self.poly, target.space
+        if op.constant_term():
             raise NonterminatingSeriesError(
                 "exponential of an operator with a constant term does not "
                 "terminate on polynomials; factor the constant out first"
             )
-        self._check_target(target)
-        p, den = target.split_denominator()
-        return exp_series(p, lambda t: bilinear(self.poly, t, p.space, _derivative_piece)).over(den)
+        return exp_series(target, lambda t, k: bilinear(_step_operator(op, k), t, space, _derivative_piece))
 
     def __repr__(self):
         return f"DiffOp({self.poly})"

@@ -174,11 +174,22 @@ def slot_degrees(exps: Exponents, width: int) -> tuple[int, ...]:
 
 
 def merge_slots(p: Poly, space: Space) -> Poly:
-    """Set both slots of p equal: add its two blocks of len(space) exponents."""
+    """Set both slots of p equal: add its two blocks of len(space) exponents.
+
+    The merged exponents are built here from p's own, so the terms are summed
+    into one dict without the per-item checks of `Poly.from_terms`.
+    """
     width = len(space)
-    return p.map_exponents(
-        lambda e: tuple(map(int.__add__, e[:width], e[width:])), space
-    )
+    terms: Terms = {}
+    for e, c in p.terms.items():
+        exps = tuple(map(int.__add__, e[:width], e[width:]))
+        acc = terms.get(exps)
+        c = c if acc is None else acc + c
+        if c:
+            terms[exps] = c
+        else:
+            del terms[exps]
+    return Poly(space, terms)
 
 
 def on_slots(p: Poly, target: Space, *slots: str) -> Poly:
@@ -246,11 +257,17 @@ class BiDiff:
     and commutator pieces are memoised, each memo of at most
     `PAIR_MEMO_SIZE` pairs and cleared when full, because products and
     brackets meet the same pairs again and again.  The one-step pieces are
-    not: their one library caller, the centre check, meets each pair once, so
-    a memo would only add inserts.  Every entry point checks that both
-    operands live on the operator's phase space and that their degrees fit
-    the degree guard; the walk alone decides when operands with
+    not: a caller that applies a bracket kernel once rarely meets a pair
+    twice, so a memo would only add inserts.  Every entry point checks that
+    both operands live on the operator's phase space and that their degrees
+    fit the degree guard; the walk alone decides when operands with
     mu-denominators run on their numerators (see poly.py, Denominators).
+    An exp piece runs `DiffOp.series` on the coefficient-1 monomial ef + eg
+    without `DiffOp.apply_exp`'s target check, split and division: the
+    monomial lies on the operator's space by construction, its degree is
+    the one `_accumulate` has checked against the guard, and with
+    coefficient 1 it has nothing to split or divide.  `series` still
+    rejects an operator with a constant term.
     """
 
     __slots__ = ("space", "op", "_pairs", "_comms")
@@ -286,8 +303,8 @@ class BiDiff:
         if piece is None:
             if len(pairs) >= PAIR_MEMO_SIZE:
                 pairs.clear()
-            target = Poly.monomial(self.op.poly.space, ef + eg)
-            piece = merge_slots(self.op.apply_exp(target), self.space).terms
+            target = Poly(self.op.poly.space, {ef + eg: scalars.ONE})
+            piece = merge_slots(self.op.series(target), self.space).terms
             pairs[ef, eg] = piece
         return piece
 

@@ -1,6 +1,7 @@
 """Shared helpers: monomial enumeration, seeded random algebra objects,
-`substitute`, the slot-map oracle, the per-term accumulation oracles and the
-degreewise Theorem 2 fit."""
+`substitute`, the slot-map oracle, the per-term accumulation oracles, the
+centre check as a loop over test monomials and the degreewise Theorem 2
+fit."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from moyal import scalars
+from moyal.cocycle import dual_monomials
 from moyal.lie import exp_truncated
 from moyal.linalg import Matrix
 from moyal.operators import NCPoly
@@ -246,6 +248,21 @@ def oracle_apply(a, f, g):
         {ef + eg: cf * cg for ef, cf in f.terms.items() for eg, cg in g.terms.items()},
     )
     return merge_slots(oracle_apply_once(DiffOp.from_sigma_poly(a), tensor), f.space)
+
+
+def oracle_center_generators(raw, kernel_basis, max_degree, verify_degree):
+    """(candidate, verified) per `lie.center_generators_from_kernel` candidate,
+    verified as a loop over test monomials: the kernel applied to the
+    candidate and each monomial of degree <= verify_degree, on both sides,
+    must vanish."""
+    tests = monomials(phase_space(raw.n), verify_degree)
+    return [
+        (cand, all(
+            oracle_apply(raw.a, cand, g).is_zero and oracle_apply(raw.a, g, cand).is_zero
+            for g in tests
+        ))
+        for cand in dual_monomials(raw.n, kernel_basis, max_degree)
+    ]
 
 
 def oracle_u_map(f, chi):

@@ -11,8 +11,21 @@ import random
 
 import pytest
 
-from conftest import dressed_kernel, operand, random_poly, slot_images, substitute
-from moyal.errors import DegreeGuardError, DimensionMismatchError, SpaceMismatchError
+from conftest import (
+    accumulate,
+    dressed_kernel,
+    operand,
+    oracle_apply,
+    random_poly,
+    slot_images,
+    substitute,
+)
+from moyal.errors import (
+    DegreeGuardError,
+    DimensionMismatchError,
+    NonterminatingSeriesError,
+    SpaceMismatchError,
+)
 from moyal.lie import (
     RawLieKernel,
     apply_bracket_kernel,
@@ -35,8 +48,9 @@ def tensor_product(f, g):
 
 def diagonal(p, n):
     width = 2 * n
-    return p.map_exponents(
-        lambda e: tuple(a + b for a, b in zip(e[:width], e[width:])), phase_space(n)
+    return accumulate(
+        phase_space(n),
+        ((tuple(a + b for a, b in zip(e[:width], e[width:])), c) for e, c in p.terms.items()),
     )
 
 
@@ -99,6 +113,19 @@ def test_bidiff_entry_points_check_their_operands():
     for entry in entry_points:
         with pytest.raises(DimensionMismatchError):
             entry(Poly.variable(phase_space(2), "q1"), p1)
+
+
+def test_an_exp_piece_rejects_a_kernel_with_a_constant_term():
+    """The pieces skip `DiffOp.apply_exp`, not its check on the generator."""
+    b = dressed_kernel(random.Random(9360), 1).exponent()
+    a = b + Poly.one(b.space)
+    op = BiDiff(a)
+    q1 = Poly.variable(phase_space(1), "q1")
+    for entry in (op.apply_exp, op.commutator):
+        with pytest.raises(NonterminatingSeriesError):
+            entry(q1, q1)
+    # One application is fine with a constant term.
+    assert op.apply(q1, q1) == oracle_apply(a, q1, q1)
 
 
 def test_bidiff_rejects_a_non_pair_space():

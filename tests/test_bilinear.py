@@ -11,14 +11,20 @@ rational coefficient, whose zero commutator pieces must not trigger a split.
 A differential operator's coefficients are polynomial in mu, Gaussian, or
 carry a mu-denominator, so the walk splits the operator too.  Both n = 1 and
 n = 2 are covered, and results must agree in their terms and their printed
-form.
+form.  The tables that calls share are read back: one operator is applied
+to several targets in a row (its steps D/k come from the step table), and
+`nc_mul` runs twice on the same operands (its pieces come from the word
+table).  `exp_truncated` is compared with a series that divides each term by
+k, and `merge_slots` with `accumulate`.
 """
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    accumulate,
     dressed_kernel,
     oracle_apply,
     oracle_apply_exp,
@@ -32,7 +38,8 @@ from conftest import (
 from moyal.expressions import parse_coefficient
 from moyal.operators import NCPoly, nc_mul
 from moyal.poly import DiffOp, Poly, pair_space, phase_space
-from moyal.star import BiDiff, StarKernel, bracket, star
+from moyal.lie import exp_truncated
+from moyal.star import BiDiff, StarKernel, bracket, merge_slots, on_slots, star
 
 MAX_DEGREE = {1: 3, 2: 2}
 # Denominators without roots in Q(i): no coefficient of `random_poly` cancels them.
@@ -134,7 +141,10 @@ def test_nc_mul_matches_the_oracle(case):
     seed, n, x_shape, y_shape = case
     rng = random.Random(seed)
     x, y = nc_operand(rng, n, x_shape), nc_operand(rng, n, y_shape)
-    assert_same(nc_mul(x, y), oracle_nc_mul(x, y))
+    expected = oracle_nc_mul(x, y)
+    # The second product reads every word pair back from the word table.
+    assert_same(nc_mul(x, y), expected)
+    assert_same(nc_mul(x, y), expected)
 
 
 OPERATORS = ("mu", "gaussian", "rational")
@@ -154,10 +164,51 @@ def diff_op(rng, n, shape):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(cases, st.sampled_from(OPERATORS))
 def test_diff_op_matches_the_oracle(case, op_shape):
-    rng, n, target, _ = setup(case)
+    """One operator on several targets in a row: after the first, its steps
+    D/k come back from the step table."""
+    rng, n, target, other = setup(case)
     op = diff_op(rng, n, op_shape)
     assert_same(op.apply_once(target), oracle_apply_once(op, target))
-    assert_same(op.apply_exp(target), oracle_apply_exp(op, target))
+    for t in (target, other, operand(rng, n, "last"), operand(rng, n, "deferred")):
+        assert_same(op.apply_exp(t), oracle_apply_exp(op, t))
+
+
+def literal_exp_truncated(p, max_degree):
+    """sum_k p^k / k! truncated at max_degree, each term divided by k as it is made."""
+    out = term = Poly.one(p.space)
+    k = 1
+    while term:
+        term = (term * p).truncate_degree(max_degree).scale_fraction(Fraction(1, k))
+        out = out + term
+        k += 1
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.booleans(), st.integers(0, 6))
+def test_exp_truncated_matches_the_literal_series(seed, n, rational, max_degree):
+    rng = random.Random(seed)
+    p = random_poly(rng, pair_space(n), 3, terms=3)
+    p = p - Poly.constant(p.space, p.constant_term()) if p.constant_term() else p
+    if rational:
+        p = p.scale(rng.choice(FACTORS))
+    assert_same(exp_truncated(p, max_degree), literal_exp_truncated(p, max_degree))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cases)
+def test_merge_slots_matches_the_oracle(case):
+    """Merged exponents collide, and p - p(v, u) cancels to zero."""
+    rng, n, f, g = setup(case)
+    pair, width = pair_space(n), 2 * n
+    p = random_poly(rng, pair, 3, terms=5).scale(f.constant_term() or FACTORS[0])
+    swapped = on_slots(p, pair, "v", "u")
+    for q in (p, p + swapped, p - swapped):
+        expected = accumulate(
+            f.space, ((tuple(map(int.__add__, e[:width], e[width:])), c) for e, c in q.terms.items())
+        )
+        assert_same(merge_slots(q, f.space), expected)
+    assert merge_slots(p - swapped, f.space).is_zero
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import monomials, oracle_fit_structured, random_coefficient, random_gauge_chi
+from conftest import (
+    monomials,
+    oracle_center_generators,
+    oracle_fit_structured,
+    random_coefficient,
+    random_gauge_chi,
+)
 from moyal import scalars
 from moyal.errors import DimensionMismatchError, MoyalError
 from moyal.expressions import parse_coefficient, parse_poly, parse_series
@@ -30,8 +36,8 @@ from moyal.lie import (
 )
 from moyal.cocycle import RawKernelExponent, dual_monomials
 from moyal.linalg import Matrix
-from moyal.poly import Poly, pair_space, phase_space, sigma_space
-from moyal.star import BiDiff, StarKernel, bilinear_pair_poly, bracket, poisson
+from moyal.poly import DiffOp, Poly, pair_space, phase_space, sigma_space
+from moyal.star import BiDiff, StarKernel, bilinear_pair_poly, bracket, on_slots, poisson
 
 ONE, MU, ZERO = scalars.ONE, scalars.MU, scalars.ZERO
 PAIR = pair_space(1)
@@ -463,6 +469,43 @@ class TestBracketApplication:
             assert report.jacobi_status in ("exact", "truncation-defect")
 
 
+def centre_case(rng, n, antisymmetric):
+    """A kernel whose blocks mostly avoid some coordinates, and a basis dual to them.
+
+    A few terms reach the centre coordinates anyway, at every degree, so
+    candidates fail at some verify degrees and pass at others."""
+    width = 2 * n
+    pair = pair_space(n)
+    centre = rng.sample(range(width), rng.randint(1, width))
+    others = [k for k in range(width) if k not in centre]
+    least = rng.randint(0, 1)  # 0 lets a block be empty
+    a = Poly.zero(pair)
+    for _ in range(4):
+        exps = [0] * (2 * width)
+        for block in (0, width):
+            for _ in range(rng.randint(least, 2)):
+                k = rng.choice(others) if others and rng.random() < 0.85 else rng.randrange(width)
+                exps[block + k] += 1
+        a = a + Poly.monomial(pair, tuple(exps), random_coefficient(rng))
+    if antisymmetric:
+        a = a - on_slots(a, pair, "v", "u")
+    basis = [tuple(ONE if k == c else ZERO for k in range(width)) for c in centre]
+    if len(centre) > 1 and rng.random() < 0.5:
+        basis[0] = tuple(x + y for x, y in zip(basis[0], basis[1]))
+    return RawLieKernel(n, a), basis
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.booleans(), st.integers(0, 3))
+def test_centre_check_matches_the_monomial_loop(seed, n, antisymmetric, verify_degree):
+    raw_kernel, basis = centre_case(random.Random(seed), n, antisymmetric)
+    if antisymmetric:
+        assert raw_kernel.antisymmetry_witness is None
+    got = center_generators_from_kernel(raw_kernel, basis, 2, verify_degree)
+    expected = oracle_center_generators(raw_kernel, basis, 2, verify_degree)
+    assert [(c.generator, c.verified) for c in got] == expected
+
+
 @pytest.mark.parametrize(
     "kernel, applies_per_monomial",
     [
@@ -475,8 +518,12 @@ class TestBracketApplication:
 def test_centre_verification_applies_both_sides_only_when_needed(
     monkeypatch, kernel, applies_per_monomial
 ):
-    """An antisymmetric kernel has apply(g, f) = -apply(f, g), so one side is
-    applied per test monomial; the generators and flags are the two-sided ones."""
+    """The flags are the two-sided ones, read off the operator of A grouped
+    by slot block without applying the kernel to any test monomial.  An
+    antisymmetric kernel has apply(g, f) = -apply(f, g), so only its v-block
+    operators are checked; otherwise the u-block operators are too, and a
+    fully verified candidate list applies each checked operator once per
+    candidate."""
     space = phase_space(2)
     a = raw(parse_poly(kernel, pair_space(2)), n=2)
     tests = monomials(space, 3)
@@ -487,17 +534,30 @@ def test_centre_verification_applies_both_sides_only_when_needed(
         ))
         for gen in (Poly.one(space), parse_poly("q2", space), parse_poly("q2^2", space))
     ]
-    calls = []
-    apply = BiDiff.apply
+    op_terms = DiffOp.from_sigma_poly(a.a).poly.terms
+    blocks = {
+        (side, exps[4:] if side == "v" else exps[:4])
+        for exps in op_terms
+        for side in "vu"[:applies_per_monomial]
+        if sum(exps[4:] if side == "v" else exps[:4]) <= 3
+    }
+    bidiff_calls, op_calls = [], []
+    apply, apply_once = BiDiff.apply, DiffOp.apply_once
 
-    def counting(self, f, g):
-        calls.append(1)
+    def counting_bidiff(self, f, g):
+        bidiff_calls.append(1)
         return apply(self, f, g)
 
-    monkeypatch.setattr(BiDiff, "apply", counting)
+    def counting_op(self, target):
+        op_calls.append(1)
+        return apply_once(self, target)
+
+    monkeypatch.setattr(BiDiff, "apply", counting_bidiff)
+    monkeypatch.setattr(DiffOp, "apply_once", counting_op)
     got = center_generators_from_kernel(a, [(ZERO, ONE, ZERO, ZERO)], 2, 3)
     assert [(c.generator, c.verified) for c in got] == expected
+    assert bidiff_calls == []
     if all(verified for _, verified in expected):
-        assert len(calls) == applies_per_monomial * len(expected) * len(tests)
+        assert len(op_calls) == len(blocks) * len(expected)
     else:
         assert not all(verified for _, verified in expected[1:])

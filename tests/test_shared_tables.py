@@ -1,0 +1,141 @@
+"""The bounded tables that products share across calls.
+
+Three tables sit on the operator path: `poly._step_operator` keeps the
+operator D/k of the k-th step of exp(D), one entry per (operator, k);
+`poly._derivative_piece` keeps the derivative of each (order, monomial)
+pair; `operators._word_piece` keeps the canonical words of each word pair.
+The per-kernel product operators come from `star._star_op`.  These tests
+count what the tables save on fixed products (a series scales its operator
+once per step index, never a term, and the word table misses once per word
+pair), and run the products from eight threads at once, starting from
+cleared tables, against the per-term oracles of conftest.py.
+"""
+
+import importlib
+import sys
+import threading
+from fractions import Fraction
+
+from conftest import (
+    oracle_nc_mul,
+    oracle_star,
+    oracle_u_map,
+    oracle_weyl_quantize,
+    oracle_weyl_symbol,
+)
+from moyal import scalars
+from moyal.expressions import parse_poly
+from moyal.linalg import Matrix
+from moyal.operators import nc_mul, weyl_quantize, weyl_symbol
+from moyal.poly import DiffOp, Poly, phase_space, sigma_space
+from moyal.star import StarKernel, star, u_map
+
+# `moyal.star` the attribute is the function; the modules are read from sys.modules.
+POLY, STAR, OPERATORS = (importlib.import_module(f"moyal.{m}") for m in ("poly", "star", "operators"))
+
+SPACE = phase_space(1)
+KERNEL = StarKernel(
+    1,
+    parse_poly("mu*u1^2 + 2*u1*u2 - u2^3", sigma_space(1)),
+    Matrix.canonical_symplectic(1, scalars.MU),
+)
+OPERANDS = [
+    (parse_poly(f, SPACE), parse_poly(g, SPACE))
+    for f, g in (
+        ("q1^2*p1 + 3*p1/(mu + 1) - 2", "q1*p1^2 - mu*q1 + 1"),
+        ("q1^3 - p1^2", "2*p1^3 + q1/(mu^2 + 2)"),
+        ("q1*p1", "q1^2 + p1^2"),
+        ("1/(mu - 1)", "q1^2*p1^2"),
+    )
+]
+
+
+def clear_tables():
+    for table in (POLY._step_operator, POLY._derivative_piece, OPERATORS._word_piece, STAR._star_op):
+        table.cache_clear()
+
+
+def weyl_product(f, g):
+    return weyl_symbol(nc_mul(weyl_quantize(f), weyl_quantize(g)))
+
+
+def test_a_series_scales_each_operator_once_per_step_index(monkeypatch):
+    clear_tables()
+    steps, scaled = [], []
+    step_operator, scale_fraction = POLY._step_operator, Poly.scale_fraction
+
+    def counting_step(op, k):
+        steps.append((op, k))
+        return step_operator(op, k)
+
+    def counting_scale(self, q):
+        scaled.append((self, q))
+        return scale_fraction(self, q)
+
+    monkeypatch.setattr(POLY, "_step_operator", counting_step)
+    monkeypatch.setattr(Poly, "scale_fraction", counting_scale)
+    for f, g in OPERANDS:
+        u_map(star(f, g, KERNEL), KERNEL.chi)
+        weyl_product(f, g)
+    operators = {
+        DiffOp.from_sigma_poly(KERNEL.exponent()).poly,
+        DiffOp.from_sigma_poly(KERNEL.chi.in_space(SPACE)).poly,
+        OPERATORS._transition_op(1, -1).poly,
+        OPERATORS._transition_op(1, +1).poly,
+    }
+    assert {op for op, _ in scaled} <= operators
+    # Once per distinct (operator, k), against one step per series term.
+    assert len(scaled) == len(set(steps))
+    assert set(scaled) == {(op, Fraction(1, k)) for op, k in steps}
+    assert len(scaled) < len(steps) / 4
+
+
+def test_the_word_table_misses_once_per_word_pair():
+    clear_tables()
+    pairs = set()
+    for f, g in OPERANDS:
+        x, y = weyl_quantize(f), weyl_quantize(g)
+        pairs |= {(w1, w2) for w1 in x.terms for w2 in y.terms}
+        expected = oracle_nc_mul(x, y)
+        assert nc_mul(x, y) == expected
+        misses = OPERATORS._word_piece.cache_info().misses
+        assert nc_mul(x, y) == expected
+        assert OPERATORS._word_piece.cache_info().misses == misses
+    assert OPERATORS._word_piece.cache_info().misses == len(pairs)
+
+
+def test_threads_share_the_tables_from_cold():
+    expected = [
+        (
+            oracle_star(f, g, KERNEL),
+            oracle_u_map(f, KERNEL.chi),
+            oracle_weyl_symbol(oracle_nc_mul(oracle_weyl_quantize(f), oracle_weyl_quantize(g))),
+        )
+        for f, g in OPERANDS
+    ]
+    errors = []
+
+    def run(offset):
+        try:
+            for i in range(len(OPERANDS)):
+                k = (i + offset) % len(OPERANDS)
+                f, g = OPERANDS[k]
+                got = (star(f, g, KERNEL), u_map(f, KERNEL.chi), weyl_product(f, g))
+                if got != expected[k]:
+                    errors.append((k, got))
+        except Exception as err:  # noqa: BLE001 - reported below
+            errors.append(err)
+
+    clear_tables()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
