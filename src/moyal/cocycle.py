@@ -298,28 +298,29 @@ def center_basis(raw: RawKernelExponent, max_degree: int) -> list[Poly]:
     return dual_monomials(raw.n, factorize(raw).kernel_basis, max_degree)
 
 
-# The most monomials one centre enumeration may build: the candidates of
-# `dual_monomials` and the test monomials of `lie.center_generators_from_kernel`.
-# A larger request raises ValueError before anything is built.
+# The most candidates one `dual_monomials` call may build; a larger request
+# raises ValueError before anything is built.
 CENTER_MONOMIAL_LIMIT = 10_000
 
 
-def check_monomial_count(variables: int, max_degree: int) -> None:
-    """Raise ValueError when the C(max_degree + variables, variables) monomials of
-    degree at most max_degree in `variables` variables exceed CENTER_MONOMIAL_LIMIT."""
+def dual_monomials(n: int, kernel_basis: list[Vector], max_degree: int) -> list[Poly]:
+    """1 and every product of up to max_degree linear forms dual to kernel_basis,
+    whose vectors must hold 2n entries (else ValueError), each a Coefficient
+    (else TypeError)."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
+    for vec in kernel_basis:
+        if len(vec) != 2 * n:
+            raise ValueError(f"kernel vector {vec!r} must have 2n = {2 * n} entries")
+        if not all(isinstance(c, scalars.Coefficient) for c in vec):
+            raise TypeError(f"kernel vector {vec!r} must hold Coefficient entries")
+    variables = len(kernel_basis)
     count = math.comb(max_degree + variables, variables)
     if count > CENTER_MONOMIAL_LIMIT:
         raise ValueError(
             f"{count} monomials of degree at most {max_degree} in {variables} variables "
             f"exceed the centre enumeration limit ({CENTER_MONOMIAL_LIMIT})"
         )
-
-
-def dual_monomials(n: int, kernel_basis: list[Vector], max_degree: int) -> list[Poly]:
-    """1 and every product of up to max_degree linear forms dual to kernel_basis."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
-    check_monomial_count(len(kernel_basis), max_degree)
     space = phase_space(n)
     units = [tuple(int(k == idx) for k in range(2 * n)) for idx in range(2 * n)]
     duals = [

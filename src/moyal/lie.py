@@ -63,7 +63,7 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from . import scalars
-from .cocycle import check_monomial_count, dual_monomials
+from .cocycle import dual_monomials
 from .errors import DimensionMismatchError, MoyalError, SpaceMismatchError
 from .linalg import Matrix, Vector
 from .poly import (
@@ -572,15 +572,14 @@ def center_generators_from_kernel(
     kernel has apply(g, c) = -apply(c, g), so the v-blocks decide; otherwise
     the operators grouped by u-block must kill c too.  One degree-guard check
     per candidate covers its largest test product, deg c + verify_degree, so
-    a guard error no longer depends on which test monomial fails first.
-    Raises ValueError when either the candidates or the test monomials would
-    exceed `cocycle.CENTER_MONOMIAL_LIMIT`.
+    a guard error no longer depends on which test monomial fails first.  No
+    test monomial is built, so only the candidates meet
+    `cocycle.CENTER_MONOMIAL_LIMIT` (ValueError above it).
     """
     if min(max_degree, verify_degree) < 0:
         raise ValueError("max_degree and verify_degree must be non-negative")
     space = phase_space(raw.n)
     width = len(space)
-    check_monomial_count(width, verify_degree)
     antisymmetric = raw.antisymmetry_witness is None
     blocks: dict[tuple[bool, Exponents], dict] = {}
     for exps, coeff in DiffOp.from_sigma_poly(raw.a).poly.terms.items():

@@ -22,12 +22,12 @@ exactly, term by term.
 
 The bracket divides the commutator by 2*mu in the scalar field; division is
 formal, and poles only surface when the classical limit is taken.  It is not
-computed as two products: each kernel's compiled operator (`BiDiff`, one per
-kernel in a bounded cache) memoises, per monomial pair (ef, eg), both the
-product piece and the commutator piece (ef*eg - eg*ef) / (2*mu), each memo
-holding at most `PAIR_MEMO_SIZE` pairs and cleared when full.  `star` and
-`bracket` are then one walk over the terms of f and g that scales each
-memoised piece by the two coefficients.
+computed as two products: each kernel keeps its compiled operator
+(`StarKernel.operator`, a `BiDiff` freed with the kernel), which memoises,
+per monomial pair (ef, eg), both the product piece and the commutator piece
+(ef*eg - eg*ef) / (2*mu) in two LRU tables of at most `PAIR_MEMO_SIZE` pairs.
+`star` and `bracket` are then one walk over the terms of f and g that scales
+each memoised piece by the two coefficients.
 
 Slot layout: a kernel polynomial over pair space (u, v) or triple space
 (u, v, w) stores its exponents as consecutive blocks, one per slot, each of
@@ -55,7 +55,7 @@ inverted by -chi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from math import comb
 
@@ -134,6 +134,11 @@ class StarKernel:
     def exponent(self) -> Poly:
         """b(sigma, sigma') over pair space: coboundary of chi plus sigma'^T M sigma."""
         return coboundary(self.chi) + bilinear_pair_poly(self.m, self.n)
+
+    @cached_property
+    def operator(self) -> "BiDiff":
+        """The compiled operator exp(b) of `star` and `bracket`, kept by this kernel."""
+        return BiDiff(self.exponent())
 
 
 def coboundary(chi: Poly) -> Poly:
@@ -254,8 +259,8 @@ class BiDiff:
     product.  All three are one walk, `poly.bilinear`, over the monomial
     pairs (ef, eg) of f and g, summing each pair's piece (a dict of terms)
     scaled by the two coefficients; they differ only in the piece.  The exp
-    and commutator pieces are memoised, each memo of at most
-    `PAIR_MEMO_SIZE` pairs and cleared when full, because products and
+    and commutator pieces are memoised, each memo an LRU table of at most
+    `PAIR_MEMO_SIZE` pairs owned by this operator, because products and
     brackets meet the same pairs again and again.  The one-step pieces are
     not: a caller that applies a bracket kernel once rarely meets a pair
     twice, so a memo would only add inserts.  Every entry point checks that
@@ -270,7 +275,7 @@ class BiDiff:
     rejects an operator with a constant term.
     """
 
-    __slots__ = ("space", "op", "_pairs", "_comms")
+    __slots__ = ("space", "op", "_exp_piece", "_commutator_piece")
 
     def __init__(self, a: Poly):
         n, rem = divmod(len(a.space), 4)
@@ -278,8 +283,11 @@ class BiDiff:
             raise SpaceMismatchError(f"{a.space!r} is not a pair space")
         self.space = phase_space(n)
         self.op = DiffOp.from_sigma_poly(a)
-        self._pairs: dict[tuple[Exponents, Exponents], Terms] = {}
-        self._comms: dict[tuple[Exponents, Exponents], Terms] = {}
+        # Module functions under partial, not bound methods: the memos hold no
+        # reference back to this operator, so it is freed with its last user.
+        memo = lru_cache(maxsize=PAIR_MEMO_SIZE)
+        self._exp_piece = memo(partial(_exp_piece, self.op, self.space))
+        self._commutator_piece = memo(partial(_commutator_piece, self._exp_piece, self.space))
 
     def apply(self, f: Poly, g: Poly) -> Poly:
         """A(-i d_left, -i d_right) applied once to f (x) g, slots merged."""
@@ -297,29 +305,6 @@ class BiDiff:
         target = Poly.monomial(self.op.poly.space, ef + eg)
         return merge_slots(self.op.apply_once(target), self.space).terms
 
-    def _exp_piece(self, ef: Exponents, eg: Exponents) -> Terms:
-        pairs = self._pairs
-        piece = pairs.get((ef, eg))
-        if piece is None:
-            if len(pairs) >= PAIR_MEMO_SIZE:
-                pairs.clear()
-            target = Poly(self.op.poly.space, {ef + eg: scalars.ONE})
-            piece = merge_slots(self.op.series(target), self.space).terms
-            pairs[ef, eg] = piece
-        return piece
-
-    def _commutator_piece(self, ef: Exponents, eg: Exponents) -> Terms:
-        comms = self._comms
-        piece = comms.get((ef, eg))
-        if piece is None:
-            if len(comms) >= PAIR_MEMO_SIZE:
-                comms.clear()
-            forward = Poly(self.space, self._exp_piece(ef, eg))
-            backward = Poly(self.space, self._exp_piece(eg, ef))
-            piece = (forward - backward).scale(scalars.HALF_INV_MU).terms
-            comms[ef, eg] = piece
-        return piece
-
     def _accumulate(self, f: Poly, g: Poly, pieces: Pieces) -> Poly:
         """Sum pieces(ef, eg) * cf * cg over the terms of f and g."""
         if (f.space, g.space) != (self.space, self.space):
@@ -330,27 +315,33 @@ class BiDiff:
         return bilinear(f, g, self.space, pieces)
 
 
-@lru_cache(maxsize=64)
-def _star_op(kernel: StarKernel) -> BiDiff:
-    return BiDiff(kernel.exponent())
+def _exp_piece(op: DiffOp, space: Space, ef: Exponents, eg: Exponents) -> Terms:
+    target = Poly(op.poly.space, {ef + eg: scalars.ONE})
+    return merge_slots(op.series(target), space).terms
+
+
+def _commutator_piece(exp_piece: Pieces, space: Space, ef: Exponents, eg: Exponents) -> Terms:
+    forward = Poly(space, exp_piece(ef, eg))
+    backward = Poly(space, exp_piece(eg, ef))
+    return (forward - backward).scale(scalars.HALF_INV_MU).terms
 
 
 def star(f: Poly, g: Poly, kernel: StarKernel) -> Poly:
     """The star product of two phase-space polynomials under the given kernel."""
-    return _star_op(kernel).apply_exp(f, g)
+    return kernel.operator.apply_exp(f, g)
 
 
 def bracket(f: Poly, g: Poly, kernel: StarKernel) -> Poly:
     """(f*g - g*f) / (2*mu): the bracket induced by the star product.
 
-    One walk over the monomial pairs of f and g, each read from the kernel
-    operator's commutator memo (see `BiDiff`), which holds
+    One walk over the monomial pairs of f and g, each read from the
+    commutator memo of `kernel.operator` (see `BiDiff`), an LRU table of
     (ef*eg - eg*ef) / (2 mu) for at most `PAIR_MEMO_SIZE` pairs.
     The division happens in the scalar field; a kernel whose commutator does
     not carry a factor of mu simply produces 1/mu coefficients, and any pole
     surfaces later in `classical_limit`.
     """
-    return _star_op(kernel).commutator(f, g)
+    return kernel.operator.commutator(f, g)
 
 
 def poisson(f: Poly, g: Poly) -> Poly:

@@ -87,7 +87,8 @@ def test_memos_that_keep_clearing_give_the_same_results(case):
             assert compiled.commutator(f, g) == want_bracket
             assert compiled.apply_exp(f, g) == want_star
             assert compiled.commutator(g, f) == -want_bracket
-        assert len(compiled._pairs) <= 1 and len(compiled._comms) <= 1
+        for memo in (compiled._exp_piece, compiled._commutator_piece):
+            assert memo.cache_info().currsize <= 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

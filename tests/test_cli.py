@@ -396,24 +396,29 @@ def test_zero_sizes_are_accepted(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, count",
     [
-        ("center", "--n", "3", "--b", "0", "--max-degree", "40"),
+        # C(46, 6) candidates in the 6 coordinates of n = 3.
+        (("center", "--n", "3", "--b", "0", "--max-degree", "40"), 9366819),
+        # C(44, 4) candidates in the 4 coordinates dual to Ker omega.
         (
-            "theorem2", "--n", "3", "--a", "u1*v4 - u4*v1",
-            "--center-degree", "1", "--verify-degree", "40",
+            (
+                "theorem2", "--n", "3", "--a", "u1*v4 - u4*v1",
+                "--center-degree", "40", "--verify-degree", "1",
+            ),
+            135751,
         ),
     ],
-    ids=lambda argv: argv[0],
+    ids=["center", "theorem2"],
 )
-def test_centre_enumerations_above_the_limit_exit_two(capsys, argv):
-    # C(46, 6) = 9,366,819 monomials: refused before any of them is built.
+def test_centre_enumerations_above_the_limit_exit_two(capsys, argv, count):
+    # Refused before any candidate is built.
     code, out, _ = invoke(capsys, "--json", *argv)
     doc = json.loads(out)
     assert code == 2
     assert set(doc) == JSON_KEYS
     assert doc["command"] == argv[0] and doc["status"] == "error"
-    assert "9366819 monomials" in doc["witness"]["message"]
+    assert f"{count} monomials" in doc["witness"]["message"]
     assert "limit" in doc["witness"]["message"]
 
 

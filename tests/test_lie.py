@@ -393,6 +393,23 @@ def test_negative_degrees_are_refused(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # zip truncated a short vector, and q1 read as a candidate.
+        (lambda: center_generators_from_kernel(raw(WEDGE), [(ONE,)], 1, 1), ValueError, "2n = 2"),
+        (lambda: dual_monomials(1, [(ONE, ZERO, ZERO)], 1), ValueError, "2n = 2"),
+        # Int entries went into a trusted Poly.
+        (lambda: center_generators_from_kernel(raw(WEDGE), [(1, 0)], 1, 1), TypeError, "Coefficient"),
+        (lambda: dual_monomials(1, [(ONE, ZERO), (1, 0)], 2), TypeError, "Coefficient"),
+    ],
+    ids=["generators-length", "dual-monomials-length", "generators-type", "dual-monomials-type"],
+)
+def test_malformed_kernel_vectors_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 @pytest.mark.parametrize("n", [0, -1, True, 1.0])
 @pytest.mark.parametrize(
     "record",
@@ -504,6 +521,17 @@ def test_centre_check_matches_the_monomial_loop(seed, n, antisymmetric, verify_d
     got = center_generators_from_kernel(raw_kernel, basis, 2, verify_degree)
     expected = oracle_center_generators(raw_kernel, basis, 2, verify_degree)
     assert [(c.generator, c.verified) for c in got] == expected
+
+
+@pytest.mark.parametrize("verify_degree", [11, 40])
+def test_centre_verification_builds_no_test_monomials(verify_degree):
+    """Only the candidates meet the enumeration limit: the C(verify_degree + 6, 6)
+    test monomials of n = 3, which the block check never builds, were once
+    refused from verify degree 11 on."""
+    a = raw(parse_poly("u1*v4 - v1*u4", pair_space(3)), n=3)
+    basis = extract_omega(a).kernel_basis
+    got = center_generators_from_kernel(a, basis, 1, verify_degree)
+    assert len(got) == 5 and all(c.verified for c in got)
 
 
 @pytest.mark.parametrize(

@@ -4,41 +4,45 @@ Three tables sit on the operator path: `poly._step_operator` keeps the
 operator D/k of the k-th step of exp(D), one entry per (operator, k);
 `poly._derivative_piece` keeps the derivative of each (order, monomial)
 pair; `operators._word_piece` keeps the canonical words of each word pair.
-The per-kernel product operators come from `star._star_op`.  These tests
-count what the tables save on fixed products (a series scales its operator
-once per step index, never a term, and the word table misses once per word
-pair), and run the products from eight threads at once, starting from
-cleared tables, against the per-term oracles of conftest.py.
+Each kernel keeps its own product operator (`StarKernel.operator`), so a
+fresh kernel starts with cold pair memos.  These tests count what the tables
+save on fixed products (a series scales its operator once per step index,
+never a term, and the word table misses once per word pair), and run the
+products from eight threads at once, starting from cleared tables and a
+fresh kernel, against the per-term oracles of conftest.py.
 """
 
-import importlib
 import sys
 import threading
 from fractions import Fraction
 
 from conftest import (
+    oracle_bracket,
     oracle_nc_mul,
     oracle_star,
     oracle_u_map,
     oracle_weyl_quantize,
     oracle_weyl_symbol,
 )
-from moyal import scalars
+from moyal import operators as OPERATORS, poly as POLY, scalars
 from moyal.expressions import parse_poly
 from moyal.linalg import Matrix
 from moyal.operators import nc_mul, weyl_quantize, weyl_symbol
 from moyal.poly import DiffOp, Poly, phase_space, sigma_space
-from moyal.star import StarKernel, star, u_map
-
-# `moyal.star` the attribute is the function; the modules are read from sys.modules.
-POLY, STAR, OPERATORS = (importlib.import_module(f"moyal.{m}") for m in ("poly", "star", "operators"))
+from moyal.star import StarKernel, bracket, star, u_map
 
 SPACE = phase_space(1)
-KERNEL = StarKernel(
-    1,
-    parse_poly("mu*u1^2 + 2*u1*u2 - u2^3", sigma_space(1)),
-    Matrix.canonical_symplectic(1, scalars.MU),
-)
+
+
+def fresh_kernel():
+    """A new kernel object, whose operator is built on first use."""
+    return StarKernel(
+        1,
+        parse_poly("mu*u1^2 + 2*u1*u2 - u2^3", sigma_space(1)),
+        Matrix.canonical_symplectic(1, scalars.MU),
+    )
+
+
 OPERANDS = [
     (parse_poly(f, SPACE), parse_poly(g, SPACE))
     for f, g in (
@@ -51,7 +55,7 @@ OPERANDS = [
 
 
 def clear_tables():
-    for table in (POLY._step_operator, POLY._derivative_piece, OPERATORS._word_piece, STAR._star_op):
+    for table in (POLY._step_operator, POLY._derivative_piece, OPERATORS._word_piece):
         table.cache_clear()
 
 
@@ -59,8 +63,41 @@ def weyl_product(f, g):
     return weyl_symbol(nc_mul(weyl_quantize(f), weyl_quantize(g)))
 
 
+def race(expected, compute, count=8):
+    """compute(f, g) over OPERANDS from `count` threads released together,
+    each from its own offset, switching as often as possible; the mismatches
+    against expected and the errors raised."""
+    barrier = threading.Barrier(count)
+    errors = []
+
+    def run(offset):
+        try:
+            barrier.wait(timeout=60)
+            for i in range(len(OPERANDS)):
+                k = (i + offset) % len(OPERANDS)
+                got = compute(*OPERANDS[k])
+                if got != expected[k]:
+                    errors.append((k, got))
+        except Exception as err:  # noqa: BLE001 - reported by the caller
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
 def test_a_series_scales_each_operator_once_per_step_index(monkeypatch):
     clear_tables()
+    kernel = fresh_kernel()
     steps, scaled = [], []
     step_operator, scale_fraction = POLY._step_operator, Poly.scale_fraction
 
@@ -75,11 +112,11 @@ def test_a_series_scales_each_operator_once_per_step_index(monkeypatch):
     monkeypatch.setattr(POLY, "_step_operator", counting_step)
     monkeypatch.setattr(Poly, "scale_fraction", counting_scale)
     for f, g in OPERANDS:
-        u_map(star(f, g, KERNEL), KERNEL.chi)
+        u_map(star(f, g, kernel), kernel.chi)
         weyl_product(f, g)
     operators = {
-        DiffOp.from_sigma_poly(KERNEL.exponent()).poly,
-        DiffOp.from_sigma_poly(KERNEL.chi.in_space(SPACE)).poly,
+        DiffOp.from_sigma_poly(kernel.exponent()).poly,
+        DiffOp.from_sigma_poly(kernel.chi.in_space(SPACE)).poly,
         OPERATORS._transition_op(1, -1).poly,
         OPERATORS._transition_op(1, +1).poly,
     }
@@ -105,37 +142,32 @@ def test_the_word_table_misses_once_per_word_pair():
 
 
 def test_threads_share_the_tables_from_cold():
+    kernel = fresh_kernel()
     expected = [
         (
-            oracle_star(f, g, KERNEL),
-            oracle_u_map(f, KERNEL.chi),
+            oracle_star(f, g, kernel),
+            oracle_u_map(f, kernel.chi),
             oracle_weyl_symbol(oracle_nc_mul(oracle_weyl_quantize(f), oracle_weyl_quantize(g))),
         )
         for f, g in OPERANDS
     ]
-    errors = []
 
-    def run(offset):
-        try:
-            for i in range(len(OPERANDS)):
-                k = (i + offset) % len(OPERANDS)
-                f, g = OPERANDS[k]
-                got = (star(f, g, KERNEL), u_map(f, KERNEL.chi), weyl_product(f, g))
-                if got != expected[k]:
-                    errors.append((k, got))
-        except Exception as err:  # noqa: BLE001 - reported below
-            errors.append(err)
+    def compute(f, g):
+        return star(f, g, kernel), u_map(f, kernel.chi), weyl_product(f, g)
 
     clear_tables()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(t,)) for t in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
+    assert race(expected, compute) == []
+
+
+def test_threads_race_the_first_operator_access():
+    """Eight threads reach `star` and `bracket` on a fresh kernel at once, so
+    several may build its operator; every result is still the oracle's.
+    Identity across threads is not asserted: from Python 3.12 on
+    `cached_property` takes no lock, so a thread may run on a build of its
+    own that the kernel then drops."""
+    kernel = fresh_kernel()
+    expected = [(oracle_star(f, g, kernel), oracle_bracket(f, g, kernel)) for f, g in OPERANDS]
+    assert "operator" not in vars(kernel)
+    assert race(expected, lambda f, g: (star(f, g, kernel), bracket(f, g, kernel))) == []
+    operator = kernel.operator
+    assert kernel.operator is operator and vars(kernel)["operator"] is operator

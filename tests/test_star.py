@@ -1,6 +1,8 @@
 """Star products, brackets, Poisson limit, and the ordering-change map."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -183,10 +185,29 @@ def test_every_star_kernel_exponent_is_a_cocycle():
 
 
 def test_equal_matrices_hash_equal():
-    # Star operators are cached by kernel, so equal kernels must hash equal.
+    # A kernel is a frozen record, so equal kernels must hash equal.
     rows = [[scalars.ZERO, scalars.MU], [-scalars.MU, scalars.ZERO]]
     a, b = Matrix(rows), Matrix([list(r) for r in rows])
     assert a is not b and a == b
     assert hash(a) == hash(b) == hash(a)
     assert hash(StarKernel(1, MOYAL.chi, a)) == hash(StarKernel(1, MOYAL.chi, b))
     assert hash(a) == hash(Matrix.canonical_symplectic(1, scalars.MU))
+
+
+def test_a_kernel_is_freed_after_its_products():
+    # Its operator is kept on the kernel, not in a table keyed by it.
+    kernel = StarKernel(1, pp("mu*u1^2 + u1*u2", sigma_space(1)), MOYAL.m)
+    assert star(Q**2, P, kernel) == star(Q**2, P, kernel)
+    assert bracket(Q, P**2, kernel) == -bracket(P**2, Q, kernel)
+    ref = weakref.ref(kernel)
+    del kernel
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_repeated_product_misses_the_exp_memo_once():
+    kernel = StarKernel.moyal(1)
+    for _ in range(3):
+        assert star(Q**2, P, kernel) == pp("q1^2*p1 + 2*mu*q1")
+    info = kernel.operator._exp_piece.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)

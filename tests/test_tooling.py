@@ -1,5 +1,6 @@
 """Source checks: imports stay at module level, no module imports another
-moyal module's underscore-prefixed names, every lru_cache is bounded, only
+moyal module's underscore-prefixed names, every lru_cache is bounded (by an
+int literal or a module-level name bound to one; no `functools.cache`), only
 poly.py reads or enforces the degree guard itself, only poly.py reads the
 fields of a deferred polynomial or asks whether a value is deferred (so
 `poly.bilinear` alone applies the denominator rule), only scalars.py calls
@@ -64,7 +65,19 @@ def _perm_violations(tree, module):
             yield node.lineno, "perm called outside poly._derivative_piece"
 
 
+def _is_int(node):
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
 def _violations(tree, module=""):
+    # Module-level names bound to an int literal, the other accepted lru_cache bound.
+    int_names = {
+        target.id
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and _is_int(stmt.value)
+        for target in stmt.targets
+        if isinstance(target, ast.Name)
+    }
     for func in ast.walk(tree):
         if not isinstance(func, FUNCTIONS):
             continue
@@ -78,6 +91,14 @@ def _violations(tree, module=""):
             for alias in node.names:
                 if alias.name.startswith("_"):
                     yield node.lineno, f"private name {alias.name} imported"
+        if (
+            isinstance(node, ast.ImportFrom) and node.module == "functools"
+            and any(alias.name == "cache" for alias in node.names)
+        ) or (
+            isinstance(node, ast.Attribute) and node.attr == "cache"
+            and getattr(node.value, "id", None) == "functools"
+        ):
+            yield node.lineno, "unbounded functools.cache"
         if isinstance(node, ast.Attribute) and node.attr in DEFERRED_FIELDS and module != "poly.py":
             yield node.lineno, f"{node.attr} of a deferred polynomial read outside poly.py"
         if not isinstance(node, ast.Call):
@@ -90,8 +111,8 @@ def _violations(tree, module=""):
         if name != "lru_cache":
             continue
         sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
-        if any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
-            yield node.lineno, "unbounded lru_cache"
+        if not all(_is_int(size) or getattr(size, "id", None) in int_names for size in sizes):
+            yield node.lineno, "lru_cache without an int bound"
     if module == "cli.py":
         yield from _expression_violations(tree)
     yield from _perm_violations(tree, module)
@@ -143,6 +164,10 @@ def test_no_function_imports_or_unbounded_caches(path):
         "def f():\n    if True:\n        from . import x\n",
         "from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(): pass\n",
         "import functools\n@functools.lru_cache(None)\ndef f(): pass\n",
+        "from functools import cache\n@cache\ndef f(): pass\n",
+        "import functools\n@functools.cache\ndef f(): pass\n",
+        "from functools import lru_cache\nSIZE = None\n@lru_cache(maxsize=SIZE)\ndef f(): pass\n",
+        "from functools import lru_cache\ndef f(size):\n    return lru_cache(maxsize=size)\n",
         "from .star import BiDiff, _check_operands\n",
         "from moyal.poly import _degree_guard\n",
         "from . import _private\n",
@@ -193,6 +218,11 @@ def test_checker_allows_public_and_foreign_names():
     assert list(_violations(ast.parse("d = Coefficient.make(num, den)\n"))) == []
     owner = "import math\ndef _derivative_piece(d, t):\n    return math.perm(t, d)\n"
     assert list(_violations(ast.parse(owner), "poly.py")) == []
+    bounded = (
+        "from functools import lru_cache\nSIZE = 64\n@lru_cache(maxsize=8)\ndef f(): pass\n"
+        "def g():\n    return lru_cache(maxsize=SIZE)(f), lru_cache(SIZE)(f)\n"
+    )
+    assert list(_violations(ast.parse(bounded))) == []
 
 
 def test_perm_is_called_once_in_src():
