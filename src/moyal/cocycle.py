@@ -42,15 +42,19 @@ from .poly import (
     Space,
     check_dimension,
     format_term,
+    lifted_degree,
+    lifted_lead,
     pair_space,
     phase_space,
     sigma_space,
     triple_space,
+    unlift,
 )
 from .star import (
     StarKernel,
     bilinear_form,
     coboundary,
+    lift_slots,
     merge_slots,
     on_slots,
     slot_degrees,
@@ -95,12 +99,13 @@ def split_parts(b: Poly) -> tuple[Poly, Poly]:
     return (b + swapped).scale_fraction(Fraction(1, 2)), (b - swapped).scale_fraction(Fraction(1, 2))
 
 
+# The four signed slot maps of the cocycle defect b(v,w) - b(u+v,w) + b(u,v+w) - b(u,v).
+_COCYCLE_MAPS = ((1, "v", "w"), (-1, "uv", "w"), (1, "u", "vw"), (-1, "u", "v"))
+
+
 def cocycle_defect(raw: RawKernelExponent) -> Poly:
     """b(v,w) - b(u+v,w) + b(u,v+w) - b(u,v) over triple space."""
-    return slot_sum(
-        raw.b, triple_space(raw.n),
-        (1, "v", "w"), (-1, "uv", "w"), (1, "u", "vw"), (-1, "u", "v"),
-    )
+    return slot_sum(raw.b, triple_space(raw.n), *_COCYCLE_MAPS)
 
 
 def cocycle_check(raw: RawKernelExponent) -> CocycleViolation | None:
@@ -108,7 +113,10 @@ def cocycle_check(raw: RawKernelExponent) -> CocycleViolation | None:
 
     The witness carries one nonzero monomial of the defect and, for cocycle
     failures, an integer point with the two unequal sides of the identity
-    b(u,v) + b(u+v,w) = b(v,w) + b(u,v+w).
+    b(u,v) + b(u+v,w) = b(v,w) + b(u,v+w).  The defect is summed in packed
+    form (`star.lift_slots`) on the numerators of b; the verdict, the
+    leading monomial and the defect's degree are read off its keys, and only
+    the leading monomial is turned back into a coefficient (`poly.lifted_lead`).
     """
     n = raw.n
     width = 2 * n
@@ -121,14 +129,16 @@ def cocycle_check(raw: RawKernelExponent) -> CocycleViolation | None:
                 coefficient=coeff,
                 space_names=b.space.names,
             )
-    defect = cocycle_defect(raw)
-    if defect.is_zero:
+    (numerators, den), tri = b.split_denominator(), triple_space(n)
+    lifted = lift_slots(numerators, tri, _COCYCLE_MAPS)
+    terms, _, layout = lifted
+    if not terms:
         return None
-    exps, coeff = defect.leading_term()
+    exps, coeff = unlift(lifted_lead(lifted), tri).over(den).leading_term()
     # The defect at a point is rhs - lhs: a seeded search of small integer
-    # points for one where the two sides differ.
+    # points, up to the defect's degree, for one where the two sides differ.
     rng = random.Random(1729)
-    bound = max(defect.total_degree() + 2, 4)
+    bound = max(lifted_degree(max(terms), layout) + 2, 4)
     for _ in range(200):
         point = tuple(rng.randrange(1, bound) for _ in range(3 * width))
         values = [scalars.Coefficient.from_int(x) for x in point]
@@ -140,7 +150,7 @@ def cocycle_check(raw: RawKernelExponent) -> CocycleViolation | None:
                 stage="cocycle",
                 monomial=exps,
                 coefficient=coeff,
-                space_names=defect.space.names,
+                space_names=tri.names,
                 point=point,
                 lhs=lhs,
                 rhs=rhs,

@@ -17,16 +17,19 @@ defect that vanishes at mu = 0.  Both patterns are reported as expected
 truncation defects rather than violations.
 
 Packed form.  The Jacobi check runs on exact integers: A(u, v+w) and A(v, w),
-or half of it when A is antisymmetric, are multiplied once on packed int keys
-with int values (see `poly.lifted_mul`).  For an antisymmetric A each product
-entry is filed under the representative of its orbit of block permutations,
-the arrangement with the blocks in descending order; otherwise it is added at
-each of its three block rotations, which is the whole cyclic defect.  The
-report is a verdict, its witnesses and the defect's degree range.  All of it
-is read off the nonzero keys; only the entries of the leading monomial, the
-witness, are turned back into a coefficient.  `jacobi_defect` alone unlifts
-every entry: it is the rotated sum of the full product (the CLI renders the
-defect's mu-order parts from it).
+or half of it when A is antisymmetric, are lifted straight from the terms of
+A (`star.lift_slots`) and multiplied once (see `poly.lifted_mul`).  A key is
+a monomial and a power of i, and its value holds every mu-power of the
+entry as one digit, so the fold below visits each product monomial once.
+For an antisymmetric A each product entry is filed under the representative
+of its orbit of block permutations, the arrangement with the blocks in
+descending order; otherwise it is added at each of its three block
+rotations, which is the whole cyclic defect.  The report is a verdict, its
+witnesses and the defect's degree range.  All of it is read off the nonzero
+keys and the low digits of their values; only the entries of the leading
+monomial, the witness, are turned back into a coefficient.  `jacobi_defect`
+alone unlifts every entry: it is the rotated sum of the full product (the
+CLI renders the defect's mu-order parts from it).
 
 Convention sheet (pinned by the Moyal fixture, see tests): with the bracket
 kernel of the symmetric-ordering product, the first-slot derivative matrix is
@@ -75,6 +78,9 @@ from .poly import (
     check_dimension,
     divide_exact,
     exp_series,
+    lift_scale,
+    lifted_degree,
+    lifted_lead,
     lifted_mul,
     pair_space,
     phase_space,
@@ -88,6 +94,7 @@ from .star import (
     bilinear_form,
     bilinear_pair_poly,
     coboundary,
+    lift_slots,
     on_slots,
     phase_dimension,
     slot_degrees,
@@ -116,8 +123,22 @@ class RawLieKernel:
 
     @cached_property
     def antisymmetry_witness(self) -> tuple[Exponents, scalars.Coefficient] | None:
-        """The leading term of A(u, v) + A(v, u); None when A is antisymmetric."""
-        return _first_term(self.a + on_slots(self.a, self.a.space, "v", "u"))
+        """The leading term of A(u, v) + A(v, u); None when A is antisymmetric.
+
+        The sum is a copy of the terms of A with each term added again at its
+        swap, the exponent tuple with its two halves exchanged.
+        """
+        width = 2 * self.n
+        terms = dict(self.a.terms)
+        for exps, coeff in self.a.terms.items():
+            swap = exps[width:] + exps[:width]
+            acc = terms.get(swap)
+            coeff = coeff if acc is None else acc + coeff
+            if coeff:
+                terms[swap] = coeff
+            else:
+                del terms[swap]
+        return _first_term(Poly(self.a.space, terms))
 
 
 def exp_truncated(p: Poly, max_degree: int) -> Poly:
@@ -185,28 +206,37 @@ def _packed_defect(raw: RawLieKernel, antisymmetric: bool) -> tuple[Lifted, scal
     P = A(u,v+w) A(v,w), and each term of P is added at each of its three
     rotations.
 
-    The product runs in packed form (see `poly.lifted_mul`) on D * A, D the
-    lcm of the denominators of A (`Poly.split_denominator`).  Returns the
-    packed representatives, whose entries may be zero, and D: their values
-    are the unlifted entries divided by D^2.
+    Both slot maps are lifted (`star.lift_slots`) from D * A, D the lcm of
+    the denominators of A (`Poly.split_denominator`), and multiplied once
+    (`poly.lifted_mul`).  The digits are wide enough for the fold: with
+    |.|_1 the sum of the absolute digit values of a lifted form and deg the
+    degree of A, |A(u,v+w)|_1 <= 2^deg |D*A|_1 (each term's images sum
+    binomial multiples of it, 2^deg at most) and |A(v,w)|_1 <= |D*A|_1, so
+    every digit of the product is at most 2^deg |D*A|_1^2 in absolute value,
+    and every digit of the fold, which adds each product entry at most
+    three times, at most 3 * 2^deg |D*A|_1^2 < 2^(B-1).  Returns the packed
+    representatives, whose entries may be zero, and D: their values are the
+    unlifted entries divided by D^2.
     """
     (a, den), tri = raw.a.split_denominator(), triple_space(raw.n)
     width = 2 * raw.n
+    _, norm = lift_scale(a)
+    digit_bits = (3 * norm * norm << max(a.total_degree(), 0)).bit_length() + 1
     half = Poly(a.space, {e: c for e, c in a.terms.items() if e[:width] > e[width:]})
     product_terms, int_den, layout = lifted_mul(
-        on_slots(a, tri, "u", "vw"), on_slots(half if antisymmetric else a, tri, "v", "w")
+        lift_slots(a, tri, [(1, "u", "vw")], digit_bits),
+        lift_slots(half if antisymmetric else a, tri, [(1, "v", "w")], digit_bits),
     )
-    _, bits, mu_bits = layout
-    low = mu_bits + 2
+    bits = layout[1]
     block = width * bits
     mask = (1 << block) - 1
-    # The degree, mu and i fields of a key; the rep replaces the three blocks.
-    keep = ~((1 << 3 * block) - 1 << low)
-    v_shift, u_shift = low + block, low + 2 * block
+    # The degree and i fields of a key; the rep replaces the three blocks.
+    keep = ~((1 << 3 * block) - 1 << 2)
+    v_shift, u_shift = 2 + block, 2 + 2 * block
     folded: dict[int, int] = {}
     get = folded.get
     for key, value in product_terms.items():
-        x, y, z = key >> u_shift & mask, key >> v_shift & mask, key >> low & mask
+        x, y, z = key >> u_shift & mask, key >> v_shift & mask, key >> 2 & mask
         if antisymmetric:
             if x == y or y == z or x == z:
                 continue
@@ -219,10 +249,10 @@ def _packed_defect(raw: RawLieKernel, antisymmetric: bool) -> tuple[Lifted, scal
         else:
             key &= keep
             for x, y, z in (x, y, z), (y, z, x), (z, x, y):
-                rep = key | x << u_shift | y << v_shift | z << low
+                rep = key | x << u_shift | y << v_shift | z << 2
                 folded[rep] = get(rep, 0) + value
             continue
-        rep = key & keep | x << u_shift | y << v_shift | z << low
+        rep = key & keep | x << u_shift | y << v_shift | z << 2
         folded[rep] = get(rep, 0) + value
     return (folded, int_den, layout), den
 
@@ -260,33 +290,26 @@ def lie_axiom_check(
     const_witness = _first_term(
         Poly(a.space, {e: c for e, c in a.terms.items() if slot_degrees(e, 2 * n)[0] == 0})
     )
-    (folded, int_den, layout), den = _packed_defect(raw, anti_witness is None)
+    lifted, den = _packed_defect(raw, anti_witness is None)
+    folded, _, layout = lifted
     keys = [key for key, value in folded.items() if value]
     if not keys:
         status, jac_witness, degree_range = "exact", None, None
     else:
-        # Keys order as (degree, exponents, mu, i), and the keys are either
-        # every monomial of the defect or, for an antisymmetric A, the largest
-        # tuple of each orbit, whose members share its degree and its value up
-        # to sign.  Either way the largest key holds the leading monomial of
-        # the defect and the smallest and largest keys bound its degree.
-        width, bits, mu_bits = layout
-        low = mu_bits + 2
-        degree_shift = low + width * bits
-        first, last = min(keys), max(keys)
-        degree_range = (first >> degree_shift, last >> degree_shift)
-        lead = last >> low
-        witness = {key: folded[key] for key in keys if key >> low == lead}
-        jac_witness = _first_term(
-            unlift((witness, int_den, layout), triple_space(n)).over(den * den)
-        )
+        # Keys order as (degree, exponents, i), and the keys are either every
+        # monomial of the defect or, for an antisymmetric A, the largest tuple
+        # of each orbit, whose members share its degree and its value up to
+        # sign.  Either way the largest key holds the leading monomial of the
+        # defect and the smallest and largest keys bound its degree.
+        degree_range = (lifted_degree(min(keys), layout), lifted_degree(max(keys), layout))
+        jac_witness = _first_term(unlift(lifted_lead(lifted), triple_space(n)).over(den * den))
         above_truncation = (
             truncation_degree is not None and degree_range[0] > truncation_degree + 2
         )
         # Zero at mu = 0: every value N / D^2 has a positive mu-valuation, so
-        # every nonzero entry of N sits above the mu exponent 2 * val(D).
-        floor, mu_mask = 2 * den.valuation, (1 << mu_bits) - 1
-        vanishes_at_zero = all(key >> 2 & mu_mask > floor for key in keys)
+        # the digits of N up to the mu-power 2 * val(D) are all zero.
+        low_digits = (1 << layout[2] * (2 * den.valuation + 1)) - 1
+        vanishes_at_zero = not any(folded[key] & low_digits for key in keys)
         status = (
             "truncation-defect" if (vanishes_at_zero or above_truncation) else "violation"
         )

@@ -49,17 +49,20 @@ A configurable total-degree guard (default 64) makes runaway computations
 fail fast instead of exhausting memory.  The bound is a context variable, so
 a bound set in one thread does not leak into another.
 
-Packed form.  `lifted_mul` multiplies two polynomials whose coefficients
-are polynomial in mu on exact integer data (Kronecker substitution with
-packed monomials): one int key per (monomial, mu-power, power of i) and one
-int value per key, all over one int denominator.  A key holds, from the top,
-the total degree, the exponents in order, the mu exponent and a 2-bit field
-for the power of i, so a Gaussian coefficient (x + y*i) mu^k is two entries.
-The exponent fields are as wide as the degree guard and the mu field as wide
-as the product's mu-degree, so monomials multiply by adding keys and no field
-carries; keys of one degree compare as the exponent tuples do.  The product
+Packed form.  The Jacobi and cocycle stages run on exact integers.  A lifted
+polynomial has one int key per (monomial, power of i) and one int value per
+key, all over one int denominator.  A key holds, from the top, the total
+degree, the exponents in order and a 2-bit field for the power of i, so a
+Gaussian coefficient is two entries.  The exponent fields are as wide as the
+degree guard, so monomials multiply by adding keys and no field carries;
+keys order as the (degree, exponents) of `Poly.leading_term` do.  The
+mu-powers live in the value (Kronecker substitution): sum_k d_k 2^(B*k) with
+signed digits d_k, the mu^k part, and no digit carries while every |d_k| is
+below 2^(B-1).  The digit bits B are derived from a bound on the digits of
+the result, and `lifted_mul` says which.  `star.lift_slots` lifts the slot
+maps straight into this form, `lifted_mul` multiplies two lifted forms and
 folds i^2 = -1 once, which leaves every i field at 0 or 1, and `unlift`
-reads the keys back into a `Poly`.
+decodes the digits back into a `Poly`.
 """
 
 from __future__ import annotations
@@ -657,37 +660,62 @@ def divide_exact(dividend: Poly, divisor: Poly) -> tuple[Poly, Poly]:
 
 # -- packed form ---------------------------------------------------------------
 
-# A lifted polynomial: {key: int}, the int denominator, and the layout
-# (number of variables, exponent field bits, mu field bits).
+# A lifted polynomial: {key: value}, the int denominator, and the layout
+# (number of variables, exponent field bits, digit bits).
 Lifted = tuple[dict[int, int], int, tuple[int, int, int]]
 
 
-def _mu_degree(p: Poly) -> int:
-    return max((c.num.degree for c in p.terms.values()), default=0)
+def lift_scale(p: Poly) -> tuple[int, int]:
+    """(den, norm) for a p whose coefficients are polynomial in mu.
 
-
-def _pack(p: Poly, mu_bits: int) -> Lifted:
+    den is the lcm of the int denominators of the coefficients and norm the
+    sum of the absolute values of the ints of den * p, which are the digits
+    of its lifted values.  Raises ValueError when a coefficient has a
+    mu-denominator and DegreeGuardError when p's degree exceeds the guard,
+    which sizes the exponent fields.
+    """
     coeffs = p.terms.values()
     if not all(c.den.is_one for c in coeffs):
         raise ValueError("only coefficients polynomial in mu can be lifted")
     check_degree(p.total_degree(), "lifted")
-    bits = _degree_guard.get().bit_length()
     den = math.lcm(*(c.num.d for c in coeffs))
-    terms = {}
-    for exps, coeff in p.terms.items():
-        key = sum(exps)
-        for e in exps:
-            key = key << bits | e
-        key <<= mu_bits
-        num = coeff.num
-        scale = den // num.d
-        for k, x in enumerate(num.re):
-            if x:
-                terms[(key | k) << 2] = x * scale
-        for k, y in enumerate(num.im):
-            if y:
-                terms[(key | k) << 2 | 1] = y * scale
-    return terms, den, (len(p.space), bits, mu_bits)
+    norm = sum(den // c.num.d * sum(map(abs, c.num.re + c.num.im)) for c in coeffs)
+    return den, norm
+
+
+def lift_coefficient(coeff: Coefficient, den: int, digit_bits: int) -> tuple[int, int]:
+    """The values of the real and imaginary parts of den * coeff, one digit per
+    mu-power; den must be a multiple of the coefficient's int denominator."""
+    num = coeff.num
+    scale = den // num.d
+    re = im = 0
+    for x in reversed(num.re):
+        re = (re << digit_bits) + x * scale
+    for y in reversed(num.im):
+        im = (im << digit_bits) + y * scale
+    return re, im
+
+
+def unit_keys(width: int) -> tuple[int, list[int]]:
+    """(bits, keys): the exponent field bits of the current degree guard, and the
+    key of each variable of a `width`-variable space, degree field included, so
+    the key of a monomial is the sum of its exponents times these."""
+    bits = _degree_guard.get().bit_length()
+    top = 1 << 2 + width * bits
+    return bits, [top | 1 << 2 + k * bits for k in range(width - 1, -1, -1)]
+
+
+def _digits(value: int, digit_bits: int) -> list[int]:
+    """The signed digits of a lifted value, mu^0 first; each lies in (-2^(B-1), 2^(B-1)]."""
+    base, half = 1 << digit_bits, 1 << digit_bits - 1
+    out = []
+    while value:
+        digit = value & base - 1
+        if digit > half:
+            digit -= base
+        out.append(digit)
+        value = value - digit >> digit_bits
+    return out
 
 
 def unlift(lifted: Lifted, space: Space) -> Poly:
@@ -695,51 +723,73 @@ def unlift(lifted: Lifted, space: Space) -> Poly:
 
     The i field of every key must be 0 or 1, as `lifted_mul` leaves it.
     """
-    terms, den, (width, bits, mu_bits) = lifted
+    terms, den, (width, bits, digit_bits) = lifted
     if width != len(space):
         raise SpaceMismatchError(f"a lifted form of {width} variables does not fit {space!r}")
-    mask, low, low_mask = (1 << bits) - 1, mu_bits + 2, (1 << mu_bits + 2) - 1
+    mask = (1 << bits) - 1
     shifts = range((width - 1) * bits, -1, -bits)
-    by_monomial: dict[int, dict[int, int]] = {}
-    for key, x in terms.items():
-        by_monomial.setdefault(key >> low, {})[key & low_mask] = x
+    by_monomial: dict[int, list[int]] = {}
+    for key, value in terms.items():
+        by_monomial.setdefault(key >> 2, [0, 0])[key & 1] = value
     shared: dict[tuple, Coefficient] = {}
     out: dict[Exponents, Coefficient] = {}
-    for key, parts in by_monomial.items():
-        top = (max(parts) >> 2) + 1
-        re, im = [0] * top, [0] * top
-        for k, x in parts.items():
-            (im if k & 1 else re)[k >> 2] = x
-        value = (*re, *im)
-        coeff = shared.get(value)
+    for mono, values in by_monomial.items():
+        coeff = shared.get(tuple(values))
         if coeff is None:
-            coeff = shared[value] = Coefficient.from_ints(re, im, den)
+            re, im = (_digits(value, digit_bits) for value in values)
+            if im:
+                top = max(len(re), len(im))
+                re += [0] * (top - len(re))
+                im += [0] * (top - len(im))
+            coeff = shared[tuple(values)] = Coefficient.from_ints(re, im, den)
         if coeff:
-            out[tuple([key >> shift & mask for shift in shifts])] = coeff
+            out[tuple([mono >> shift & mask for shift in shifts])] = coeff
     return Poly(space, out)
 
 
-def lifted_mul(p: Poly, q: Poly) -> Lifted:
-    """p * q in packed form.
+def lifted_degree(key: int, layout: tuple[int, int, int]) -> int:
+    """The total degree of the monomial of a lifted key."""
+    width, bits, _ = layout
+    return key >> 2 + width * bits
 
-    Both operands are lifted with a mu field as wide as the product's
-    mu-degree, so monomials multiply by adding keys and no field carries.
-    Each pair of entries costs one int multiply; the entries that reach
-    i-power 2 are folded into i-power 0 with a minus sign once, after the
-    loop.  Raises DegreeGuardError like `Poly.__mul__` and ValueError when a
-    coefficient has a mu-denominator.
+
+def lifted_lead(lifted: Lifted) -> Lifted:
+    """The entries of the largest monomial with a nonzero entry, which unlift to
+    the leading term of the unlifted polynomial; there must be one."""
+    terms, den, layout = lifted
+    lead = max(key for key, value in terms.items() if value) & ~1
+    return {key: terms[key] for key in (lead, lead | 1) if terms.get(key)}, den, layout
+
+
+def lifted_mul(x: Lifted, y: Lifted) -> Lifted:
+    """The product of two lifted forms of one layout.
+
+    Monomials multiply by adding keys: the exponent fields are as wide as
+    the degree guard, so no field carries while the product's degree fits
+    the guard.  The mu-powers multiply inside the values (Kronecker
+    substitution), and no digit carries when the digit bits B satisfy
+    2^(B-1) > |x|_1 * |y|_1, the product of the sums of the absolute digit
+    values: each product digit is a signed sum of digit products, and each
+    pair of entries and pair of digits adds to exactly one of them.  Choosing
+    B is the caller's part.  Each pair of entries costs one int multiply;
+    the entries that reach i-power 2 are folded into i-power 0 with a minus
+    sign once, after the loop.  Raises SpaceMismatchError when the layouts
+    differ and DegreeGuardError when the product's degree exceeds the guard.
     """
-    p._check_space(q)
-    check_degree(p.total_degree() + q.total_degree(), "product")
-    mu_bits = (_mu_degree(p) + _mu_degree(q)).bit_length()
-    (xt, x_den, layout), (yt, y_den, _) = _pack(p, mu_bits), _pack(q, mu_bits)
+    (xt, x_den, layout), (yt, y_den, y_layout) = x, y
+    if layout != y_layout:
+        raise SpaceMismatchError(f"lifted layouts {layout} and {y_layout} differ")
+    degree = lifted_degree(max(xt, default=0), layout) + lifted_degree(max(yt, default=0), layout)
+    check_degree(degree, "product")
+    if degree >> layout[1]:
+        raise DegreeGuardError(f"product degree {degree} overflows exponent fields of {layout[1]} bits")
     terms: dict[int, int] = {}
     get = terms.get
     right = list(yt.items())
-    for k1, x in xt.items():
-        for k2, y in right:
+    for k1, a in xt.items():
+        for k2, b in right:
             k = k1 + k2
-            terms[k] = get(k, 0) + x * y
+            terms[k] = get(k, 0) + a * b
     for k in [k for k in terms if k & 2]:
         terms[k ^ 2] = get(k ^ 2, 0) - terms.pop(k)
     return {k: v for k, v in terms.items() if v}, x_den * y_den, layout

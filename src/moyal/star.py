@@ -31,21 +31,24 @@ each memoised piece by the two coefficients.
 
 Slot layout: a kernel polynomial over pair space (u, v) or triple space
 (u, v, w) stores its exponents as consecutive blocks, one per slot, each of
-width 2n and index-aligned with z.  Its readers here: `slot_sum`, the one
-mover, sums signed images of a polynomial under slot maps (the coboundary,
-the cocycle defect), and `on_slots` is its one-map case (the swap p(v, u)
-of the (anti)symmetrisations); `merge_slots` sets the slots equal,
+width 2n and index-aligned with z.  Its readers here: `lift_slots` is the
+one mover.  It sums signed images of a polynomial under slot maps, lifted
+straight onto the int keys of the packed form of `poly.lifted_mul`, where
+the blocks are consecutive bit fields of one key and moving an exponent
+adds a multiple of a field's unit.  `slot_sum` (the coboundary, the cocycle
+defect) unlifts that sum, and `on_slots` is its one-map case (the swap
+p(v, u) of the (anti)symmetrisations).  `merge_slots` sets the slots equal,
 `slot_degrees` gives a monomial's degree in each slot, and `bilinear_form`
 reads the (1, 1) part as a matrix.  Its readers elsewhere slice the blocks
 themselves:
-  * the packed form of `poly.lifted_mul`/`poly.unlift` keeps the blocks as
-    consecutive bit fields of one int key;
-  * `lie._packed_defect` compares the u and v blocks of A to halve it, and
-    sorts the bit fields to file each product entry under the representative
-    of its orbit of block permutations, or rotates them to add the entry at
-    each of its three rotations;
+  * `lie._packed_defect` multiplies two lifted slot maps, and sorts the bit
+    fields to file each product entry under the representative of its orbit
+    of block permutations, or rotates them to add the entry at each of its
+    three rotations;
+  * `lie.RawLieKernel.antisymmetry_witness` swaps the halves of A's tuples;
   * `lie._fit_structured` moves the v block of a quotient term into chi;
-  * `cocycle.cocycle_check` cuts its evaluation point into u, v and w.
+  * `cocycle.cocycle_check` reads its defect off the lifted keys and cuts
+    its evaluation point into u, v and w.
 
 The ordering-change map `u_map` applies exp(chi(-i d/dz)) to a symbol.  It
 is an exact isomorphism intertwining the kernel (chi, M) with (0, M), and is
@@ -56,24 +59,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import product
 from math import comb
+from operator import mul
+from typing import Sequence
 
 from . import scalars
 from .errors import DimensionMismatchError, SpaceMismatchError
 from .linalg import Matrix
 from .poly import (
     DiffOp,
+    Lifted,
     Pieces,
     Poly,
     Space,
     bilinear,
     check_degree,
     check_dimension,
+    lift_coefficient,
+    lift_scale,
     pair_space,
     phase_space,
     sigma_space,
     triple_space,
+    unit_keys,
+    unlift,
 )
 
 Exponents = tuple[int, ...]
@@ -198,50 +207,79 @@ def merge_slots(p: Poly, space: Space) -> Poly:
 
 
 def on_slots(p: Poly, target: Space, *slots: str) -> Poly:
-    """p(slot_1, ..., slot_k) over a pair or triple space: a(u, v + w) is
+    """p(slot_1, ..., slot_k) over a sigma, pair or triple space: a(u, v + w) is
     on_slots(a, triple_space(n), "u", "vw").  The one-map case of `slot_sum`."""
     return slot_sum(p, target, (1, *slots))
 
 
 def slot_sum(p: Poly, target: Space, *maps: tuple) -> Poly:
-    """The signed sum of the images of p under slot maps, over a pair or triple space.
+    """The signed sum of the images of p under slot maps, over a sigma, pair or triple space.
 
     Each map is (sign, slot_1, ..., slot_k), and its image is sign times
     p(slot_1, ..., slot_k): b(v, w) - b(u + v, w) is
-    slot_sum(b, triple_space(n), (1, "v", "w"), (-1, "uv", "w")).  Each slot
-    is a string naming the one or two target blocks whose sum it is.  Single
-    blocks only reindex the terms; a power of a sum of two blocks is expanded
-    binomially on the exponent tuples.  All images meet in one `Poly.from_terms`.
+    slot_sum(b, triple_space(n), (1, "v", "w"), (-1, "uv", "w")).  The sum
+    runs in packed form on the numerators of p (`lift_slots`) and is divided
+    by their denominator once, at the end.
     """
-    images = []
+    numerators, den = p.split_denominator()
+    return unlift(lift_slots(numerators, target, maps), target).over(den)
+
+
+def lift_slots(p: Poly, target: Space, maps: Sequence[tuple], digit_bits: int | None = None) -> Lifted:
+    """`slot_sum` of a p polynomial in mu, in the packed form of `poly.lifted_mul`.
+
+    Each slot is a string naming the one or two target blocks whose sum it
+    is.  Each coefficient of p is lifted once, and the images add its
+    values, times their signs and binomial multiples, straight onto the int
+    keys of the target: a single block only moves an exponent to another
+    field, and a power of a sum of two blocks is expanded binomially.  An
+    image of one term under one map has digits summing to at most 2^deg
+    times the term's, deg the degree of p, times the map's |sign|, so by
+    default the digits are wide enough for the sum itself; a caller that
+    multiplies the result passes the width its product needs.  Zero entries
+    are dropped.
+    """
+    den, norm = lift_scale(p)
+    if digit_bits is None:
+        signs = sum(abs(sign) for sign, *_ in maps)
+        digit_bits = (signs * norm << max(p.total_degree(), 0)).bit_length() + 1
+    bits, units = unit_keys(len(target))
+    placed = []
     for sign, *slots in maps:
         n, rem = divmod(len(p.space), 2 * len(slots))
-        if rem or not n or target not in (pair_space(n), triple_space(n)):
+        if rem or not n or target not in (sigma_space(n), pair_space(n), triple_space(n)):
             raise SpaceMismatchError(f"{len(slots)} slots of {p.space!r} do not map into {target!r}")
         width = 2 * n
         blocks = "uvw"[: len(target) // width]
-        targets = [
-            tuple(blocks.index(block) * width + i for block in slot)
+        where = [
+            [units[blocks.index(block) * width + i] for block in slot]
             for slot in slots
             for i in range(width)
         ]
-        for exps, coeff in p.terms.items():
-            base = [0] * len(target)
-            sums = []
-            for e, where in zip(exps, targets):
-                if len(where) == 1:
-                    base[where[0]] += e
-                elif e:
-                    sums.append((e, where))
-            for split in product(*(range(e + 1) for e, _ in sums)):
-                new = base[:]
-                mult = sign
-                for j, (e, (left, right)) in zip(split, sums):
-                    new[left] += j
-                    new[right] += e - j
-                    mult *= comb(e, j)
-                images.append((new, coeff.scale_int(mult)))
-    return Poly.from_terms(target, images)
+        # x^e with x = l + r is r^e plus, for j = 1..e, C(e, j) l^j r^(e - j):
+        # the key of r^e, then j steps of l - r.
+        steps = [(k, keys[0] - keys[1]) for k, keys in enumerate(where) if len(keys) == 2]
+        placed.append((sign, [keys[-1] for keys in where], steps))
+    terms: dict[int, int] = {}
+    get = terms.get
+    for exps, coeff in p.terms.items():
+        re, im = lift_coefficient(coeff, den, digit_bits)
+        for sign, weights, steps in placed:
+            images = [(sum(map(mul, exps, weights)), sign)]
+            for k, step in steps:
+                e = exps[k]
+                if e:
+                    images = [
+                        (key + j * step, mult * comb(e, j))
+                        for key, mult in images
+                        for j in range(e + 1)
+                    ]
+            for key, mult in images:
+                if re:
+                    terms[key] = get(key, 0) + mult * re
+                if im:
+                    terms[key | 1] = get(key | 1, 0) + mult * im
+    return {k: v for k, v in terms.items() if v}, den, (len(target), bits, digit_bits)
 
 
 # Distinct (f-monomial, g-monomial) pairs one product operator remembers.

@@ -1,5 +1,5 @@
 """Shared helpers: monomial enumeration, seeded random algebra objects,
-`substitute`, the slot-map oracle, the per-term accumulation oracles, the
+`substitute`, the slot-map oracles, the per-term accumulation oracles, the
 centre check as a loop over test monomials and the degreewise Theorem 2
 fit."""
 
@@ -144,6 +144,39 @@ def substitute(p, images, space):
             term = term * pw
         out = out + term
     return out
+
+
+def oracle_slot_sum(p, target, *maps):
+    """`star.slot_sum` on `Coefficient`s: each map reindexes the exponent
+    tuples of p, expands every power of a sum of two blocks binomially, and
+    scales each coefficient by the sign and the binomial multiple; all images
+    meet in one `Poly.from_terms`."""
+    images = []
+    for sign, *slots in maps:
+        width = len(p.space) // len(slots)
+        blocks = "uvw"[: len(target) // width]
+        targets = [
+            tuple(blocks.index(block) * width + i for block in slot)
+            for slot in slots
+            for i in range(width)
+        ]
+        for exps, coeff in p.terms.items():
+            base = [0] * len(target)
+            sums = []
+            for e, where in zip(exps, targets):
+                if len(where) == 1:
+                    base[where[0]] += e
+                elif e:
+                    sums.append((e, where))
+            for split in itertools.product(*(range(e + 1) for e, _ in sums)):
+                new = base[:]
+                mult = sign
+                for j, (e, (left, right)) in zip(split, sums):
+                    new[left] += j
+                    new[right] += e - j
+                    mult *= comb(e, j)
+                images.append((new, coeff.scale_int(mult)))
+    return Poly.from_terms(target, images)
 
 
 def slot_images(space, n, *slots):

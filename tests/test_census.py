@@ -33,6 +33,17 @@ in u1, u2, and the two extra directions are the scale of w and w^3, which is
 the mu^2 of the sinh class.  Nothing else is free at first order; in
 particular w^5 is not, at d = 10.  This is the premise of `lie._fit_structured`.
 
+The same for n = 2, around w = u1*v3 - u3*v1 + u2*v4 - u4*v2 (omega = J).
+The prediction is
+
+    dim ker L_d = C(d + 1, 3) [d >= 4] + 6 [d = 2] + [d = 6],
+
+that is 6, 0, 10, 20 and 36 for d = 2..6: every constant bivector at d = 2,
+the gauge directions (delta chi) * w with chi of degree d - 2 in four
+variables, and w^3 at d = 6.  L keeps each of the n weights (degree in u_i,
+v_i) - (degree in u_(n+i), v_(n+i)), so ker L is the sum of its kernels on
+the weight blocks, which are counted one by one.
+
 Theorem 2 beyond first order, for n = 1 and chi = 0.  Write the kernel as
 A = w + X_6 + X_10 + X_14 + ..., X_d of degree d, with X_6 = a*w^3; the
 other orders below 14 lie in ker L, the gauge, so chi = 0 sets them to 0.
@@ -69,6 +80,7 @@ entries of this map lie in Q(i)(mu), not in Q, so its rank is
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb
 
@@ -176,28 +188,48 @@ def test_cocycles_are_coboundaries_plus_antisymmetric_forms(n, degree):
 
 
 W = parse_poly("u1*v2 - u2*v1", pair_space(1))
+# The same form for n = 2, omega = J.
+W2 = parse_poly("u1*v3 - u3*v1 + u2*v4 - u4*v2", pair_space(2))
+
+
+def jacobi_terms(x, y):
+    """X(u,v+w) and Y(v,w) over triple space, the factors of B(X, Y)."""
+    tri = triple_space(len(x.space) // 4)
+    return on_slots(x, tri, "u", "vw"), on_slots(y, tri, "v", "w")
+
+
+@lru_cache(maxsize=4)
+def jacobi_terms_of(w):
+    """jacobi_terms(w, w), once per form w."""
+    return jacobi_terms(w, w)
+
+
+def cyclic_sum(p):
+    return slot_sum(p, p.space, (1, "u", "v", "w"), (1, "v", "w", "u"), (1, "w", "u", "v"))
 
 
 def jacobi_form(x, y):
-    """B(X, Y) = X(u,v+w) Y(v,w) + its two cyclic rotations, for n = 1."""
-    tri = triple_space(1)
-    p = on_slots(x, tri, "u", "vw") * on_slots(y, tri, "v", "w")
-    return slot_sum(p, tri, (1, "u", "v", "w"), (1, "v", "w", "u"), (1, "w", "u", "v"))
+    """B(X, Y) = X(u,v+w) Y(v,w) + its two cyclic rotations."""
+    left, right = jacobi_terms(x, y)
+    return cyclic_sum(left * right)
 
 
-def first_order_jacobi(x):
-    """L(X) = B(X, W) + B(W, X) (see the module docstring)."""
-    return jacobi_form(x, W) + jacobi_form(W, x)
+def first_order_jacobi(x, w=W):
+    """L(X) = B(X, w) + B(w, X) (see the module docstring), as one cyclic sum."""
+    x_left, x_right = jacobi_terms(x, x)
+    w_left, w_right = jacobi_terms_of(w)
+    return cyclic_sum(x_left * w_right + w_left * x_right)
 
 
-def antisymmetric_basis(degree):
+def antisymmetric_basis(degree, n=1):
     """m - m o swap, one per swap orbit of the degree-d pair monomials with both
     slot degrees at least 1."""
+    width = 2 * n
     basis = []
-    for exps in weights(4, degree):
-        u, v = exps[:2], exps[2:]
+    for exps in weights(2 * width, degree):
+        u, v = exps[:width], exps[width:]
         if sum(u) and sum(v) and u > v:
-            basis.append(Poly.from_terms(W.space, [(exps, scalars.ONE), (v + u, -scalars.ONE)]))
+            basis.append(Poly.from_terms(pair_space(n), [(exps, scalars.ONE), (v + u, -scalars.ONE)]))
     return basis
 
 
@@ -219,10 +251,31 @@ def test_rank_on_hand_made_vectors():
 
 
 def weight(x):
-    """(degree in u1, v1) - (degree in u2, v2) of the first monomial of x;
-    the swap keeps it, so both monomials of a basis element share it."""
+    """The n weights of the first monomial of x, (degree in u_i, v_i) - (degree
+    in u_(n+i), v_(n+i)) for i = 1..n; the swap keeps them, so both monomials
+    of a basis element share them."""
     exps = next(iter(x.terms))
-    return exps[0] + exps[2] - exps[1] - exps[3]
+    n = len(exps) // 4
+    return tuple(
+        exps[i] + exps[2 * n + i] - exps[n + i] - exps[3 * n + i] for i in range(n)
+    )
+
+
+# The n = 2 prediction of the module docstring, written before the count.
+FIRST_ORDER_N2 = {2: 6, 3: 0, 4: 10, 5: 20, 6: 36}
+
+
+@pytest.mark.parametrize("degree", sorted(FIRST_ORDER_N2))
+def test_first_order_lie_kernels_for_n2(degree):
+    # L keeps each weight, so ker L is the sum of its kernels on the weight blocks.
+    blocks = {}
+    for x in antisymmetric_basis(degree, 2):
+        blocks.setdefault(weight(x), []).append(x)
+    dimension = sum(
+        len(block) - rank([vector(first_order_jacobi(x, W2)) for x in block])
+        for block in blocks.values()
+    )
+    assert dimension == FIRST_ORDER_N2[degree]
 
 
 @pytest.mark.parametrize("a", [Fraction(1), Fraction(2), Fraction(-1, 3)])
@@ -231,7 +284,7 @@ def test_jacobi_forces_the_sinh_w5_and_w7_coefficients(a):
     # The prediction: the sinh values k^4/120 and k^6/5040 with k^2 = 6a.
     for d, predicted in ((10, 3 * a**2 / 10), (14, 3 * a**3 / 70)):
         # L keeps the weight, and w has weight 0.
-        basis = [x for x in antisymmetric_basis(d) if weight(x) == 0]
+        basis = [x for x in antisymmetric_basis(d) if weight(x) == (0,)]
         target = Poly.zero(triple_space(1))
         for i, x in orders.items():
             if i > 2 and d + 2 - i in orders:

@@ -8,12 +8,13 @@ the oracle for `lie_axiom_check` and for the mu-order parts of
 """
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_gauge_chi, random_poly, slot_images, substitute
+from conftest import oracle_slot_sum, random_gauge_chi, random_poly, slot_images, substitute
 from moyal import lie, scalars
 from moyal.errors import MoyalError
 from moyal.expressions import parse_poly
@@ -42,11 +43,16 @@ def swapped(p):
 
 
 def literal_jacobi_defect(raw):
+    """The three products written out, each slot map the `Coefficient` loop."""
     a, tri = raw.a, triple_space(raw.n)
+
+    def image(*slots):
+        return oracle_slot_sum(a, tri, (1, *slots))
+
     return (
-        on_slots(a, tri, "u", "vw") * on_slots(a, tri, "v", "w")
-        + on_slots(a, tri, "v", "wu") * on_slots(a, tri, "w", "u")
-        + on_slots(a, tri, "w", "uv") * on_slots(a, tri, "u", "v")
+        image("u", "vw") * image("v", "w")
+        + image("v", "wu") * image("w", "u")
+        + image("w", "uv") * image("u", "v")
     )
 
 
@@ -183,6 +189,56 @@ def test_report_of_a_kernel_scaled_by_a_unit(n, antisymmetric, denominator, seed
         assert dataclasses.replace(got, jacobi_status=None) == (
             dataclasses.replace(expected, jacobi_status=None)
         )
+
+
+@pytest.mark.parametrize("n, antisymmetric, denominator, seed", SEEDED)
+def test_antisymmetry_witness_is_the_swap_sum(n, antisymmetric, denominator, seed):
+    rng = random.Random(f"witness-{n}-{antisymmetric}-{denominator}-{seed}")
+    a = seeded_kernel(rng, n, antisymmetric, denominator).a
+    pair, width = a.space, 2 * n
+    # u1*v1 is its own swap; u1^3*v2 is a term whose swap v1^3*u2 is absent,
+    # since the seeded kernels stop at degree 3.
+    own = tuple(int(k in (0, width)) for k in range(2 * width))
+    lone = tuple(3 * (k == 0) + (k == width + 1) for k in range(2 * width))
+    assert lone[width:] + lone[:width] not in a.terms
+    for extra in (Poly.zero(pair), Poly.monomial(pair, own, MU), Poly.monomial(pair, lone, scalars.I)):
+        kernel = a + extra
+        expected = kernel + on_slots(kernel, pair, "v", "u")
+        witness = RawLieKernel(n, kernel).antisymmetry_witness
+        assert witness == (expected.leading_term() if expected else None)
+
+
+def stress_kernel(rng, antisymmetric, denominator):
+    """A dense n = 1 kernel: every monomial of degree 2 or 3 with both slot
+    degrees at least 1, each with a coefficient of mu-degree 6 whose entries
+    are of 2^40 to 2^41.  Its slot maps and products collide on most keys.
+    Without antisymmetry or a denominator every entry is real and positive,
+    so nothing cancels and the digits come closest to their bound."""
+    signs = (1, -1) if antisymmetric or denominator else (1,)
+    terms = {}
+    for exps in itertools.product(range(4), repeat=4):
+        if sum(exps) in (2, 3) and sum(exps[:2]) and sum(exps[2:]):
+            re = [rng.randint(2**40, 2**41) * rng.choice(signs) for _ in range(7)]
+            im = [rng.randint(2**40, 2**41) * rng.choice(signs) for _ in range(7)] if denominator else []
+            terms[exps] = scalars.Coefficient.from_ints(re, im, 1)
+    a = Poly(PAIR, terms)
+    if antisymmetric:
+        a = a - swapped(a)
+    if denominator:
+        a = a.scale((MU + scalars.Coefficient.from_int(2)).inverse())
+    return RawLieKernel(1, a)
+
+
+@pytest.mark.parametrize("antisymmetric", [False, True])
+@pytest.mark.parametrize("denominator", [False, True])
+def test_digit_width_under_large_dense_kernels(antisymmetric, denominator):
+    raw = stress_kernel(random.Random(f"stress-{antisymmetric}-{denominator}"), antisymmetric, denominator)
+    assert len(raw.a.terms) >= 14
+    assert all(c.num.degree >= 6 for c in raw.a.terms.values())
+    assert jacobi_defect(raw) == literal_jacobi_defect(raw)
+    for truncation_degree in (None, 2):
+        report = lie_axiom_check(raw, truncation_degree=truncation_degree)
+        assert summary(raw, report) == reference_axiom_check(raw, truncation_degree)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -333,9 +389,20 @@ def test_one_product_per_defect_and_no_rendering(monkeypatch):
     def no_poly_product(self, other):
         raise AssertionError("a Poly product was taken")
 
+    def no_coefficient_images(*args):
+        raise AssertionError("a slot image was built on Coefficients")
+
     monkeypatch.setattr(lie, "lifted_mul", counting)
     monkeypatch.setattr(Poly, "__mul__", no_poly_product)
+    # The slot maps add packed ints: no image term is scaled as a Coefficient
+    # or summed by Poly.from_terms.
+    monkeypatch.setattr(scalars.Coefficient, "scale_int", no_coefficient_images)
+    monkeypatch.setattr(Poly, "from_terms", classmethod(no_coefficient_images))
     for raw in kernels:
+        for antisymmetric in (True, False):
+            del calls[:]
+            lie._packed_defect(raw, antisymmetric)
+            assert len(calls) == 1
         del calls[:]
         jacobi_defect(raw)
         assert len(calls) == 1

@@ -22,6 +22,7 @@ from moyal.poly import (
     degree_guard,
     divide_exact,
     get_degree_guard,
+    lift_scale,
     lifted_mul,
     pair_space,
     phase_space,
@@ -29,7 +30,7 @@ from moyal.poly import (
     sigma_space,
     unlift,
 )
-from moyal.star import on_slots, slot_degrees, u_map
+from moyal.star import lift_slots, on_slots, slot_degrees, u_map
 
 SP = phase_space(1)
 Q = Poly.variable(SP, "q1")
@@ -352,6 +353,18 @@ def wide_poly(rng, n, guard):
     )
 
 
+def lift(p, digit_bits=None):
+    """p lifted by the identity slot map of its width, p(u) on sigma space."""
+    sigma = sigma_space(len(p.space) // 2)
+    return lift_slots(p.in_space(sigma), sigma, [(1, "u")], digit_bits)
+
+
+def lifted_product(p, q):
+    """p * q in packed form, the digits as wide as `lifted_mul` asks."""
+    digit_bits = (lift_scale(p)[1] * lift_scale(q)[1]).bit_length() + 1
+    return lifted_mul(lift(p, digit_bits), lift(q, digit_bits))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.sampled_from([64, 300]))
 def test_unlift_inverts_lift(seed, n, guard):
@@ -359,8 +372,9 @@ def test_unlift_inverts_lift(seed, n, guard):
     with degree_guard(guard):
         p = wide_poly(rng, n, guard)
         one = Poly.one(p.space)
-        assert unlift(lifted_mul(p, one), p.space) == p
-        assert unlift(lifted_mul(Poly.zero(p.space), one), p.space) == Poly.zero(p.space)
+        assert unlift(lift(p), p.space) == p
+        assert unlift(lifted_product(p, one), p.space) == p
+        assert unlift(lifted_product(Poly.zero(p.space), one), p.space) == Poly.zero(p.space)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -371,28 +385,35 @@ def test_lifted_product_is_the_product(seed, n, real):
     p = random_poly(rng, space, 5, terms=5, mu_degree=2, allow_i=not real)
     q = random_poly(rng, space, 5, terms=5, mu_degree=3, allow_i=not real)
     q = q.scale_fraction(Fraction(rng.randint(1, 4), rng.randint(1, 6)))
-    assert unlift(lifted_mul(p, q), space) == p * q
+    assert unlift(lifted_product(p, q), space) == p * q
 
 
 def test_lifted_forms_are_checked():
     p = Poly.constant(SP, MU) + Q * P
-    # Each operand holds mu^1; the product's mu field must hold mu^2.
-    assert unlift(lifted_mul(p, p), SP) == p * p
+    # Each operand holds mu^1; the product's values hold mu^2.
+    assert unlift(lifted_product(p, p), SP) == p * p
     with pytest.raises(ValueError):
-        lifted_mul(Q.scale(MU.inverse()), Poly.one(SP))
+        lift(Q.scale(MU.inverse()))
     with pytest.raises(ValueError):
-        lifted_mul(p, Q.scale(MU.inverse()))
+        lifted_product(p, Q.scale(MU.inverse()))
     with pytest.raises(SpaceMismatchError):
-        unlift(lifted_mul(p, Poly.one(SP)), phase_space(2))
+        unlift(lifted_product(p, Poly.one(SP)), phase_space(2))
     with pytest.raises(SpaceMismatchError):
-        lifted_mul(p, Poly.one(phase_space(2)))
+        lifted_mul(lift(p, 8), lift(Poly.one(phase_space(2)), 8))
+    with pytest.raises(SpaceMismatchError):
+        lifted_mul(lift(p, 8), lift(p, 9))
     q5 = Q**5
     with degree_guard(4):
         with pytest.raises(DegreeGuardError):
-            lifted_mul(q5, Poly.one(SP))
+            lift(q5)
         with pytest.raises(DegreeGuardError):
-            lifted_mul(Q**3, P**2)
-        assert unlift(lifted_mul(Q**3, P), SP) == Q**3 * P
+            lifted_product(Q**3, P**2)
+        assert unlift(lifted_product(Q**3, P), SP) == Q**3 * P
+    # Forms lifted under a small guard have exponent fields too narrow for q1^8.
+    with degree_guard(4):
+        narrow = lift(Q**4, 4)
+    with pytest.raises(DegreeGuardError):
+        lifted_mul(narrow, narrow)
 
 
 @pytest.mark.parametrize(
@@ -404,7 +425,7 @@ def test_lifted_forms_are_checked():
     ids=["i*i", "(1+i)^2"],
 )
 def test_lifted_product_folds_i_squared(p, q):
-    terms, den, layout = lifted_mul(p, q)
+    terms, den, layout = lifted_product(p, q)
     assert unlift((terms, den, layout), SP) == p * q
     # The fold leaves every i field at 0 or 1 and drops the cancelled entries.
     assert all(key & 3 in (0, 1) and value for key, value in terms.items())

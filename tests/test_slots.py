@@ -1,17 +1,21 @@
 """The slot algebra of `moyal.star` against literal substitution.
 
 `slot_sum`, and `on_slots` and `coboundary` on top of it, are binomial
-rewrites of exponent tuples; `substitute` in conftest computes the same maps
-by multiplying out the image polynomials.  The readers `slot_degrees` and
+rewrites of exponent tuples on packed ints; `substitute` in conftest computes
+the same maps by multiplying out the image polynomials, and `oracle_slot_sum`
+by the same rewrite on `Coefficient`s.  The readers `slot_degrees` and
 `bilinear_form` are checked on hand-written tuples and as the inverse of
 `bilinear_pair_poly`.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    oracle_slot_sum,
     random_antisymmetric,
     random_coefficient,
     random_gauge_chi,
@@ -98,6 +102,57 @@ def test_slot_sum_is_the_signed_literal_substitution(name, n, denominator, seed)
         image = substitute(p, slot_images(into, n, *slots), into)
         expected = expected + image if sign == 1 else expected - image
     assert slot_sum(p, into, *maps) == expected
+
+
+# Every slot pattern the source uses, by (source space, target space).
+SOURCE_PATTERNS = {
+    "sigma-to-pair": (sigma_space, pair_space, [("u",), ("v",), ("uv",)]),
+    "pair-to-pair": (pair_space, pair_space, [("v", "u"), ("u", "v")]),
+    "pair-to-triple": (
+        pair_space, triple_space, [("v", "w"), ("u", "vw"), ("uv", "w"), ("u", "v")],
+    ),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    denominator=st.sampled_from([None, "mu+c", "mu"]),
+    group=st.sampled_from(sorted(SOURCE_PATTERNS)),
+    data=st.data(),
+)
+def test_packed_slot_sum_is_the_coefficient_loop(seed, n, denominator, group, data):
+    source, target, patterns = SOURCE_PATTERNS[group]
+    maps = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from([1, -1, 2, -3]), st.sampled_from(patterns)),
+            min_size=1, max_size=4,
+        )
+    )
+    maps = [(sign, *slots) for sign, slots in maps]
+    rng = random.Random(seed)
+    p = random_poly(rng, source(n), 4, terms=6, mu_degree=2, allow_i=True)
+    p = p.scale_fraction(Fraction(rng.randint(1, 5), rng.randint(1, 6)))
+    if denominator == "mu+c":
+        p = with_denominator(p, rng, True)
+    elif denominator == "mu":
+        p = p.scale(scalars.MU.inverse())
+    assert slot_sum(p, target(n), *maps) == oracle_slot_sum(p, target(n), *maps)
+
+
+@pytest.mark.parametrize("group", sorted(SOURCE_PATTERNS))
+def test_packed_slot_sum_digits_of_one_large_term(group):
+    """One term, c * x^8 for the first variable x, with c of about 2^41: the
+    binomial images reach C(8, 4) * c, so the digits need the 2^deg of their
+    bound, and repeating a map with the same sign cancels nothing."""
+    source, target, patterns = SOURCE_PATTERNS[group]
+    space = source(1)
+    exps = (8,) + (0,) * (len(space) - 1)
+    c = scalars.Coefficient.from_ints([2**41 - 1, 0, 3 * 2**40 + 7], [2**41 - 3, 0, 0], 1)
+    p = Poly.monomial(space, exps, c)
+    maps = [(sign, *slots) for slots in patterns for sign in (1, 2)]
+    assert slot_sum(p, target(1), *maps) == oracle_slot_sum(p, target(1), *maps)
 
 
 @pytest.mark.parametrize("n", [1, 2])

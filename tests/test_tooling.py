@@ -7,7 +7,8 @@ fields of a deferred polynomial or asks whether a value is deferred (so
 the trusted scalar constructors, in cli.py only the expression table and its
 pass read and parse expression arguments, `perm` is called only in
 `poly._derivative_piece` (differentiation has one owner, the shared
-derivative table), no module outside `__init__.py`
+derivative table), `comb` only in `star.lift_slots` (the one binomial slot
+expansion) and two places that are not slot maps, no module outside `__init__.py`
 imports a name it never uses (a name used only in an annotation counts),
 and the package declares no runtime dependency."""
 
@@ -234,6 +235,44 @@ def test_perm_is_called_once_in_src():
     ]
     # test_no_function_imports_or_unbounded_caches places it in poly._derivative_piece.
     assert calls == ["poly.py"]
+
+
+def _comb_callers(tree, module):
+    """(module, innermost enclosing function or None) for each call of comb."""
+    owner = {
+        id(node): func.name
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+    }
+    return [
+        (module, owner.get(id(node)))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "comb"
+    ]
+
+
+def test_comb_has_one_slot_map_caller_in_src():
+    calls = sorted(
+        call for path in SOURCES for call in _comb_callers(ast.parse(path.read_text()), path.name)
+    )
+    # One binomial slot expansion, `star.lift_slots`; next to it, the Weyl
+    # reordering coefficients (two binomials per step) and the centre's
+    # monomial count.
+    assert calls == [
+        ("cocycle.py", "dual_monomials"),
+        ("operators.py", "_reorder_steps"),
+        ("operators.py", "_reorder_steps"),
+        ("star.py", "lift_slots"),
+    ]
+
+
+def test_comb_callers_are_found_in_nested_and_module_scopes():
+    source = (
+        "from math import comb\nn = comb(4, 2)\n"
+        "def outer(e):\n    def inner(j):\n        return comb(e, j)\n    return [inner(j) for j in range(e)]\n"
+    )
+    assert sorted(_comb_callers(ast.parse(source), "x.py"), key=str) == [("x.py", "inner"), ("x.py", None)]
 
 
 def test_checker_keeps_expression_parsing_in_the_cli_table():
