@@ -56,9 +56,9 @@ from .star import (
     coboundary,
     lift_slots,
     merge_slots,
-    on_slots,
     slot_degrees,
     slot_sum,
+    swap_slots,
 )
 
 
@@ -95,7 +95,7 @@ class CocycleViolation:
 
 def split_parts(b: Poly) -> tuple[Poly, Poly]:
     """(symmetric, antisymmetric) slot-swap parts of b."""
-    swapped = on_slots(b, b.space, "v", "u")
+    swapped = swap_slots(b)
     return (b + swapped).scale_fraction(Fraction(1, 2)), (b - swapped).scale_fraction(Fraction(1, 2))
 
 

@@ -26,10 +26,11 @@ of its orbit of block permutations, the arrangement with the blocks in
 descending order; otherwise it is added at each of its three block
 rotations, which is the whole cyclic defect.  The report is a verdict, its
 witnesses and the defect's degree range.  All of it is read off the nonzero
-keys and the low digits of their values; only the entries of the leading
-monomial, the witness, are turned back into a coefficient.  `jacobi_defect`
-alone unlifts every entry: it is the rotated sum of the full product (the
-CLI renders the defect's mu-order parts from it).
+keys and the low digits of their values (`poly.low_digits_vanish`); only
+the entries of the leading monomial, the witness, are turned back into a
+coefficient.  `jacobi_defect` alone unlifts every entry: it is the rotated
+sum of the full product (the CLI renders the defect's mu-order parts from
+it).
 
 Convention sheet (pinned by the Moyal fixture, see tests): with the bracket
 kernel of the symmetric-ordering product, the first-slot derivative matrix is
@@ -76,12 +77,15 @@ from .poly import (
     Poly,
     check_degree,
     check_dimension,
+    digit_width,
     divide_exact,
     exp_series,
     lift_scale,
+    lifted_blocks,
     lifted_degree,
     lifted_lead,
     lifted_mul,
+    low_digits_vanish,
     pair_space,
     phase_space,
     sigma_space,
@@ -95,9 +99,9 @@ from .star import (
     bilinear_pair_poly,
     coboundary,
     lift_slots,
-    on_slots,
     phase_dimension,
     slot_degrees,
+    swap_slots,
 )
 
 
@@ -123,22 +127,8 @@ class RawLieKernel:
 
     @cached_property
     def antisymmetry_witness(self) -> tuple[Exponents, scalars.Coefficient] | None:
-        """The leading term of A(u, v) + A(v, u); None when A is antisymmetric.
-
-        The sum is a copy of the terms of A with each term added again at its
-        swap, the exponent tuple with its two halves exchanged.
-        """
-        width = 2 * self.n
-        terms = dict(self.a.terms)
-        for exps, coeff in self.a.terms.items():
-            swap = exps[width:] + exps[:width]
-            acc = terms.get(swap)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff:
-                terms[swap] = coeff
-            else:
-                del terms[swap]
-        return _first_term(Poly(self.a.space, terms))
+        """The leading term of A(u, v) + A(v, u); None when A is antisymmetric."""
+        return _first_term(self.a + swap_slots(self.a))
 
 
 def exp_truncated(p: Poly, max_degree: int) -> Poly:
@@ -221,22 +211,18 @@ def _packed_defect(raw: RawLieKernel, antisymmetric: bool) -> tuple[Lifted, scal
     (a, den), tri = raw.a.split_denominator(), triple_space(raw.n)
     width = 2 * raw.n
     _, norm = lift_scale(a)
-    digit_bits = (3 * norm * norm << max(a.total_degree(), 0)).bit_length() + 1
+    digit_bits = digit_width(3 * norm * norm << max(a.total_degree(), 0))
     half = Poly(a.space, {e: c for e, c in a.terms.items() if e[:width] > e[width:]})
     product_terms, int_den, layout = lifted_mul(
         lift_slots(a, tri, [(1, "u", "vw")], digit_bits),
         lift_slots(half if antisymmetric else a, tri, [(1, "v", "w")], digit_bits),
     )
-    bits = layout[1]
-    block = width * bits
-    mask = (1 << block) - 1
-    # The degree and i fields of a key; the rep replaces the three blocks.
-    keep = ~((1 << 3 * block) - 1 << 2)
-    v_shift, u_shift = 2 + block, 2 + 2 * block
+    # The rep keeps a key's degree and i fields and replaces its three blocks.
+    (u_shift, v_shift, w_shift), mask, keep = lifted_blocks(layout, 3)
     folded: dict[int, int] = {}
     get = folded.get
     for key, value in product_terms.items():
-        x, y, z = key >> u_shift & mask, key >> v_shift & mask, key >> 2 & mask
+        x, y, z = key >> u_shift & mask, key >> v_shift & mask, key >> w_shift & mask
         if antisymmetric:
             if x == y or y == z or x == z:
                 continue
@@ -249,10 +235,10 @@ def _packed_defect(raw: RawLieKernel, antisymmetric: bool) -> tuple[Lifted, scal
         else:
             key &= keep
             for x, y, z in (x, y, z), (y, z, x), (z, x, y):
-                rep = key | x << u_shift | y << v_shift | z << 2
+                rep = key | x << u_shift | y << v_shift | z << w_shift
                 folded[rep] = get(rep, 0) + value
             continue
-        rep = key & keep | x << u_shift | y << v_shift | z << 2
+        rep = key & keep | x << u_shift | y << v_shift | z << w_shift
         folded[rep] = get(rep, 0) + value
     return (folded, int_den, layout), den
 
@@ -308,8 +294,9 @@ def lie_axiom_check(
         )
         # Zero at mu = 0: every value N / D^2 has a positive mu-valuation, so
         # the digits of N up to the mu-power 2 * val(D) are all zero.
-        low_digits = (1 << layout[2] * (2 * den.valuation + 1)) - 1
-        vanishes_at_zero = not any(folded[key] & low_digits for key in keys)
+        vanishes_at_zero = low_digits_vanish(
+            (folded[key] for key in keys), layout, 2 * den.valuation + 1
+        )
         status = (
             "truncation-defect" if (vanishes_at_zero or above_truncation) else "violation"
         )
@@ -572,7 +559,7 @@ def apply_bracket_kernel(raw: RawLieKernel, f: Poly, g: Poly) -> Poly:
 def bracket_kernel_of(kernel: StarKernel, truncation_degree: int) -> RawLieKernel:
     """The bracket kernel (exp(b) - swap) / (2 mu) of a product kernel, truncated."""
     eb = exp_truncated(kernel.exponent(), truncation_degree)
-    commutator = eb - on_slots(eb, eb.space, "v", "u")
+    commutator = eb - swap_slots(eb)
     return RawLieKernel(kernel.n, commutator.scale(scalars.HALF_INV_MU))
 
 

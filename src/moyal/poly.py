@@ -62,7 +62,10 @@ below 2^(B-1).  The digit bits B are derived from a bound on the digits of
 the result, and `lifted_mul` says which.  `star.lift_slots` lifts the slot
 maps straight into this form, `lifted_mul` multiplies two lifted forms and
 folds i^2 = -1 once, which leaves every i field at 0 or 1, and `unlift`
-decodes the digits back into a `Poly`.
+decodes the digits back into a `Poly`.  The bit layout stays in this
+module: other modules place entries with `lifted_layout` and `add_images`,
+read a key's slot blocks with `lifted_blocks`, its degree with
+`lifted_degree`, and low mu-digits with `low_digits_vanish`.
 """
 
 from __future__ import annotations
@@ -696,13 +699,47 @@ def lift_coefficient(coeff: Coefficient, den: int, digit_bits: int) -> tuple[int
     return re, im
 
 
-def unit_keys(width: int) -> tuple[int, list[int]]:
-    """(bits, keys): the exponent field bits of the current degree guard, and the
-    key of each variable of a `width`-variable space, degree field included, so
-    the key of a monomial is the sum of its exponents times these."""
+def digit_width(bound: int) -> int:
+    """The digit bits B for digits at most `bound` in absolute value: 2^(B-1) > bound."""
+    return bound.bit_length() + 1
+
+
+def lifted_layout(width: int, digit_bits: int) -> tuple[tuple[int, int, int], list[int]]:
+    """(layout, units) for a `width`-variable space: the layout, with exponent
+    fields as wide as the current degree guard, and the key of each variable,
+    degree field included, so the key of a monomial is the sum of its
+    exponents times these."""
     bits = _degree_guard.get().bit_length()
     top = 1 << 2 + width * bits
-    return bits, [top | 1 << 2 + k * bits for k in range(width - 1, -1, -1)]
+    return (width, bits, digit_bits), [top | 1 << 2 + k * bits for k in range(width - 1, -1, -1)]
+
+
+def add_images(terms: dict[int, int], images: list[tuple[int, int]], re: int, im: int) -> None:
+    """Add mult * (re + im*i) at each (key, mult) of `images` to the lifted
+    entries `terms`; re and im are lifted values (`lift_coefficient`) and each
+    key is a monomial's, its i field 0."""
+    get = terms.get
+    for key, mult in images:
+        if re:
+            terms[key] = get(key, 0) + mult * re
+        if im:
+            terms[key | 1] = get(key | 1, 0) + mult * im
+
+
+def lifted_blocks(layout: tuple[int, int, int], count: int) -> tuple[list[int], int, int]:
+    """(shifts, mask, keep) for keys whose exponents form `count` equal blocks,
+    the slots of a pair or triple space: block k of a key is key >> shifts[k]
+    & mask, and key & keep clears every block, keeping the degree and i fields."""
+    width, bits, _ = layout
+    block = width // count * bits
+    shifts = [2 + k * block for k in range(count - 1, -1, -1)]
+    return shifts, (1 << block) - 1, ~((1 << count * block) - 1 << 2)
+
+
+def low_digits_vanish(values: Iterable[int], layout: tuple[int, int, int], power: int) -> bool:
+    """Whether every lifted value has zero digits at mu^0, ..., mu^(power - 1)."""
+    low = (1 << layout[2] * power) - 1
+    return not any(value & low for value in values)
 
 
 def _digits(value: int, digit_bits: int) -> list[int]:

@@ -32,20 +32,21 @@ each memoised piece by the two coefficients.
 Slot layout: a kernel polynomial over pair space (u, v) or triple space
 (u, v, w) stores its exponents as consecutive blocks, one per slot, each of
 width 2n and index-aligned with z.  Its readers here: `lift_slots` is the
-one mover.  It sums signed images of a polynomial under slot maps, lifted
-straight onto the int keys of the packed form of `poly.lifted_mul`, where
-the blocks are consecutive bit fields of one key and moving an exponent
-adds a multiple of a field's unit.  `slot_sum` (the coboundary, the cocycle
-defect) unlifts that sum, and `on_slots` is its one-map case (the swap
-p(v, u) of the (anti)symmetrisations).  `merge_slots` sets the slots equal,
-`slot_degrees` gives a monomial's degree in each slot, and `bilinear_form`
-reads the (1, 1) part as a matrix.  Its readers elsewhere slice the blocks
-themselves:
-  * `lie._packed_defect` multiplies two lifted slot maps, and sorts the bit
-    fields to file each product entry under the representative of its orbit
-    of block permutations, or rotates them to add the entry at each of its
-    three rotations;
-  * `lie.RawLieKernel.antisymmetry_witness` swaps the halves of A's tuples;
+one slot map that sums.  It adds signed images of a polynomial under slot
+maps, lifted straight onto the int keys of the packed form of
+`poly.lifted_mul`, where the blocks are consecutive bit fields of one key
+and moving an exponent adds a multiple of a field's unit.  `slot_sum` (the
+coboundary, the cocycle defect) unlifts that sum, and `on_slots` is its
+one-map case.  `swap_slots`, the swap p(v, u) of the (anti)symmetrisations,
+is a bijection on exponent tuples, so it only relabels the terms.
+`merge_slots` sets the slots equal, `slot_degrees` gives a monomial's degree
+in each slot, and `bilinear_form` reads the (1, 1) part as a matrix.  Its
+readers elsewhere slice the blocks themselves:
+  * `lie._packed_defect` compares the u and v blocks of A to halve it,
+    multiplies two lifted slot maps, and sorts the bit fields to file each
+    product entry under the representative of its orbit of block
+    permutations, or rotates them to add the entry at each of its three
+    rotations;
   * `lie._fit_structured` moves the v block of a quotient term into chi;
   * `cocycle.cocycle_check` reads its defect off the lifted keys and cuts
     its evaluation point into u, v and w.
@@ -72,16 +73,18 @@ from .poly import (
     Pieces,
     Poly,
     Space,
+    add_images,
     bilinear,
     check_degree,
     check_dimension,
+    digit_width,
     lift_coefficient,
     lift_scale,
+    lifted_layout,
     pair_space,
     phase_space,
     sigma_space,
     triple_space,
-    unit_keys,
     unlift,
 )
 
@@ -206,14 +209,22 @@ def merge_slots(p: Poly, space: Space) -> Poly:
     return Poly(space, terms)
 
 
+def swap_slots(p: Poly) -> Poly:
+    """p(v, u) over pair space: each exponent tuple with its two blocks exchanged."""
+    width, rem = divmod(len(p.space), 2)
+    if rem or p.space != pair_space(width // 2):
+        raise SpaceMismatchError(f"{p.space!r} is not a pair space")
+    return Poly(p.space, {e[width:] + e[:width]: c for e, c in p.terms.items()})
+
+
 def on_slots(p: Poly, target: Space, *slots: str) -> Poly:
-    """p(slot_1, ..., slot_k) over a sigma, pair or triple space: a(u, v + w) is
+    """p(slot_1, ..., slot_k) over a pair or triple space: a(u, v + w) is
     on_slots(a, triple_space(n), "u", "vw").  The one-map case of `slot_sum`."""
     return slot_sum(p, target, (1, *slots))
 
 
 def slot_sum(p: Poly, target: Space, *maps: tuple) -> Poly:
-    """The signed sum of the images of p under slot maps, over a sigma, pair or triple space.
+    """The signed sum of the images of p under slot maps, over a pair or triple space.
 
     Each map is (sign, slot_1, ..., slot_k), and its image is sign times
     p(slot_1, ..., slot_k): b(v, w) - b(u + v, w) is
@@ -242,12 +253,12 @@ def lift_slots(p: Poly, target: Space, maps: Sequence[tuple], digit_bits: int | 
     den, norm = lift_scale(p)
     if digit_bits is None:
         signs = sum(abs(sign) for sign, *_ in maps)
-        digit_bits = (signs * norm << max(p.total_degree(), 0)).bit_length() + 1
-    bits, units = unit_keys(len(target))
+        digit_bits = digit_width(signs * norm << max(p.total_degree(), 0))
+    layout, units = lifted_layout(len(target), digit_bits)
     placed = []
     for sign, *slots in maps:
         n, rem = divmod(len(p.space), 2 * len(slots))
-        if rem or not n or target not in (sigma_space(n), pair_space(n), triple_space(n)):
+        if rem or not n or target not in (pair_space(n), triple_space(n)):
             raise SpaceMismatchError(f"{len(slots)} slots of {p.space!r} do not map into {target!r}")
         width = 2 * n
         blocks = "uvw"[: len(target) // width]
@@ -261,7 +272,6 @@ def lift_slots(p: Poly, target: Space, maps: Sequence[tuple], digit_bits: int | 
         steps = [(k, keys[0] - keys[1]) for k, keys in enumerate(where) if len(keys) == 2]
         placed.append((sign, [keys[-1] for keys in where], steps))
     terms: dict[int, int] = {}
-    get = terms.get
     for exps, coeff in p.terms.items():
         re, im = lift_coefficient(coeff, den, digit_bits)
         for sign, weights, steps in placed:
@@ -274,12 +284,8 @@ def lift_slots(p: Poly, target: Space, maps: Sequence[tuple], digit_bits: int | 
                         for key, mult in images
                         for j in range(e + 1)
                     ]
-            for key, mult in images:
-                if re:
-                    terms[key] = get(key, 0) + mult * re
-                if im:
-                    terms[key | 1] = get(key | 1, 0) + mult * im
-    return {k: v for k, v in terms.items() if v}, den, (len(target), bits, digit_bits)
+            add_images(terms, images, re, im)
+    return {k: v for k, v in terms.items() if v}, den, layout
 
 
 # Distinct (f-monomial, g-monomial) pairs one product operator remembers.

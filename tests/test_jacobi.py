@@ -203,7 +203,8 @@ def test_antisymmetry_witness_is_the_swap_sum(n, antisymmetric, denominator, see
     assert lone[width:] + lone[:width] not in a.terms
     for extra in (Poly.zero(pair), Poly.monomial(pair, own, MU), Poly.monomial(pair, lone, scalars.I)):
         kernel = a + extra
-        expected = kernel + on_slots(kernel, pair, "v", "u")
+        swapped = {e[width:] + e[:width]: c for e, c in kernel.terms.items()}
+        expected = kernel + Poly(pair, swapped)
         witness = RawLieKernel(n, kernel).antisymmetry_witness
         assert witness == (expected.leading_term() if expected else None)
 

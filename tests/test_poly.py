@@ -22,7 +22,11 @@ from moyal.poly import (
     degree_guard,
     divide_exact,
     get_degree_guard,
+    add_images,
+    digit_width,
+    lift_coefficient,
     lift_scale,
+    lifted_layout,
     lifted_mul,
     pair_space,
     phase_space,
@@ -30,7 +34,7 @@ from moyal.poly import (
     sigma_space,
     unlift,
 )
-from moyal.star import lift_slots, on_slots, slot_degrees, u_map
+from moyal.star import on_slots, slot_degrees, u_map
 
 SP = phase_space(1)
 Q = Poly.variable(SP, "q1")
@@ -354,14 +358,20 @@ def wide_poly(rng, n, guard):
 
 
 def lift(p, digit_bits=None):
-    """p lifted by the identity slot map of its width, p(u) on sigma space."""
-    sigma = sigma_space(len(p.space) // 2)
-    return lift_slots(p.in_space(sigma), sigma, [(1, "u")], digit_bits)
+    """p in packed form on its own space: the identity slot map, each term's
+    key the sum of its exponents times the variables' unit keys."""
+    den, norm = lift_scale(p)
+    layout, units = lifted_layout(len(p.space), digit_bits or digit_width(norm))
+    terms = {}
+    for exps, coeff in p.terms.items():
+        key = sum(e * unit for e, unit in zip(exps, units))
+        add_images(terms, [(key, 1)], *lift_coefficient(coeff, den, layout[2]))
+    return {k: v for k, v in terms.items() if v}, den, layout
 
 
 def lifted_product(p, q):
     """p * q in packed form, the digits as wide as `lifted_mul` asks."""
-    digit_bits = (lift_scale(p)[1] * lift_scale(q)[1]).bit_length() + 1
+    digit_bits = digit_width(lift_scale(p)[1] * lift_scale(q)[1])
     return lifted_mul(lift(p, digit_bits), lift(q, digit_bits))
 
 

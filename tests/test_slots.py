@@ -34,6 +34,7 @@ from moyal.star import (
     on_slots,
     slot_degrees,
     slot_sum,
+    swap_slots,
 )
 
 CASES = [(n, denominator, seed) for n in (1, 2) for denominator in (False, True) for seed in range(3)]
@@ -69,6 +70,7 @@ def test_slot_swap_is_the_literal_substitution(n, denominator, seed):
     swapped = slot_sum(p, pair, (1, "v", "u"))
     assert swapped == substitute(p, slot_images(pair, n, "v", "u"), pair)
     assert slot_sum(swapped, pair, (1, "v", "u")) == p
+    assert swap_slots(p) == swapped and swap_slots(swapped) == p
 
 
 # Signed slot maps from pair or triple space into a pair or triple space
@@ -217,3 +219,6 @@ def test_on_slots_rejects_mismatched_spaces():
         slot_sum(p, triple_space(1), (1, "u", "vw"), (1, "u", "v", "w"))
     with pytest.raises(SpaceMismatchError):
         coboundary(Poly.zero(Space(["a", "b", "c"])))
+    for poly in (chi, random_poly(random.Random(6), triple_space(1), 3, terms=3)):
+        with pytest.raises(SpaceMismatchError):
+            swap_slots(poly)
