@@ -42,13 +42,10 @@ from .poly import (
     Space,
     check_dimension,
     format_term,
-    lifted_degree,
-    lifted_lead,
     pair_space,
     phase_space,
     sigma_space,
     triple_space,
-    unlift,
 )
 from .star import (
     StarKernel,
@@ -115,8 +112,8 @@ def cocycle_check(raw: RawKernelExponent) -> CocycleViolation | None:
     failures, an integer point with the two unequal sides of the identity
     b(u,v) + b(u+v,w) = b(v,w) + b(u,v+w).  The defect is summed in packed
     form (`star.lift_slots`) on the numerators of b; the verdict, the
-    leading monomial and the defect's degree are read off its keys, and only
-    the leading monomial is turned back into a coefficient (`poly.lifted_lead`).
+    leading term and the defect's degree are read off the `poly.Lifted` form,
+    and only the leading term is turned back into a coefficient.
     """
     n = raw.n
     width = 2 * n
@@ -130,15 +127,14 @@ def cocycle_check(raw: RawKernelExponent) -> CocycleViolation | None:
                 space_names=b.space.names,
             )
     (numerators, den), tri = b.split_denominator(), triple_space(n)
-    lifted = lift_slots(numerators, tri, _COCYCLE_MAPS)
-    terms, _, layout = lifted
-    if not terms:
+    defect = lift_slots(numerators, tri, _COCYCLE_MAPS).over(den)
+    if not defect.terms:
         return None
-    exps, coeff = unlift(lifted_lead(lifted), tri).over(den).leading_term()
+    exps, coeff = defect.lead()
     # The defect at a point is rhs - lhs: a seeded search of small integer
     # points, up to the defect's degree, for one where the two sides differ.
     rng = random.Random(1729)
-    bound = max(lifted_degree(max(terms), layout) + 2, 4)
+    bound = max(defect.degrees()[1] + 2, 4)
     for _ in range(200):
         point = tuple(rng.randrange(1, bound) for _ in range(3 * width))
         values = [scalars.Coefficient.from_int(x) for x in point]

@@ -16,21 +16,15 @@ degree-T truncation of a valid kernel has a defect supported in total degree
 defect that vanishes at mu = 0.  Both patterns are reported as expected
 truncation defects rather than violations.
 
-Packed form.  The Jacobi check runs on exact integers: A(u, v+w) and A(v, w),
-or half of it when A is antisymmetric, are lifted straight from the terms of
-A (`star.lift_slots`) and multiplied once (see `poly.lifted_mul`).  A key is
-a monomial and a power of i, and its value holds every mu-power of the
-entry as one digit, so the fold below visits each product monomial once.
-For an antisymmetric A each product entry is filed under the representative
-of its orbit of block permutations, the arrangement with the blocks in
-descending order; otherwise it is added at each of its three block
-rotations, which is the whole cyclic defect.  The report is a verdict, its
-witnesses and the defect's degree range.  All of it is read off the nonzero
-keys and the low digits of their values (`poly.low_digits_vanish`); only
-the entries of the leading monomial, the witness, are turned back into a
-coefficient.  `jacobi_defect` alone unlifts every entry: it is the rotated
-sum of the full product (the CLI renders the defect's mu-order parts from
-it).
+Packed form.  The Jacobi check runs on exact integers: A(u, v+w) and
+A(v, w), or half of it when A is antisymmetric, are lifted straight from the
+terms of A (`star.lift_slots`) into `poly.Lifted` forms, multiplied once and
+folded by block permutation (`Lifted.fold_triple`), which visits each
+product monomial once.  The report is a verdict, its witnesses and the
+defect's degree range, all read through the form's methods; only the entries
+of the leading monomial, the witness, are turned back into a coefficient.
+`jacobi_defect` alone unlifts every entry: it is the rotated sum of the full
+product (the CLI renders the defect's mu-order parts from it).
 
 Convention sheet (pinned by the Moyal fixture, see tests): with the bracket
 kernel of the symmetric-ordering product, the first-slot derivative matrix is
@@ -51,10 +45,10 @@ h being read off the leads of the odd powers of w.  The odd series h is then
 classified: h'' = mu^2 h termwise forces either c*sinh(mu*x) (mu^2 != 0) or
 c*x, the only generating functions compatible with Jacobi.  That the fit
 misses nothing at first order around w, the premise of `_fit_structured`, is
-checked by exact rank in tests/test_census.py for n = 1 and degrees 2 to 11:
-the first-order Lie kernels are the gauge directions (delta chi) * w, the
-scale of w and w^3.  The same file checks that Jacobi then fixes the w^5
-coefficient to the sinh value.
+checked by exact rank in tests/test_census.py for n = 1 at degrees 2 to 11
+and n = 2 at degrees 2 to 6: the first-order Lie kernels are the gauge
+directions (delta chi) * w, the scale of w and w^3.  The same file checks
+that Jacobi then fixes the w^5 and w^7 coefficients to the sinh values.
 """
 
 from __future__ import annotations
@@ -81,16 +75,10 @@ from .poly import (
     divide_exact,
     exp_series,
     lift_scale,
-    lifted_blocks,
-    lifted_degree,
-    lifted_lead,
-    lifted_mul,
-    low_digits_vanish,
     pair_space,
     phase_space,
     sigma_space,
     triple_space,
-    unlift,
 )
 from .star import (
     BiDiff,
@@ -183,73 +171,44 @@ class LieAxiomReport:
         )
 
 
-def _packed_defect(raw: RawLieKernel, antisymmetric: bool) -> tuple[Lifted, scalars.MuPoly]:
-    """The Jacobi defect, packed: at one exponent tuple per orbit of its blocks
-    when `antisymmetric`, and at every exponent tuple otherwise.
+def _packed_defect(raw: RawLieKernel, antisymmetric: bool) -> Lifted:
+    """The Jacobi defect in packed form: at one exponent tuple per orbit of its
+    blocks when `antisymmetric`, and at every exponent tuple otherwise.
 
     For an antisymmetric A the defect is the sum over S3 of sgn(pi) Q o pi,
     Q = A(u,v+w) H(v,w), where H holds the terms of A(v,w) whose v-block is
-    lexicographically above its w-block (A = H - H o swap).  Each term of Q is
-    added, with the sign of the sorting permutation, at the arrangement of its
-    blocks in descending order, the largest tuple of its orbit; arrangements
-    with two equal blocks cancel.  Otherwise the defect is the cyclic sum of
-    P = A(u,v+w) A(v,w), and each term of P is added at each of its three
-    rotations.
+    lexicographically above its w-block (A = H - H o swap), so the
+    alternating fold of Q (`Lifted.fold_triple`) holds it at the largest
+    tuple of each orbit.  Otherwise the defect is the cyclic sum of
+    P = A(u,v+w) A(v,w), the rotation fold of P.
 
     Both slot maps are lifted (`star.lift_slots`) from D * A, D the lcm of
-    the denominators of A (`Poly.split_denominator`), and multiplied once
-    (`poly.lifted_mul`).  The digits are wide enough for the fold: with
-    |.|_1 the sum of the absolute digit values of a lifted form and deg the
-    degree of A, |A(u,v+w)|_1 <= 2^deg |D*A|_1 (each term's images sum
-    binomial multiples of it, 2^deg at most) and |A(v,w)|_1 <= |D*A|_1, so
-    every digit of the product is at most 2^deg |D*A|_1^2 in absolute value,
-    and every digit of the fold, which adds each product entry at most
-    three times, at most 3 * 2^deg |D*A|_1^2 < 2^(B-1).  Returns the packed
-    representatives, whose entries may be zero, and D: their values are the
-    unlifted entries divided by D^2.
+    the denominators of A (`Poly.split_denominator`), and multiplied once.
+    The digits are wide enough for the fold: with |.|_1 the sum of the
+    absolute digit values of a lifted form and deg the degree of A,
+    |A(u,v+w)|_1 <= 2^deg |D*A|_1 (each term's images sum binomial multiples
+    of it, 2^deg at most) and |A(v,w)|_1 <= |D*A|_1, so every digit of the
+    product is at most 2^deg |D*A|_1^2 in absolute value, and every digit of
+    the fold, which adds each product entry at most three times, at most
+    3 * 2^deg |D*A|_1^2 < 2^(B-1).  The factor 3 is reached: for a constant
+    A the rotations of the one product key, x = y = z = 0, coincide.
     """
     (a, den), tri = raw.a.split_denominator(), triple_space(raw.n)
     width = 2 * raw.n
     _, norm = lift_scale(a)
     digit_bits = digit_width(3 * norm * norm << max(a.total_degree(), 0))
     half = Poly(a.space, {e: c for e, c in a.terms.items() if e[:width] > e[width:]})
-    product_terms, int_den, layout = lifted_mul(
-        lift_slots(a, tri, [(1, "u", "vw")], digit_bits),
-        lift_slots(half if antisymmetric else a, tri, [(1, "v", "w")], digit_bits),
-    )
-    # The rep keeps a key's degree and i fields and replaces its three blocks.
-    (u_shift, v_shift, w_shift), mask, keep = lifted_blocks(layout, 3)
-    folded: dict[int, int] = {}
-    get = folded.get
-    for key, value in product_terms.items():
-        x, y, z = key >> u_shift & mask, key >> v_shift & mask, key >> w_shift & mask
-        if antisymmetric:
-            if x == y or y == z or x == z:
-                continue
-            if x < y:
-                x, y, value = y, x, -value
-            if y < z:
-                y, z, value = z, y, -value
-                if x < y:
-                    x, y, value = y, x, -value
-        else:
-            key &= keep
-            for x, y, z in (x, y, z), (y, z, x), (z, x, y):
-                rep = key | x << u_shift | y << v_shift | z << w_shift
-                folded[rep] = get(rep, 0) + value
-            continue
-        rep = key & keep | x << u_shift | y << v_shift | z << w_shift
-        folded[rep] = get(rep, 0) + value
-    return (folded, int_den, layout), den
+    left = lift_slots(a, tri, [(1, "u", "vw")], digit_bits)
+    right = lift_slots(half if antisymmetric else a, tri, [(1, "v", "w")], digit_bits)
+    return (left * right).fold_triple(antisymmetric).over(den * den)
 
 
 def jacobi_defect(raw: RawLieKernel) -> Poly:
     """A(u,v+w)A(v,w) + A(v,w+u)A(w,u) + A(w,u+v)A(u,v) over triple space.
 
-    The packed cyclic sum of `_packed_defect`, unlifted and divided by D^2.
+    The packed cyclic sum of `_packed_defect`, unlifted.
     """
-    lifted, den = _packed_defect(raw, False)
-    return unlift(lifted, triple_space(raw.n)).over(den * den)
+    return _packed_defect(raw, False).unlift()
 
 
 def _first_term(p: Poly) -> tuple[Exponents, scalars.Coefficient] | None:
@@ -276,29 +235,23 @@ def lie_axiom_check(
     const_witness = _first_term(
         Poly(a.space, {e: c for e, c in a.terms.items() if slot_degrees(e, 2 * n)[0] == 0})
     )
-    lifted, den = _packed_defect(raw, anti_witness is None)
-    folded, _, layout = lifted
-    keys = [key for key, value in folded.items() if value]
-    if not keys:
+    defect = _packed_defect(raw, anti_witness is None)
+    if not defect.terms:
         status, jac_witness, degree_range = "exact", None, None
     else:
-        # Keys order as (degree, exponents, i), and the keys are either every
-        # monomial of the defect or, for an antisymmetric A, the largest tuple
-        # of each orbit, whose members share its degree and its value up to
-        # sign.  Either way the largest key holds the leading monomial of the
-        # defect and the smallest and largest keys bound its degree.
-        degree_range = (lifted_degree(min(keys), layout), lifted_degree(max(keys), layout))
-        jac_witness = _first_term(unlift(lifted_lead(lifted), triple_space(n)).over(den * den))
+        # The entries are either every monomial of the defect or, for an
+        # antisymmetric A, the largest tuple of each orbit, whose members
+        # share its degree and its value up to sign.  Either way the form's
+        # lead is the defect's and its degrees bound the defect's.
+        degree_range = defect.degrees()
+        jac_witness = defect.lead()
         above_truncation = (
             truncation_degree is not None and degree_range[0] > truncation_degree + 2
         )
-        # Zero at mu = 0: every value N / D^2 has a positive mu-valuation, so
-        # the digits of N up to the mu-power 2 * val(D) are all zero.
-        vanishes_at_zero = low_digits_vanish(
-            (folded[key] for key in keys), layout, 2 * den.valuation + 1
-        )
         status = (
-            "truncation-defect" if (vanishes_at_zero or above_truncation) else "violation"
+            "truncation-defect"
+            if (defect.vanishes_at_mu_zero() or above_truncation)
+            else "violation"
         )
     return LieAxiomReport(
         antisymmetry_witness=anti_witness,

@@ -49,23 +49,21 @@ A configurable total-degree guard (default 64) makes runaway computations
 fail fast instead of exhausting memory.  The bound is a context variable, so
 a bound set in one thread does not leak into another.
 
-Packed form.  The Jacobi and cocycle stages run on exact integers.  A lifted
-polynomial has one int key per (monomial, power of i) and one int value per
-key, all over one int denominator.  A key holds, from the top, the total
-degree, the exponents in order and a 2-bit field for the power of i, so a
-Gaussian coefficient is two entries.  The exponent fields are as wide as the
-degree guard, so monomials multiply by adding keys and no field carries;
-keys order as the (degree, exponents) of `Poly.leading_term` do.  The
-mu-powers live in the value (Kronecker substitution): sum_k d_k 2^(B*k) with
-signed digits d_k, the mu^k part, and no digit carries while every |d_k| is
-below 2^(B-1).  The digit bits B are derived from a bound on the digits of
-the result, and `lifted_mul` says which.  `star.lift_slots` lifts the slot
-maps straight into this form, `lifted_mul` multiplies two lifted forms and
-folds i^2 = -1 once, which leaves every i field at 0 or 1, and `unlift`
-decodes the digits back into a `Poly`.  The bit layout stays in this
-module: other modules place entries with `lifted_layout` and `add_images`,
-read a key's slot blocks with `lifted_blocks`, its degree with
-`lifted_degree`, and low mu-digits with `low_digits_vanish`.
+Packed form.  The Jacobi and cocycle stages run on exact integers, in one
+type, `Lifted`: one int key per (monomial, power of i) and one int value per
+key, over an int scale and a `MuPoly` denominator.  A key holds, from the
+top, the total degree, the exponents in order and a 2-bit field for the
+power of i, so a Gaussian coefficient is two entries.  The exponent fields
+are as wide as the degree guard, so monomials multiply by adding keys and no
+field carries; keys order as the (degree, exponents) of `Poly.leading_term`
+do.  The mu-powers live in the value (Kronecker substitution): sum_k d_k
+2^(B*k) with signed digits d_k, the mu^k part, and no digit carries while
+every |d_k| is below 2^(B-1).  `lift_substitutions` builds a form from the
+images of a polynomial under linear substitutions; a caller that multiplies
+or folds forms chooses B from a bound on the digits of its result.  Other
+modules use a form only through its methods (the product, the fold over a
+triple space, the lead, the degrees, the mu = 0 test and `unlift`), so the
+bit layout is known to this module alone.
 """
 
 from __future__ import annotations
@@ -76,7 +74,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import scalars
 from .errors import (
@@ -663,17 +661,13 @@ def divide_exact(dividend: Poly, divisor: Poly) -> tuple[Poly, Poly]:
 
 # -- packed form ---------------------------------------------------------------
 
-# A lifted polynomial: {key: value}, the int denominator, and the layout
-# (number of variables, exponent field bits, digit bits).
-Lifted = tuple[dict[int, int], int, tuple[int, int, int]]
-
 
 def lift_scale(p: Poly) -> tuple[int, int]:
-    """(den, norm) for a p whose coefficients are polynomial in mu.
+    """(scale, norm) for a p whose coefficients are polynomial in mu.
 
-    den is the lcm of the int denominators of the coefficients and norm the
-    sum of the absolute values of the ints of den * p, which are the digits
-    of its lifted values.  Raises ValueError when a coefficient has a
+    scale is the lcm of the int denominators of the coefficients and norm
+    the sum of the absolute values of the ints of scale * p, which are the
+    digits of its lifted values.  Raises ValueError when a coefficient has a
     mu-denominator and DegreeGuardError when p's degree exceeds the guard,
     which sizes the exponent fields.
     """
@@ -681,65 +675,14 @@ def lift_scale(p: Poly) -> tuple[int, int]:
     if not all(c.den.is_one for c in coeffs):
         raise ValueError("only coefficients polynomial in mu can be lifted")
     check_degree(p.total_degree(), "lifted")
-    den = math.lcm(*(c.num.d for c in coeffs))
-    norm = sum(den // c.num.d * sum(map(abs, c.num.re + c.num.im)) for c in coeffs)
-    return den, norm
-
-
-def lift_coefficient(coeff: Coefficient, den: int, digit_bits: int) -> tuple[int, int]:
-    """The values of the real and imaginary parts of den * coeff, one digit per
-    mu-power; den must be a multiple of the coefficient's int denominator."""
-    num = coeff.num
-    scale = den // num.d
-    re = im = 0
-    for x in reversed(num.re):
-        re = (re << digit_bits) + x * scale
-    for y in reversed(num.im):
-        im = (im << digit_bits) + y * scale
-    return re, im
+    scale = math.lcm(*(c.num.d for c in coeffs))
+    norm = sum(scale // c.num.d * sum(map(abs, c.num.re + c.num.im)) for c in coeffs)
+    return scale, norm
 
 
 def digit_width(bound: int) -> int:
     """The digit bits B for digits at most `bound` in absolute value: 2^(B-1) > bound."""
     return bound.bit_length() + 1
-
-
-def lifted_layout(width: int, digit_bits: int) -> tuple[tuple[int, int, int], list[int]]:
-    """(layout, units) for a `width`-variable space: the layout, with exponent
-    fields as wide as the current degree guard, and the key of each variable,
-    degree field included, so the key of a monomial is the sum of its
-    exponents times these."""
-    bits = _degree_guard.get().bit_length()
-    top = 1 << 2 + width * bits
-    return (width, bits, digit_bits), [top | 1 << 2 + k * bits for k in range(width - 1, -1, -1)]
-
-
-def add_images(terms: dict[int, int], images: list[tuple[int, int]], re: int, im: int) -> None:
-    """Add mult * (re + im*i) at each (key, mult) of `images` to the lifted
-    entries `terms`; re and im are lifted values (`lift_coefficient`) and each
-    key is a monomial's, its i field 0."""
-    get = terms.get
-    for key, mult in images:
-        if re:
-            terms[key] = get(key, 0) + mult * re
-        if im:
-            terms[key | 1] = get(key | 1, 0) + mult * im
-
-
-def lifted_blocks(layout: tuple[int, int, int], count: int) -> tuple[list[int], int, int]:
-    """(shifts, mask, keep) for keys whose exponents form `count` equal blocks,
-    the slots of a pair or triple space: block k of a key is key >> shifts[k]
-    & mask, and key & keep clears every block, keeping the degree and i fields."""
-    width, bits, _ = layout
-    block = width // count * bits
-    shifts = [2 + k * block for k in range(count - 1, -1, -1)]
-    return shifts, (1 << block) - 1, ~((1 << count * block) - 1 << 2)
-
-
-def low_digits_vanish(values: Iterable[int], layout: tuple[int, int, int], power: int) -> bool:
-    """Whether every lifted value has zero digits at mu^0, ..., mu^(power - 1)."""
-    low = (1 << layout[2] * power) - 1
-    return not any(value & low for value in values)
 
 
 def _digits(value: int, digit_bits: int) -> list[int]:
@@ -755,81 +698,212 @@ def _digits(value: int, digit_bits: int) -> list[int]:
     return out
 
 
-def unlift(lifted: Lifted, space: Space) -> Poly:
-    """The polynomial over `space` of a lifted form; zero entries are allowed and dropped.
+class Lifted:
+    """A polynomial over `space` in packed form: `terms` / (`scale` * `den`).
 
-    The i field of every key must be 0 or 1, as `lifted_mul` leaves it.
+    The layout is the module's (see Packed form): exponent fields of `bits`
+    bits, digits of `digit_bits` bits, and an i field that is always 0 or 1.
+    Zero entries are dropped in place on construction, so `terms` is empty
+    exactly when the polynomial is zero.
     """
-    terms, den, (width, bits, digit_bits) = lifted
-    if width != len(space):
-        raise SpaceMismatchError(f"a lifted form of {width} variables does not fit {space!r}")
-    mask = (1 << bits) - 1
-    shifts = range((width - 1) * bits, -1, -bits)
-    by_monomial: dict[int, list[int]] = {}
-    for key, value in terms.items():
-        by_monomial.setdefault(key >> 2, [0, 0])[key & 1] = value
-    shared: dict[tuple, Coefficient] = {}
-    out: dict[Exponents, Coefficient] = {}
-    for mono, values in by_monomial.items():
-        coeff = shared.get(tuple(values))
-        if coeff is None:
-            re, im = (_digits(value, digit_bits) for value in values)
-            if im:
-                top = max(len(re), len(im))
-                re += [0] * (top - len(re))
-                im += [0] * (top - len(im))
-            coeff = shared[tuple(values)] = Coefficient.from_ints(re, im, den)
-        if coeff:
+
+    __slots__ = ("terms", "scale", "den", "space", "bits", "digit_bits")
+
+    def __init__(self, terms: dict, scale: int, den: MuPoly, space: Space, bits: int, digit_bits: int):
+        for key in [key for key, value in terms.items() if not value]:
+            del terms[key]
+        self.terms = terms
+        self.scale = scale
+        self.den = den
+        self.space = space
+        self.bits = bits
+        self.digit_bits = digit_bits
+
+    def __mul__(self, other: "Lifted") -> "Lifted":
+        """The product of two forms of one space, exponent fields and digit bits.
+
+        Monomials multiply by adding keys: the exponent fields are as wide
+        as the degree guard, so no field carries while the product's degree
+        fits the guard.  The mu-powers multiply inside the values (Kronecker
+        substitution), and no digit carries when the digit bits B satisfy
+        2^(B-1) > |x|_1 * |y|_1, the product of the sums of the absolute
+        digit values: each product digit is a signed sum of digit products,
+        and each pair of entries and pair of digits adds to exactly one of
+        them.  Choosing B is the caller's part.  Each pair of entries costs
+        one int multiply; the entries that reach i-power 2 are folded into
+        i-power 0 with a minus sign once, after the loop.  Raises
+        SpaceMismatchError when the layouts differ and DegreeGuardError when
+        the product's degree exceeds the guard.
+        """
+        layout = (self.space, self.bits, self.digit_bits)
+        if layout != (other.space, other.bits, other.digit_bits):
+            raise SpaceMismatchError("lifted forms differ in space, exponent fields or digit bits")
+        shift = 2 + len(self.space) * self.bits
+        degree = (max(self.terms, default=0) >> shift) + (max(other.terms, default=0) >> shift)
+        check_degree(degree, "product")
+        if degree >> self.bits:
+            raise DegreeGuardError(f"product degree {degree} overflows exponent fields of {self.bits} bits")
+        terms: dict[int, int] = {}
+        get = terms.get
+        right = list(other.terms.items())
+        for k1, a in self.terms.items():
+            for k2, b in right:
+                k = k1 + k2
+                terms[k] = get(k, 0) + a * b
+        for k in [k for k in terms if k & 2]:
+            terms[k ^ 2] = get(k ^ 2, 0) - terms.pop(k)
+        return Lifted(terms, self.scale * other.scale, self.den * other.den, *layout)
+
+    def over(self, den: MuPoly) -> "Lifted":
+        """self / den, sharing the entries."""
+        return Lifted(self.terms, self.scale, self.den * den, self.space, self.bits, self.digit_bits)
+
+    def unlift(self) -> Poly:
+        """The polynomial: the digits of each entry decoded, then `Poly.over(den)`."""
+        width, bits, digit_bits = len(self.space), self.bits, self.digit_bits
+        mask = (1 << bits) - 1
+        shifts = range((width - 1) * bits, -1, -bits)
+        by_monomial: dict[int, list[int]] = {}
+        for key, value in self.terms.items():
+            by_monomial.setdefault(key >> 2, [0, 0])[key & 1] = value
+        shared: dict[tuple, Coefficient] = {}
+        out: dict[Exponents, Coefficient] = {}
+        for mono, values in by_monomial.items():
+            coeff = shared.get(tuple(values))
+            if coeff is None:
+                re, im = (_digits(value, digit_bits) for value in values)
+                if im:
+                    top = max(len(re), len(im))
+                    re += [0] * (top - len(re))
+                    im += [0] * (top - len(im))
+                coeff = shared[tuple(values)] = Coefficient.from_ints(re, im, self.scale)
             out[tuple([mono >> shift & mask for shift in shifts])] = coeff
-    return Poly(space, out)
+        return Poly(self.space, out).over(self.den)
+
+    def lead(self) -> tuple[Exponents, Coefficient]:
+        """The leading term of the polynomial, decoded from the entries of the
+        largest monomial alone; the form must be nonzero."""
+        lead = max(self.terms) & ~1
+        terms = {key: self.terms[key] for key in (lead, lead | 1) if key in self.terms}
+        lead_form = Lifted(terms, self.scale, self.den, self.space, self.bits, self.digit_bits)
+        return lead_form.unlift().leading_term()
+
+    def degrees(self) -> tuple[int, int]:
+        """The lowest and highest total degree of the monomials of a nonzero form."""
+        shift = 2 + len(self.space) * self.bits
+        return min(self.terms) >> shift, max(self.terms) >> shift
+
+    def vanishes_at_mu_zero(self) -> bool:
+        """Whether every coefficient is zero at mu = 0: with v the mu-valuation
+        of `den`, an entry N / den is zero there exactly when the digits of N
+        at mu^0, ..., mu^v are zero."""
+        low = (1 << self.digit_bits * (self.den.valuation + 1)) - 1
+        return not any(value & low for value in self.terms.values())
+
+    def fold_triple(self, alternating: bool) -> "Lifted":
+        """The entries over a triple space (u, v, w) filed by block permutation.
+
+        When `alternating`, each entry is added, with the sign of the
+        sorting permutation, at the arrangement of its blocks in descending
+        order, the largest key of its orbit under S3, and an entry with two
+        equal blocks is dropped: the result holds the alternating sum over
+        S3 at one key per orbit.  Otherwise each entry is added at each of
+        its three block rotations, which is the whole cyclic sum.  A digit of
+        the result is a signed sum of the digits it collects, so the digit
+        bits must bound the sum of the absolute digits filed at one key (at
+        most three times |self|_1 for the rotations); choosing them is the
+        caller's part.  The degree and i fields of each key are kept.
+        """
+        n, rem = divmod(len(self.space), 6)
+        if rem or self.space != triple_space(n):
+            raise SpaceMismatchError(f"{self.space!r} is not a triple space")
+        block = 2 * n * self.bits
+        u_shift, v_shift, w_shift = 2 + 2 * block, 2 + block, 2
+        mask, keep = (1 << block) - 1, ~((1 << 3 * block) - 1 << 2)
+        folded: dict[int, int] = {}
+        get = folded.get
+        for key, value in self.terms.items():
+            x, y, z = key >> u_shift & mask, key >> v_shift & mask, key >> w_shift & mask
+            if alternating:
+                if x == y or y == z or x == z:
+                    continue
+                if x < y:
+                    x, y, value = y, x, -value
+                if y < z:
+                    y, z, value = z, y, -value
+                    if x < y:
+                        x, y, value = y, x, -value
+            else:
+                key &= keep
+                for x, y, z in (x, y, z), (y, z, x), (z, x, y):
+                    rep = key | x << u_shift | y << v_shift | z << w_shift
+                    folded[rep] = get(rep, 0) + value
+                continue
+            rep = key & keep | x << u_shift | y << v_shift | z << w_shift
+            folded[rep] = get(rep, 0) + value
+        return Lifted(folded, self.scale, self.den, self.space, self.bits, self.digit_bits)
 
 
-def lifted_degree(key: int, layout: tuple[int, int, int]) -> int:
-    """The total degree of the monomial of a lifted key."""
-    width, bits, _ = layout
-    return key >> 2 + width * bits
+def lift_substitutions(
+    p: Poly, target: Space, maps: Sequence[tuple[int, list[list[int]]]], digit_bits: int | None = None
+) -> Lifted:
+    """The signed sum of the images of a p polynomial in mu under linear
+    substitutions, lifted onto `target`.
 
-
-def lifted_lead(lifted: Lifted) -> Lifted:
-    """The entries of the largest monomial with a nonzero entry, which unlift to
-    the leading term of the unlifted polynomial; there must be one."""
-    terms, den, layout = lifted
-    lead = max(key for key, value in terms.items() if value) & ~1
-    return {key: terms[key] for key in (lead, lead | 1) if terms.get(key)}, den, layout
-
-
-def lifted_mul(x: Lifted, y: Lifted) -> Lifted:
-    """The product of two lifted forms of one layout.
-
-    Monomials multiply by adding keys: the exponent fields are as wide as
-    the degree guard, so no field carries while the product's degree fits
-    the guard.  The mu-powers multiply inside the values (Kronecker
-    substitution), and no digit carries when the digit bits B satisfy
-    2^(B-1) > |x|_1 * |y|_1, the product of the sums of the absolute digit
-    values: each product digit is a signed sum of digit products, and each
-    pair of entries and pair of digits adds to exactly one of them.  Choosing
-    B is the caller's part.  Each pair of entries costs one int multiply;
-    the entries that reach i-power 2 are folded into i-power 0 with a minus
-    sign once, after the loop.  Raises SpaceMismatchError when the layouts
-    differ and DegreeGuardError when the product's degree exceeds the guard.
+    Each map is (sign, where): where[k] lists the one or two target indices
+    whose sum replaces variable k of p.  Each coefficient of p is lifted
+    once, and the images add its values, times their signs and binomial
+    multiples, straight onto the int keys of the target: a single index only
+    moves an exponent to another field, and a power of a sum of two is
+    expanded binomially.  An image of one term under one map has digits
+    summing to at most 2^deg times the term's, deg the degree of p, times
+    the map's |sign|, so by default the digits are wide enough for the sum
+    itself; a caller that multiplies the result passes the width its product
+    needs.  The exponent fields are as wide as the current degree guard.
     """
-    (xt, x_den, layout), (yt, y_den, y_layout) = x, y
-    if layout != y_layout:
-        raise SpaceMismatchError(f"lifted layouts {layout} and {y_layout} differ")
-    degree = lifted_degree(max(xt, default=0), layout) + lifted_degree(max(yt, default=0), layout)
-    check_degree(degree, "product")
-    if degree >> layout[1]:
-        raise DegreeGuardError(f"product degree {degree} overflows exponent fields of {layout[1]} bits")
+    scale, norm = lift_scale(p)
+    if digit_bits is None:
+        signs = sum(abs(sign) for sign, _ in maps)
+        digit_bits = digit_width(signs * norm << max(p.total_degree(), 0))
+    width, bits = len(target), _degree_guard.get().bit_length()
+    # The key of each target variable, degree field included, so the key of
+    # a monomial is the sum of its exponents times these.
+    units = [1 << 2 + width * bits | 1 << 2 + (width - 1 - k) * bits for k in range(width)]
+    placed = []
+    for sign, where in maps:
+        if len(where) != len(p.space):
+            raise SpaceMismatchError(f"a map of {len(where)} variables does not fit {p.space!r}")
+        keys = [[units[index] for index in indices] for indices in where]
+        # x^e with x = l + r is r^e plus, for j = 1..e, C(e, j) l^j r^(e - j):
+        # the key of r^e, then j steps of l - r.
+        steps = [(k, pair[0] - pair[1]) for k, pair in enumerate(keys) if len(pair) == 2]
+        placed.append((sign, [pair[-1] for pair in keys], steps))
     terms: dict[int, int] = {}
     get = terms.get
-    right = list(yt.items())
-    for k1, a in xt.items():
-        for k2, b in right:
-            k = k1 + k2
-            terms[k] = get(k, 0) + a * b
-    for k in [k for k in terms if k & 2]:
-        terms[k ^ 2] = get(k ^ 2, 0) - terms.pop(k)
-    return {k: v for k, v in terms.items() if v}, x_den * y_den, layout
+    for exps, coeff in p.terms.items():
+        num = coeff.num
+        mult = scale // num.d
+        re = im = 0
+        for x in reversed(num.re):
+            re = (re << digit_bits) + x * mult
+        for y in reversed(num.im):
+            im = (im << digit_bits) + y * mult
+        for sign, weights, steps in placed:
+            images = [(sum(map(int.__mul__, exps, weights)), sign)]
+            for k, step in steps:
+                e = exps[k]
+                if e:
+                    images = [
+                        (key + j * step, factor * math.comb(e, j))
+                        for key, factor in images
+                        for j in range(e + 1)
+                    ]
+            for key, factor in images:
+                if re:
+                    terms[key] = get(key, 0) + factor * re
+                if im:
+                    terms[key | 1] = get(key | 1, 0) + factor * im
+    return Lifted(terms, scale, MU_POLY_ONE, target, bits, digit_bits)
 
 
 def exp_series(start: Poly, step: Callable[[Poly, int], Poly]) -> Poly:

@@ -32,24 +32,19 @@ each memoised piece by the two coefficients.
 Slot layout: a kernel polynomial over pair space (u, v) or triple space
 (u, v, w) stores its exponents as consecutive blocks, one per slot, each of
 width 2n and index-aligned with z.  Its readers here: `lift_slots` is the
-one slot map that sums.  It adds signed images of a polynomial under slot
-maps, lifted straight onto the int keys of the packed form of
-`poly.lifted_mul`, where the blocks are consecutive bit fields of one key
-and moving an exponent adds a multiple of a field's unit.  `slot_sum` (the
-coboundary, the cocycle defect) unlifts that sum, and `on_slots` is its
-one-map case.  `swap_slots`, the swap p(v, u) of the (anti)symmetrisations,
-is a bijection on exponent tuples, so it only relabels the terms.
-`merge_slots` sets the slots equal, `slot_degrees` gives a monomial's degree
-in each slot, and `bilinear_form` reads the (1, 1) part as a matrix.  Its
-readers elsewhere slice the blocks themselves:
-  * `lie._packed_defect` compares the u and v blocks of A to halve it,
-    multiplies two lifted slot maps, and sorts the bit fields to file each
-    product entry under the representative of its orbit of block
-    permutations, or rotates them to add the entry at each of its three
-    rotations;
+one slot map that sums.  It turns each slot map into a substitution of
+target variables and lifts the signed images into one `poly.Lifted` form
+(`poly.lift_substitutions`).  `slot_sum` (the coboundary, the cocycle
+defect) unlifts that sum, and `on_slots` is its one-map case.  `swap_slots`,
+the swap p(v, u) of the (anti)symmetrisations, is a bijection on exponent
+tuples, so it only relabels the terms.  `merge_slots` sets the slots equal,
+`slot_degrees` gives a monomial's degree in each slot, and `bilinear_form`
+reads the (1, 1) part as a matrix.  Its readers elsewhere slice the
+exponent tuples themselves:
+  * `lie._packed_defect` compares the u and v blocks of A to halve it; the
+    fold of its product by block permutation is `poly.Lifted.fold_triple`;
   * `lie._fit_structured` moves the v block of a quotient term into chi;
-  * `cocycle.cocycle_check` reads its defect off the lifted keys and cuts
-    its evaluation point into u, v and w.
+  * `cocycle.cocycle_check` cuts its evaluation point into u, v and w.
 
 The ordering-change map `u_map` applies exp(chi(-i d/dz)) to a symbol.  It
 is an exact isomorphism intertwining the kernel (chi, M) with (0, M), and is
@@ -60,8 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from math import comb
-from operator import mul
 from typing import Sequence
 
 from . import scalars
@@ -73,19 +66,14 @@ from .poly import (
     Pieces,
     Poly,
     Space,
-    add_images,
     bilinear,
     check_degree,
     check_dimension,
-    digit_width,
-    lift_coefficient,
-    lift_scale,
-    lifted_layout,
+    lift_substitutions,
     pair_space,
     phase_space,
     sigma_space,
     triple_space,
-    unlift,
 )
 
 Exponents = tuple[int, ...]
@@ -233,59 +221,28 @@ def slot_sum(p: Poly, target: Space, *maps: tuple) -> Poly:
     by their denominator once, at the end.
     """
     numerators, den = p.split_denominator()
-    return unlift(lift_slots(numerators, target, maps), target).over(den)
+    return lift_slots(numerators, target, maps).over(den).unlift()
 
 
 def lift_slots(p: Poly, target: Space, maps: Sequence[tuple], digit_bits: int | None = None) -> Lifted:
-    """`slot_sum` of a p polynomial in mu, in the packed form of `poly.lifted_mul`.
+    """`slot_sum` of a p polynomial in mu, as a `poly.Lifted` form.
 
     Each slot is a string naming the one or two target blocks whose sum it
-    is.  Each coefficient of p is lifted once, and the images add its
-    values, times their signs and binomial multiples, straight onto the int
-    keys of the target: a single block only moves an exponent to another
-    field, and a power of a sum of two blocks is expanded binomially.  An
-    image of one term under one map has digits summing to at most 2^deg
-    times the term's, deg the degree of p, times the map's |sign|, so by
-    default the digits are wide enough for the sum itself; a caller that
-    multiplies the result passes the width its product needs.  Zero entries
-    are dropped.
+    is; each map becomes the substitution that sends variable i of slot k to
+    variable i of each named block, and `poly.lift_substitutions` sums the
+    images.  `digit_bits` is passed on: a caller that multiplies the result
+    passes the width its product needs.
     """
-    den, norm = lift_scale(p)
-    if digit_bits is None:
-        signs = sum(abs(sign) for sign, *_ in maps)
-        digit_bits = digit_width(signs * norm << max(p.total_degree(), 0))
-    layout, units = lifted_layout(len(target), digit_bits)
-    placed = []
+    substitutions = []
     for sign, *slots in maps:
         n, rem = divmod(len(p.space), 2 * len(slots))
         if rem or not n or target not in (pair_space(n), triple_space(n)):
             raise SpaceMismatchError(f"{len(slots)} slots of {p.space!r} do not map into {target!r}")
         width = 2 * n
         blocks = "uvw"[: len(target) // width]
-        where = [
-            [units[blocks.index(block) * width + i] for block in slot]
-            for slot in slots
-            for i in range(width)
-        ]
-        # x^e with x = l + r is r^e plus, for j = 1..e, C(e, j) l^j r^(e - j):
-        # the key of r^e, then j steps of l - r.
-        steps = [(k, keys[0] - keys[1]) for k, keys in enumerate(where) if len(keys) == 2]
-        placed.append((sign, [keys[-1] for keys in where], steps))
-    terms: dict[int, int] = {}
-    for exps, coeff in p.terms.items():
-        re, im = lift_coefficient(coeff, den, digit_bits)
-        for sign, weights, steps in placed:
-            images = [(sum(map(mul, exps, weights)), sign)]
-            for k, step in steps:
-                e = exps[k]
-                if e:
-                    images = [
-                        (key + j * step, mult * comb(e, j))
-                        for key, mult in images
-                        for j in range(e + 1)
-                    ]
-            add_images(terms, images, re, im)
-    return {k: v for k, v in terms.items() if v}, den, layout
+        where = [[blocks.index(block) * width + i for block in slot] for slot in slots for i in range(width)]
+        substitutions.append((sign, where))
+    return lift_substitutions(p, target, substitutions, digit_bits)
 
 
 # Distinct (f-monomial, g-monomial) pairs one product operator remembers.

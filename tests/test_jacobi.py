@@ -27,7 +27,7 @@ from moyal.lie import (
     theorem2_pipeline,
 )
 from moyal.linalg import Matrix
-from moyal.poly import Poly, lifted_mul, pair_space, sigma_space, triple_space
+from moyal.poly import Lifted, Poly, pair_space, sigma_space, triple_space
 from moyal.star import StarKernel, on_slots
 
 ONE, MU, ZERO = scalars.ONE, scalars.MU, scalars.ZERO
@@ -242,6 +242,29 @@ def test_digit_width_under_large_dense_kernels(antisymmetric, denominator):
         assert summary(raw, report) == reference_axiom_check(raw, truncation_degree)
 
 
+CONSTANT_KERNELS = {
+    # name: (n, c, status).  A = c gives one product entry, c^2 at x = y = z = 0,
+    # whose three rotations coincide: the defect is 3c^2, the whole factor 3 of
+    # the digit bound in `lie._packed_defect`.
+    "1": (1, ONE, "violation"),
+    "5": (1, scalars.Coefficient.from_int(5), "violation"),
+    "mu": (2, MU, "truncation-defect"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_KERNELS))
+def test_constant_kernels_reach_the_digit_bound(name):
+    n, c, status = CONSTANT_KERNELS[name]
+    raw = RawLieKernel(n, Poly.constant(pair_space(n), c))
+    defect = literal_jacobi_defect(raw)
+    assert defect == Poly.constant(triple_space(n), c * c * scalars.Coefficient.from_int(3))
+    assert jacobi_defect(raw) == defect
+    report = lie_axiom_check(raw)
+    assert report.jacobi_witness == defect.leading_term()
+    assert report.jacobi_status == status
+    assert summary(raw, report) == reference_axiom_check(raw)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("first, second", [("u", "vw"), ("v", "wu"), ("w", "uv"), ("uv", "w")])
 def test_on_slots_expands_powers_of_sums(n, first, second):
@@ -383,9 +406,11 @@ def test_one_product_per_defect_and_no_rendering(monkeypatch):
     kernels = criterion_9_kernels()
     calls = []
 
+    product = Lifted.__mul__
+
     def counting(x, y):
         calls.append(1)
-        return lifted_mul(x, y)
+        return product(x, y)
 
     def no_poly_product(self, other):
         raise AssertionError("a Poly product was taken")
@@ -393,7 +418,7 @@ def test_one_product_per_defect_and_no_rendering(monkeypatch):
     def no_coefficient_images(*args):
         raise AssertionError("a slot image was built on Coefficients")
 
-    monkeypatch.setattr(lie, "lifted_mul", counting)
+    monkeypatch.setattr(Lifted, "__mul__", counting)
     monkeypatch.setattr(Poly, "__mul__", no_poly_product)
     # The slot maps add packed ints: no image term is scaled as a Coefficient
     # or summed by Poly.from_terms.

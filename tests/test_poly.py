@@ -13,6 +13,7 @@ from moyal import scalars
 from moyal.errors import (
     DegreeGuardError,
     NonterminatingSeriesError,
+    PoleAtMuZeroError,
     SpaceMismatchError,
 )
 from moyal.expressions import parse_coefficient, parse_poly
@@ -22,17 +23,14 @@ from moyal.poly import (
     degree_guard,
     divide_exact,
     get_degree_guard,
-    add_images,
     digit_width,
-    lift_coefficient,
     lift_scale,
-    lifted_layout,
-    lifted_mul,
+    lift_substitutions,
     pair_space,
     phase_space,
     set_degree_guard,
     sigma_space,
-    unlift,
+    triple_space,
 )
 from moyal.star import on_slots, slot_degrees, u_map
 
@@ -358,21 +356,14 @@ def wide_poly(rng, n, guard):
 
 
 def lift(p, digit_bits=None):
-    """p in packed form on its own space: the identity slot map, each term's
-    key the sum of its exponents times the variables' unit keys."""
-    den, norm = lift_scale(p)
-    layout, units = lifted_layout(len(p.space), digit_bits or digit_width(norm))
-    terms = {}
-    for exps, coeff in p.terms.items():
-        key = sum(e * unit for e, unit in zip(exps, units))
-        add_images(terms, [(key, 1)], *lift_coefficient(coeff, den, layout[2]))
-    return {k: v for k, v in terms.items() if v}, den, layout
+    """p in packed form on its own space: the identity substitution."""
+    return lift_substitutions(p, p.space, [(1, [[k] for k in range(len(p.space))])], digit_bits)
 
 
 def lifted_product(p, q):
-    """p * q in packed form, the digits as wide as `lifted_mul` asks."""
+    """p * q in packed form, the digits as wide as `Lifted.__mul__` asks."""
     digit_bits = digit_width(lift_scale(p)[1] * lift_scale(q)[1])
-    return lifted_mul(lift(p, digit_bits), lift(q, digit_bits))
+    return lift(p, digit_bits) * lift(q, digit_bits)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -382,9 +373,9 @@ def test_unlift_inverts_lift(seed, n, guard):
     with degree_guard(guard):
         p = wide_poly(rng, n, guard)
         one = Poly.one(p.space)
-        assert unlift(lift(p), p.space) == p
-        assert unlift(lifted_product(p, one), p.space) == p
-        assert unlift(lifted_product(Poly.zero(p.space), one), p.space) == Poly.zero(p.space)
+        assert lift(p).unlift() == p
+        assert lifted_product(p, one).unlift() == p
+        assert lifted_product(Poly.zero(p.space), one).unlift() == Poly.zero(p.space)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -395,35 +386,37 @@ def test_lifted_product_is_the_product(seed, n, real):
     p = random_poly(rng, space, 5, terms=5, mu_degree=2, allow_i=not real)
     q = random_poly(rng, space, 5, terms=5, mu_degree=3, allow_i=not real)
     q = q.scale_fraction(Fraction(rng.randint(1, 4), rng.randint(1, 6)))
-    assert unlift(lifted_product(p, q), space) == p * q
+    assert lifted_product(p, q).unlift() == p * q
 
 
 def test_lifted_forms_are_checked():
     p = Poly.constant(SP, MU) + Q * P
     # Each operand holds mu^1; the product's values hold mu^2.
-    assert unlift(lifted_product(p, p), SP) == p * p
+    assert lifted_product(p, p).unlift() == p * p
     with pytest.raises(ValueError):
         lift(Q.scale(MU.inverse()))
     with pytest.raises(ValueError):
         lifted_product(p, Q.scale(MU.inverse()))
     with pytest.raises(SpaceMismatchError):
-        unlift(lifted_product(p, Poly.one(SP)), phase_space(2))
+        lift_substitutions(p, phase_space(2), [(1, [[0], [1], [2]])])
     with pytest.raises(SpaceMismatchError):
-        lifted_mul(lift(p, 8), lift(Poly.one(phase_space(2)), 8))
+        lift(p, 8) * lift(Poly.one(phase_space(2)), 8)
     with pytest.raises(SpaceMismatchError):
-        lifted_mul(lift(p, 8), lift(p, 9))
+        lift(p, 8) * lift(p, 9)
+    with pytest.raises(SpaceMismatchError):
+        lift(p).fold_triple(True)
     q5 = Q**5
     with degree_guard(4):
         with pytest.raises(DegreeGuardError):
             lift(q5)
         with pytest.raises(DegreeGuardError):
             lifted_product(Q**3, P**2)
-        assert unlift(lifted_product(Q**3, P), SP) == Q**3 * P
+        assert lifted_product(Q**3, P).unlift() == Q**3 * P
     # Forms lifted under a small guard have exponent fields too narrow for q1^8.
     with degree_guard(4):
         narrow = lift(Q**4, 4)
     with pytest.raises(DegreeGuardError):
-        lifted_mul(narrow, narrow)
+        narrow * narrow
 
 
 @pytest.mark.parametrize(
@@ -435,10 +428,88 @@ def test_lifted_forms_are_checked():
     ids=["i*i", "(1+i)^2"],
 )
 def test_lifted_product_folds_i_squared(p, q):
-    terms, den, layout = lifted_product(p, q)
-    assert unlift((terms, den, layout), SP) == p * q
+    product = lifted_product(p, q)
+    assert product.unlift() == p * q
     # The fold leaves every i field at 0 or 1 and drops the cancelled entries.
-    assert all(key & 3 in (0, 1) and value for key, value in terms.items())
+    assert all(key & 3 in (0, 1) and value for key, value in product.terms.items())
+
+
+S3 = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1), ((1, 0, 2), -1), ((2, 1, 0), -1), ((0, 2, 1), -1)]
+# Denominators for `Lifted.over`: one unit, one without and two with a zero at mu = 0.
+MU_DENOMINATORS = [
+    scalars.MU_POLY_ONE,
+    (MU + scalars.Coefficient.from_int(2)).num,
+    scalars.MU_POLY_MU,
+    (MU * MU + MU).num,
+]
+
+
+def block_sum(p, perms):
+    """The sum over (perm, sign) of sign times p with its three exponent blocks
+    moved by perm: the block at position j of a term goes to perm[j]."""
+    width = len(p.space) // 3
+    items = []
+    for exps, coeff in p.terms.items():
+        blocks = [exps[k * width : (k + 1) * width] for k in range(3)]
+        for perm, sign in perms:
+            moved = [None] * 3
+            for j, block in zip(perm, blocks):
+                moved[j] = block
+            items.append((sum(moved, ()), coeff if sign > 0 else -coeff))
+    return Poly.from_terms(p.space, items)
+
+
+def descending(exps, width):
+    u, v, w = exps[:width], exps[width : 2 * width], exps[2 * width :]
+    return u > v > w
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2]),
+    st.booleans(),
+    st.sampled_from(range(len(MU_DENOMINATORS))),
+)
+def test_lifted_methods_match_their_poly_definitions(seed, n, gaussian, den_index):
+    rng = random.Random(seed)
+    space = triple_space(n)
+    p = random_poly(rng, space, 3, terms=4, mu_degree=2, allow_i=gaussian)
+    q = random_poly(rng, space, 3, terms=4, mu_degree=1, allow_i=gaussian)
+    q = q.scale_fraction(Fraction(rng.randint(1, 4), rng.randint(1, 6)))
+    if rng.random() < 0.3:
+        # A part that vanishes at mu = 0, alone or under the other terms.
+        p = p.scale(MU) if rng.random() < 0.5 else p
+        q = q.scale(MU) if rng.random() < 0.5 else q
+    den = MU_DENOMINATORS[den_index]
+    # Three times the product's digit bound: the rotations add an entry at most three times.
+    digit_bits = digit_width(3 * lift_scale(p)[1] * lift_scale(q)[1])
+    x, y = lift(p, digit_bits), lift(q, digit_bits)
+    product = (p * q).over(den)
+    lifted = (x * y).over(den)
+    assert lifted.unlift() == product
+    assert lift(p).over(den).unlift() == p.over(den)
+    rotations = block_sum(product, S3[:3])
+    alternating = block_sum(product, S3)
+    # One key per orbit: the S3 sum at the tuples with their blocks in descending order.
+    representatives = Poly(space, {e: c for e, c in alternating.terms.items() if descending(e, 2 * n)})
+    pairs = [
+        (lifted, product),
+        (lifted.fold_triple(False), rotations),
+        (lifted.fold_triple(True), representatives),
+    ]
+    for form, poly in pairs:
+        assert form.unlift() == poly
+        assert bool(form.terms) == bool(poly)
+        if poly:
+            degrees = [sum(e) for e in poly.terms]
+            assert form.degrees() == (min(degrees), max(degrees))
+            assert form.lead() == poly.leading_term()
+        try:
+            zero_at_zero = not poly.mu_zero()
+        except PoleAtMuZeroError:
+            zero_at_zero = False
+        assert form.vanishes_at_mu_zero() == zero_at_zero
 
 
 def test_differential_operators_respect_the_degree_guard():

@@ -209,6 +209,7 @@ def test_on_slots_rejects_mismatched_spaces():
         (p, Space(f"x{i}" for i in range(5)), ("u", "v")),  # not whole slots
         (p, triple_space(1), ("u", "v", "w")),  # p holds two slots, not three
         (chi, pair_space(1), ("u", "v")),
+        (chi, sigma_space(1), ("u",)),  # the identity lift stays out of src
         (Poly.zero(Space(["a", "b", "c"])), pair_space(1), ("u",)),
     ]
     for poly, target, slots in mismatched:

@@ -7,10 +7,12 @@ fields of a deferred polynomial or asks whether a value is deferred (so
 the trusted scalar constructors, in cli.py only the expression table and its
 pass read and parse expression arguments, `perm` is called only in
 `poly._derivative_piece` (differentiation has one owner, the shared
-derivative table), `comb` only in `star.lift_slots` (the one binomial slot
-expansion) and two places that are not slot maps, no module outside `__init__.py`
-imports a name it never uses (a name used only in an annotation counts),
-and the package declares no runtime dependency."""
+derivative table), `comb` only in `poly.lift_substitutions` (the one binomial
+slot expansion) and two places that are not slot maps, star.py, lie.py and
+cocycle.py apply no `>>` or `&` (a packed key's bit fields are read in poly.py
+alone), no module outside `__init__.py` imports a name it never uses (a name
+used only in an annotation counts), and the package declares no runtime
+dependency."""
 
 import ast
 from pathlib import Path
@@ -36,6 +38,9 @@ EXPRESSION_SCOPES = {"_EXPRESSIONS", "_parse_expressions"}
 
 # The one derivative table: every other derivative goes through it.
 DERIVATIVE_OWNER = ("poly.py", "_derivative_piece")
+# They read packed forms through the methods of poly.Lifted, which owns the key layout.
+KEY_LAYOUT_USERS = {"star.py", "lie.py", "cocycle.py"}
+KEY_BIT_OPS = (ast.RShift, ast.BitAnd)
 
 
 def _called_name(call):
@@ -102,6 +107,12 @@ def _violations(tree, module=""):
             yield node.lineno, "unbounded functools.cache"
         if isinstance(node, ast.Attribute) and node.attr in DEFERRED_FIELDS and module != "poly.py":
             yield node.lineno, f"{node.attr} of a deferred polynomial read outside poly.py"
+        if (
+            module in KEY_LAYOUT_USERS
+            and isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, KEY_BIT_OPS)
+        ):
+            yield node.lineno, f"{type(node.op).__name__} outside poly.py, which owns the key layout"
         if not isinstance(node, ast.Call):
             continue
         name = _called_name(node)
@@ -256,14 +267,14 @@ def test_comb_has_one_slot_map_caller_in_src():
     calls = sorted(
         call for path in SOURCES for call in _comb_callers(ast.parse(path.read_text()), path.name)
     )
-    # One binomial slot expansion, `star.lift_slots`; next to it, the Weyl
-    # reordering coefficients (two binomials per step) and the centre's
+    # One binomial slot expansion, `poly.lift_substitutions`; next to it, the
+    # Weyl reordering coefficients (two binomials per step) and the centre's
     # monomial count.
     assert calls == [
         ("cocycle.py", "dual_monomials"),
         ("operators.py", "_reorder_steps"),
         ("operators.py", "_reorder_steps"),
-        ("star.py", "lift_slots"),
+        ("poly.py", "lift_substitutions"),
     ]
 
 
@@ -288,6 +299,18 @@ def test_checker_keeps_expression_parsing_in_the_cli_table():
         "    args.f = _EXPRESSIONS['f'][0](fetch(args.f), args.n)\n"
     )
     assert list(_violations(ast.parse(table), "cli.py")) == []
+
+
+def test_checker_keeps_key_bits_in_poly():
+    fold = "x = key >> shift & mask\nkey &= keep\nkey >>= 2\n"
+    for module in sorted(KEY_LAYOUT_USERS):
+        assert [what.split()[0] for _, what in _violations(ast.parse(fold), module)] == [
+            "BitAnd", "RShift", "BitAnd", "RShift",
+        ]
+    assert list(_violations(ast.parse(fold), "poly.py")) == []
+    # A left shift scales a digit bound; it reads no field.
+    bound = "digit_bits = digit_width(3 * norm * norm << degree)\n"
+    assert list(_violations(ast.parse(bound), "lie.py")) == []
 
 
 def test_no_runtime_dependencies():
