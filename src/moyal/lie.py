@@ -18,13 +18,20 @@ truncation defects rather than violations.
 
 Packed form.  The Jacobi check runs on exact integers: A(u, v+w) and
 A(v, w), or half of it when A is antisymmetric, are lifted straight from the
-terms of A (`star.lift_slots`) into `poly.Lifted` forms, multiplied once and
-folded by block permutation (`Lifted.fold_triple`), which visits each
-product monomial once.  The report is a verdict, its witnesses and the
-defect's degree range, all read through the form's methods; only the entries
-of the leading monomial, the witness, are turned back into a coefficient.
-`jacobi_defect` alone unlifts every entry: it is the rotated sum of the full
-product (the CLI renders the defect's mu-order parts from it).
+terms of A (`star.lift_slots`) into `poly.Lifted` forms, split by total
+degree, and multiplied and folded by block permutation (`Lifted.fold_triple`)
+one output degree at a time (`poly.block_product`); the fold keeps degrees,
+so each block is the whole defect's part of that degree.  The report reads
+three things, and stops as soon as it has them: the lowest nonzero block,
+found upwards, gives the low end of the degree range and, against the
+truncation degree, the verdict; the highest, found downwards, gives the high
+end and the witness, its lead, which is the whole defect's lead because keys
+order by degree first.  Only a verdict that rests on mu = 0 reads the blocks
+in between, upwards, up to the first that does not vanish there.  The blocks
+are read through the form's methods; only the entries of the leading
+monomial, the witness, are turned back into a coefficient.  `jacobi_defect`
+alone unlifts every entry: it is the rotated sum, every block merged (the
+CLI renders the defect's mu-order parts from it).
 
 Convention sheet (pinned by the Moyal fixture, see tests): with the bracket
 kernel of the symmetric-ordering product, the first-slot derivative matrix is
@@ -58,7 +65,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import count
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import scalars
 from .cocycle import dual_monomials
@@ -69,6 +76,7 @@ from .poly import (
     Exponents,
     Lifted,
     Poly,
+    block_product,
     check_degree,
     check_dimension,
     digit_width,
@@ -171,9 +179,14 @@ class LieAxiomReport:
         )
 
 
-def _packed_defect(raw: RawLieKernel, antisymmetric: bool) -> Lifted:
-    """The Jacobi defect in packed form: at one exponent tuple per orbit of its
-    blocks when `antisymmetric`, and at every exponent tuple otherwise.
+def _defect_blocks(raw: RawLieKernel, antisymmetric: bool) -> tuple[range, Callable[[int], Lifted] | None]:
+    """The Jacobi defect in packed form, one total degree at a time: (degrees,
+    block), block(d) being the entries of degree d, at one exponent tuple per
+    orbit of their blocks when `antisymmetric` and at every exponent tuple
+    otherwise.  Every nonzero degree lies in `degrees`, and no block is built
+    until it is asked for, so a reader that needs only the ends of the
+    defect, as `lie_axiom_check` does, builds only the blocks it reads.  A
+    zero slot map gives no degrees and no block.
 
     For an antisymmetric A the defect is the sum over S3 of sgn(pi) Q o pi,
     Q = A(u,v+w) H(v,w), where H holds the terms of A(v,w) whose v-block is
@@ -182,14 +195,18 @@ def _packed_defect(raw: RawLieKernel, antisymmetric: bool) -> Lifted:
     tuple of each orbit.  Otherwise the defect is the cyclic sum of
     P = A(u,v+w) A(v,w), the rotation fold of P.
 
-    Both slot maps are lifted (`star.lift_slots`) from D * A, D the lcm of
-    the denominators of A (`Poly.split_denominator`), and multiplied once.
-    The digits are wide enough for the fold: with |.|_1 the sum of the
-    absolute digit values of a lifted form and deg the degree of A,
-    |A(u,v+w)|_1 <= 2^deg |D*A|_1 (each term's images sum binomial multiples
-    of it, 2^deg at most) and |A(v,w)|_1 <= |D*A|_1, so every digit of the
-    product is at most 2^deg |D*A|_1^2 in absolute value, and every digit of
-    the fold, which adds each product entry at most three times, at most
+    Both slot maps are lifted once (`star.lift_slots`) from D * A, D the
+    lcm of the denominators of A (`Poly.split_denominator`), with one digit
+    width, and split by degree; block(d) is the fold of the degree-d block
+    of their product (`poly.block_product`), divided by D^2.  The fold
+    keeps each key's degree, so it is the degree-d part of the whole fold,
+    entry for entry.  The digits are wide enough for the whole fold, and so
+    for every block: with |.|_1 the sum of the absolute digit values of a
+    lifted form and deg the degree of A, |A(u,v+w)|_1 <= 2^deg |D*A|_1 (each
+    term's images sum binomial multiples of it, 2^deg at most) and
+    |A(v,w)|_1 <= |D*A|_1, so every digit of the product is at most
+    2^deg |D*A|_1^2 in absolute value, and every digit of the fold, which
+    adds each product entry at most three times, at most
     3 * 2^deg |D*A|_1^2 < 2^(B-1).  The factor 3 is reached: for a constant
     A the rotations of the one product key, x = y = z = 0, coincide.
     """
@@ -198,17 +215,28 @@ def _packed_defect(raw: RawLieKernel, antisymmetric: bool) -> Lifted:
     _, norm = lift_scale(a)
     digit_bits = digit_width(3 * norm * norm << max(a.total_degree(), 0))
     half = Poly(a.space, {e: c for e, c in a.terms.items() if e[:width] > e[width:]})
-    left = lift_slots(a, tri, [(1, "u", "vw")], digit_bits)
-    right = lift_slots(half if antisymmetric else a, tri, [(1, "v", "w")], digit_bits)
-    return (left * right).fold_triple(antisymmetric).over(den * den)
+    left = lift_slots(a, tri, [(1, "u", "vw")], digit_bits).by_degree()
+    right = lift_slots(half if antisymmetric else a, tri, [(1, "v", "w")], digit_bits).by_degree()
+    if not left or not right:
+        return range(0), None
+    product, den2 = block_product(left, right), den * den
+    degrees = range(min(left) + min(right), max(left) + max(right) + 1)
+    return degrees, lambda degree: product(degree).fold_triple(antisymmetric).over(den2)
 
 
 def jacobi_defect(raw: RawLieKernel) -> Poly:
     """A(u,v+w)A(v,w) + A(v,w+u)A(w,u) + A(w,u+v)A(u,v) over triple space.
 
-    The packed cyclic sum of `_packed_defect`, unlifted.
+    The packed cyclic sum of `_defect_blocks`, every block merged, unlifted.
     """
-    return _packed_defect(raw, False).unlift()
+    degrees, block = _defect_blocks(raw, False)
+    if not degrees:
+        return Poly.zero(triple_space(raw.n))
+    defect = block(degrees[0])
+    for degree in degrees[1:]:
+        # Blocks of distinct degrees share no key.
+        defect.terms.update(block(degree).terms)
+    return defect.unlift()
 
 
 def _first_term(p: Poly) -> tuple[Exponents, scalars.Coefficient] | None:
@@ -235,22 +263,32 @@ def lie_axiom_check(
     const_witness = _first_term(
         Poly(a.space, {e: c for e, c in a.terms.items() if slot_degrees(e, 2 * n)[0] == 0})
     )
-    defect = _packed_defect(raw, anti_witness is None)
-    if not defect.terms:
+    degrees, fold = _defect_blocks(raw, anti_witness is None)
+    blocks: dict[int, Lifted] = {}
+
+    def block(degree: int) -> Lifted:
+        if degree not in blocks:
+            blocks[degree] = fold(degree)
+        return blocks[degree]
+
+    low = next((d for d in degrees if block(d).terms), None)
+    if low is None:
         status, jac_witness, degree_range = "exact", None, None
     else:
         # The entries are either every monomial of the defect or, for an
         # antisymmetric A, the largest tuple of each orbit, whose members
-        # share its degree and its value up to sign.  Either way the form's
-        # lead is the defect's and its degrees bound the defect's.
-        degree_range = defect.degrees()
-        jac_witness = defect.lead()
-        above_truncation = (
-            truncation_degree is not None and degree_range[0] > truncation_degree + 2
-        )
+        # share its degree and its value up to sign.  Either way the lowest
+        # and highest nonzero blocks bound the defect's degrees, and the
+        # lead of the highest, whose keys are the largest, is the defect's.
+        high = next(d for d in reversed(degrees) if block(d).terms)
+        degree_range = (low, high)
+        jac_witness = blocks[high].lead()
+        above_truncation = truncation_degree is not None and low > truncation_degree + 2
+        # The defect vanishes at mu = 0 when every block does; the blocks
+        # are read upwards and the first that does not ends the test.
         status = (
             "truncation-defect"
-            if (defect.vanishes_at_mu_zero() or above_truncation)
+            if above_truncation or all(block(d).vanishes_at_mu_zero() for d in range(low, high + 1))
             else "violation"
         )
     return LieAxiomReport(

@@ -61,9 +61,10 @@ do.  The mu-powers live in the value (Kronecker substitution): sum_k d_k
 every |d_k| is below 2^(B-1).  `lift_substitutions` builds a form from the
 images of a polynomial under linear substitutions; a caller that multiplies
 or folds forms chooses B from a bound on the digits of its result.  Other
-modules use a form only through its methods (the product, the fold over a
-triple space, the lead, the degrees, the mu = 0 test and `unlift`), so the
-bit layout is known to this module alone.
+modules use a form only through its methods (the product, the split by
+degree and `block_product`, which multiplies split forms one output degree
+at a time, the fold over a triple space, the lead, the degrees, the mu = 0
+test and `unlift`), so the bit layout is known to this module alone.
 """
 
 from __future__ import annotations
@@ -722,37 +723,33 @@ class Lifted:
     def __mul__(self, other: "Lifted") -> "Lifted":
         """The product of two forms of one space, exponent fields and digit bits.
 
-        Monomials multiply by adding keys: the exponent fields are as wide
-        as the degree guard, so no field carries while the product's degree
-        fits the guard.  The mu-powers multiply inside the values (Kronecker
-        substitution), and no digit carries when the digit bits B satisfy
-        2^(B-1) > |x|_1 * |y|_1, the product of the sums of the absolute
-        digit values: each product digit is a signed sum of digit products,
-        and each pair of entries and pair of digits adds to exactly one of
-        them.  Choosing B is the caller's part.  Each pair of entries costs
-        one int multiply; the entries that reach i-power 2 are folded into
-        i-power 0 with a minus sign once, after the loop.  Raises
-        SpaceMismatchError when the layouts differ and DegreeGuardError when
-        the product's degree exceeds the guard.
+        The one-pair case of `block_product`: each form is one block, filed
+        at its top degree.  Monomials multiply by adding keys: the exponent
+        fields are as wide as the degree guard, so no field carries while
+        the product's degree fits the guard.  The mu-powers multiply inside
+        the values (Kronecker substitution), and no digit carries when the
+        digit bits B satisfy 2^(B-1) > |x|_1 * |y|_1, the product of the
+        sums of the absolute digit values: each product digit is a signed
+        sum of digit products, and each pair of entries and pair of digits
+        adds to exactly one of them.  Choosing B is the caller's part.
         """
-        layout = (self.space, self.bits, self.digit_bits)
-        if layout != (other.space, other.bits, other.digit_bits):
-            raise SpaceMismatchError("lifted forms differ in space, exponent fields or digit bits")
+        top, other_top = self._top_degree(), other._top_degree()
+        return block_product({top: self}, {other_top: other})(top + other_top)
+
+    def _top_degree(self) -> int:
+        """The highest total degree of the form's monomials; 0 for the zero form."""
+        return max(self.terms, default=0) >> 2 + len(self.space) * self.bits
+
+    def by_degree(self) -> dict[int, "Lifted"]:
+        """The form split by its degree field: {total degree: the entries of
+        that degree, as a form of the same layout, scale and denominator}.
+        The zero form has no blocks."""
         shift = 2 + len(self.space) * self.bits
-        degree = (max(self.terms, default=0) >> shift) + (max(other.terms, default=0) >> shift)
-        check_degree(degree, "product")
-        if degree >> self.bits:
-            raise DegreeGuardError(f"product degree {degree} overflows exponent fields of {self.bits} bits")
-        terms: dict[int, int] = {}
-        get = terms.get
-        right = list(other.terms.items())
-        for k1, a in self.terms.items():
-            for k2, b in right:
-                k = k1 + k2
-                terms[k] = get(k, 0) + a * b
-        for k in [k for k in terms if k & 2]:
-            terms[k ^ 2] = get(k ^ 2, 0) - terms.pop(k)
-        return Lifted(terms, self.scale * other.scale, self.den * other.den, *layout)
+        blocks: dict[int, dict[int, int]] = {}
+        for key, value in self.terms.items():
+            blocks.setdefault(key >> shift, {})[key] = value
+        shared = (self.scale, self.den, self.space, self.bits, self.digit_bits)
+        return {degree: Lifted(terms, *shared) for degree, terms in blocks.items()}
 
     def over(self, den: MuPoly) -> "Lifted":
         """self / den, sharing the entries."""
@@ -842,6 +839,51 @@ class Lifted:
             rep = key & keep | x << u_shift | y << v_shift | z << w_shift
             folded[rep] = get(rep, 0) + value
         return Lifted(folded, self.scale, self.den, self.space, self.bits, self.digit_bits)
+
+
+def block_product(left: dict[int, Lifted], right: dict[int, Lifted]) -> Callable[[int], Lifted]:
+    """The product of two forms split by degree (`Lifted.by_degree`), one
+    output degree at a time: the function returned gives, for a degree d,
+    the sum over d1 + d2 = d of left[d1] * right[d2], accumulated into one
+    dict.  Keys of degree d1 and d2 add to a key of degree d1 + d2, so that
+    block holds exactly the entries of degree d of the whole product.
+
+    Every block of one side must share its layout, scale and denominator,
+    as the blocks of one form do.  The layout and the degree guard are
+    checked once, here, on the top degree max(left) + max(right), before
+    any product: SpaceMismatchError when the layouts differ and
+    DegreeGuardError when the top degree exceeds the guard or the exponent
+    fields.  Each pair of entries costs one int multiply; the entries of a
+    block that reach i-power 2 are folded into i-power 0 with a minus sign
+    once, after its pairs.
+    """
+    x, y = next(iter(left.values())), next(iter(right.values()))
+    layout = (x.space, x.bits, x.digit_bits)
+    if layout != (y.space, y.bits, y.digit_bits):
+        raise SpaceMismatchError("lifted forms differ in space, exponent fields or digit bits")
+    top = max(left) + max(right)
+    check_degree(top, "product")
+    if top >> x.bits:
+        raise DegreeGuardError(f"product degree {top} overflows exponent fields of {x.bits} bits")
+    scale, den = x.scale * y.scale, x.den * y.den
+
+    def block(degree: int) -> Lifted:
+        terms: dict[int, int] = {}
+        get = terms.get
+        for left_degree, factor in left.items():
+            other = right.get(degree - left_degree)
+            if other is None:
+                continue
+            entries = list(other.terms.items())
+            for k1, a in factor.terms.items():
+                for k2, b in entries:
+                    k = k1 + k2
+                    terms[k] = get(k, 0) + a * b
+        for k in [k for k in terms if k & 2]:
+            terms[k ^ 2] = get(k ^ 2, 0) - terms.pop(k)
+        return Lifted(terms, scale, den, *layout)
+
+    return block
 
 
 def lift_substitutions(

@@ -1,7 +1,8 @@
-"""Shared helpers: monomial enumeration, seeded random algebra objects,
-`substitute`, the slot-map oracles, the per-term accumulation oracles, the
-centre check as a loop over test monomials and the degreewise Theorem 2
-fit."""
+"""Shared helpers: monomial enumeration, seeded random algebra objects, the
+full sinh series of a planted kernel, `substitute`, the slot-map oracles,
+the per-term accumulation oracles, the Jacobi verdict read off the whole
+packed product, the centre check as a loop over test monomials and the
+degreewise Theorem 2 fit."""
 
 from __future__ import annotations
 
@@ -16,8 +17,18 @@ from moyal.cocycle import dual_monomials
 from moyal.lie import exp_truncated
 from moyal.linalg import Matrix
 from moyal.operators import NCPoly
-from moyal.poly import DiffOp, Poly, divide_exact, pair_space, phase_space, sigma_space
-from moyal.star import StarKernel, coboundary, merge_slots, slot_degrees
+from moyal.poly import (
+    DiffOp,
+    Poly,
+    digit_width,
+    divide_exact,
+    lift_scale,
+    pair_space,
+    phase_space,
+    sigma_space,
+    triple_space,
+)
+from moyal.star import StarKernel, coboundary, lift_slots, merge_slots, slot_degrees
 
 
 def monomials(space, max_total_degree):
@@ -96,6 +107,16 @@ def random_gauge_chi(rng: random.Random, n, max_degree, terms=3, **kw):
             exps[rng.randrange(width)] += 1
         out = out + Poly.monomial(sp, tuple(exps), random_coefficient(rng, **kw))
     return out
+
+
+def sinh_series(mu_squared, count):
+    """a1, a3, ... (count entries) of the h with h'(0) = 1 in the sinh class of
+    `mu_squared`: a_{k+2} (k+1)(k+2) = mu_squared * a_k, the recurrence that
+    `lie.classify_h` checks, run forwards."""
+    series = [scalars.ONE]
+    for k in range(1, 2 * count - 2, 2):
+        series.append((mu_squared * series[-1]).scale_fraction(Fraction(1, (k + 1) * (k + 2))))
+    return tuple(series)
 
 
 def random_antisymmetric(rng: random.Random, size, **kw):
@@ -281,6 +302,28 @@ def oracle_apply(a, f, g):
         {ef + eg: cf * cg for ef, cf in f.terms.items() for eg, cg in g.terms.items()},
     )
     return merge_slots(oracle_apply_once(DiffOp.from_sigma_poly(a), tensor), f.space)
+
+
+def whole_product_jacobi(raw, truncation_degree=None):
+    """(status, witness, degree range) of the Jacobi defect, read off the
+    whole packed product: both slot maps multiplied at once, folded, and read
+    with `Lifted.degrees`, `lead` and `vanishes_at_mu_zero`.  The slot maps
+    and the digit width are those of `lie._defect_blocks`; `lie_axiom_check`
+    reads the same defect one degree block at a time."""
+    (a, den), tri = raw.a.split_denominator(), triple_space(raw.n)
+    antisymmetric, width = raw.antisymmetry_witness is None, 2 * raw.n
+    _, norm = lift_scale(a)
+    digit_bits = digit_width(3 * norm * norm << max(a.total_degree(), 0))
+    half = Poly(a.space, {e: c for e, c in a.terms.items() if e[:width] > e[width:]})
+    left = lift_slots(a, tri, [(1, "u", "vw")], digit_bits)
+    right = lift_slots(half if antisymmetric else a, tri, [(1, "v", "w")], digit_bits)
+    defect = (left * right).fold_triple(antisymmetric).over(den * den)
+    if not defect.terms:
+        return "exact", None, None
+    degrees = defect.degrees()
+    above = truncation_degree is not None and degrees[0] > truncation_degree + 2
+    status = "truncation-defect" if defect.vanishes_at_mu_zero() or above else "violation"
+    return status, defect.lead(), degrees
 
 
 def oracle_center_generators(raw, kernel_basis, max_degree, verify_degree):

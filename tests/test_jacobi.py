@@ -14,7 +14,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_slot_sum, random_gauge_chi, random_poly, slot_images, substitute
+from conftest import (
+    oracle_slot_sum,
+    random_gauge_chi,
+    random_poly,
+    slot_images,
+    substitute,
+    whole_product_jacobi,
+)
 from moyal import lie, scalars
 from moyal.errors import MoyalError
 from moyal.expressions import parse_poly
@@ -245,7 +252,7 @@ def test_digit_width_under_large_dense_kernels(antisymmetric, denominator):
 CONSTANT_KERNELS = {
     # name: (n, c, status).  A = c gives one product entry, c^2 at x = y = z = 0,
     # whose three rotations coincide: the defect is 3c^2, the whole factor 3 of
-    # the digit bound in `lie._packed_defect`.
+    # the digit bound in `lie._defect_blocks`.
     "1": (1, ONE, "violation"),
     "5": (1, scalars.Coefficient.from_int(5), "violation"),
     "mu": (2, MU, "truncation-defect"),
@@ -403,35 +410,57 @@ def criterion_9_kernels():
 
 
 def test_one_product_per_defect_and_no_rendering(monkeypatch):
+    """The defect is built one degree block at a time, through
+    `poly.block_product` alone: each (left degree, right degree) pair of
+    the split slot maps is multiplied at most once, and a verdict fixed by
+    the truncation degree multiplies no block strictly between the lowest
+    and the highest nonzero one."""
     kernels = criterion_9_kernels()
-    calls = []
+    pairs, calls = [], []
+    graded = lie.block_product
 
-    product = Lifted.__mul__
+    def counting(left, right):
+        product = graded(left, right)
 
-    def counting(x, y):
-        calls.append(1)
-        return product(x, y)
+        def block(degree):
+            pairs.extend((d, degree - d) for d in left if degree - d in right)
+            return product(degree)
 
-    def no_poly_product(self, other):
-        raise AssertionError("a Poly product was taken")
+        block.all_pairs = set(itertools.product(left, right))
+        calls.append(block)
+        return block
+
+    def no_product(*args):
+        raise AssertionError("a whole product was taken")
 
     def no_coefficient_images(*args):
         raise AssertionError("a slot image was built on Coefficients")
 
-    monkeypatch.setattr(Lifted, "__mul__", counting)
-    monkeypatch.setattr(Poly, "__mul__", no_poly_product)
+    monkeypatch.setattr(lie, "block_product", counting)
+    monkeypatch.setattr(Lifted, "__mul__", no_product)
+    monkeypatch.setattr(Poly, "__mul__", no_product)
     # The slot maps add packed ints: no image term is scaled as a Coefficient
     # or summed by Poly.from_terms.
     monkeypatch.setattr(scalars.Coefficient, "scale_int", no_coefficient_images)
     monkeypatch.setattr(Poly, "from_terms", classmethod(no_coefficient_images))
     for raw in kernels:
-        for antisymmetric in (True, False):
-            del calls[:]
-            lie._packed_defect(raw, antisymmetric)
-            assert len(calls) == 1
-        del calls[:]
+        for truncation_degree in (6, None):
+            del pairs[:], calls[:]
+            report = lie_axiom_check(raw, truncation_degree)
+            assert len(calls) == 1 and pairs
+            assert len(pairs) == len(set(pairs))
+            low, high = report.defect_degree_range
+            built = {d1 + d2 for d1, d2 in pairs}
+            assert {low, high} <= built
+            if truncation_degree is not None:
+                assert report.jacobi_status == "truncation-defect"
+                assert high - low >= 2
+                assert not any(low < d < high for d in built)
+                assert set(pairs) < calls[0].all_pairs
+        del pairs[:], calls[:]
         jacobi_defect(raw)
         assert len(calls) == 1
+        assert sorted(pairs) == sorted(calls[0].all_pairs)
     monkeypatch.undo()
 
     def no_rendering(self):
@@ -454,6 +483,76 @@ def test_one_product_per_defect_and_no_rendering(monkeypatch):
     # The counter does see a split.
     jacobi_defect(kernels[0]).mu_components()
     assert split_calls
+
+
+GRADED_SEEDED = [
+    (n, antisymmetric, denominator, seed)
+    for n in (1, 2, 3)
+    for antisymmetric in (True, False)
+    for denominator in (None, "mu+c", "mu")
+    for seed in range(2)
+]
+
+
+def jacobi_report(report):
+    return report.jacobi_status, report.jacobi_witness, report.defect_degree_range
+
+
+@pytest.mark.parametrize("n, antisymmetric, denominator, seed", GRADED_SEEDED)
+def test_graded_report_matches_the_whole_product(n, antisymmetric, denominator, seed):
+    rng = random.Random(f"graded-{n}-{antisymmetric}-{denominator}-{seed}")
+    raw = seeded_kernel(rng, n, antisymmetric, denominator)
+    assert (raw.antisymmetry_witness is None) == antisymmetric
+    for truncation_degree in (None, 0, 2, 4):
+        report = lie_axiom_check(raw, truncation_degree=truncation_degree)
+        assert jacobi_report(report) == whole_product_jacobi(raw, truncation_degree)
+
+
+# A kernel whose lowest defect blocks vanish at mu = 0 and a later one does
+# not: at degrees 5 and 6 they carry mu and mu^2, at degree 7 WEDGE times
+# the quartic term carries no mu.
+LAZY_MU = RawLieKernel(1, WEDGE + CUBIC.scale(MU) + parse_poly("u1^4*v2 - v1^4*u2", PAIR))
+GRADED_BRANCHES = {
+    # name: (kernel, truncation degree, expected status, one nonzero degree)
+    "exact": (RawLieKernel(1, WEDGE), None, "exact", False),
+    "truncation-above-degree": (
+        dressed_linear(random.Random(4), 1, 4), 4, "truncation-defect", True,
+    ),
+    "truncation-by-mu": (RawLieKernel(1, SINH_TRUNC), None, "truncation-defect", True),
+    "violation": (RawLieKernel(1, BAD), None, "violation", True),
+    "lazy-mu-zero": (LAZY_MU, None, "violation", False),
+    # The lowest degree, 5, is truncation + 2: not above it, so mu = 0 decides.
+    "lazy-mu-zero-at-3": (LAZY_MU, 3, "violation", False),
+    "lazy-mu-zero-at-6": (LAZY_MU, 6, "violation", False),
+    "lazy-above-truncation": (LAZY_MU, 2, "truncation-defect", False),
+    "constant-over-mu": (
+        RawLieKernel(2, Poly.constant(pair_space(2), MU.inverse())), None, "violation", True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_BRANCHES))
+def test_every_branch_of_the_graded_report(name):
+    raw, truncation_degree, status, one_degree = GRADED_BRANCHES[name]
+    report = lie_axiom_check(raw, truncation_degree=truncation_degree)
+    assert report.jacobi_status == status
+    assert jacobi_report(report) == whole_product_jacobi(raw, truncation_degree)
+    assert summary(raw, report) == reference_axiom_check(raw, truncation_degree)
+    if status != "exact":
+        low, high = report.defect_degree_range
+        assert (low == high) == one_degree
+
+
+def test_the_mu_zero_test_reads_past_the_lowest_block():
+    defect = jacobi_defect(LAZY_MU)
+    parts = {d: defect.homogeneous_component(d) for d in range(11)}
+    assert [d for d, part in parts.items() if part] == [5, 6, 7, 8, 10]
+    assert parts[5].mu_zero().is_zero and parts[6].mu_zero().is_zero
+    assert not parts[7].mu_zero().is_zero
+    for truncation_degree in (None, 6):
+        report = lie_axiom_check(LAZY_MU, truncation_degree)
+        assert report.defect_degree_range == (5, 10)
+        assert report.jacobi_status == "violation"
 
 
 def test_seeded_kernels_carry_i_mu_and_denominators():

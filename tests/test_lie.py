@@ -12,6 +12,7 @@ from conftest import (
     oracle_fit_structured,
     random_coefficient,
     random_gauge_chi,
+    sinh_series,
 )
 from moyal import scalars
 from moyal.errors import DimensionMismatchError, MoyalError
@@ -212,6 +213,28 @@ class TestTheorem2:
             assert report.h_series[0] == ONE
             if len(report.h_series) > 1:
                 assert report.h_series[1] == expected_a3
+
+    @pytest.mark.parametrize(
+        "n, fit_degree",
+        [(1, fit) for fit in range(6, 15)] + [(2, fit) for fit in range(6, 11)] + [(3, 6), (3, 7), (3, 8)],
+    )
+    def test_full_sinh_series_round_trips(self, n, fit_degree):
+        """A planted kernel whose h is the whole sinh series through the fit
+        degree, not only (a1, a3), comes back with its chi, omega and series."""
+        rng = random.Random(f"full-sinh-{n}-{fit_degree}")
+        chi = random_gauge_chi(rng, n, 3, terms=2, mu_degree=1, allow_i=False)
+        omega = _random_nondegenerate_omega(rng, n)
+        mu_squared = rng.choice([MU * MU, scalars.Coefficient.from_int(rng.choice([12, -3]))])
+        count = len(range(1, fit_degree // 2 + 1, 2))
+        series = sinh_series(mu_squared, count)
+        raw_kernel = StructuredLieKernel(n, chi, omega, series).expand(fit_degree)
+        report = theorem2_pipeline(raw_kernel, fit_degree=fit_degree)
+        assert report.status == "moyal-class", report.failure
+        assert report.axioms.jacobi_status == "truncation-defect"
+        assert report.chi == chi
+        assert report.omega == omega
+        assert report.h_series == series
+        assert report.h_class.mu_squared == mu_squared
 
     def test_degenerate_center_generators(self):
         a = parse_poly("v1*u3 - v3*u1", pair_space(2))
