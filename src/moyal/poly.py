@@ -18,7 +18,11 @@ substitution sigma -> -i d/dz turns a sigma-space polynomial into such an
 operator (each plane wave e^{i sigma.z} is an eigenvector of -i d/dz with
 eigenvalue sigma).  Exponentials of such operators terminate exactly on
 polynomials because every generator term of positive degree strictly lowers
-the target's total degree.
+the target's total degree.  A polynomial target, which meets its operator
+once (`u_map`, the Weyl transitions), runs the series sum_k D^k / k!.  A
+product operator meets many coefficient-1 monomials that share prefixes, so
+it builds exp(D) of each from its prefix's image and keeps the images
+(`DiffOp.monomial_exp`).
 
 Denominators.  Adding two coefficients over different denominators runs
 Euclid over Q(i)[mu], so the accumulation loops do not add rational
@@ -61,10 +65,10 @@ do.  The mu-powers live in the value (Kronecker substitution): sum_k d_k
 every |d_k| is below 2^(B-1).  `lift_substitutions` builds a form from the
 images of a polynomial under linear substitutions; a caller that multiplies
 or folds forms chooses B from a bound on the digits of its result.  Other
-modules use a form only through its methods (the product, the split by
-degree and `block_product`, which multiplies split forms one output degree
-at a time, the fold over a triple space, the lead, the degrees, the mu = 0
-test and `unlift`), so the bit layout is known to this module alone.
+modules use a form only through its methods and `block_product` (the split
+by degree, the product of split forms one output degree at a time, the fold
+over a triple space, the lead, the degrees, the mu = 0 test and `unlift`),
+so the bit layout is known to this module alone.
 """
 
 from __future__ import annotations
@@ -198,13 +202,16 @@ def _graded_key(exps: Exponents):
 class Poly:
     """A sparse polynomial: {exponent tuple: nonzero Coefficient} over a Space.
 
-    A value returned by `over` may be deferred (`is_deferred`): it fills its
-    `terms` on first read and keeps them, as `_hash` is kept.  The fill is
-    per object and idempotent, and two threads reading at once at worst both
-    build the same dict, so a deferred value is as safe to share as any other.
+    The hash and the total degree are computed on first use and kept
+    (`_hash`, `_degree`): the terms never change after construction, and a
+    product reads its operands' degrees on every call.  A value returned by
+    `over` may be deferred (`is_deferred`): it fills its `terms` on first
+    read and keeps them the same way.  The fill is per object and idempotent,
+    and two threads reading at once at worst both build the same dict, so a
+    deferred value is as safe to share as any other.
     """
 
-    __slots__ = ("space", "terms", "_hash")
+    __slots__ = ("space", "terms", "_hash", "_degree")
     is_deferred = False
 
     def __init__(self, space: Space, terms: dict[Exponents, Coefficient]):
@@ -212,6 +219,7 @@ class Poly:
         self.space = space
         self.terms = terms
         self._hash = None
+        self._degree = None
 
     # -- constructors ------------------------------------------------------
 
@@ -283,7 +291,10 @@ class Poly:
 
     def total_degree(self) -> int:
         """Maximum term degree; the zero polynomial has degree -1."""
-        return max(map(sum, self.terms)) if self.terms else -1
+        degree = self._degree
+        if degree is None:
+            degree = self._degree = max(map(sum, self.terms)) if self.terms else -1
+        return degree
 
     def constant_term(self) -> Coefficient:
         return self.terms.get((0,) * len(self.space), scalars.ZERO)
@@ -720,26 +731,6 @@ class Lifted:
         self.bits = bits
         self.digit_bits = digit_bits
 
-    def __mul__(self, other: "Lifted") -> "Lifted":
-        """The product of two forms of one space, exponent fields and digit bits.
-
-        The one-pair case of `block_product`: each form is one block, filed
-        at its top degree.  Monomials multiply by adding keys: the exponent
-        fields are as wide as the degree guard, so no field carries while
-        the product's degree fits the guard.  The mu-powers multiply inside
-        the values (Kronecker substitution), and no digit carries when the
-        digit bits B satisfy 2^(B-1) > |x|_1 * |y|_1, the product of the
-        sums of the absolute digit values: each product digit is a signed
-        sum of digit products, and each pair of entries and pair of digits
-        adds to exactly one of them.  Choosing B is the caller's part.
-        """
-        top, other_top = self._top_degree(), other._top_degree()
-        return block_product({top: self}, {other_top: other})(top + other_top)
-
-    def _top_degree(self) -> int:
-        """The highest total degree of the form's monomials; 0 for the zero form."""
-        return max(self.terms, default=0) >> 2 + len(self.space) * self.bits
-
     def by_degree(self) -> dict[int, "Lifted"]:
         """The form split by its degree field: {total degree: the entries of
         that degree, as a form of the same layout, scale and denominator}.
@@ -846,7 +837,19 @@ def block_product(left: dict[int, Lifted], right: dict[int, Lifted]) -> Callable
     output degree at a time: the function returned gives, for a degree d,
     the sum over d1 + d2 = d of left[d1] * right[d2], accumulated into one
     dict.  Keys of degree d1 and d2 add to a key of degree d1 + d2, so that
-    block holds exactly the entries of degree d of the whole product.
+    block holds exactly the entries of degree d of the whole product; the
+    whole product of two forms is the block at the sum of their top degrees
+    of the one-block splits {top: form}.  This is the one product of packed
+    forms.
+
+    Monomials multiply by adding keys: the exponent fields are as wide as
+    the degree guard, so no field carries while the product's degree fits
+    the guard.  The mu-powers multiply inside the values (Kronecker
+    substitution), and no digit carries when the digit bits B satisfy
+    2^(B-1) > |x|_1 * |y|_1, the product of the sums of the absolute digit
+    values of the two forms: each product digit is a signed sum of digit
+    products, and each pair of entries and pair of digits adds to exactly
+    one of them.  Choosing B is the caller's part.
 
     Every block of one side must share its layout, scale and denominator,
     as the blocks of one form do.  The layout and the degree guard are
@@ -975,6 +978,10 @@ def _step_operator(op: Poly, k: int) -> Poly:
     return op.scale_fraction(Fraction(1, k))
 
 
+# Monomial images one operator keeps (`DiffOp.monomial_exp`); emptied when full.
+IMAGE_MEMO_SIZE = 4096
+
+
 class DiffOp:
     """A constant-coefficient differential operator against an aligned target.
 
@@ -983,16 +990,25 @@ class DiffOp:
     polynomials carry the scale rule sigma -> -i d/dz, i.e. every term is
     multiplied by (-i)^(total order).  One application is the walk `bilinear`
     over (operator term, target term) pairs, each pair's piece read from the
-    shared derivative table `_derivative_piece`.  The exponential steps with
-    D/k instead: its k-th term is D/k applied to the one before, with D/k
-    read from the bounded table `_step_operator`, shared by every operator,
-    so a series does no per-term division.
+    shared derivative table `_derivative_piece`.
+
+    The exponential has two routes.  A polynomial target (`apply_exp`, for
+    `u_map` and the Weyl transitions, whose operators meet one target each)
+    runs the series, stepping with D/k from the bounded table
+    `_step_operator`, shared by every operator, so a series does no per-term
+    division.  A coefficient-1 monomial (`monomial_exp`, for the exp pieces
+    of a product operator, which meets many monomials sharing prefixes) is
+    built from its prefix's image.  The images are kept in a memo of at most
+    `IMAGE_MEMO_SIZE` monomials, built on the first `monomial_exp` only; it
+    holds terms and derivatives of D, never the operator, so an operator is
+    freed by reference counting alone.
     """
 
-    __slots__ = ("poly",)
+    __slots__ = ("poly", "_images", "_derivatives")
 
     def __init__(self, poly: Poly):
         self.poly = poly
+        self._images = self._derivatives = None
 
     @classmethod
     def from_sigma_poly(cls, sigma_poly: Poly) -> "DiffOp":
@@ -1032,18 +1048,63 @@ class DiffOp:
 
         Only the generator is checked: a constant term would not terminate.
         The caller has checked the target against the operator's arity and
-        the degree guard; `apply_exp` does, and so does `star.BiDiff` before
-        it runs a series on a coefficient-1 monomial.  A target with
-        mu-denominators is walked as `bilinear` walks it, so splitting it
-        first is the caller's choice.
+        the degree guard, as `apply_exp` does.  A target with mu-denominators
+        is walked as `bilinear` walks it, so splitting it first is the
+        caller's choice.
         """
+        self._check_generator()
         op, space = self.poly, target.space
-        if op.constant_term():
+        return exp_series(target, lambda t, k: bilinear(_step_operator(op, k), t, space, _derivative_piece))
+
+    def monomial_exp(self, exps: Exponents) -> dict[Exponents, Coefficient]:
+        """The terms of exp(D) applied to the coefficient-1 monomial `exps`.
+
+        The prefix of a nonconstant monomial m lowers its last nonzero
+        exponent, at i, by one, and exp(D)m = x_i exp(D)p + D_i exp(D)p for
+        its prefix p, exactly: D_i, the derivative of D's polynomial in its
+        i-th variable, is [D, x_i] and commutes with D.  The images are built
+        in a loop, upwards from the longest prefix in the memo, so no
+        recursion grows with the degree, and each is kept; the terms
+        returned are shared with the memo and never written.  As for
+        `series`, the caller has checked the monomial, and a generator with
+        a constant term c is refused: no D_i sees c, so the images would
+        silently drop the factor e^c.
+        """
+        images, derivatives = self._images, self._derivatives
+        if images is None:
+            self._check_generator()
+            derivatives = self._derivatives = [None] * len(self.poly.space)
+            images = self._images = {}
+        chain = []
+        terms = images.get(exps)
+        i = len(exps) - 1
+        while terms is None:
+            while i >= 0 and not exps[i]:
+                i -= 1
+            if i < 0:
+                terms = {exps: scalars.ONE}
+                break
+            chain.append((exps, i))
+            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+            terms = images.get(exps)
+        space = self.poly.space
+        for exps, i in reversed(chain):
+            derivative = derivatives[i]
+            if derivative is None:
+                derivative = derivatives[i] = self.poly.differentiate(i)
+            shifted = Poly(space, {e[:i] + (e[i] + 1,) + e[i + 1 :]: c for e, c in terms.items()})
+            terms = (shifted + bilinear(derivative, Poly(space, terms), space, _derivative_piece)).terms
+            if len(images) >= IMAGE_MEMO_SIZE:
+                images.clear()
+            images[exps] = terms
+        return terms
+
+    def _check_generator(self):
+        if self.poly.constant_term():
             raise NonterminatingSeriesError(
                 "exponential of an operator with a constant term does not "
                 "terminate on polynomials; factor the constant out first"
             )
-        return exp_series(target, lambda t, k: bilinear(_step_operator(op, k), t, space, _derivative_piece))
 
     def __repr__(self):
         return f"DiffOp({self.poly})"

@@ -26,8 +26,11 @@ computed as two products: each kernel keeps its compiled operator
 (`StarKernel.operator`, a `BiDiff` freed with the kernel), which memoises,
 per monomial pair (ef, eg), both the product piece and the commutator piece
 (ef*eg - eg*ef) / (2*mu) in two LRU tables of at most `PAIR_MEMO_SIZE` pairs.
-`star` and `bracket` are then one walk over the terms of f and g that scales
-each memoised piece by the two coefficients.
+A product piece is exp(b) on the monomial ef (x) eg, slots merged; the
+operator builds it from the image of a shorter monomial, which other pairs
+share, and keeps those images too (`poly.DiffOp.monomial_exp`).  `star` and
+`bracket` are then one walk over the terms of f and g that scales each
+memoised piece by the two coefficients.
 
 Slot layout: a kernel polynomial over pair space (u, v) or triple space
 (u, v, w) stores its exponents as consecutive blocks, one per slot, each of
@@ -268,11 +271,13 @@ class BiDiff:
     both operands live on the operator's phase space and that their degrees
     fit the degree guard; the walk alone decides when operands with
     mu-denominators run on their numerators (see poly.py, Denominators).
-    An exp piece runs `DiffOp.series` on the coefficient-1 monomial ef + eg
-    without `DiffOp.apply_exp`'s target check, split and division: the
-    monomial lies on the operator's space by construction, its degree is
-    the one `_accumulate` has checked against the guard, and with
-    coefficient 1 it has nothing to split or divide.  `series` still
+    An exp piece is `DiffOp.monomial_exp` of the coefficient-1 monomial
+    ef + eg, slots merged: the operator builds it from the image of its
+    prefix and keeps the prefix images, which the pieces of other pairs
+    share.  It skips `DiffOp.apply_exp`'s target check, split and division:
+    the monomial lies on the operator's space by construction, its degree
+    is the one `_accumulate` has checked against the guard, and with
+    coefficient 1 it has nothing to split or divide.  `monomial_exp` still
     rejects an operator with a constant term.
     """
 
@@ -317,8 +322,7 @@ class BiDiff:
 
 
 def _exp_piece(op: DiffOp, space: Space, ef: Exponents, eg: Exponents) -> Terms:
-    target = Poly(op.poly.space, {ef + eg: scalars.ONE})
-    return merge_slots(op.series(target), space).terms
+    return merge_slots(Poly(op.poly.space, op.monomial_exp(ef + eg)), space).terms
 
 
 def _commutator_piece(exp_piece: Pieces, space: Space, ef: Exponents, eg: Exponents) -> Terms:

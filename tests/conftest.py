@@ -20,6 +20,7 @@ from moyal.operators import NCPoly
 from moyal.poly import (
     DiffOp,
     Poly,
+    block_product,
     digit_width,
     divide_exact,
     lift_scale,
@@ -304,6 +305,14 @@ def oracle_apply(a, f, g):
     return merge_slots(oracle_apply_once(DiffOp.from_sigma_poly(a), tensor), f.space)
 
 
+def whole_lifted_product(x, y):
+    """x * y for two packed forms, through `poly.block_product`: each form is
+    one block, filed at its top degree (0 for the zero form), and the product
+    is the block at the sum of the two."""
+    top_x, top_y = (form.degrees()[1] if form.terms else 0 for form in (x, y))
+    return block_product({top_x: x}, {top_y: y})(top_x + top_y)
+
+
 def whole_product_jacobi(raw, truncation_degree=None):
     """(status, witness, degree range) of the Jacobi defect, read off the
     whole packed product: both slot maps multiplied at once, folded, and read
@@ -317,7 +326,7 @@ def whole_product_jacobi(raw, truncation_degree=None):
     half = Poly(a.space, {e: c for e, c in a.terms.items() if e[:width] > e[width:]})
     left = lift_slots(a, tri, [(1, "u", "vw")], digit_bits)
     right = lift_slots(half if antisymmetric else a, tri, [(1, "v", "w")], digit_bits)
-    defect = (left * right).fold_triple(antisymmetric).over(den * den)
+    defect = whole_lifted_product(left, right).fold_triple(antisymmetric).over(den * den)
     if not defect.terms:
         return "exact", None, None
     degrees = defect.degrees()

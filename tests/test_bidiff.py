@@ -116,7 +116,9 @@ def test_bidiff_entry_points_check_their_operands():
 
 
 def test_an_exp_piece_rejects_a_kernel_with_a_constant_term():
-    """The pieces skip `DiffOp.apply_exp`, not its check on the generator."""
+    """The exp pieces (`DiffOp.monomial_exp`) keep the check on the generator:
+    no derivative D_i sees a constant term, so without it the factor e^c
+    would be dropped silently."""
     b = dressed_kernel(random.Random(9360), 1).exponent()
     a = b + Poly.one(b.space)
     op = BiDiff(a)

@@ -453,6 +453,18 @@ def test_oversized_inputs_exit_two_inside_a_memory_limit(argv, message):
     assert doc["status"] == "error" and message in doc["witness"]["message"]
 
 
+def test_a_deep_product_exits_zero_without_a_traceback():
+    # The exp piece of q1^2500 (x) p1 is built from 2,501 prefix images, in a loop.
+    proc = subprocess.run(
+        [sys.executable, "-m", "moyal", "--json", "star", "q1^2500", "p1"],
+        capture_output=True, env=dict(ENV, MOYAL_MAX_DEGREE="3000"), timeout=60,
+    )
+    assert "Traceback" not in proc.stderr.decode()
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "ok" and doc["result"]["poly"] == "q1^2500*p1 + 2500*mu*q1^2499"
+
+
 @pytest.mark.parametrize(
     "f, value", [("2^14000", f"{2**14000}"), ("(1/3)^9000", f"1/{3**9000}")], ids=["2^14000", "(1/3)^9000"]
 )

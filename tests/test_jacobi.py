@@ -34,7 +34,7 @@ from moyal.lie import (
     theorem2_pipeline,
 )
 from moyal.linalg import Matrix
-from moyal.poly import Lifted, Poly, pair_space, sigma_space, triple_space
+from moyal.poly import Poly, pair_space, sigma_space, triple_space
 from moyal.star import StarKernel, on_slots
 
 ONE, MU, ZERO = scalars.ONE, scalars.MU, scalars.ZERO
@@ -437,7 +437,6 @@ def test_one_product_per_defect_and_no_rendering(monkeypatch):
         raise AssertionError("a slot image was built on Coefficients")
 
     monkeypatch.setattr(lie, "block_product", counting)
-    monkeypatch.setattr(Lifted, "__mul__", no_product)
     monkeypatch.setattr(Poly, "__mul__", no_product)
     # The slot maps add packed ints: no image term is scaled as a Coefficient
     # or summed by Poly.from_terms.

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_mul, random_poly, substitute
+from conftest import oracle_mul, random_poly, substitute, whole_lifted_product
 from moyal import scalars
 from moyal.errors import (
     DegreeGuardError,
@@ -32,7 +32,7 @@ from moyal.poly import (
     sigma_space,
     triple_space,
 )
-from moyal.star import on_slots, slot_degrees, u_map
+from moyal.star import StarKernel, on_slots, slot_degrees, star, u_map
 
 SP = phase_space(1)
 Q = Poly.variable(SP, "q1")
@@ -361,9 +361,9 @@ def lift(p, digit_bits=None):
 
 
 def lifted_product(p, q):
-    """p * q in packed form, the digits as wide as `Lifted.__mul__` asks."""
+    """p * q in packed form, the digits as wide as `block_product` asks."""
     digit_bits = digit_width(lift_scale(p)[1] * lift_scale(q)[1])
-    return lift(p, digit_bits) * lift(q, digit_bits)
+    return whole_lifted_product(lift(p, digit_bits), lift(q, digit_bits))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -400,9 +400,9 @@ def test_lifted_forms_are_checked():
     with pytest.raises(SpaceMismatchError):
         lift_substitutions(p, phase_space(2), [(1, [[0], [1], [2]])])
     with pytest.raises(SpaceMismatchError):
-        lift(p, 8) * lift(Poly.one(phase_space(2)), 8)
+        whole_lifted_product(lift(p, 8), lift(Poly.one(phase_space(2)), 8))
     with pytest.raises(SpaceMismatchError):
-        lift(p, 8) * lift(p, 9)
+        whole_lifted_product(lift(p, 8), lift(p, 9))
     with pytest.raises(SpaceMismatchError):
         lift(p).fold_triple(True)
     q5 = Q**5
@@ -416,7 +416,7 @@ def test_lifted_forms_are_checked():
     with degree_guard(4):
         narrow = lift(Q**4, 4)
     with pytest.raises(DegreeGuardError):
-        narrow * narrow
+        whole_lifted_product(narrow, narrow)
 
 
 @pytest.mark.parametrize(
@@ -486,7 +486,7 @@ def test_lifted_methods_match_their_poly_definitions(seed, n, gaussian, den_inde
     digit_bits = digit_width(3 * lift_scale(p)[1] * lift_scale(q)[1])
     x, y = lift(p, digit_bits), lift(q, digit_bits)
     product = (p * q).over(den)
-    lifted = (x * y).over(den)
+    lifted = whole_lifted_product(x, y).over(den)
     assert lifted.unlift() == product
     assert lift(p).over(den).unlift() == p.over(den)
     rotations = block_sum(product, S3[:3])
@@ -523,3 +523,68 @@ def test_differential_operators_respect_the_degree_guard():
         for run in (op.apply_once, op.apply_exp, lambda f: u_map(f, chi)):
             with pytest.raises(DegreeGuardError):
                 run(too_high)
+
+
+def fresh_degree(p):
+    """The degree read off the terms now, as `total_degree` did before it kept it."""
+    return max(map(sum, p.terms)) if p.terms else -1
+
+
+def test_the_kept_degree_is_the_degree_of_every_kind_of_value():
+    rng = random.Random(9600)
+    p = random_poly(rng, SP, 5, terms=4, mu_degree=2)
+    den = (MU + scalars.Coefficient.from_int(3)).num
+    deferred = p.over(den)
+    assert deferred.is_deferred
+    values = {
+        "from_terms": Poly.from_terms(SP, [((2, 1), ONE), ((0, 4), MU), ((2, 1), -ONE)]),
+        "monomial": Poly.monomial(SP, (3, 2)),
+        "zero": Poly.zero(SP),
+        "constant": Poly.constant(SP, MU),
+        "sum": p + Q**6,
+        "cancelling sum": (Q**6 + p) - Q**6,
+        "difference to zero": p - p,
+        "product": p * (Q + P),
+        "power": (Q + P) ** 3,
+        "negation": -p,
+        "scale": p.scale(MU),
+        "over": deferred,
+        "over, divided now": p.scale(MU.inverse()).over(den),
+        "in_space of a deferred value": deferred.in_space(sigma_space(1)),
+        "mu_zero": (Q**5).scale(MU) + P,
+        "mu_zero of a deferred value": deferred.mu_zero(),
+        "derivative": (Q**3 * P).differentiate("q1"),
+        "truncation": p.truncate_degree(2),
+    }
+    values["mu_zero"] = values["mu_zero"].mu_zero()
+    assert values["zero"].total_degree() == values["difference to zero"].total_degree() == -1
+    for name, value in values.items():
+        first = value.total_degree()
+        # A second read answers from the kept degree, which must still be the terms'.
+        assert first == value.total_degree() == fresh_degree(value), name
+    assert values["in_space of a deferred value"].is_deferred
+    assert values["mu_zero"].total_degree() == 1
+
+
+def test_a_guard_lowered_after_the_degree_was_read_still_raises():
+    high = Q**3 * P**2
+    assert high.total_degree() == 5
+    deferred = high.over((MU + ONE).num)
+    assert deferred.total_degree() == 5
+    op = DiffOp.from_sigma_poly(Poly.monomial(sigma_space(1), (1, 1)))
+    kernel = StarKernel.moyal(1)
+    one = Poly.one(SP)
+    # Warm: the product's pair memo and the operand degrees are kept.
+    assert star(high, one, kernel) == high
+    runs = (
+        lambda f: f * P,
+        lambda f: f.mul_truncated(P, 9),
+        op.apply_once,
+        op.apply_exp,
+        lambda f: star(f, one, kernel),
+    )
+    with degree_guard(4):
+        for run in runs:
+            for value in (high, deferred):
+                with pytest.raises(DegreeGuardError):
+                    run(value)

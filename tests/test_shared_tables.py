@@ -1,7 +1,8 @@
 """The bounded tables that products share across calls.
 
 Three tables sit on the operator path: `poly._step_operator` keeps the
-operator D/k of the k-th step of exp(D), one entry per (operator, k);
+operator D/k of the k-th step of the series for exp(D) on a polynomial
+target (`u_map`, the Weyl transitions), one entry per (operator, k);
 `poly._derivative_piece` keeps the derivative of each (order, monomial)
 pair; `operators._word_piece` keeps the canonical words of each word pair.
 Each kernel keeps its own product operator (`StarKernel.operator`), so a
@@ -12,6 +13,7 @@ products from eight threads at once, starting from cleared tables and a
 fresh kernel, against the per-term oracles of conftest.py.
 """
 
+import importlib
 import sys
 import threading
 from fractions import Fraction
@@ -30,6 +32,9 @@ from moyal.linalg import Matrix
 from moyal.operators import nc_mul, weyl_quantize, weyl_symbol
 from moyal.poly import DiffOp, Poly, phase_space, sigma_space
 from moyal.star import StarKernel, bracket, star, u_map
+
+# The package re-exports the function `star` under the submodule's name.
+star_module = importlib.import_module("moyal.star")
 
 SPACE = phase_space(1)
 
@@ -114,17 +119,22 @@ def test_a_series_scales_each_operator_once_per_step_index(monkeypatch):
     for f, g in OPERANDS:
         u_map(star(f, g, kernel), kernel.chi)
         weyl_product(f, g)
+    exponent = DiffOp.from_sigma_poly(kernel.exponent()).poly
     operators = {
-        DiffOp.from_sigma_poly(kernel.exponent()).poly,
         DiffOp.from_sigma_poly(kernel.chi.in_space(SPACE)).poly,
         OPERATORS._transition_op(1, -1).poly,
         OPERATORS._transition_op(1, +1).poly,
     }
     assert {op for op, _ in scaled} <= operators
+    # The exp pieces of `star` are monomial images (`DiffOp.monomial_exp`):
+    # the kernel exponent's operator runs no series and is never scaled.
+    assert exponent not in {op for op, _ in steps}
     # Once per distinct (operator, k), against one step per series term.
     assert len(scaled) == len(set(steps))
     assert set(scaled) == {(op, Fraction(1, k)) for op, k in steps}
-    assert len(scaled) < len(steps) / 4
+    # Each of the three operators runs one series per operand pair or more
+    # (four pairs) and is scaled once per step index of its longest series.
+    assert len(scaled) < len(steps) / 3
 
 
 def test_the_word_table_misses_once_per_word_pair():
@@ -171,3 +181,17 @@ def test_threads_race_the_first_operator_access():
     assert race(expected, lambda f, g: (star(f, g, kernel), bracket(f, g, kernel))) == []
     operator = kernel.operator
     assert kernel.operator is operator and vars(kernel)["operator"] is operator
+
+
+def test_threads_share_a_small_image_memo(monkeypatch):
+    """Eight threads build the monomial images of one fresh operator while its
+    memo, bounded at four images, keeps emptying itself; every product is
+    still the oracle's."""
+    monkeypatch.setattr(POLY, "IMAGE_MEMO_SIZE", 4)
+    monkeypatch.setattr(star_module, "PAIR_MEMO_SIZE", 2)
+    kernel = fresh_kernel()
+    expected = [(oracle_star(f, g, kernel), oracle_bracket(f, g, kernel)) for f, g in OPERANDS]
+    assert race(expected, lambda f, g: (star(f, g, kernel), bracket(f, g, kernel))) == []
+    # A thread may add its image after another has checked the size: at most
+    # one extra image per thread.
+    assert len(kernel.operator.op._images) <= 4 + 8

@@ -195,14 +195,24 @@ def test_equal_matrices_hash_equal():
 
 
 def test_a_kernel_is_freed_after_its_products():
-    # Its operator is kept on the kernel, not in a table keyed by it.
-    kernel = StarKernel(1, pp("mu*u1^2 + u1*u2", sigma_space(1)), MOYAL.m)
-    assert star(Q**2, P, kernel) == star(Q**2, P, kernel)
-    assert bracket(Q, P**2, kernel) == -bracket(P**2, Q, kernel)
-    ref = weakref.ref(kernel)
-    del kernel
+    # Its operator is kept on the kernel, not in a table keyed by it, and
+    # neither the operator nor its memos (the pair pieces, the monomial
+    # images and the derivatives D_i) refer back to it: reference counting
+    # alone frees it, with the cycle collector off.
+    enabled = gc.isenabled()
     gc.collect()
-    assert ref() is None
+    gc.disable()
+    try:
+        kernel = StarKernel(1, pp("mu*u1^2 + u1*u2", sigma_space(1)), MOYAL.m)
+        assert star(Q**2, P, kernel) == star(Q**2, P, kernel)
+        assert bracket(Q, P**2, kernel) == -bracket(P**2, Q, kernel)
+        assert kernel.operator.op._images
+        ref = weakref.ref(kernel)
+        del kernel
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_a_repeated_product_misses_the_exp_memo_once():
