@@ -90,12 +90,6 @@ class CocycleViolation:
         return format_term(Space(self.space_names), self.monomial, self.coefficient)
 
 
-def split_parts(b: Poly) -> tuple[Poly, Poly]:
-    """(symmetric, antisymmetric) slot-swap parts of b."""
-    swapped = swap_slots(b)
-    return (b + swapped).scale_fraction(Fraction(1, 2)), (b - swapped).scale_fraction(Fraction(1, 2))
-
-
 # The four signed slot maps of the cocycle defect b(v,w) - b(u+v,w) + b(u,v+w) - b(u,v).
 _COCYCLE_MAPS = ((1, "v", "w"), (-1, "uv", "w"), (1, "u", "vw"), (-1, "u", "v"))
 
@@ -137,10 +131,9 @@ def cocycle_check(raw: RawKernelExponent) -> CocycleViolation | None:
     bound = max(defect.degrees()[1] + 2, 4)
     for _ in range(200):
         point = tuple(rng.randrange(1, bound) for _ in range(3 * width))
-        values = [scalars.Coefficient.from_int(x) for x in point]
-        u, v, w = values[:width], values[width : 2 * width], values[2 * width :]
-        lhs = b.evaluate(u + v) + b.evaluate([a + c for a, c in zip(u, v)] + w)
-        rhs = b.evaluate(v + w) + b.evaluate(u + [a + c for a, c in zip(v, w)])
+        u, v, w = point[:width], point[width : 2 * width], point[2 * width :]
+        lhs = b.evaluate(u + v) + b.evaluate(tuple(a + c for a, c in zip(u, v)) + w)
+        rhs = b.evaluate(v + w) + b.evaluate(u + tuple(a + c for a, c in zip(v, w)))
         if lhs != rhs:
             return CocycleViolation(
                 stage="cocycle",
@@ -154,32 +147,17 @@ def cocycle_check(raw: RawKernelExponent) -> CocycleViolation | None:
     raise RuntimeError("failed to find a point where the two sides differ")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class AntisymmetricData:
-    """The slot-swap split of a cocycle exponent and the canonical form of M."""
-
-    symmetric: Poly
-    antisymmetric: Poly
-    m: Matrix
-    rank: int
-    darboux_basis: Matrix
-    kernel_basis: list[Vector]
-    pairings: list[scalars.Coefficient]
-
-    @property
-    def uniform_pairing(self) -> bool:
-        return all(lam == self.pairings[0] for lam in self.pairings)
-
-
-def extract_antisymmetric_form(raw: RawKernelExponent) -> AntisymmetricData:
-    """Split b and read the antisymmetric part as a matrix, in canonical form.
+def extract_antisymmetric_form(raw: RawKernelExponent) -> tuple[Poly, Matrix]:
+    """(symmetric part, M): b split by the slot swap, and its antisymmetric
+    part read as the matrix M of sigma'^T M sigma.
 
     For a 2-cocycle the antisymmetric part is necessarily bilinear of
     bidegree (1,1); a higher-degree antisymmetric term means the cocycle
     check was skipped and is reported as an internal contradiction.
     """
-    n = raw.n
-    b_s, b_a = split_parts(raw.b)
+    b, n = raw.b, raw.n
+    swapped, half = swap_slots(b), Fraction(1, 2)
+    b_a = (b - swapped).scale_fraction(half)
     for exps, coeff in b_a.sorted_terms():
         if slot_degrees(exps, 2 * n) != (1, 1):
             raise FactorizationError(
@@ -190,17 +168,7 @@ def extract_antisymmetric_form(raw: RawKernelExponent) -> AntisymmetricData:
                 ),
                 witness=(exps, coeff),
             )
-    m = bilinear_form(b_a, n)
-    basis, pairings, kernel = skew_canonical(m)
-    return AntisymmetricData(
-        symmetric=b_s,
-        antisymmetric=b_a,
-        m=m,
-        rank=2 * len(pairings),
-        darboux_basis=basis,
-        kernel_basis=kernel,
-        pairings=pairings,
-    )
+    return (b + swapped).scale_fraction(half), bilinear_form(b_a, n)
 
 
 def chi_extract(b_s: Poly) -> Poly:
@@ -236,16 +204,29 @@ def chi_extract(b_s: Poly) -> Poly:
 
 @dataclass(frozen=True)
 class Factorization:
-    """The structured form of an associative kernel exponent."""
+    """Theorem 1 for an associative kernel exponent: b = delta chi + sigma'^T M sigma.
+
+    S = darboux_basis is the canonical (Darboux) basis of M from
+    `linalg.skew_canonical`: S^T M S pairs column k with column r + k by
+    pairings[k] (r = len(pairings)), and kernel_basis spans Ker M, so M is
+    nondegenerate, and the centre trivial, exactly when it is empty.
+    """
 
     n: int
     chi: Poly
     m: Matrix
-    rank: int
     darboux_basis: Matrix
     kernel_basis: list[Vector]
     pairings: list[scalars.Coefficient]
-    uniform_pairing: bool
+
+    @property
+    def rank(self) -> int:
+        return 2 * len(self.pairings)
+
+    @property
+    def uniform_pairing(self) -> bool:
+        """True iff every conjugate pair has the same scaling."""
+        return all(lam == self.pairings[0] for lam in self.pairings)
 
     @property
     def nondegenerate(self) -> bool:
@@ -261,7 +242,8 @@ class Factorization:
 
 
 def factorize(raw: RawKernelExponent) -> Factorization:
-    """Full analysis pipeline: cocycle check, slot split, chi recovery.
+    """Full analysis pipeline: cocycle check, slot split, chi recovery, and
+    the canonical form of M.
 
     Raises FactorizationError with the failing stage on invalid input; on
     success the rebuild invariant holds exactly.
@@ -273,18 +255,9 @@ def factorize(raw: RawKernelExponent) -> Factorization:
             message=f"{violation.stage} failure at monomial {violation.monomial_str()}",
             witness=violation,
         )
-    parts = extract_antisymmetric_form(raw)
-    chi = chi_extract(parts.symmetric)
-    fact = Factorization(
-        n=raw.n,
-        chi=chi,
-        m=parts.m,
-        rank=parts.rank,
-        darboux_basis=parts.darboux_basis,
-        kernel_basis=parts.kernel_basis,
-        pairings=parts.pairings,
-        uniform_pairing=parts.uniform_pairing,
-    )
+    b_s, m = extract_antisymmetric_form(raw)
+    basis, pairings, kernel = skew_canonical(m)
+    fact = Factorization(raw.n, chi_extract(b_s), m, basis, kernel, pairings)
     if fact.rebuild() != raw.b:
         raise FactorizationError(  # pragma: no cover - guarded by the steps above
             stage="rebuild", message="reassembled exponent differs from the input"

@@ -439,17 +439,15 @@ class Poly:
             self.space, {e: c for e, c in self.terms.items() if sum(e) <= max_degree}
         )
 
-    def evaluate(self, values: list[Coefficient]) -> Coefficient:
-        """Full evaluation at a point with Coefficient coordinates."""
-        if len(values) != len(self.space):
+    def evaluate(self, point: Sequence[int]) -> Coefficient:
+        """The value at a point with int coordinates: each coefficient is
+        scaled by its monomial's int value, so no coordinate becomes a field
+        element."""
+        if len(point) != len(self.space):
             raise SpaceMismatchError("one value per variable is required")
         total = scalars.ZERO
         for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, exps):
-                if e:
-                    term = term * v**e
-            total = total + term
+            total = total + coeff.scale_int(math.prod(x**e for x, e in zip(point, exps)))
         return total
 
     def mu_zero(self) -> "Poly":
@@ -994,11 +992,12 @@ class DiffOp:
 
     The exponential has two routes.  A polynomial target (`apply_exp`, for
     `u_map` and the Weyl transitions, whose operators meet one target each)
-    runs the series, stepping with D/k from the bounded table
+    runs the D/k series, stepping with D/k from the bounded table
     `_step_operator`, shared by every operator, so a series does no per-term
-    division.  A coefficient-1 monomial (`monomial_exp`, for the exp pieces
-    of a product operator, which meets many monomials sharing prefixes) is
-    built from its prefix's image.  The images are kept in a memo of at most
+    division; it is also the reference the images below are tested against.
+    A coefficient-1 monomial (`monomial_exp`, for the exp pieces of a product
+    operator, which meets many monomials sharing prefixes) is built from its
+    prefix's image.  The images are kept in a memo of at most
     `IMAGE_MEMO_SIZE` monomials, built on the first `monomial_exp` only; it
     holds terms and derivatives of D, never the operator, so an operator is
     freed by reference counting alone.
@@ -1034,27 +1033,18 @@ class DiffOp:
     def apply_exp(self, target: Poly) -> Poly:
         """Apply exp of the operator: sum_k D^k(target) / k!, exactly.
 
-        Every term of the generator strictly lowers the target degree, so the
-        series terminates and only the target itself is checked against the
-        degree guard.  The series (`series`) runs on the target's numerators
-        and is divided once at the end.
+        The target is checked against the operator's arity and the degree
+        guard, then the generator: a constant term would not terminate.
+        Every other term strictly lowers the target degree, so the series
+        ends.  `exp_series` steps with D/k on the target's numerators, which
+        are divided once at the end.
         """
         self._check_target(target)
-        p, den = target.split_denominator()
-        return self.series(p).over(den)
-
-    def series(self, target: Poly) -> Poly:
-        """sum_k D^k(target) / k!: `exp_series` stepping with D/k, target unchecked.
-
-        Only the generator is checked: a constant term would not terminate.
-        The caller has checked the target against the operator's arity and
-        the degree guard, as `apply_exp` does.  A target with mu-denominators
-        is walked as `bilinear` walks it, so splitting it first is the
-        caller's choice.
-        """
         self._check_generator()
+        p, den = target.split_denominator()
         op, space = self.poly, target.space
-        return exp_series(target, lambda t, k: bilinear(_step_operator(op, k), t, space, _derivative_piece))
+        series = exp_series(p, lambda t, k: bilinear(_step_operator(op, k), t, space, _derivative_piece))
+        return series.over(den)
 
     def monomial_exp(self, exps: Exponents) -> dict[Exponents, Coefficient]:
         """The terms of exp(D) applied to the coefficient-1 monomial `exps`.
@@ -1065,10 +1055,10 @@ class DiffOp:
         i-th variable, is [D, x_i] and commutes with D.  The images are built
         in a loop, upwards from the longest prefix in the memo, so no
         recursion grows with the degree, and each is kept; the terms
-        returned are shared with the memo and never written.  As for
-        `series`, the caller has checked the monomial, and a generator with
-        a constant term c is refused: no D_i sees c, so the images would
-        silently drop the factor e^c.
+        returned are shared with the memo and never written.  The caller has
+        checked the monomial.  As in `apply_exp`, a generator with a constant
+        term c is refused: no D_i sees c, so the images would silently drop
+        the factor e^c.
         """
         images, derivatives = self._images, self._derivatives
         if images is None:

@@ -1,6 +1,6 @@
 """Shared helpers: monomial enumeration, seeded random algebra objects, the
 full sinh series of a planted kernel, `substitute`, the slot-map oracles,
-the per-term accumulation oracles, the Jacobi verdict read off the whole
+evaluation at a point of field elements, the per-term accumulation oracles, the Jacobi verdict read off the whole
 packed product, the centre check as a loop over test monomials and the
 degreewise Theorem 2 fit."""
 
@@ -239,6 +239,20 @@ def oracle_mul(f, g):
             for e2, c2 in g.terms.items()
         ),
     )
+
+
+def oracle_evaluate(p, values):
+    """p at a point with Coefficient coordinates, every term a product in the
+    field (`Poly.evaluate` takes int coordinates and scales by an int)."""
+    assert len(values) == len(p.space)
+    total = scalars.ZERO
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for v, e in zip(values, exps):
+            if e:
+                term = term * v**e
+        total = total + term
+    return total
 
 
 def oracle_apply_once(op, target):

@@ -52,15 +52,11 @@ class TestCocycleCheck:
         # are 1*4 + 9*9 = 85 and 4*9 + 1*25 = 61.
         b = parse_poly("u1^2*v1^2", PAIR)
         c = scalars.Coefficient.from_int
-        lhs = b.evaluate([c(1), c(0), c(2), c(0)]) + b.evaluate(
-            [c(3), c(0), c(3), c(0)]
-        )
-        rhs = b.evaluate([c(2), c(0), c(3), c(0)]) + b.evaluate(
-            [c(1), c(0), c(5), c(0)]
-        )
+        lhs = b.evaluate([1, 0, 2, 0]) + b.evaluate([3, 0, 3, 0])
+        rhs = b.evaluate([2, 0, 3, 0]) + b.evaluate([1, 0, 5, 0])
         assert lhs == c(85) and rhs == c(61)
         defect = cocycle_defect(raw("u1^2*v1^2"))
-        value = defect.evaluate([c(1), c(0), c(2), c(0), c(3), c(0)])
+        value = defect.evaluate([1, 0, 2, 0, 3, 0])
         assert value == rhs - lhs == c(-24)
 
     def test_normalization_violation(self):
@@ -74,8 +70,9 @@ class TestCocycleCheck:
 
 class TestExtract:
     def test_moyal_pattern(self):
-        data = extract_antisymmetric_form(raw("mu*(v1*u2 - v2*u1)"))
-        assert data.m == Matrix.canonical_symplectic(1, MU)
+        _, m = extract_antisymmetric_form(raw("mu*(v1*u2 - v2*u1)"))
+        assert m == Matrix.canonical_symplectic(1, MU)
+        data = factorize(raw("mu*(v1*u2 - v2*u1)"))
         assert data.rank == 2
         assert data.pairings == [MU]
         assert data.kernel_basis == []
@@ -83,14 +80,15 @@ class TestExtract:
 
     def test_symmetric_input_has_zero_m(self):
         chi = parse_poly("u1^2", sigma_space(1))
-        data = extract_antisymmetric_form(RawKernelExponent(1, coboundary(chi)))
-        assert data.m.is_zero()
+        symmetric, m = extract_antisymmetric_form(RawKernelExponent(1, coboundary(chi)))
+        assert m.is_zero()
+        data = factorize(RawKernelExponent(1, coboundary(chi)))
         assert data.rank == 0
         assert len(data.kernel_basis) == 2
-        assert data.symmetric == parse_poly("-2*u1*v1", PAIR)
+        assert symmetric == parse_poly("-2*u1*v1", PAIR)
 
     def test_block_structure_n2(self):
-        data = extract_antisymmetric_form(raw("mu*(v1*u2 - v2*u1)", n=2))
+        data = factorize(raw("mu*(v1*u2 - v2*u1)", n=2))
         assert data.rank == 2
         zero, one = scalars.ZERO, scalars.ONE
         assert data.kernel_basis == [
@@ -100,22 +98,28 @@ class TestExtract:
 
     def test_darboux_congruence(self):
         rng = random.Random(41)
-        for n in (1, 2):
-            for _ in range(5):
-                m = random_antisymmetric(rng, 2 * n)
-                b = bilinear_pair_poly(m, n)
-                data = extract_antisymmetric_form(RawKernelExponent(n, b))
-                s = data.darboux_basis
-                canonical = s.transpose() * m * s
-                r = len(data.pairings)
-                for i in range(2 * n):
-                    for j in range(2 * n):
-                        expected = scalars.ZERO
-                        if i < r and j == r + i:
-                            expected = data.pairings[i]
-                        elif j < r and i == r + j:
-                            expected = -data.pairings[j]
-                        assert canonical[i, j] == expected
+        # A degenerate M at n = 2 (Pfaffian m01*m23 - m02*m13 + m03*m12 = 0):
+        # rank 2, two kernel vectors.
+        zero, two = scalars.ZERO, ONE.scale_int(2)
+        degenerate = Matrix(
+            [[zero, MU, two, zero], [-MU, zero, zero, zero], [-two, zero, zero, zero], [zero] * 4]
+        )
+        ms = [(n, random_antisymmetric(rng, 2 * n)) for n in (1, 2) for _ in range(5)]
+        for n, m in ms + [(2, degenerate)]:
+            b = bilinear_pair_poly(m, n)
+            data = factorize(RawKernelExponent(n, b))
+            s = data.darboux_basis
+            canonical = s.transpose() * m * s
+            r = len(data.pairings)
+            for i in range(2 * n):
+                for j in range(2 * n):
+                    expected = scalars.ZERO
+                    if i < r and j == r + i:
+                        expected = data.pairings[i]
+                    elif j < r and i == r + j:
+                        expected = -data.pairings[j]
+                    assert canonical[i, j] == expected
+        assert (data.rank, len(data.kernel_basis), data.nondegenerate) == (2, 2, False)
 
     def test_non_bilinear_reported_as_contradiction(self):
         # Reachable only by skipping cocycle_check.

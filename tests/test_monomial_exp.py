@@ -2,12 +2,12 @@
 
 A product operator builds exp(D) on a coefficient-1 monomial from the image
 of its prefix: exp(D)(x_i m) = x_i exp(D)m + D_i exp(D)m.  Here it is
-compared with `DiffOp.series`, the D/k series it replaces for exp pieces,
-on seeded operators with powers of i, mu and mu-denominators, on monomials
-asked for in random order of a fresh and of a warm operator; `star` and
-`bracket` are compared with the per-term oracles of conftest.py.  The rest
-pins the memo: one build per distinct prefix, a loop rather than a recursion
-at high degree, and the constant-term check.
+compared with the D/k series of `DiffOp.apply_exp`, which it replaces for
+exp pieces, on seeded operators with powers of i, mu and mu-denominators, on
+monomials asked for in random order of a fresh and of a warm operator;
+`star` and `bracket` are compared with the per-term oracles of conftest.py.
+The rest pins the memo: one build per distinct prefix, a loop rather than a
+recursion at high degree, and the constant-term check.
 """
 
 import itertools
@@ -52,7 +52,7 @@ def random_monomials(rng, width, count, max_degree=8):
 
 
 def series_terms(op, exps):
-    return op.series(Poly.monomial(op.poly.space, exps)).terms
+    return op.apply_exp(Poly.monomial(op.poly.space, exps)).terms
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

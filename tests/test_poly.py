@@ -8,7 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_mul, random_poly, substitute, whole_lifted_product
+from conftest import (
+    oracle_evaluate,
+    oracle_mul,
+    random_coefficient,
+    random_poly,
+    substitute,
+    whole_lifted_product,
+)
 from moyal import scalars
 from moyal.errors import (
     DegreeGuardError,
@@ -164,8 +171,27 @@ def test_substitute_and_embed():
 
 def test_evaluate():
     f = parse_poly("q1^2*p1 + mu*q1", SP)
-    val = f.evaluate([scalars.Coefficient.from_int(2), scalars.Coefficient.from_int(3)])
+    val = f.evaluate([2, 3])
     assert val == scalars.Coefficient.from_int(12) + MU.scale_int(2)
+    with pytest.raises(SpaceMismatchError):
+        f.evaluate([2])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
+def test_evaluate_at_int_points_matches_the_field_oracle(seed, n):
+    rng = random.Random(seed)
+    space = phase_space(n)
+    f = random_poly(rng, space, 4, terms=5, mu_degree=2)
+    # Coefficients with mu-denominators: the sum is deferred, then divided.
+    f = f + random_poly(rng, space, 3, terms=2).over((MU + ONE).num * MU.num)
+    f = f + Poly.constant(space, random_coefficient(rng) / (MU - ONE.scale_int(2)))
+    for _ in range(3):
+        point = [rng.randint(-4, 4) for _ in range(2 * n)]
+        point[rng.randrange(2 * n)] = 0
+        expected = oracle_evaluate(f, [scalars.Coefficient.from_int(x) for x in point])
+        assert f.evaluate(point) == expected
+        assert f.evaluate(tuple(point)) == expected
 
 
 def test_mu_components():

@@ -11,8 +11,9 @@ derivative table), `comb` only in `poly.lift_substitutions` (the one binomial
 slot expansion) and two places that are not slot maps, star.py, lie.py and
 cocycle.py apply no `>>` or `&` (a packed key's bit fields are read in poly.py
 alone), no module outside `__init__.py` imports a name it never uses (a name
-used only in an annotation counts), and the package declares no runtime
-dependency."""
+used only in an annotation counts), every module-level function or class is
+named somewhere else in src or exported by `__init__.py` (no new test-only
+code), and the package declares no runtime dependency."""
 
 import ast
 from pathlib import Path
@@ -156,6 +157,43 @@ def _unused_imports(tree):
     for name, line in imported.items():
         if name not in used:
             yield line, f"{name} imported and never used"
+
+
+# Module-level names that only tests and bench/ use; no other joins them.
+TEST_ONLY = {"apply_bracket_kernel", "bracket_kernel_of", "cocycle_defect", "get_degree_guard", "on_slots"}
+
+
+def _named(node):
+    """Every name `node` reads, imports or puts in an annotation; an attribute
+    counts by its name alone, so a method can hide a function of the same name
+    but a used name is never missed."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.asname or sub.name
+        for annotation in (getattr(sub, "annotation", None), getattr(sub, "returns", None)):
+            if annotation is not None:
+                yield from _annotation_names(annotation)
+
+
+def _unreferenced(modules):
+    """(module, line, name) of each module-level function or class in
+    `modules` ({name: tree}) that no other top-level statement names; the
+    imports of `__init__.py` are statements too, so an export counts."""
+    defined, named = [], []
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = module, stmt.name
+                defined.append((module, stmt.lineno, stmt.name))
+            named.append((owner, set(_named(stmt))))
+    for module, line, name in defined:
+        if not any(name in names for owner, names in named if owner != (module, name)):
+            yield module, line, name
 
 
 def test_sources_are_found():
@@ -311,6 +349,27 @@ def test_checker_keeps_key_bits_in_poly():
     # A left shift scales a digit bound; it reads no field.
     bound = "digit_bits = digit_width(3 * norm * norm << degree)\n"
     assert list(_violations(ast.parse(bound), "lie.py")) == []
+
+
+def test_no_test_only_names_in_src():
+    modules = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    unreferenced = list(_unreferenced(modules))
+    assert [f"{m}:{line}: {name}" for m, line, name in unreferenced if name not in TEST_ONLY] == []
+    # The allowlist only shrinks: a name that gains a caller in src, or goes, leaves it.
+    assert {name for _, _, name in unreferenced} == TEST_ONLY
+
+
+def test_test_only_checker():
+    planted = {
+        "a.py": ast.parse(
+            "def used(): pass\ndef recursive(k):\n    return recursive(k - 1)\n"
+            "class Shape: pass\ndef helper(s: 'Shape'): return used()\nclass Orphan: pass\n"
+        ),
+        "b.py": ast.parse("from .a import helper\nx = helper\n"),
+        "__init__.py": ast.parse("from .c import exported\n"),
+        "c.py": ast.parse("def exported(): pass\n"),
+    }
+    assert sorted(name for _, _, name in _unreferenced(planted)) == ["Orphan", "recursive"]
 
 
 def test_no_runtime_dependencies():
