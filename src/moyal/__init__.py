@@ -66,7 +66,6 @@ from .poly import (
     degree_guard,
     pair_space,
     phase_space,
-    set_degree_guard,
     sigma_space,
     triple_space,
 )

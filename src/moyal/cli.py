@@ -294,12 +294,14 @@ def _cmd_check_lie(args) -> _Outcome:
 
 def _cmd_extract_omega(args) -> _Outcome:
     try:
-        data = extract_omega(args.a)
+        omega = extract_omega(args.a)
     except LieKernelError as err:
         return _Outcome("fail", witness={"message": str(err)}, human=str(err))
-    result = _fields(data, "omega", "rank", "kernel_basis")
-    human = f"omega = {data.omega!r}\nrank = {data.rank}"
-    if data.kernel_basis:
+    basis = omega.nullspace()
+    rank = omega.ncols - len(basis)
+    result = {"omega": _jsonable(omega), "rank": rank, "kernel_basis": _jsonable(basis)}
+    human = f"omega = {omega!r}\nrank = {rank}"
+    if basis:
         human += f"\nkernel basis: {result['kernel_basis']}"
     return _Outcome("ok", result=result, human=human)
 

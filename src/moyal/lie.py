@@ -90,7 +90,6 @@ from .poly import (
 )
 from .star import (
     BiDiff,
-    StarKernel,
     bilinear_form,
     bilinear_pair_poly,
     coboundary,
@@ -305,23 +304,12 @@ def lie_axiom_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OmegaData:
-    omega: Matrix
-    rank: int
-    kernel_basis: list[Vector]
-
-    @property
-    def nondegenerate(self) -> bool:
-        return not self.kernel_basis
-
-
-def extract_omega(raw: RawLieKernel) -> OmegaData:
+def extract_omega(raw: RawLieKernel) -> Matrix:
     """Read omega_ij from the part of A linear in the first slot at zero.
 
     Requires A(0, sigma') = 0.  The first-slot-linear part must be linear in
     the second slot and antisymmetric; any offending term is raised as a
-    witness.
+    witness.  Ker omega is the returned matrix's `nullspace()`.
     """
     n, a = raw.n, raw.a
     for exps, coeff in a.sorted_terms():
@@ -340,8 +328,7 @@ def extract_omega(raw: RawLieKernel) -> OmegaData:
     omega = bilinear_form(a, n).transpose()
     if not omega.is_antisymmetric:
         raise LieKernelError("omega is not antisymmetric", witness=omega)
-    kernel_basis = omega.nullspace()
-    return OmegaData(omega=omega, rank=omega.ncols - len(kernel_basis), kernel_basis=kernel_basis)
+    return omega
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +440,14 @@ class CenterGenerator:
 
 @dataclass(frozen=True)
 class Theorem2Report:
-    """Everything the classification pipeline established about a kernel."""
+    """Everything the classification pipeline established about a kernel;
+    kernel_basis is omega's `nullspace()`, and `rank` is derived from both."""
 
     n: int
     fit_degree: int
     status: str  # "moyal-class" | "poisson-class" | "degenerate" | "neither" | "axioms-failed"
     axioms: LieAxiomReport
     omega: Matrix | None = None
-    rank: int | None = None
     kernel_basis: list[Vector] = field(default_factory=list)
     chi: Poly | None = None
     h_series: tuple[scalars.Coefficient, ...] | None = None
@@ -469,6 +456,10 @@ class Theorem2Report:
     failure: str | None = None
     center_generators: list[CenterGenerator] = field(default_factory=list)
     isomorphism_note: str | None = None
+
+    @property
+    def rank(self) -> int | None:
+        return None if self.omega is None else self.omega.ncols - len(self.kernel_basis)
 
     @property
     def passed(self) -> bool:
@@ -547,13 +538,6 @@ def apply_bracket_kernel(raw: RawLieKernel, f: Poly, g: Poly) -> Poly:
     return BiDiff(raw.a).apply(f, g)
 
 
-def bracket_kernel_of(kernel: StarKernel, truncation_degree: int) -> RawLieKernel:
-    """The bracket kernel (exp(b) - swap) / (2 mu) of a product kernel, truncated."""
-    eb = exp_truncated(kernel.exponent(), truncation_degree)
-    commutator = eb - swap_slots(eb)
-    return RawLieKernel(kernel.n, commutator.scale(scalars.HALF_INV_MU))
-
-
 def center_generators_from_kernel(
     raw: RawLieKernel,
     kernel_basis: list[Vector],
@@ -627,23 +611,22 @@ def theorem2_pipeline(
             status="axioms-failed", failure="antisymmetry/Jacobi/constants check failed"
         )
     try:
-        omega_data = extract_omega(raw)
+        omega = extract_omega(raw)
     except LieKernelError as err:
         return report(status="neither", failure=str(err))
-    report = partial(report, omega=omega_data.omega, rank=omega_data.rank)
-    if not omega_data.nondegenerate:
-        basis = omega_data.kernel_basis
+    basis = omega.nullspace()
+    report = partial(report, omega=omega, kernel_basis=basis)
+    if basis:
         verify = center_degree if verify_degree is None else verify_degree
         return report(
             status="degenerate",
-            kernel_basis=basis,
             center_generators=center_generators_from_kernel(raw, basis, center_degree, verify),
             isomorphism_note=(
                 "omega is degenerate: the kernel-dual coordinates generate a "
                 "nontrivial center; no product-type normal form applies"
             ),
         )
-    w = bilinear_pair_poly(omega_data.omega.transpose(), raw.n)
+    w = bilinear_pair_poly(omega.transpose(), raw.n)
     chi, series, witness = _fit_structured(raw.a, raw.n, w, fit_degree)
     if witness is not None:
         return report(

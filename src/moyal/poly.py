@@ -50,8 +50,9 @@ numerators and divides once.  Values, `==`, `hash` and `str` do not depend
 on whether the division has happened yet.
 
 A configurable total-degree guard (default 64) makes runaway computations
-fail fast instead of exhausting memory.  The bound is a context variable, so
-a bound set in one thread does not leak into another.
+fail fast instead of exhausting memory.  `degree_guard(bound)` sets it for
+one `with` block and `check_degree` enforces it.  The bound is a context
+variable, so a bound set in one thread does not leak into another.
 
 Packed form.  The Jacobi and cocycle stages run on exact integers, in one
 type, `Lifted`: one int key per (monomial, power of i) and one int value per
@@ -92,24 +93,9 @@ from .scalars import MU_POLY_ONE, Coefficient, MuPoly
 
 Exponents = tuple[int, ...]
 
-# A new thread starts from the default bound: a bound set with
-# set_degree_guard or degree_guard is seen only in the context that set it.
+# Set only inside a `degree_guard` block and reset when it exits, so a bound
+# never outlives its block, and a new thread starts from the default.
 _degree_guard: ContextVar[int] = ContextVar("moyal_degree_guard", default=64)
-
-
-def _checked_bound(bound: int) -> int:
-    if bound < 1:
-        raise ValueError("degree guard must be positive")
-    return bound
-
-
-def set_degree_guard(bound: int) -> None:
-    """Set the total-degree bound for products in the current context (default 64)."""
-    _degree_guard.set(_checked_bound(bound))
-
-
-def get_degree_guard() -> int:
-    return _degree_guard.get()
 
 
 def check_degree(degree: int, what: str) -> None:
@@ -118,14 +104,16 @@ def check_degree(degree: int, what: str) -> None:
     if degree > guard:
         raise DegreeGuardError(
             f"{what} degree would exceed the guard ({guard}); "
-            "raise it with set_degree_guard or MOYAL_MAX_DEGREE"
+            "raise it with degree_guard or MOYAL_MAX_DEGREE"
         )
 
 
 @contextmanager
 def degree_guard(bound: int) -> Iterator[None]:
     """Use `bound` as the total-degree bound inside the block, then restore it."""
-    token = _degree_guard.set(_checked_bound(bound))
+    if bound < 1:
+        raise ValueError("degree guard must be positive")
+    token = _degree_guard.set(bound)
     try:
         yield
     finally:

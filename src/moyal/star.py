@@ -38,9 +38,9 @@ width 2n and index-aligned with z.  Its readers here: `lift_slots` is the
 one slot map that sums.  It turns each slot map into a substitution of
 target variables and lifts the signed images into one `poly.Lifted` form
 (`poly.lift_substitutions`).  `slot_sum` (the coboundary, the cocycle
-defect) unlifts that sum, and `on_slots` is its one-map case.  `swap_slots`,
-the swap p(v, u) of the (anti)symmetrisations, is a bijection on exponent
-tuples, so it only relabels the terms.  `merge_slots` sets the slots equal,
+defect) unlifts that sum.  `swap_slots`, the swap p(v, u) of the
+(anti)symmetrisations, is a bijection on exponent tuples, so it only
+relabels the terms.  `merge_slots` sets the slots equal,
 `slot_degrees` gives a monomial's degree in each slot, and `bilinear_form`
 reads the (1, 1) part as a matrix.  Its readers elsewhere slice the
 exponent tuples themselves:
@@ -206,12 +206,6 @@ def swap_slots(p: Poly) -> Poly:
     if rem or p.space != pair_space(width // 2):
         raise SpaceMismatchError(f"{p.space!r} is not a pair space")
     return Poly(p.space, {e[width:] + e[:width]: c for e, c in p.terms.items()})
-
-
-def on_slots(p: Poly, target: Space, *slots: str) -> Poly:
-    """p(slot_1, ..., slot_k) over a pair or triple space: a(u, v + w) is
-    on_slots(a, triple_space(n), "u", "vw").  The one-map case of `slot_sum`."""
-    return slot_sum(p, target, (1, *slots))
 
 
 def slot_sum(p: Poly, target: Space, *maps: tuple) -> Poly:

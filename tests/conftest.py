@@ -1,8 +1,10 @@
-"""Shared helpers: monomial enumeration, seeded random algebra objects, the
-full sinh series of a planted kernel, `substitute`, the slot-map oracles,
-evaluation at a point of field elements, the per-term accumulation oracles, the Jacobi verdict read off the whole
-packed product, the centre check as a loop over test monomials and the
-degreewise Theorem 2 fit."""
+"""Shared helpers: monomial enumeration, the degree guard read through
+`check_degree`, seeded random algebra objects, the full sinh series of a
+planted kernel, the bracket kernel of a product kernel, `substitute`, the
+slot-map oracles, evaluation at a point of field elements, the per-term
+accumulation oracles, the Jacobi verdict read off the whole packed product,
+the centre check as a loop over test monomials and the degreewise Theorem 2
+fit."""
 
 from __future__ import annotations
 
@@ -14,13 +16,15 @@ from math import comb, factorial
 
 from moyal import scalars
 from moyal.cocycle import dual_monomials
-from moyal.lie import exp_truncated
+from moyal.errors import DegreeGuardError
+from moyal.lie import RawLieKernel, exp_truncated
 from moyal.linalg import Matrix
 from moyal.operators import NCPoly
 from moyal.poly import (
     DiffOp,
     Poly,
     block_product,
+    check_degree,
     digit_width,
     divide_exact,
     lift_scale,
@@ -29,7 +33,7 @@ from moyal.poly import (
     sigma_space,
     triple_space,
 )
-from moyal.star import StarKernel, coboundary, lift_slots, merge_slots, slot_degrees
+from moyal.star import StarKernel, coboundary, lift_slots, merge_slots, slot_degrees, swap_slots
 
 
 def monomials(space, max_total_degree):
@@ -66,6 +70,16 @@ def _within_budget(singles, count, budget):
         if degree <= budget:
             for rest in _within_budget(singles, count - 1, budget - degree):
                 yield (exps,) + rest
+
+
+def guard_bound():
+    """The degree guard in force, read through `poly.check_degree` alone: the
+    largest degree it lets through."""
+    for degree in itertools.count():
+        try:
+            check_degree(degree + 1, "probe")
+        except DegreeGuardError:
+            return degree
 
 
 def random_coefficient(rng: random.Random, mu_degree=1, allow_i=True):
@@ -138,6 +152,13 @@ def dressed_kernel(rng: random.Random, n, m=None):
     return StarKernel(n, chi, random_antisymmetric(rng, 2 * n) if m is None else m)
 
 
+def bracket_kernel_of(kernel: StarKernel, truncation_degree: int) -> RawLieKernel:
+    """The bracket kernel (exp(b) - swap) / (2 mu) of a product kernel, truncated."""
+    eb = exp_truncated(kernel.exponent(), truncation_degree)
+    commutator = eb - swap_slots(eb)
+    return RawLieKernel(kernel.n, commutator.scale(scalars.HALF_INV_MU))
+
+
 def operand(rng: random.Random, n, max_degree):
     """A multi-term phase-space polynomial over a mu-dependent denominator."""
     f = random_poly(rng, phase_space(n), max_degree, terms=3)
@@ -202,7 +223,7 @@ def oracle_slot_sum(p, target, *maps):
 
 
 def slot_images(space, n, *slots):
-    """The image of each slot variable under `on_slots(p, space, *slots)`."""
+    """The image of each slot variable under `slot_sum(p, space, (1, *slots))`."""
     return [
         sum((Poly.variable(space, f"{block}{i}") for block in slot), Poly.zero(space))
         for slot in slots

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    bracket_kernel_of,
     monomial_tuples,
     monomials,
     random_antisymmetric,
@@ -33,7 +34,6 @@ from moyal.lie import (
     StructuredLieKernel,
     apply_bracket_kernel,
     bidiff_coefficients,
-    bracket_kernel_of,
     classify_h,
     reconstruct_bracket,
     theorem2_pipeline,

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     accumulate,
+    bracket_kernel_of,
     dressed_kernel,
     operand,
     oracle_apply,
@@ -30,11 +31,10 @@ from moyal.lie import (
     RawLieKernel,
     apply_bracket_kernel,
     bidiff_coefficients,
-    bracket_kernel_of,
     reconstruct_bracket,
 )
 from moyal.poly import DiffOp, Poly, degree_guard, pair_space, phase_space, triple_space
-from moyal.star import BiDiff, bracket, on_slots, star
+from moyal.star import BiDiff, bracket, slot_sum, star
 
 # The package re-exports the function `star` under the submodule's name.
 star_module = importlib.import_module("moyal.star")
@@ -144,7 +144,7 @@ def test_on_slots_matches_substitution(first, second):
     p = random_poly(rng, pair_space(n), 4, terms=5, mu_degree=1)
     tri = triple_space(n)
     expected = substitute(p, slot_images(tri, n, first, second), tri)
-    assert on_slots(p, tri, first, second) == expected
+    assert slot_sum(p, tri, (1, first, second)) == expected
 
 
 def test_coefficient_table_sizes_are_bounded():

@@ -39,7 +39,7 @@ from moyal.expressions import parse_coefficient
 from moyal.operators import NCPoly, nc_mul
 from moyal.poly import DiffOp, Poly, pair_space, phase_space
 from moyal.lie import exp_truncated
-from moyal.star import BiDiff, StarKernel, bracket, merge_slots, on_slots, star
+from moyal.star import BiDiff, StarKernel, bracket, merge_slots, slot_sum, star
 
 MAX_DEGREE = {1: 3, 2: 2}
 # Denominators without roots in Q(i): no coefficient of `random_poly` cancels them.
@@ -202,7 +202,7 @@ def test_merge_slots_matches_the_oracle(case):
     rng, n, f, g = setup(case)
     pair, width = pair_space(n), 2 * n
     p = random_poly(rng, pair, 3, terms=5).scale(f.constant_term() or FACTORS[0])
-    swapped = on_slots(p, pair, "v", "u")
+    swapped = slot_sum(p, pair, (1, "v", "u"))
     for q in (p, p + swapped, p - swapped):
         expected = accumulate(
             f.space, ((tuple(map(int.__add__, e[:width], e[width:])), c) for e, c in q.terms.items())

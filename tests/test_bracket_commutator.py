@@ -14,10 +14,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dressed_kernel, operand
+from conftest import bracket_kernel_of, dressed_kernel, operand
 from moyal import scalars
 from moyal.errors import DegreeGuardError, DimensionMismatchError
-from moyal.lie import apply_bracket_kernel, bracket_kernel_of
+from moyal.lie import apply_bracket_kernel
 from moyal.linalg import Matrix
 from moyal.operators import nc_mul, weyl_quantize, weyl_symbol
 from moyal.poly import (

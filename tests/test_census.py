@@ -91,7 +91,7 @@ from moyal.cocycle import RawKernelExponent, cocycle_defect
 from moyal.expressions import parse_coefficient, parse_poly
 from moyal.linalg import Matrix
 from moyal.poly import Poly, pair_space, phase_space, sigma_space, triple_space
-from moyal.star import StarKernel, bracket, on_slots, slot_sum
+from moyal.star import StarKernel, bracket, slot_sum
 
 CASES = [(1, d) for d in range(2, 7)] + [(2, d) for d in range(2, 5)] + [(3, 2), (3, 3)]
 
@@ -195,7 +195,7 @@ W2 = parse_poly("u1*v3 - u3*v1 + u2*v4 - u4*v2", pair_space(2))
 def jacobi_terms(x, y):
     """X(u,v+w) and Y(v,w) over triple space, the factors of B(X, Y)."""
     tri = triple_space(len(x.space) // 4)
-    return on_slots(x, tri, "u", "vw"), on_slots(y, tri, "v", "w")
+    return slot_sum(x, tri, (1, "u", "vw")), slot_sum(y, tri, (1, "v", "w"))
 
 
 @lru_cache(maxsize=4)

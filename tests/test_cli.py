@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import guard_bound
 from moyal.cli import run
 
 
@@ -230,30 +231,22 @@ class TestProtocol:
         assert (code, out.strip()) == (0, expected)
 
     def test_degree_guard_env(self, capsys, monkeypatch):
-        from moyal.poly import get_degree_guard, set_degree_guard
-
-        saved = get_degree_guard()
         monkeypatch.setenv("MOYAL_MAX_DEGREE", "4")
-        try:
-            code, _, err = invoke(capsys, "star", "q1^4", "p1^4")
-            assert code == 2
-            assert "degree" in err.lower()
-        finally:
-            set_degree_guard(saved)
+        code, _, err = invoke(capsys, "star", "q1^4", "p1^4")
+        assert code == 2
+        assert "degree" in err.lower()
 
     def test_degree_guard_env_holds_for_the_command_only(self, capsys, monkeypatch):
-        from moyal.poly import get_degree_guard
-
-        saved = get_degree_guard()
+        saved = guard_bound()
         monkeypatch.setenv("MOYAL_MAX_DEGREE", "7")
         assert invoke(capsys, "--json", "star", "q1", "p1")[0] == 0
-        assert get_degree_guard() == saved
+        assert guard_bound() == saved
         for bad in ("0", "-3", "seven"):
             monkeypatch.setenv("MOYAL_MAX_DEGREE", bad)
             code, out, _ = invoke(capsys, "--json", "star", "q1", "p1")
             assert code == 2
             assert json.loads(out)["witness"]["message"] == "MOYAL_MAX_DEGREE must be a positive integer"
-            assert get_degree_guard() == saved
+            assert guard_bound() == saved
 
     def test_json_error_document(self, capsys):
         code, out, _ = invoke(capsys, "--json", "limit", "(1/mu)*q1")
@@ -295,15 +288,9 @@ def test_json_deep_nesting_exit_two(capsys):
     [(None, "(1+mu)^65", 2), (None, "(1+mu)^20000", 2), (None, "mu^64", 0), ("200", "mu^100", 0)],
 )
 def test_json_scalar_powers_respect_the_degree_guard(capsys, monkeypatch, guard, f, code):
-    from moyal.poly import get_degree_guard, set_degree_guard
-
-    saved = get_degree_guard()
     if guard is not None:
         monkeypatch.setenv("MOYAL_MAX_DEGREE", guard)
-    try:
-        got, out, _ = invoke(capsys, "--json", "star", f, "q1")
-    finally:
-        set_degree_guard(saved)
+    got, out, _ = invoke(capsys, "--json", "star", f, "q1")
     doc = json.loads(out)
     assert got == code
     assert set(doc) == JSON_KEYS
@@ -336,15 +323,9 @@ def test_json_long_chains(capsys, f, code, poly):
 
 
 def test_json_coefficient_table_respects_the_degree_guard(capsys, monkeypatch):
-    from moyal.poly import get_degree_guard, set_degree_guard
-
-    saved = get_degree_guard()
     monkeypatch.setenv("MOYAL_MAX_DEGREE", "6")
     argv = ["--json", "coeffs", "--a", "v1*u2 - v2*u1", "--rmax", "4", "--smax", "3"]
-    try:
-        code, out, _ = invoke(capsys, *argv)
-    finally:
-        set_degree_guard(saved)
+    code, out, _ = invoke(capsys, *argv)
     doc = json.loads(out)
     assert code == 2
     assert set(doc) == JSON_KEYS

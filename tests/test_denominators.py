@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    bracket_kernel_of,
     oracle_apply,
     oracle_bracket,
     oracle_mul,
@@ -30,7 +31,7 @@ from conftest import (
 )
 from moyal import scalars
 from moyal.expressions import parse_coefficient
-from moyal.lie import apply_bracket_kernel, bracket_kernel_of
+from moyal.lie import apply_bracket_kernel
 from moyal.linalg import Matrix
 from moyal.operators import NCPoly, nc_mul, weyl_quantize, weyl_symbol
 from moyal.poly import Poly, phase_space

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    bracket_kernel_of,
     oracle_slot_sum,
     random_gauge_chi,
     random_poly,
@@ -28,14 +29,13 @@ from moyal.expressions import parse_poly
 from moyal.lie import (
     RawLieKernel,
     StructuredLieKernel,
-    bracket_kernel_of,
     jacobi_defect,
     lie_axiom_check,
     theorem2_pipeline,
 )
 from moyal.linalg import Matrix
 from moyal.poly import Poly, pair_space, sigma_space, triple_space
-from moyal.star import StarKernel, on_slots
+from moyal.star import StarKernel, slot_sum
 
 ONE, MU, ZERO = scalars.ONE, scalars.MU, scalars.ZERO
 PAIR = pair_space(1)
@@ -281,7 +281,7 @@ def test_on_slots_expands_powers_of_sums(n, first, second):
     tri = triple_space(n)
     assert any(max(exps) > 1 for exps in p.terms)
     expected = substitute(p, slot_images(tri, n, first, second), tri)
-    assert on_slots(p, tri, first, second) == expected
+    assert slot_sum(p, tri, (1, first, second)) == expected
 
 
 def dressed_linear(rng, n, fit):

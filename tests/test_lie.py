@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    bracket_kernel_of,
     monomials,
     oracle_center_generators,
     oracle_fit_structured,
@@ -25,7 +26,6 @@ from moyal.lie import (
     _fit_structured,
     apply_bracket_kernel,
     bidiff_coefficients,
-    bracket_kernel_of,
     center_generators_from_kernel,
     classify_h,
     exp_truncated,
@@ -38,7 +38,7 @@ from moyal.lie import (
 from moyal.cocycle import RawKernelExponent, dual_monomials
 from moyal.linalg import Matrix
 from moyal.poly import DiffOp, Poly, pair_space, phase_space, sigma_space
-from moyal.star import BiDiff, StarKernel, bilinear_pair_poly, bracket, on_slots, poisson
+from moyal.star import BiDiff, StarKernel, bilinear_pair_poly, bracket, poisson, slot_sum
 
 ONE, MU, ZERO = scalars.ONE, scalars.MU, scalars.ZERO
 PAIR = pair_space(1)
@@ -89,9 +89,9 @@ class TestAxioms:
 
 class TestExtractOmega:
     def test_moyal_sinh_gives_minus_j(self):
-        data = extract_omega(raw(SINH_TRUNC))
-        assert data.omega == Matrix.canonical_symplectic(1, scalars.MINUS_ONE)
-        assert data.rank == 2 and data.nondegenerate
+        omega = extract_omega(raw(SINH_TRUNC))
+        assert omega == Matrix.canonical_symplectic(1, scalars.MINUS_ONE)
+        assert omega.rank() == 2 and omega.nullspace() == []
 
     def test_consistency_with_product_kernel(self):
         # Cross-module sign: the bracket kernel of a product kernel (chi, M)
@@ -104,15 +104,14 @@ class TestExtractOmega:
             m = m.scale(MU)
             kernel = StarKernel(n, Poly.zero(sigma_space(n)), m)
             a = bracket_kernel_of(kernel, truncation_degree=6)
-            data = extract_omega(a)
-            assert data.omega == m.scale((-(MU)).inverse())
+            assert extract_omega(a) == m.scale((-(MU)).inverse())
 
     def test_block_structure_n2(self):
         a = parse_poly("v1*u3 - v3*u1", pair_space(2))
-        data = extract_omega(raw(a, n=2))
-        assert data.rank == 2
+        omega = extract_omega(raw(a, n=2))
+        assert omega.rank() == 2
         zero, one = ZERO, ONE
-        assert data.kernel_basis == [
+        assert omega.nullspace() == [
             (zero, one, zero, zero),
             (zero, zero, zero, one),
         ]
@@ -286,6 +285,27 @@ class TestTheorem2:
     def test_axioms_failed_status(self):
         report = theorem2_pipeline(raw(WEDGE * WEDGE), fit_degree=4)
         assert report.status == "axioms-failed"
+
+    @pytest.mark.parametrize(
+        "n, kernel, fit_degree, status, rank, nullity",
+        [
+            (1, "v1*u2 - v2*u1 + mu^2/6*(v1*u2 - v2*u1)^3", 6, "moyal-class", 2, 0),
+            (1, "v1*u2 - v2*u1", 4, "poisson-class", 2, 0),
+            (2, "v1*u3 - v3*u1", 4, "degenerate", 2, 2),
+            # The fit fails after omega is read off.
+            (2, "u1*v3 - u3*v1 + u2*v4 - u4*v2 + mu*(u1^2*v2^2 - v1^2*u2^2)", 6, "neither", 4, 0),
+            # Jacobi holds through degree 3, but no omega can be read off.
+            (1, "u1^2*v2 - v1^2*u2", 3, "neither", None, 0),
+            (1, "(v1*u2 - v2*u1)^2", 4, "axioms-failed", None, 0),
+        ],
+        ids=["moyal", "poisson", "degenerate", "neither-fit", "neither-omega", "axioms-failed"],
+    )
+    def test_rank_is_read_off_omega_and_its_kernel(self, n, kernel, fit_degree, status, rank, nullity):
+        report = theorem2_pipeline(raw(parse_poly(kernel, pair_space(n)), n=n), fit_degree=fit_degree)
+        assert report.status == status
+        assert (report.rank, len(report.kernel_basis)) == (rank, nullity)
+        if report.omega is not None:
+            assert report.kernel_basis == report.omega.nullspace()
 
 
 def _random_nondegenerate_omega(rng, n):
@@ -528,7 +548,7 @@ def centre_case(rng, n, antisymmetric):
                 exps[block + k] += 1
         a = a + Poly.monomial(pair, tuple(exps), random_coefficient(rng))
     if antisymmetric:
-        a = a - on_slots(a, pair, "v", "u")
+        a = a - slot_sum(a, pair, (1, "v", "u"))
     basis = [tuple(ONE if k == c else ZERO for k in range(width)) for c in centre]
     if len(centre) > 1 and rng.random() < 0.5:
         basis[0] = tuple(x + y for x, y in zip(basis[0], basis[1]))
@@ -552,7 +572,7 @@ def test_centre_verification_builds_no_test_monomials(verify_degree):
     test monomials of n = 3, which the block check never builds, were once
     refused from verify degree 11 on."""
     a = raw(parse_poly("u1*v4 - v1*u4", pair_space(3)), n=3)
-    basis = extract_omega(a).kernel_basis
+    basis = extract_omega(a).nullspace()
     got = center_generators_from_kernel(a, basis, 1, verify_degree)
     assert len(got) == 5 and all(c.verified for c in got)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    guard_bound,
     oracle_evaluate,
     oracle_mul,
     random_coefficient,
@@ -29,17 +30,15 @@ from moyal.poly import (
     Poly,
     degree_guard,
     divide_exact,
-    get_degree_guard,
     digit_width,
     lift_scale,
     lift_substitutions,
     pair_space,
     phase_space,
-    set_degree_guard,
     sigma_space,
     triple_space,
 )
-from moyal.star import StarKernel, on_slots, slot_degrees, star, u_map
+from moyal.star import StarKernel, slot_degrees, slot_sum, star, u_map
 
 SP = phase_space(1)
 Q = Poly.variable(SP, "q1")
@@ -139,16 +138,10 @@ def test_sigma_scaling_rule():
 
 
 def test_degree_guard():
-    saved = get_degree_guard()
-    try:
-        set_degree_guard(8)
-        with pytest.raises(DegreeGuardError):
+    with degree_guard(8):
+        with pytest.raises(DegreeGuardError, match="raise it with degree_guard or MOYAL_MAX_DEGREE"):
             (Q**5) * (Q**5)
         assert (Q**4) * (Q**4) == Q**8
-    finally:
-        set_degree_guard(saved)
-    with pytest.raises(ValueError):
-        set_degree_guard(0)
 
 
 def test_substitute_and_embed():
@@ -163,10 +156,10 @@ def test_substitute_and_embed():
     ]
     expected = parse_poly("(u1 + v1)^2*v1 + u2 + v2", pair)
     assert substitute(b, images, pair) == expected
-    assert on_slots(b, pair, "uv", "v") == expected
+    assert slot_sum(b, pair, (1, "uv", "v")) == expected
     # A sigma-space polynomial placed in the second slot.
     chi = parse_poly("u1^2", sigma_space(1))
-    assert on_slots(chi, pair, "v") == parse_poly("v1^2", pair)
+    assert slot_sum(chi, pair, (1, "v")) == parse_poly("v1^2", pair)
 
 
 def test_evaluate():
@@ -312,17 +305,20 @@ def test_the_power_guard_refuses_no_printable_gaussian_power(text):
 
 
 def test_degree_guard_context_manager_restores_the_bound():
-    saved = get_degree_guard()
+    saved = guard_bound()
     with degree_guard(8):
-        assert get_degree_guard() == 8
+        assert guard_bound() == 8
+        with degree_guard(3):
+            assert guard_bound() == 3
+        assert guard_bound() == 8
         with pytest.raises(DegreeGuardError):
             (Q**5) * (Q**5)
-    assert get_degree_guard() == saved
+    assert guard_bound() == saved
     assert (Q**5) * (Q**5) == Q**10
     with pytest.raises(ValueError):
         with degree_guard(0):
             pass
-    assert get_degree_guard() == saved
+    assert guard_bound() == saved
 
 
 def test_degree_guard_is_not_shared_between_threads():
@@ -331,28 +327,28 @@ def test_degree_guard_is_not_shared_between_threads():
     checked_in_main = threading.Event()
 
     def worker():
-        set_degree_guard(4)
-        set_in_worker.set()
-        checked_in_main.wait(timeout=10)
-        seen["worker"] = get_degree_guard()
-        try:
-            Q**3 * Q**3
-        except DegreeGuardError:
-            seen["raised"] = True
+        with degree_guard(4):
+            set_in_worker.set()
+            checked_in_main.wait(timeout=10)
+            seen["worker"] = guard_bound()
+            try:
+                Q**3 * Q**3
+            except DegreeGuardError:
+                seen["raised"] = True
 
-    saved = get_degree_guard()
+    saved = guard_bound()
     thread = threading.Thread(target=worker)
     thread.start()
     try:
         assert set_in_worker.wait(timeout=10)
-        assert get_degree_guard() == saved
+        assert guard_bound() == saved
         assert (Q**3) * (Q**3) == Q**6
     finally:
         checked_in_main.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert seen == {"worker": 4, "raised": True}
-    assert get_degree_guard() == saved
+    assert guard_bound() == saved
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,9 +1,9 @@
 """The slot algebra of `moyal.star` against literal substitution.
 
-`slot_sum`, and `on_slots` and `coboundary` on top of it, are binomial
-rewrites of exponent tuples on packed ints; `substitute` in conftest computes
-the same maps by multiplying out the image polynomials, and `oracle_slot_sum`
-by the same rewrite on `Coefficient`s.  The readers `slot_degrees` and
+`slot_sum`, and `coboundary` on top of it, are binomial rewrites of
+exponent tuples on packed ints; `substitute` in conftest computes the same
+maps by multiplying out the image polynomials, and `oracle_slot_sum` by the
+same rewrite on `Coefficient`s.  The readers `slot_degrees` and
 `bilinear_form` are checked on hand-written tuples and as the inverse of
 `bilinear_pair_poly`.
 """
@@ -31,7 +31,6 @@ from moyal.star import (
     bilinear_form,
     bilinear_pair_poly,
     coboundary,
-    on_slots,
     slot_degrees,
     slot_sum,
     swap_slots,
@@ -59,7 +58,7 @@ def test_coboundary_is_the_literal_substitution(n, denominator, seed):
 
     assert coboundary(chi) == chi_of("u") + chi_of("v") - chi_of("uv")
     for slot in ("u", "v", "uv"):
-        assert on_slots(chi, pair, slot) == chi_of(slot)
+        assert slot_sum(chi, pair, (1, slot)) == chi_of(slot)
 
 
 @pytest.mark.parametrize("n, denominator, seed", CASES)
@@ -214,7 +213,7 @@ def test_on_slots_rejects_mismatched_spaces():
     ]
     for poly, target, slots in mismatched:
         with pytest.raises(SpaceMismatchError):
-            on_slots(poly, target, *slots)
+            slot_sum(poly, target, (1, *slots))
     # A slot sum checks every map, not only its first.
     with pytest.raises(SpaceMismatchError):
         slot_sum(p, triple_space(1), (1, "u", "vw"), (1, "u", "v", "w"))

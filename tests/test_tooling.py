@@ -1,19 +1,20 @@
 """Source checks: imports stay at module level, no module imports another
 moyal module's underscore-prefixed names, every lru_cache is bounded (by an
 int literal or a module-level name bound to one; no `functools.cache`), only
-poly.py reads or enforces the degree guard itself, only poly.py reads the
-fields of a deferred polynomial or asks whether a value is deferred (so
-`poly.bilinear` alone applies the denominator rule), only scalars.py calls
-the trusted scalar constructors, in cli.py only the expression table and its
-pass read and parse expression arguments, `perm` is called only in
-`poly._derivative_piece` (differentiation has one owner, the shared
-derivative table), `comb` only in `poly.lift_substitutions` (the one binomial
-slot expansion) and two places that are not slot maps, star.py, lie.py and
-cocycle.py apply no `>>` or `&` (a packed key's bit fields are read in poly.py
-alone), no module outside `__init__.py` imports a name it never uses (a name
-used only in an annotation counts), every module-level function or class is
-named somewhere else in src or exported by `__init__.py` (no new test-only
-code), and the package declares no runtime dependency."""
+poly.py reads or enforces the degree guard itself and only `poly.degree_guard`
+sets and resets it, only poly.py reads the fields of a deferred polynomial or
+asks whether a value is deferred (so `poly.bilinear` alone applies the
+denominator rule), only scalars.py calls the trusted scalar constructors, in
+cli.py only the expression table and its pass read and parse expression
+arguments, `perm` is called only in `poly._derivative_piece` (differentiation
+has one owner, the shared derivative table), `comb` only in
+`poly.lift_substitutions` (the one binomial slot expansion) and two places
+that are not slot maps, star.py, lie.py and cocycle.py apply no `>>` or `&` (a
+packed key's bit fields are read in poly.py alone), no module outside
+`__init__.py` imports a name it never uses (a name used only in an annotation
+counts), every module-level function or class is named somewhere else in src
+or exported by `__init__.py` (no new test-only code), and the package declares
+no runtime dependency."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,8 @@ EXPRESSION_SCOPES = {"_EXPRESSIONS", "_parse_expressions"}
 
 # The one derivative table: every other derivative goes through it.
 DERIVATIVE_OWNER = ("poly.py", "_derivative_piece")
+# The guard is set for one block at a time and reset when the block exits.
+GUARD_SETTER = ("poly.py", "degree_guard")
 # They read packed forms through the methods of poly.Lifted, which owns the key layout.
 KEY_LAYOUT_USERS = {"star.py", "lie.py", "cocycle.py"}
 KEY_BIT_OPS = (ast.RShift, ast.BitAnd)
@@ -60,16 +63,31 @@ def _expression_violations(tree):
                 yield node.lineno, f"{_called_name(node)} called outside the expression table"
 
 
-def _perm_violations(tree, module):
-    owned = {
+def _owned(tree, module, owner):
+    """The ids of the nodes inside the function `owner` = (module, name)."""
+    return {
         id(node)
         for func in ast.walk(tree)
-        if isinstance(func, ast.FunctionDef) and (module, func.name) == DERIVATIVE_OWNER
+        if isinstance(func, ast.FunctionDef) and (module, func.name) == owner
         for node in ast.walk(func)
     }
+
+
+def _perm_violations(tree, module):
+    owned = _owned(tree, module, DERIVATIVE_OWNER)
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and _called_name(node) == "perm" and id(node) not in owned:
             yield node.lineno, "perm called outside poly._derivative_piece"
+
+
+def _guard_setter_violations(tree, module):
+    owned = _owned(tree, module, GUARD_SETTER)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute) and node.attr in ("set", "reset")
+            and getattr(node.value, "id", None) == "_degree_guard" and id(node) not in owned
+        ):
+            yield node.lineno, f"_degree_guard.{node.attr} outside poly.degree_guard"
 
 
 def _is_int(node):
@@ -129,6 +147,7 @@ def _violations(tree, module=""):
     if module == "cli.py":
         yield from _expression_violations(tree)
     yield from _perm_violations(tree, module)
+    yield from _guard_setter_violations(tree, module)
 
 
 def _annotation_names(node):
@@ -160,7 +179,7 @@ def _unused_imports(tree):
 
 
 # Module-level names that only tests and bench/ use; no other joins them.
-TEST_ONLY = {"apply_bracket_kernel", "bracket_kernel_of", "cocycle_defect", "get_degree_guard", "on_slots"}
+TEST_ONLY = {"apply_bracket_kernel", "cocycle_defect"}
 
 
 def _named(node):
@@ -230,6 +249,7 @@ def test_no_function_imports_or_unbounded_caches(path):
         "if f.is_deferred or g.is_deferred:\n    f, den = f.split_denominator()\n",
         "from math import perm\nfactor = perm(5, 2)\n",
         "import math\ndef _derivative_piece(d, t):\n    return math.perm(t, d)\n",
+        "_degree_guard.set(8)\n",
     ],
 )
 def test_checker_flags_planted_violations(source):
@@ -268,6 +288,9 @@ def test_checker_allows_public_and_foreign_names():
     assert list(_violations(ast.parse("d = Coefficient.make(num, den)\n"))) == []
     owner = "import math\ndef _derivative_piece(d, t):\n    return math.perm(t, d)\n"
     assert list(_violations(ast.parse(owner), "poly.py")) == []
+    setter = "def degree_guard(bound):\n    token = _degree_guard.set(bound)\n    _degree_guard.reset(token)\n"
+    assert list(_violations(ast.parse(setter), "poly.py")) == []
+    assert len(list(_violations(ast.parse(setter), "cli.py"))) == 2
     bounded = (
         "from functools import lru_cache\nSIZE = 64\n@lru_cache(maxsize=8)\ndef f(): pass\n"
         "def g():\n    return lru_cache(maxsize=SIZE)(f), lru_cache(SIZE)(f)\n"
