@@ -19,19 +19,23 @@ truncation defects rather than violations.
 Packed form.  The Jacobi check runs on exact integers: A(u, v+w) and
 A(v, w), or half of it when A is antisymmetric, are lifted straight from the
 terms of A (`star.lift_slots`) into `poly.Lifted` forms, split by total
-degree, and multiplied and folded by block permutation (`Lifted.fold_triple`)
-one output degree at a time (`poly.block_product`); the fold keeps degrees,
-so each block is the whole defect's part of that degree.  The report reads
-three things, and stops as soon as it has them: the lowest nonzero block,
-found upwards, gives the low end of the degree range and, against the
-truncation degree, the verdict; the highest, found downwards, gives the high
-end and the witness, its lead, which is the whole defect's lead because keys
-order by degree first.  Only a verdict that rests on mu = 0 reads the blocks
-in between, upwards, up to the first that does not vanish there.  The blocks
-are read through the form's methods; only the entries of the leading
-monomial, the witness, are turned back into a coefficient.  `jacobi_defect`
-alone unlifts every entry: it is the rotated sum, every block merged (the
-CLI renders the defect's mu-order parts from it).
+degree, and multiplied one output degree at a time (`poly.block_product`),
+each pair's product filed by block permutation as it is added; the fold
+keeps degrees, so each block is the whole defect's part of that degree.  The
+report reads three things, and stops as soon as it has them: the lowest
+nonzero block, found upwards, gives the low end of the degree range and,
+against the truncation degree, the verdict; the highest, found downwards,
+gives the high end and the witness, its lead, which is the whole defect's
+lead because keys order by degree first.  Only a verdict that rests on
+mu = 0 reads the blocks in between, upwards, up to the first that does not
+vanish there.  The blocks are read through the form's methods; only the
+entries of the leading monomial, the witness, are turned back into a
+coefficient.  `jacobi_defect` alone unlifts every entry: it is the rotated
+sum, every block merged (the CLI renders the defect's mu-order parts from
+it).  The fit's dressed powers exp(delta chi) * w^k run on the same product
+(`_dressed_powers`): delta chi and w are lifted, the exponential is summed
+from block products (`poly.exp_blocks`), and each power is unlifted once;
+the fit reads them as polynomials.
 
 Convention sheet (pinned by the Moyal fixture, see tests): with the bracket
 kernel of the symmetric-ordering product, the first-slot derivative matrix is
@@ -81,23 +85,29 @@ from .poly import (
     check_dimension,
     digit_width,
     divide_exact,
-    exp_series,
+    exp_blocks,
+    exp_bound,
     lift_scale,
     pair_space,
     phase_space,
+    product_blocks,
     sigma_space,
     triple_space,
+    unlift_blocks,
 )
 from .star import (
     BiDiff,
     bilinear_form,
     bilinear_pair_poly,
-    coboundary,
     lift_slots,
     phase_dimension,
     slot_degrees,
     swap_slots,
 )
+
+
+# The slot maps of the coboundary chi(u) + chi(v) - chi(u + v).
+_COBOUNDARY = [(1, "u"), (1, "v"), (-1, "uv")]
 
 
 class LieKernelError(MoyalError):
@@ -124,21 +134,6 @@ class RawLieKernel:
     def antisymmetry_witness(self) -> tuple[Exponents, scalars.Coefficient] | None:
         """The leading term of A(u, v) + A(v, u); None when A is antisymmetric."""
         return _first_term(self.a + swap_slots(self.a))
-
-
-def exp_truncated(p: Poly, max_degree: int) -> Poly:
-    """exp(p) truncated at total degree max_degree; p must have no constant term.
-
-    The series is `poly.exp_series` from 1 with the step t -> t*p/k truncated
-    at max_degree, so it ends once the powers pass the bound.
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
-    if p.constant_term():
-        raise ValueError("exponent must have zero constant term")
-    return exp_series(
-        Poly.one(p.space), lambda t, k: t.mul_truncated(p, max_degree).scale_fraction(Fraction(1, k))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,24 +185,26 @@ def _defect_blocks(raw: RawLieKernel, antisymmetric: bool) -> tuple[range, Calla
     For an antisymmetric A the defect is the sum over S3 of sgn(pi) Q o pi,
     Q = A(u,v+w) H(v,w), where H holds the terms of A(v,w) whose v-block is
     lexicographically above its w-block (A = H - H o swap), so the
-    alternating fold of Q (`Lifted.fold_triple`) holds it at the largest
-    tuple of each orbit.  Otherwise the defect is the cyclic sum of
-    P = A(u,v+w) A(v,w), the rotation fold of P.
+    alternating fold of Q holds it at the largest tuple of each orbit.
+    Otherwise the defect is the cyclic sum of P = A(u,v+w) A(v,w), the
+    rotation fold of P.
 
     Both slot maps are lifted once (`star.lift_slots`) from D * A, D the
     lcm of the denominators of A (`Poly.split_denominator`), with one digit
-    width, and split by degree; block(d) is the fold of the degree-d block
-    of their product (`poly.block_product`), divided by D^2.  The fold
-    keeps each key's degree, so it is the degree-d part of the whole fold,
-    entry for entry.  The digits are wide enough for the whole fold, and so
-    for every block: with |.|_1 the sum of the absolute digit values of a
-    lifted form and deg the degree of A, |A(u,v+w)|_1 <= 2^deg |D*A|_1 (each
-    term's images sum binomial multiples of it, 2^deg at most) and
-    |A(v,w)|_1 <= |D*A|_1, so every digit of the product is at most
-    2^deg |D*A|_1^2 in absolute value, and every digit of the fold, which
-    adds each product entry at most three times, at most
-    3 * 2^deg |D*A|_1^2 < 2^(B-1).  The factor 3 is reached: for a constant
-    A the rotations of the one product key, x = y = z = 0, coincide.
+    width, and split by degree; block(d) is the degree-d block of their
+    product folded as it is multiplied (`poly.block_product` with the
+    alternating or cyclic fold), divided by D^2.  The fold keeps each key's
+    degree, so it is the degree-d part of the whole fold, entry for entry.
+    The digits are wide enough for the whole fold, and so for every block:
+    with |.|_1 the sum of the absolute digit values of a lifted form and deg
+    the degree of A, |A(u,v+w)|_1 <= 2^deg |D*A|_1 (each term's images sum
+    binomial multiples of it, 2^deg at most) and |A(v,w)|_1 <= |D*A|_1.
+    Each pair's product is added once (alternating) or three times
+    (cyclic), and a digit, or a partial sum of one, cannot exceed the sum
+    of the absolute contributions it collects, so every digit met is at
+    most 3 * 2^deg |D*A|_1^2 < 2^(B-1).  The factor 3 is reached: for a
+    constant A the rotations of the one product key, x = y = z = 0,
+    coincide.
     """
     (a, den), tri = raw.a.split_denominator(), triple_space(raw.n)
     width = 2 * raw.n
@@ -218,9 +215,9 @@ def _defect_blocks(raw: RawLieKernel, antisymmetric: bool) -> tuple[range, Calla
     right = lift_slots(half if antisymmetric else a, tri, [(1, "v", "w")], digit_bits).by_degree()
     if not left or not right:
         return range(0), None
-    product, den2 = block_product(left, right), den * den
-    degrees = range(min(left) + min(right), max(left) + max(right) + 1)
-    return degrees, lambda degree: product(degree).fold_triple(antisymmetric).over(den2)
+    product = block_product(left, right, "alternating" if antisymmetric else "cyclic")
+    degrees, den2 = range(min(left) + min(right), max(left) + max(right) + 1), den * den
+    return degrees, lambda degree: product(degree).over(den2)
 
 
 def jacobi_defect(raw: RawLieKernel) -> Poly:
@@ -229,13 +226,7 @@ def jacobi_defect(raw: RawLieKernel) -> Poly:
     The packed cyclic sum of `_defect_blocks`, every block merged, unlifted.
     """
     degrees, block = _defect_blocks(raw, False)
-    if not degrees:
-        return Poly.zero(triple_space(raw.n))
-    defect = block(degrees[0])
-    for degree in degrees[1:]:
-        # Blocks of distinct degrees share no key.
-        defect.terms.update(block(degree).terms)
-    return defect.unlift()
+    return unlift_blocks({degree: block(degree) for degree in degrees}, triple_space(raw.n))
 
 
 def _first_term(p: Poly) -> tuple[Exponents, scalars.Coefficient] | None:
@@ -308,24 +299,29 @@ def extract_omega(raw: RawLieKernel) -> Matrix:
     """Read omega_ij from the part of A linear in the first slot at zero.
 
     Requires A(0, sigma') = 0.  The first-slot-linear part must be linear in
-    the second slot and antisymmetric; any offending term is raised as a
-    witness.  Ker omega is the returned matrix's `nullspace()`.
+    the second slot and antisymmetric; the offending term that leads in the
+    order of `Poly.leading_term` is raised as the witness.  One pass reads
+    each term's slot degrees once and keeps the (1, 1) part for the matrix.
+    Ker omega is the returned matrix's `nullspace()`.
     """
     n, a = raw.n, raw.a
-    for exps, coeff in a.sorted_terms():
+    offence, bilinear = None, {}
+    for exps, coeff in a.terms.items():
         u_deg, v_deg = slot_degrees(exps, 2 * n)
-        if u_deg == 0:
-            raise LieKernelError(
-                f"A(0, sigma') != 0: term {Poly.monomial(a.space, exps, coeff)}",
-                witness=(exps, coeff),
-            )
-        if u_deg == 1 and v_deg != 1:
-            raise LieKernelError(
-                "first-slot derivative at zero is not linear in the second "
-                f"slot: term {Poly.monomial(a.space, exps, coeff)}",
-                witness=(exps, coeff),
-            )
-    omega = bilinear_form(a, n).transpose()
+        if u_deg == 1 and v_deg == 1:
+            bilinear[exps] = coeff
+        elif u_deg <= 1:
+            key = (u_deg + v_deg, exps)
+            if offence is None or key > offence[0]:
+                offence = key, u_deg, coeff
+    if offence is not None:
+        (_, exps), u_deg, coeff = offence
+        reason = (
+            "A(0, sigma') != 0" if u_deg == 0
+            else "first-slot derivative at zero is not linear in the second slot"
+        )
+        raise LieKernelError(f"{reason}: term {Poly.monomial(a.space, exps, coeff)}", witness=(exps, coeff))
+    omega = bilinear_form(Poly(a.space, bilinear), n).transpose()
     if not omega.is_antisymmetric:
         raise LieKernelError("omega is not antisymmetric", witness=omega)
     return omega
@@ -426,6 +422,8 @@ class StructuredLieKernel:
 
     def expand(self, truncation_degree: int) -> RawLieKernel:
         """The kernel as a polynomial, truncated at the given total degree."""
+        if truncation_degree < 0:
+            raise ValueError("truncation_degree must be non-negative")
         w = bilinear_pair_poly(self.omega.transpose(), self.n)
         powers = _dressed_powers(self.chi, w, truncation_degree)
         a = sum((d.scale(c) for c, d in zip(self.h_series, powers)), Poly.zero(w.space))
@@ -469,14 +467,47 @@ class Theorem2Report:
 def _dressed_powers(chi: Poly, w: Poly, top: int) -> Iterator[Poly]:
     """exp(delta chi) * w^k truncated at top, for k = 1 and then each odd k with 2k <= top.
 
-    w has degree 2, so the dressing is built once, through top - 2.
+    w has degree 2, so the dressing is built once, through top - 2, in packed
+    form: delta chi is lifted straight from the numerators of chi
+    (`star.lift_slots` with the coboundary's three slot maps) and w with the
+    identity slot map, both over their denominators.  `poly.exp_blocks` sums
+    the exponential by Horner's rule on integers, the 1/k! and the
+    denominators riding in the scale and the denominator; the dressed powers
+    are block products through top (`poly.product_blocks`), by w and then by
+    w^2, and each is unlifted once.
+
+    One digit width serves the whole chain.  With |.|_1 the sum of the
+    absolute digit values of a form, a digit or partial sum of a product is
+    at most the product of the two |.|_1, of a sum the sum of theirs, and a
+    truncation only drops digits.  So every digit of the dressing is at most
+    E = `poly.exp_bound`, read from |delta chi|_1, its scale and
+    denominator, and the number of steps through top - 2; every digit of
+    dress * w^k is at most E |w|_1^k, and of w^2, built only when K >= 3,
+    at most |w|_1^2.  The digits are chosen for E |w|_1^K, K the last odd
+    power built, which bounds them all when w is nonzero (|w|_1 >= 1 and
+    E >= 1), and the lifted w and delta chi too (E >= |delta chi|_1 once
+    a step multiplies by it).  |delta chi|_1 is bounded before anything
+    is lifted, by 3 * 2^deg |numerators of chi|_1 (three slot maps, each
+    image at most 2^deg times its term), and the number of steps by
+    (top - 2) // 2, delta chi having no term below degree 2; E grows with
+    both.  The bound is reached: for chi = 0, w = c u1 v1 and top 2 to 5,
+    E = 1 and the one digit of dress * w is c.
     """
-    dressed = exp_truncated(coboundary(chi), max(top - 2, 0)).mul_truncated(w, top)
-    yield dressed
-    w_squared = w * w
-    for _ in range(3, top // 2 + 1, 2):
-        dressed = dressed.mul_truncated(w_squared, top)
-        yield dressed
+    pair = w.space
+    (c, den), (w_num, w_den) = chi.split_denominator(), w.split_denominator()
+    odd = range(3, top // 2 + 1, 2)
+    scale, norm = lift_scale(c)
+    delta_norm = 3 * norm << max(c.total_degree(), 0)
+    dress_bound = exp_bound(delta_norm, scale, den, max(top - 2, 0) // 2)
+    bits = digit_width(dress_bound * lift_scale(w_num)[1] ** (odd[-1] if odd else 1))
+    dress = exp_blocks(lift_slots(c, pair, _COBOUNDARY, bits).over(den), top - 2)
+    w_blocks = lift_slots(w_num, pair, [(1, "u", "v")], bits).over(w_den).by_degree()
+    dressed = product_blocks(dress, w_blocks, top)
+    yield unlift_blocks(dressed, pair)
+    w_squared = product_blocks(w_blocks, w_blocks, top) if odd else {}
+    for _ in odd:
+        dressed = product_blocks(dressed, w_squared, top)
+        yield unlift_blocks(dressed, pair)
 
 
 def _fit_structured(

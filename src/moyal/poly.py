@@ -36,7 +36,7 @@ of products (`u_map(star(f, g))`, the Weyl route through `nc_mul`) divides
 each output coefficient once, at the end, and the stages in between run no
 gcd.  Otherwise `over` divides every term at once, by the term's own
 denominator times D, since a kernel piece may bring denominators of its own.
-The bilinear products (`Poly.mul_truncated`, `star.BiDiff` and
+The bilinear products (`Poly.__mul__`, `star.BiDiff` and
 `operators.nc_mul`), the one-step `DiffOp` apply and `Poly.differentiate`
 are one walk, `bilinear`, which differs per caller only in the terms it gives
 each pair.  It splits both operands up front when one of them is deferred;
@@ -54,22 +54,28 @@ fail fast instead of exhausting memory.  `degree_guard(bound)` sets it for
 one `with` block and `check_degree` enforces it.  The bound is a context
 variable, so a bound set in one thread does not leak into another.
 
-Packed form.  The Jacobi and cocycle stages run on exact integers, in one
-type, `Lifted`: one int key per (monomial, power of i) and one int value per
-key, over an int scale and a `MuPoly` denominator.  A key holds, from the
-top, the total degree, the exponents in order and a 2-bit field for the
-power of i, so a Gaussian coefficient is two entries.  The exponent fields
-are as wide as the degree guard, so monomials multiply by adding keys and no
-field carries; keys order as the (degree, exponents) of `Poly.leading_term`
-do.  The mu-powers live in the value (Kronecker substitution): sum_k d_k
-2^(B*k) with signed digits d_k, the mu^k part, and no digit carries while
-every |d_k| is below 2^(B-1).  `lift_substitutions` builds a form from the
-images of a polynomial under linear substitutions; a caller that multiplies
-or folds forms chooses B from a bound on the digits of its result.  Other
-modules use a form only through its methods and `block_product` (the split
-by degree, the product of split forms one output degree at a time, the fold
-over a triple space, the lead, the degrees, the mu = 0 test and `unlift`),
-so the bit layout is known to this module alone.
+Packed form.  The Jacobi and cocycle stages and the dressing of the Theorem 2
+fit run on exact integers, in one type, `Lifted`: one int key per (monomial,
+power of i) and one int value per key, over an int scale and a `MuPoly`
+denominator.  A key holds, from the top, the total degree, the exponents in
+order and a 2-bit field for the power of i, so a Gaussian coefficient is two
+entries.  The exponent fields are as wide as the degree guard, so monomials
+multiply by adding keys and no field carries; keys order as the (degree,
+exponents) of `Poly.leading_term` do.  The mu-powers live in the value
+(Kronecker substitution): sum_k d_k 2^(B*k) with signed digits d_k, the mu^k
+part, and no digit carries while every |d_k| is below 2^(B-1).
+`lift_substitutions` builds a form from the images of a polynomial under
+linear substitutions; a caller that multiplies or folds forms chooses B from
+a bound on the digits of its result.  `block_product` is the one product of
+packed forms: it multiplies forms split by degree one output degree at a
+time and, over a triple space, can file each pair's product by block
+permutation as it adds it (the alternating or cyclic fold of the Jacobi
+defect).  `product_blocks` keeps its blocks up to a degree, `exp_blocks`
+sums a truncated exponential from them by Horner's rule, and `unlift_blocks`
+merges and decodes a split form.  Other modules use a form only through
+these functions and its methods (the split by degree, the lead, the
+degrees, the mu = 0 test and `unlift`), so the bit layout is known to this
+module alone.
 """
 
 from __future__ import annotations
@@ -327,23 +333,11 @@ class Poly:
         return Poly(self.space, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        return self.mul_truncated(other, self.total_degree() + other.total_degree())
-
-    def mul_truncated(self, other: "Poly", max_degree: int) -> "Poly":
-        """(self * other).truncate_degree(max_degree), skipping every pair above the bound."""
         self._check_space(other)
         if not self or not other:
             return Poly(self.space, {})
-        full = self.total_degree() + other.total_degree()
-        check_degree(full, "product")
-        truncating = max_degree < full
-
-        def piece(e1: Exponents, e2: Exponents) -> dict[Exponents, Coefficient]:
-            if truncating and sum(e1) + sum(e2) > max_degree:
-                return _NO_TERMS
-            return {tuple(map(int.__add__, e1, e2)): scalars.ONE}
-
-        return bilinear(self, other, self.space, piece)
+        check_degree(self.total_degree() + other.total_degree(), "product")
+        return bilinear(self, other, self.space, _product_piece)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -562,7 +556,7 @@ def bilinear(f: Poly, g: Poly, space: Space, pieces: Pieces) -> Poly:
                 (p, dp), (q, dq) = f.split_denominator(), g.split_denominator()
                 return bilinear(p, q, space, pieces).over(dp * dq)
             for exps, coeff in piece.items():
-                # The unit pieces of mul_truncated skip a call to Coefficient.__mul__.
+                # The unit pieces of a product skip a call to Coefficient.__mul__.
                 coeff = scale if coeff is one else coeff * scale
                 acc = terms.get(exps)
                 coeff = coeff if acc is None else acc + coeff
@@ -571,6 +565,11 @@ def bilinear(f: Poly, g: Poly, space: Space, pieces: Pieces) -> Poly:
                 else:
                     del terms[exps]
     return Poly(space, terms)
+
+
+def _product_piece(e1: Exponents, e2: Exponents) -> dict[Exponents, Coefficient]:
+    """The one term of the product of two coefficient-1 monomials."""
+    return {tuple(map(int.__add__, e1, e2)): scalars.ONE}
 
 
 @lru_cache(maxsize=4096)
@@ -730,6 +729,8 @@ class Lifted:
 
     def over(self, den: MuPoly) -> "Lifted":
         """self / den, sharing the entries."""
+        if den.is_one:
+            return self
         return Lifted(self.terms, self.scale, self.den * den, self.space, self.bits, self.digit_bits)
 
     def unlift(self) -> Poly:
@@ -739,18 +740,22 @@ class Lifted:
         shifts = range((width - 1) * bits, -1, -bits)
         by_monomial: dict[int, list[int]] = {}
         for key, value in self.terms.items():
-            by_monomial.setdefault(key >> 2, [0, 0])[key & 1] = value
+            values = by_monomial.get(key >> 2)
+            if values is None:
+                values = by_monomial[key >> 2] = [0, 0]
+            values[key & 1] = value
         shared: dict[tuple, Coefficient] = {}
         out: dict[Exponents, Coefficient] = {}
-        for mono, values in by_monomial.items():
-            coeff = shared.get(tuple(values))
+        for mono, (re_value, im_value) in by_monomial.items():
+            coeff = shared.get((re_value, im_value))
             if coeff is None:
-                re, im = (_digits(value, digit_bits) for value in values)
-                if im:
+                re, im = _digits(re_value, digit_bits), ()
+                if im_value:
+                    im = _digits(im_value, digit_bits)
                     top = max(len(re), len(im))
                     re += [0] * (top - len(re))
                     im += [0] * (top - len(im))
-                coeff = shared[tuple(values)] = Coefficient.from_ints(re, im, self.scale)
+                coeff = shared[re_value, im_value] = Coefficient.from_ints(re, im, self.scale)
             out[tuple([mono >> shift & mask for shift in shifts])] = coeff
         return Poly(self.space, out).over(self.den)
 
@@ -774,51 +779,10 @@ class Lifted:
         low = (1 << self.digit_bits * (self.den.valuation + 1)) - 1
         return not any(value & low for value in self.terms.values())
 
-    def fold_triple(self, alternating: bool) -> "Lifted":
-        """The entries over a triple space (u, v, w) filed by block permutation.
 
-        When `alternating`, each entry is added, with the sign of the
-        sorting permutation, at the arrangement of its blocks in descending
-        order, the largest key of its orbit under S3, and an entry with two
-        equal blocks is dropped: the result holds the alternating sum over
-        S3 at one key per orbit.  Otherwise each entry is added at each of
-        its three block rotations, which is the whole cyclic sum.  A digit of
-        the result is a signed sum of the digits it collects, so the digit
-        bits must bound the sum of the absolute digits filed at one key (at
-        most three times |self|_1 for the rotations); choosing them is the
-        caller's part.  The degree and i fields of each key are kept.
-        """
-        n, rem = divmod(len(self.space), 6)
-        if rem or self.space != triple_space(n):
-            raise SpaceMismatchError(f"{self.space!r} is not a triple space")
-        block = 2 * n * self.bits
-        u_shift, v_shift, w_shift = 2 + 2 * block, 2 + block, 2
-        mask, keep = (1 << block) - 1, ~((1 << 3 * block) - 1 << 2)
-        folded: dict[int, int] = {}
-        get = folded.get
-        for key, value in self.terms.items():
-            x, y, z = key >> u_shift & mask, key >> v_shift & mask, key >> w_shift & mask
-            if alternating:
-                if x == y or y == z or x == z:
-                    continue
-                if x < y:
-                    x, y, value = y, x, -value
-                if y < z:
-                    y, z, value = z, y, -value
-                    if x < y:
-                        x, y, value = y, x, -value
-            else:
-                key &= keep
-                for x, y, z in (x, y, z), (y, z, x), (z, x, y):
-                    rep = key | x << u_shift | y << v_shift | z << w_shift
-                    folded[rep] = get(rep, 0) + value
-                continue
-            rep = key & keep | x << u_shift | y << v_shift | z << w_shift
-            folded[rep] = get(rep, 0) + value
-        return Lifted(folded, self.scale, self.den, self.space, self.bits, self.digit_bits)
-
-
-def block_product(left: dict[int, Lifted], right: dict[int, Lifted]) -> Callable[[int], Lifted]:
+def block_product(
+    left: dict[int, Lifted], right: dict[int, Lifted], fold: str | None = None
+) -> Callable[[int], Lifted]:
     """The product of two forms split by degree (`Lifted.by_degree`), one
     output degree at a time: the function returned gives, for a degree d,
     the sum over d1 + d2 = d of left[d1] * right[d2], accumulated into one
@@ -845,6 +809,23 @@ def block_product(left: dict[int, Lifted], right: dict[int, Lifted]) -> Callable
     fields.  Each pair of entries costs one int multiply; the entries of a
     block that reach i-power 2 are folded into i-power 0 with a minus sign
     once, after its pairs.
+
+    With a `fold` the forms lie over a triple space (u, v, w), and each
+    pair's product is filed by block permutation as it is added.
+    "alternating" adds it, with the sign of the sorting permutation, at the
+    arrangement of its blocks in descending order, the largest key of its
+    orbit under S3, and drops a pair with two equal blocks: a block holds
+    the alternating sum over S3 at one key per orbit.  "cyclic" adds it at
+    each of its three block rotations, the whole cyclic sum.  Degrees and
+    powers of i are kept.  Each entry's three block fields are read once
+    per call; a block accumulates at the packed (u, v, w) fields, one dict
+    per power of i (i * i pairs add their negated product to the real one),
+    and each key is made whole as it is popped, which frees the packed keys
+    while the whole ones are made.  A digit of the fold is a signed sum of the
+    contributions filed at its key, and no partial sum of one exceeds the
+    sum of their absolute values: at most |x|_1 |y|_1 for the alternating
+    fold and three times that for the cyclic one.  ValueError for another
+    fold and SpaceMismatchError off a triple space.
     """
     x, y = next(iter(left.values())), next(iter(right.values()))
     layout = (x.space, x.bits, x.digit_bits)
@@ -854,7 +835,10 @@ def block_product(left: dict[int, Lifted], right: dict[int, Lifted]) -> Callable
     check_degree(top, "product")
     if top >> x.bits:
         raise DegreeGuardError(f"product degree {top} overflows exponent fields of {x.bits} bits")
-    scale, den = x.scale * y.scale, x.den * y.den
+    scale = x.scale * y.scale
+    den = y.den if x.den.is_one else x.den if y.den.is_one else x.den * y.den
+    if fold is not None:
+        return _folded_product(left, right, fold, (scale, den, *layout))
 
     def block(degree: int) -> Lifted:
         terms: dict[int, int] = {}
@@ -873,6 +857,193 @@ def block_product(left: dict[int, Lifted], right: dict[int, Lifted]) -> Callable
         return Lifted(terms, scale, den, *layout)
 
     return block
+
+
+def _add_alternating(acc: dict, entries: list, others: list, s1: int, s2: int) -> None:
+    """Add each pair's product at the descending arrangement of its (u, v, w)
+    fields, packed as x << s2 | y << s1 | z, with the sign of the sorting
+    permutation; a pair with two equal fields adds nothing."""
+    get = acc.get
+    for x1, y1, z1, a in entries:
+        for x2, y2, z2, b in others:
+            x, y, z = x1 + x2, y1 + y2, z1 + z2
+            if x > y:
+                if y > z:
+                    key, value = x << s2 | y << s1 | z, a * b
+                elif x > z:
+                    if y == z:
+                        continue
+                    key, value = x << s2 | z << s1 | y, -a * b
+                elif x == z:
+                    continue
+                else:
+                    key, value = z << s2 | x << s1 | y, a * b
+            elif y > x:
+                if x > z:
+                    key, value = y << s2 | x << s1 | z, -a * b
+                elif y > z:
+                    if x == z:
+                        continue
+                    key, value = y << s2 | z << s1 | x, a * b
+                elif y == z:
+                    continue
+                else:
+                    key, value = z << s2 | y << s1 | x, -a * b
+            else:
+                continue
+            acc[key] = get(key, 0) + value
+
+
+def _add_cyclic(acc: dict, entries: list, others: list, s1: int, s2: int) -> None:
+    """Add each pair's product at its three rotations of (u, v, w) fields,
+    packed as in `_add_alternating`."""
+    get = acc.get
+    for x1, y1, z1, a in entries:
+        for x2, y2, z2, b in others:
+            x, y, z, value = x1 + x2, y1 + y2, z1 + z2, a * b
+            key = x << s2 | y << s1 | z
+            acc[key] = get(key, 0) + value
+            key = y << s2 | z << s1 | x
+            acc[key] = get(key, 0) + value
+            key = z << s2 | x << s1 | y
+            acc[key] = get(key, 0) + value
+
+
+_FOLDS = {"alternating": _add_alternating, "cyclic": _add_cyclic}
+
+
+def _folded_product(
+    left: dict[int, Lifted], right: dict[int, Lifted], fold: str, shared: tuple
+) -> Callable[[int], Lifted]:
+    """`block_product` with a fold; `shared` is the blocks' (scale, den, space,
+    bits, digit_bits)."""
+    add = _FOLDS.get(fold)
+    if add is None:
+        raise ValueError(f"unknown fold {fold!r}: alternating, cyclic or None")
+    space, bits = shared[2], shared[3]
+    n, rem = divmod(len(space), 6)
+    if rem or space != triple_space(n):
+        raise SpaceMismatchError(f"{space!r} is not a triple space")
+    width = 2 * n * bits
+    mask, v_shift, u_shift, degree_shift = (1 << width) - 1, 2 + width, 2 + 2 * width, 2 + 3 * width
+
+    def fields(form: Lifted) -> tuple[list, list]:
+        # (u field, v field, w field, value) of each entry, by power of i.
+        split: tuple[list, list] = ([], [])
+        for key, value in form.terms.items():
+            split[key & 1].append((key >> u_shift & mask, key >> v_shift & mask, key >> 2 & mask, value))
+        return split
+
+    lefts = {}
+    for degree, form in left.items():
+        real, imag = fields(form)
+        # i * i = -1: the i entries negated, to meet the i entries of the right.
+        lefts[degree] = real, imag, [(x, y, z, -value) for x, y, z, value in imag]
+    rights = {degree: fields(form) for degree, form in right.items()}
+
+    def block(degree: int) -> Lifted:
+        real: dict[int, int] = {}
+        imag: dict[int, int] = {}
+        for left_degree, (l0, l1, l1_negated) in lefts.items():
+            other = rights.get(degree - left_degree)
+            if other is None:
+                continue
+            r0, r1 = other
+            add(real, l0, r0, width, 2 * width)
+            add(imag, l0, r1, width, 2 * width)
+            add(imag, l1, r0, width, 2 * width)
+            add(real, l1_negated, r1, width, 2 * width)
+        terms: dict[int, int] = {}
+        top = degree << degree_shift
+        for i, part in enumerate((real, imag)):
+            while part:
+                key, value = part.popitem()
+                if value:
+                    terms[top | key << 2 | i] = value
+        return Lifted(terms, *shared)
+
+    return block
+
+
+def product_blocks(left: dict[int, Lifted], right: dict[int, Lifted], top: int) -> dict[int, Lifted]:
+    """The nonzero blocks of degree at most top of the product of two forms
+    split by degree (`block_product`), split the same way; {} when either
+    form is zero.  No block above top is built."""
+    if not left or not right:
+        return {}
+    product = block_product(left, right)
+    blocks = {}
+    for degree in range(min(left) + min(right), min(top, max(left) + max(right)) + 1):
+        block = product(degree)
+        if block.terms:
+            blocks[degree] = block
+    return blocks
+
+
+def unlift_blocks(blocks: dict[int, Lifted], space: Space) -> Poly:
+    """The polynomial of a form split by degree: the blocks merged, then
+    `Lifted.unlift`; the zero polynomial over `space` when there is none."""
+    if not blocks:
+        return Poly.zero(space)
+    first = next(iter(blocks.values()))
+    merged = Lifted({}, first.scale, first.den, first.space, first.bits, first.digit_bits)
+    for block in blocks.values():
+        # Blocks of distinct degrees share no key, and none holds a zero.
+        merged.terms.update(block.terms)
+    return merged.unlift()
+
+
+def exp_bound(norm: int, scale: int, den: MuPoly, steps: int) -> int:
+    """A bound on every digit, and every partial sum of one, that `exp_blocks`
+    forms for a form x over `scale` and `den` with |x|_1 <= norm, in at
+    most `steps` steps: sum_{k <= K} a^k b^(K-k) K!/k! for K = steps,
+    a = m * norm and b = |q|_1 = scale * |m * den|_1 (see `exp_blocks`).
+    It grows with K, as b >= 1."""
+    a, b, whole = den.d * norm, scale * sum(map(abs, den.re + den.im)), math.factorial(steps)
+    return sum(a**k * b ** (steps - k) * (whole // math.factorial(k)) for k in range(steps + 1))
+
+
+def exp_blocks(x: Lifted, top: int) -> dict[int, Lifted]:
+    """exp(x) through degree top, split by degree, for a form x with no
+    constant term; the blocks share x's layout.
+
+    With m the int denominator of the den of x, x = X/q for the
+    integers X = m * (entries of x) and the Gaussian-integer polynomial in
+    mu q = scale * m * den.  The powers of x past K = top // (lowest degree
+    of x) lie above top, and Horner's rule sums the rest on integers:
+    G_K = 1 and G_(j-1) = X * G_j + c_(j-1), c_(j-1) = j q c_j, give
+    G_0 = sum_{k <= K} X^k q^(K-k) K!/k! = K! q^K exp(x), so the blocks are
+    those of G_0 over the scale K! (scale * m)^K and the denominator den^K.
+    G_j reaches degree top only through K - j more factors X, so only its
+    blocks through top - j * lowest are built.  Each digit of G_j, and each
+    partial sum of one, is at most the sum of the absolute contributions,
+    so at most `exp_bound(|x|_1, x.scale, x.den, K)`: |G_j|_1 is at most
+    sum_{i <= K-j} a^i b^(K-j-i) K!/(i+j)!, which is at most that bound
+    term by term, the i-th against the (i+j)-th, when a >= 1 or j = 0,
+    and is b^(K-j) K!/j! <= b^K K! when a = 0.  The digit bits must exceed
+    the bound; choosing them is the caller's part.
+    """
+    steps, den, digit_bits = 0, x.den, x.digit_bits
+    if x.terms:
+        lowest = x.degrees()[0]
+        if not lowest:
+            raise ValueError("exponent must have zero constant term")
+        steps = max(top, 0) // lowest
+    m, layout = den.d, (x.space, x.bits, digit_bits)
+    integral = (1, MU_POLY_ONE, *layout)
+    factor = Lifted({key: m * value for key, value in x.terms.items()}, *integral).by_degree()
+    # q packed: its mu^k coefficient in the k-th digit, real and i parts apart.
+    q_re, q_im = (x.scale * sum(c << digit_bits * k for k, c in enumerate(part)) for part in (den.re, den.im))
+    c_re, c_im = 1, 0
+    blocks = {0: Lifted({0: 1}, *integral)}
+    for j in range(steps, 0, -1):
+        c_re, c_im = (c_re * q_re - c_im * q_im) * j, (c_re * q_im + c_im * q_re) * j
+        # The constant c_(j-1) sits at the key of the monomial 1, its i part at i-power 1.
+        constant = Lifted({0: c_re, 1: c_im}, *integral)
+        blocks = {0: constant, **product_blocks(factor, blocks, top - (j - 1) * lowest)}
+    scale = math.factorial(steps) * (x.scale * m) ** steps
+    den_power = scalars.binary_power(den, steps, MU_POLY_ONE)
+    return {degree: Lifted(block.terms, scale, den_power, *layout) for degree, block in blocks.items()}
 
 
 def lift_substitutions(
@@ -942,7 +1113,7 @@ def exp_series(start: Poly, step: Callable[[Poly, int], Poly]) -> Poly:
 
     For exp(D) the step applies D/k, so T_k = D^k(start) / k! and no term is
     scaled by 1/k afterwards: `DiffOp` steps with the operator D/k, read from
-    a bounded cache, and `lie.exp_truncated` divides its product by k.
+    a bounded cache.
     """
     out = term = start
     k = 1

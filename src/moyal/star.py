@@ -44,8 +44,8 @@ relabels the terms.  `merge_slots` sets the slots equal,
 `slot_degrees` gives a monomial's degree in each slot, and `bilinear_form`
 reads the (1, 1) part as a matrix.  Its readers elsewhere slice the
 exponent tuples themselves:
-  * `lie._defect_blocks` compares the u and v blocks of A to halve it; the
-    fold of its product by block permutation is `poly.Lifted.fold_triple`;
+  * `lie._defect_blocks` compares the u and v blocks of A to halve it; its
+    product is folded by block permutation in `poly.block_product`;
   * `lie._fit_structured` moves the v block of a quotient term into chi;
   * `cocycle.cocycle_check` cuts its evaluation point into u, v and w.
 

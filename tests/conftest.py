@@ -3,8 +3,9 @@
 planted kernel, the bracket kernel of a product kernel, `substitute`, the
 slot-map oracles, evaluation at a point of field elements, the per-term
 accumulation oracles, the Jacobi verdict read off the whole packed product,
-the centre check as a loop over test monomials and the degreewise Theorem 2
-fit."""
+the centre check as a loop over test monomials, the degreewise Theorem 2
+fit, and the Coefficient exponential and dressed powers that the packed fit
+is checked against."""
 
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from math import comb, factorial
 
 from moyal import scalars
 from moyal.cocycle import dual_monomials
-from moyal.errors import DegreeGuardError
-from moyal.lie import RawLieKernel, exp_truncated
+from moyal.errors import DegreeGuardError, PoleAtMuZeroError
+from moyal.lie import RawLieKernel
 from moyal.linalg import Matrix
 from moyal.operators import NCPoly
 from moyal.poly import (
@@ -27,6 +28,7 @@ from moyal.poly import (
     check_degree,
     digit_width,
     divide_exact,
+    exp_series,
     lift_scale,
     pair_space,
     phase_space,
@@ -150,6 +152,32 @@ def dressed_kernel(rng: random.Random, n, m=None):
     """chi of degree 2-3 with mu and i, and M (a random antisymmetric one by default)."""
     chi = random_gauge_chi(rng, n, 3, terms=2, mu_degree=1, allow_i=True)
     return StarKernel(n, chi, random_antisymmetric(rng, 2 * n) if m is None else m)
+
+
+def exp_truncated(p: Poly, max_degree: int) -> Poly:
+    """exp(p) truncated at total degree max_degree, on Coefficients; p must
+    have no constant term.  The series is `poly.exp_series` from 1 with the
+    step t -> (t*p truncated at max_degree) / k, so it ends once the powers
+    pass the bound: the oracle of the packed dressing of `lie._dressed_powers`."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
+    if p.constant_term():
+        raise ValueError("exponent must have zero constant term")
+    return exp_series(
+        Poly.one(p.space), lambda t, k: (t * p).truncate_degree(max_degree).scale_fraction(Fraction(1, k))
+    )
+
+
+def oracle_dressed_powers(chi, w, top):
+    """The list of `lie._dressed_powers(chi, w, top)` on Coefficients:
+    exp(delta chi) through top - 2 times w, then times w^2 for each further
+    odd power k with 2k <= top, each product truncated at top."""
+    dressed = (exp_truncated(coboundary(chi), max(top - 2, 0)) * w).truncate_degree(top)
+    out, w_squared = [dressed], w * w
+    for _ in range(3, top // 2 + 1, 2):
+        dressed = (dressed * w_squared).truncate_degree(top)
+        out.append(dressed)
+    return out
 
 
 def bracket_kernel_of(kernel: StarKernel, truncation_degree: int) -> RawLieKernel:
@@ -348,12 +376,54 @@ def whole_lifted_product(x, y):
     return block_product({top_x: x}, {top_y: y})(top_x + top_y)
 
 
+S3 = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1), ((1, 0, 2), -1), ((2, 1, 0), -1), ((0, 2, 1), -1)]
+
+
+def block_sum(p, perms):
+    """The sum over (perm, sign) of sign times p with its three exponent blocks
+    moved by perm: the block at position j of a term goes to perm[j]."""
+    width = len(p.space) // 3
+    items = []
+    for exps, coeff in p.terms.items():
+        blocks = [exps[k * width : (k + 1) * width] for k in range(3)]
+        for perm, sign in perms:
+            moved = [None] * 3
+            for j, block in zip(perm, blocks):
+                moved[j] = block
+            items.append((sum(moved, ()), coeff if sign > 0 else -coeff))
+    return Poly.from_terms(p.space, items)
+
+
+def descending(exps, width):
+    u, v, w = exps[:width], exps[width : 2 * width], exps[2 * width :]
+    return u > v > w
+
+
+def poly_fold(p, alternating):
+    """The Poly-level fold of a triple-space p: the cyclic sum of its block
+    rotations, or the alternating sum over S3 at the tuple of each orbit
+    whose blocks descend (an orbit with two equal blocks sums to zero)."""
+    if not alternating:
+        return block_sum(p, S3[:3])
+    folded = block_sum(p, S3)
+    width = len(p.space) // 3
+    return Poly(p.space, {e: c for e, c in folded.terms.items() if descending(e, width)})
+
+
+def vanishes_at_mu_zero(p):
+    """Whether every coefficient of p is zero at mu = 0; a pole there is not."""
+    try:
+        return not p.mu_zero()
+    except PoleAtMuZeroError:
+        return False
+
+
 def whole_product_jacobi(raw, truncation_degree=None):
     """(status, witness, degree range) of the Jacobi defect, read off the
-    whole packed product: both slot maps multiplied at once, folded, and read
-    with `Lifted.degrees`, `lead` and `vanishes_at_mu_zero`.  The slot maps
-    and the digit width are those of `lie._defect_blocks`; `lie_axiom_check`
-    reads the same defect one degree block at a time."""
+    whole packed product: both slot maps multiplied at once, unlifted and
+    folded on Coefficients (`poly_fold`).  The slot maps and the digit width
+    are those of `lie._defect_blocks`; `lie_axiom_check` reads the same
+    defect one folded degree block at a time."""
     (a, den), tri = raw.a.split_denominator(), triple_space(raw.n)
     antisymmetric, width = raw.antisymmetry_witness is None, 2 * raw.n
     _, norm = lift_scale(a)
@@ -361,13 +431,13 @@ def whole_product_jacobi(raw, truncation_degree=None):
     half = Poly(a.space, {e: c for e, c in a.terms.items() if e[:width] > e[width:]})
     left = lift_slots(a, tri, [(1, "u", "vw")], digit_bits)
     right = lift_slots(half if antisymmetric else a, tri, [(1, "v", "w")], digit_bits)
-    defect = whole_lifted_product(left, right).fold_triple(antisymmetric).over(den * den)
+    defect = poly_fold(whole_lifted_product(left, right).over(den * den).unlift(), antisymmetric)
     if not defect.terms:
         return "exact", None, None
-    degrees = defect.degrees()
+    degrees = (min(map(sum, defect.terms)), defect.total_degree())
     above = truncation_degree is not None and degrees[0] > truncation_degree + 2
-    status = "truncation-defect" if defect.vanishes_at_mu_zero() or above else "violation"
-    return status, defect.lead(), degrees
+    status = "truncation-defect" if vanishes_at_mu_zero(defect) or above else "violation"
+    return status, defect.leading_term(), degrees
 
 
 def oracle_center_generators(raw, kernel_basis, max_degree, verify_degree):
@@ -461,7 +531,7 @@ def oracle_fit_structured(a, n, w, fit_degree):
         for power, coeff in found.items():
             hw = hw + w_powers[power].scale(coeff)
         dress = exp_truncated(coboundary(chi), fit_degree)
-        return dress.mul_truncated(hw, fit_degree)
+        return (dress * hw).truncate_degree(fit_degree)
 
     for d in range(3, fit_degree + 1):
         if d >= 4:

@@ -419,8 +419,8 @@ def test_one_product_per_defect_and_no_rendering(monkeypatch):
     pairs, calls = [], []
     graded = lie.block_product
 
-    def counting(left, right):
-        product = graded(left, right)
+    def counting(left, right, fold=None):
+        product = graded(left, right, fold)
 
         def block(degree):
             pairs.extend((d, degree - d) for d in left if degree - d in right)
@@ -472,16 +472,39 @@ def test_one_product_per_defect_and_no_rendering(monkeypatch):
         split_calls.append(1)
         return mu_components(self)
 
+    # The fit's first pass divides by w (`divide_exact` multiplies); no other
+    # step multiplies Coefficient polynomials: the dressed powers of the
+    # second pass are packed block products.
+    dividing, products = [], []
+    divide, multiply = lie.divide_exact, Poly.__mul__
+
+    def counting_division(*args):
+        dividing.append(True)
+        try:
+            return divide(*args)
+        finally:
+            dividing.pop()
+
+    def counting_product(self, other):
+        if not dividing:
+            products.append(1)
+        return multiply(self, other)
+
     monkeypatch.setattr(Poly, "__str__", no_rendering)
     monkeypatch.setattr(Poly, "mu_components", counting_split)
+    monkeypatch.setattr(lie, "divide_exact", counting_division)
+    monkeypatch.setattr(Poly, "__mul__", counting_product)
     for raw in kernels:
         report = theorem2_pipeline(raw, fit_degree=6, center_degree=2, verify_degree=4)
         assert report.passed, report.failure
         assert report.axioms.jacobi_status == "truncation-defect"
     assert not split_calls
-    # The counter does see a split.
+    assert not products
+    # The counters do see a split and a product.
     jacobi_defect(kernels[0]).mu_components()
     assert split_calls
+    kernels[0].a * kernels[0].a
+    assert products
 
 
 GRADED_SEEDED = [

@@ -10,12 +10,14 @@ from conftest import (
     bracket_kernel_of,
     monomials,
     oracle_center_generators,
+    oracle_dressed_powers,
     oracle_fit_structured,
+    random_antisymmetric,
     random_coefficient,
     random_gauge_chi,
     sinh_series,
 )
-from moyal import scalars
+from moyal import lie, scalars
 from moyal.errors import DimensionMismatchError, MoyalError
 from moyal.expressions import parse_coefficient, parse_poly, parse_series
 from moyal.lie import (
@@ -23,12 +25,12 @@ from moyal.lie import (
     LieKernelError,
     RawLieKernel,
     StructuredLieKernel,
+    _dressed_powers,
     _fit_structured,
     apply_bracket_kernel,
     bidiff_coefficients,
     center_generators_from_kernel,
     classify_h,
-    exp_truncated,
     extract_omega,
     jacobi_defect,
     lie_axiom_check,
@@ -37,8 +39,8 @@ from moyal.lie import (
 )
 from moyal.cocycle import RawKernelExponent, dual_monomials
 from moyal.linalg import Matrix
-from moyal.poly import DiffOp, Poly, pair_space, phase_space, sigma_space
-from moyal.star import BiDiff, StarKernel, bilinear_pair_poly, bracket, poisson, slot_sum
+from moyal.poly import DiffOp, Poly, exp_blocks, lift_substitutions, pair_space, phase_space, sigma_space
+from moyal.star import BiDiff, StarKernel, bilinear_pair_poly, bracket, poisson, slot_degrees, slot_sum
 
 ONE, MU, ZERO = scalars.ONE, scalars.MU, scalars.ZERO
 PAIR = pair_space(1)
@@ -97,8 +99,6 @@ class TestExtractOmega:
         # Cross-module sign: the bracket kernel of a product kernel (chi, M)
         # has omega = -M/mu.
         rng = random.Random(59)
-        from conftest import random_antisymmetric
-
         for n in (1, 2):
             m = random_antisymmetric(rng, 2 * n, mu_degree=0)
             m = m.scale(MU)
@@ -125,6 +125,35 @@ class TestExtractOmega:
     def test_requires_constants_condition(self):
         with pytest.raises(LieKernelError):
             extract_omega(raw(parse_poly("v1^2", PAIR)))
+
+    @pytest.mark.parametrize(
+        "offences",
+        [
+            # A(0, sigma') != 0 at degree 2, not linear in the second slot at degree 4.
+            "v1^2 + 3*u1*v1^2*v2",
+            # The other way round: the degree-4 term is the one with u-degree 0.
+            "2*v1^3*v2 + u2*v2^2",
+            # Two offences of one kind at one degree: the larger exponent tuple leads.
+            "u1*v2^2 - 5*u2*v1^2",
+        ],
+    )
+    def test_the_leading_offence_is_the_witness(self, offences):
+        """The one-pass scan raises on the offending term that a scan of
+        `sorted_terms` meets first, with the same message."""
+        a = WEDGE + parse_poly(offences, PAIR)
+        expected = None
+        for exps, coeff in a.sorted_terms():
+            u_deg, v_deg = slot_degrees(exps, 2)
+            if u_deg == 0 or (u_deg == 1 and v_deg != 1):
+                expected = (exps, coeff), u_deg == 0
+                break
+        (witness, constant) = expected
+        with pytest.raises(LieKernelError) as err:
+            extract_omega(raw(a))
+        assert err.value.witness == witness
+        reason = "A(0, sigma') != 0" if constant else "not linear in the second slot"
+        assert reason in str(err.value)
+        assert str(Poly.monomial(PAIR, *witness)) in str(err.value)
 
 
 class TestClassifyH:
@@ -374,6 +403,69 @@ def test_fit_matches_the_degreewise_oracle(seed, n, chi_mu, h_kind, fit_degree, 
         assert got_series == series_ref
 
 
+# Scalings of chi and w: rationals, mu, i and mu-denominators, one with a root at mu = 0.
+DRESSING_FACTORS = [
+    parse_coefficient(t) for t in ("1", "-2/3", "mu", "(1 + i)/3", "1/(mu + 2)", "(mu - i)/(mu^2 + 3)", "1/mu")
+]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 3]),
+    st.integers(0, 10),
+    st.sampled_from(range(len(DRESSING_FACTORS))),
+    st.sampled_from(range(len(DRESSING_FACTORS))),
+)
+def test_packed_dressed_powers_match_the_coefficient_oracle(seed, n, top, chi_factor, w_factor):
+    """`_dressed_powers` on packed forms against exp_truncated and Poly
+    products (`oracle_dressed_powers`), for n = 1 to 3 and top 0 to 10."""
+    rng = random.Random(seed)
+    # Quadratic chi for n > 1 and a w of 2n terms keep the Coefficient oracle quick at top 10.
+    chi = random_gauge_chi(rng, n, 3 if n == 1 else 2, terms=2, mu_degree=1, allow_i=True)
+    chi = chi.scale(DRESSING_FACTORS[chi_factor])
+    w = bilinear_pair_poly(_random_nondegenerate_omega(rng, n), n).scale(DRESSING_FACTORS[w_factor])
+    w = w + w.scale(random_coefficient(rng, mu_degree=1)) if rng.random() < 0.5 else w
+    assert list(_dressed_powers(chi, w, top)) == oracle_dressed_powers(chi, w, top)
+
+
+# The n = 1 grid of the two-pass fit: chi shapes by series by fit degree.
+GRID_CHIS = ("0", "u1^2", "u1*u2 - 2*u2^2", "mu*u1^3 + u1^2", "u1^2*u2/3 - i*u2^2")
+GRID_SERIES = ("1", "1, 1/6", "1, mu^2/6", "1, 2, 6/5", "1, 0, 1/120", "1, 1/mu")
+
+
+@pytest.mark.parametrize("chi_text", GRID_CHIS)
+def test_expand_matches_the_coefficient_oracle_on_the_n1_grid(chi_text):
+    chi = parse_poly(chi_text, sigma_space(1))
+    for omega in (Matrix.canonical_symplectic(1), Matrix.canonical_symplectic(1, scalars.Coefficient.from_int(-2))):
+        w = bilinear_pair_poly(omega.transpose(), 1)
+        for series_text in GRID_SERIES:
+            series = tuple(parse_coefficient(t) for t in series_text.split(","))
+            kernel = StructuredLieKernel(1, chi, omega, series)
+            for top in [*range(9), 10]:
+                powers = oracle_dressed_powers(chi, w, top)
+                expected = sum((d.scale(c) for c, d in zip(series, powers)), Poly.zero(w.space))
+                assert kernel.expand(top).a == expected
+
+
+@pytest.mark.parametrize("top", [2, 3, 4, 5])
+def test_one_bit_short_of_the_chain_bound_decodes_wrong(monkeypatch, top):
+    """The digit width of `_dressed_powers` is needed in full: for chi = 0
+    and w = 3*u1*v1 the bound is reached, so a chain one bit narrower
+    decodes a digit out of range, and the dressed power comes back wrong."""
+    chi, w = Poly.zero(sigma_space(1)), parse_poly("3*u1*v1", PAIR)
+    assert list(_dressed_powers(chi, w, top)) == [w] == oracle_dressed_powers(chi, w, top)
+    width = lie.digit_width
+    monkeypatch.setattr(lie, "digit_width", lambda bound: width(bound) - 1)
+    assert list(_dressed_powers(chi, w, top)) != [w]
+
+
+def test_the_dressing_refuses_a_constant_exponent():
+    lifted = lift_substitutions(Poly.one(PAIR), PAIR, [(1, [[k] for k in range(4)])])
+    with pytest.raises(ValueError, match="constant term"):
+        exp_blocks(lifted, 4)
+
+
 class TestBidiffTable:
     def test_poisson_entries(self):
         table = bidiff_coefficients(raw(WEDGE), 2, 2)
@@ -421,7 +513,7 @@ NOT_LIE = raw(WEDGE * parse_poly("1 + u1*v1", PAIR))
         lambda: theorem2_pipeline(NOT_LIE, 4, center_degree=-1),
         lambda: theorem2_pipeline(NOT_LIE, 4, verify_degree=-1),
         lambda: lie_axiom_check(NOT_LIE, truncation_degree=-1),
-        lambda: exp_truncated(parse_poly("u1", sigma_space(1)), -1),
+        lambda: StructuredLieKernel(1, Poly.zero(sigma_space(1)), Matrix.canonical_symplectic(1), (ONE,)).expand(-1),
         # With verify_degree -1 no test monomial was built and q1 read as central.
         lambda: center_generators_from_kernel(raw(WEDGE), [(ONE, ZERO)], 1, verify_degree=-1),
         lambda: center_generators_from_kernel(raw(WEDGE), [(ONE, ZERO)], -1, verify_degree=2),

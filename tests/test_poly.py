@@ -9,25 +9,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    S3,
+    block_sum,
     guard_bound,
     oracle_evaluate,
     oracle_mul,
+    poly_fold,
     random_coefficient,
     random_poly,
     substitute,
+    vanishes_at_mu_zero,
     whole_lifted_product,
 )
 from moyal import scalars
 from moyal.errors import (
     DegreeGuardError,
     NonterminatingSeriesError,
-    PoleAtMuZeroError,
     SpaceMismatchError,
 )
 from moyal.expressions import parse_coefficient, parse_poly
 from moyal.poly import (
     DiffOp,
     Poly,
+    block_product,
     degree_guard,
     divide_exact,
     digit_width,
@@ -361,7 +365,6 @@ def test_mul_truncated_is_the_truncated_product(seed, n, max_degree):
         (MU + scalars.Coefficient.from_int(2)).inverse()
     )
     assert p * q == oracle_mul(p, q)
-    assert p.mul_truncated(q, max_degree) == (p * q).truncate_degree(max_degree)
 
 
 def wide_poly(rng, n, guard):
@@ -426,7 +429,10 @@ def test_lifted_forms_are_checked():
     with pytest.raises(SpaceMismatchError):
         whole_lifted_product(lift(p, 8), lift(p, 9))
     with pytest.raises(SpaceMismatchError):
-        lift(p).fold_triple(True)
+        block_product({2: lift(p)}, {2: lift(p)}, "alternating")
+    tri = lift(Poly.one(triple_space(1)))
+    with pytest.raises(ValueError, match="fold"):
+        block_product({0: tri}, {0: tri}, "symmetric")
     q5 = Q**5
     with degree_guard(4):
         with pytest.raises(DegreeGuardError):
@@ -456,7 +462,6 @@ def test_lifted_product_folds_i_squared(p, q):
     assert all(key & 3 in (0, 1) and value for key, value in product.terms.items())
 
 
-S3 = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1), ((1, 0, 2), -1), ((2, 1, 0), -1), ((0, 2, 1), -1)]
 # Denominators for `Lifted.over`: one unit, one without and two with a zero at mu = 0.
 MU_DENOMINATORS = [
     scalars.MU_POLY_ONE,
@@ -464,26 +469,6 @@ MU_DENOMINATORS = [
     scalars.MU_POLY_MU,
     (MU * MU + MU).num,
 ]
-
-
-def block_sum(p, perms):
-    """The sum over (perm, sign) of sign times p with its three exponent blocks
-    moved by perm: the block at position j of a term goes to perm[j]."""
-    width = len(p.space) // 3
-    items = []
-    for exps, coeff in p.terms.items():
-        blocks = [exps[k * width : (k + 1) * width] for k in range(3)]
-        for perm, sign in perms:
-            moved = [None] * 3
-            for j, block in zip(perm, blocks):
-                moved[j] = block
-            items.append((sum(moved, ()), coeff if sign > 0 else -coeff))
-    return Poly.from_terms(p.space, items)
-
-
-def descending(exps, width):
-    u, v, w = exps[:width], exps[width : 2 * width], exps[2 * width :]
-    return u > v > w
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -504,34 +489,61 @@ def test_lifted_methods_match_their_poly_definitions(seed, n, gaussian, den_inde
         p = p.scale(MU) if rng.random() < 0.5 else p
         q = q.scale(MU) if rng.random() < 0.5 else q
     den = MU_DENOMINATORS[den_index]
-    # Three times the product's digit bound: the rotations add an entry at most three times.
-    digit_bits = digit_width(3 * lift_scale(p)[1] * lift_scale(q)[1])
+    digit_bits = digit_width(lift_scale(p)[1] * lift_scale(q)[1])
     x, y = lift(p, digit_bits), lift(q, digit_bits)
     product = (p * q).over(den)
     lifted = whole_lifted_product(x, y).over(den)
     assert lifted.unlift() == product
     assert lift(p).over(den).unlift() == p.over(den)
-    rotations = block_sum(product, S3[:3])
-    alternating = block_sum(product, S3)
-    # One key per orbit: the S3 sum at the tuples with their blocks in descending order.
-    representatives = Poly(space, {e: c for e, c in alternating.terms.items() if descending(e, 2 * n)})
-    pairs = [
-        (lifted, product),
-        (lifted.fold_triple(False), rotations),
-        (lifted.fold_triple(True), representatives),
-    ]
-    for form, poly in pairs:
-        assert form.unlift() == poly
-        assert bool(form.terms) == bool(poly)
-        if poly:
-            degrees = [sum(e) for e in poly.terms]
-            assert form.degrees() == (min(degrees), max(degrees))
-            assert form.lead() == poly.leading_term()
-        try:
-            zero_at_zero = not poly.mu_zero()
-        except PoleAtMuZeroError:
-            zero_at_zero = False
-        assert form.vanishes_at_mu_zero() == zero_at_zero
+    assert_reads_like(lifted, product)
+
+
+def assert_reads_like(form, poly):
+    """The packed form reads as the polynomial: `unlift`, zero test, degrees,
+    lead and the mu = 0 test."""
+    assert form.unlift() == poly
+    assert bool(form.terms) == bool(poly)
+    if poly:
+        degrees = [sum(e) for e in poly.terms]
+        assert form.degrees() == (min(degrees), max(degrees))
+        assert form.lead() == poly.leading_term()
+    assert form.vanishes_at_mu_zero() == vanishes_at_mu_zero(poly)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2]),
+    st.booleans(),
+    st.sampled_from(range(len(MU_DENOMINATORS))),
+    st.sampled_from(["alternating", "cyclic"]),
+)
+def test_folded_blocks_are_the_poly_fold_of_the_product(seed, n, gaussian, den_index, fold):
+    """Every degree block of a folded `block_product` is that degree's part of
+    the Poly-level fold (`poly_fold`) of the plain product, and reads like it."""
+    rng = random.Random(seed)
+    space, width = triple_space(n), 2 * n
+    p = random_poly(rng, space, 3, terms=4, mu_degree=2, allow_i=gaussian)
+    q = random_poly(rng, space, 3, terms=4, mu_degree=1, allow_i=gaussian)
+    q = q.scale_fraction(Fraction(rng.randint(1, 4), rng.randint(1, 6)))
+    if rng.random() < 0.3:
+        p = p.scale(MU)
+    # u1 * v1 * w2: times the constant of q it files an orbit with two equal blocks.
+    twin = tuple(1 if k in (0, width, 2 * width + 1) else 0 for k in range(3 * width))
+    p = p + Poly.monomial(space, twin, random_coefficient(rng, mu_degree=1))
+    q = q + Poly.one(space)
+    den = MU_DENOMINATORS[den_index]
+    # Three times the product's digit bound: the rotations add an entry at most three times.
+    digit_bits = digit_width(3 * lift_scale(p)[1] * lift_scale(q)[1])
+    left, right = lift(p, digit_bits).by_degree(), lift(q, digit_bits).by_degree()
+    folded = poly_fold((p * q).over(den), fold == "alternating")
+    block = block_product(left, right, fold)
+    for degree in range(min(left) + min(right), max(left) + max(right) + 1):
+        assert_reads_like(block(degree).over(den), folded.homogeneous_component(degree))
+    # The twin's orbit sums to zero under the alternating fold, and not under the cyclic one.
+    twins = block(sum(twin)).over(den).unlift()
+    rotations = block_sum(Poly.monomial(space, twin), S3[:3]).terms
+    assert any(e in twins.terms for e in rotations) == (fold == "cyclic")
 
 
 def test_differential_operators_respect_the_degree_guard():
@@ -600,7 +612,6 @@ def test_a_guard_lowered_after_the_degree_was_read_still_raises():
     assert star(high, one, kernel) == high
     runs = (
         lambda f: f * P,
-        lambda f: f.mul_truncated(P, 9),
         op.apply_once,
         op.apply_exp,
         lambda f: star(f, one, kernel),
