@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 
 from . import scalars
 from .errors import FactorizationError, SpaceMismatchError
@@ -127,14 +128,20 @@ def cocycle_check(raw: RawKernelExponent) -> CocycleViolation | None:
     exps, coeff = defect.lead()
     # The defect at a point is rhs - lhs: a seeded search of small integer
     # points, up to the defect's degree, for one where the two sides differ.
+    # Each side is a sum of two values of the numerators, on ints (`_int_rows`);
+    # only the two sides of the witness are divided, once each.
+    scale, size, rows = _int_rows(numerators)
     rng = random.Random(1729)
     bound = max(defect.degrees()[1] + 2, 4)
     for _ in range(200):
         point = tuple(rng.randrange(1, bound) for _ in range(3 * width))
         u, v, w = point[:width], point[width : 2 * width], point[2 * width :]
-        lhs = b.evaluate(u + v) + b.evaluate(tuple(a + c for a, c in zip(u, v)) + w)
-        rhs = b.evaluate(v + w) + b.evaluate(u + tuple(a + c for a, c in zip(v, w)))
+        lhs = _int_sum(rows, size, u + v, tuple(map(add, u, v)) + w)
+        rhs = _int_sum(rows, size, v + w, u + tuple(map(add, v, w)))
         if lhs != rhs:
+            lhs, rhs = (
+                scalars.Coefficient.from_ints(side[:size], side[size:], scale).over(den) for side in (lhs, rhs)
+            )
             return CocycleViolation(
                 stage="cocycle",
                 monomial=exps,
@@ -145,6 +152,37 @@ def cocycle_check(raw: RawKernelExponent) -> CocycleViolation | None:
                 rhs=rhs,
             )
     raise RuntimeError("failed to find a point where the two sides differ")  # pragma: no cover
+
+
+def _int_rows(p: Poly) -> tuple[int, int, list[tuple[Exponents, list[tuple[int, int]]]]]:
+    """(m, size, rows) for a p polynomial in mu: m is the lcm of the int
+    denominators of its coefficients, size the length of the longest
+    numerator, and each row (exponents, parts) one term of m * p, parts
+    listing its nonzero ints as (k, x) for the real part of mu^k and
+    (size + k, x) for the i part."""
+    coeffs = p.terms.values()
+    scale = math.lcm(*(c.num.d for c in coeffs))
+    size = max((len(c.num.re) for c in coeffs), default=0)
+    rows = []
+    for exps, coeff in p.terms.items():
+        num = coeff.num
+        mult = scale // num.d
+        parts = [(k, x * mult) for k, x in enumerate(num.re) if x]
+        parts += [(size + k, y * mult) for k, y in enumerate(num.im) if y]
+        rows.append((exps, parts))
+    return scale, size, rows
+
+
+def _int_sum(rows: list, size: int, *points: tuple[int, ...]) -> list[int]:
+    """The sum of the values at int points of the polynomial of `_int_rows`:
+    its real ints of mu^0, mu^1, ..., then its i ints, over m."""
+    total = [0] * (2 * size)
+    for point in points:
+        for exps, parts in rows:
+            value = math.prod(map(pow, point, exps))
+            for k, x in parts:
+                total[k] += value * x
+    return total
 
 
 def extract_antisymmetric_form(raw: RawKernelExponent) -> tuple[Poly, Matrix]:

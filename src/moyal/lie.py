@@ -107,7 +107,7 @@ from .star import (
 
 
 # The slot maps of the coboundary chi(u) + chi(v) - chi(u + v).
-_COBOUNDARY = [(1, "u"), (1, "v"), (-1, "uv")]
+_COBOUNDARY = ((1, "u"), (1, "v"), (-1, "uv"))
 
 
 class LieKernelError(MoyalError):
@@ -191,10 +191,12 @@ def _defect_blocks(raw: RawLieKernel, antisymmetric: bool) -> tuple[range, Calla
 
     Both slot maps are lifted once (`star.lift_slots`) from D * A, D the
     lcm of the denominators of A (`Poly.split_denominator`), with one digit
-    width, and split by degree; block(d) is the degree-d block of their
-    product folded as it is multiplied (`poly.block_product` with the
-    alternating or cyclic fold), divided by D^2.  The fold keeps each key's
-    degree, so it is the degree-d part of the whole fold, entry for entry.
+    width and one int scale, both read from one `poly.lift_scale` of D * A
+    (H holds a subset of its terms), and split by degree; block(d) is the
+    degree-d block of their product folded as it is multiplied
+    (`poly.block_product` with the alternating or cyclic fold), divided by
+    D^2.  The fold keeps each key's degree, so it is the degree-d part of
+    the whole fold, entry for entry.
     The digits are wide enough for the whole fold, and so for every block:
     with |.|_1 the sum of the absolute digit values of a lifted form and deg
     the degree of A, |A(u,v+w)|_1 <= 2^deg |D*A|_1 (each term's images sum
@@ -208,11 +210,11 @@ def _defect_blocks(raw: RawLieKernel, antisymmetric: bool) -> tuple[range, Calla
     """
     (a, den), tri = raw.a.split_denominator(), triple_space(raw.n)
     width = 2 * raw.n
-    _, norm = lift_scale(a)
-    digit_bits = digit_width(3 * norm * norm << max(a.total_degree(), 0))
+    scaled = lift_scale(a)
+    digit_bits = digit_width(3 * scaled[1] ** 2 << max(a.total_degree(), 0))
     half = Poly(a.space, {e: c for e, c in a.terms.items() if e[:width] > e[width:]})
-    left = lift_slots(a, tri, [(1, "u", "vw")], digit_bits).by_degree()
-    right = lift_slots(half if antisymmetric else a, tri, [(1, "v", "w")], digit_bits).by_degree()
+    left = lift_slots(a, tri, ((1, "u", "vw"),), digit_bits, scaled).by_degree()
+    right = lift_slots(half if antisymmetric else a, tri, ((1, "v", "w"),), digit_bits, scaled).by_degree()
     if not left or not right:
         return range(0), None
     product = block_product(left, right, "alternating" if antisymmetric else "cyclic")
@@ -470,11 +472,12 @@ def _dressed_powers(chi: Poly, w: Poly, top: int) -> Iterator[Poly]:
     w has degree 2, so the dressing is built once, through top - 2, in packed
     form: delta chi is lifted straight from the numerators of chi
     (`star.lift_slots` with the coboundary's three slot maps) and w with the
-    identity slot map, both over their denominators.  `poly.exp_blocks` sums
-    the exponential by Horner's rule on integers, the 1/k! and the
-    denominators riding in the scale and the denominator; the dressed powers
-    are block products through top (`poly.product_blocks`), by w and then by
-    w^2, and each is unlifted once.
+    identity slot map, both over their denominators, each lift given the
+    scale and norm (`poly.lift_scale`) the digits are sized from.
+    `poly.exp_blocks` sums the exponential by Horner's rule on integers, the
+    1/k! and the denominators riding in the scale and the denominator; the
+    dressed powers are block products through top (`poly.product_blocks`),
+    by w and then by w^2, and each is unlifted once.
 
     One digit width serves the whole chain.  With |.|_1 the sum of the
     absolute digit values of a form, a digit or partial sum of a product is
@@ -496,12 +499,12 @@ def _dressed_powers(chi: Poly, w: Poly, top: int) -> Iterator[Poly]:
     pair = w.space
     (c, den), (w_num, w_den) = chi.split_denominator(), w.split_denominator()
     odd = range(3, top // 2 + 1, 2)
-    scale, norm = lift_scale(c)
-    delta_norm = 3 * norm << max(c.total_degree(), 0)
-    dress_bound = exp_bound(delta_norm, scale, den, max(top - 2, 0) // 2)
-    bits = digit_width(dress_bound * lift_scale(w_num)[1] ** (odd[-1] if odd else 1))
-    dress = exp_blocks(lift_slots(c, pair, _COBOUNDARY, bits).over(den), top - 2)
-    w_blocks = lift_slots(w_num, pair, [(1, "u", "v")], bits).over(w_den).by_degree()
+    c_scaled, w_scaled = lift_scale(c), lift_scale(w_num)
+    delta_norm = 3 * c_scaled[1] << max(c.total_degree(), 0)
+    dress_bound = exp_bound(delta_norm, c_scaled[0], den, max(top - 2, 0) // 2)
+    bits = digit_width(dress_bound * w_scaled[1] ** (odd[-1] if odd else 1))
+    dress = exp_blocks(lift_slots(c, pair, _COBOUNDARY, bits, c_scaled).over(den), top - 2)
+    w_blocks = lift_slots(w_num, pair, ((1, "u", "v"),), bits, w_scaled).over(w_den).by_degree()
     dressed = product_blocks(dress, w_blocks, top)
     yield unlift_blocks(dressed, pair)
     w_squared = product_blocks(w_blocks, w_blocks, top) if odd else {}
@@ -533,10 +536,15 @@ def _fit_structured(
     sig = sigma_space(n)
     chi = Poly.zero(sig)
     top, pending = fit_degree, None
+    # The bidegree-(2, d - 2) terms of A, by d, read in one pass.
+    parts: dict[int, dict] = {}
+    for exps, coeff in a.terms.items():
+        if sum(exps[:width]) == 2:
+            d = sum(exps)
+            if 4 <= d <= fit_degree:
+                parts.setdefault(d, {})[exps] = coeff
     for d in range(4, fit_degree + 1):
-        terms = a.homogeneous_component(d).terms.items()
-        e_part = Poly(w.space, {e: c for e, c in terms if slot_degrees(e, width) == (2, d - 2)})
-        quotient, rem = divide_exact(e_part, w)
+        quotient, rem = divide_exact(Poly(w.space, parts.get(d, {})), w)
         if not rem.is_zero:
             top, pending = d - 1, rem.leading_term()
             break

@@ -66,13 +66,20 @@ exponents) of `Poly.leading_term` do.  The mu-powers live in the value
 part, and no digit carries while every |d_k| is below 2^(B-1).
 `lift_substitutions` builds a form from the images of a polynomial under
 linear substitutions; a caller that multiplies or folds forms chooses B from
-a bound on the digits of its result.  `block_product` is the one product of
-packed forms: it multiplies forms split by degree one output degree at a
-time and, over a triple space, can file each pair's product by block
-permutation as it adds it (the alternating or cyclic fold of the Jacobi
-defect).  `product_blocks` keeps its blocks up to a degree, `exp_blocks`
-sums a truncated exponential from them by Horner's rule, and `unlift_blocks`
-merges and decodes a split form.  Other modules use a form only through
+a bound on the digits of its result, and passes the scale and norm
+(`lift_scale`) it read B from, so each lift reads them once.  A lift pays
+only for its terms: its maps are compiled once per (source space, target
+space, maps, exponent-field bits) into the table `_lift_plan`, and the
+binomial images of a term under a map that sends variables to sums are kept
+per (the map's steps, the term's exponents) in `_binomial_row`; both are
+bounded `lru_cache`s of tuples, shared by every thread.  A form holds no
+zero entry: the producers whose entries can cancel drop them.
+`block_product` is the one product of packed forms: it multiplies forms
+split by degree one output degree at a time and, over a triple space, can
+file each pair's product by block permutation as it adds it (the
+alternating or cyclic fold of the Jacobi defect).  `product_blocks` keeps
+its blocks up to a degree, `exp_blocks` sums a truncated exponential from
+them by Horner's rule, and `unlift_blocks` merges and decodes a split form.  Other modules use a form only through
 these functions and its methods (the split by degree, the lead, the
 degrees, the mu = 0 test and `unlift`), so the bit layout is known to this
 module alone.
@@ -327,7 +334,19 @@ class Poly:
         return Poly(self.space, terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        # As __add__, each term of other subtracted where it lands: -other is never built.
+        self._check_space(other)
+        if not other.terms:
+            return self
+        terms = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            acc = terms.get(exps)
+            coeff = -coeff if acc is None else acc - coeff
+            if coeff:
+                terms[exps] = coeff
+            else:
+                del terms[exps]
+        return Poly(self.space, terms)
 
     def __neg__(self) -> "Poly":
         return Poly(self.space, {e: -c for e, c in self.terms.items()})
@@ -695,20 +714,26 @@ def _digits(value: int, digit_bits: int) -> list[int]:
     return out
 
 
+def _drop_zeros(terms: dict) -> None:
+    """Delete the entries of a packed dict whose values cancelled to zero."""
+    for key in [key for key, value in terms.items() if not value]:
+        del terms[key]
+
+
 class Lifted:
     """A polynomial over `space` in packed form: `terms` / (`scale` * `den`).
 
     The layout is the module's (see Packed form): exponent fields of `bits`
     bits, digits of `digit_bits` bits, and an i field that is always 0 or 1.
-    Zero entries are dropped in place on construction, so `terms` is empty
-    exactly when the polynomial is zero.
+    `terms` holds no zero value, so it is empty exactly when the polynomial
+    is zero: the constructor trusts its dict, and each producer whose
+    entries can cancel (`lift_substitutions`, the unfolded `block_product`)
+    drops its zeros itself, while the folded products never store one.
     """
 
     __slots__ = ("terms", "scale", "den", "space", "bits", "digit_bits")
 
     def __init__(self, terms: dict, scale: int, den: MuPoly, space: Space, bits: int, digit_bits: int):
-        for key in [key for key, value in terms.items() if not value]:
-            del terms[key]
         self.terms = terms
         self.scale = scale
         self.den = den
@@ -854,6 +879,7 @@ def block_product(
                     terms[k] = get(k, 0) + a * b
         for k in [k for k in terms if k & 2]:
             terms[k ^ 2] = get(k ^ 2, 0) - terms.pop(k)
+        _drop_zeros(terms)
         return Lifted(terms, scale, den, *layout)
 
     return block
@@ -1039,47 +1065,93 @@ def exp_blocks(x: Lifted, top: int) -> dict[int, Lifted]:
     for j in range(steps, 0, -1):
         c_re, c_im = (c_re * q_re - c_im * q_im) * j, (c_re * q_im + c_im * q_re) * j
         # The constant c_(j-1) sits at the key of the monomial 1, its i part at i-power 1.
-        constant = Lifted({0: c_re, 1: c_im}, *integral)
+        constant = Lifted({key: value for key, value in ((0, c_re), (1, c_im)) if value}, *integral)
         blocks = {0: constant, **product_blocks(factor, blocks, top - (j - 1) * lowest)}
     scale = math.factorial(steps) * (x.scale * m) ** steps
     den_power = scalars.binary_power(den, steps, MU_POLY_ONE)
     return {degree: Lifted(block.terms, scale, den_power, *layout) for degree, block in blocks.items()}
 
 
+# Bounds of the two tables of `lift_substitutions`: compiled maps, one per
+# (source, target, maps, exponent-field bits), and binomial rows.
+LIFT_PLAN_SIZE = 64
+BINOMIAL_ROW_SIZE = 1024
+
+
+@lru_cache(maxsize=LIFT_PLAN_SIZE)
+def _lift_plan(source: Space, target: Space, maps: tuple, bits: int) -> tuple[int, tuple]:
+    """(the sum of the |sign|s, one (sign, weights, steps) per map): the maps
+    of `lift_substitutions` from `source` onto `target`, compiled for
+    exponent fields of `bits` bits.
+
+    The key of a monomial of the target is the sum of its exponents times
+    the units, one key per target variable with the degree field included.
+    weights[k] is the unit that variable k of the source moves to, the right
+    one of a pair; x^e with x = l + r is r^e plus, for j = 1..e,
+    C(e, j) l^j r^(e - j), so each (k, unit(l) - unit(r)) of `steps` is one
+    step of l - r for a variable k sent to a pair.
+    """
+    width = len(target)
+    units = [1 << 2 + width * bits | 1 << 2 + (width - 1 - k) * bits for k in range(width)]
+    placed = []
+    for sign, where in maps:
+        if len(where) != len(source):
+            raise SpaceMismatchError(f"a map of {len(where)} variables does not fit {source!r}")
+        keys = [[units[index] for index in indices] for indices in where]
+        steps = tuple((k, pair[0] - pair[1]) for k, pair in enumerate(keys) if len(pair) == 2)
+        placed.append((sign, tuple(pair[-1] for pair in keys), steps))
+    return sum(abs(sign) for sign, _ in maps), tuple(placed)
+
+
+# The row of a map that sends no variable to a pair: the term's key, once.
+_UNIT_ROW = ((0, 1),)
+
+
+@lru_cache(maxsize=BINOMIAL_ROW_SIZE)
+def _binomial_row(steps: tuple, exps: Exponents) -> tuple[tuple[int, int], ...]:
+    """The (key offset, binomial multiple) of each image of the monomial
+    `exps` under a map with these `steps` (see `_lift_plan`)."""
+    row = _UNIT_ROW
+    for k, step in steps:
+        e = exps[k]
+        if e:
+            row = tuple((key + j * step, factor * math.comb(e, j)) for key, factor in row for j in range(e + 1))
+    return row
+
+
 def lift_substitutions(
-    p: Poly, target: Space, maps: Sequence[tuple[int, list[list[int]]]], digit_bits: int | None = None
+    p: Poly, target: Space, maps: tuple, digit_bits: int | None = None, scaled: tuple[int, int] | None = None
 ) -> Lifted:
     """The signed sum of the images of a p polynomial in mu under linear
     substitutions, lifted onto `target`.
 
-    Each map is (sign, where): where[k] lists the one or two target indices
-    whose sum replaces variable k of p.  Each coefficient of p is lifted
-    once, and the images add its values, times their signs and binomial
-    multiples, straight onto the int keys of the target: a single index only
-    moves an exponent to another field, and a power of a sum of two is
-    expanded binomially.  An image of one term under one map has digits
-    summing to at most 2^deg times the term's, deg the degree of p, times
-    the map's |sign|, so by default the digits are wide enough for the sum
-    itself; a caller that multiplies the result passes the width its product
-    needs.  The exponent fields are as wide as the current degree guard.
+    `maps` is a tuple of maps (sign, where), where[k] a tuple of the one or
+    two target indices whose sum replaces variable k of p.  Each coefficient
+    of p is lifted once, and the images add its values, times their signs
+    and binomial multiples, straight onto the int keys of the target: a
+    single index only moves an exponent to another field, and a power of a
+    sum of two is expanded binomially.  An image of one term under one map
+    has digits summing to at most 2^deg times the term's, deg the degree of
+    p, times the map's |sign|, so by default the digits are wide enough for
+    the sum itself; a caller that multiplies the result passes the width its
+    product needs.  The exponent fields are as wide as the current degree
+    guard.  `scaled` is `lift_scale(p)`, or that of a polynomial holding
+    p's terms, for a caller that has already computed it to size the digits;
+    otherwise it is computed here, once.
+
+    Only the walk over the terms runs per call.  The maps are compiled once
+    per (space of p, target, maps, exponent-field bits) in `_lift_plan`, a
+    table of at most `LIFT_PLAN_SIZE` entries, and the images of a term
+    under a map that sends variables to pairs are read from `_binomial_row`,
+    at most `BINOMIAL_ROW_SIZE` rows keyed by (the map's steps, the term's
+    exponents).  Both are shared by every caller and thread and hold tuples
+    only.  Images that cancel are dropped before the form is returned.
     """
-    scale, norm = lift_scale(p)
+    scale, norm = lift_scale(p) if scaled is None else scaled
+    bits = _degree_guard.get().bit_length()
+    signs, placed = _lift_plan(p.space, target, maps, bits)
     if digit_bits is None:
-        signs = sum(abs(sign) for sign, _ in maps)
         digit_bits = digit_width(signs * norm << max(p.total_degree(), 0))
-    width, bits = len(target), _degree_guard.get().bit_length()
-    # The key of each target variable, degree field included, so the key of
-    # a monomial is the sum of its exponents times these.
-    units = [1 << 2 + width * bits | 1 << 2 + (width - 1 - k) * bits for k in range(width)]
-    placed = []
-    for sign, where in maps:
-        if len(where) != len(p.space):
-            raise SpaceMismatchError(f"a map of {len(where)} variables does not fit {p.space!r}")
-        keys = [[units[index] for index in indices] for indices in where]
-        # x^e with x = l + r is r^e plus, for j = 1..e, C(e, j) l^j r^(e - j):
-        # the key of r^e, then j steps of l - r.
-        steps = [(k, pair[0] - pair[1]) for k, pair in enumerate(keys) if len(pair) == 2]
-        placed.append((sign, [pair[-1] for pair in keys], steps))
     terms: dict[int, int] = {}
     get = terms.get
     for exps, coeff in p.terms.items():
@@ -1091,20 +1163,15 @@ def lift_substitutions(
         for y in reversed(num.im):
             im = (im << digit_bits) + y * mult
         for sign, weights, steps in placed:
-            images = [(sum(map(int.__mul__, exps, weights)), sign)]
-            for k, step in steps:
-                e = exps[k]
-                if e:
-                    images = [
-                        (key + j * step, factor * math.comb(e, j))
-                        for key, factor in images
-                        for j in range(e + 1)
-                    ]
-            for key, factor in images:
+            base = sum(map(int.__mul__, exps, weights))
+            signed_re, signed_im = sign * re, sign * im
+            for offset, factor in _binomial_row(steps, exps) if steps else _UNIT_ROW:
+                key = base + offset
                 if re:
-                    terms[key] = get(key, 0) + factor * re
+                    terms[key] = get(key, 0) + factor * signed_re
                 if im:
-                    terms[key | 1] = get(key | 1, 0) + factor * im
+                    terms[key | 1] = get(key | 1, 0) + factor * signed_im
+    _drop_zeros(terms)
     return Lifted(terms, scale, MU_POLY_ONE, target, bits, digit_bits)
 
 

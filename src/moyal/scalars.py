@@ -451,6 +451,11 @@ class Coefficient:
         return Coefficient.make(self.num * od + other.num * sd, sd * od)
 
     def __sub__(self, other):
+        # A zero operand builds nothing, as in __add__.
+        if not other.num.re:
+            return self
+        if not self.num.re:
+            return -other
         return self + (-other)
 
     def __neg__(self):

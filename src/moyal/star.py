@@ -36,8 +36,9 @@ Slot layout: a kernel polynomial over pair space (u, v) or triple space
 (u, v, w) stores its exponents as consecutive blocks, one per slot, each of
 width 2n and index-aligned with z.  Its readers here: `lift_slots` is the
 one slot map that sums.  It turns each slot map into a substitution of
-target variables and lifts the signed images into one `poly.Lifted` form
-(`poly.lift_substitutions`).  `slot_sum` (the coboundary, the cocycle
+target variables, once per (source, target, maps) in the table
+`_slot_substitutions`, and lifts the signed images into one `poly.Lifted`
+form (`poly.lift_substitutions`).  `slot_sum` (the coboundary, the cocycle
 defect) unlifts that sum.  `swap_slots`, the swap p(v, u) of the
 (anti)symmetrisations, is a bijection on exponent tuples, so it only
 relabels the terms.  `merge_slots` sets the slots equal,
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Sequence
 
 from . import scalars
 from .errors import DimensionMismatchError, SpaceMismatchError
@@ -221,25 +221,43 @@ def slot_sum(p: Poly, target: Space, *maps: tuple) -> Poly:
     return lift_slots(numerators, target, maps).over(den).unlift()
 
 
-def lift_slots(p: Poly, target: Space, maps: Sequence[tuple], digit_bits: int | None = None) -> Lifted:
+def lift_slots(
+    p: Poly, target: Space, maps: tuple, digit_bits: int | None = None, scaled: tuple[int, int] | None = None
+) -> Lifted:
     """`slot_sum` of a p polynomial in mu, as a `poly.Lifted` form.
 
     Each slot is a string naming the one or two target blocks whose sum it
     is; each map becomes the substitution that sends variable i of slot k to
     variable i of each named block, and `poly.lift_substitutions` sums the
-    images.  `digit_bits` is passed on: a caller that multiplies the result
-    passes the width its product needs.
+    images.  The substitutions are built once per (space of p, target, maps)
+    in `_slot_substitutions`, a table of at most `SLOT_MAP_SIZE` entries, so
+    `maps` is a tuple; `lift_substitutions` compiles them once more per
+    exponent-field width and keeps the binomial images (see its tables).
+    `digit_bits` and `scaled` are passed on: a caller that multiplies the
+    result passes the width its product needs and the `poly.lift_scale` it
+    read that width from.
     """
+    return lift_substitutions(p, target, _slot_substitutions(p.space, target, maps), digit_bits, scaled)
+
+
+# Slot maps translated into substitutions (`lift_slots`); one per (source, target, maps).
+SLOT_MAP_SIZE = 64
+
+
+@lru_cache(maxsize=SLOT_MAP_SIZE)
+def _slot_substitutions(source: Space, target: Space, maps: tuple) -> tuple:
+    """The maps of `lift_slots` as `poly.lift_substitutions` takes them:
+    (sign, where) with where[k] the target indices of variable k of p."""
     substitutions = []
     for sign, *slots in maps:
-        n, rem = divmod(len(p.space), 2 * len(slots))
+        n, rem = divmod(len(source), 2 * len(slots))
         if rem or not n or target not in (pair_space(n), triple_space(n)):
-            raise SpaceMismatchError(f"{len(slots)} slots of {p.space!r} do not map into {target!r}")
+            raise SpaceMismatchError(f"{len(slots)} slots of {source!r} do not map into {target!r}")
         width = 2 * n
         blocks = "uvw"[: len(target) // width]
-        where = [[blocks.index(block) * width + i for block in slot] for slot in slots for i in range(width)]
+        where = tuple(tuple(blocks.index(block) * width + i for block in slot) for slot in slots for i in range(width))
         substitutions.append((sign, where))
-    return lift_substitutions(p, target, substitutions, digit_bits)
+    return tuple(substitutions)
 
 
 # Distinct (f-monomial, g-monomial) pairs one product operator remembers.

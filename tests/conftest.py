@@ -1,11 +1,11 @@
 """Shared helpers: monomial enumeration, the degree guard read through
 `check_degree`, seeded random algebra objects, the full sinh series of a
 planted kernel, the bracket kernel of a product kernel, `substitute`, the
-slot-map oracles, evaluation at a point of field elements, the per-term
-accumulation oracles, the Jacobi verdict read off the whole packed product,
-the centre check as a loop over test monomials, the degreewise Theorem 2
-fit, and the Coefficient exponential and dressed powers that the packed fit
-is checked against."""
+slot-map oracles, the per-call packed lifts, evaluation at a point of field
+elements, the per-term accumulation oracles, the Jacobi verdict read off the
+whole packed product, the centre check as a loop over test monomials, the
+degreewise Theorem 2 fit, and the Coefficient exponential and dressed powers
+that the packed fit is checked against."""
 
 from __future__ import annotations
 
@@ -17,12 +17,13 @@ from math import comb, factorial
 
 from moyal import scalars
 from moyal.cocycle import dual_monomials
-from moyal.errors import DegreeGuardError, PoleAtMuZeroError
+from moyal.errors import DegreeGuardError, PoleAtMuZeroError, SpaceMismatchError
 from moyal.lie import RawLieKernel
 from moyal.linalg import Matrix
 from moyal.operators import NCPoly
 from moyal.poly import (
     DiffOp,
+    Lifted,
     Poly,
     block_product,
     check_degree,
@@ -259,6 +260,62 @@ def slot_images(space, n, *slots):
     ]
 
 
+def oracle_lift_substitutions(p, target, maps, digit_bits=None):
+    """`poly.lift_substitutions` as it was before its tables: the units, the
+    placements and each term's binomial images built on every call, the
+    scale and norm read here, and the same error for a map that does not fit."""
+    scale, norm = lift_scale(p)
+    if digit_bits is None:
+        signs = sum(abs(sign) for sign, _ in maps)
+        digit_bits = digit_width(signs * norm << max(p.total_degree(), 0))
+    width, bits = len(target), guard_bound().bit_length()
+    units = [1 << 2 + width * bits | 1 << 2 + (width - 1 - k) * bits for k in range(width)]
+    placed = []
+    for sign, where in maps:
+        if len(where) != len(p.space):
+            raise SpaceMismatchError(f"a map of {len(where)} variables does not fit {p.space!r}")
+        keys = [[units[index] for index in indices] for indices in where]
+        steps = [(k, pair[0] - pair[1]) for k, pair in enumerate(keys) if len(pair) == 2]
+        placed.append((sign, [pair[-1] for pair in keys], steps))
+    terms = {}
+    for exps, coeff in p.terms.items():
+        num = coeff.num
+        mult = scale // num.d
+        re = im = 0
+        for x in reversed(num.re):
+            re = (re << digit_bits) + x * mult
+        for y in reversed(num.im):
+            im = (im << digit_bits) + y * mult
+        for sign, weights, steps in placed:
+            images = [(sum(map(int.__mul__, exps, weights)), sign)]
+            for k, step in steps:
+                e = exps[k]
+                if e:
+                    images = [(key + j * step, factor * comb(e, j)) for key, factor in images for j in range(e + 1)]
+            for key, factor in images:
+                if re:
+                    terms[key] = terms.get(key, 0) + factor * re
+                if im:
+                    terms[key | 1] = terms.get(key | 1, 0) + factor * im
+    terms = {key: value for key, value in terms.items() if value}
+    return Lifted(terms, scale, scalars.MU_POLY_ONE, target, bits, digit_bits)
+
+
+def oracle_lift_slots(p, target, maps, digit_bits=None):
+    """`star.lift_slots` as it was before its table: each slot map translated
+    into target indices on every call, with the same error text."""
+    substitutions = []
+    for sign, *slots in maps:
+        n, rem = divmod(len(p.space), 2 * len(slots))
+        if rem or not n or target not in (pair_space(n), triple_space(n)):
+            raise SpaceMismatchError(f"{len(slots)} slots of {p.space!r} do not map into {target!r}")
+        width = 2 * n
+        blocks = "uvw"[: len(target) // width]
+        where = [[blocks.index(block) * width + i for block in slot] for slot in slots for i in range(width)]
+        substitutions.append((sign, where))
+    return oracle_lift_substitutions(p, target, substitutions, digit_bits)
+
+
 # -- per-term accumulation oracles ---------------------------------------------
 #
 # The polynomial loops clear mu-denominators on entry and divide once per
@@ -429,8 +486,8 @@ def whole_product_jacobi(raw, truncation_degree=None):
     _, norm = lift_scale(a)
     digit_bits = digit_width(3 * norm * norm << max(a.total_degree(), 0))
     half = Poly(a.space, {e: c for e, c in a.terms.items() if e[:width] > e[width:]})
-    left = lift_slots(a, tri, [(1, "u", "vw")], digit_bits)
-    right = lift_slots(half if antisymmetric else a, tri, [(1, "v", "w")], digit_bits)
+    left = lift_slots(a, tri, ((1, "u", "vw"),), digit_bits)
+    right = lift_slots(half if antisymmetric else a, tri, ((1, "v", "w"),), digit_bits)
     defect = poly_fold(whole_lifted_product(left, right).over(den * den).unlift(), antisymmetric)
     if not defect.terms:
         return "exact", None, None

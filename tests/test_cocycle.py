@@ -59,6 +59,30 @@ class TestCocycleCheck:
         value = defect.evaluate([1, 0, 2, 0, 3, 0])
         assert value == rhs - lhs == c(-24)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_witness_sides_are_the_field_values(self, seed):
+        """The sides of the witness, summed on the ints of b's numerators and
+        divided once, are those of `Poly.evaluate` on b itself, for b with
+        i parts, rational and mu-denominators."""
+        rng = random.Random(f"witness-{seed}")
+        n = 1 + seed % 2
+        width = 2 * n
+        b = random_poly(rng, pair_space(n), 5, terms=8, mu_degree=2, allow_i=True)
+        b = Poly(b.space, {e: c for e, c in b.terms.items() if sum(e[:width]) and sum(e[width:]) and sum(e) > 2})
+        b = b + Poly.monomial(b.space, (2,) + (0,) * (width - 1) + (1,) + (0,) * (width - 1), ONE)
+        b = b.scale_fraction(Fraction(rng.randint(1, 4), rng.randint(2, 5)))
+        if seed % 4 > 1:
+            b = b + b.scale((MU + scalars.Coefficient.from_int(rng.randint(1, 3))).inverse())
+        violation = cocycle_check(RawKernelExponent(n, b))
+        assert violation.stage == "cocycle"
+        point = violation.point
+        u, v, w = point[:width], point[width : 2 * width], point[2 * width :]
+        uv = tuple(x + y for x, y in zip(u, v))
+        vw = tuple(x + y for x, y in zip(v, w))
+        assert violation.lhs == b.evaluate(u + v) + b.evaluate(uv + w)
+        assert violation.rhs == b.evaluate(v + w) + b.evaluate(u + vw)
+        assert violation.lhs != violation.rhs
+
     def test_normalization_violation(self):
         violation = cocycle_check(raw("u1^2 + u1*v1"))
         assert violation is not None and violation.stage == "normalization"

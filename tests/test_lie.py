@@ -461,7 +461,7 @@ def test_one_bit_short_of_the_chain_bound_decodes_wrong(monkeypatch, top):
 
 
 def test_the_dressing_refuses_a_constant_exponent():
-    lifted = lift_substitutions(Poly.one(PAIR), PAIR, [(1, [[k] for k in range(4)])])
+    lifted = lift_substitutions(Poly.one(PAIR), PAIR, ((1, tuple((k,) for k in range(4))),))
     with pytest.raises(ValueError, match="constant term"):
         exp_blocks(lifted, 4)
 

@@ -71,6 +71,37 @@ def test_ring_axioms_randomized():
         assert a * Poly.one(SP) == a
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_sub_is_adding_the_negation(seed):
+    """a - b subtracts b's terms where they land; it is a + (-b), also when
+    everything cancels, when either side is deferred or zero, and for the
+    coefficients themselves."""
+    rng = random.Random(f"sub-{seed}")
+    space = phase_space(1 + seed % 2)
+    a = random_poly(rng, space, 4, terms=5, mu_degree=2)
+    b = random_poly(rng, space, 4, terms=5, mu_degree=2) + a.scale(random_coefficient(rng))
+    den = scalars.MuPoly((rng.randint(1, 3), 1))
+    zero = Poly.zero(space)
+    for x, y in ((a, b), (b, a), (a, a), (a.over(den), b), (a, b.over(den)), (a.over(den), a.over(den)),
+                 (zero, b), (b, zero), (zero, zero)):
+        diff = x - y
+        assert diff == x + (-y)
+        assert all(diff.terms.values())
+        assert (x - y) + y == x
+    assert (a - a).terms == {} and (a.over(den) - a.over(den)).terms == {}
+    coeffs = [*a.terms.values(), *b.terms.values(), scalars.ZERO, MU.inverse()]
+    for c in coeffs:
+        for d in coeffs:
+            assert c - d == c + (-d)
+    other = Poly.variable(phase_space(3), "q1")
+    for x, y in ((a, other), (other, a), (a.over(den), other)):
+        with pytest.raises(SpaceMismatchError) as expected:
+            x + (-y)
+        with pytest.raises(SpaceMismatchError) as got:
+            x - y
+        assert str(got.value) == str(expected.value)
+
+
 def test_space_mismatch_errors():
     other = phase_space(2)
     with pytest.raises(SpaceMismatchError):
@@ -382,7 +413,7 @@ def wide_poly(rng, n, guard):
 
 def lift(p, digit_bits=None):
     """p in packed form on its own space: the identity substitution."""
-    return lift_substitutions(p, p.space, [(1, [[k] for k in range(len(p.space))])], digit_bits)
+    return lift_substitutions(p, p.space, ((1, tuple((k,) for k in range(len(p.space)))),), digit_bits)
 
 
 def lifted_product(p, q):
@@ -423,7 +454,7 @@ def test_lifted_forms_are_checked():
     with pytest.raises(ValueError):
         lifted_product(p, Q.scale(MU.inverse()))
     with pytest.raises(SpaceMismatchError):
-        lift_substitutions(p, phase_space(2), [(1, [[0], [1], [2]])])
+        lift_substitutions(p, phase_space(2), ((1, ((0,), (1,), (2,))),))
     with pytest.raises(SpaceMismatchError):
         whole_lifted_product(lift(p, 8), lift(Poly.one(phase_space(2)), 8))
     with pytest.raises(SpaceMismatchError):

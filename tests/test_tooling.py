@@ -8,7 +8,7 @@ denominator rule), only scalars.py calls the trusted scalar constructors, in
 cli.py only the expression table and its pass read and parse expression
 arguments, `perm` is called only in `poly._derivative_piece` (differentiation
 has one owner, the shared derivative table), `comb` only in
-`poly.lift_substitutions` (the one binomial slot expansion) and two places
+`poly._binomial_row` (the one binomial slot expansion) and two places
 that are not slot maps, star.py, lie.py and cocycle.py apply no `>>` or `&` (a
 packed key's bit fields are read in poly.py alone), no module outside
 `__init__.py` imports a name it never uses (a name used only in an annotation
@@ -328,14 +328,14 @@ def test_comb_has_one_slot_map_caller_in_src():
     calls = sorted(
         call for path in SOURCES for call in _comb_callers(ast.parse(path.read_text()), path.name)
     )
-    # One binomial slot expansion, `poly.lift_substitutions`; next to it, the
-    # Weyl reordering coefficients (two binomials per step) and the centre's
-    # monomial count.
+    # One binomial slot expansion, `poly._binomial_row`, the table of images
+    # that `poly.lift_substitutions` reads; next to it, the Weyl reordering
+    # coefficients (two binomials per step) and the centre's monomial count.
     assert calls == [
         ("cocycle.py", "dual_monomials"),
         ("operators.py", "_reorder_steps"),
         ("operators.py", "_reorder_steps"),
-        ("poly.py", "lift_substitutions"),
+        ("poly.py", "_binomial_row"),
     ]
 
 
