@@ -23,16 +23,18 @@ degree, and multiplied one output degree at a time (`poly.block_product`),
 each pair's product filed by block permutation as it is added; the fold
 keeps degrees, so each block is the whole defect's part of that degree.  The
 report reads three things, and stops as soon as it has them: the lowest
-nonzero block, found upwards, gives the low end of the degree range and,
+nonzero block, built upwards, gives the low end of the degree range and,
 against the truncation degree, the verdict; the highest, found downwards,
 gives the high end and the witness, its lead, which is the whole defect's
-lead because keys order by degree first.  Only a verdict that rests on
-mu = 0 reads the blocks in between, upwards, up to the first that does not
-vanish there.  The blocks are read through the form's methods; only the
-entries of the leading monomial, the witness, are turned back into a
-coefficient.  `jacobi_defect` alone unlifts every entry: it is the rotated
-sum, every block merged (the CLI renders the defect's mu-order parts from
-it).  The fit's dressed powers exp(delta chi) * w^k run on the same product
+lead because keys order by degree first.  The blocks above the lowest are
+not built for this: each is read for its lead alone (`poly.block_lead`),
+from the top degree down, to the first that does not vanish.  Only a
+verdict that rests on mu = 0 builds the blocks in between, upwards, up to
+the first that does not vanish there.  The blocks are read through the
+form's methods; only the entries of the leading monomial, the witness, are
+turned back into a coefficient.  `jacobi_defect` alone unlifts every entry:
+it is the rotated sum, every block merged (the CLI renders the defect's
+mu-order parts from it).  The fit's dressed powers exp(delta chi) * w^k run on the same product
 (`_dressed_powers`): delta chi and w are lifted, the exponential is summed
 from block products (`poly.exp_blocks`), and each power is unlifted once;
 the fit reads them as polynomials.
@@ -80,6 +82,7 @@ from .poly import (
     Exponents,
     Lifted,
     Poly,
+    block_lead,
     block_product,
     check_degree,
     check_dimension,
@@ -101,7 +104,6 @@ from .star import (
     bilinear_pair_poly,
     lift_slots,
     phase_dimension,
-    slot_degrees,
     swap_slots,
 )
 
@@ -173,14 +175,18 @@ class LieAxiomReport:
         )
 
 
-def _defect_blocks(raw: RawLieKernel, antisymmetric: bool) -> tuple[range, Callable[[int], Lifted] | None]:
+def _defect_blocks(
+    raw: RawLieKernel, antisymmetric: bool
+) -> tuple[range, Callable[[int], Lifted] | None, Callable[[int], Lifted | None] | None]:
     """The Jacobi defect in packed form, one total degree at a time: (degrees,
-    block), block(d) being the entries of degree d, at one exponent tuple per
-    orbit of their blocks when `antisymmetric` and at every exponent tuple
-    otherwise.  Every nonzero degree lies in `degrees`, and no block is built
-    until it is asked for, so a reader that needs only the ends of the
-    defect, as `lie_axiom_check` does, builds only the blocks it reads.  A
-    zero slot map gives no degrees and no block.
+    block, lead), block(d) being the entries of degree d, at one exponent
+    tuple per orbit of their blocks when `antisymmetric` and at every
+    exponent tuple otherwise, and lead(d) the entries of the largest
+    monomial of block(d), or None when it vanishes, read without building
+    the block (`poly.block_lead`).  Every nonzero degree lies in `degrees`,
+    and no block is built until it is asked for, so a reader that needs
+    only the ends of the defect, as `lie_axiom_check` does, builds only the
+    blocks it reads.  A zero slot map gives no degrees, block or lead.
 
     For an antisymmetric A the defect is the sum over S3 of sgn(pi) Q o pi,
     Q = A(u,v+w) H(v,w), where H holds the terms of A(v,w) whose v-block is
@@ -195,8 +201,8 @@ def _defect_blocks(raw: RawLieKernel, antisymmetric: bool) -> tuple[range, Calla
     (H holds a subset of its terms), and split by degree; block(d) is the
     degree-d block of their product folded as it is multiplied
     (`poly.block_product` with the alternating or cyclic fold), divided by
-    D^2.  The fold keeps each key's degree, so it is the degree-d part of
-    the whole fold, entry for entry.
+    D^2, and lead(d) reads the same fold.  The fold keeps each key's degree,
+    so it is the degree-d part of the whole fold, entry for entry.
     The digits are wide enough for the whole fold, and so for every block:
     with |.|_1 the sum of the absolute digit values of a lifted form and deg
     the degree of A, |A(u,v+w)|_1 <= 2^deg |D*A|_1 (each term's images sum
@@ -216,10 +222,16 @@ def _defect_blocks(raw: RawLieKernel, antisymmetric: bool) -> tuple[range, Calla
     left = lift_slots(a, tri, ((1, "u", "vw"),), digit_bits, scaled).by_degree()
     right = lift_slots(half if antisymmetric else a, tri, ((1, "v", "w"),), digit_bits, scaled).by_degree()
     if not left or not right:
-        return range(0), None
-    product = block_product(left, right, "alternating" if antisymmetric else "cyclic")
+        return range(0), None, None
+    fold = "alternating" if antisymmetric else "cyclic"
+    product = block_product(left, right, fold)
     degrees, den2 = range(min(left) + min(right), max(left) + max(right) + 1), den * den
-    return degrees, lambda degree: product(degree).over(den2)
+
+    def lead(degree: int) -> Lifted | None:
+        entry = block_lead(left, right, fold, degree)
+        return None if entry is None else entry.over(den2)
+
+    return degrees, lambda degree: product(degree).over(den2), lead
 
 
 def jacobi_defect(raw: RawLieKernel) -> Poly:
@@ -227,7 +239,7 @@ def jacobi_defect(raw: RawLieKernel) -> Poly:
 
     The packed cyclic sum of `_defect_blocks`, every block merged, unlifted.
     """
-    degrees, block = _defect_blocks(raw, False)
+    degrees, block, _ = _defect_blocks(raw, False)
     return unlift_blocks({degree: block(degree) for degree in degrees}, triple_space(raw.n))
 
 
@@ -245,17 +257,22 @@ def lie_axiom_check(
     "truncation-defect" when it vanishes at mu = 0, or when
     `truncation_degree` is given and the defect lives entirely above total
     degree truncation_degree + 2 (the signature of a truncated valid kernel).
+
+    The defect's blocks (`_defect_blocks`) are built whole from the lowest
+    degree up to the first nonzero one; the high end of the degree range
+    and the witness are read from the top degree down, each block for its
+    lead alone, without building it; and a verdict that rests on mu = 0
+    builds the blocks from the lowest nonzero one up to the first that does
+    not vanish there.
     """
     if truncation_degree is not None and truncation_degree < 0:
         raise ValueError("truncation_degree must be non-negative")
-    n = raw.n
-    a = raw.a
+    a, width = raw.a, 2 * raw.n
 
     anti_witness = raw.antisymmetry_witness
-    const_witness = _first_term(
-        Poly(a.space, {e: c for e, c in a.terms.items() if slot_degrees(e, 2 * n)[0] == 0})
-    )
-    degrees, fold = _defect_blocks(raw, anti_witness is None)
+    # The terms of A(0, v): no exponent in the u-block.
+    const_witness = _first_term(Poly(a.space, {e: c for e, c in a.terms.items() if not any(e[:width])}))
+    degrees, fold, lead = _defect_blocks(raw, anti_witness is None)
     blocks: dict[int, Lifted] = {}
 
     def block(degree: int) -> Lifted:
@@ -272,9 +289,14 @@ def lie_axiom_check(
         # share its degree and its value up to sign.  Either way the lowest
         # and highest nonzero blocks bound the defect's degrees, and the
         # lead of the highest, whose keys are the largest, is the defect's.
-        high = next(d for d in reversed(degrees) if block(d).terms)
+        high, highest = low, blocks[low]
+        for degree in range(degrees[-1], low, -1):
+            entry = lead(degree)
+            if entry is not None:
+                high, highest = degree, entry
+                break
         degree_range = (low, high)
-        jac_witness = blocks[high].lead()
+        jac_witness = highest.lead()
         above_truncation = truncation_degree is not None and low > truncation_degree + 2
         # The defect vanishes at mu = 0 when every block does; the blocks
         # are read upwards and the first that does not ends the test.
@@ -306,10 +328,10 @@ def extract_omega(raw: RawLieKernel) -> Matrix:
     each term's slot degrees once and keeps the (1, 1) part for the matrix.
     Ker omega is the returned matrix's `nullspace()`.
     """
-    n, a = raw.n, raw.a
+    n, a, width = raw.n, raw.a, 2 * raw.n
     offence, bilinear = None, {}
     for exps, coeff in a.terms.items():
-        u_deg, v_deg = slot_degrees(exps, 2 * n)
+        u_deg, v_deg = sum(exps[:width]), sum(exps[width:])
         if u_deg == 1 and v_deg == 1:
             bilinear[exps] = coeff
         elif u_deg <= 1:

@@ -77,12 +77,17 @@ zero entry: the producers whose entries can cancel drop them.
 `block_product` is the one product of packed forms: it multiplies forms
 split by degree one output degree at a time and, over a triple space, can
 file each pair's product by block permutation as it adds it (the
-alternating or cyclic fold of the Jacobi defect).  `product_blocks` keeps
-its blocks up to a degree, `exp_blocks` sums a truncated exponential from
-them by Horner's rule, and `unlift_blocks` merges and decodes a split form.  Other modules use a form only through
-these functions and its methods (the split by degree, the lead, the
-degrees, the mu = 0 test and `unlift`), so the bit layout is known to this
-module alone.
+alternating or cyclic fold of the Jacobi defect).  Each block it is asked
+for is built whole.  `block_lead` reads the lead of one folded block
+without building it: it takes the left entries best-first, by a bound on
+the keys their pairs can reach, as heap multiplication takes its terms
+(S. C. Johnson, 1974; M. Monagan and R. Pearce, CASC 2007), and stops at
+the first nonzero key no unread entry can reach.  `product_blocks` keeps
+the blocks of a product up to a degree, `exp_blocks` sums a truncated
+exponential from them by Horner's rule, and `unlift_blocks` merges and
+decodes a split form.  Other modules use a form only through these
+functions and its methods (the split by degree, the lead, the degrees, the
+mu = 0 test and `unlift`), so the bit layout is known to this module alone.
 """
 
 from __future__ import annotations
@@ -93,6 +98,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import scalars
@@ -731,7 +737,7 @@ class Lifted:
     drops its zeros itself, while the folded products never store one.
     """
 
-    __slots__ = ("terms", "scale", "den", "space", "bits", "digit_bits")
+    __slots__ = ("terms", "scale", "den", "space", "bits", "digit_bits", "fields")
 
     def __init__(self, terms: dict, scale: int, den: MuPoly, space: Space, bits: int, digit_bits: int):
         self.terms = terms
@@ -740,6 +746,8 @@ class Lifted:
         self.space = space
         self.bits = bits
         self.digit_bits = digit_bits
+        # The block fields of a triple-space form, read by `_fields` when first folded.
+        self.fields = None
 
     def by_degree(self) -> dict[int, "Lifted"]:
         """The form split by its degree field: {total degree: the entries of
@@ -815,7 +823,8 @@ def block_product(
     block holds exactly the entries of degree d of the whole product; the
     whole product of two forms is the block at the sum of their top degrees
     of the one-block splits {top: form}.  This is the one product of packed
-    forms.
+    forms; `block_lead` reads the lead of one folded block without building
+    it.
 
     Monomials multiply by adding keys: the exponent fields are as wide as
     the degree guard, so no field carries while the product's degree fits
@@ -843,27 +852,19 @@ def block_product(
     the alternating sum over S3 at one key per orbit.  "cyclic" adds it at
     each of its three block rotations, the whole cyclic sum.  Degrees and
     powers of i are kept.  Each entry's three block fields are read once
-    per call; a block accumulates at the packed (u, v, w) fields, one dict
-    per power of i (i * i pairs add their negated product to the real one),
-    and each key is made whole as it is popped, which frees the packed keys
-    while the whole ones are made.  A digit of the fold is a signed sum of the
+    per form, when a block first needs them (`_fields`); a block
+    accumulates at the packed (u, v, w) fields, one dict per power of i
+    (i * i pairs add their negated product to the real one), and each key
+    is made whole as it is popped, which frees the packed keys while the
+    whole ones are made.  A digit of the fold is a signed sum of the
     contributions filed at its key, and no partial sum of one exceeds the
     sum of their absolute values: at most |x|_1 |y|_1 for the alternating
     fold and three times that for the cyclic one.  ValueError for another
     fold and SpaceMismatchError off a triple space.
     """
-    x, y = next(iter(left.values())), next(iter(right.values()))
-    layout = (x.space, x.bits, x.digit_bits)
-    if layout != (y.space, y.bits, y.digit_bits):
-        raise SpaceMismatchError("lifted forms differ in space, exponent fields or digit bits")
-    top = max(left) + max(right)
-    check_degree(top, "product")
-    if top >> x.bits:
-        raise DegreeGuardError(f"product degree {top} overflows exponent fields of {x.bits} bits")
-    scale = x.scale * y.scale
-    den = y.den if x.den.is_one else x.den if y.den.is_one else x.den * y.den
+    shared = _product_layout(left, right)
     if fold is not None:
-        return _folded_product(left, right, fold, (scale, den, *layout))
+        return _folded_product(left, right, fold, shared)
 
     def block(degree: int) -> Lifted:
         terms: dict[int, int] = {}
@@ -880,9 +881,24 @@ def block_product(
         for k in [k for k in terms if k & 2]:
             terms[k ^ 2] = get(k ^ 2, 0) - terms.pop(k)
         _drop_zeros(terms)
-        return Lifted(terms, scale, den, *layout)
+        return Lifted(terms, *shared)
 
     return block
+
+
+def _product_layout(left: dict[int, Lifted], right: dict[int, Lifted]) -> tuple:
+    """The (scale, den, space, bits, digit_bits) of the product of two split
+    forms, after the layout and degree checks of `block_product`."""
+    x, y = next(iter(left.values())), next(iter(right.values()))
+    layout = (x.space, x.bits, x.digit_bits)
+    if layout != (y.space, y.bits, y.digit_bits):
+        raise SpaceMismatchError("lifted forms differ in space, exponent fields or digit bits")
+    top = max(left) + max(right)
+    check_degree(top, "product")
+    if top >> x.bits:
+        raise DegreeGuardError(f"product degree {top} overflows exponent fields of {x.bits} bits")
+    den = y.den if x.den.is_one else x.den if y.den.is_one else x.den * y.den
+    return (x.scale * y.scale, den, *layout)
 
 
 def _add_alternating(acc: dict, entries: list, others: list, s1: int, s2: int) -> None:
@@ -935,7 +951,39 @@ def _add_cyclic(acc: dict, entries: list, others: list, s1: int, s2: int) -> Non
             acc[key] = get(key, 0) + value
 
 
-_FOLDS = {"alternating": _add_alternating, "cyclic": _add_cyclic}
+def _arrangement_bounds(entries: list, top: tuple, s1: int, s2: int) -> list[int]:
+    """The descending arrangement of the fields of each entry plus `top`,
+    fieldwise, packed as in `_add_alternating`."""
+    tx, ty, tz = top
+    bounds = []
+    for x, y, z, _ in entries:
+        x, y, z = x + tx, y + ty, z + tz
+        if x < y:
+            x, y = y, x
+        if y < z:
+            y, z = z, y
+            if x < y:
+                x, y = y, x
+        bounds.append(x << s2 | y << s1 | z)
+    return bounds
+
+
+def _rotation_bounds(entries: list, top: tuple, s1: int, s2: int) -> list[int]:
+    """The largest rotation of the fields of each entry plus `top`,
+    fieldwise, packed as in `_add_alternating`."""
+    tx, ty, tz = top
+    bounds = []
+    for x, y, z, _ in entries:
+        x, y, z = x + tx, y + ty, z + tz
+        bounds.append(max(x << s2 | y << s1 | z, y << s2 | z << s1 | x, z << s2 | x << s1 | y))
+    return bounds
+
+
+# Each fold: (the function that adds its pairs, the bounds of `block_lead`).
+_FOLDS = {
+    "alternating": (_add_alternating, _arrangement_bounds),
+    "cyclic": (_add_cyclic, _rotation_bounds),
+}
 
 
 def _folded_product(
@@ -943,38 +991,18 @@ def _folded_product(
 ) -> Callable[[int], Lifted]:
     """`block_product` with a fold; `shared` is the blocks' (scale, den, space,
     bits, digit_bits)."""
-    add = _FOLDS.get(fold)
-    if add is None:
-        raise ValueError(f"unknown fold {fold!r}: alternating, cyclic or None")
-    space, bits = shared[2], shared[3]
-    n, rem = divmod(len(space), 6)
-    if rem or space != triple_space(n):
-        raise SpaceMismatchError(f"{space!r} is not a triple space")
-    width = 2 * n * bits
-    mask, v_shift, u_shift, degree_shift = (1 << width) - 1, 2 + width, 2 + 2 * width, 2 + 3 * width
-
-    def fields(form: Lifted) -> tuple[list, list]:
-        # (u field, v field, w field, value) of each entry, by power of i.
-        split: tuple[list, list] = ([], [])
-        for key, value in form.terms.items():
-            split[key & 1].append((key >> u_shift & mask, key >> v_shift & mask, key >> 2 & mask, value))
-        return split
-
-    lefts = {}
-    for degree, form in left.items():
-        real, imag = fields(form)
-        # i * i = -1: the i entries negated, to meet the i entries of the right.
-        lefts[degree] = real, imag, [(x, y, z, -value) for x, y, z, value in imag]
-    rights = {degree: fields(form) for degree, form in right.items()}
+    add, _, width = _fold_of(fold, shared[2], shared[3])
+    degree_shift = 2 + 3 * width
 
     def block(degree: int) -> Lifted:
         real: dict[int, int] = {}
         imag: dict[int, int] = {}
-        for left_degree, (l0, l1, l1_negated) in lefts.items():
-            other = rights.get(degree - left_degree)
+        for left_degree, form in left.items():
+            other = right.get(degree - left_degree)
             if other is None:
                 continue
-            r0, r1 = other
+            l0, l1, l1_negated = _fields(form)
+            r0, r1, _ = _fields(other)
             add(real, l0, r0, width, 2 * width)
             add(imag, l0, r1, width, 2 * width)
             add(imag, l1, r0, width, 2 * width)
@@ -989,6 +1017,106 @@ def _folded_product(
         return Lifted(terms, *shared)
 
     return block
+
+
+def block_lead(left: dict[int, Lifted], right: dict[int, Lifted], fold: str, degree: int) -> Lifted | None:
+    """The leading entry of the degree block of `block_product(left, right,
+    fold)`: a form holding the entries, real and i parts, of the block's
+    largest monomial, or None when the block vanishes.  The block is not
+    built.  Same checks and errors as `block_product`.
+
+    For a left entry l, with R the right block it meets at this degree and
+    Rmax the fieldwise maximum of the (u, v, w) fields of R's entries,
+    UB(l) is the fold's largest image of l + Rmax: its descending
+    arrangement, or its largest rotation.  The left entries are taken from
+    a heap in descending UB, each multiplied by all of R and filed by the
+    fold into the accumulators of `block_product`, and the read stops at
+    the largest nonzero key that lies above every unread UB.
+
+    Proof.  The fields of a key add: a pair's product has the fields l + r,
+    no field carrying, and l + r <= l + Rmax fieldwise.  Sorting three
+    fields descending is monotone fieldwise (the k-th largest of three
+    numbers does not fall when one of them grows), and so is a rotation; a
+    fieldwise larger triple is no smaller in key order, which compares the
+    (u, v, w) fields in turn.  So every pair of l is filed at a key <=
+    UB(l), and a pair the alternating fold drops (two equal fields) is
+    dropped here too.  Hence a key above every unread UB receives nothing
+    more: its value is final, as is every larger key, so the largest
+    nonzero key above every unread UB is the block's largest nonzero key,
+    and once every entry is read every key is final.  Each accumulator is
+    a partial sum of the contributions the fold files at its key, so the
+    digit bound of `block_product` holds for it.
+    """
+    shared = _product_layout(left, right)
+    add, bounds, width = _fold_of(fold, shared[2], shared[3])
+    s1, s2 = width, 2 * width
+    pending = []
+    for left_degree, form in left.items():
+        other = right.get(degree - left_degree)
+        if other is None:
+            continue
+        r0, r1, _ = _fields(other)
+        top = [max(field) for field in zip(*[entry[:3] for entry in r0 + r1])]
+        for i, entries in enumerate(_fields(form)[:2]):
+            for bound, entry in zip(bounds(entries, top, s1, s2), entries):
+                pending.append((-bound, len(pending), i, entry, r0, r1))
+    heapify(pending)
+    real: dict[int, int] = {}
+    imag: dict[int, int] = {}
+    # Keys filed so far, largest first; a key may appear more than once.
+    candidates: list[int] = []
+    while True:
+        # The largest unread bound; once every entry is read, every key is final.
+        unread = -pending[0][0] if pending else -1
+        while candidates and -candidates[0] > unread:
+            key = -heappop(candidates)
+            values = real.get(key, 0), imag.get(key, 0)
+            if any(values):
+                whole = degree << 2 + 3 * width | key << 2
+                return Lifted({whole | i: value for i, value in enumerate(values) if value}, *shared)
+        if not pending:
+            return None
+        _, _, i, entry, r0, r1 = heappop(pending)
+        # (accumulator, left entry, right entries), paired as `block_product` pairs them.
+        if i:
+            reads = ((imag, entry, r0), (real, (*entry[:3], -entry[3]), r1))
+        else:
+            reads = ((real, entry, r0), (imag, entry, r1))
+        for acc, one, others in reads:
+            if others:
+                # A dict of its own, to learn the keys this entry files at.
+                part: dict[int, int] = {}
+                add(part, (one,), others, s1, s2)
+                for key, value in part.items():
+                    acc[key] = acc.get(key, 0) + value
+                    heappush(candidates, -key)
+
+
+def _fold_of(fold: str, space: Space, bits: int) -> tuple[Callable, Callable, int]:
+    """(the two `_FOLDS` functions of `fold`, the bits of one block field)
+    for forms over `space` with exponent fields of `bits` bits."""
+    functions = _FOLDS.get(fold)
+    if functions is None:
+        raise ValueError(f"unknown fold {fold!r}: alternating, cyclic or None")
+    n, rem = divmod(len(space), 6)
+    if rem or space != triple_space(n):
+        raise SpaceMismatchError(f"{space!r} is not a triple space")
+    return *functions, 2 * n * bits
+
+
+def _fields(form: Lifted) -> tuple[list, list, list]:
+    """The (u field, v field, w field, value) of each entry of a triple-space
+    form, real and i entries apart, and the i entries negated (i * i = -1,
+    to meet the i entries of the right); read once per form and kept on it."""
+    if form.fields is None:
+        width = len(form.space) // 3 * form.bits
+        mask, v_shift, u_shift = (1 << width) - 1, 2 + width, 2 + 2 * width
+        split: tuple[list, list] = ([], [])
+        for key, value in form.terms.items():
+            split[key & 1].append((key >> u_shift & mask, key >> v_shift & mask, key >> 2 & mask, value))
+        real, imag = split
+        form.fields = real, imag, [(x, y, z, -value) for x, y, z, value in imag]
+    return form.fields
 
 
 def product_blocks(left: dict[int, Lifted], right: dict[int, Lifted], top: int) -> dict[int, Lifted]:

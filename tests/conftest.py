@@ -467,6 +467,42 @@ def poly_fold(p, alternating):
     return Poly(p.space, {e: c for e, c in folded.terms.items() if descending(e, width)})
 
 
+def fold_situations(p, q, fold):
+    """The hard cases for the stop rule of `poly.block_lead` that the folded
+    product of two triple-space polynomials holds: "top vanishes", the top
+    degree block is zero and a lower one is not; "two equal blocks", in some
+    block the largest arrangement a pair of terms reaches has two equal
+    blocks, so the alternating fold drops it; "cancelled candidate", in some
+    block the largest tuple the fold files a pair at is not the block's
+    lead."""
+    width = len(p.space) // 3
+    folded = poly_fold(p * q, fold == "alternating")
+    by_degree = {}
+    for e1 in p.terms:
+        for e2 in q.terms:
+            e = tuple(map(int.__add__, e1, e2))
+            blocks = [e[k : k + width] for k in range(0, 3 * width, width)]
+            if fold == "cyclic":
+                images = [sum(blocks[k:] + blocks[:k], ()) for k in range(3)]
+                reached, filed = max(images), images
+            else:
+                reached = sum(sorted(blocks, reverse=True), ())
+                filed = [reached] if len(set(blocks)) == 3 else []
+            by_degree.setdefault(sum(e), []).append((reached, filed))
+    seen = set()
+    if folded and not folded.homogeneous_component(max(by_degree, default=0)):
+        seen.add("top vanishes")
+    for degree, pairs in by_degree.items():
+        block = folded.homogeneous_component(degree)
+        reached = max(r for r, _ in pairs)
+        if fold == "alternating" and len({reached[k : k + width] for k in range(0, 3 * width, width)}) < 3:
+            seen.add("two equal blocks")
+        candidates = [key for _, filed in pairs for key in filed]
+        if candidates and max(candidates) != (block.leading_term()[0] if block else None):
+            seen.add("cancelled candidate")
+    return seen
+
+
 def vanishes_at_mu_zero(p):
     """Whether every coefficient of p is zero at mu = 0; a pole there is not."""
     try:

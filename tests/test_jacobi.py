@@ -16,6 +16,7 @@ import pytest
 
 from conftest import (
     bracket_kernel_of,
+    fold_situations,
     oracle_slot_sum,
     random_gauge_chi,
     random_poly,
@@ -413,11 +414,22 @@ def test_one_product_per_defect_and_no_rendering(monkeypatch):
     """The defect is built one degree block at a time, through
     `poly.block_product` alone: each (left degree, right degree) pair of
     the split slot maps is multiplied at most once, and a verdict fixed by
-    the truncation degree multiplies no block strictly between the lowest
-    and the highest nonzero one."""
+    the truncation degree multiplies no block above the lowest nonzero one.
+    The high end and the witness are read (`poly.block_lead`) from the top
+    degree down to the highest nonzero block, and equal the whole
+    product's."""
     kernels = criterion_9_kernels()
-    pairs, calls = [], []
-    graded = lie.block_product
+    expected = {
+        (k, truncation_degree): whole_product_jacobi(raw, truncation_degree)
+        for k, raw in enumerate(kernels)
+        for truncation_degree in (6, None)
+    }
+    pairs, calls, reads = [], [], []
+    graded, read = lie.block_product, lie.block_lead
+
+    def reading(left, right, fold, degree):
+        reads.append(degree)
+        return read(left, right, fold, degree)
 
     def counting(left, right, fold=None):
         product = graded(left, right, fold)
@@ -427,6 +439,7 @@ def test_one_product_per_defect_and_no_rendering(monkeypatch):
             return product(degree)
 
         block.all_pairs = set(itertools.product(left, right))
+        block.top = max(left) + max(right)
         calls.append(block)
         return block
 
@@ -437,24 +450,27 @@ def test_one_product_per_defect_and_no_rendering(monkeypatch):
         raise AssertionError("a slot image was built on Coefficients")
 
     monkeypatch.setattr(lie, "block_product", counting)
+    monkeypatch.setattr(lie, "block_lead", reading)
     monkeypatch.setattr(Poly, "__mul__", no_product)
     # The slot maps add packed ints: no image term is scaled as a Coefficient
     # or summed by Poly.from_terms.
     monkeypatch.setattr(scalars.Coefficient, "scale_int", no_coefficient_images)
     monkeypatch.setattr(Poly, "from_terms", classmethod(no_coefficient_images))
-    for raw in kernels:
+    for k, raw in enumerate(kernels):
         for truncation_degree in (6, None):
-            del pairs[:], calls[:]
+            del pairs[:], calls[:], reads[:]
             report = lie_axiom_check(raw, truncation_degree)
             assert len(calls) == 1 and pairs
             assert len(pairs) == len(set(pairs))
             low, high = report.defect_degree_range
             built = {d1 + d2 for d1, d2 in pairs}
-            assert {low, high} <= built
+            assert low in built
+            assert reads == list(range(calls[0].top, high - 1, -1))
+            assert jacobi_report(report) == expected[k, truncation_degree]
             if truncation_degree is not None:
                 assert report.jacobi_status == "truncation-defect"
                 assert high - low >= 2
-                assert not any(low < d < high for d in built)
+                assert max(built) == low
                 assert set(pairs) < calls[0].all_pairs
         del pairs[:], calls[:]
         jacobi_defect(raw)
@@ -528,6 +544,55 @@ def test_graded_report_matches_the_whole_product(n, antisymmetric, denominator, 
     for truncation_degree in (None, 0, 2, 4):
         report = lie_axiom_check(raw, truncation_degree=truncation_degree)
         assert jacobi_report(report) == whole_product_jacobi(raw, truncation_degree)
+
+
+def lead_read_cases(raw):
+    """The fold of the Jacobi product of a kernel and the hard cases it holds
+    for the lead read of `poly.block_lead` (`fold_situations`), read off the
+    slot maps of the numerator of A as polynomials."""
+    a, width = raw.a.split_denominator()[0], 2 * raw.n
+    tri, fold = triple_space(raw.n), "alternating" if raw.antisymmetry_witness is None else "cyclic"
+    half = Poly(a.space, {e: c for e, c in a.terms.items() if e[:width] > e[width:]})
+    left = slot_sum(a, tri, (1, "u", "vw"))
+    right = slot_sum(half if fold == "alternating" else a, tri, (1, "v", "w"))
+    return fold, fold_situations(left, right, fold)
+
+
+# The Jacobi defect of c1 * WEDGE + c2 * u1 has no top block: WEDGE alone is
+# a Lie kernel.  The seeded n = 2 kernels are the antisymmetric ones whose
+# top block vanishes, one per denominator.
+LEAD_READ_KERNELS = [
+    RawLieKernel(1, WEDGE + parse_poly("u1", PAIR)),
+    RawLieKernel(1, WEDGE.scale(scalars.I * MU) + parse_poly("u1", PAIR).scale((MU + ONE).inverse())),
+] + [
+    seeded_kernel(random.Random(f"graded-2-True-{denominator}-{seed}"), 2, True, denominator)
+    for denominator, seed in ((None, 29), ("mu+c", 37), ("mu", 16))
+]
+
+
+def test_the_lead_read_meets_its_hard_cases():
+    """`lie_axiom_check` reads the high end and the witness best-first.  On
+    these kernels and those of `test_graded_report_matches_the_whole_product`,
+    with i parts, mu-denominators and both folds, the read meets a top block
+    that vanishes, a largest reachable orbit with two equal blocks and a
+    largest candidate that folds to zero, and the reports equal the whole
+    product's."""
+    seen = {"alternating": set(), "cyclic": set()}
+    graded = [
+        seeded_kernel(random.Random(f"graded-{n}-{anti}-{denominator}-{seed}"), n, anti, denominator)
+        for n, anti, denominator, seed in GRADED_SEEDED
+    ]
+    for raw in LEAD_READ_KERNELS + graded:
+        fold, cases = lead_read_cases(raw)
+        seen[fold] |= cases
+    assert seen == {
+        "alternating": {"top vanishes", "two equal blocks", "cancelled candidate"},
+        "cyclic": {"top vanishes", "cancelled candidate"},
+    }
+    for raw in LEAD_READ_KERNELS:
+        for truncation_degree in (None, 0, 2, 4):
+            report = lie_axiom_check(raw, truncation_degree=truncation_degree)
+            assert jacobi_report(report) == whole_product_jacobi(raw, truncation_degree)
 
 
 # A kernel whose lowest defect blocks vanish at mu = 0 and a later one does
