@@ -54,7 +54,6 @@ from .lie import (
     classify_h,
     extract_omega,
     lie_axiom_check,
-    reconstruct_bracket,
     theorem2_pipeline,
 )
 from .linalg import Matrix

@@ -23,13 +23,14 @@ degree, and multiplied one output degree at a time (`poly.block_product`),
 each pair's product filed by block permutation as it is added; the fold
 keeps degrees, so each block is the whole defect's part of that degree.  The
 report reads three things, and stops as soon as it has them: the lowest
-nonzero block, built upwards, gives the low end of the degree range and,
-against the truncation degree, the verdict; the highest, found downwards,
-gives the high end and the witness, its lead, which is the whole defect's
-lead because keys order by degree first.  The blocks above the lowest are
-not built for this: each is read for its lead alone (`poly.block_lead`),
-from the top degree down, to the first that does not vanish.  Only a
-verdict that rests on mu = 0 builds the blocks in between, upwards, up to
+nonzero block, found upwards, gives the low end of the degree range and,
+against the truncation degree, the verdict (it is built, except above
+truncation degree + 2, where a nonzero block fixes the verdict and each is
+read for its lead alone); the highest, found downwards, gives the high end
+and the witness, its lead, which is the whole defect's lead because keys
+order by degree first.  The blocks above the lowest are not built for
+this: each is read for its lead alone (`poly.block_lead`), from the top
+degree down, to the first that does not vanish.  Only a verdict that rests on mu = 0 builds the blocks in between, upwards, up to
 the first that does not vanish there.  The blocks are read through the
 form's methods; only the entries of the leading monomial, the witness, are
 turned back into a coefficient.  `jacobi_defect` alone unlifts every entry:
@@ -103,7 +104,6 @@ from .star import (
     bilinear_form,
     bilinear_pair_poly,
     lift_slots,
-    phase_dimension,
     swap_slots,
 )
 
@@ -259,11 +259,13 @@ def lie_axiom_check(
     degree truncation_degree + 2 (the signature of a truncated valid kernel).
 
     The defect's blocks (`_defect_blocks`) are built whole from the lowest
-    degree up to the first nonzero one; the high end of the degree range
-    and the witness are read from the top degree down, each block for its
-    lead alone, without building it; and a verdict that rests on mu = 0
-    builds the blocks from the lowest nonzero one up to the first that does
-    not vanish there.
+    degree up to the first nonzero one, except that a degree above
+    truncation_degree + 2 is tested by its lead alone, without building
+    its block: a nonzero block there fixes the verdict.  The high end of
+    the degree range and the witness are read from the top degree down, each
+    block for its lead alone; and a verdict that rests on mu = 0 builds the
+    blocks from the lowest nonzero one up to the first that does not vanish
+    there.
     """
     if truncation_degree is not None and truncation_degree < 0:
         raise ValueError("truncation_degree must be non-negative")
@@ -280,7 +282,17 @@ def lie_axiom_check(
             blocks[degree] = fold(degree)
         return blocks[degree]
 
-    low = next((d for d in degrees if block(d).terms), None)
+    low = highest = None
+    for degree in degrees:
+        # Above truncation_degree + 2 a nonzero block fixes the verdict, so
+        # its lead, the witness should it also be the highest, is enough.
+        if truncation_degree is not None and degree > truncation_degree + 2:
+            highest = lead(degree)
+        elif block(degree).terms:
+            highest = blocks[degree]
+        if highest is not None:
+            low = degree
+            break
     if low is None:
         status, jac_witness, degree_range = "exact", None, None
     else:
@@ -289,7 +301,7 @@ def lie_axiom_check(
         # share its degree and its value up to sign.  Either way the lowest
         # and highest nonzero blocks bound the defect's degrees, and the
         # lead of the highest, whose keys are the largest, is the defect's.
-        high, highest = low, blocks[low]
+        high = low
         for degree in range(degrees[-1], low, -1):
             entry = lead(degree)
             if entry is not None:
@@ -742,28 +754,3 @@ def bidiff_coefficients(
                     table[(r, j, s, k)] = coeff.scale_int(factorial(r) * factorial(s))
     return table
 
-
-def reconstruct_bracket(
-    table: dict[tuple[int, int, int, int], scalars.Coefficient], f: Poly, g: Poly
-) -> Poly:
-    """Evaluate the bracket of two symbols from a coefficient table (n = 1).
-
-    The table entries carry the binomial-times-derivative normalization, so
-    the double series reads  sum b_{rj,sk}/(r! s!) (d^j_q d^(r-j)_p f)(...g).
-    It is applied as BiDiff of the kernel whose u^(j, r-j) v^(k, s-k)
-    coefficient is b_{rj,sk} / (r! s! (-i)^(r+s)).
-    """
-    if phase_dimension(f.space) != 1 or f.space != g.space:
-        raise SpaceMismatchError("table reconstruction expects n = 1 symbols")
-    kernel = Poly.from_terms(
-        pair_space(1),
-        (
-            (
-                (j, r - j, k, s - k),
-                coeff.scale_fraction(Fraction(1, factorial(r) * factorial(s)))
-                * scalars.neg_i_power(-(r + s)),
-            )
-            for (r, j, s, k), coeff in table.items()
-        ),
-    )
-    return BiDiff(kernel).apply(f, g)

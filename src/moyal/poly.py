@@ -44,7 +44,13 @@ ordinary operands are split only at the first pair whose coefficient product
 has a denominator, after which the walk runs on P and Q and returns
 `.over(Dp*Dq)`.  Operands without denominators pay one identity test per
 pair: the usual operand is a monomial with no denominator, and splitting both
-operands up front would cost about a fifth of the `products` benchmark.  Only
+operands up front would cost about a fifth of the `products` benchmark.  The
+usual call is one such pair, and its piece is often memoised (`star.BiDiff`),
+so two operands of one term each take the piece whole: a scale cf * cg that
+is ONE returns the piece's own dict as the terms (pieces are shared and never
+written, so no code writes into a `terms` dict), one polynomial in mu scales
+it in one comprehension, and one with a mu-denominator splits as above.  In
+the walk over many pairs a unit scale multiplies no term.  Only
 `DiffOp.apply_exp` splits on entry: its series runs on the target's
 numerators and divides once.  Values, `==`, `hash` and `str` do not depend
 on whether the division has happened yet.
@@ -565,12 +571,31 @@ def bilinear(f: Poly, g: Poly, space: Space, pieces: Pieces) -> Poly:
     rule (see Denominators above): when f or g is deferred both are split
     first, and otherwise they are split at the first pair whose cf * cg has a
     mu-denominator.
+
+    A piece's dict is shared and never written, so a pair of one-term
+    operands whose cf * cg is ONE returns the piece itself as its terms (a
+    memo hit costs one lookup), and one whose cf * cg is polynomial in mu
+    returns the piece scaled in one comprehension.  A unit scale multiplies
+    no term, and a key met for the first time is stored without a truth
+    test: a product of nonzero field elements is nonzero, and only a sum
+    can cancel.
     """
     if f.is_deferred or g.is_deferred:
-        (p, dp), (q, dq) = f.split_denominator(), g.split_denominator()
-        return bilinear(p, q, space, pieces).over(dp * dq)
+        return _on_numerators(f, g, space, pieces)
+    one = scalars.ONE
+    if len(f.terms) == 1 == len(g.terms):
+        ((ef, cf),), ((eg, cg),) = f.terms.items(), g.terms.items()
+        piece = pieces(ef, eg)
+        if not piece:
+            return Poly(space, {})
+        scale = cf * cg
+        if scale is one:
+            return Poly(space, piece)
+        if scale.den is not MU_POLY_ONE:
+            return _on_numerators(f, g, space, pieces)
+        return Poly(space, {exps: scale if coeff is one else coeff * scale for exps, coeff in piece.items()})
     terms: dict[Exponents, Coefficient] = {}
-    right, one = g.terms.items(), scalars.ONE
+    right = g.terms.items()
     for ef, cf in f.terms.items():
         for eg, cg in right:
             piece = pieces(ef, eg)
@@ -578,18 +603,28 @@ def bilinear(f: Poly, g: Poly, space: Space, pieces: Pieces) -> Poly:
                 continue
             scale = cf * cg
             if scale.den is not MU_POLY_ONE:
-                (p, dp), (q, dq) = f.split_denominator(), g.split_denominator()
-                return bilinear(p, q, space, pieces).over(dp * dq)
+                return _on_numerators(f, g, space, pieces)
+            unit = scale is one
             for exps, coeff in piece.items():
-                # The unit pieces of a product skip a call to Coefficient.__mul__.
-                coeff = scale if coeff is one else coeff * scale
+                if not unit:
+                    # The unit pieces of a product skip a call to Coefficient.__mul__.
+                    coeff = scale if coeff is one else coeff * scale
                 acc = terms.get(exps)
-                coeff = coeff if acc is None else acc + coeff
+                if acc is None:
+                    terms[exps] = coeff
+                    continue
+                coeff = acc + coeff
                 if coeff:
                     terms[exps] = coeff
                 else:
                     del terms[exps]
     return Poly(space, terms)
+
+
+def _on_numerators(f: Poly, g: Poly, space: Space, pieces: Pieces) -> Poly:
+    """`bilinear` on the numerators of f and g, divided once by both denominators."""
+    (p, dp), (q, dq) = f.split_denominator(), g.split_denominator()
+    return bilinear(p, q, space, pieces).over(dp * dq)
 
 
 def _product_piece(e1: Exponents, e2: Exponents) -> dict[Exponents, Coefficient]:
@@ -1139,12 +1174,11 @@ def unlift_blocks(blocks: dict[int, Lifted], space: Space) -> Poly:
     `Lifted.unlift`; the zero polynomial over `space` when there is none."""
     if not blocks:
         return Poly.zero(space)
-    first = next(iter(blocks.values()))
-    merged = Lifted({}, first.scale, first.den, first.space, first.bits, first.digit_bits)
+    merged: dict[int, int] = {}
     for block in blocks.values():
-        # Blocks of distinct degrees share no key, and none holds a zero.
-        merged.terms.update(block.terms)
-    return merged.unlift()
+        # Blocks of distinct degrees share no key, none holds a zero, and all share one layout.
+        merged.update(block.terms)
+    return Lifted(merged, block.scale, block.den, block.space, block.bits, block.digit_bits).unlift()
 
 
 def exp_bound(norm: int, scale: int, den: MuPoly, steps: int) -> int:

@@ -30,7 +30,10 @@ A product piece is exp(b) on the monomial ef (x) eg, slots merged; the
 operator builds it from the image of a shorter monomial, which other pairs
 share, and keeps those images too (`poly.DiffOp.monomial_exp`).  `star` and
 `bracket` are then one walk over the terms of f and g that scales each
-memoised piece by the two coefficients.
+memoised piece by the two coefficients (`poly.bilinear`): a unit scale
+multiplies no term, and for two one-term operands whose coefficients
+multiply to ONE a memo hit returns the memoised piece itself as the terms
+of the result, at the cost of one lookup.
 
 Slot layout: a kernel polynomial over pair space (u, v) or triple space
 (u, v, w) stores its exponents as consecutive blocks, one per slot, each of
@@ -274,7 +277,10 @@ class BiDiff:
     a product kernel exp(b).  `commutator` is (f*g - g*f) / (2 mu) for that
     product.  All three are one walk, `poly.bilinear`, over the monomial
     pairs (ef, eg) of f and g, summing each pair's piece (a dict of terms)
-    scaled by the two coefficients; they differ only in the piece.  The exp
+    scaled by the two coefficients; they differ only in the piece.  A unit
+    scale multiplies no term, and a pair of one-term operands whose scale is
+    ONE gets the piece's own dict as its terms, so the memos' dicts are
+    shared with results and never written.  The exp
     and commutator pieces are memoised, each memo an LRU table of at most
     `PAIR_MEMO_SIZE` pairs owned by this operator, because products and
     brackets meet the same pairs again and again.  The one-step pieces are
@@ -288,7 +294,7 @@ class BiDiff:
     prefix and keeps the prefix images, which the pieces of other pairs
     share.  It skips `DiffOp.apply_exp`'s target check, split and division:
     the monomial lies on the operator's space by construction, its degree
-    is the one `_accumulate` has checked against the guard, and with
+    is the one `_check` has checked against the guard, and with
     coefficient 1 it has nothing to split or divide.  `monomial_exp` still
     rejects an operator with a constant term.
     """
@@ -309,28 +315,30 @@ class BiDiff:
 
     def apply(self, f: Poly, g: Poly) -> Poly:
         """A(-i d_left, -i d_right) applied once to f (x) g, slots merged."""
-        return self._accumulate(f, g, self._once_piece)
+        self._check(f, g)
+        return bilinear(f, g, self.space, self._once_piece)
 
     def apply_exp(self, f: Poly, g: Poly) -> Poly:
         """exp(A(-i d_left, -i d_right)) applied to f (x) g, slots merged."""
-        return self._accumulate(f, g, self._exp_piece)
+        self._check(f, g)
+        return bilinear(f, g, self.space, self._exp_piece)
 
     def commutator(self, f: Poly, g: Poly) -> Poly:
         """(exp(A) f (x) g - exp(A) g (x) f) / (2 mu), slots merged."""
-        return self._accumulate(f, g, self._commutator_piece)
+        self._check(f, g)
+        return bilinear(f, g, self.space, self._commutator_piece)
 
     def _once_piece(self, ef: Exponents, eg: Exponents) -> Terms:
         target = Poly.monomial(self.op.poly.space, ef + eg)
         return merge_slots(self.op.apply_once(target), self.space).terms
 
-    def _accumulate(self, f: Poly, g: Poly, pieces: Pieces) -> Poly:
-        """Sum pieces(ef, eg) * cf * cg over the terms of f and g."""
+    def _check(self, f: Poly, g: Poly) -> None:
+        """Both operands on the operator's phase space, their degrees within the guard."""
         if (f.space, g.space) != (self.space, self.space):
             raise DimensionMismatchError(
                 f"operands must live on phase space of dimension n={len(self.space) // 2}"
             )
         check_degree(f.total_degree() + g.total_degree(), "operand")
-        return bilinear(f, g, self.space, pieces)
 
 
 def _exp_piece(op: DiffOp, space: Space, ef: Exponents, eg: Exponents) -> Terms:

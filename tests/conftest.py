@@ -36,7 +36,7 @@ from moyal.poly import (
     sigma_space,
     triple_space,
 )
-from moyal.star import StarKernel, coboundary, lift_slots, merge_slots, slot_degrees, swap_slots
+from moyal.star import BiDiff, StarKernel, coboundary, lift_slots, merge_slots, slot_degrees, swap_slots
 
 
 def monomials(space, max_total_degree):
@@ -186,6 +186,31 @@ def bracket_kernel_of(kernel: StarKernel, truncation_degree: int) -> RawLieKerne
     eb = exp_truncated(kernel.exponent(), truncation_degree)
     commutator = eb - swap_slots(eb)
     return RawLieKernel(kernel.n, commutator.scale(scalars.HALF_INV_MU))
+
+
+def reconstruct_bracket(table, f: Poly, g: Poly) -> Poly:
+    """Evaluate the bracket of two n = 1 symbols from a coefficient table
+    (`lie.bidiff_coefficients`).
+
+    The table entries carry the binomial-times-derivative normalization, so
+    the double series reads  sum b_{rj,sk}/(r! s!) (d^j_q d^(r-j)_p f)(...g).
+    It is applied as BiDiff of the kernel whose u^(j, r-j) v^(k, s-k)
+    coefficient is b_{rj,sk} / (r! s! (-i)^(r+s)).
+    """
+    if f.space != phase_space(1) or f.space != g.space:
+        raise SpaceMismatchError("table reconstruction expects n = 1 symbols")
+    kernel = Poly.from_terms(
+        pair_space(1),
+        (
+            (
+                (j, r - j, k, s - k),
+                coeff.scale_fraction(Fraction(1, factorial(r) * factorial(s)))
+                * scalars.neg_i_power(-(r + s)),
+            )
+            for (r, j, s, k), coeff in table.items()
+        ),
+    )
+    return BiDiff(kernel).apply(f, g)
 
 
 def operand(rng: random.Random, n, max_degree):

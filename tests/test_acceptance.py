@@ -20,6 +20,7 @@ from conftest import (
     random_antisymmetric,
     random_gauge_chi,
     random_poly,
+    reconstruct_bracket,
 )
 from moyal import scalars
 from moyal.cocycle import (
@@ -35,7 +36,6 @@ from moyal.lie import (
     apply_bracket_kernel,
     bidiff_coefficients,
     classify_h,
-    reconstruct_bracket,
     theorem2_pipeline,
 )
 from moyal.linalg import Matrix

@@ -18,6 +18,7 @@ from conftest import (
     operand,
     oracle_apply,
     random_poly,
+    reconstruct_bracket,
     slot_images,
     substitute,
 )
@@ -31,7 +32,6 @@ from moyal.lie import (
     RawLieKernel,
     apply_bracket_kernel,
     bidiff_coefficients,
-    reconstruct_bracket,
 )
 from moyal.poly import DiffOp, Poly, degree_guard, pair_space, phase_space, triple_space
 from moyal.star import BiDiff, bracket, slot_sum, star

@@ -414,8 +414,9 @@ def test_one_product_per_defect_and_no_rendering(monkeypatch):
     """The defect is built one degree block at a time, through
     `poly.block_product` alone: each (left degree, right degree) pair of
     the split slot maps is multiplied at most once, and a verdict fixed by
-    the truncation degree multiplies no block above the lowest nonzero one.
-    The high end and the witness are read (`poly.block_lead`) from the top
+    the truncation degree multiplies no block above truncation degree + 2:
+    the degrees above it are read (`poly.block_lead`) upwards to the lowest
+    nonzero block.  The high end and the witness are read from the top
     degree down to the highest nonzero block, and equal the whole
     product's."""
     kernels = criterion_9_kernels()
@@ -464,13 +465,18 @@ def test_one_product_per_defect_and_no_rendering(monkeypatch):
             assert len(pairs) == len(set(pairs))
             low, high = report.defect_degree_range
             built = {d1 + d2 for d1, d2 in pairs}
-            assert low in built
-            assert reads == list(range(calls[0].top, high - 1, -1))
+            downwards = list(range(calls[0].top, high - 1, -1))
             assert jacobi_report(report) == expected[k, truncation_degree]
-            if truncation_degree is not None:
+            if truncation_degree is None:
+                assert low in built
+                assert reads == downwards
+            else:
                 assert report.jacobi_status == "truncation-defect"
                 assert high - low >= 2
-                assert max(built) == low
+                # No block above truncation_degree + 2 is built: the lowest
+                # nonzero one, and every one below it there, is read by its lead.
+                assert max(built) <= truncation_degree + 2 < low
+                assert reads == list(range(truncation_degree + 3, low + 1)) + downwards
                 assert set(pairs) < calls[0].all_pairs
         del pairs[:], calls[:]
         jacobi_defect(raw)

@@ -15,6 +15,7 @@ from conftest import (
     random_antisymmetric,
     random_coefficient,
     random_gauge_chi,
+    reconstruct_bracket,
     sinh_series,
 )
 from moyal import lie, scalars
@@ -34,7 +35,6 @@ from moyal.lie import (
     extract_omega,
     jacobi_defect,
     lie_axiom_check,
-    reconstruct_bracket,
     theorem2_pipeline,
 )
 from moyal.cocycle import RawKernelExponent, dual_monomials

@@ -12,9 +12,12 @@ has one owner, the shared derivative table), `comb` only in
 that are not slot maps, star.py, lie.py and cocycle.py apply no `>>` or `&` (a
 packed key's bit fields are read in poly.py alone), no module outside
 `__init__.py` imports a name it never uses (a name used only in an annotation
-counts), every module-level function or class is named somewhere else in src
-or exported by `__init__.py` (no new test-only code), and the package declares
-no runtime dependency."""
+counts), no code writes into a `.terms` dict (a subscript store or `del`, or
+`update`, `pop`, `popitem`, `clear` or `setdefault` on it: `poly.bilinear`
+returns memoised pieces as the terms of its results), every module-level
+function or class is named somewhere else in src or exported by
+`__init__.py` (no new test-only code), and the package declares no runtime
+dependency."""
 
 import ast
 from pathlib import Path
@@ -45,6 +48,13 @@ GUARD_SETTER = ("poly.py", "degree_guard")
 # They read packed forms through the methods of poly.Lifted, which owns the key layout.
 KEY_LAYOUT_USERS = {"star.py", "lie.py", "cocycle.py"}
 KEY_BIT_OPS = (ast.RShift, ast.BitAnd)
+# A `.terms` dict may be a memoised piece that `poly.bilinear` shares with
+# every Poly it returns for that pair, so no code writes into one.
+TERMS_WRITERS = {"update", "pop", "popitem", "clear", "setdefault"}
+
+
+def _is_terms(node):
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
 
 
 def _called_name(call):
@@ -132,8 +142,12 @@ def _violations(tree, module=""):
             and isinstance(node.op, KEY_BIT_OPS)
         ):
             yield node.lineno, f"{type(node.op).__name__} outside poly.py, which owns the key layout"
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)) and _is_terms(node.value):
+            yield node.lineno, "a .terms dict written"
         if not isinstance(node, ast.Call):
             continue
+        if isinstance(node.func, ast.Attribute) and node.func.attr in TERMS_WRITERS and _is_terms(node.func.value):
+            yield node.lineno, f".terms.{node.func.attr} writes into a .terms dict"
         name = _called_name(node)
         if name in GUARD_NAMES and module != "poly.py":
             yield node.lineno, f"{name} called outside poly.py"
@@ -250,6 +264,14 @@ def test_no_function_imports_or_unbounded_caches(path):
         "from math import perm\nfactor = perm(5, 2)\n",
         "import math\ndef _derivative_piece(d, t):\n    return math.perm(t, d)\n",
         "_degree_guard.set(8)\n",
+        "p.terms[exps] = coeff\n",
+        "self.terms[exps] += coeff\n",
+        "del out.terms[exps]\n",
+        "merged.terms.update(block.terms)\n",
+        "p.terms.pop(exps, None)\n",
+        "p.terms.popitem()\n",
+        "self.images.terms.clear()\n",
+        "x.poly.terms.setdefault(exps, coeff)\n",
     ],
 )
 def test_checker_flags_planted_violations(source):
@@ -296,6 +318,12 @@ def test_checker_allows_public_and_foreign_names():
         "def g():\n    return lru_cache(maxsize=SIZE)(f), lru_cache(SIZE)(f)\n"
     )
     assert list(_violations(ast.parse(bounded))) == []
+    # Reading a .terms dict, or writing into a dict of one's own, is fine.
+    reads = (
+        "c = p.terms[exps]\nn = len(p.terms)\nd = dict(p.terms)\nv = p.terms.get(exps)\n"
+        "terms = {}\nterms[exps] = c\ndel terms[exps]\nterms.update(p.terms)\nimages.clear()\n"
+    )
+    assert list(_violations(ast.parse(reads), "poly.py")) == []
 
 
 def test_perm_is_called_once_in_src():
