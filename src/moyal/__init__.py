@@ -12,7 +12,8 @@ Main entry points:
   * star.StarKernel, star.star, star.bracket, star.poisson,
     star.classical_limit, star.u_map - the product layer;
   * star.BiDiff - the bidifferential operator of a kernel polynomial, behind
-    star products, bracket kernels, centre checks and the coefficient table;
+    star products, brackets and one application of a bracket kernel (the
+    centre checks and the coefficient table read DiffOp.from_sigma_poly);
   * operators.NCPoly, operators.nc_mul, operators.weyl_quantize,
     operators.weyl_symbol - the independent operator route;
   * cocycle.cocycle_check, cocycle.factorize, cocycle.center_basis -

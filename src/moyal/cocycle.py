@@ -43,6 +43,7 @@ from .poly import (
     Space,
     check_dimension,
     format_term,
+    lift_slots,
     pair_space,
     phase_space,
     sigma_space,
@@ -52,7 +53,6 @@ from .star import (
     StarKernel,
     bilinear_form,
     coboundary,
-    lift_slots,
     merge_slots,
     slot_degrees,
     slot_sum,
@@ -106,7 +106,7 @@ def cocycle_check(raw: RawKernelExponent) -> CocycleViolation | None:
     The witness carries one nonzero monomial of the defect and, for cocycle
     failures, an integer point with the two unequal sides of the identity
     b(u,v) + b(u+v,w) = b(v,w) + b(u,v+w).  The defect is summed in packed
-    form (`star.lift_slots`) on the numerators of b; the verdict, the
+    form (`poly.lift_slots`) on the numerators of b; the verdict, the
     leading term and the defect's degree are read off the `poly.Lifted` form,
     and only the leading term is turned back into a coefficient.
     """
@@ -284,7 +284,10 @@ def factorize(raw: RawKernelExponent) -> Factorization:
     the canonical form of M.
 
     Raises FactorizationError with the failing stage on invalid input; on
-    success the rebuild invariant holds exactly.
+    success the rebuild invariant holds exactly, with nothing rebuilt here:
+    b = b_s + b_a, `chi_extract` checks b_s = delta chi exactly, and
+    `extract_antisymmetric_form` refuses any term of b_a outside bidegree
+    (1, 1), which is all that sigma'^T M sigma rebuilds.
     """
     violation = cocycle_check(raw)
     if violation is not None:
@@ -295,12 +298,7 @@ def factorize(raw: RawKernelExponent) -> Factorization:
         )
     b_s, m = extract_antisymmetric_form(raw)
     basis, pairings, kernel = skew_canonical(m)
-    fact = Factorization(raw.n, chi_extract(b_s), m, basis, kernel, pairings)
-    if fact.rebuild() != raw.b:
-        raise FactorizationError(  # pragma: no cover - guarded by the steps above
-            stage="rebuild", message="reassembled exponent differs from the input"
-        )
-    return fact
+    return Factorization(raw.n, chi_extract(b_s), m, basis, kernel, pairings)
 
 
 def center_basis(raw: RawKernelExponent, max_degree: int) -> list[Poly]:

@@ -18,7 +18,7 @@ truncation defects rather than violations.
 
 Packed form.  The Jacobi check runs on exact integers: A(u, v+w) and
 A(v, w), or half of it when A is antisymmetric, are lifted straight from the
-terms of A (`star.lift_slots`) into `poly.Lifted` forms, split by total
+terms of A (`poly.lift_slots`) into `poly.Lifted` forms, split by total
 degree, and multiplied one output degree at a time (`poly.block_product`),
 each pair's product filed by block permutation as it is added; the fold
 keeps degrees, so each block is the whole defect's part of that degree.  The
@@ -30,12 +30,13 @@ read for its lead alone); the highest, found downwards, gives the high end
 and the witness, its lead, which is the whole defect's lead because keys
 order by degree first.  The blocks above the lowest are not built for
 this: each is read for its lead alone (`poly.block_lead`), from the top
-degree down, to the first that does not vanish.  Only a verdict that rests on mu = 0 builds the blocks in between, upwards, up to
-the first that does not vanish there.  The blocks are read through the
-form's methods; only the entries of the leading monomial, the witness, are
-turned back into a coefficient.  `jacobi_defect` alone unlifts every entry:
-it is the rotated sum, every block merged (the CLI renders the defect's
-mu-order parts from it).  The fit's dressed powers exp(delta chi) * w^k run on the same product
+degree down, to the first that does not vanish.  Only a verdict that rests
+on mu = 0 builds the blocks in between, upwards, up to the first that does
+not vanish there.  The blocks are read through the form's methods; only the
+entries of the leading monomial, the witness, are turned back into a
+coefficient.  `jacobi_defect` alone unlifts every entry: it is the rotated
+sum, every block merged (the CLI renders the defect's mu-order parts from
+it).  The fit's dressed powers exp(delta chi) * w^k run on the same product
 (`_dressed_powers`): delta chi and w are lifted, the exponential is summed
 from block products (`poly.exp_blocks`), and each power is unlifted once;
 the fit reads them as polynomials.
@@ -92,6 +93,7 @@ from .poly import (
     exp_blocks,
     exp_bound,
     lift_scale,
+    lift_slots,
     pair_space,
     phase_space,
     product_blocks,
@@ -99,17 +101,7 @@ from .poly import (
     triple_space,
     unlift_blocks,
 )
-from .star import (
-    BiDiff,
-    bilinear_form,
-    bilinear_pair_poly,
-    lift_slots,
-    swap_slots,
-)
-
-
-# The slot maps of the coboundary chi(u) + chi(v) - chi(u + v).
-_COBOUNDARY = ((1, "u"), (1, "v"), (-1, "uv"))
+from .star import COBOUNDARY_MAPS, BiDiff, bilinear_form, bilinear_pair_poly, swap_slots
 
 
 class LieKernelError(MoyalError):
@@ -195,7 +187,7 @@ def _defect_blocks(
     Otherwise the defect is the cyclic sum of P = A(u,v+w) A(v,w), the
     rotation fold of P.
 
-    Both slot maps are lifted once (`star.lift_slots`) from D * A, D the
+    Both slot maps are lifted once (`poly.lift_slots`) from D * A, D the
     lcm of the denominators of A (`Poly.split_denominator`), with one digit
     width and one int scale, both read from one `poly.lift_scale` of D * A
     (H holds a subset of its terms), and split by degree; block(d) is the
@@ -505,7 +497,7 @@ def _dressed_powers(chi: Poly, w: Poly, top: int) -> Iterator[Poly]:
 
     w has degree 2, so the dressing is built once, through top - 2, in packed
     form: delta chi is lifted straight from the numerators of chi
-    (`star.lift_slots` with the coboundary's three slot maps) and w with the
+    (`poly.lift_slots` with the coboundary's three slot maps) and w with the
     identity slot map, both over their denominators, each lift given the
     scale and norm (`poly.lift_scale`) the digits are sized from.
     `poly.exp_blocks` sums the exponential by Horner's rule on integers, the
@@ -537,7 +529,7 @@ def _dressed_powers(chi: Poly, w: Poly, top: int) -> Iterator[Poly]:
     delta_norm = 3 * c_scaled[1] << max(c.total_degree(), 0)
     dress_bound = exp_bound(delta_norm, c_scaled[0], den, max(top - 2, 0) // 2)
     bits = digit_width(dress_bound * w_scaled[1] ** (odd[-1] if odd else 1))
-    dress = exp_blocks(lift_slots(c, pair, _COBOUNDARY, bits, c_scaled).over(den), top - 2)
+    dress = exp_blocks(lift_slots(c, pair, COBOUNDARY_MAPS, bits, c_scaled).over(den), top - 2)
     w_blocks = lift_slots(w_num, pair, ((1, "u", "v"),), bits, w_scaled).over(w_den).by_degree()
     dressed = product_blocks(dress, w_blocks, top)
     yield unlift_blocks(dressed, pair)

@@ -70,16 +70,17 @@ multiply by adding keys and no field carries; keys order as the (degree,
 exponents) of `Poly.leading_term` do.  The mu-powers live in the value
 (Kronecker substitution): sum_k d_k 2^(B*k) with signed digits d_k, the mu^k
 part, and no digit carries while every |d_k| is below 2^(B-1).
-`lift_substitutions` builds a form from the images of a polynomial under
-linear substitutions; a caller that multiplies or folds forms chooses B from
-a bound on the digits of its result, and passes the scale and norm
+`lift_slots`, the one lift, builds a form from the images of a polynomial
+under slot maps; a caller that multiplies or folds forms chooses B from a
+bound on the digits of its result, and passes the scale and norm
 (`lift_scale`) it read B from, so each lift reads them once.  A lift pays
-only for its terms: its maps are compiled once per (source space, target
-space, maps, exponent-field bits) into the table `_lift_plan`, and the
-binomial images of a term under a map that sends variables to sums are kept
-per (the map's steps, the term's exponents) in `_binomial_row`; both are
-bounded `lru_cache`s of tuples, shared by every thread.  A form holds no
-zero entry: the producers whose entries can cancel drop them.
+only for its terms: its slot maps are compiled straight to key units once
+per (source space, target space, maps, exponent-field bits) in the table
+`_lift_plan`, and the binomial images of a term under a map that sends
+variables to sums are kept per (the map's steps, the term's exponents) in
+`_binomial_row`; both are bounded `lru_cache`s of tuples, shared by every
+thread.  A form holds no zero entry: the producers whose entries can cancel
+drop them.
 `block_product` is the one product of packed forms: it multiplies forms
 split by degree one output degree at a time and, over a triple space, can
 file each pair's product by block permutation as it adds it (the
@@ -93,7 +94,8 @@ the blocks of a product up to a degree, `exp_blocks` sums a truncated
 exponential from them by Horner's rule, and `unlift_blocks` merges and
 decodes a split form.  Other modules use a form only through these
 functions and its methods (the split by degree, the lead, the degrees, the
-mu = 0 test and `unlift`), so the bit layout is known to this module alone.
+mu = 0 test and `unlift`), so the bit layout, and which block a slot
+letter names, are known to this module alone.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from . import scalars
 from .errors import (
@@ -452,17 +454,6 @@ class Poly:
             self.space, {e: c for e, c in self.terms.items() if sum(e) <= max_degree}
         )
 
-    def evaluate(self, point: Sequence[int]) -> Coefficient:
-        """The value at a point with int coordinates: each coefficient is
-        scaled by its monomial's int value, so no coordinate becomes a field
-        element."""
-        if len(point) != len(self.space):
-            raise SpaceMismatchError("one value per variable is required")
-        total = scalars.ZERO
-        for exps, coeff in self.terms.items():
-            total = total + coeff.scale_int(math.prod(x**e for x, e in zip(point, exps)))
-        return total
-
     def mu_zero(self) -> "Poly":
         """Substitute mu = 0 in every coefficient; raises at a pole."""
         terms: dict[Exponents, Coefficient] = {}
@@ -768,7 +759,7 @@ class Lifted:
     bits, digits of `digit_bits` bits, and an i field that is always 0 or 1.
     `terms` holds no zero value, so it is empty exactly when the polynomial
     is zero: the constructor trusts its dict, and each producer whose
-    entries can cancel (`lift_substitutions`, the unfolded `block_product`)
+    entries can cancel (`lift_slots`, the unfolded `block_product`)
     drops its zeros itself, while the folded products never store one.
     """
 
@@ -1234,7 +1225,7 @@ def exp_blocks(x: Lifted, top: int) -> dict[int, Lifted]:
     return {degree: Lifted(block.terms, scale, den_power, *layout) for degree, block in blocks.items()}
 
 
-# Bounds of the two tables of `lift_substitutions`: compiled maps, one per
+# Bounds of the two tables of `lift_slots`: compiled slot maps, one per
 # (source, target, maps, exponent-field bits), and binomial rows.
 LIFT_PLAN_SIZE = 64
 BINOMIAL_ROW_SIZE = 1024
@@ -1242,27 +1233,38 @@ BINOMIAL_ROW_SIZE = 1024
 
 @lru_cache(maxsize=LIFT_PLAN_SIZE)
 def _lift_plan(source: Space, target: Space, maps: tuple, bits: int) -> tuple[int, tuple]:
-    """(the sum of the |sign|s, one (sign, weights, steps) per map): the maps
-    of `lift_substitutions` from `source` onto `target`, compiled for
-    exponent fields of `bits` bits.
+    """(the sum of the |sign|s, one (sign, weights, steps) per map): the slot
+    maps of `lift_slots` from `source` onto `target`, compiled for exponent
+    fields of `bits` bits.
 
     The key of a monomial of the target is the sum of its exponents times
     the units, one key per target variable with the degree field included.
-    weights[k] is the unit that variable k of the source moves to, the right
-    one of a pair; x^e with x = l + r is r^e plus, for j = 1..e,
-    C(e, j) l^j r^(e - j), so each (k, unit(l) - unit(r)) of `steps` is one
-    step of l - r for a variable k sent to a pair.
+    Variable i of each block of the source goes to variable i of each
+    target block its slot names, and weights[k] is the unit of the last of
+    them for source variable k, the right one of a pair; x^e with
+    x = l + r is r^e plus, for j = 1..e, C(e, j) l^j r^(e - j), so each
+    (k, unit(l) - unit(r)) of `steps` is one step of l - r for a variable k
+    sent to a pair.  SpaceMismatchError when the slots do not cut `source`
+    into the blocks of a pair or triple space `target`, or a slot is not one
+    or two letters naming blocks of it.
     """
     width = len(target)
     units = [1 << 2 + width * bits | 1 << 2 + (width - 1 - k) * bits for k in range(width)]
     placed = []
-    for sign, where in maps:
-        if len(where) != len(source):
-            raise SpaceMismatchError(f"a map of {len(where)} variables does not fit {source!r}")
-        keys = [[units[index] for index in indices] for indices in where]
+    for sign, *slots in maps:
+        n, rem = divmod(len(source), 2 * len(slots))
+        if rem or not n or target not in (pair_space(n), triple_space(n)):
+            raise SpaceMismatchError(f"{len(slots)} slots of {source!r} do not map into {target!r}")
+        block = 2 * n
+        blocks = "uvw"[: width // block]
+        keys = []
+        for slot in slots:
+            if not 0 < len(slot) < 3 or any(letter not in blocks for letter in slot):
+                raise SpaceMismatchError(f"slot {slot!r} does not name one or two blocks of {target!r}")
+            keys += [[units[blocks.index(letter) * block + i] for letter in slot] for i in range(block)]
         steps = tuple((k, pair[0] - pair[1]) for k, pair in enumerate(keys) if len(pair) == 2)
         placed.append((sign, tuple(pair[-1] for pair in keys), steps))
-    return sum(abs(sign) for sign, _ in maps), tuple(placed)
+    return sum(abs(sign) for sign, *_ in maps), tuple(placed)
 
 
 # The row of a map that sends no variable to a pair: the term's key, once.
@@ -1281,33 +1283,35 @@ def _binomial_row(steps: tuple, exps: Exponents) -> tuple[tuple[int, int], ...]:
     return row
 
 
-def lift_substitutions(
+def lift_slots(
     p: Poly, target: Space, maps: tuple, digit_bits: int | None = None, scaled: tuple[int, int] | None = None
 ) -> Lifted:
-    """The signed sum of the images of a p polynomial in mu under linear
-    substitutions, lifted onto `target`.
+    """The signed sum of the images of a p polynomial in mu under slot maps,
+    lifted onto the pair or triple space `target`.
 
-    `maps` is a tuple of maps (sign, where), where[k] a tuple of the one or
-    two target indices whose sum replaces variable k of p.  Each coefficient
-    of p is lifted once, and the images add its values, times their signs
-    and binomial multiples, straight onto the int keys of the target: a
-    single index only moves an exponent to another field, and a power of a
-    sum of two is expanded binomially.  An image of one term under one map
-    has digits summing to at most 2^deg times the term's, deg the degree of
-    p, times the map's |sign|, so by default the digits are wide enough for
-    the sum itself; a caller that multiplies the result passes the width its
-    product needs.  The exponent fields are as wide as the current degree
-    guard.  `scaled` is `lift_scale(p)`, or that of a polynomial holding
-    p's terms, for a caller that has already computed it to size the digits;
-    otherwise it is computed here, once.
+    Each map is (sign, slot_1, ..., slot_k), slot_j a string naming the one
+    or two target blocks ("u", "v", "w") whose sum replaces the j-th block
+    of p, and its image is sign times p(slot_1, ..., slot_k).  Each
+    coefficient of p is lifted once, and the images add its values, times
+    their signs and binomial multiples, straight onto the int keys of the
+    target: a one-block slot only moves an exponent to another field, and a
+    power of a sum of two is expanded binomially.  An image of one term
+    under one map has digits summing to at most 2^deg times the term's, deg
+    the degree of p, times the map's |sign|, so by default the digits are
+    wide enough for the sum itself; a caller that multiplies the result
+    passes the width its product needs.  The exponent fields are as wide as
+    the current degree guard.  `scaled` is `lift_scale(p)`, or that of a
+    polynomial holding p's terms, for a caller that has already computed it
+    to size the digits; otherwise it is computed here, once.
 
     Only the walk over the terms runs per call.  The maps are compiled once
     per (space of p, target, maps, exponent-field bits) in `_lift_plan`, a
-    table of at most `LIFT_PLAN_SIZE` entries, and the images of a term
-    under a map that sends variables to pairs are read from `_binomial_row`,
-    at most `BINOMIAL_ROW_SIZE` rows keyed by (the map's steps, the term's
-    exponents).  Both are shared by every caller and thread and hold tuples
-    only.  Images that cancel are dropped before the form is returned.
+    table of at most `LIFT_PLAN_SIZE` entries, so `maps` is a tuple, and the
+    images of a term under a map that sends variables to pairs are read from
+    `_binomial_row`, at most `BINOMIAL_ROW_SIZE` rows keyed by (the map's
+    steps, the term's exponents).  Both are shared by every caller and
+    thread and hold tuples only.  Images that cancel are dropped before the
+    form is returned.
     """
     scale, norm = lift_scale(p) if scaled is None else scaled
     bits = _degree_guard.get().bit_length()

@@ -37,14 +37,11 @@ of the result, at the cost of one lookup.
 
 Slot layout: a kernel polynomial over pair space (u, v) or triple space
 (u, v, w) stores its exponents as consecutive blocks, one per slot, each of
-width 2n and index-aligned with z.  Its readers here: `lift_slots` is the
-one slot map that sums.  It turns each slot map into a substitution of
-target variables, once per (source, target, maps) in the table
-`_slot_substitutions`, and lifts the signed images into one `poly.Lifted`
-form (`poly.lift_substitutions`).  `slot_sum` (the coboundary, the cocycle
-defect) unlifts that sum.  `swap_slots`, the swap p(v, u) of the
-(anti)symmetrisations, is a bijection on exponent tuples, so it only
-relabels the terms.  `merge_slots` sets the slots equal,
+width 2n and index-aligned with z.  Its readers here: `slot_sum` (the
+coboundary, the cocycle defect) unlifts the one lift of signed slot maps,
+`poly.lift_slots`, which compiles each tuple of maps once.  `swap_slots`,
+the swap p(v, u) of the (anti)symmetrisations, is a bijection on exponent
+tuples, so it only relabels the terms.  `merge_slots` sets the slots equal,
 `slot_degrees` gives a monomial's degree in each slot, and `bilinear_form`
 reads the (1, 1) part as a matrix.  Its readers elsewhere slice the
 exponent tuples themselves:
@@ -68,18 +65,16 @@ from .errors import DimensionMismatchError, SpaceMismatchError
 from .linalg import Matrix
 from .poly import (
     DiffOp,
-    Lifted,
     Pieces,
     Poly,
     Space,
     bilinear,
     check_degree,
     check_dimension,
-    lift_substitutions,
+    lift_slots,
     pair_space,
     phase_space,
     sigma_space,
-    triple_space,
 )
 
 Exponents = tuple[int, ...]
@@ -147,10 +142,13 @@ class StarKernel:
         return BiDiff(self.exponent())
 
 
+# The slot maps of the coboundary chi(u) + chi(v) - chi(u + v).
+COBOUNDARY_MAPS = ((1, "u"), (1, "v"), (-1, "uv"))
+
+
 def coboundary(chi: Poly) -> Poly:
     """chi(sigma) + chi(sigma') - chi(sigma + sigma') over pair space."""
-    pair = pair_space(len(chi.space) // 2)
-    return slot_sum(chi, pair, (1, "u"), (1, "v"), (-1, "uv"))
+    return slot_sum(chi, pair_space(len(chi.space) // 2), *COBOUNDARY_MAPS)
 
 
 def bilinear_pair_poly(m: Matrix, n: int) -> Poly:
@@ -217,50 +215,11 @@ def slot_sum(p: Poly, target: Space, *maps: tuple) -> Poly:
     Each map is (sign, slot_1, ..., slot_k), and its image is sign times
     p(slot_1, ..., slot_k): b(v, w) - b(u + v, w) is
     slot_sum(b, triple_space(n), (1, "v", "w"), (-1, "uv", "w")).  The sum
-    runs in packed form on the numerators of p (`lift_slots`) and is divided
-    by their denominator once, at the end.
+    runs in packed form on the numerators of p (`poly.lift_slots`) and is
+    divided by their denominator once, at the end.
     """
     numerators, den = p.split_denominator()
     return lift_slots(numerators, target, maps).over(den).unlift()
-
-
-def lift_slots(
-    p: Poly, target: Space, maps: tuple, digit_bits: int | None = None, scaled: tuple[int, int] | None = None
-) -> Lifted:
-    """`slot_sum` of a p polynomial in mu, as a `poly.Lifted` form.
-
-    Each slot is a string naming the one or two target blocks whose sum it
-    is; each map becomes the substitution that sends variable i of slot k to
-    variable i of each named block, and `poly.lift_substitutions` sums the
-    images.  The substitutions are built once per (space of p, target, maps)
-    in `_slot_substitutions`, a table of at most `SLOT_MAP_SIZE` entries, so
-    `maps` is a tuple; `lift_substitutions` compiles them once more per
-    exponent-field width and keeps the binomial images (see its tables).
-    `digit_bits` and `scaled` are passed on: a caller that multiplies the
-    result passes the width its product needs and the `poly.lift_scale` it
-    read that width from.
-    """
-    return lift_substitutions(p, target, _slot_substitutions(p.space, target, maps), digit_bits, scaled)
-
-
-# Slot maps translated into substitutions (`lift_slots`); one per (source, target, maps).
-SLOT_MAP_SIZE = 64
-
-
-@lru_cache(maxsize=SLOT_MAP_SIZE)
-def _slot_substitutions(source: Space, target: Space, maps: tuple) -> tuple:
-    """The maps of `lift_slots` as `poly.lift_substitutions` takes them:
-    (sign, where) with where[k] the target indices of variable k of p."""
-    substitutions = []
-    for sign, *slots in maps:
-        n, rem = divmod(len(source), 2 * len(slots))
-        if rem or not n or target not in (pair_space(n), triple_space(n)):
-            raise SpaceMismatchError(f"{len(slots)} slots of {source!r} do not map into {target!r}")
-        width = 2 * n
-        blocks = "uvw"[: len(target) // width]
-        where = tuple(tuple(blocks.index(block) * width + i for block in slot) for slot in slots for i in range(width))
-        substitutions.append((sign, where))
-    return tuple(substitutions)
 
 
 # Distinct (f-monomial, g-monomial) pairs one product operator remembers.

@@ -31,12 +31,13 @@ from moyal.poly import (
     divide_exact,
     exp_series,
     lift_scale,
+    lift_slots,
     pair_space,
     phase_space,
     sigma_space,
     triple_space,
 )
-from moyal.star import BiDiff, StarKernel, coboundary, lift_slots, merge_slots, slot_degrees, swap_slots
+from moyal.star import BiDiff, StarKernel, coboundary, merge_slots, slot_degrees, swap_slots
 
 
 def monomials(space, max_total_degree):
@@ -286,9 +287,12 @@ def slot_images(space, n, *slots):
 
 
 def oracle_lift_substitutions(p, target, maps, digit_bits=None):
-    """`poly.lift_substitutions` as it was before its tables: the units, the
-    placements and each term's binomial images built on every call, the
-    scale and norm read here, and the same error for a map that does not fit."""
+    """The packed lift under linear substitutions, everything built on every
+    call: `maps` holds (sign, where) with where[k] the one or two target
+    indices whose sum replaces variable k of p, and the units, the
+    placements and each term's binomial images are built here, as are the
+    scale and norm.  A map that does not fit p raises SpaceMismatchError.
+    `poly.lift_slots` compiles its slot maps into a table instead."""
     scale, norm = lift_scale(p)
     if digit_bits is None:
         signs = sum(abs(sign) for sign, _ in maps)
@@ -327,8 +331,9 @@ def oracle_lift_substitutions(p, target, maps, digit_bits=None):
 
 
 def oracle_lift_slots(p, target, maps, digit_bits=None):
-    """`star.lift_slots` as it was before its table: each slot map translated
-    into target indices on every call, with the same error text."""
+    """`poly.lift_slots` without its tables: each slot map translated into
+    target indices on every call, with the same error text for slots that
+    do not cut p into the blocks of the target."""
     substitutions = []
     for sign, *slots in maps:
         n, rem = divmod(len(p.space), 2 * len(slots))
@@ -374,7 +379,7 @@ def oracle_mul(f, g):
 
 def oracle_evaluate(p, values):
     """p at a point with Coefficient coordinates, every term a product in the
-    field (`Poly.evaluate` takes int coordinates and scales by an int)."""
+    field."""
     assert len(values) == len(p.space)
     total = scalars.ZERO
     for exps, coeff in p.terms.items():

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from conftest import S3, block_sum, fold_situations, poly_fold, random_poly
+from conftest import S3, block_sum, fold_situations, oracle_lift_substitutions, poly_fold, random_poly
 from moyal import scalars
 from moyal.errors import DegreeGuardError, SpaceMismatchError
 from moyal.expressions import parse_poly
@@ -24,7 +24,7 @@ from moyal.poly import (
     degree_guard,
     digit_width,
     lift_scale,
-    lift_substitutions,
+    lift_slots,
     phase_space,
     triple_space,
 )
@@ -39,9 +39,8 @@ FOLDS = ["alternating", "cyclic"]
 
 
 def lift(p, digit_bits):
-    """p in packed form on its own space, split by degree."""
-    identity = ((1, tuple((k,) for k in range(len(p.space)))),)
-    return lift_substitutions(p, p.space, identity, digit_bits).by_degree()
+    """p in packed form on its own triple space, split by degree."""
+    return lift_slots(p, p.space, ((1, "u", "v", "w"),), digit_bits).by_degree()
 
 
 def split(p, q):
@@ -157,7 +156,8 @@ def test_the_read_checks_what_the_product_checks():
     left, right = forms("u1*v2", "1")
     with pytest.raises(ValueError, match="fold"):
         block_lead(left, right, "symmetric", 2)
-    phase = lift(parse_poly("q1*p1", phase_space(1)), 8)
+    identity = ((1, ((0,), (1,))),)
+    phase = oracle_lift_substitutions(parse_poly("q1*p1", phase_space(1)), phase_space(1), identity, 8).by_degree()
     with pytest.raises(SpaceMismatchError):
         block_lead(phase, phase, "alternating", 4)
     with pytest.raises(SpaceMismatchError):

@@ -39,7 +39,7 @@ from moyal.lie import (
 )
 from moyal.cocycle import RawKernelExponent, dual_monomials
 from moyal.linalg import Matrix
-from moyal.poly import DiffOp, Poly, exp_blocks, lift_substitutions, pair_space, phase_space, sigma_space
+from moyal.poly import DiffOp, Poly, exp_blocks, lift_slots, pair_space, phase_space, sigma_space
 from moyal.star import BiDiff, StarKernel, bilinear_pair_poly, bracket, poisson, slot_degrees, slot_sum
 
 ONE, MU, ZERO = scalars.ONE, scalars.MU, scalars.ZERO
@@ -461,7 +461,7 @@ def test_one_bit_short_of_the_chain_bound_decodes_wrong(monkeypatch, top):
 
 
 def test_the_dressing_refuses_a_constant_exponent():
-    lifted = lift_substitutions(Poly.one(PAIR), PAIR, ((1, tuple((k,) for k in range(4))),))
+    lifted = lift_slots(Poly.one(PAIR), PAIR, ((1, "u", "v"),))
     with pytest.raises(ValueError, match="constant term"):
         exp_blocks(lifted, 4)
 

@@ -1,15 +1,15 @@
-"""The tables behind `star.lift_slots` and `poly.lift_substitutions`.
+"""The tables behind `poly.lift_slots`, the one packed lift.
 
-A lift compiles its maps once: `star._slot_substitutions` translates slot
-letters into target indices per (source, target, maps), `poly._lift_plan`
-turns those into keys per exponent-field width, and `poly._binomial_row`
-keeps the binomial images of each (pair steps, exponents).  These tests
-hold the tabled lift to the per-call lift it replaced (the oracles in
-conftest.py) on every slot map the source uses, under several degree
-guards, from eight threads on cold tables and on malformed maps.  They also
-check that a packed form never holds a zero entry, now that `poly.Lifted`
-trusts its dict, and that each lift reads the scale and norm of its
-polynomial once.
+A lift compiles its slot maps once: `poly._lift_plan` translates the slot
+letters straight into key units and pair steps per (source, target, maps,
+exponent-field width), and `poly._binomial_row` keeps the binomial images of
+each (pair steps, exponents).  These tests hold the tabled lift to the
+per-call lift it replaced (the oracles in conftest.py) on every slot map the
+source uses, under several degree guards, from eight threads on cold tables
+and on malformed maps, and check that a malformed slot is refused by name.
+They also check that a packed form never holds a zero entry, now that
+`poly.Lifted` trusts its dict, that each lift reads the scale and norm of
+its polynomial once, and that `factorize` lifts only twice.
 """
 
 import importlib
@@ -21,11 +21,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import guard_bound, oracle_lift_slots, random_gauge_chi, random_poly
+from conftest import guard_bound, oracle_lift_slots, oracle_lift_substitutions, random_gauge_chi, random_poly
 from moyal import poly as POLY, scalars
-from moyal.cocycle import _COCYCLE_MAPS
+from moyal.cocycle import _COCYCLE_MAPS, RawKernelExponent, factorize
 from moyal.errors import DegreeGuardError, SpaceMismatchError
-from moyal.lie import _COBOUNDARY, RawLieKernel, StructuredLieKernel, _dressed_powers, lie_axiom_check
+from moyal.lie import RawLieKernel, StructuredLieKernel, _dressed_powers, lie_axiom_check
 from moyal.linalg import Matrix
 from moyal.poly import (
     Poly,
@@ -34,21 +34,21 @@ from moyal.poly import (
     degree_guard,
     exp_blocks,
     lift_scale,
+    lift_slots,
     pair_space,
     phase_space,
     product_blocks,
     sigma_space,
     triple_space,
 )
-from moyal.star import bilinear_pair_poly, coboundary, lift_slots
+from moyal.star import COBOUNDARY_MAPS, bilinear_pair_poly, coboundary, slot_sum
 
-# The package re-exports the functions `star` and `lie` under the submodules' names.
-STAR = importlib.import_module("moyal.star")
+# The package re-exports the function `lie` under the submodule's name.
 LIE = importlib.import_module("moyal.lie")
 
 # Every slot map the source lifts: (source space, target space, maps).
 SOURCE_MAPS = {
-    "coboundary": (sigma_space, pair_space, _COBOUNDARY),
+    "coboundary": (sigma_space, pair_space, COBOUNDARY_MAPS),
     "dressing-w": (pair_space, pair_space, ((1, "u", "v"),)),
     "jacobi-left": (pair_space, triple_space, ((1, "u", "vw"),)),
     "jacobi-right": (pair_space, triple_space, ((1, "v", "w"),)),
@@ -57,7 +57,7 @@ SOURCE_MAPS = {
 
 
 def tables():
-    return STAR._slot_substitutions, POLY._lift_plan, POLY._binomial_row
+    return POLY._lift_plan, POLY._binomial_row
 
 
 def clear_tables():
@@ -191,9 +191,25 @@ def test_malformed_maps_raise_what_the_per_call_lift_raised():
             with pytest.raises(SpaceMismatchError) as got:
                 lift_slots(*case)
             assert str(got.value) == str(expected.value)
-    identity = ((1, ((0,), (1,), (2,))),)
-    with pytest.raises(SpaceMismatchError, match=r"a map of 3 variables does not fit Space\(q1, p1\)"):
-        POLY.lift_substitutions(Poly.variable(phase_space(1), "q1"), phase_space(2), identity)
+
+
+@pytest.mark.parametrize(
+    "target, slots, bad",
+    [
+        (triple_space(1), ("uvw",), "uvw"),
+        (pair_space(1), ("w",), "w"),
+        (pair_space(1), ("",), ""),
+        (triple_space(1), ("u", "vx"), "vx"),
+        (pair_space(1), ("u", "vw"), "vw"),
+    ],
+)
+def test_a_slot_that_names_no_blocks_is_refused(target, slots, bad):
+    """A slot must be one or two letters naming blocks of the target; the
+    plan refuses any other, by name, before anything is lifted."""
+    p = Poly.variable(sigma_space(1) if len(slots) == 1 else pair_space(1), "u1")
+    for _ in range(2):
+        with pytest.raises(SpaceMismatchError, match=f"^slot {bad!r} does not name one or two blocks of"):
+            slot_sum(p, target, (1, *slots))
 
 
 def test_each_lift_reads_its_scale_once(monkeypatch):
@@ -223,6 +239,25 @@ def test_each_lift_reads_its_scale_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_factorize_lifts_twice(monkeypatch):
+    """One `factorize` reads two lift plans: the cocycle defect and the
+    coboundary that `chi_extract` checks b_s against.  It does not rebuild
+    the exponent to compare it with b once more."""
+    calls = []
+    plan = POLY._lift_plan
+
+    def counting(*args):
+        calls.append(args[2])
+        return plan(*args)
+
+    chi = random_gauge_chi(random.Random(13), 1, 3, terms=2, mu_degree=1)
+    b = coboundary(chi) + bilinear_pair_poly(Matrix.canonical_symplectic(1, scalars.MU), 1)
+    monkeypatch.setattr(POLY, "_lift_plan", counting)
+    fact = factorize(RawKernelExponent(1, b))
+    assert calls == [_COCYCLE_MAPS, COBOUNDARY_MAPS]
+    assert fact.rebuild() == b
+
+
 def no_zero(*forms):
     return all(0 not in form.terms.values() for form in forms)
 
@@ -249,11 +284,11 @@ def test_no_producer_returns_a_zero_entry(seed):
     q, p = Poly.variable(space, "q1"), Poly.variable(space, "p1")
     identity = ((1, ((0,), (1,))),)
     for f, g in ((x, y), (q + p, q - p)):
-        f_form, g_form = (POLY.lift_substitutions(h, space, identity, 8).by_degree() for h in (f, g))
+        f_form, g_form = (oracle_lift_substitutions(h, space, identity, 8).by_degree() for h in (f, g))
         block = block_product(f_form, g_form)(2)
         assert no_zero(block) and block.unlift() == f * g
         # Real coefficients: one entry per term of the product.
         assert len(block.terms) == len((f * g).terms)
     chi = random_gauge_chi(rng, n, 3, terms=2, mu_degree=1, allow_i=True)
-    dress = exp_blocks(lift_slots(chi, pair, _COBOUNDARY, 64), 6)
+    dress = exp_blocks(lift_slots(chi, pair, COBOUNDARY_MAPS, 64), 6)
     assert no_zero(*dress.values(), *product_blocks(dress, dress, 6).values())

@@ -12,7 +12,7 @@ from conftest import (
     S3,
     block_sum,
     guard_bound,
-    oracle_evaluate,
+    oracle_lift_substitutions,
     oracle_mul,
     poly_fold,
     random_coefficient,
@@ -36,7 +36,7 @@ from moyal.poly import (
     divide_exact,
     digit_width,
     lift_scale,
-    lift_substitutions,
+    lift_slots,
     pair_space,
     phase_space,
     sigma_space,
@@ -195,31 +195,6 @@ def test_substitute_and_embed():
     # A sigma-space polynomial placed in the second slot.
     chi = parse_poly("u1^2", sigma_space(1))
     assert slot_sum(chi, pair, (1, "v")) == parse_poly("v1^2", pair)
-
-
-def test_evaluate():
-    f = parse_poly("q1^2*p1 + mu*q1", SP)
-    val = f.evaluate([2, 3])
-    assert val == scalars.Coefficient.from_int(12) + MU.scale_int(2)
-    with pytest.raises(SpaceMismatchError):
-        f.evaluate([2])
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
-def test_evaluate_at_int_points_matches_the_field_oracle(seed, n):
-    rng = random.Random(seed)
-    space = phase_space(n)
-    f = random_poly(rng, space, 4, terms=5, mu_degree=2)
-    # Coefficients with mu-denominators: the sum is deferred, then divided.
-    f = f + random_poly(rng, space, 3, terms=2).over((MU + ONE).num * MU.num)
-    f = f + Poly.constant(space, random_coefficient(rng) / (MU - ONE.scale_int(2)))
-    for _ in range(3):
-        point = [rng.randint(-4, 4) for _ in range(2 * n)]
-        point[rng.randrange(2 * n)] = 0
-        expected = oracle_evaluate(f, [scalars.Coefficient.from_int(x) for x in point])
-        assert f.evaluate(point) == expected
-        assert f.evaluate(tuple(point)) == expected
 
 
 def test_mu_components():
@@ -413,7 +388,7 @@ def wide_poly(rng, n, guard):
 
 def lift(p, digit_bits=None):
     """p in packed form on its own space: the identity substitution."""
-    return lift_substitutions(p, p.space, ((1, tuple((k,) for k in range(len(p.space)))),), digit_bits)
+    return oracle_lift_substitutions(p, p.space, ((1, tuple((k,) for k in range(len(p.space)))),), digit_bits)
 
 
 def lifted_product(p, q):
@@ -454,7 +429,7 @@ def test_lifted_forms_are_checked():
     with pytest.raises(ValueError):
         lifted_product(p, Q.scale(MU.inverse()))
     with pytest.raises(SpaceMismatchError):
-        lift_substitutions(p, phase_space(2), ((1, ((0,), (1,), (2,))),))
+        lift_slots(p, phase_space(2), ((1, "u", "v"),))
     with pytest.raises(SpaceMismatchError):
         whole_lifted_product(lift(p, 8), lift(Poly.one(phase_space(2)), 8))
     with pytest.raises(SpaceMismatchError):

@@ -10,7 +10,9 @@ arguments, `perm` is called only in `poly._derivative_piece` (differentiation
 has one owner, the shared derivative table), `comb` only in
 `poly._binomial_row` (the one binomial slot expansion) and two places
 that are not slot maps, star.py, lie.py and cocycle.py apply no `>>` or `&` (a
-packed key's bit fields are read in poly.py alone), no module outside
+packed key's bit fields are read in poly.py alone), only poly.py holds the
+block letters "uvw" (`poly._lift_plan` alone reads which block a slot
+letter names), no module outside
 `__init__.py` imports a name it never uses (a name used only in an annotation
 counts), no code writes into a `.terms` dict (a subscript store or `del`, or
 `update`, `pop`, `popitem`, `clear` or `setdefault` on it: `poly.bilinear`
@@ -48,6 +50,8 @@ GUARD_SETTER = ("poly.py", "degree_guard")
 # They read packed forms through the methods of poly.Lifted, which owns the key layout.
 KEY_LAYOUT_USERS = {"star.py", "lie.py", "cocycle.py"}
 KEY_BIT_OPS = (ast.RShift, ast.BitAnd)
+# The blocks of a pair or triple space; poly.py translates slot letters into them.
+BLOCK_LETTERS = "uvw"
 # A `.terms` dict may be a memoised piece that `poly.bilinear` shares with
 # every Poly it returns for that pair, so no code writes into one.
 TERMS_WRITERS = {"update", "pop", "popitem", "clear", "setdefault"}
@@ -142,6 +146,8 @@ def _violations(tree, module=""):
             and isinstance(node.op, KEY_BIT_OPS)
         ):
             yield node.lineno, f"{type(node.op).__name__} outside poly.py, which owns the key layout"
+        if isinstance(node, ast.Constant) and node.value == BLOCK_LETTERS and module != "poly.py":
+            yield node.lineno, f"block letters {BLOCK_LETTERS!r} outside poly.py, which translates slot maps"
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)) and _is_terms(node.value):
             yield node.lineno, "a .terms dict written"
         if not isinstance(node, ast.Call):
@@ -272,6 +278,7 @@ def test_no_function_imports_or_unbounded_caches(path):
         "p.terms.popitem()\n",
         "self.images.terms.clear()\n",
         "x.poly.terms.setdefault(exps, coeff)\n",
+        'blocks = "uvw"[: len(target) // width]\n',
     ],
 )
 def test_checker_flags_planted_violations(source):
@@ -312,6 +319,9 @@ def test_checker_allows_public_and_foreign_names():
     assert list(_violations(ast.parse(owner), "poly.py")) == []
     setter = "def degree_guard(bound):\n    token = _degree_guard.set(bound)\n    _degree_guard.reset(token)\n"
     assert list(_violations(ast.parse(setter), "poly.py")) == []
+    letters = 'blocks = "uvw"[: len(target) // width]\nslots = ("u", "vw")\n'
+    assert list(_violations(ast.parse(letters), "poly.py")) == []
+    assert len(list(_violations(ast.parse(letters), "star.py"))) == 1
     assert len(list(_violations(ast.parse(setter), "cli.py"))) == 2
     bounded = (
         "from functools import lru_cache\nSIZE = 64\n@lru_cache(maxsize=8)\ndef f(): pass\n"
@@ -357,7 +367,7 @@ def test_comb_has_one_slot_map_caller_in_src():
         call for path in SOURCES for call in _comb_callers(ast.parse(path.read_text()), path.name)
     )
     # One binomial slot expansion, `poly._binomial_row`, the table of images
-    # that `poly.lift_substitutions` reads; next to it, the Weyl reordering
+    # that `poly.lift_slots` reads; next to it, the Weyl reordering
     # coefficients (two binomials per step) and the centre's monomial count.
     assert calls == [
         ("cocycle.py", "dual_monomials"),
