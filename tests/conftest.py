@@ -3,7 +3,8 @@
 planted kernel, the bracket kernel of a product kernel, `substitute`, the
 slot-map oracles, the per-call packed lifts, evaluation at a point of field
 elements, the per-term accumulation oracles, the Jacobi verdict read off the
-whole packed product, the centre check as a loop over test monomials, the
+whole packed product, Jacobi block counts and the theorem2 path that builds
+every low block, the centre check as a loop over test monomials, the
 degreewise Theorem 2 fit, and the Coefficient exponential and dressed powers
 that the packed fit is checked against."""
 
@@ -15,7 +16,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from moyal import scalars
+from moyal import lie, scalars
 from moyal.cocycle import dual_monomials
 from moyal.errors import DegreeGuardError, PoleAtMuZeroError, SpaceMismatchError
 from moyal.lie import RawLieKernel
@@ -561,6 +562,37 @@ def whole_product_jacobi(raw, truncation_degree=None):
     above = truncation_degree is not None and degrees[0] > truncation_degree + 2
     status = "truncation-defect" if vanishes_at_mu_zero(defect) or above else "violation"
     return status, defect.leading_term(), degrees
+
+
+def counting_blocks(patch):
+    """Count, in the returned dict, the whole Jacobi blocks `lie` builds (calls
+    of the block function of `poly.block_product`) and the leads it reads
+    (`poly.block_lead`); `patch` is a pytest monkeypatch."""
+    counts = {"blocks": 0, "leads": 0}
+    graded, read = lie.block_product, lie.block_lead
+
+    def counting(left, right, fold=None):
+        product = graded(left, right, fold)
+
+        def block(degree):
+            counts["blocks"] += 1
+            return product(degree)
+
+        return block
+
+    def reading(*args):
+        counts["leads"] += 1
+        return read(*args)
+
+    patch.setattr(lie, "block_product", counting)
+    patch.setattr(lie, "block_lead", reading)
+    return counts
+
+
+def build_every_low_block(patch):
+    """Make `theorem2_pipeline` build every Jacobi block at or below
+    fit_degree + 2, as `lie_axiom_check` does: F_h is taken never to vanish."""
+    patch.setattr(lie, "_f_h_lowest_degree", lambda series, top: 0)
 
 
 def oracle_center_generators(raw, kernel_basis, max_degree, verify_degree):

@@ -10,12 +10,17 @@ the oracle for `lie_axiom_check` and for the mu-order parts of
 import dataclasses
 import itertools
 import random
+import sys
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 
 from conftest import (
     bracket_kernel_of,
+    build_every_low_block,
+    counting_blocks,
     fold_situations,
     oracle_slot_sum,
     random_gauge_chi,
@@ -37,6 +42,9 @@ from moyal.lie import (
 from moyal.linalg import Matrix
 from moyal.poly import Poly, pair_space, sigma_space, triple_space
 from moyal.star import StarKernel, slot_sum
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
 
 ONE, MU, ZERO = scalars.ONE, scalars.MU, scalars.ZERO
 PAIR = pair_space(1)
@@ -599,6 +607,58 @@ def test_the_lead_read_meets_its_hard_cases():
         for truncation_degree in (None, 0, 2, 4):
             report = lie_axiom_check(raw, truncation_degree=truncation_degree)
             assert jacobi_report(report) == whole_product_jacobi(raw, truncation_degree)
+
+
+def pipeline_runs(source):
+    """theorem2 calls, each a partial of `theorem2_pipeline` on (raw, fit_degree=...)."""
+    if source == "graded":
+        return [
+            partial(theorem2_pipeline, seeded_kernel(
+                random.Random(f"graded-{n}-{anti}-{denominator}-{seed}"), n, anti, denominator
+            ), fit_degree=fit_degree)
+            for n, anti, denominator, seed in GRADED_SEEDED
+            for fit_degree in (2, 4, 6)
+        ]
+    if source == "criterion-9":
+        return [
+            partial(theorem2_pipeline, raw, fit_degree=6, center_degree=2, verify_degree=4)
+            for raw in criterion_9_kernels()
+        ]
+    return [
+        op.run
+        for seed in range(41, 51)
+        for op in workloads.build_classify(seed)
+        if op.kind.startswith("theorem2-")
+    ]
+
+
+@pytest.mark.parametrize("source", ["graded", "criterion-9", "classify"])
+def test_theorem2_reports_equal_the_full_block_path(monkeypatch, source):
+    """The pipeline reads the low Jacobi blocks from h when it can
+    (`lie._f_h_lowest_degree`); its reports equal those of the path that
+    builds every block at or below fit_degree + 2, and its axiom report
+    equals `lie_axiom_check`'s, on the seeded graded kernels, the
+    criterion-9 kernels and every theorem2 op of `classify` seeds 41-50.
+    A fitted Lie kernel builds no whole block; every other builds the same
+    blocks as that path, and every one reads the same leads."""
+    statuses = set()
+    for run in pipeline_runs(source):
+        with monkeypatch.context() as patch:
+            counts = counting_blocks(patch)
+            report = run()
+            shortcut = dict(counts)
+        with monkeypatch.context() as patch:
+            counts = counting_blocks(patch)
+            build_every_low_block(patch)
+            expected = run()
+        assert report == expected
+        assert report.axioms == lie_axiom_check(run.args[0], run.keywords["fit_degree"])
+        assert shortcut["leads"] == counts["leads"]
+        fitted_lie = report.status in ("moyal-class", "poisson-class")
+        assert shortcut["blocks"] == (0 if fitted_lie else counts["blocks"])
+        statuses.add(report.status)
+    if source == "classify":
+        assert statuses == {"moyal-class", "poisson-class", "degenerate", "axioms-failed"}
 
 
 # A kernel whose lowest defect blocks vanish at mu = 0 and a later one does
