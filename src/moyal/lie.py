@@ -34,9 +34,9 @@ degree down, to the first that does not vanish.  Only a verdict that rests
 on mu = 0 builds the blocks in between, upwards, up to the first that does
 not vanish there.  For a kernel it has fitted, `theorem2_pipeline` decides
 the blocks at or below truncation degree + 2 from h alone, by the paper's
-reduction of Jacobi to F_h(x, y, z) = 0, tested on integer tables
-(`_f_h_lowest_degree`); when they vanish, none of them is built, and the
-lowest nonzero block is sought by its lead from truncation degree + 3 up.
+reduction of Jacobi to F_h(x, y, z) = 0: when `classify_h` finds h sinh
+or linear, they vanish, none of them is built, and the lowest nonzero block
+is sought by its lead from truncation degree + 3 up.
 The blocks are read through the form's methods; only the
 entries of the leading monomial, the witness, are turned back into a
 coefficient.  `jacobi_defect` alone unlifts every entry: it is the rotated
@@ -133,6 +133,12 @@ class RawLieKernel:
     def antisymmetry_witness(self) -> tuple[Exponents, scalars.Coefficient] | None:
         """The leading term of A(u, v) + A(v, u); None when A is antisymmetric."""
         return _first_term(self.a + swap_slots(self.a))
+
+    @cached_property
+    def constants_witness(self) -> tuple[Exponents, scalars.Coefficient] | None:
+        """The leading term of A(0, v), the terms with no exponent in the u-block; None when A(0, v) = 0."""
+        width = 2 * self.n
+        return _first_term(Poly(self.a.space, {e: c for e, c in self.a.terms.items() if not any(e[:width])}))
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +274,11 @@ def lie_axiom_check(
     """
     if truncation_degree is not None and truncation_degree < 0:
         raise ValueError("truncation_degree must be non-negative")
-    return _axiom_report(raw, _constants_witness(raw), truncation_degree, low_blocks_vanish=False)
+    return _axiom_report(raw, truncation_degree, low_blocks_vanish=False)
 
 
-def _constants_witness(raw: RawLieKernel) -> tuple[Exponents, scalars.Coefficient] | None:
-    """The leading term of A(0, v), the terms with no exponent in the u-block; None when A(0, v) = 0."""
-    width = 2 * raw.n
-    return _first_term(Poly(raw.a.space, {e: c for e, c in raw.a.terms.items() if not any(e[:width])}))
-
-
-def _axiom_report(
-    raw: RawLieKernel,
-    const_witness: tuple[Exponents, scalars.Coefficient] | None,
-    truncation_degree: int | None,
-    low_blocks_vanish: bool,
-) -> LieAxiomReport:
-    """`lie_axiom_check`, given the constants witness.  When
+def _axiom_report(raw: RawLieKernel, truncation_degree: int | None, low_blocks_vanish: bool) -> LieAxiomReport:
+    """`lie_axiom_check`, without its argument check.  When
     `low_blocks_vanish`, the caller has shown that every Jacobi block at or
     below truncation_degree + 2 vanishes, and the lowest nonzero block is
     sought from truncation_degree + 3 up, by its lead alone: no block is
@@ -335,7 +330,7 @@ def _axiom_report(
         )
     return LieAxiomReport(
         antisymmetry_witness=anti_witness,
-        constants_witness=const_witness,
+        constants_witness=raw.constants_witness,
         jacobi_status=status,
         jacobi_witness=jac_witness,
         defect_degree_range=degree_range,
@@ -441,91 +436,6 @@ def classify_h(series: Sequence[scalars.Coefficient]) -> HClass:
     if not mu2:
         return HClass(tag="linear", scale=a1)
     return HClass(tag="sinh", mu_squared=mu2, scale=a1)
-
-
-def _cyclic_table(j: int, k: int) -> dict[tuple[int, int, int], int]:
-    """Q_{j,k} of `_f_h_lowest_degree`: {(a, b, c): the integer coefficient
-    of x^a y^b z^c}, zeros dropped.  (x - z)^j is read off Pascal's rule."""
-    table: dict[tuple[int, int, int], int] = {}
-    for p, q in {(j, k), (k, j)}:  # P_{j,k} and P_{k,j}, one P when j = k
-        row = (1,)  # row[i]: the coefficient of x^i z^(p - i) in (x - z)^p
-        for _ in range(p):
-            row = tuple(left - right for left, right in zip((0,) + row, row + (0,)))
-        for i, c in enumerate(row):
-            # c x^i y^q z^(p - i) and its two rotations x -> y -> z -> x.
-            e = (i, q, p - i)
-            for key in (e, (e[2], e[0], e[1]), (e[1], e[2], e[0])):
-                table[key] = table.get(key, 0) + c
-    return {e: c for e, c in table.items() if c}
-
-
-def _f_h_lowest_degree(series: Sequence[scalars.Coefficient], top: int) -> int | None:
-    """The lowest degree m <= top of a nonzero part of
-
-        F_h(x, y, z) = h(x - z) h(y) + h(y - x) h(z) + h(z - y) h(x),
-
-    h = c1 x + c3 x^3 + ... the odd polynomial whose coefficients `series`
-    lists; None when F_h has no term of degree <= top.
-
-    Integer tables.  With P_{j,k} = (x - z)^j y^k + its two cyclic rotations
-    (x -> y -> z -> x), F_h is the sum of c_j c_k P_{j,k} over odd j and k.
-    So its parts have even degrees m, and the degree-m part is the sum over
-    odd j <= k with j + k = m of c_j c_k Q_{j,k}, Q_{j,k} = P_{j,k} + P_{k,j}
-    for j < k and Q_{j,j} = P_{j,j}: integer polynomials independent of h
-    (`_cyclic_table`).  A coefficient product is taken only for a Q that
-    does not vanish.
-
-    Lemma: Q_{1,1} = Q_{1,3} = 0.  P_{1,1} = (x - z) y + (y - x) z +
-    (z - y) x = 0 term by term.  With S = x y^3 + y z^3 + z x^3 and
-    S' = x^3 y + y^3 z + z^3 x, P_{1,3} = S - S', and P_{3,1} is the cyclic
-    sum of x^3 y - 3 x^2 y z + 3 x y z^2 - y z^3, which is
-    S' - S + 3 x y z ((z - x) + (x - y) + (y - z)) = S' - S.  So for
-    top <= 5, and in `theorem2_pipeline` for every fit degree <= 9, no
-    coefficient is multiplied.
-
-    Why it decides the low Jacobi blocks (`theorem2_pipeline` with
-    top = (T + 2) // 2, T the fit degree).  Let A(u, v) = -A(v, u) and
-    A(0, v) = 0: then A has no constant term, and a degree-1 term would
-    have an empty u-block or, by antisymmetry, an empty v-block, so every
-    term of A has degree >= 2.  Let the fit through T leave no witness: the
-    terms of A of degree <= T are those of B = exp(delta chi) h(w), h the
-    fitted series.
-    1. Soundness.  A block of degree m <= T + 2 of the defect J_A sums
-       products of a term of A(u, v+w) and one of A(v, w); the degrees of
-       the two, each >= 2, add to m, so each is <= T, where A is B.  So J_A
-       and J_B agree through degree T + 2.  In J_B,
-       delta chi(u, v+w) + delta chi(v, w) = chi(u) + chi(v) + chi(w)
-       - chi(u+v+w) = D3 chi, which is symmetric in u, v, w, and
-       w(u, v+w) = x - z, with x = w(u, v), y = w(v, w) and z = w(w, u),
-       since w is bilinear and antisymmetric.  So the cyclic sum is
-       J_B = exp(D3 chi) F_h(x, y, z).  x, y and z have degree 2, so the
-       degree-m part of F_h has degree 2m in (u, v, w); exp(D3 chi) has
-       constant term 1 and no negative degree, so a product with it has no
-       term below the lowest of F_h(x, y, z).  So when F_h has no term of
-       degree <= (T + 2) // 2, every block of J_A of degree <= T + 2
-       vanishes.  Only this direction bears on the report.
-    2. Completeness.  For rank omega >= 2, x, y and z are algebraically
-       independent: on a plane where omega is nonzero they are a nonzero
-       multiple of the three 2 x 2 minors of the 2 x 3 matrix (u, v, w),
-       and every point of the three-dimensional space of minors is reached,
-       every bivector in three dimensions being decomposable.  So the
-       lowest nonzero part of F_h, of degree m, gives the nonzero block
-       2m of J_B, and of J_A when 2m <= T + 2: the blocks are built
-       exactly when one of them is nonzero.
-    """
-    coefficients = dict(zip(count(1, 2), series))
-    for m in range(2, top + 1, 2):
-        part: dict[tuple[int, int, int], scalars.Coefficient] = {}
-        for j in range(1, m // 2 + 1, 2):
-            table = _cyclic_table(j, m - j)
-            if not table:
-                continue
-            scale = coefficients.get(j, scalars.ZERO) * coefficients.get(m - j, scalars.ZERO)
-            for e, c in table.items():
-                part[e] = part.get(e, scalars.ZERO) + scale.scale_int(c)
-        if any(part.values()):
-            return m
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -780,35 +690,61 @@ def theorem2_pipeline(
     earlier ones found:
     1. the antisymmetry and constants witnesses;
     2. when both are None, `extract_omega`, its `nullspace` and, for a
-       nondegenerate omega, `_fit_structured`;
-    3. the Lie axioms, truncated at fit_degree.  When the fit left no
-       witness and F_h of its series has no term of degree
-       <= (fit_degree + 2) // 2 (`_f_h_lowest_degree`, whose docstring
-       holds the proof), the Jacobi blocks at or below fit_degree + 2
-       vanish and are not built; otherwise they are built as in
+       nondegenerate omega, `_fit_structured` and, when the fit leaves no
+       witness, `classify_h` of its series;
+    3. the Lie axioms, truncated at fit_degree.  When `classify_h` finds
+       h sinh or linear, the Jacobi blocks at or below fit_degree + 2
+       vanish (below) and are not built; otherwise they are built as in
        `lie_axiom_check`.  The report is the same either way;
     4. the verdict.  A failed axiom gives "axioms-failed" before any
        verdict of stage 2.  A MoyalError raised in stage 2 is kept until
        the axioms pass: then an `extract_omega` failure gives "neither",
        and any other is raised.
+
+    Why the low blocks vanish, T being fit_degree.  A(u, v) = -A(v, u) and
+    A(0, v) = 0, so A has no constant term, and a degree-1 term would have
+    an empty u-block or, by antisymmetry, an empty v-block: every term of A
+    has degree >= 2.  The fit left no witness, so the terms of A of degree
+    <= T are those of B = exp(delta chi) h(w), h the fitted series.
+    1. A block of degree m <= T + 2 of the defect J_A sums products of a
+       term of A(u, v+w) and one of A(v, w); their degrees, each >= 2, add
+       to m, so each is <= T, where A is B.  So J_A and J_B agree through
+       degree T + 2.  In J_B, delta chi(u, v+w) + delta chi(v, w) =
+       chi(u) + chi(v) + chi(w) - chi(u+v+w) = D3 chi, symmetric in
+       u, v, w, and w(u, v+w) = x - z, with x = w(u, v), y = w(v, w) and
+       z = w(w, u), since w is bilinear and antisymmetric.  So
+       J_B = exp(D3 chi) F_h(x, y, z), F_h = h(x-z) h(y) + h(y-x) h(z) +
+       h(z-y) h(x).  x, y and z have degree 2 and exp(D3 chi) has constant
+       term 1 and no negative degree, so J_B has no term of degree <= T + 2
+       when F_h has none of degree <= (T + 2) // 2.
+    2. F_h is identically 0 for h = x, term by term, and for
+       h = sinh(mu x)/mu, by sinh(a-b) = sinh a cosh b - cosh a sinh b:
+       the six products cancel in pairs.  Its coefficients are then
+       polynomials in mu^2 that vanish for every real mu, so they vanish
+       for mu^2 = 6 c_3 in the field too.  The degree-m part of F_h reads
+       only the c_j with j <= m - 1 <= T // 2, all of them fitted, and when
+       `classify_h` accepts the series they are those of x or of
+       sinh(mu x)/mu.  So F_h has no term of degree <= (T + 2) // 2.
+    The converse bears only on how many blocks are built, never on the
+    report: when `classify_h` rejects, some low block is nonzero (the
+    census in tests/test_low_blocks.py).
     """
     if min(fit_degree, center_degree, verify_degree or 0) < 0:
         raise ValueError("fit_degree, center_degree and verify_degree must be non-negative")
-    const_witness = _constants_witness(raw)
-    omega = basis = chi = series = witness = error = None
-    if raw.antisymmetry_witness is None and const_witness is None:
+    omega = basis = chi = series = witness = h_class = error = None
+    if raw.antisymmetry_witness is None and raw.constants_witness is None:
         try:
             omega = extract_omega(raw)
             basis = omega.nullspace()
             if not basis:
                 w = bilinear_pair_poly(omega.transpose(), raw.n)
                 chi, series, witness = _fit_structured(raw.a, raw.n, w, fit_degree)
+                if witness is None:
+                    h_class = classify_h(series)
         except MoyalError as err:
             error = err
-    low_blocks_vanish = (
-        series is not None and witness is None and _f_h_lowest_degree(series, (fit_degree + 2) // 2) is None
-    )
-    axioms = _axiom_report(raw, const_witness, fit_degree, low_blocks_vanish)
+    low_blocks_vanish = h_class is not None and h_class.tag in _H_CLASS_OUTCOMES
+    axioms = _axiom_report(raw, fit_degree, low_blocks_vanish)
     report = partial(Theorem2Report, n=raw.n, fit_degree=fit_degree, axioms=axioms)
     if not axioms.passed:
         return report(
@@ -836,7 +772,6 @@ def theorem2_pipeline(
             residual_witness=witness,
             failure="kernel is not of coboundary-dressed h(w) form at this degree",
         )
-    h_class = classify_h(series)
     status, like = _H_CLASS_OUTCOMES.get(h_class.tag, ("neither", None))
     note = None if like is None else (
         f"isomorphic to {like}: the ordering-change map built from chi removes the dressing"

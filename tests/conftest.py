@@ -591,8 +591,14 @@ def counting_blocks(patch):
 
 def build_every_low_block(patch):
     """Make `theorem2_pipeline` build every Jacobi block at or below
-    fit_degree + 2, as `lie_axiom_check` does: F_h is taken never to vanish."""
-    patch.setattr(lie, "_f_h_lowest_degree", lambda series, top: 0)
+    fit_degree + 2, as `lie_axiom_check` does: `lie._axiom_report` is told
+    that the low blocks need not vanish.  `classify_h` is left alone, since
+    the verdict reads it."""
+    report = lie._axiom_report
+    patch.setattr(
+        lie, "_axiom_report",
+        lambda raw, truncation_degree, low_blocks_vanish: report(raw, truncation_degree, False),
+    )
 
 
 def oracle_center_generators(raw, kernel_basis, max_degree, verify_degree):

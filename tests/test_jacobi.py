@@ -634,8 +634,8 @@ def pipeline_runs(source):
 
 @pytest.mark.parametrize("source", ["graded", "criterion-9", "classify"])
 def test_theorem2_reports_equal_the_full_block_path(monkeypatch, source):
-    """The pipeline reads the low Jacobi blocks from h when it can
-    (`lie._f_h_lowest_degree`); its reports equal those of the path that
+    """The pipeline skips the low Jacobi blocks when `classify_h` finds the
+    fitted h sinh or linear; its reports equal those of the path that
     builds every block at or below fit_degree + 2, and its axiom report
     equals `lie_axiom_check`'s, on the seeded graded kernels, the
     criterion-9 kernels and every theorem2 op of `classify` seeds 41-50.

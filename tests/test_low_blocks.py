@@ -5,14 +5,17 @@ For A = exp(delta chi) h(w) through degree T, the Jacobi defect J_A agrees
 through degree T + 2 with exp(D3 chi) F_h(x, y, z), where
 D3 chi = chi(u) + chi(v) + chi(w) - chi(u+v+w), x, y and z are the
 omega-pairings w(u, v), w(v, w) and w(w, u), and
-F_h = h(x-z) h(y) + h(y-x) h(z) + h(z-y) h(x).  `theorem2_pipeline` uses
-this to skip the blocks at or below T + 2 when `lie._f_h_lowest_degree`
-finds no term of F_h of degree <= (T + 2) // 2.  Checked here: the identity
-on Coefficients (`exp_truncated`, `oracle_slot_sum`), the integer tables
-against sympy, the census of F_h = 0 against the sinh prediction, the
-pipeline's reports against the path that builds every low block on kernels
-whose lowest block is T + 2 and T + 3, and the precedence of
-"axioms-failed".
+F_h = h(x-z) h(y) + h(y-x) h(z) + h(z-y) h(x).  F_h vanishes for the sinh
+and linear h, so `theorem2_pipeline` skips the blocks at or below T + 2
+when `classify_h` accepts the fitted series.  Checked here: the identity on
+Coefficients (`exp_truncated`, `oracle_slot_sum`), with its lowest block
+nonzero exactly when `classify_h` rejects; the census of F_h = 0 on a
+test-side oracle of integer tables (cross-checked against sympy), solved
+degree by degree and compared with the sinh prediction written first, and
+`classify_h` on the solved series and on each one-coefficient
+perturbation; the pipeline's reports against the path that builds every
+low block on kernels whose lowest block is T + 2 and T + 3; and the
+precedence of "axioms-failed".
 """
 
 from fractions import Fraction
@@ -28,8 +31,7 @@ from moyal.expressions import parse_coefficient, parse_poly
 from moyal.lie import (
     RawLieKernel,
     StructuredLieKernel,
-    _cyclic_table,
-    _f_h_lowest_degree,
+    classify_h,
     jacobi_defect,
     lie_axiom_check,
     theorem2_pipeline,
@@ -135,8 +137,8 @@ IDENTITY_CASES = [
 @pytest.mark.parametrize("n, chi_text, omega, series, top, lowest", IDENTITY_CASES)
 def test_low_blocks_are_exp_d3_chi_times_f_h(n, chi_text, omega, series, top, lowest):
     """The degree <= T + 2 part of the Jacobi defect of the kernel expanded
-    through T is that of exp(D3 chi) * F_h(pairings), and its lowest block
-    is the one `_f_h_lowest_degree` predicts."""
+    through T is that of exp(D3 chi) * F_h(pairings), and one of its blocks
+    is nonzero exactly when `classify_h` rejects the series."""
     chi = parse_poly(chi_text, sigma_space(n))
     series = series[: (top // 2 + 1) // 2]  # the c_k with 2k <= T
     raw = StructuredLieKernel(n, chi, omega, series).expand(top)
@@ -150,45 +152,8 @@ def test_low_blocks_are_exp_d3_chi_times_f_h(n, chi_text, omega, series, top, lo
         # exp(D3 chi) matters only through top + 2 less the lowest degree of F_h.
         dressing = exp_truncated(d3(chi, n), top + 2 - min(map(sum, f_h.terms)))
         assert defect == product_through(dressing, f_h, top + 2)
-    found = _f_h_lowest_degree(series, (top + 2) // 2)
     assert (None if defect.is_zero else min(map(sum, defect.terms))) == lowest
-    assert found == (None if lowest is None else lowest // 2)
-
-
-def as_sympy(table):
-    x, y, z = sympy.symbols("x y z")
-    return sympy.expand(sum(c * x**a * y**b * z**e for (a, b, e), c in table.items()))
-
-
-def test_cyclic_tables_against_sympy():
-    """Q_{j,k} = P_{j,k} + P_{k,j} (Q_{j,j} = P_{j,j}), P_{j,k} = (x - z)^j y^k
-    and its rotations; Q_{1,1} and Q_{1,3} vanish, as the lemma says, and
-    every other Q through j + k = 14 does not."""
-    x, y, z = sympy.symbols("x y z")
-
-    def p(j, k):
-        return sum((a - c) ** j * b**k for a, b, c in ((x, y, z), (y, z, x), (z, x, y)))
-
-    for m in range(2, 15, 2):
-        for j in range(1, m // 2 + 1, 2):
-            k = m - j
-            q = p(j, k) + (p(k, j) if j < k else 0)
-            table = _cyclic_table(j, k)
-            assert as_sympy(table) == sympy.expand(q), (j, k)
-            assert all(table.values())
-            assert (not table) == ((j, k) in ((1, 1), (1, 3))), (j, k)
-
-
-def test_no_coefficient_product_through_degree_five(monkeypatch):
-    """By the lemma the test at top <= 5, that is at every fit degree <= 9,
-    multiplies no coefficient."""
-    def no_product(*args):
-        raise AssertionError("a coefficient was multiplied")
-
-    monkeypatch.setattr(scalars.Coefficient, "__mul__", no_product)
-    assert _f_h_lowest_degree(FAILS, 5) is None
-    monkeypatch.undo()
-    assert _f_h_lowest_degree(FAILS, 6) == 6
+    assert (lowest is None) == (classify_h(series).tag in ("sinh", "linear"))
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +161,7 @@ def test_no_coefficient_product_through_degree_five(monkeypatch):
 # ---------------------------------------------------------------------------
 
 CENSUS_A = ["1", "2", "mu^2/6", "i", "1/mu"]
+CENSUS_TOP = 22  # the degree of F_h that c_21 first reaches
 
 
 def predicted_series(a, length):
@@ -210,31 +176,122 @@ def predicted_series(a, length):
         series.append((mu_squared * series[-1]).scale_fraction(Fraction(1, (k + 1) * (k + 2))))
 
 
+def cyclic_table(j, k):
+    """Q_{j,k} = P_{j,k} + P_{k,j} for j < k, Q_{j,j} = P_{j,j}, with
+    P_{j,k} = (x - z)^j y^k and its two rotations x -> y -> z -> x:
+    {(a, b, c): the integer coefficient of x^a y^b z^c}, zeros dropped.
+    (x - z)^p is read off Pascal's rule."""
+    table = {}
+    for p, q in {(j, k), (k, j)}:
+        row = (1,)  # row[i]: the coefficient of x^i z^(p - i) in (x - z)^p
+        for _ in range(p):
+            row = tuple(left - right for left, right in zip((0,) + row, row + (0,)))
+        for i, c in enumerate(row):
+            e = (i, q, p - i)
+            for key in (e, (e[2], e[0], e[1]), (e[1], e[2], e[0])):
+                table[key] = table.get(key, 0) + c
+    return {e: c for e, c in table.items() if c}
+
+
+def f_h_part(series, m):
+    """The degree-m part of F_h, h = c1 x + c3 x^3 + ... listed by `series`:
+    the sum over odd j <= k, j + k = m, of c_j c_k Q_{j,k}, as
+    {(a, b, c): Coefficient}, zeros dropped."""
+    coefficients = dict(zip(count(1, 2), series))
+    part = {}
+    for j in range(1, m // 2 + 1, 2):
+        scale = coefficients.get(j, ZERO) * coefficients.get(m - j, ZERO)
+        for e, c in cyclic_table(j, m - j).items():
+            part[e] = part.get(e, ZERO) + scale.scale_int(c)
+    return {e: c for e, c in part.items() if c}
+
+
+def f_h_lowest_degree(series, top):
+    """The lowest degree m <= top of a nonzero part of F_h; None when none."""
+    return next((m for m in range(2, top + 1, 2) if f_h_part(series, m)), None)
+
+
+def solve_census(a):
+    """c_1 = 1, c_3 = a, and c_5 .. c_21 from F_h = 0, one degree at a time.
+
+    c_{m-1} first enters at degree m, and only through c_1 c_{m-1} Q_{1,m-1},
+    so the degree-m system reads Q_{1,m-1}[e] c_{m-1} = -R[e] at every
+    monomial e, R the part of the known coefficients.  It has exactly one
+    solution when Q_{1,m-1} is nonzero and every equation gives the same
+    value; the test fails otherwise."""
+    series = [ONE, a]
+    assert not f_h_part(series, 2) and not f_h_part(series, 4)
+    for m in range(6, CENSUS_TOP + 1, 2):
+        known, linear = f_h_part(series, m), cyclic_table(1, m - 1)
+        assert linear, f"c_{m - 1} is free at degree {m}"
+        e0 = next(iter(linear))
+        value = -known.get(e0, ZERO) / C(linear[e0])
+        for e in known.keys() | linear.keys():
+            assert known.get(e, ZERO) + value.scale_int(linear.get(e, 0)) == ZERO, (m, e)
+        series.append(value)
+    return tuple(series)
+
+
+def as_sympy(table):
+    x, y, z = sympy.symbols("x y z")
+    return sympy.expand(sum(c * x**a * y**b * z**e for (a, b, e), c in table.items()))
+
+
+def test_oracle_tables_against_sympy():
+    """The census oracle's Q_{j,k} through j + k = CENSUS_TOP against sympy;
+    Q_{1,1} and Q_{1,3} vanish, and every other Q does not."""
+    x, y, z = sympy.symbols("x y z")
+
+    def p(j, k):
+        return sum((a - c) ** j * b**k for a, b, c in ((x, y, z), (y, z, x), (z, x, y)))
+
+    for m in range(2, CENSUS_TOP + 1, 2):
+        for j in range(1, m // 2 + 1, 2):
+            k = m - j
+            table = cyclic_table(j, k)
+            assert as_sympy(table) == sympy.expand(p(j, k) + (p(k, j) if j < k else 0)), (j, k)
+            assert (not table) == ((j, k) in ((1, 1), (1, 3))), (j, k)
+
+
+@pytest.mark.parametrize("a_text", CENSUS_A + ["0"])
+def test_f_h_census_solves_to_the_prediction(a_text):
+    """Each degree's system has one solution, and the solved c_5 .. c_21
+    are the predicted ones."""
+    a = parse_coefficient(a_text)
+    assert solve_census(a) == predicted_series(a, 11)
+
+
 @pytest.mark.parametrize("a_text", CENSUS_A + ["0"])
 def test_f_h_census_accepts_the_sinh_and_linear_series(a_text):
-    """Through x^21 (degree 22 of F_h) the predicted series has no term of
-    F_h, and it is the sinh series of mu^2 = 6a (`sinh_series`)."""
+    """The solved series is the sinh series of mu^2 = 6a (`sinh_series`),
+    F_h has no term through degree 22, and `classify_h` accepts it."""
     a = parse_coefficient(a_text)
-    series = predicted_series(a, 11)
+    series = solve_census(a)
     assert series == sinh_series(a.scale_int(6), 11)
-    assert _f_h_lowest_degree(series, 22) is None
+    assert f_h_lowest_degree(series, CENSUS_TOP) is None
+    assert classify_h(series).tag == ("sinh" if a else "linear")
 
 
 @pytest.mark.parametrize("a_text", CENSUS_A + ["0"])
 def test_f_h_census_rejects_each_one_coefficient_perturbation(a_text):
-    """Adding 1 to c_k leaves F_h a term at degree max(k + 1, 6): c_k first
-    meets c_1 at degree k + 1, and Q_{1,1} = Q_{1,3} = 0 move c_1 and c_3 to
-    degree 6.  For a = 0 the scale c_1 is free (2x is linear), so it is not
-    perturbed there."""
+    """Adding 1 to c_k leaves F_h a term at degree max(k + 1, 6), and
+    `classify_h` rejects the series: c_k first meets c_1 at degree k + 1,
+    and Q_{1,1} = Q_{1,3} = 0 move c_1 and c_3 to degree 6.  A fitted series
+    through T holds the c_k with k <= T // 2, so when `classify_h` rejects
+    a perturbed c_k, k >= 5, a Jacobi block at or below T + 2 is nonzero.
+    For a = 0 the scale c_1 is free (2x is linear), so it is not perturbed
+    there."""
     a = parse_coefficient(a_text)
-    series = predicted_series(a, 11)
+    series = solve_census(a)
     for index in range(0 if a else 1, 11):
         perturbed = list(series)
         perturbed[index] = perturbed[index] + ONE
         k = 2 * index + 1
-        assert _f_h_lowest_degree(perturbed, 22) == max(k + 1, 6), k
+        assert f_h_lowest_degree(perturbed, CENSUS_TOP) == max(k + 1, 6), k
+        assert classify_h(perturbed).tag == "neither", k
     scaled = (series[0] + ONE,) + series[1:]
-    assert (_f_h_lowest_degree(scaled, 22) is None) == (not a)
+    assert (f_h_lowest_degree(scaled, CENSUS_TOP) is None) == (not a)
+    assert classify_h(scaled).tag == ("neither" if a else "linear")
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +318,14 @@ AT_T_PLUS_3 = planted("u1^2*u2 + u2^2", (ONE,), 6)
 
 
 def test_lowest_block_at_truncation_plus_two_is_a_violation(monkeypatch):
-    """F_h has a term at degree (T + 2) / 2, so the blocks are built and the
-    lowest, at T + 2, makes Jacobi fail.  A test of F_h stopping one degree
-    short would skip it and call the defect a truncation."""
-    assert _f_h_lowest_degree((ONE, parse_coefficient("1/6")), 6) == 6
+    """The fit reads c_5 = 0 and `classify_h` rejects the series, so the
+    blocks are built and the lowest, at T + 2, makes Jacobi fail.  F_h has
+    its lowest term at degree (T + 2) / 2, so a shortcut that also skipped
+    block T + 2 would call the defect a truncation."""
+    w = bilinear_pair_poly(diagonal_omega(1).transpose(), 1)
+    _, series, witness = lie._fit_structured(AT_T_PLUS_2.a, 1, w, 10)
+    assert witness is None and series == [ONE, parse_coefficient("1/6"), ZERO]
+    assert classify_h(series).tag == "neither"
     report = theorem2_pipeline(AT_T_PLUS_2, 10)
     assert report == full_block_report(monkeypatch, AT_T_PLUS_2, 10)
     assert report.axioms == lie_axiom_check(AT_T_PLUS_2, 10)
