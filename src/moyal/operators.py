@@ -2,11 +2,12 @@
 
 This module is the package's independent verification path: operator algebra
 here is pure rewriting with the canonical commutation relation and never
-touches the bidifferential star-product machinery (`star.BiDiff`), so
-agreement between the two routes is a genuine cross-check.  `nc_mul` shares
-only the term-pair walk `poly.bilinear` with `Poly` multiplication and the
-star product; the test suite's `oracle_nc_mul` stays the independent
-reference for it.
+touches the bidifferential star-product machinery (`star.BiDiff`) or the
+differential operators (`poly.DiffOp`), so agreement between the two routes
+is a genuine cross-check.  It shares only the term-pair walk `poly.bilinear`
+with `Poly` multiplication and the star product; the test suite's
+`oracle_nc_mul` and its D/k series oracles for the transitions stay the
+independent references.
 
 Operators are polynomials in qh1..qhn, ph1..phn with
 
@@ -15,27 +16,36 @@ Operators are polynomials in qh1..qhn, ph1..phn with
 stored in canonical order: within every word all qh's stand to the left of
 all ph's.  `nc_mul` restores canonical order with the closed-form rewriting
 
-    ph^b qh^c = sum_j (-2*mu)^j binom(b, j) binom(c, j) j!  qh^(c-j) ph^(b-j),
+    ph^b qh^c = sum_j (s*mu)^j binom(b, j) binom(c, j) j!  qh^(c-j) ph^(b-j),
 
-applied independently in each dimension.  Bounded module tables keep
-these coefficients per distinct (b, c), and the canonical words of each
-distinct word pair, shared by every `nc_mul` call.
+where ph qh = qh ph + s*mu (here s = -2), applied independently in each
+dimension: each of the j contractions pairs one of the b ph's with one of
+the c qh's, in binom(b, j) binom(c, j) j! ways.
 
-The symmetric-ordering (Weyl) correspondence is realized as q-left-of-p
-substitution composed with the ordering-transition operator
-exp(-mu * sum_i d/dq_i d/dp_i); its inverse uses the opposite sign.  The
-composition is validated against brute-force word symmetrization in the test
-suite.
+The symmetric-ordering (Weyl) correspondence is q-left-of-p substitution
+composed with the ordering transition exp(-mu * sum_i d/dq_i d/dp_i); its
+inverse uses +mu.  A transition is the same contraction: per dimension,
+
+    exp(s*mu d/dq d/dp) q^a p^b = sum_j (s*mu)^j binom(a, j) binom(b, j) j!  q^(a-j) p^(b-j),
+
+since the j-th term of the series is (s*mu)^j / j! * a!/(a-j)! * b!/(b-j)! times
+the monomial.  So the transition of q^a p^b is the canonical form of
+p^b q^a where ph qh = qh ph + s*mu, with s = -1 or +1.  One bounded table
+of these coefficients per (s, b, c), and one of the canonical words per
+(s, word pair), serve `nc_mul` and both transitions, each of which is one
+walk `poly.bilinear` (a transition walks its operand against the constant
+1), so all three share its denominator rule.  The composition is validated
+against brute-force word symmetrization in the test suite.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 
 from . import scalars
 from .errors import DimensionMismatchError
-from .poly import DiffOp, Poly, Space, bilinear, check_degree, check_dimension, phase_space
+from .poly import Poly, Space, bilinear, check_degree, check_dimension, phase_space
 from .star import phase_dimension
 
 Exponents = tuple[int, ...]
@@ -144,31 +154,32 @@ class NCPoly:
         return f"NCPoly(n={self.n}, {self})"
 
 
-_MINUS_TWO_MU = scalars.MU.scale_int(-2)
-
 @lru_cache(maxsize=256)
-def _reorder_steps(b: int, c: int) -> tuple[tuple[int, scalars.Coefficient], ...]:
-    """(j, (-2 mu)^j binom(b, j) binom(c, j) j!) for j = 0..min(b, c): ph^b qh^c reordered."""
+def _reorder_steps(s: int, b: int, c: int) -> tuple[tuple[int, scalars.Coefficient], ...]:
+    """(j, (s mu)^j binom(b, j) binom(c, j) j!) for j = 0..min(b, c): ph^b qh^c
+    reordered where ph qh = qh ph + s*mu."""
+    scale = scalars.MU.scale_int(s)
     return tuple(
-        (j, (_MINUS_TWO_MU**j).scale_int(comb(b, j) * comb(c, j) * factorial(j)))
+        (j, (scale**j).scale_int(comb(b, j) * comb(c, j) * factorial(j)))
         for j in range(min(b, c) + 1)
     )
 
 
 @lru_cache(maxsize=4096)
-def _word_piece(w1: Exponents, w2: Exponents) -> dict[Exponents, scalars.Coefficient]:
-    """The canonical words of w1 * w2 with their coefficients, from ONE.
+def _word_piece(s: int, w1: Exponents, w2: Exponents) -> dict[Exponents, scalars.Coefficient]:
+    """The canonical words of w1 * w2 where ph qh = qh ph + s*mu, from ONE.
 
-    A bounded table shared by every `nc_mul` call, as `_reorder_steps` is:
-    products of operands over the same words meet the same pairs again.  The
-    dicts it returns are shared, and never written.
+    A bounded table shared by every `nc_mul` call (s = -2) and both Weyl
+    transitions (s = -1 and +1), as `_reorder_steps` is: products of operands
+    over the same words meet the same pairs again.  The dicts it returns are
+    shared, and never written.
     """
     n = len(w1) // 2
     a, b = w1[:n], w1[n:]
     c, d = w2[:n], w2[n:]
     words = [((), scalars.ONE)]
     for i in range(n):
-        words = [(js + (j,), cf * r) for js, cf in words for j, r in _reorder_steps(b[i], c[i])]
+        words = [(js + (j,), cf * r) for js, cf in words for j, r in _reorder_steps(s, b[i], c[i])]
     return {
         tuple(a[i] + c[i] - js[i] for i in range(n))
         + tuple(b[i] + d[i] - js[i] for i in range(n)): cf
@@ -181,32 +192,33 @@ def nc_mul(x: NCPoly, y: NCPoly) -> NCPoly:
     x._check(y)
     check_degree(x.poly.total_degree() + y.poly.total_degree(), "operand")
     n = x.n
-    return NCPoly._from_poly(n, bilinear(x.poly, y.poly, operator_space(n), _word_piece))
+    return NCPoly._from_poly(n, bilinear(x.poly, y.poly, operator_space(n), partial(_word_piece, -2)))
 
 
-def _transition_op(n: int, sign: int) -> DiffOp:
-    """exp generator sign*mu * sum_i d/dq_i d/dp_i on phase space."""
-    space = phase_space(n)
-    terms = {}
-    for i in range(n):
-        exps = [0] * (2 * n)
-        exps[i] = 1
-        exps[n + i] = 1
-        terms[tuple(exps)] = scalars.MU.scale_int(sign)
-    return DiffOp(Poly(space, terms))
+def _transition_piece(s: int, e: Exponents, zeros: Exponents) -> dict[Exponents, scalars.Coefficient]:
+    """exp(s mu sum_i d/dq_i d/dp_i) of the monomial q^a p^b (e = a + b): the
+    canonical form of p^b q^a where ph qh = qh ph + s*mu.  `zeros` is the
+    exponent tuple of the constant 1 that the walk pairs e with."""
+    n = len(e) // 2
+    return _word_piece(s, zeros[:n] + e[n:], e[:n] + zeros[n:])
+
+
+def _transition(f: Poly, space: Space, s: int) -> Poly:
+    """exp(s mu sum_i d/dq_i d/dp_i) f over `space`: one walk of f against 1."""
+    check_degree(f.total_degree(), "operand")
+    return bilinear(f, Poly.one(f.space), space, partial(_transition_piece, s))
 
 
 def weyl_quantize(f: Poly) -> NCPoly:
     """The symmetric-ordering operator image of a phase-space polynomial.
 
-    Computed as q-left substitution of exp(-mu sum d/dq d/dp) f; linear, and
-    maps 1 to the identity operator.
+    The q-left words of exp(-mu sum d/dq d/dp) f; linear, and maps 1 to the
+    identity operator.
     """
     n = phase_dimension(f.space)
-    shifted = _transition_op(n, -1).apply_exp(f)
-    return NCPoly._from_poly(n, shifted.in_space(operator_space(n)))
+    return NCPoly._from_poly(n, _transition(f, operator_space(n), -1))
 
 
 def weyl_symbol(op: NCPoly) -> Poly:
-    """The two-sided inverse of weyl_quantize on polynomials."""
-    return _transition_op(op.n, +1).apply_exp(op.poly.in_space(phase_space(op.n)))
+    """The two-sided inverse of weyl_quantize on polynomials: exp(+mu sum d/dq d/dp)."""
+    return _transition(op.poly, phase_space(op.n), +1)

@@ -19,10 +19,11 @@ operator (each plane wave e^{i sigma.z} is an eigenvector of -i d/dz with
 eigenvalue sigma).  Exponentials of such operators terminate exactly on
 polynomials because every generator term of positive degree strictly lowers
 the target's total degree.  A polynomial target, which meets its operator
-once (`u_map`, the Weyl transitions), runs the series sum_k D^k / k!.  A
-product operator meets many coefficient-1 monomials that share prefixes, so
-it builds exp(D) of each from its prefix's image and keeps the images
-(`DiffOp.monomial_exp`).
+once (`u_map`), runs the series sum_k D^k / k!.  A product operator meets
+many coefficient-1 monomials that share prefixes, so it builds exp(D) of
+each from its prefix's image and keeps the images (`DiffOp.monomial_exp`).
+The Weyl transitions of operators.py are not `DiffOp`s: their exponential
+is a closed-form contraction, read from that module's word table.
 
 Denominators.  Adding two coefficients over different denominators runs
 Euclid over Q(i)[mu], so the accumulation loops do not add rational
@@ -1363,7 +1364,7 @@ def _step_operator(op: Poly, k: int) -> Poly:
     """op / k, the operator of the k-th step of exp(op); one entry per (operator, k).
 
     Keyed by the operator polynomial, so a DiffOp rebuilt from an equal
-    polynomial (each `u_map` and Weyl transition call builds one) still hits.
+    polynomial (each `u_map` call builds one) still hits.
     """
     return op.scale_fraction(Fraction(1, k))
 
@@ -1382,17 +1383,18 @@ class DiffOp:
     over (operator term, target term) pairs, each pair's piece read from the
     shared derivative table `_derivative_piece`.
 
-    The exponential has two routes.  A polynomial target (`apply_exp`, for
-    `u_map` and the Weyl transitions, whose operators meet one target each)
-    runs the D/k series, stepping with D/k from the bounded table
-    `_step_operator`, shared by every operator, so a series does no per-term
-    division; it is also the reference the images below are tested against.
-    A coefficient-1 monomial (`monomial_exp`, for the exp pieces of a product
-    operator, which meets many monomials sharing prefixes) is built from its
-    prefix's image.  The images are kept in a memo of at most
-    `IMAGE_MEMO_SIZE` monomials, built on the first `monomial_exp` only; it
-    holds terms and derivatives of D, never the operator, so an operator is
-    freed by reference counting alone.
+    The exponential has two routes.  A polynomial target (`apply_exp`, the
+    route of `u_map`, whose operator meets one target) runs the D/k series,
+    stepping with D/k from the bounded table `_step_operator`, shared by
+    every operator, so a series does no per-term division; it is also the
+    reference the images below are tested against.  A coefficient-1
+    monomial (`monomial_exp`, for the exp pieces of a product operator,
+    which meets many monomials sharing prefixes) is built from its prefix's
+    image, in one dict: the shifted prefix terms, then D_i of the prefix
+    image added in place, pair by pair from `_derivative_piece`.  The images
+    are kept in a memo of at most `IMAGE_MEMO_SIZE` monomials, built on the
+    first `monomial_exp` only; it holds terms and the items of each D_i,
+    never the operator, so an operator is freed by reference counting alone.
     """
 
     __slots__ = ("poly", "_images", "_derivatives")
@@ -1469,13 +1471,31 @@ class DiffOp:
             chain.append((exps, i))
             exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
             terms = images.get(exps)
-        space = self.poly.space
+        one = scalars.ONE
         for exps, i in reversed(chain):
             derivative = derivatives[i]
             if derivative is None:
-                derivative = derivatives[i] = self.poly.differentiate(i)
-            shifted = Poly(space, {e[:i] + (e[i] + 1,) + e[i + 1 :]: c for e, c in terms.items()})
-            terms = (shifted + bilinear(derivative, Poly(space, terms), space, _derivative_piece)).terms
+                derivative = derivatives[i] = list(self.poly.differentiate(i).terms.items())
+            image = {e[:i] + (e[i] + 1,) + e[i + 1 :]: c for e, c in terms.items()}
+            for e, c in terms.items():
+                for d, dc in derivative:
+                    piece = _derivative_piece(d, e)
+                    if not piece:
+                        continue
+                    ((key, factor),) = piece.items()
+                    coeff = dc * c
+                    if factor is not one:
+                        coeff = coeff * factor
+                    acc = image.get(key)
+                    if acc is None:
+                        image[key] = coeff
+                        continue
+                    coeff = acc + coeff
+                    if coeff:
+                        image[key] = coeff
+                    else:
+                        del image[key]
+            terms = image
             if len(images) >= IMAGE_MEMO_SIZE:
                 images.clear()
             images[exps] = terms

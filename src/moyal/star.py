@@ -293,7 +293,8 @@ class BiDiff:
 
     def _check(self, f: Poly, g: Poly) -> None:
         """Both operands on the operator's phase space, their degrees within the guard."""
-        if (f.space, g.space) != (self.space, self.space):
+        space = self.space
+        if not (f.space is space and g.space is space) and (f.space, g.space) != (space, space):
             raise DimensionMismatchError(
                 f"operands must live on phase space of dimension n={len(self.space) // 2}"
             )

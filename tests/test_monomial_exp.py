@@ -6,7 +6,7 @@ compared with the D/k series of `DiffOp.apply_exp`, which it replaces for
 exp pieces, on seeded operators with powers of i, mu and mu-denominators, on
 monomials asked for in random order of a fresh and of a warm operator;
 `star` and `bracket` are compared with the per-term oracles of conftest.py.
-The rest pins the memo: one build per distinct prefix, a loop rather than a
+The rest pins the memo: one stored image per distinct prefix, a loop rather than a
 recursion at high degree, and the constant-term check.
 """
 
@@ -104,36 +104,55 @@ def prefixes(exps):
     return out
 
 
-def test_each_prefix_is_built_once(monkeypatch):
+class RecordingMemo(dict):
+    """An image memo that records every entry stored into it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.stored = []
+
+    def __setitem__(self, exps, terms):
+        self.stored.append(exps)
+        super().__setitem__(exps, terms)
+
+
+def test_each_prefix_is_built_once():
     kernel = dressed_kernel(random.Random(9500), 1)
     op = DiffOp.from_sigma_poly(kernel.exponent())
     first, second = (2, 1, 0, 3), (2, 1, 1, 1)
     every = prefixes(first) + prefixes(second)
     expected = {exps: series_terms(op, exps) for exps in every}
-    builds = []
-    walk = POLY.bilinear
-
-    def counting(f, g, space, pieces):
-        # The derivatives D_i are built by `differentiate`, with D as g.
-        if g is not op.poly:
-            builds.append(g)
-        return walk(f, g, space, pieces)
-
-    monkeypatch.setattr(POLY, "bilinear", counting)
+    # The constant monomial sets the memo up and stores nothing in it.
+    assert op.monomial_exp((0, 0, 0, 0)) == {(0, 0, 0, 0): scalars.ONE}
+    assert op._images == {}
+    memo = op._images = RecordingMemo()
     assert op.monomial_exp(first) == expected[first]
-    assert len(builds) == len(prefixes(first)) == 6
+    assert memo.stored == prefixes(first)[::-1] and len(memo) == 6
     # (2, 1, 1, 1) shares the prefixes from (2, 1, 0, 0) down with the first
-    # monomial; only (2, 1, 1, 1) and (2, 1, 1, 0) are new.
-    del builds[:]
+    # monomial; only (2, 1, 1, 0) and (2, 1, 1, 1) are new.
+    del memo.stored[:]
     assert op.monomial_exp(second) == expected[second]
     new = set(prefixes(second)) - set(prefixes(first))
     assert new == {(2, 1, 1, 1), (2, 1, 1, 0)}
-    assert len(builds) == len(new)
+    assert memo.stored == [(2, 1, 1, 0), (2, 1, 1, 1)] and len(memo) == 8
     # Every prefix of either, again: all from the memo.
-    del builds[:]
+    del memo.stored[:]
     for exps in every:
         assert op.monomial_exp(exps) == expected[exps]
-    assert builds == []
+    assert memo.stored == [] and len(memo) == 8
+
+
+def test_a_cancelled_term_leaves_the_image():
+    """exp(a d/dx + b d/dy - ab d/dx d/dy)(xy) = xy + bx + ay + (ab - ab): the
+    image of xy adds D_y = b - ab d/dx to the prefix image x + a, and its
+    constant term cancels inside that step."""
+    space = sigma_space(1)
+    a = scalars.I / (scalars.MU + scalars.Coefficient.from_int(1))
+    b = scalars.MU.scale_int(3)
+    op = DiffOp(Poly(space, {(1, 0): a, (0, 1): b, (1, 1): -(a * b)}))
+    want = {(1, 1): scalars.ONE, (1, 0): b, (0, 1): a}
+    assert series_terms(op, (1, 1)) == want
+    assert op.monomial_exp((1, 1)) == want
 
 
 def test_an_operator_applied_once_builds_no_memo(monkeypatch):

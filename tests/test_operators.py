@@ -3,7 +3,11 @@
 The brute-force symmetrizer below is the independent oracle for the
 symmetric-ordering fixtures: it averages every distinct arrangement of the
 word's letters, multiplying letter by letter with nc_mul, and never touches
-the exponential-operator composition used by weyl_quantize.
+the contraction table used by weyl_quantize.  The differential gate at the
+end compares both Weyl transitions with the D/k series oracles of
+conftest.py, `nc_mul` with `oracle_nc_mul`, and the transitions with `u_map`
+of the standard kernel's chi, on seeded operands carrying i and
+mu-denominators at n = 1, 2 and 3.
 """
 
 import itertools
@@ -12,7 +16,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import monomial_tuples, random_poly
+from conftest import (
+    monomial_tuples,
+    oracle_nc_mul,
+    oracle_weyl_quantize,
+    oracle_weyl_symbol,
+    random_coefficient,
+    random_poly,
+)
 from moyal import scalars
 from moyal.errors import DegreeGuardError, SpaceMismatchError
 from moyal.expressions import parse_poly
@@ -247,3 +258,75 @@ class TestHomomorphism:
         kernel = StarKernel.standard(1)
         ordered = weyl_quantize(u_map(Q * P, kernel.chi))
         assert ordered == nc_mul(PH, QH)
+
+
+GATE_DEGREE = {1: 6, 2: 4, 3: 3}
+GATE_SEEDS = range(6)
+
+
+def gate_operand(rng, n):
+    """Four terms with mu, mu^2 and i in their coefficients, about half of
+    them over a mu-denominator of their own."""
+    width = 2 * n
+    items = []
+    for _ in range(4):
+        exps = [0] * width
+        for _ in range(rng.randint(0, GATE_DEGREE[n])):
+            exps[rng.randrange(width)] += 1
+        coeff = random_coefficient(rng, mu_degree=2, allow_i=True)
+        if rng.random() < 0.5:
+            coeff = coeff / (scalars.MU + scalars.Coefficient.from_int(rng.choice((1, 2, -3))))
+        items.append((tuple(exps), coeff))
+    return Poly.from_terms(phase_space(n), items)
+
+
+def gate_word_operand(rng, n):
+    return NCPoly(n, dict(gate_operand(rng, n).terms))
+
+
+def deferred(f):
+    """f as a quotient whose division is deferred (see poly.py, Denominators)."""
+    numerators, den = f.split_denominator()
+    return numerators.over(den)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", GATE_SEEDS)
+def test_weyl_maps_match_the_series_oracles(seed, n):
+    rng = random.Random(f"weyl-gate-{seed}-{n}")
+    f = gate_operand(rng, n)
+    quantized = oracle_weyl_quantize(f)
+    assert weyl_quantize(f) == quantized
+    assert weyl_quantize(deferred(f)) == quantized
+    x = gate_word_operand(rng, n)
+    symbol = oracle_weyl_symbol(x)
+    assert weyl_symbol(x) == symbol
+    assert weyl_symbol(NCPoly._from_poly(n, deferred(x.poly))) == symbol
+    assert weyl_symbol(weyl_quantize(f)) == f
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", GATE_SEEDS)
+def test_nc_mul_matches_the_oracle(seed, n):
+    rng = random.Random(f"nc-gate-{seed}-{n}")
+    x, y = gate_word_operand(rng, n), gate_word_operand(rng, n)
+    assert nc_mul(x, y) == oracle_nc_mul(x, y)
+    assert nc_mul(y, x) == oracle_nc_mul(y, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", GATE_SEEDS)
+def test_weyl_maps_are_u_maps_of_the_standard_chi(seed, n):
+    """chi = c * sum_i u_i u_(n+i) with c = mu, the standard kernel's chi.
+    Under u -> -i d, chi(-i d) = c * (-i)^2 * sum_i d/dq_i d/dp_i
+    = -c * sum_i d/dq_i d/dp_i, so u_map(f, chi) = exp(-mu sum d/dq d/dp) f,
+    the transition of `weyl_quantize`, and u_map(f, -chi) = exp(+mu sum
+    d/dq d/dp) f, the transition of `weyl_symbol`.  Compared as polynomials,
+    over the same names."""
+    rng = random.Random(f"u-map-gate-{seed}-{n}")
+    space = phase_space(n)
+    chi = StarKernel.standard(n).chi
+    f = gate_operand(rng, n)
+    assert weyl_quantize(f).poly.in_space(space) == u_map(f, chi)
+    x = gate_word_operand(rng, n)
+    assert weyl_symbol(x) == u_map(x.poly.in_space(space), -chi)

@@ -2,13 +2,14 @@
 
 Three tables sit on the operator path: `poly._step_operator` keeps the
 operator D/k of the k-th step of the series for exp(D) on a polynomial
-target (`u_map`, the Weyl transitions), one entry per (operator, k);
-`poly._derivative_piece` keeps the derivative of each (order, monomial)
-pair; `operators._word_piece` keeps the canonical words of each word pair.
-Each kernel keeps its own product operator (`StarKernel.operator`), so a
-fresh kernel starts with cold pair memos.  These tests count what the tables
-save on fixed products (a series scales its operator once per step index,
-never a term, and the word table misses once per word pair), and run the
+target (`u_map`), one entry per (operator, k); `poly._derivative_piece`
+keeps the derivative of each (order, monomial) pair; `operators._word_piece`
+keeps the canonical words of each (contraction scale, word pair), for
+`nc_mul` and both Weyl transitions.  Each kernel keeps its own product
+operator (`StarKernel.operator`), so a fresh kernel starts with cold pair
+memos.  These tests count what the tables save on fixed products (a series
+scales its operator once per step index, never a term, the Weyl transitions
+run no series, and the word table misses once per key), and run the
 products from eight threads at once, starting from cleared tables and a
 fresh kernel, against the per-term oracles of conftest.py.
 """
@@ -116,39 +117,51 @@ def test_a_series_scales_each_operator_once_per_step_index(monkeypatch):
 
     monkeypatch.setattr(POLY, "_step_operator", counting_step)
     monkeypatch.setattr(Poly, "scale_fraction", counting_scale)
+    # The Weyl transitions are walks over the word table: no series, no scaling.
+    for f, g in OPERANDS:
+        weyl_product(f, g)
+    assert steps == [] and scaled == []
     for f, g in OPERANDS:
         u_map(star(f, g, kernel), kernel.chi)
-        weyl_product(f, g)
-    exponent = DiffOp.from_sigma_poly(kernel.exponent()).poly
-    operators = {
-        DiffOp.from_sigma_poly(kernel.chi.in_space(SPACE)).poly,
-        OPERATORS._transition_op(1, -1).poly,
-        OPERATORS._transition_op(1, +1).poly,
-    }
-    assert {op for op, _ in scaled} <= operators
+    chi = DiffOp.from_sigma_poly(kernel.chi.in_space(SPACE)).poly
     # The exp pieces of `star` are monomial images (`DiffOp.monomial_exp`):
     # the kernel exponent's operator runs no series and is never scaled.
-    assert exponent not in {op for op, _ in steps}
-    # Once per distinct (operator, k), against one step per series term.
-    assert len(scaled) == len(set(steps))
-    assert set(scaled) == {(op, Fraction(1, k)) for op, k in steps}
-    # Each of the three operators runs one series per operand pair or more
-    # (four pairs) and is scaled once per step index of its longest series.
-    assert len(scaled) < len(steps) / 3
+    # Only u_map's operator runs one.
+    assert {op for op, _ in steps} == {op for op, _ in scaled} == {chi}
+    # Once per distinct k, against one step per series term: one series per
+    # operand pair (four pairs), scaled once per step index of the longest.
+    longest = max(k for _, k in steps)
+    assert set(scaled) == {(chi, Fraction(1, k)) for k in range(1, longest + 1)}
+    assert len(scaled) == longest < len(steps) / 3
+
+
+def transition_keys(f, s):
+    """The word-table keys of exp(s mu sum d/dq d/dp) f: for q^a p^b, the pair (p^b, q^a)."""
+    n = len(f.space) // 2
+    zeros = (0,) * n
+    return {(s, zeros + e[n:], e[:n] + zeros) for e in f.terms}
 
 
 def test_the_word_table_misses_once_per_word_pair():
+    """One miss per distinct (scale, word pair) key: the pairs of `nc_mul`
+    at s = -2, and the pieces of `weyl_quantize` (s = -1) and `weyl_symbol`
+    (s = +1)."""
     clear_tables()
-    pairs = set()
+    keys = set()
     for f, g in OPERANDS:
         x, y = weyl_quantize(f), weyl_quantize(g)
-        pairs |= {(w1, w2) for w1 in x.terms for w2 in y.terms}
-        expected = oracle_nc_mul(x, y)
-        assert nc_mul(x, y) == expected
+        keys |= transition_keys(f, -1) | transition_keys(g, -1)
+        assert (x, y) == (oracle_weyl_quantize(f), oracle_weyl_quantize(g))
+        product = nc_mul(x, y)
+        keys |= {(-2, w1, w2) for w1 in x.terms for w2 in y.terms}
+        assert product == oracle_nc_mul(x, y)
+        symbol = weyl_symbol(product)
+        keys |= transition_keys(product.poly, +1)
+        assert symbol == oracle_weyl_symbol(product)
         misses = OPERATORS._word_piece.cache_info().misses
-        assert nc_mul(x, y) == expected
+        assert weyl_product(f, g) == symbol
         assert OPERATORS._word_piece.cache_info().misses == misses
-    assert OPERATORS._word_piece.cache_info().misses == len(pairs)
+    assert OPERATORS._word_piece.cache_info().misses == len(keys)
 
 
 def test_threads_share_the_tables_from_cold():

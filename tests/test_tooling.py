@@ -18,8 +18,9 @@ counts), no code writes into a `.terms` dict (a subscript store or `del`, or
 `update`, `pop`, `popitem`, `clear` or `setdefault` on it: `poly.bilinear`
 returns memoised pieces as the terms of its results), every module-level
 function or class is named somewhere else in src or exported by
-`__init__.py` (no new test-only code), and the package declares no runtime
-dependency."""
+`__init__.py` (no new test-only code), operators.py stays an independent
+verification path (no `DiffOp` or `BiDiff`, and nothing from star.py but
+`phase_dimension`), and the package declares no runtime dependency."""
 
 import ast
 from pathlib import Path
@@ -431,6 +432,51 @@ def test_test_only_checker():
         "c.py": ast.parse("def exported(): pass\n"),
     }
     assert sorted(name for _, _, name in _unreferenced(planted)) == ["Orphan", "recursive"]
+
+
+# operators.py checks the star machinery, so it runs on none of it.
+MACHINERY = {"DiffOp", "BiDiff"}
+STAR_NAMES = {"phase_dimension"}
+
+
+def _independence_violations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[-1] == "star":
+                    yield node.lineno, f"{alias.name} imported"
+        elif isinstance(node, ast.ImportFrom):
+            from_star = (node.module or "").split(".")[-1] == "star"
+            for alias in node.names:
+                if alias.name in MACHINERY or alias.name == "star":
+                    yield node.lineno, f"{alias.name} imported"
+                elif from_star and alias.name not in STAR_NAMES:
+                    yield node.lineno, f"{alias.name} imported from star"
+        elif isinstance(node, ast.Attribute) and node.attr in MACHINERY:
+            yield node.lineno, f"{node.attr} read"
+
+
+def test_operators_is_an_independent_path():
+    tree = ast.parse((ROOT / "src" / "moyal" / "operators.py").read_text())
+    assert list(_independence_violations(tree)) == []
+
+
+def test_independence_checker_flags_planted_violations():
+    planted = (
+        "from .poly import DiffOp, Poly\nfrom .star import phase_dimension, u_map\n"
+        "from . import star\nimport moyal.star\nfrom moyal.star import BiDiff\n"
+        "op = poly.DiffOp(p)\n"
+    )
+    assert [what for _, what in _independence_violations(ast.parse(planted))] == [
+        "DiffOp imported",
+        "u_map imported from star",
+        "star imported",
+        "moyal.star imported",
+        "BiDiff imported",
+        "DiffOp read",
+    ]
+    allowed = "from .poly import Poly, bilinear\nfrom .star import phase_dimension\n"
+    assert list(_independence_violations(ast.parse(allowed))) == []
 
 
 def test_no_runtime_dependencies():
