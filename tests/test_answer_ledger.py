@@ -1,13 +1,18 @@
 """The answer ledger: every op output of the benchmark workloads, hashed.
 
 `tests/answer_ledger.json` holds, for the `products` and `dense_products`
-ops at seed 41 and the `classify` ops at seeds 41-50, one sha256 digest per
-chunk of CHUNK consecutive ops, over the canonical texts of their outputs.
-A change that alters any answer changes a digest and fails here.  The
-ledger changes only with a change that means to alter an answer, and the
-change log then names each entry that moved and why.  To rewrite it:
+ops at seeds 41 and 13 and the `classify` ops at seeds 41-50, one sha256
+digest per chunk of CHUNK consecutive ops, over the canonical texts of their
+outputs.  A change that alters any answer changes a digest and fails here.
+The ledger changes only with a change that means to alter an answer, and
+the change log then names each entry that moved and why.  To add the
+entries of ENTRIES that the ledger lacks:
 
     PYTHONPATH=src python tests/test_answer_ledger.py --write
+
+`--write` recomputes every existing entry too, and if any digest would
+change it writes nothing and exits 1, naming the entries that moved.  A
+change that means to alter answers rewrites them with `--rewrite`.
 """
 
 import hashlib
@@ -30,7 +35,9 @@ import workloads  # noqa: E402
 
 LEDGER = Path(__file__).with_name("answer_ledger.json")
 CHUNK = 100
-ENTRIES = [("products", 41), ("dense_products", 41)] + [("classify", seed) for seed in range(41, 51)]
+ENTRIES = [("products", 41), ("dense_products", 41), ("products", 13), ("dense_products", 13)] + [
+    ("classify", seed) for seed in range(41, 51)
+]
 
 
 def canonical_text(value) -> str:
@@ -106,5 +113,46 @@ def test_canonical_text_separates_what_repr_might_not():
         canonical_text(1.0)
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    LEDGER.write_text(json.dumps({ledger_key(*e): digests(*e) for e in ENTRIES}, indent=1) + "\n")
+def test_write_adds_missing_entries_and_refuses_to_move_one(tmp_path, monkeypatch, capsys):
+    """`--write` fills a missing entry and leaves the rest; an entry whose
+    digests would change makes it write nothing and exit 1, naming the
+    entry; `--rewrite` moves it."""
+    ledger = tmp_path / "ledger.json"
+    monkeypatch.setitem(globals(), "LEDGER", ledger)
+    monkeypatch.setitem(globals(), "digests", lambda workload, seed: [f"{workload}-{seed}"])
+    fresh = {ledger_key(*e): [f"{e[0]}-{e[1]}"] for e in ENTRIES}
+    first, moved = ledger_key(*ENTRIES[0]), ledger_key(*ENTRIES[1])
+    ledger.write_text(json.dumps({k: v for k, v in fresh.items() if k != first}))
+    assert write_ledger(rewrite=False) == 0
+    assert json.loads(ledger.read_text()) == fresh
+    stale = json.dumps({**fresh, moved: ["old"]})
+    ledger.write_text(stale)
+    assert write_ledger(rewrite=False) == 1
+    assert ledger.read_text() == stale
+    assert moved in capsys.readouterr().err
+    assert write_ledger(rewrite=True) == 0
+    assert json.loads(ledger.read_text()) == fresh
+
+
+def write_ledger(rewrite: bool) -> int:
+    """Fill the ledger's missing entries, or with `rewrite` every entry; 0 on success.
+
+    Without `rewrite` an existing entry whose digests would change is an
+    error: the ledger is left as it was and the exit status is 1.
+    """
+    old = json.loads(LEDGER.read_text()) if LEDGER.exists() else {}
+    new = {ledger_key(*e): digests(*e) for e in ENTRIES}
+    moved = [key for key, value in new.items() if key in old and old[key] != value]
+    if rewrite:
+        old = {}
+    elif moved:
+        print(f"answers changed in {', '.join(moved)}; use --rewrite if that is meant", file=sys.stderr)
+        return 1
+    LEDGER.write_text(json.dumps({**old, **new}, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] not in (["--write"], ["--rewrite"]):
+        sys.exit("usage: test_answer_ledger.py --write | --rewrite")
+    sys.exit(write_ledger(sys.argv[1] == "--rewrite"))
