@@ -48,10 +48,10 @@ pair: the usual operand is a monomial with no denominator, and splitting both
 operands up front would cost about a fifth of the `products` benchmark.  The
 usual call is one such pair, and its piece is often memoised (`star.BiDiff`),
 so two operands of one term each take the piece whole: a scale cf * cg that
-is ONE returns the piece's own dict as the terms (pieces are shared and never
-written, so no code writes into a `terms` dict), one polynomial in mu scales
-it in one comprehension, and one with a mu-denominator splits as above.  In
-the walk over many pairs a unit scale multiplies no term.  Only
+is ONE returns the piece itself, a memo's Poly or a Poly on a table's dict
+(pieces are shared, so no code writes into a `terms` dict), one polynomial
+in mu scales it in one comprehension, and one with a mu-denominator splits
+as above.  In the walk over many pairs a unit scale multiplies no term.  Only
 `DiffOp.apply_exp` splits on entry: its series runs on the target's
 numerators and divides once.  Values, `==`, `hash` and `str` do not depend
 on whether the division has happened yet.
@@ -548,7 +548,8 @@ class _Deferred(Poly):
         return _Deferred(self._numerator.in_space(space), self._denominator)
 
 
-Pieces = Callable[[Exponents, Exponents], dict[Exponents, Coefficient]]
+# A pair's piece: an operator memo's Poly over the walk's space, or a shared table's dict.
+Pieces = Callable[[Exponents, Exponents], "Poly | dict[Exponents, Coefficient]"]
 
 # The piece of a pair that contributes nothing; shared, and never written.
 _NO_TERMS: dict[Exponents, Coefficient] = {}
@@ -557,20 +558,20 @@ _NO_TERMS: dict[Exponents, Coefficient] = {}
 def bilinear(f: Poly, g: Poly, space: Space, pieces: Pieces) -> Poly:
     """The sum of cf * cg * pieces(ef, eg) over the term pairs of f and g, over `space`.
 
-    `pieces(ef, eg)` gives the terms of the pair (ef, eg) as a dict; an empty
-    dict skips the pair before cf * cg is formed.  This is the one walk of
-    the bilinear products and the one place that applies the denominator
-    rule (see Denominators above): when f or g is deferred both are split
-    first, and otherwise they are split at the first pair whose cf * cg has a
-    mu-denominator.
+    `pieces(ef, eg)` gives the terms of the pair (ef, eg) (see `Pieces`); an
+    empty piece skips the pair before cf * cg is formed.  This is the one
+    walk of the bilinear products and the one place that applies the
+    denominator rule (see Denominators above): when f or g is deferred both
+    are split first, and otherwise they are split at the first pair whose
+    cf * cg has a mu-denominator.
 
-    A piece's dict is shared and never written, so a pair of one-term
-    operands whose cf * cg is ONE returns the piece itself as its terms (a
-    memo hit costs one lookup), and one whose cf * cg is polynomial in mu
-    returns the piece scaled in one comprehension.  A unit scale multiplies
-    no term, and a key met for the first time is stored without a truth
-    test: a product of nonzero field elements is nonzero, and only a sum
-    can cancel.
+    A piece is shared and never written, so a pair of one-term operands
+    whose piece is empty or whose cf * cg is ONE returns the piece itself (a
+    Poly whole, so a memo hit costs one lookup and builds nothing; a dict as
+    a new Poly's terms), and one whose cf * cg is polynomial in mu returns
+    it scaled in one comprehension.  A unit scale multiplies no term, and a
+    key met for the first time is stored without a truth test: a product of
+    nonzero field elements is nonzero, and only a sum can cancel.
     """
     if f.is_deferred or g.is_deferred:
         return _on_numerators(f, g, space, pieces)
@@ -578,19 +579,20 @@ def bilinear(f: Poly, g: Poly, space: Space, pieces: Pieces) -> Poly:
     if len(f.terms) == 1 == len(g.terms):
         ((ef, cf),), ((eg, cg),) = f.terms.items(), g.terms.items()
         piece = pieces(ef, eg)
-        if not piece:
-            return Poly(space, {})
-        scale = cf * cg
+        items = piece if type(piece) is dict else piece.terms
+        scale = cf * cg if items else one
         if scale is one:
-            return Poly(space, piece)
+            return Poly(space, piece) if items is piece else piece
         if scale.den is not MU_POLY_ONE:
             return _on_numerators(f, g, space, pieces)
-        return Poly(space, {exps: scale if coeff is one else coeff * scale for exps, coeff in piece.items()})
+        return Poly(space, {exps: scale if coeff is one else coeff * scale for exps, coeff in items.items()})
     terms: dict[Exponents, Coefficient] = {}
     right = g.terms.items()
     for ef, cf in f.terms.items():
         for eg, cg in right:
             piece = pieces(ef, eg)
+            if type(piece) is not dict:
+                piece = piece.terms
             if not piece:
                 continue
             scale = cf * cg

@@ -25,15 +25,15 @@ formal, and poles only surface when the classical limit is taken.  It is not
 computed as two products: each kernel keeps its compiled operator
 (`StarKernel.operator`, a `BiDiff` freed with the kernel), which memoises,
 per monomial pair (ef, eg), both the product piece and the commutator piece
-(ef*eg - eg*ef) / (2*mu) in two LRU tables of at most `PAIR_MEMO_SIZE` pairs.
-A product piece is exp(b) on the monomial ef (x) eg, slots merged; the
-operator builds it from the image of a shorter monomial, which other pairs
-share, and keeps those images too (`poly.DiffOp.monomial_exp`).  `star` and
-`bracket` are then one walk over the terms of f and g that scales each
-memoised piece by the two coefficients (`poly.bilinear`): a unit scale
-multiplies no term, and for two one-term operands whose coefficients
-multiply to ONE a memo hit returns the memoised piece itself as the terms
-of the result, at the cost of one lookup.
+(ef*eg - eg*ef) / (2*mu), each a Poly, in two LRU tables of at most
+`PAIR_MEMO_SIZE` pairs.  A product piece is exp(b) on the monomial
+ef (x) eg, slots merged; the operator builds it from the image of a shorter
+monomial, which other pairs share, and keeps those images too
+(`poly.DiffOp.monomial_exp`).  `star` and `bracket` are then one walk over
+the terms of f and g that scales each memoised piece by the two
+coefficients (`poly.bilinear`): a unit scale multiplies no term, and for
+two one-term operands whose coefficients multiply to ONE a memo hit returns
+the memoised Poly itself, degree and hash kept, at the cost of one lookup.
 
 Slot layout: a kernel polynomial over pair space (u, v) or triple space
 (u, v, w) stores its exponents as consecutive blocks, one per slot, each of
@@ -235,15 +235,15 @@ class BiDiff:
     once, as for a bracket kernel A; `apply_exp` runs its exponential, as for
     a product kernel exp(b).  `commutator` is (f*g - g*f) / (2 mu) for that
     product.  All three are one walk, `poly.bilinear`, over the monomial
-    pairs (ef, eg) of f and g, summing each pair's piece (a dict of terms)
-    scaled by the two coefficients; they differ only in the piece.  A unit
-    scale multiplies no term, and a pair of one-term operands whose scale is
-    ONE gets the piece's own dict as its terms, so the memos' dicts are
-    shared with results and never written.  The exp
-    and commutator pieces are memoised, each memo an LRU table of at most
-    `PAIR_MEMO_SIZE` pairs owned by this operator, because products and
-    brackets meet the same pairs again and again.  The one-step pieces are
-    not: a caller that applies a bracket kernel once rarely meets a pair
+    pairs (ef, eg) of f and g, summing each pair's piece (a Poly over the
+    phase space) scaled by the two coefficients; they differ only in the
+    piece.  A unit scale multiplies no term, and a pair of one-term operands
+    whose piece is empty or whose scale is ONE returns the piece itself, so
+    a memo hit builds no Poly and the memos' Polys are shared with results.
+    The exp and commutator pieces are memoised, each memo an LRU table of
+    at most `PAIR_MEMO_SIZE` pairs owned by this operator, because products
+    and brackets meet the same pairs again and again.  The one-step pieces
+    are not: a caller that applies a bracket kernel once rarely meets a pair
     twice, so a memo would only add inserts.  Every entry point checks that
     both operands live on the operator's phase space and that their degrees
     fit the degree guard; the walk alone decides when operands with
@@ -270,7 +270,7 @@ class BiDiff:
         # reference back to this operator, so it is freed with its last user.
         memo = lru_cache(maxsize=PAIR_MEMO_SIZE)
         self._exp_piece = memo(partial(_exp_piece, self.op, self.space))
-        self._commutator_piece = memo(partial(_commutator_piece, self._exp_piece, self.space))
+        self._commutator_piece = memo(partial(_commutator_piece, self._exp_piece))
 
     def apply(self, f: Poly, g: Poly) -> Poly:
         """A(-i d_left, -i d_right) applied once to f (x) g, slots merged."""
@@ -287,9 +287,9 @@ class BiDiff:
         self._check(f, g)
         return bilinear(f, g, self.space, self._commutator_piece)
 
-    def _once_piece(self, ef: Exponents, eg: Exponents) -> Terms:
+    def _once_piece(self, ef: Exponents, eg: Exponents) -> Poly:
         target = Poly.monomial(self.op.poly.space, ef + eg)
-        return merge_slots(self.op.apply_once(target), self.space).terms
+        return merge_slots(self.op.apply_once(target), self.space)
 
     def _check(self, f: Poly, g: Poly) -> None:
         """Both operands on the operator's phase space, their degrees within the guard."""
@@ -301,14 +301,12 @@ class BiDiff:
         check_degree(f.total_degree() + g.total_degree(), "operand")
 
 
-def _exp_piece(op: DiffOp, space: Space, ef: Exponents, eg: Exponents) -> Terms:
-    return merge_slots(Poly(op.poly.space, op.monomial_exp(ef + eg)), space).terms
+def _exp_piece(op: DiffOp, space: Space, ef: Exponents, eg: Exponents) -> Poly:
+    return merge_slots(Poly(op.poly.space, op.monomial_exp(ef + eg)), space)
 
 
-def _commutator_piece(exp_piece: Pieces, space: Space, ef: Exponents, eg: Exponents) -> Terms:
-    forward = Poly(space, exp_piece(ef, eg))
-    backward = Poly(space, exp_piece(eg, ef))
-    return (forward - backward).scale(scalars.HALF_INV_MU).terms
+def _commutator_piece(exp_piece: Pieces, ef: Exponents, eg: Exponents) -> Poly:
+    return (exp_piece(ef, eg) - exp_piece(eg, ef)).scale(scalars.HALF_INV_MU)
 
 
 def star(f: Poly, g: Poly, kernel: StarKernel) -> Poly:

@@ -1,19 +1,22 @@
 """Differential tests for the one-pair case of `poly.bilinear`.
 
 When both operands hold one term and neither is deferred, the walk reads the
-pair's piece once: an empty piece gives zero, a scale cf * cg that is ONE
-returns the piece's own dict as the terms, a scale polynomial in mu returns
-the piece scaled, and a scale with a mu-denominator runs on the numerators.
-Each caller of the walk (`Poly.__mul__`, `star`, `bracket`, `BiDiff.apply`,
-`nc_mul`, `DiffOp.apply_once` and `Poly.differentiate`) is compared on
-one-term operands with its per-term oracle in conftest.py, for unit,
+pair's piece once: a piece that is empty, or whose scale cf * cg is ONE,
+is returned as it is (an operator memo's Poly itself, or a Poly over a
+shared table's dict), a scale polynomial in mu returns the piece scaled,
+and a scale with a mu-denominator runs on the numerators.  Each caller of
+the walk (`Poly.__mul__`, `star`, `bracket`, `BiDiff.apply`, `nc_mul`,
+`DiffOp.apply_once` and `Poly.differentiate`) is compared on one-term
+operands with its per-term oracle in conftest.py, for unit,
 Gaussian, polynomial-in-mu and mu-denominator scales (a unit scale also as
 i * -i and 1/mu * mu, equal to ONE but not ONE itself), for deferred
-one-term operands and for pairs whose piece is empty.  A memo hit's result
-shares the memo's dict, a scaled one does not, no call writes into a memo,
-and `star`/`bracket` on a hit equal the result from a fresh kernel object.
+one-term operands and for pairs whose piece is empty.  A memo hit returns
+the operator's memo Poly itself, a scaled pair a Poly of its own, no call
+writes into a memo, and `star`/`bracket` on a hit equal the result from a
+fresh kernel object; a second pass of unit pairs constructs no Poly.
 """
 
+import itertools
 import random
 
 import pytest
@@ -133,30 +136,71 @@ def test_empty_pieces_give_zero(shape, n):
     assert BiDiff(a).apply(constant, constant).is_zero
 
 
-def test_a_memo_hit_shares_the_memo_dict():
+def test_a_memo_hit_returns_the_memo_poly():
+    """A one-term unit pair returns the operator's memo Poly itself, for
+    `star` and for `bracket`, empty commutator pieces included; a second call
+    returns the same object, a scaled operand a new Poly, and no memo Poly's
+    terms change."""
     rng = random.Random("one-pair-memo")
+    snapshots = {}
     for n in (1, 2):
         kernel = dressed_kernel(rng, n)
         operator = kernel.operator
         space = phase_space(n)
-        for _ in range(6):
-            ef, eg = exponents(rng, n), exponents(rng, n)
+        zero = (0,) * (2 * n)
+        pairs = [(exponents(rng, n), exponents(rng, n)) for _ in range(6)]
+        # Pairs whose commutator piece is empty: a monomial with itself or with 1.
+        pairs += [(pairs[0][0], pairs[0][0]), (zero, pairs[1][1]), (pairs[2][0], zero)]
+        for ef, eg in pairs:
             f, g = Poly.monomial(space, ef), Poly.monomial(space, eg)
             product, commutator = star(f, g, kernel), bracket(f, g, kernel)
             exp_memo, commutator_memo = operator._exp_piece(ef, eg), operator._commutator_piece(ef, eg)
-            snapshots = dict(exp_memo), dict(commutator_memo)
-            assert product.terms is exp_memo
-            assert commutator.terms is commutator_memo or not commutator_memo
-            assert star(f, g, kernel).terms is exp_memo
-            # A scaled pair gets a dict of its own.
-            scaled = star(f.scale(MU + ONE), g, kernel)
-            assert scaled.terms is not exp_memo
-            assert scaled == product.scale(MU + ONE)
-            assert star(f.scale(parse_coefficient("1/(mu + 2)")), g, kernel).terms is not exp_memo
-            # No call wrote into a memo.
-            assert (dict(exp_memo), dict(commutator_memo)) == snapshots
+            for memo in (exp_memo, commutator_memo):
+                snapshots.setdefault(id(memo), (memo, dict(memo.terms)))
+            assert product is exp_memo and commutator is commutator_memo
+            assert star(f, g, kernel) is exp_memo and bracket(f, g, kernel) is commutator_memo
+            if ef == eg or zero in (ef, eg):
+                assert commutator.is_zero
+            # A scaled pair gets a Poly of its own.
+            for c in (MU + ONE, parse_coefficient("1/(mu + 2)")):
+                scaled = star(f.scale(c), g, kernel)
+                assert scaled is not exp_memo and scaled.terms is not exp_memo.terms
+                assert scaled == product.scale(c)
             # The same values from an operator with cold memos.
             fresh = StarKernel(kernel.n, kernel.chi, kernel.m)
             assert fresh.operator is not operator
             assert star(f, g, fresh) == product
             assert bracket(f, g, fresh) == commutator
+    # No call wrote into a memo Poly.
+    assert all(memo.terms == terms for memo, terms in snapshots.values())
+
+
+def test_a_second_pass_of_unit_pairs_builds_no_poly(monkeypatch):
+    """`star` and `bracket` over every pair of coefficient-1 monomials of
+    degree <= MAX_DEGREE, twice under one dressed kernel: the second pass
+    returns memo Polys only, so it constructs no `Poly` and fills no total
+    degree."""
+    counts = {"polys": 0, "degrees": 0}
+    init, total_degree = Poly.__init__, Poly.total_degree
+
+    def counting_init(self, *args):
+        counts["polys"] += 1
+        init(self, *args)
+
+    def counting_total_degree(self):
+        counts["degrees"] += self._degree is None
+        return total_degree(self)
+
+    rng = random.Random("one-pair-second-pass")
+    for n in (1, 2):
+        kernel = dressed_kernel(rng, n)
+        space = phase_space(n)
+        monomials = [Poly.monomial(space, e) for e in itertools.product(range(MAX_DEGREE + 1), repeat=2 * n)
+                     if sum(e) <= MAX_DEGREE]
+        first = [(star(f, g, kernel), bracket(f, g, kernel)) for f in monomials for g in monomials]
+        monkeypatch.setattr(Poly, "__init__", counting_init)
+        monkeypatch.setattr(Poly, "total_degree", counting_total_degree)
+        second = [(star(f, g, kernel), bracket(f, g, kernel)) for f in monomials for g in monomials]
+        monkeypatch.undo()
+        assert counts == {"polys": 0, "degrees": 0}
+        assert all(x is y for pair, again in zip(first, second) for x, y in zip(pair, again))
