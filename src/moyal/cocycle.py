@@ -103,24 +103,24 @@ def cocycle_defect(raw: RawKernelExponent) -> Poly:
 def cocycle_check(raw: RawKernelExponent) -> CocycleViolation | None:
     """None if b is a normalized 2-cocycle; otherwise a violation witness.
 
-    The witness carries one nonzero monomial of the defect and, for cocycle
+    The witness carries the leading monomial of the terms of b with an
+    empty slot (normalization) or of the defect (cocycle) and, for cocycle
     failures, an integer point with the two unequal sides of the identity
     b(u,v) + b(u+v,w) = b(v,w) + b(u,v+w).  The defect is summed in packed
-    form (`poly.lift_slots`) on the numerators of b; the verdict, the
-    leading term and the defect's degree are read off the `poly.Lifted` form,
-    and only the leading term is turned back into a coefficient.
+    form (`poly.lift_slots`) on the numerators of b, its verdict, lead and
+    degree read off the `poly.Lifted` form, and only its lead unlifted.
     """
-    n = raw.n
+    n, b = raw.n, raw.b
     width = 2 * n
-    b = raw.b
-    for exps, coeff in b.sorted_terms():
-        if 0 in slot_degrees(exps, width):
-            return CocycleViolation(
-                stage="normalization",
-                monomial=exps,
-                coefficient=coeff,
-                space_names=b.space.names,
-            )
+    offences = {e: c for e, c in b.terms.items() if 0 in slot_degrees(e, width)}
+    if offences:
+        exps, coeff = Poly(b.space, offences).leading_term()
+        return CocycleViolation(
+            stage="normalization",
+            monomial=exps,
+            coefficient=coeff,
+            space_names=b.space.names,
+        )
     (numerators, den), tri = b.split_denominator(), triple_space(n)
     defect = lift_slots(numerators, tri, _COCYCLE_MAPS).over(den)
     if not defect.terms:
@@ -190,22 +190,23 @@ def extract_antisymmetric_form(raw: RawKernelExponent) -> tuple[Poly, Matrix]:
     part read as the matrix M of sigma'^T M sigma.
 
     For a 2-cocycle the antisymmetric part is necessarily bilinear of
-    bidegree (1,1); a higher-degree antisymmetric term means the cocycle
-    check was skipped and is reported as an internal contradiction.
+    bidegree (1,1); the leading term of the others, if any, is reported as
+    an internal contradiction (the cocycle check was skipped).
     """
     b, n = raw.b, raw.n
     swapped, half = swap_slots(b), Fraction(1, 2)
     b_a = (b - swapped).scale_fraction(half)
-    for exps, coeff in b_a.sorted_terms():
-        if slot_degrees(exps, 2 * n) != (1, 1):
-            raise FactorizationError(
-                stage="extract_antisymmetric_form",
-                message=(
-                    "antisymmetric part is not bilinear (was cocycle_check "
-                    f"skipped?); offending monomial {Poly.monomial(b_a.space, exps, coeff)}"
-                ),
-                witness=(exps, coeff),
-            )
+    offences = {e: c for e, c in b_a.terms.items() if slot_degrees(e, 2 * n) != (1, 1)}
+    if offences:
+        exps, coeff = Poly(b_a.space, offences).leading_term()
+        raise FactorizationError(
+            stage="extract_antisymmetric_form",
+            message=(
+                "antisymmetric part is not bilinear (was cocycle_check "
+                f"skipped?); offending monomial {Poly.monomial(b_a.space, exps, coeff)}"
+            ),
+            witness=(exps, coeff),
+        )
     return (b + swapped).scale_fraction(half), bilinear_form(b_a, n)
 
 

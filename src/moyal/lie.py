@@ -18,8 +18,9 @@ truncation defects rather than violations.
 
 Packed form.  The Jacobi check runs on exact integers: A(u, v+w) and
 A(v, w), or half of it when A is antisymmetric, are lifted straight from the
-terms of A (`poly.lift_slots`) into `poly.Lifted` forms, split by total
-degree, and multiplied one output degree at a time (`poly.block_product`),
+terms of A (`poly.lift_slots`) into `poly.Lifted` forms over the
+denominator of A, split by total degree, and multiplied one output degree
+at a time (`poly.block_product`, which multiplies the two denominators too),
 each pair's product filed by block permutation as it is added; the fold
 keeps degrees, so each block is the whole defect's part of that degree.  The
 report reads three things, and stops as soon as it has them: the lowest
@@ -201,11 +202,11 @@ def _defect_blocks(
     Both slot maps are lifted once (`poly.lift_slots`) from D * A, D the
     lcm of the denominators of A (`Poly.split_denominator`), with one digit
     width and one int scale, both read from one `poly.lift_scale` of D * A
-    (H holds a subset of its terms), and split by degree; block(d) is the
-    degree-d block of their product folded as it is multiplied
-    (`poly.block_product` with the alternating or cyclic fold), divided by
-    D^2, and lead(d) reads the same fold.  The fold keeps each key's degree,
-    so it is the degree-d part of the whole fold, entry for entry.
+    (H holds a subset of its terms), put over D and split by degree;
+    block(d) is the degree-d block of their product folded as it is
+    multiplied (`poly.block_product` with the alternating or cyclic fold),
+    over D^2, and lead(d) reads the same fold.  The fold keeps each key's
+    degree, so it is the degree-d part of the whole fold, entry for entry.
     The digits are wide enough for the whole fold, and so for every block:
     with |.|_1 the sum of the absolute digit values of a lifted form and deg
     the degree of A, |A(u,v+w)|_1 <= 2^deg |D*A|_1 (each term's images sum
@@ -222,19 +223,14 @@ def _defect_blocks(
     scaled = lift_scale(a)
     digit_bits = digit_width(3 * scaled[1] ** 2 << max(a.total_degree(), 0))
     half = Poly(a.space, {e: c for e, c in a.terms.items() if e[:width] > e[width:]})
-    left = lift_slots(a, tri, ((1, "u", "vw"),), digit_bits, scaled).by_degree()
-    right = lift_slots(half if antisymmetric else a, tri, ((1, "v", "w"),), digit_bits, scaled).by_degree()
+    left = lift_slots(a, tri, ((1, "u", "vw"),), digit_bits, scaled)
+    right = lift_slots(half if antisymmetric else a, tri, ((1, "v", "w"),), digit_bits, scaled)
+    left, right = left.over(den).by_degree(), right.over(den).by_degree()
     if not left or not right:
         return range(0), None, None
     fold = "alternating" if antisymmetric else "cyclic"
-    product = block_product(left, right, fold)
-    degrees, den2 = range(min(left) + min(right), max(left) + max(right) + 1), den * den
-
-    def lead(degree: int) -> Lifted | None:
-        entry = block_lead(left, right, fold, degree)
-        return None if entry is None else entry.over(den2)
-
-    return degrees, lambda degree: product(degree).over(den2), lead
+    degrees = range(min(left) + min(right), max(left) + max(right) + 1)
+    return degrees, block_product(left, right, fold), partial(block_lead, left, right, fold)
 
 
 def jacobi_defect(raw: RawLieKernel) -> Poly:
@@ -346,25 +342,23 @@ def extract_omega(raw: RawLieKernel) -> Matrix:
     """Read omega_ij from the part of A linear in the first slot at zero.
 
     Requires A(0, sigma') = 0.  The first-slot-linear part must be linear in
-    the second slot and antisymmetric; the offending term that leads in the
-    order of `Poly.leading_term` is raised as the witness.  One pass reads
-    each term's slot degrees once and keeps the (1, 1) part for the matrix.
-    Ker omega is the returned matrix's `nullspace()`.
+    the second slot and antisymmetric.  One pass over A splits the terms of
+    first-slot degree at most 1 into the (1, 1) part, kept for the matrix,
+    and the offending rest, whose `Poly.leading_term` is raised as the
+    witness.  Ker omega is the returned matrix's `nullspace()`.
     """
     n, a, width = raw.n, raw.a, 2 * raw.n
-    offence, bilinear = None, {}
+    offences, bilinear = {}, {}
     for exps, coeff in a.terms.items():
-        u_deg, v_deg = sum(exps[:width]), sum(exps[width:])
-        if u_deg == 1 and v_deg == 1:
+        u_deg = sum(exps[:width])
+        if u_deg == 1 and sum(exps) == 2:
             bilinear[exps] = coeff
         elif u_deg <= 1:
-            key = (u_deg + v_deg, exps)
-            if offence is None or key > offence[0]:
-                offence = key, u_deg, coeff
-    if offence is not None:
-        (_, exps), u_deg, coeff = offence
+            offences[exps] = coeff
+    if offences:
+        exps, coeff = Poly(a.space, offences).leading_term()
         reason = (
-            "A(0, sigma') != 0" if u_deg == 0
+            "A(0, sigma') != 0" if not any(exps[:width])
             else "first-slot derivative at zero is not linear in the second slot"
         )
         raise LieKernelError(f"{reason}: term {Poly.monomial(a.space, exps, coeff)}", witness=(exps, coeff))
@@ -605,10 +599,11 @@ def _fit_structured(
     powers = _dressed_powers(chi, w, top)
     rest = a.truncate_degree(top) - next(powers)
     series = [scalars.ONE]
+    # The degree-2k part of dress * w^k is w^k (dress is 1 plus terms of
+    # degree >= 2), and its lead is lead(w)^k: the graded order is multiplicative.
+    w_exps, w_coeff = w.leading_term()
     for k, dressed in zip(count(3, 2), powers):
-        # The degree-2k part of dress * w^k is w^k.
-        lead_exps, lead_coeff = dressed.homogeneous_component(2 * k).leading_term()
-        ratio = rest.terms.get(lead_exps, scalars.ZERO) / lead_coeff
+        ratio = rest.terms.get(tuple(k * e for e in w_exps), scalars.ZERO) / w_coeff**k
         rest = rest - dressed.scale(ratio)
         series.append(ratio)
     if rest.is_zero:

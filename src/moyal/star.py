@@ -122,7 +122,8 @@ class StarKernel:
 
     @staticmethod
     def standard(n: int) -> "StarKernel":
-        """chi = mu * sum_i u_i u_{n+i}, M = mu*J."""
+        """chi = mu * sum_i u_i u_{n+i}, M = mu*J: the p-left ordering, which
+        quantizes q^a p^b as the word ph^b qh^a (tests/test_operators.py)."""
         sp = sigma_space(n)
         chi = Poly.zero(sp)
         for i in range(n):

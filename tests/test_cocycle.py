@@ -21,7 +21,7 @@ from moyal.errors import FactorizationError
 from moyal.expressions import parse_poly
 from moyal.linalg import Matrix
 from moyal.poly import Poly, pair_space, phase_space, sigma_space
-from moyal.star import StarKernel, bilinear_pair_poly, coboundary, star
+from moyal.star import StarKernel, bilinear_pair_poly, coboundary, slot_degrees, star, swap_slots
 
 ONE, MU = scalars.ONE, scalars.MU
 PAIR = pair_space(1)
@@ -29,6 +29,12 @@ PAIR = pair_space(1)
 
 def raw(text, n=1):
     return RawKernelExponent(n, parse_poly(text, pair_space(n)))
+
+
+def first_offence(p, offends):
+    """The first term of `p.sorted_terms()` that `offends`: the witness a
+    scan in the term order would raise."""
+    return next((exps, coeff) for exps, coeff in p.sorted_terms() if offends(slot_degrees(exps, 2)))
 
 
 def value_at(p, point):
@@ -91,6 +97,26 @@ class TestCocycleCheck:
     def test_normalization_violation(self):
         violation = cocycle_check(raw("u1^2 + u1*v1"))
         assert violation is not None and violation.stage == "normalization"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Two offences of degree 2: the larger exponent tuple leads.
+            "u1^2 - 2*u2^2 + u1*v1",
+            # An empty v-slot against an empty u-slot at one degree, under a higher valid term.
+            "v1*v2 + 5*u2^2/(mu + 1) + u1*v1^2*v2",
+            # Degree first: v1^3 and v2^3 lead u1^2, the larger tuple first.
+            "u1^2 + v2^3 - 4*i*v1^3 + u1*v1",
+        ],
+    )
+    def test_the_leading_offence_is_the_normalization_witness(self, text):
+        kernel = raw(text)
+        violation = cocycle_check(kernel)
+        assert violation.stage == "normalization"
+        assert (violation.monomial, violation.coefficient) == first_offence(kernel.b, lambda degrees: 0 in degrees)
+        with pytest.raises(FactorizationError, match=r"normalization failure at monomial") as err:
+            factorize(kernel)
+        assert violation.monomial_str() in str(err.value)
 
     def test_requires_zero_at_origin(self):
         with pytest.raises(ValueError):
@@ -155,6 +181,26 @@ class TestExtract:
         with pytest.raises(FactorizationError) as err:
             extract_antisymmetric_form(raw("u1^2*v1 - v1^2*u1"))
         assert err.value.stage == "extract_antisymmetric_form"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # b_a = (u1^2*v1 - u1*v1^2) / 2: two offences of degree 3.
+            "u1^2*v1",
+            # Four of degree 3 around a bilinear part that does not offend.
+            "u1^2*v1 + u2^3/(mu - 2) + mu*u1*v2",
+            # Degree first: the degree-4 terms lead the degree-3 ones.
+            "u1*v1^2 + i*u2*v2^3 + v1^4",
+        ],
+    )
+    def test_the_leading_offence_is_the_witness(self, text):
+        kernel = raw(text)
+        b_a = (kernel.b - swap_slots(kernel.b)).scale_fraction(Fraction(1, 2))
+        witness = first_offence(b_a, lambda degrees: degrees != (1, 1))
+        with pytest.raises(FactorizationError) as err:
+            extract_antisymmetric_form(kernel)
+        assert err.value.witness == witness
+        assert str(Poly.monomial(PAIR, *witness)) in str(err.value)
 
 
 class TestChiExtract:

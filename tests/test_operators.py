@@ -7,7 +7,10 @@ the contraction table used by weyl_quantize.  The differential gate at the
 end compares both Weyl transitions with the D/k series oracles of
 conftest.py, `nc_mul` with `oracle_nc_mul`, and the transitions with `u_map`
 of the standard kernel's chi, on seeded operands carrying i and
-mu-denominators at n = 1, 2 and 3.
+mu-denominators at n = 1, 2 and 3.  On the same operands at n = 1 and 2,
+the chis -mu * sum_i u_i u_(n+i) and +mu * sum_i u_i u_(n+i) are checked to
+give the q-left and p-left orderings, against a quantizer that multiplies
+the ordered words out from the generators.
 """
 
 import itertools
@@ -330,3 +333,58 @@ def test_weyl_maps_are_u_maps_of_the_standard_chi(seed, n):
     assert weyl_quantize(f).poly.in_space(space) == u_map(f, chi)
     x = gate_word_operand(rng, n)
     assert weyl_symbol(x) == u_map(x.poly.in_space(space), -chi)
+
+
+# chi = mu * sum_i u_i u_(n+i), written out.
+STANDARD_CHI = {1: "mu*u1*u2", 2: "mu*(u1*u3 + u2*u4)"}
+
+
+def ordered_words(f, p_first):
+    """The brute-force quantizer of an ordering: each term c q^a p^b of f
+    read as c times the word qh^a ph^b, or ph^b qh^a when `p_first`,
+    multiplied out letter by letter from the generators with `nc_mul`."""
+    n = len(f.space) // 2
+    out = NCPoly.zero(n)
+    for exps, coeff in f.terms.items():
+        qs = [NCPoly.generator(n, f"qh{i + 1}") for i in range(n) for _ in range(exps[i])]
+        ps = [NCPoly.generator(n, f"ph{i + 1}") for i in range(n) for _ in range(exps[n + i])]
+        word = NCPoly.identity(n)
+        for letter in ps + qs if p_first else qs + ps:
+            word = nc_mul(word, letter)
+        out = out + word.scale(coeff)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("seed", GATE_SEEDS)
+@pytest.mark.parametrize("sign, p_first", [(-1, False), (1, True)], ids=["q-left", "p-left"])
+def test_ordering_chis_name_their_orderings(sign, p_first, seed, n):
+    """chi = c * sum_i u_i u_(n+i) orders q-left for c = -mu and p-left for
+    c = +mu, the chi of `StarKernel.standard`.
+
+    With D = sum_i d/dq_i d/dp_i, chi(-i d) = c (-i)^2 D = -c D, so
+    u_map(f, chi) = exp(-c D) f, and weyl_quantize reads exp(-mu D) of its
+    argument as q-left words: weyl_quantize(u_map(f, chi)) is the q-left
+    reading of exp(-(mu + c) D) f.
+    * c = -mu: the exponent is 0, and q^a p^b goes to the word qh^a ph^b.
+    * c = +mu: per dimension, exp(-2mu d/dq d/dp) q^a p^b
+      = sum_j (-2mu)^j binom(a, j) binom(b, j) j! q^(a-j) p^(b-j).  As
+      ph qh = qh ph - 2mu ([qh, ph] = 2mu), ph^b qh^a reorders to the same
+      sum of q-left words: each of its j contractions pairs one of the b
+      ph's with one of the a qh's, in binom(b, j) binom(a, j) j! ways, and
+      gives -2mu.  Letters of different dimensions commute, so q^a p^b goes
+      to the word ph^b qh^a.
+    Then O = weyl_quantize o u_map(., chi) carries the product of the kernel
+    K = (chi, mu*J) to `nc_mul`: u_map(., chi) carries it to the Moyal
+    product (0, mu*J), which weyl_quantize carries to `nc_mul`.  Both are
+    checked against the brute-force quantizer `ordered_words`, on operands
+    with i and mu-denominators."""
+    chi = parse_poly(STANDARD_CHI[n], sigma_space(n)).scale(scalars.Coefficient.from_int(sign))
+    assert StarKernel.standard(n).chi.scale(scalars.Coefficient.from_int(sign)) == chi
+    kernel = StarKernel(n, chi, StarKernel.moyal(n).m)
+    rng = random.Random(f"ordering-{seed}-{n}")
+    f, g = gate_operand(rng, n), gate_operand(rng, n)
+    assert weyl_quantize(u_map(f, chi)) == ordered_words(f, p_first)
+    assert ordered_words(star(f, g, kernel), p_first) == nc_mul(
+        ordered_words(f, p_first), ordered_words(g, p_first)
+    )

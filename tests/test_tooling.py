@@ -9,8 +9,10 @@ cli.py only the expression table and its pass read and parse expression
 arguments, `perm` is called only in `poly._derivative_piece` (differentiation
 has one owner, the shared derivative table), `comb` only in
 `poly._binomial_row` (the one binomial slot expansion) and two places
-that are not slot maps, star.py, lie.py and cocycle.py apply no `>>` or `&` (a
-packed key's bit fields are read in poly.py alone), only poly.py holds the
+that are not slot maps, `sorted_terms` only in `poly.format_poly` (the
+term order has one owner: every witness is a `Poly.leading_term`),
+star.py, lie.py and cocycle.py apply no `>>` or `&` (a packed key's bit
+fields are read in poly.py alone), only poly.py holds the
 block letters "uvw" (`poly._lift_plan` alone reads which block a slot
 letter names), no module outside
 `__init__.py` imports a name it never uses (a name used only in an annotation
@@ -44,8 +46,14 @@ EXPRESSION_READERS = {"parse_poly", "parse_coefficient", "parse_series", "fetch"
 EXPRESSION_SCOPES = {"_EXPRESSIONS", "_parse_expressions"}
 
 
-# The one derivative table: every other derivative goes through it.
-DERIVATIVE_OWNER = ("poly.py", "_derivative_piece")
+# Each name is called only inside its owner (module, function).
+CALL_OWNERS = {
+    # The one derivative table: every other derivative goes through it.
+    "perm": ("poly.py", "_derivative_piece"),
+    # The term order has one owner: witnesses are read by `Poly.leading_term`,
+    # and only the printer lists the terms in that order.
+    "sorted_terms": ("poly.py", "format_poly"),
+}
 # The guard is set for one block at a time and reset when the block exits.
 GUARD_SETTER = ("poly.py", "degree_guard")
 # They read packed forms through the methods of poly.Lifted, which owns the key layout.
@@ -88,11 +96,12 @@ def _owned(tree, module, owner):
     }
 
 
-def _perm_violations(tree, module):
-    owned = _owned(tree, module, DERIVATIVE_OWNER)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _called_name(node) == "perm" and id(node) not in owned:
-            yield node.lineno, "perm called outside poly._derivative_piece"
+def _owned_call_violations(tree, module):
+    for name, owner in CALL_OWNERS.items():
+        owned = _owned(tree, module, owner)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node) == name and id(node) not in owned:
+                yield node.lineno, f"{name} called outside {owner[0][:-3]}.{owner[1]}"
 
 
 def _guard_setter_violations(tree, module):
@@ -167,7 +176,7 @@ def _violations(tree, module=""):
             yield node.lineno, "lru_cache without an int bound"
     if module == "cli.py":
         yield from _expression_violations(tree)
-    yield from _perm_violations(tree, module)
+    yield from _owned_call_violations(tree, module)
     yield from _guard_setter_violations(tree, module)
 
 
@@ -280,6 +289,7 @@ def test_no_function_imports_or_unbounded_caches(path):
         "self.images.terms.clear()\n",
         "x.poly.terms.setdefault(exps, coeff)\n",
         'blocks = "uvw"[: len(target) // width]\n',
+        "for exps, coeff in b.sorted_terms():\n    pass\n",
     ],
 )
 def test_checker_flags_planted_violations(source):
@@ -318,6 +328,11 @@ def test_checker_allows_public_and_foreign_names():
     assert list(_violations(ast.parse("d = Coefficient.make(num, den)\n"))) == []
     owner = "import math\ndef _derivative_piece(d, t):\n    return math.perm(t, d)\n"
     assert list(_violations(ast.parse(owner), "poly.py")) == []
+    printer = "def format_poly(poly):\n    return poly.sorted_terms()\n"
+    assert list(_violations(ast.parse(printer), "poly.py")) == []
+    assert [what for _, what in _violations(ast.parse("first = p.sorted_terms()[0]\n"), "poly.py")] == [
+        "sorted_terms called outside poly.format_poly"
+    ]
     setter = "def degree_guard(bound):\n    token = _degree_guard.set(bound)\n    _degree_guard.reset(token)\n"
     assert list(_violations(ast.parse(setter), "poly.py")) == []
     letters = 'blocks = "uvw"[: len(target) // width]\nslots = ("u", "vw")\n'
